@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint fmt fuzz
+.PHONY: all build test race lint fmt fuzz bench bench-test
 
 all: build lint test
 
@@ -28,3 +28,12 @@ fmt:
 
 fuzz:
 	$(GO) test -fuzz FuzzParse -fuzztime 30s ./internal/sqlparse
+
+# The two-clock benchmark (benchmark/README.md): every workload,
+# untraced then traced, ~2 min. bench-test runs the same pipeline at
+# tiny scale and checks BENCHMARK.json against it, ~15 s.
+bench:
+	bash benchmark/run.sh
+
+bench-test:
+	cd benchmark && $(GO) test .

@@ -16,6 +16,8 @@
 //	ghostdb-bench -exp slo                 # open-loop rate search under the SLO -> BENCH_slo.json
 //	ghostdb-bench -exp slo-gate -in BENCH_slo.json -baseline BENCH_slo_baseline.json
 //	                                       # CI perf gate: fail on sustainable-rate regression
+//	ghostdb-bench -exp fig10 -cpuprofile cpu.pprof -memprofile mem.pprof
+//	                                       # profile any experiment (go tool pprof -top cpu.pprof)
 //
 // The paper's full scale (10M-tuple root table) is -scale 1.0; the
 // default keeps laptop runtimes pleasant. Reported times are simulated
@@ -28,6 +30,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"sort"
 	"strings"
 
@@ -43,92 +47,81 @@ func main() {
 	in := flag.String("in", "BENCH_slo.json", "slo-gate: freshly measured report")
 	baseline := flag.String("baseline", "BENCH_slo_baseline.json", "slo-gate: committed baseline report")
 	tolerance := flag.Float64("tolerance", 0.10, "slo-gate: allowed relative drop in max sustainable qps")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the experiment to this file")
+	memProfile := flag.String("memprofile", "", "write an allocation profile to this file when the experiment ends")
 	flag.Parse()
 
-	lab := experiments.NewLab(*scale, *seed)
-	name := strings.ToLower(*exp)
-	switch name {
-	case "concurrency":
-		path := *out
-		if path == "" {
-			path = "BENCH_concurrency.json"
+	stop, err := startProfiles(*cpuProfile, *memProfile)
+	if err == nil {
+		err = dispatch(experiments.NewLab(*scale, *seed), strings.ToLower(*exp), *queries, *out, *in, *baseline, *tolerance)
+		if perr := stop(); err == nil {
+			err = perr
 		}
-		if err := runConcurrency(lab, *queries, path); err != nil {
-			fmt.Fprintln(os.Stderr, "ghostdb-bench:", err)
-			os.Exit(1)
-		}
-		return
-	case "planner":
-		path := *out
-		if path == "" {
-			path = "BENCH_planner.json"
-		}
-		if err := runPlanner(lab, *queries, path); err != nil {
-			fmt.Fprintln(os.Stderr, "ghostdb-bench:", err)
-			os.Exit(1)
-		}
-		return
-	case "cache":
-		path := *out
-		if path == "" {
-			path = "BENCH_cache.json"
-		}
-		if err := runCache(lab, *queries, path); err != nil {
-			fmt.Fprintln(os.Stderr, "ghostdb-bench:", err)
-			os.Exit(1)
-		}
-		return
-	case "pagecache":
-		path := *out
-		if path == "" {
-			path = "BENCH_pagecache.json"
-		}
-		if err := runPagecache(lab, *queries, path); err != nil {
-			fmt.Fprintln(os.Stderr, "ghostdb-bench:", err)
-			os.Exit(1)
-		}
-		return
-	case "sharding":
-		path := *out
-		if path == "" {
-			path = "BENCH_sharding.json"
-		}
-		if err := runSharding(lab, *queries, path); err != nil {
-			fmt.Fprintln(os.Stderr, "ghostdb-bench:", err)
-			os.Exit(1)
-		}
-		return
-	case "dml":
-		path := *out
-		if path == "" {
-			path = "BENCH_dml.json"
-		}
-		if err := runDML(lab, *queries, path); err != nil {
-			fmt.Fprintln(os.Stderr, "ghostdb-bench:", err)
-			os.Exit(1)
-		}
-		return
-	case "slo":
-		path := *out
-		if path == "" {
-			path = "BENCH_slo.json"
-		}
-		if err := runSLO(lab, path); err != nil {
-			fmt.Fprintln(os.Stderr, "ghostdb-bench:", err)
-			os.Exit(1)
-		}
-		return
-	case "slo-gate":
-		if err := runSLOGate(*in, *baseline, *tolerance); err != nil {
-			fmt.Fprintln(os.Stderr, "ghostdb-bench:", err)
-			os.Exit(1)
-		}
-		return
 	}
-	if err := run(lab, name); err != nil {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "ghostdb-bench:", err)
 		os.Exit(1)
 	}
+}
+
+// startProfiles starts the CPU profile and returns the function that
+// stops it and writes the allocation profile; either path may be empty.
+func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
+	var cpu *os.File
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, err
+		}
+	}
+	return func() error {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				return err
+			}
+		}
+		if memPath == "" {
+			return nil
+		}
+		f, err := os.Create(memPath)
+		if err != nil {
+			return err
+		}
+		runtime.GC() // so the profile holds every allocation up to here
+		if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+			f.Close()
+			return err
+		}
+		return f.Close()
+	}, nil
+}
+
+// dispatch runs one experiment: a sweep writing BENCH_<name>.json (or
+// out), the SLO gate, or a table/figure of the paper.
+func dispatch(lab *experiments.Lab, name string, queries int, out, in, baseline string, tolerance float64) error {
+	sweeps := map[string]func(path string) error{
+		"concurrency": func(p string) error { return runConcurrency(lab, queries, p) },
+		"planner":     func(p string) error { return runPlanner(lab, queries, p) },
+		"cache":       func(p string) error { return runCache(lab, queries, p) },
+		"pagecache":   func(p string) error { return runPagecache(lab, queries, p) },
+		"sharding":    func(p string) error { return runSharding(lab, queries, p) },
+		"dml":         func(p string) error { return runDML(lab, queries, p) },
+		"slo":         func(p string) error { return runSLO(lab, p) },
+	}
+	if sweep, ok := sweeps[name]; ok {
+		if out == "" {
+			out = "BENCH_" + name + ".json"
+		}
+		return sweep(out)
+	}
+	if name == "slo-gate" {
+		return runSLOGate(in, baseline, tolerance)
+	}
+	return run(lab, name)
 }
 
 // runPlanner compares plan-sized admission against the pre-planner fixed

@@ -401,18 +401,39 @@ type Cursor struct {
 	n   int
 }
 
-// Seek positions a cursor at the first entry with key >= the given key.
+// Seek positions a new cursor at the first entry with key >= the given key.
 func (t *Tree) Seek(key []byte) (*Cursor, error) {
-	buf := make([]byte, t.dev.PageSize())
-	leaf, _, err := t.descend(key, buf, false)
-	if err != nil {
+	c := t.NewCursor(nil)
+	if err := c.Seek(key); err != nil {
 		return nil, err
 	}
-	n := nodeCount(buf)
+	return c, nil
+}
+
+// NewCursor returns an unpositioned cursor over a caller-owned page
+// buffer of at least PageSize bytes (nil allocates one); position it
+// with Seek. A caller probing the tree many times re-seeks one cursor
+// instead of allocating a page buffer per probe.
+func (t *Tree) NewCursor(buf []byte) *Cursor {
+	if buf == nil {
+		buf = make([]byte, t.dev.PageSize())
+	}
+	return &Cursor{t: t, buf: buf}
+}
+
+// Seek repositions the cursor at the first entry with key >= the given
+// key: one full descent, exactly as Tree.Seek.
+func (c *Cursor) Seek(key []byte) error {
+	t := c.t
+	leaf, _, err := t.descend(key, c.buf, false)
+	if err != nil {
+		return err
+	}
+	n := nodeCount(c.buf)
 	lo, hi, pos := 0, n-1, n
 	for lo <= hi {
 		mid := (lo + hi) / 2
-		k, _ := t.leafEntry(buf, mid)
+		k, _ := t.leafEntry(c.buf, mid)
 		if bytes.Compare(k, key) >= 0 {
 			pos = mid
 			hi = mid - 1
@@ -420,11 +441,11 @@ func (t *Tree) Seek(key []byte) (*Cursor, error) {
 			lo = mid + 1
 		}
 	}
-	c := &Cursor{t: t, buf: buf, pg: leaf, i: pos, n: n}
 	// Because internal first-keys equal their subtree minimum, an exact
 	// lower bound never requires stepping back; but an absent key can
 	// leave us at the end of a leaf whose successor holds the answer.
-	return c, nil
+	c.pg, c.i, c.n = leaf, pos, n
+	return nil
 }
 
 // First positions a cursor at the smallest entry.

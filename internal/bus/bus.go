@@ -10,6 +10,7 @@ package bus
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // Direction of a transfer across the link.
@@ -48,15 +49,18 @@ type Req struct {
 	Payload string // retained for Up messages only, as in Transfer
 }
 
-// Channel is the simulated link. Counter and throughput accesses are
-// mutex-protected so sessions and control knobs may touch the channel
+// Channel is the simulated link. The audit trail and the throughput knob
+// are mutex-protected so sessions and control knobs may touch the channel
 // concurrently; transfers themselves are still serialized by the
-// scheduler's secure-token lock (the link is a serial resource).
+// scheduler's secure-token lock (the link is a serial resource). The byte
+// counters are atomics, written under mu but read without it: the cost
+// collector snapshots them around every span, several times per tuple.
 type Channel struct {
+	downBytes atomic.Uint64
+	upBytes   atomic.Uint64
+
 	mu             sync.Mutex
 	throughputMBps float64
-	downBytes      uint64
-	upBytes        uint64
 	coalesced      uint64
 	records        []Record
 	auditPayloads  bool
@@ -146,10 +150,10 @@ func (c *Channel) Transfer(dir Direction, kind string, n int, payload string) er
 	defer c.mu.Unlock()
 	switch dir {
 	case Down:
-		c.downBytes += uint64(n)
+		c.downBytes.Add(uint64(n))
 		payload = "" // visible data content is not interesting to audit
 	case Up:
-		c.upBytes += uint64(n)
+		c.upBytes.Add(uint64(n))
 	default:
 		return fmt.Errorf("bus: unknown direction %d", dir)
 	}
@@ -181,9 +185,9 @@ func (c *Channel) TransferBatch(dir Direction, reqs []Req) error {
 	var payload string
 	switch dir {
 	case Down:
-		c.downBytes += uint64(total)
+		c.downBytes.Add(uint64(total))
 	case Up:
-		c.upBytes += uint64(total)
+		c.upBytes.Add(uint64(total))
 		for _, r := range reqs {
 			payload += r.Payload
 		}
@@ -207,18 +211,19 @@ func (c *Channel) Coalesced() uint64 {
 	return c.coalesced
 }
 
-// Counters reports cumulative bytes in each direction.
+// Counters reports cumulative bytes in each direction. It takes no lock:
+// a reader racing a transfer sees each direction's total before or after
+// it, which is all a span delta needs.
 func (c *Channel) Counters() (down, up uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.downBytes, c.upBytes
+	return c.downBytes.Load(), c.upBytes.Load()
 }
 
 // ResetCounters zeroes the byte counters and the audit trail.
 func (c *Channel) ResetCounters() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.downBytes, c.upBytes = 0, 0
+	c.downBytes.Store(0)
+	c.upBytes.Store(0)
 	c.records = c.records[:0]
 	c.ringStart = 0
 	c.dropped = 0

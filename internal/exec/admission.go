@@ -41,42 +41,84 @@ func (r *queryRun) unionFanIn(nRuns, deficit, fanCap int) (int, error) {
 	return k, nil
 }
 
-// unionSmallest merges the k smallest of the given runs into one new run
-// on a fresh temp segment, holding one stream buffer per input plus one
-// spill-writer buffer for the duration of the pass. The parallel
-// segs/runs slices are returned with the k inputs replaced by the union.
-func (r *queryRun) unionSmallest(segs []*store.ListSegment, runs []store.Run, k int, span string) ([]*store.ListSegment, []store.Run, error) {
-	if k < 2 || k > len(runs) {
-		return nil, nil, fmt.Errorf("exec: bad union fan-in %d of %d", k, len(runs))
-	}
-	order := make([]int, len(runs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return runs[order[a]].Count < runs[order[b]].Count })
-	pick := order[:k]
-	sort.Ints(pick)
+// sublist is one sorted id run and the list segment that holds it.
+type sublist struct {
+	seg *store.ListSegment
+	run store.Run
+}
 
-	wg, err := r.ram.ReserveBuffers(1, 1) // spill writer
-	if err != nil {
-		return nil, nil, err
-	}
-	defer wg.Release()
+// runSet is the reduction's working set of sublists, ordered so that a
+// pass can take the k smallest without re-sorting the rest: live is a
+// min-heap keyed on (Count, arrival order), the low word indexing subs,
+// which only ever grows. Arrival order — position in the initial list,
+// then one slot per union in the order the passes produce them — is the
+// tie-break among equal counts. The simulated counters do not depend on
+// it: the sublists of one set are pairwise disjoint (one index level, or
+// disjoint chunks), so every original run is read exactly once and a
+// union's size is the sum of its inputs whichever equal-sized run goes
+// in.
+type runSet struct {
+	subs []sublist
+	live keyHeap
+}
 
-	srcs := make([]idStream, 0, k)
-	for _, i := range pick {
-		s, err := newRunStream(segs[i], runs[i], r.ram)
+func (s *runSet) len() int { return len(s.live) }
+
+func (s *runSet) add(seg *store.ListSegment, run store.Run) {
+	s.live.push(uint64(run.Count)<<32 | uint64(len(s.subs)))
+	s.subs = append(s.subs, sublist{seg: seg, run: run})
+}
+
+func (s *runSet) popSmallest() sublist { return s.subs[uint32(s.live.pop())] }
+
+// openUnion opens the union of every sublist in the set (one RAM buffer
+// per flash sublist) and of the direct streams, which ride the
+// communication buffer.
+func (r *queryRun) openUnion(s *runSet, direct []idStream) (idStream, error) {
+	srcs := make([]idStream, 0, s.len()+len(direct))
+	for _, key := range s.live {
+		sub := s.subs[uint32(key)]
+		st, err := r.newRunStream(sub.seg, sub.run)
 		if err != nil {
 			for _, s2 := range srcs {
 				s2.close()
 			}
-			return nil, nil, err
+			return nil, err
 		}
-		srcs = append(srcs, s)
+		srcs = append(srcs, st)
 	}
-	u, err := newUnionStream(srcs)
+	srcs = append(srcs, direct...)
+	switch len(srcs) {
+	case 0:
+		return emptyStream{}, nil
+	case 1:
+		return srcs[0], nil
+	}
+	return newUnionStream(srcs)
+}
+
+// unionSmallest replaces the k smallest sublists of the set with their
+// union, written as one run on a fresh temp segment; it holds one stream
+// buffer per input plus one spill-writer buffer for the duration of the
+// pass.
+func (r *queryRun) unionSmallest(s *runSet, k int, span string) error {
+	if k < 2 || k > s.len() {
+		return fmt.Errorf("exec: bad union fan-in %d of %d", k, s.len())
+	}
+	wg, err := r.ram.ReserveBuffers(1, 1) // spill writer
 	if err != nil {
-		return nil, nil, err
+		return err
+	}
+	defer wg.Release()
+
+	var pick runSet
+	for i := 0; i < k; i++ {
+		sub := s.popSmallest()
+		pick.add(sub.seg, sub.run)
+	}
+	u, err := r.openUnion(&pick, nil)
+	if err != nil {
+		return err
 	}
 	out := r.newTemp()
 	err = r.col.Span(span, func() error {
@@ -98,29 +140,17 @@ func (r *queryRun) unionSmallest(segs []*store.ListSegment, runs []store.Run, k 
 	})
 	u.close()
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
 	run, err := out.EndRun()
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
 	if err := out.Seal(); err != nil {
-		return nil, nil, err
+		return err
 	}
-
-	picked := make(map[int]bool, k)
-	for _, i := range pick {
-		picked[i] = true
-	}
-	nsegs := make([]*store.ListSegment, 0, len(runs)-k+1)
-	nruns := make([]store.Run, 0, len(runs)-k+1)
-	for i := range runs {
-		if !picked[i] {
-			nsegs = append(nsegs, segs[i])
-			nruns = append(nruns, runs[i])
-		}
-	}
-	return append(nsegs, out), append(nruns, run), nil
+	s.add(out, run)
+	return nil
 }
 
 // consolidateRuns unions sorted id runs in as many passes as needed until
@@ -129,31 +159,20 @@ func (r *queryRun) unionSmallest(segs []*store.ListSegment, runs []store.Run, k 
 // (nothing else held), so passes use the full-grant CrossFanIn binding.
 // Needs 3 free buffers (2 streams + 1 writer) to make progress; fails
 // wrapping ram.ErrExhausted below that.
-func (r *queryRun) consolidateRuns(segs []*store.ListSegment, runs []store.Run, maxRuns int, span string) ([]*store.ListSegment, []store.Run, error) {
+func (r *queryRun) consolidateRuns(s *runSet, maxRuns int, span string) error {
 	if maxRuns < 1 {
 		maxRuns = 1
 	}
-	for len(runs) > maxRuns {
-		k, err := r.unionFanIn(len(runs), len(runs)-maxRuns, r.bind.CrossFanIn)
+	for s.len() > maxRuns {
+		k, err := r.unionFanIn(s.len(), s.len()-maxRuns, r.bind.CrossFanIn)
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
-		segs, runs, err = r.unionSmallest(segs, runs, k, span)
-		if err != nil {
-			return nil, nil, err
+		if err := r.unionSmallest(s, k, span); err != nil {
+			return err
 		}
 	}
-	return segs, runs, nil
-}
-
-// sameSegs builds the parallel segment slice for runs that all live in
-// one list segment.
-func sameSegs(seg *store.ListSegment, n int) []*store.ListSegment {
-	segs := make([]*store.ListSegment, n)
-	for i := range segs {
-		segs[i] = seg
-	}
-	return segs
+	return nil
 }
 
 // consolidateTupleRuns merges a table's pos-sorted MJoin batch runs until

@@ -21,28 +21,27 @@ import (
 func (r *queryRun) reduceGroups(groups []*mergeGroup, fanCap int) error {
 	totalRuns := 0
 	for _, g := range groups {
-		totalRuns += len(g.runs)
+		totalRuns += g.runs.len()
 	}
 	for totalRuns > r.ram.AvailableBuffers() {
 		// Largest group first.
 		g := groups[0]
 		for _, cand := range groups[1:] {
-			if len(cand.runs) > len(g.runs) {
+			if cand.runs.len() > g.runs.len() {
 				g = cand
 			}
 		}
-		if len(g.runs) < 2 {
+		if g.runs.len() < 2 {
 			return fmt.Errorf("exec: cannot reduce %d merge sublists (largest group has %d): %w",
-				totalRuns, len(g.runs), ram.ErrExhausted)
+				totalRuns, g.runs.len(), ram.ErrExhausted)
 		}
 		// Union the k smallest sublists ("the smallest sublists of each
 		// list are the best candidates for reduction").
-		k, err := r.unionFanIn(len(g.runs), totalRuns-r.ram.AvailableBuffers(), fanCap)
+		k, err := r.unionFanIn(g.runs.len(), totalRuns-r.ram.AvailableBuffers(), fanCap)
 		if err != nil {
 			return err
 		}
-		g.runSegs, g.runs, err = r.unionSmallest(g.runSegs, g.runs, k, spanMerge)
-		if err != nil {
+		if err := r.unionSmallest(&g.runs, k, spanMerge); err != nil {
 			return err
 		}
 		totalRuns -= k - 1
@@ -50,28 +49,9 @@ func (r *queryRun) reduceGroups(groups []*mergeGroup, fanCap int) error {
 	return nil
 }
 
-// openGroup opens the union stream of one merge group (one RAM buffer per
-// flash sublist; direct streams ride the communication buffer).
+// openGroup opens the union stream of one merge group.
 func (r *queryRun) openGroup(g *mergeGroup) (idStream, error) {
-	srcs := make([]idStream, 0, len(g.runs)+len(g.streams))
-	for i := range g.runs {
-		s, err := newRunStream(g.runSegs[i], g.runs[i], r.ram)
-		if err != nil {
-			for _, s2 := range srcs {
-				s2.close()
-			}
-			return nil, err
-		}
-		srcs = append(srcs, s)
-	}
-	srcs = append(srcs, g.streams...)
-	if len(srcs) == 0 {
-		return emptyStream{}, nil
-	}
-	if len(srcs) == 1 {
-		return srcs[0], nil
-	}
-	return newUnionStream(srcs)
+	return r.openUnion(&g.runs, g.streams)
 }
 
 // openMerged opens the full Merge: the intersection of all groups. With

@@ -43,7 +43,7 @@ func (r *queryRun) applyPostSelect(tv int, visIDs []uint32) error {
 		}
 		chunkCap := resv.Bytes("stage") / store.IDBytes
 		posSeg := r.newTemp()
-		var posRuns []store.Run
+		var posRuns runSet
 		selErr := func() error {
 			for start := 0; start < len(visIDs); start += chunkCap {
 				end := start + chunkCap
@@ -75,7 +75,7 @@ func (r *queryRun) applyPostSelect(tv int, visIDs []uint32) error {
 				if err != nil {
 					return err
 				}
-				posRuns = append(posRuns, run)
+				posRuns.add(posSeg, run)
 			}
 			return posSeg.Seal()
 		}()
@@ -88,10 +88,7 @@ func (r *queryRun) applyPostSelect(tv int, visIDs []uint32) error {
 		// The chunk runs hold disjoint position ranges; consolidate them
 		// first when there are more than the stream buffers left after
 		// the per-column reader and writer.
-		posSegs := sameSegs(posSeg, len(posRuns))
-		posSegs, posRuns, err = r.consolidateRuns(posSegs, posRuns,
-			r.ram.AvailableBuffers()-2, spanPostSelect)
-		if err != nil {
+		if err := r.consolidateRuns(&posRuns, r.ram.AvailableBuffers()-2, spanPostSelect); err != nil {
 			return err
 		}
 		rw, err := r.ram.Plan(
@@ -106,24 +103,9 @@ func (r *queryRun) applyPostSelect(tv int, visIDs []uint32) error {
 		newCols := make(map[int]resCol, len(r.resCols))
 		newN := 0
 		for ti, c := range r.resCols {
-			srcs := make([]idStream, 0, len(posRuns))
-			for i, run := range posRuns {
-				s, err := newRunStream(posSegs[i], run, r.ram)
-				if err != nil {
-					for _, s2 := range srcs {
-						s2.close()
-					}
-					return err
-				}
-				srcs = append(srcs, s)
-			}
-			var ps idStream = emptyStream{}
-			if len(srcs) > 0 {
-				u, err := newUnionStream(srcs)
-				if err != nil {
-					return err
-				}
-				ps = u
+			ps, err := r.openUnion(&posRuns, nil)
+			if err != nil {
+				return err
 			}
 			out := r.newTemp()
 			if err := out.BeginRun(); err != nil {

@@ -239,7 +239,7 @@ func (r *queryRun) sortColumn(col resCol, out *store.ListSegment) error {
 	}
 	cap := resv.Bytes("chunk") / store.IDBytes
 	chunks := r.newTemp()
-	var runs []store.Run
+	var runs runSet
 	chunkErr := func() error {
 		rd := col.seg.NewRunReader(col.run)
 		buf := make([]uint32, 0, cap)
@@ -253,7 +253,7 @@ func (r *queryRun) sortColumn(col resCol, out *store.ListSegment) error {
 			if err != nil {
 				return err
 			}
-			runs = append(runs, run)
+			runs.add(chunks, run)
 			buf = buf[:0]
 			return nil
 		}
@@ -281,16 +281,14 @@ func (r *queryRun) sortColumn(col resCol, out *store.ListSegment) error {
 	if chunkErr != nil {
 		return chunkErr
 	}
-	if len(runs) == 0 {
+	if runs.len() == 0 {
 		return nil
 	}
 
 	// Union the chunk runs into the caller's open output run, reducing
 	// first when more chunks exist than stream buffers (one is kept back
 	// for the output writer).
-	segs := sameSegs(chunks, len(runs))
-	segs, runs, err = r.consolidateRuns(segs, runs, r.ram.AvailableBuffers()-1, spanProject)
-	if err != nil {
+	if err := r.consolidateRuns(&runs, r.ram.AvailableBuffers()-1, spanProject); err != nil {
 		return err
 	}
 	wg, err := r.ram.ReserveBuffers(1, 1) // output writer
@@ -298,18 +296,7 @@ func (r *queryRun) sortColumn(col resCol, out *store.ListSegment) error {
 		return fmt.Errorf("exec: column sort: %w", err)
 	}
 	defer wg.Release()
-	srcs := make([]idStream, 0, len(runs))
-	for i, run := range runs {
-		s, err := newRunStream(segs[i], run, r.ram)
-		if err != nil {
-			for _, s2 := range srcs {
-				s2.close()
-			}
-			return err
-		}
-		srcs = append(srcs, s)
-	}
-	u, err := newUnionStream(srcs)
+	u, err := r.openUnion(&runs, nil)
 	if err != nil {
 		return err
 	}

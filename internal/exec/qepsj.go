@@ -485,9 +485,7 @@ func (r *queryRun) needsExact(ti int) bool {
 // sorted sublists (flash runs and/or direct streams).
 type mergeGroup struct {
 	label   string
-	runs    []store.Run
-	seg     *store.ListSegment // segment holding runs (one per group source)
-	runSegs []*store.ListSegment
+	runs    runSet
 	streams []idStream
 }
 
@@ -495,8 +493,7 @@ func (g *mergeGroup) addRun(seg *store.ListSegment, run store.Run) {
 	if run.Count == 0 {
 		return
 	}
-	g.runs = append(g.runs, run)
-	g.runSegs = append(g.runSegs, seg)
+	g.runs.add(seg, run)
 }
 
 // encodePredKey encodes a predicate literal for the index key space.

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"ghostdb/internal/bloom"
+	"ghostdb/internal/index"
 	"ghostdb/internal/query"
 	"ghostdb/internal/ram"
 	"ghostdb/internal/schema"
@@ -331,10 +332,14 @@ func (r *queryRun) qepsj() error {
 		}
 	}
 
-	// ---- Exact Post-Select passes, if any (Figure 11).
-	for ti, ids := range r.postSelect {
-		if err := r.applyPostSelect(ti, ids); err != nil {
-			return err
+	// ---- Exact Post-Select passes, if any (Figure 11), deepest table
+	// first: each pass shrinks the columns the next one re-scans, so map
+	// order here would make the flash counters vary from run to run.
+	for _, ti := range visTables {
+		if ids, ok := r.postSelect[ti]; ok {
+			if err := r.applyPostSelect(ti, ids); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -471,9 +476,22 @@ func (r *queryRun) preFilterGroup(tv int, ids []uint32) (*mergeGroup, error) {
 		return nil, fmt.Errorf("exec: id index on %s lacks level %s",
 			r.db.Sch.Tables[tv].Name, r.db.Sch.Tables[r.q.Anchor].Name)
 	}
-	err := r.col.Span(spanCI, func() error {
+	if err := r.climb(g, ci, slot, ids); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// climb adds to g the anchor-level sublists of every id, one id-index
+// lookup each. A single probe, reading through a page buffer borrowed
+// from the token's free list, serves all the lookups.
+func (r *queryRun) climb(g *mergeGroup, ci *index.Climbing, slot int, ids []uint32) error {
+	return r.col.Span(spanCI, func() error {
+		buf := r.tok.pageBuf()
+		defer r.tok.releasePageBuf(buf)
+		probe := ci.NewProbe(buf)
 		for _, id := range ids {
-			runs, err := ci.RunsForID(id, slot)
+			runs, err := probe.RunsForID(id, slot)
 			if err != nil {
 				return err
 			}
@@ -483,10 +501,6 @@ func (r *queryRun) preFilterGroup(tv int, ids []uint32) (*mergeGroup, error) {
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return g, nil
 }
 
 // dropDeadAnchors wraps the merged stream with the anchor's tombstone
@@ -579,18 +593,7 @@ func (r *queryRun) scanFallback(g *mergeGroup, p query.Pred) error {
 	if err != nil {
 		return err
 	}
-	return r.col.Span(spanCI, func() error {
-		for _, id := range ids {
-			runs, err := ci.RunsForID(id, slot)
-			if err != nil {
-				return err
-			}
-			for _, rn := range runs {
-				g.addRun(ci.Lists(), rn)
-			}
-		}
-		return nil
-	})
+	return r.climb(g, ci, slot, ids)
 }
 
 // matchValue evaluates a predicate against a decoded value.

@@ -1,8 +1,12 @@
 package exec
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
+
+	"ghostdb/internal/flash"
 )
 
 // TestPostSelectSeedRegression pins the quick.Check seed that broke the
@@ -62,5 +66,45 @@ func TestPostSelectSeedRegression(t *testing.T) {
 				t.Fatalf("[%v/%v]: RAM grants leaked", fs, fp)
 			}
 		}
+	}
+}
+
+// TestInsertsOnTwiceImageDevice pins the FTL relocation fix end to end:
+// INSERT-only traffic on a device twice the loaded image leaves live
+// pages (rows, index entries) scattered among dead ones, so the
+// collector must relocate valid pages. Before the fix the run died near
+// statement 480 with "flash: invalid logical page".
+func TestInsertsOnTwiceImageDevice(t *testing.T) {
+	cards := map[string]int{"T0": 6000, "T1": 800, "T2": 600, "T11": 80, "T12": 80}
+	image := newFixture(t, 5, cards).db.Dev.PagesUsed()
+	const ppb = 16
+	f := newFixtureOpts(t, 5, cards, Options{
+		FlashParams: flash.Params{PageSize: 2048, PagesPerBlock: ppb, Blocks: 2*image/ppb + 4, ReserveBlocks: 4},
+	})
+	rng := rand.New(rand.NewSource(12))
+	t0, _ := f.sch.Lookup("T0")
+	t1, _ := f.sch.Lookup("T1")
+	t2, _ := f.sch.Lookup("T2")
+	for i := 0; i < 700; i++ {
+		fk1, fk2 := rng.Intn(cards["T1"]), rng.Intn(cards["T2"])
+		row := make([]string, 6)
+		quoted := make([]string, 6)
+		for c := range row {
+			row[c] = pad(rng.Intn(testDomain))
+			quoted[c] = "'" + row[c] + "'"
+		}
+		sql := fmt.Sprintf("INSERT INTO T0 (fk1, fk2, v1, v2, v3, h1, h2, h3) VALUES (%d, %d, %s)",
+			fk1, fk2, strings.Join(quoted, ", "))
+		if _, err := f.db.Run(sql); err != nil {
+			t.Fatalf("insert %d (%d pages relocated so far): %v", i, f.db.Dev.Counters().GCPageMoves, err)
+		}
+		f.ref.Insert(t0.Index, mkRow(row...), map[int]uint32{t1.Index: uint32(fk1), t2.Index: uint32(fk2)})
+		if i%100 == 99 {
+			f.checkQuery(t, `SELECT T0.id, T0.h1, T1.v1 FROM T0, T1 WHERE T0.fk1 = T1.id AND T0.h2 < '0000000500'`,
+				fmt.Sprintf("after %d inserts", i+1))
+		}
+	}
+	if f.db.Dev.Counters().GCPageMoves == 0 {
+		t.Fatal("no valid page was relocated: the device is too large to exercise the collector")
 	}
 }

@@ -66,18 +66,24 @@ func (s *seqStream) next() (uint32, bool, error) {
 
 func (s *seqStream) close() {}
 
-// runStream streams one sorted sublist from flash, holding one RAM buffer.
+// runStream streams one sorted sublist from flash, holding one RAM buffer
+// and, on the host, one page buffer borrowed from the token's free list.
+//
+//ghostdb:requires-slot
 type runStream struct {
 	rd    *store.RunReader
 	grant *ram.Grant
+	tok   *Token
+	buf   []byte
 }
 
-func newRunStream(seg *store.ListSegment, run store.Run, mem *ram.Manager) (*runStream, error) {
-	g, err := mem.AllocBuffers(1)
+func (r *queryRun) newRunStream(seg *store.ListSegment, run store.Run) (*runStream, error) {
+	g, err := r.ram.AllocBuffers(1)
 	if err != nil {
 		return nil, fmt.Errorf("exec: run buffer: %w", err)
 	}
-	return &runStream{rd: seg.NewRunReader(run), grant: g}, nil
+	buf := r.tok.pageBuf()
+	return &runStream{rd: seg.NewRunReaderIn(run, buf), grant: g, tok: r.tok, buf: buf}, nil
 }
 
 func (s *runStream) next() (uint32, bool, error) { return s.rd.Next() }
@@ -86,63 +92,102 @@ func (s *runStream) close() {
 	if s.grant != nil {
 		s.grant.Release()
 		s.grant = nil
+		s.tok.releasePageBuf(s.buf)
 	}
 }
 
+// keyHeap is a binary min-heap of packed keys: the ordering value in the
+// high 32 bits, a tag (source or sublist index) in the low 32, so equal
+// values order by tag. It backs both the k-way union and the reduction's
+// run set.
+type keyHeap []uint64
+
+func (h keyHeap) down(i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1] < h[c] {
+			c++
+		}
+		if h[i] <= h[c] {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+func (h *keyHeap) push(k uint64) {
+	s := append(*h, k)
+	*h = s
+	for i := len(s) - 1; i > 0; {
+		p := (i - 1) / 2
+		if s[p] <= s[i] {
+			return
+		}
+		s[p], s[i] = s[i], s[p]
+		i = p
+	}
+}
+
+func (h *keyHeap) pop() uint64 {
+	old := *h
+	top, n := old[0], len(old)-1
+	old[0] = old[n]
+	*h = old[:n]
+	h.down(0)
+	return top
+}
+
 // unionStream merges k ascending streams into one ascending, deduplicated
-// stream (the ∪ of the Merge operator).
+// stream (the ∪ of the Merge operator): a min-heap of head<<32|source
+// over the live sources, so each emitted id costs O(log k).
 type unionStream struct {
-	srcs []idStream
-	head []int64 // current head per source; -1 = exhausted
-	last int64
+	srcs  []idStream
+	heads keyHeap
+	last  int64 // last id emitted; -1 before the first
 }
 
 func newUnionStream(srcs []idStream) (*unionStream, error) {
-	u := &unionStream{srcs: srcs, head: make([]int64, len(srcs)), last: -1}
+	u := &unionStream{srcs: srcs, heads: make(keyHeap, 0, len(srcs)), last: -1}
 	for i, s := range srcs {
 		v, ok, err := s.next()
 		if err != nil {
 			u.close()
 			return nil, err
 		}
-		if !ok {
-			u.head[i] = -1
-		} else {
-			u.head[i] = int64(v)
+		if ok {
+			u.heads.push(uint64(v)<<32 | uint64(i))
 		}
 	}
 	return u, nil
 }
 
 func (u *unionStream) next() (uint32, bool, error) {
-	for {
-		min := int64(-1)
-		minI := -1
-		for i, h := range u.head {
-			if h >= 0 && (min < 0 || h < min) {
-				min, minI = h, i
-			}
-		}
-		if minI < 0 {
-			return 0, false, nil
-		}
-		v, ok, err := u.srcs[minI].next()
+	for len(u.heads) > 0 {
+		top := u.heads[0]
+		min, src := uint32(top>>32), uint32(top)
+		v, ok, err := u.srcs[src].next()
 		if err != nil {
 			return 0, false, err
 		}
 		if !ok {
-			u.head[minI] = -1
+			u.heads.pop()
 		} else {
-			if int64(v) <= u.head[minI] {
-				return 0, false, fmt.Errorf("exec: unsorted sublist (id %d after %d)", v, u.head[minI])
+			if v <= min {
+				return 0, false, fmt.Errorf("exec: unsorted sublist (id %d after %d)", v, min)
 			}
-			u.head[minI] = int64(v)
+			u.heads[0] = uint64(v)<<32 | uint64(src)
+			u.heads.down(0)
 		}
-		if min != u.last { // dedup across sources
-			u.last = min
-			return uint32(min), true, nil
+		if int64(min) != u.last { // dedup across sources
+			u.last = int64(min)
+			return min, true, nil
 		}
 	}
+	return 0, false, nil
 }
 
 func (u *unionStream) close() {

@@ -58,6 +58,13 @@ type Token struct {
 	spools   map[string]*retainedSpool
 	spoolLRU []string
 
+	// freePages is the free list of page-sized host buffers that sublist
+	// streams and index-climb cursors borrow and return (pageBuf /
+	// releasePageBuf). Touched only with the execution slot held, so it
+	// needs no lock; it never holds more than the RAM budget's buffer
+	// count, the most page readers a session can have open at once.
+	freePages [][]byte
+
 	sched *sched.Scheduler
 
 	// mu guards rows (against the public Rows accessor; in-query reads
@@ -215,6 +222,28 @@ func (t *Token) deltaFor(table int) (*delta.Table, error) {
 	t.deltas[table] = d
 	t.mu.Unlock()
 	return d, nil
+}
+
+// pageBuf borrows a page-sized host buffer from the token's free list.
+//
+//ghostdb:requires-slot
+func (t *Token) pageBuf() []byte {
+	if n := len(t.freePages); n > 0 {
+		b := t.freePages[n-1]
+		t.freePages = t.freePages[:n-1]
+		return b
+	}
+	return make([]byte, t.RAM.BufferSize())
+}
+
+// releasePageBuf returns a buffer taken with pageBuf; the caller must
+// not touch it afterwards.
+//
+//ghostdb:requires-slot
+func (t *Token) releasePageBuf(b []byte) {
+	if len(t.freePages) < t.RAM.Buffers() {
+		t.freePages = append(t.freePages, b)
+	}
 }
 
 // retainedSpool is one table's flash-resident Vis spool kept across

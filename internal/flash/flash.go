@@ -124,6 +124,7 @@ type Device struct {
 	state      []uint8  // per physical page: free/valid/invalid
 	p2l        []int32  // physical page -> logical owner (for GC)
 	data       [][]byte // per block, lazily allocated PagesPerBlock*PageSize
+	spare      [][]byte // buffers of blocks left without a valid page (<= ReserveBlocks)
 	blockValid []int32  // valid pages per block
 	blockInval []int32  // invalid pages per block
 	erases     []uint32 // wear: erase count per block
@@ -412,6 +413,12 @@ func (d *Device) program(data []byte) (int, error) {
 			return 0, err
 		}
 	}
+	return d.place(data, -1)
+}
+
+// place copies data into the next free physical page at or after the
+// frontier, never one in block skip (-1: any block), and returns it.
+func (d *Device) place(data []byte, skip int) (int, error) {
 	total := d.params.Blocks * d.params.PagesPerBlock
 	for scanned := 0; scanned < total; scanned++ {
 		pp := d.frontier
@@ -419,12 +426,16 @@ func (d *Device) program(data []byte) (int, error) {
 		if d.frontier == total {
 			d.frontier = 0
 		}
-		if d.state[pp] != physFree {
+		blk, off := pp/d.params.PagesPerBlock, pp%d.params.PagesPerBlock
+		if d.state[pp] != physFree || blk == skip {
 			continue
 		}
-		blk, off := pp/d.params.PagesPerBlock, pp%d.params.PagesPerBlock
 		if d.data[blk] == nil {
-			d.data[blk] = make([]byte, d.params.PagesPerBlock*d.params.PageSize)
+			if n := len(d.spare); n > 0 {
+				d.data[blk], d.spare = d.spare[n-1], d.spare[:n-1]
+			} else {
+				d.data[blk] = make([]byte, d.params.PagesPerBlock*d.params.PageSize)
+			}
 		}
 		page := d.data[blk][off*d.params.PageSize : (off+1)*d.params.PageSize]
 		copy(page, data)
@@ -445,6 +456,16 @@ func (d *Device) invalidate(pp int) {
 	d.p2l[pp] = -1
 	d.blockValid[blk]--
 	d.blockInval[blk]++
+	// Nothing can read a block without a valid page: hand its host
+	// buffer to the next block programmed instead of holding dead bytes
+	// until an erase that, on a roomy device, never comes. place
+	// overwrites each page in full, so stale content is harmless.
+	if d.blockValid[blk] == 0 {
+		if len(d.spare) < d.params.ReserveBlocks {
+			d.spare = append(d.spare, d.data[blk])
+		}
+		d.data[blk] = nil
+	}
 }
 
 // collect performs greedy garbage collection: pick the block with the most
@@ -479,25 +500,21 @@ func (d *Device) collect() error {
 func (d *Device) eraseBlock(b int) error {
 	ppb, psz := d.params.PagesPerBlock, d.params.PageSize
 	start := b * ppb
-	// Relocate still-valid pages.
+	// Relocate still-valid pages: program the copy into another block
+	// first (the erase below wipes this one, so a copy placed here would
+	// be lost), then retire the source. The source page itself is the
+	// copy's input; it cannot alias a destination outside its block.
 	for off := 0; off < ppb; off++ {
 		pp := start + off
 		if d.state[pp] != physValid {
 			continue
 		}
 		owner := d.p2l[pp]
-		page := d.data[b][off*psz : (off+1)*psz]
-		buf := make([]byte, psz)
-		copy(buf, page)
-		// Mark the source free *before* programming so the destination
-		// search can't loop back onto a full device.
-		d.state[pp] = physFree
-		d.blockValid[b]--
-		d.freePhys++
-		np, err := d.program(buf)
+		np, err := d.place(d.data[b][off*psz:(off+1)*psz], b)
 		if err != nil {
 			return err
 		}
+		d.invalidate(pp)
 		d.l2p[owner] = int32(np)
 		d.p2l[np] = owner
 		d.c.GCPageMoves++

@@ -2,7 +2,9 @@ package flash
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math/rand"
 	"testing"
 )
 
@@ -359,5 +361,99 @@ func TestBadParams(t *testing.T) {
 		if _, err := NewDevice(p); err == nil {
 			t.Fatalf("params %+v accepted", p)
 		}
+	}
+}
+
+// TestRelocationKeepsEveryPage is the FTL regression of PR 12: 1 000 live
+// pages on a 40-block device rewritten at random, so the collector has to
+// relocate valid pages out of its victims; every page must read back its
+// own last content after every write. Before the fix the copy could be
+// programmed into the victim block itself and wiped by the erase.
+func TestRelocationKeepsEveryPage(t *testing.T) {
+	d := MustDevice(Params{PageSize: 64, PagesPerBlock: 32, Blocks: 40, ReserveBlocks: 4})
+	const live = 1000
+	ids := make([]PageID, live)
+	want := make([]uint32, live)
+	buf := make([]byte, 8)
+	write := func(i int, v uint32) {
+		binary.BigEndian.PutUint32(buf, uint32(i))
+		binary.BigEndian.PutUint32(buf[4:], v)
+		if err := d.Write(ids[i], buf); err != nil {
+			t.Fatalf("write %d of page %d (%d relocations so far): %v", v, i, d.Counters().GCPageMoves, err)
+		}
+		want[i] = v
+	}
+	for i := range ids {
+		id, err := d.Alloc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = id
+		write(i, 0)
+	}
+	rng := rand.New(rand.NewSource(12))
+	for w := uint32(1); w <= 5000; w++ {
+		write(rng.Intn(live), w)
+		for i, id := range ids {
+			if err := d.Read(id, buf, 8); err != nil {
+				t.Fatalf("after write %d: read page %d: %v", w, i, err)
+			}
+			if gi, gv := binary.BigEndian.Uint32(buf), binary.BigEndian.Uint32(buf[4:]); int(gi) != i || gv != want[i] {
+				t.Fatalf("after write %d (%d relocations): page %d holds page %d's version %d, want version %d",
+					w, d.Counters().GCPageMoves, i, gi, gv, want[i])
+			}
+		}
+	}
+	c := d.Counters()
+	if c.GCPageMoves == 0 {
+		t.Fatal("no valid page was relocated: the device is too large to exercise the collector")
+	}
+	if d.PagesUsed() != live {
+		t.Fatalf("%d pages mapped, want %d", d.PagesUsed(), live)
+	}
+}
+
+// TestDeadBlocksGiveTheirBufferBack: a block left without a valid page
+// drops its host buffer (at most ReserveBlocks are kept for reuse), and a
+// page later programmed into a recycled buffer reads back zero-padded.
+func TestDeadBlocksGiveTheirBufferBack(t *testing.T) {
+	p := Params{PageSize: 64, PagesPerBlock: 4, Blocks: 16, ReserveBlocks: 2}
+	d := MustDevice(p)
+	full := bytes.Repeat([]byte{0xff}, p.PageSize)
+	var ids []PageID
+	for i := 0; i < 6*p.PagesPerBlock; i++ {
+		id, err := d.Alloc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Write(id, full); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	for _, id := range ids {
+		if err := d.Free(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held := 0
+	for _, b := range d.data {
+		if b != nil {
+			held++
+		}
+	}
+	if held != 0 || len(d.spare) != p.ReserveBlocks {
+		t.Fatalf("%d dead blocks still hold a buffer, %d spares kept (want 0 and %d)", held, len(d.spare), p.ReserveBlocks)
+	}
+	id, _ := d.Alloc()
+	if err := d.Write(id, []byte{7}); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, p.PageSize)
+	if err := d.ReadFull(id, got); err != nil {
+		t.Fatal(err)
+	}
+	if want := append([]byte{7}, make([]byte, p.PageSize-1)...); !bytes.Equal(got, want) {
+		t.Fatalf("page in a recycled buffer reads %v", got)
 	}
 }

@@ -2,6 +2,7 @@ package index
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -199,7 +200,12 @@ func (c *Climbing) RunsEq(key []byte, slot int) ([]store.Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	var runs []store.Run
+	return c.collectEq(cur, key, slot, nil)
+}
+
+// collectEq appends to runs the non-empty sublists of the entries equal
+// to key, starting from a cursor positioned by a Seek for that key.
+func (c *Climbing) collectEq(cur *btree.Cursor, key []byte, slot int, runs []store.Run) ([]store.Run, error) {
 	for {
 		k, p, ok, err := cur.Next()
 		if err != nil {
@@ -261,12 +267,44 @@ func (c *Climbing) RunsRange(lo, hi []byte, loInc, hiInc bool, slot int) ([]stor
 // lookups on the T1.id index as there are tuples resulting from the
 // Visible selection", §3.3).
 func (c *Climbing) RunsForID(id uint32, slot int) ([]store.Run, error) {
-	if c.colIdx >= 0 {
+	return c.NewProbe(nil).RunsForID(id, slot)
+}
+
+// Probe repeats RunsForID lookups on one ID index with the host state of
+// a single lookup: the cursor's page buffer and the result slice are
+// reused from call to call. The flash traffic per lookup is unchanged.
+// Hidden data, like the index it reads.
+//
+//ghostdb:hidden
+type Probe struct {
+	c    *Climbing
+	cur  *btree.Cursor
+	runs []store.Run
+}
+
+// NewProbe returns a probe whose cursor reads through a caller-owned
+// page buffer (nil allocates one).
+func (c *Climbing) NewProbe(buf []byte) *Probe {
+	return &Probe{c: c, cur: c.tree.NewCursor(buf)}
+}
+
+// RunsForID is Climbing.RunsForID; the returned slice is only valid
+// until the probe's next lookup.
+func (p *Probe) RunsForID(id uint32, slot int) ([]store.Run, error) {
+	if p.c.colIdx >= 0 {
 		return nil, fmt.Errorf("index: RunsForID on attribute index")
+	}
+	if slot < 0 || slot >= len(p.c.levels) {
+		return nil, ErrNoLevel
 	}
 	var key [4]byte
 	binary.BigEndian.PutUint32(key[:], id)
-	return c.RunsEq(key[:], slot)
+	if err := p.cur.Seek(key[:]); err != nil {
+		return nil, err
+	}
+	var err error
+	p.runs, err = p.c.collectEq(p.cur, key[:], slot, p.runs[:0])
+	return p.runs, err
 }
 
 // InsertEntry adds a post-load entry mapping key to one ID per level
@@ -339,14 +377,14 @@ func buildClimbing(dev *flash.Device, in climbingInput) (*Climbing, error) {
 		for i := range order {
 			order[i] = uint32(i)
 		}
-		sort.Slice(order, func(a, b int) bool {
-			ra, rb := order[a], order[b]
-			cmp := bytes.Compare(in.vals[int(ra)*in.keyW:int(ra+1)*in.keyW],
-				in.vals[int(rb)*in.keyW:int(rb+1)*in.keyW])
-			if cmp != 0 {
-				return cmp < 0
+		// A total order (key bytes, then row id): the sorted permutation
+		// is unique, whatever the sorting algorithm.
+		slices.SortFunc(order, func(ra, rb uint32) int {
+			if c := bytes.Compare(in.vals[int(ra)*in.keyW:int(ra+1)*in.keyW],
+				in.vals[int(rb)*in.keyW:int(rb+1)*in.keyW]); c != 0 {
+				return c
 			}
-			return ra < rb
+			return cmp.Compare(ra, rb)
 		})
 		ordOfRow = make([]uint32, in.rows)
 		for _, r := range order {

@@ -8,9 +8,13 @@ import (
 	"ghostdb/internal/flash"
 )
 
+func testDevice() *flash.Device {
+	return flash.MustDevice(flash.Params{PageSize: 2048, PagesPerBlock: 4, Blocks: 16, ReserveBlocks: 2})
+}
+
 func testRig(t *testing.T) (*flash.Device, *bus.Channel, *Collector) {
 	t.Helper()
-	dev := flash.MustDevice(flash.Params{PageSize: 2048, PagesPerBlock: 4, Blocks: 16, ReserveBlocks: 2})
+	dev := testDevice()
 	ch := bus.NewChannel(1.0)
 	return dev, ch, NewCollector(dev, ch, DefaultModel())
 }
@@ -88,8 +92,10 @@ func TestResetPanicsWithOpenSpans(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	col.begin("open")
-	col.Reset()
+	_ = col.Span("open", func() error {
+		col.Reset()
+		return nil
+	})
 }
 
 func TestFormatBreakdown(t *testing.T) {

@@ -123,7 +123,14 @@ type RunReader struct {
 
 // NewRunReader opens a streaming reader over run.
 func (l *ListSegment) NewRunReader(run Run) *RunReader {
-	return &RunReader{l: l, run: run, buf: make([]byte, l.seg.PageSize()), bufLo: -1}
+	return l.NewRunReaderIn(run, make([]byte, l.seg.PageSize()))
+}
+
+// NewRunReaderIn is NewRunReader over a caller-owned page buffer of at
+// least PageSize bytes, so a caller that opens many readers can recycle
+// the buffers; the reader uses it until its last Next.
+func (l *ListSegment) NewRunReaderIn(run Run, buf []byte) *RunReader {
+	return &RunReader{l: l, run: run, buf: buf, bufLo: -1}
 }
 
 // Remaining returns how many identifiers have not been consumed yet.
