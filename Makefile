@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint fmt fuzz bench bench-test
+.PHONY: all build test race lint fmt fuzz figures bench bench-test
 
 all: build lint test
 
@@ -28,6 +28,11 @@ fmt:
 
 fuzz:
 	$(GO) test -fuzz FuzzParse -fuzztime 30s ./internal/sqlparse
+
+# The paper's evaluation: Table 1, Figures 7-16 and the ablations, in
+# simulated time (machine-independent).
+figures:
+	$(GO) run ./cmd/ghostdb-bench -exp all
 
 # The two-clock benchmark (benchmark/README.md): every workload,
 # untraced then traced, ~2 min. bench-test runs the same pipeline at

@@ -1,7 +1,7 @@
 package ghostdb
 
 // Benchmark harness: one testing.B benchmark per table and figure of the
-// paper's evaluation (§6), plus the DESIGN.md ablations. Each benchmark
+// paper's evaluation (§6), plus the three ablations. Each benchmark
 // regenerates its figure through internal/experiments and reports the
 // figure's total *simulated* time (flash I/O + link transfer under the
 // Table 1 cost model) as sim-ms/op, so results are machine-independent.

@@ -162,9 +162,7 @@ func main() {
 				// print the span tree as JSON.
 				sql := strings.TrimSpace(line[strings.Index(strings.ToLower(line), "analyze")+len("analyze"):])
 				tr := obs.NewTrace(sql)
-				cfg := db.DefaultConfig()
-				cfg.Trace = tr
-				res, err := db.RunCtx(context.Background(), sql, cfg)
+				res, err := db.RunCtx(context.Background(), sql, exec.QueryConfig{Trace: tr})
 				if err != nil {
 					fmt.Println("error:", err)
 					continue
@@ -184,7 +182,7 @@ func main() {
 			}
 			// EXPLAIN SELECT ... : print the plan (strategies, footprint,
 			// estimated cost) without executing anything.
-			stmt, err := db.Prepare(strings.TrimSpace(line[len(fields[0]):]), db.DefaultConfig())
+			stmt, err := db.Prepare(strings.TrimSpace(line[len(fields[0]):]), exec.QueryConfig{})
 			if err != nil {
 				fmt.Println("error:", err)
 				continue

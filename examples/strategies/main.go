@@ -4,10 +4,9 @@
 // can watch Pre-Filtering degrade as the visible selection widens while
 // Post-Filtering stays flat — and see the planner's automatic choice.
 //
-// Strategies are forced per query with WithStrategy (the DB-wide
-// ForceStrategy knob is deprecated: it cannot be reasoned about under
-// concurrent sessions). The planner's own pick is inspected *before*
-// running anything via Prepare / Plan / Explain.
+// Strategies are forced per query with WithStrategy. The planner's own
+// pick is inspected *before* running anything via Prepare / Plan /
+// Explain.
 package main
 
 import (

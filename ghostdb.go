@@ -169,9 +169,6 @@ type Options struct {
 	// same per-shard committed-write versions as the result cache, so
 	// hits and misses are a pure function of public state.
 	PageCacheBytes int
-	// PageCachePolicy selects the page-cache eviction policy: "lru"
-	// (default) or "clock".
-	PageCachePolicy string
 	// BusAuditEntries bounds each token's bus audit trail: 0 (default)
 	// keeps the full trail (tests and forensics), n > 0 keeps a ring of
 	// the most recent n records, and negative disables recording
@@ -225,7 +222,6 @@ func (o Options) toExec() exec.Options {
 	eo.MaxConcurrentQueries = o.MaxConcurrentQueries
 	eo.ResultCacheBytes = o.ResultCacheBytes
 	eo.PageCacheBytes = o.PageCacheBytes
-	eo.PageCachePolicy = o.PageCachePolicy
 	eo.BusAuditEntries = o.BusAuditEntries
 	eo.Shards = o.Shards
 	eo.SlowQueryThreshold = o.SlowQueryThreshold
@@ -296,9 +292,9 @@ func (db *DB) Rows(table string) (int, error) {
 	return db.inner.Rows(t.Index), nil
 }
 
-// QueryOption customizes one QueryCtx call without touching the
-// database-wide defaults, so concurrent callers cannot trample each
-// other's knobs.
+// QueryOption customizes one QueryCtx call. There are no database-wide
+// query defaults, so concurrent callers cannot trample each other's
+// knobs.
 type QueryOption func(*exec.QueryConfig)
 
 // WithStrategy forces the visible/hidden combination strategy for this
@@ -345,7 +341,6 @@ func WithRAMBuffers(min, want int) QueryOption {
 // shift — so long-lived statements over fast-changing tables are worth
 // re-preparing occasionally.
 type Stmt struct {
-	cfg   exec.QueryConfig
 	inner *exec.Stmt
 }
 
@@ -357,12 +352,11 @@ func (db *DB) Prepare(sql string) (*Stmt, error) {
 	if !db.loaded.Load() {
 		return nil, errors.New("ghostdb: load data first (Loader / Commit)")
 	}
-	cfg := db.inner.DefaultConfig()
-	inner, err := db.inner.Prepare(sql, cfg)
+	inner, err := db.inner.Prepare(sql, exec.QueryConfig{})
 	if err != nil {
 		return nil, err
 	}
-	return &Stmt{cfg: cfg, inner: inner}, nil
+	return &Stmt{inner: inner}, nil
 }
 
 // Plan returns the statement's execution plan: per-table strategies,
@@ -379,7 +373,7 @@ func (s *Stmt) Explain() string { return s.inner.Plan().Explain() }
 // admission floor or cap the elastic want, but never push the grant
 // below the plan's derived minimum.
 func (s *Stmt) Run(ctx context.Context, opts ...QueryOption) (*Result, error) {
-	cfg := s.cfg
+	var cfg exec.QueryConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -415,7 +409,7 @@ func (db *DB) QueryCtx(ctx context.Context, sql string, opts ...QueryOption) (*R
 	if !db.loaded.Load() {
 		return nil, errors.New("ghostdb: load data first (Loader / Commit)")
 	}
-	cfg := db.inner.DefaultConfig()
+	var cfg exec.QueryConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -440,7 +434,7 @@ func (db *DB) ExecCtx(ctx context.Context, sql string) error {
 	if !db.loaded.Load() {
 		return errors.New("ghostdb: load data first (Loader / Commit)")
 	}
-	_, err := db.inner.RunCtx(ctx, sql, db.inner.DefaultConfig())
+	_, err := db.inner.RunCtx(ctx, sql, exec.QueryConfig{})
 	return err
 }
 
@@ -466,22 +460,6 @@ type DeltaStats = exec.DeltaStats
 // values are declassified mirrors maintained at commit and compaction
 // time — reading them never touches hidden state.
 func (db *DB) ShardDeltaStats() []DeltaStats { return db.inner.TokenDeltaStats() }
-
-// ForceStrategy overrides the planner default for experiments; pass
-// StrategyAuto to restore normal planning. It only affects queries
-// submitted afterwards — running queries keep the config they
-// snapshotted.
-//
-// Deprecated: a DB-wide mutable knob cannot be reasoned about under
-// concurrent sessions and bypasses the inspectable plan. Use the
-// per-query WithStrategy option, or Prepare a Stmt and check its Plan.
-func (db *DB) ForceStrategy(s Strategy) { db.inner.SetForceStrategy(s) }
-
-// SetProjector selects the default projection algorithm.
-//
-// Deprecated: same reasoning as ForceStrategy — use the per-query
-// WithProjector option, or Prepare a Stmt and check its Plan.
-func (db *DB) SetProjector(p Projector) { db.inner.SetProjector(p) }
 
 // SetThroughput changes the modeled USB link speed in MB/s. Safe under
 // concurrent sessions: each query session snapshots the speed when it

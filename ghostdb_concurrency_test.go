@@ -111,8 +111,8 @@ func TestQueryCtxConcurrentSessions(t *testing.T) {
 	}
 }
 
-// TestQueryCtxPerQueryOptions checks per-query knobs do not disturb the
-// DB defaults, and that the newly exported Cross-Post-Select strategy is
+// TestQueryCtxPerQueryOptions checks per-query knobs do not outlive
+// their query, and that the newly exported Cross-Post-Select strategy is
 // usable from the public API.
 func TestQueryCtxPerQueryOptions(t *testing.T) {
 	db := patientsDB(t)
@@ -135,9 +135,13 @@ func TestQueryCtxPerQueryOptions(t *testing.T) {
 			t.Fatalf("per-query option changed the answer: %d vs %d rows", len(res.Rows), len(base.Rows))
 		}
 	}
-	// Defaults were never touched.
-	if cfg := db.Internal().DefaultConfig(); cfg.Strategy != StrategyAuto || cfg.Projector != ProjectorBloom {
-		t.Fatalf("per-query options leaked into defaults: %+v", cfg)
+	// A later plain query is unaffected by the options above.
+	res, err := db.Query(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Projector != ProjectorBloom {
+		t.Fatalf("per-query options leaked into a later query: projector %v", res.Stats.Projector)
 	}
 }
 

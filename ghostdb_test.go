@@ -117,18 +117,16 @@ func TestTreeSchemaThroughPublicAPI(t *testing.T) {
 
 func TestStrategyKnobs(t *testing.T) {
 	db := patientsDB(t)
-	db.ForceStrategy(StrategyPreFilter)
-	db.SetProjector(ProjectorBruteForce)
 	db.SetThroughput(0.5)
-	res, err := db.Query(`SELECT name FROM Patients WHERE age = 50 AND bodymassindex = 23.0`)
+	res, err := db.QueryCtx(context.Background(),
+		`SELECT name FROM Patients WHERE age = 50 AND bodymassindex = 23.0`,
+		WithStrategy(StrategyPreFilter), WithProjector(ProjectorBruteForce))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rows) != 2 {
 		t.Fatalf("rows = %v", res.Rows)
 	}
-	db.ForceStrategy(StrategyAuto)
-	db.SetProjector(ProjectorBloom)
 }
 
 func TestCreateErrors(t *testing.T) {
@@ -353,12 +351,12 @@ func TestBloomInfeasibleSurfaced(t *testing.T) {
 	if err := ld.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	db.ForceStrategy(StrategyPostFilter)
-	_, err = db.Query(`SELECT A.id FROM A, B WHERE A.fb = B.id AND B.v = 'xx' AND B.h = 'hh'`)
+	_, err = db.QueryCtx(context.Background(),
+		`SELECT A.id FROM A, B WHERE A.fb = B.id AND B.v = 'xx' AND B.h = 'hh'`,
+		WithStrategy(StrategyPostFilter))
 	if !errors.Is(err, ErrBloomInfeasible) {
 		t.Fatalf("err = %v", err)
 	}
-	db.ForceStrategy(StrategyAuto)
 	res, err := db.Query(`SELECT A.id FROM A, B WHERE A.fb = B.id AND B.v = 'xx' AND B.h = 'hh'`)
 	if err != nil || len(res.Rows) != 200 {
 		t.Fatalf("auto fallback: %d rows, %v", len(res.Rows), err)

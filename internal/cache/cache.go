@@ -109,14 +109,13 @@ type flight struct {
 // singleflight collapsing. All methods are safe for concurrent use;
 // computations passed to Do run outside the cache lock.
 type Cache struct {
-	mu       sync.Mutex
-	cap      int64
-	bytes    int64
-	ll       *list.List // front = most recently used; values are *entry
-	entries  map[string]*list.Element
-	flights  map[string]*flight
-	versions []uint64 // per-shard data versions, grown on demand
-	epoch    uint64   // wholesale-invalidation epoch (Bump)
+	mu      sync.Mutex
+	cap     int64
+	bytes   int64
+	ll      *list.List // front = most recently used; values are *entry
+	entries map[string]*list.Element
+	flights map[string]*flight
+	ver     Versions
 
 	hits, shared, misses, stores, evictions, invalidations uint64
 }
@@ -133,69 +132,20 @@ func New(capBytes int64) *Cache {
 	}
 }
 
-// normShards defaults a nil/empty shard set to shard 0 (the unsharded
-// engine's single token).
-func normShards(shards []int) []int {
-	if len(shards) == 0 {
-		return []int{0}
-	}
-	return shards
-}
-
-func (c *Cache) verLocked(shard int) uint64 {
-	if shard < len(c.versions) {
-		return c.versions[shard]
-	}
-	return 0
-}
-
-// stampLocked snapshots the invalidation epoch followed by the current
-// versions of the given shards.
-func (c *Cache) stampLocked(shards []int) []uint64 {
-	out := make([]uint64, len(shards)+1)
-	out[0] = c.epoch
-	for i, s := range shards {
-		out[i+1] = c.verLocked(s)
-	}
-	return out
-}
-
 // Stamp snapshots the version vector restricted to the given shards;
 // pass the result to Put so a value computed before a racing update can
 // never be stored.
 func (c *Cache) Stamp(shards []int) []uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.stampLocked(normShards(shards))
-}
-
-func (c *Cache) freshLocked(shards []int, stamp []uint64) bool {
-	if len(stamp) != len(shards)+1 || stamp[0] != c.epoch {
-		return false
-	}
-	for i, s := range shards {
-		if stamp[i+1] != c.verLocked(s) {
-			return false
-		}
-	}
-	return true
-}
-
-// versionLocked is the monotone global stamp: the sum of the per-shard
-// versions plus the wholesale-invalidation epoch.
-func (c *Cache) versionLocked() uint64 {
-	v := c.epoch
-	for _, s := range c.versions {
-		v += s
-	}
-	return v
+	return c.ver.Stamp(NormShards(shards))
 }
 
 // Version returns the monotone global stamp.
 func (c *Cache) Version() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.versionLocked()
+	return c.ver.Sum()
 }
 
 // Bump invalidates every cached entry regardless of shard (wholesale).
@@ -205,7 +155,7 @@ func (c *Cache) Version() uint64 {
 func (c *Cache) Bump() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.epoch++
+	c.ver.BumpAll()
 	c.invalidations++
 	c.ll.Init()
 	clear(c.entries)
@@ -221,13 +171,7 @@ func (c *Cache) Bump() {
 func (c *Cache) BumpShard(shard int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if shard < 0 {
-		shard = 0
-	}
-	for shard >= len(c.versions) {
-		c.versions = append(c.versions, 0)
-	}
-	c.versions[shard]++
+	shard = c.ver.BumpShard(shard)
 	c.invalidations++
 	// Eager sweep: entries touching the shard are dead now; dropping them
 	// immediately keeps the byte accounting and the LRU capacity honest.
@@ -264,7 +208,7 @@ func (c *Cache) getLocked(key string) (any, bool) {
 		return nil, false
 	}
 	e := el.Value.(*entry)
-	if !c.freshLocked(e.shards, e.stamp) {
+	if !c.ver.Fresh(e.shards, e.stamp) {
 		// Stale under a racing bump; bumps drop affected entries eagerly,
 		// so this is only a belt-and-suspenders check.
 		c.removeLocked(el)
@@ -281,11 +225,11 @@ func (c *Cache) getLocked(key string) (any, bool) {
 func (c *Cache) Put(key string, val any, size int64, shards []int, stamp []uint64) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.putLocked(key, val, size, normShards(shards), stamp)
+	return c.putLocked(key, val, size, NormShards(shards), stamp)
 }
 
 func (c *Cache) putLocked(key string, val any, size int64, shards []int, stamp []uint64) bool {
-	if !c.freshLocked(shards, stamp) || size > c.cap || size < 0 {
+	if !c.ver.Fresh(shards, stamp) || size > c.cap || size < 0 {
 		return false
 	}
 	if el, ok := c.entries[key]; ok {
@@ -325,15 +269,15 @@ func (c *Cache) removeLocked(el *list.Element) {
 // ctx is cancelled while waiting returns the ctx error without having
 // computed anything.
 func (c *Cache) Do(ctx context.Context, key string, shards []int, compute func() (any, int64, error)) (any, Outcome, error) {
-	shards = normShards(shards)
+	shards = NormShards(shards)
 	c.mu.Lock()
-	stamp := c.stampLocked(shards)
+	stamp := c.ver.Stamp(shards)
 	if val, ok := c.getLocked(key); ok {
 		c.hits++
 		c.mu.Unlock()
 		return val, Hit, nil
 	}
-	if f, ok := c.flights[key]; ok && c.freshLocked(f.shards, f.stamp) {
+	if f, ok := c.flights[key]; ok && c.ver.Fresh(f.shards, f.stamp) {
 		c.mu.Unlock()
 		select {
 		case <-f.done:
@@ -387,8 +331,8 @@ func (c *Cache) Stats() Stats {
 		Entries:       len(c.entries),
 		Bytes:         c.bytes,
 		CapacityBytes: c.cap,
-		Version:       c.versionLocked(),
-		ShardVersions: append([]uint64(nil), c.versions...),
+		Version:       c.ver.Sum(),
+		ShardVersions: c.ver.Snapshot(),
 		Hits:          c.hits,
 		SharedHits:    c.shared,
 		Misses:        c.misses,

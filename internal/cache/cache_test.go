@@ -126,6 +126,26 @@ func TestBumpShardIsSelective(t *testing.T) {
 	}
 }
 
+// TestNegativeShard: a shard number below zero means shard 0 in Stamp,
+// Put and BumpShard alike; nothing indexes the vector out of range.
+func TestNegativeShard(t *testing.T) {
+	c := New(1000)
+	st := c.Stamp([]int{-1})
+	if !c.Put("k", "v", 10, []int{-1}, st) {
+		t.Fatal("Put under a negative shard should store")
+	}
+	c.BumpShard(-1)
+	if got := c.Stats().ShardVersions; len(got) != 1 || got[0] != 1 {
+		t.Fatalf("BumpShard(-1) should bump shard 0, versions = %v", got)
+	}
+	if _, ok := c.Get("k"); ok {
+		t.Fatal("an entry stamped under shard -1 survived the bump of shard 0")
+	}
+	if c.Put("k", "stale", 10, []int{-1}, st) {
+		t.Fatal("stale stamp must not store")
+	}
+}
+
 // TestBumpShardDuringFlightDropsResult: a flight touching the bumped
 // shard must not store; a flight on another shard is untouched.
 func TestBumpShardDuringFlightDropsResult(t *testing.T) {

@@ -366,15 +366,7 @@ func (db *DB) dmlOn(tok *Token, d *query.DML) (int, error) {
 	tok.dmlCount++
 	tok.mu.Unlock()
 	tok.syncDeltaMirror()
-	// The statement is committed: no later query touching this shard may
-	// be answered from a pre-DML cache entry.
-	tok.bumpVersion()
-	if db.cache != nil {
-		db.cache.BumpShard(tok.id)
-	}
-	if db.pages != nil {
-		db.pages.BumpShard(tok.id)
-	}
+	db.committed(tok)
 	return len(matched), nil
 }
 

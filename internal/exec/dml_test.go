@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"ghostdb/internal/flash"
 	"ghostdb/internal/query"
@@ -212,30 +213,28 @@ func TestZeroMatchDMLWritesOnePadPage(t *testing.T) {
 	}
 }
 
-// TestConcurrentDMLShardCacheInvalidation races writers on both schema
-// trees of a two-token database against readers hammering cacheable
-// SELECTs, then checks every read against the reference oracle once the
-// writers settle. The two writers touch disjoint trees, so the final
-// state is order-independent and the oracle can replay their statements
-// sequentially. A stale per-shard version vector — a cached answer
-// surviving a write to its shard — shows up as a reference mismatch.
-// Run under -race this also exercises the delta/commit/cache paths for
-// data races.
-func TestConcurrentDMLShardCacheInvalidation(t *testing.T) {
-	cards := map[string]int{"T0": 400, "T1": 80, "T2": 60, "T11": 20, "T12": 20, "U0": 300, "U1": 50}
-	f := newForestFixtureOpts(t, 23, cards, Options{
-		FlashParams:      flash.Params{PageSize: 2048, PagesPerBlock: 16, Blocks: 8192, ReserveBlocks: 4},
-		Shards:           2,
-		ResultCacheBytes: 1 << 20,
-	})
+// concurrentDMLQueries are the reads raceDML hammers and then settles.
+var concurrentDMLQueries = []string{
+	"SELECT T0.id, T0.h1 FROM T0 WHERE T0.h2 < '0000000100'",
+	"SELECT T1.v1, T1.h3 FROM T1 WHERE T1.id <= 40",
+	"SELECT T0.h2, T1.h1 FROM T0, T1 WHERE T0.fk1 = T1.id AND T1.h2 < '0000000150'",
+	"SELECT U0.id, U0.h1 FROM U0 WHERE U0.h3 < '0000000120'",
+	"SELECT U0.h2, U1.h1 FROM U0, U1 WHERE U0.fku1 = U1.id AND U1.h1 < '0000000200'",
+}
 
-	queries := []string{
-		"SELECT T0.id, T0.h1 FROM T0 WHERE T0.h2 < '0000000100'",
-		"SELECT T1.v1, T1.h3 FROM T1 WHERE T1.id <= 40",
-		"SELECT T0.h2, T1.h1 FROM T0, T1 WHERE T0.fk1 = T1.id AND T1.h2 < '0000000150'",
-		"SELECT U0.id, U0.h1 FROM U0 WHERE U0.h3 < '0000000120'",
-		"SELECT U0.h2, U1.h1 FROM U0, U1 WHERE U0.fku1 = U1.id AND U1.h1 < '0000000200'",
-	}
+// raceDML races one UPDATE/DELETE writer per schema tree of a two-token
+// database against readers hammering concurrentDMLQueries, requires
+// every statement to be served, lets background compactions settle, and
+// checks every read against the reference oracle. The two writers touch
+// disjoint trees, so the final state is order-independent and the
+// oracle can replay their statements sequentially. Run under -race this
+// also exercises the delta/commit/cache/compaction paths for data races.
+func raceDML(t *testing.T, opts Options) *fixture {
+	t.Helper()
+	cards := map[string]int{"T0": 400, "T1": 80, "T2": 60, "T11": 20, "T12": 20, "U0": 300, "U1": 50}
+	opts.FlashParams = flash.Params{PageSize: 2048, PagesPerBlock: 16, Blocks: 8192, ReserveBlocks: 4}
+	opts.Shards = 2
+	f := newForestFixtureOpts(t, 23, cards, opts)
 
 	tWrites := []string{
 		"UPDATE T0 SET h1 = '0000000111' WHERE T0.h2 < '0000000050'",
@@ -251,26 +250,30 @@ func TestConcurrentDMLShardCacheInvalidation(t *testing.T) {
 		"DELETE FROM U0 WHERE U0.h2 BETWEEN '0000000000' AND '0000000015'",
 	}
 
+	// A session starved of admission surfaces as a deadline error here
+	// instead of hanging the test binary.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
 	var wg sync.WaitGroup
-	errc := make(chan error, 2+len(queries))
+	errc := make(chan error, 2+len(concurrentDMLQueries))
 	for _, writes := range [][]string{tWrites, uWrites} {
 		wg.Add(1)
 		go func(stmts []string) {
 			defer wg.Done()
 			for _, sql := range stmts {
-				if _, err := f.db.Run(sql); err != nil {
+				if _, err := f.db.RunCtx(ctx, sql, QueryConfig{}); err != nil {
 					errc <- fmt.Errorf("%s: %w", sql, err)
 					return
 				}
 			}
 		}(writes)
 	}
-	for _, sql := range queries {
+	for _, sql := range concurrentDMLQueries {
 		wg.Add(1)
 		go func(sql string) {
 			defer wg.Done()
 			for i := 0; i < 6; i++ {
-				if _, err := f.db.Run(sql); err != nil {
+				if _, err := f.db.RunCtx(ctx, sql, QueryConfig{}); err != nil {
 					errc <- fmt.Errorf("%s: %w", sql, err)
 					return
 				}
@@ -282,15 +285,29 @@ func TestConcurrentDMLShardCacheInvalidation(t *testing.T) {
 	for err := range errc {
 		t.Fatal(err)
 	}
+	if err := f.db.WaitCompactions(ctx); err != nil {
+		t.Fatalf("background compaction never settled: %v", err)
+	}
 
 	// Replay the writers on the oracle (disjoint trees commute) and
 	// require the settled answers — cached or not — to match it.
 	for _, sql := range append(append([]string{}, tWrites...), uWrites...) {
 		f.refDML(t, sql)
 	}
-	for _, sql := range queries {
+	for _, sql := range concurrentDMLQueries {
 		f.checkQuery(t, sql, "after concurrent writers")
 	}
+	if f.db.Leaked() {
+		t.Fatal("RAM grants leaked")
+	}
+	return f
+}
+
+// TestConcurrentDMLShardCacheInvalidation: with the result cache on, a
+// stale per-shard version vector — a cached answer surviving a write to
+// its shard — shows up in raceDML as a reference mismatch.
+func TestConcurrentDMLShardCacheInvalidation(t *testing.T) {
+	f := raceDML(t, Options{ResultCacheBytes: 1 << 20})
 	if inv := f.db.CacheStats().Invalidations; inv == 0 {
 		t.Fatal("concurrent writers never invalidated a cached result")
 	}
@@ -299,15 +316,32 @@ func TestConcurrentDMLShardCacheInvalidation(t *testing.T) {
 	if err := f.db.Compact(context.Background()); err != nil {
 		t.Fatalf("compact: %v", err)
 	}
-	for _, sql := range queries {
+	for _, sql := range concurrentDMLQueries {
 		f.checkQuery(t, sql, "post-compaction")
+	}
+}
+
+// TestBackgroundCompactionUnderConcurrentDML: with a two-page threshold
+// every writer pushes its token's delta log over the line, so background
+// compactions run as ordinary sessions beside the readers and writers.
+// No session may starve behind them (raceDML), at least one compaction
+// must have completed, and the rebuilt base images must leave every
+// settled read oracle-equal.
+func TestBackgroundCompactionUnderConcurrentDML(t *testing.T) {
+	f := raceDML(t, Options{CompactThreshold: 2})
+	var compactions uint64
+	for _, d := range f.db.TokenDeltaStats() {
+		compactions += d.Compactions
+	}
+	if compactions == 0 {
+		t.Fatal("no background compaction ran although every writer crossed the threshold")
 	}
 }
 
 // TestExplainDML renders a DML plan without executing it.
 func TestExplainDML(t *testing.T) {
 	f := newFixture(t, 9, map[string]int{"T0": 50, "T1": 20, "T2": 20, "T11": 10, "T12": 10})
-	stmt, err := f.db.Prepare("DELETE FROM T1 WHERE T1.h1 = '0000000004'", f.db.DefaultConfig())
+	stmt, err := f.db.Prepare("DELETE FROM T1 WHERE T1.h1 = '0000000004'", QueryConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

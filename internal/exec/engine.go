@@ -125,17 +125,6 @@ const DefaultSLOTarget = 25 * time.Millisecond
 // background compaction (Options.CompactThreshold).
 const DefaultCompactThreshold = 64
 
-// DefaultSessionMinBuffers was the blind admission floor used before the
-// grant-aware planner: every session requested 8 buffers regardless of
-// its real footprint, so wide queries could still die mid-run and narrow
-// ones were denied overlap they could safely have had.
-//
-// Deprecated: admission is now sized from Plan.MinBuffers, the true
-// per-plan minimum derived by PlanQuery before admission. The constant
-// remains only as a reference point for experiments comparing the two
-// admission policies.
-const DefaultSessionMinBuffers = 8
-
 // Options configures a DB.
 type Options struct {
 	FlashParams    flash.Params
@@ -143,8 +132,6 @@ type Options struct {
 	ThroughputMBps float64 // USB link speed (default 1.5)
 	Model          metrics.Model
 	Variant        index.Variant
-	ForceStrategy  Strategy  // default forced strategy for queries that do not override it
-	Projector      Projector // default projection algorithm
 	// MaxConcurrentQueries bounds the query sessions admitted at once
 	// (default DefaultMaxConcurrentQueries; values below 1 mean 1).
 	MaxConcurrentQueries int
@@ -161,9 +148,6 @@ type Options struct {
 	// never charged against the secure budget, and leak-free by
 	// construction (see internal/pagecache).
 	PageCacheBytes int
-	// PageCachePolicy selects the page-cache eviction policy: "lru" (the
-	// default) or "clock".
-	PageCachePolicy string
 	// BusAuditEntries bounds each token bus's payload audit trail: 0 (the
 	// default) keeps the full unbounded trail byte-parity tests rely on,
 	// n > 0 keeps a ring of the most recent n records, and negative
@@ -183,8 +167,8 @@ type Options struct {
 	// modeled hardware; pacing restores the defining property of the
 	// real deployment — each token is a physical device whose I/O takes
 	// real time, and independent tokens genuinely overlap it. The
-	// sharding benchmark uses this; answers and all simulated counters
-	// are unaffected. 0 disables pacing (the default).
+	// open-mix benchmark workload uses this; answers and all simulated
+	// counters are unaffected. 0 disables pacing (the default).
 	PaceSimulation float64
 	// SlowQueryThreshold enables the slow-query log: completed SELECTs
 	// whose simulated time reaches the threshold are recorded in a ring
@@ -245,9 +229,9 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// QueryConfig is one query's immutable execution configuration. These
-// used to be mutable DB-level knobs read mid-query; threading them per
-// query is what makes concurrent sessions safe. The zero value lets the
+// QueryConfig is one query's immutable execution configuration, the
+// only way to configure a query: it travels with the call, so
+// concurrent sessions never share a knob. The zero value lets the
 // planner decide the strategy, uses the Bloom projector and the default
 // RAM admission request.
 type QueryConfig struct {
@@ -346,11 +330,9 @@ type DB struct {
 	// ghostdb_prefetch_inflight metric).
 	prefetchInflight atomic.Int64
 
-	// mu guards the mutable engine state that outlives a single query:
-	// the default QueryConfig and the client-level cumulative totals
-	// (per-token totals live on each Token).
+	// mu guards the client-level cumulative totals (per-token totals
+	// live on each Token).
 	mu     sync.Mutex
-	defCfg QueryConfig
 	totals Totals
 }
 
@@ -375,10 +357,9 @@ type TableLoad struct {
 func NewDB(sch *schema.Schema, opts Options) (*DB, error) {
 	opts = opts.withDefaults()
 	db := &DB{
-		Sch:    sch,
-		opts:   opts,
-		defCfg: QueryConfig{Strategy: opts.ForceStrategy, Projector: opts.Projector},
-		start:  time.Now(),
+		Sch:   sch,
+		opts:  opts,
+		start: time.Now(),
 	}
 	var trees []shard.Tree
 	for _, r := range sch.Roots() {
@@ -423,11 +404,7 @@ func NewDB(sch *schema.Schema, opts Options) (*DB, error) {
 		db.cache = cache.New(int64(opts.ResultCacheBytes))
 	}
 	if opts.PageCacheBytes > 0 {
-		var pol pagecache.Policy
-		if opts.PageCachePolicy == "clock" {
-			pol = pagecache.NewClock()
-		}
-		db.pages = pagecache.New(int64(opts.PageCacheBytes), pol)
+		db.pages = pagecache.New(int64(opts.PageCacheBytes), nil)
 		for _, tok := range db.tokens {
 			tok.Untr.SetPageCache(db.pages, tok.id)
 		}
@@ -501,31 +478,6 @@ func (db *DB) tokenForTables(tables []int) (*Token, error) {
 
 // Options returns the effective options.
 func (db *DB) Options() Options { return db.opts }
-
-// DefaultConfig returns the configuration applied to queries that do not
-// carry their own (a snapshot; later Set* calls do not affect it).
-func (db *DB) DefaultConfig() QueryConfig {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.defCfg
-}
-
-// SetForceStrategy overrides the planner for subsequent queries that use
-// the default configuration. Queries already running are unaffected:
-// they snapshotted their config at submission.
-func (db *DB) SetForceStrategy(s Strategy) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.defCfg.Strategy = s
-}
-
-// SetProjector selects the projection algorithm for subsequent queries
-// that use the default configuration.
-func (db *DB) SetProjector(p Projector) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.defCfg.Projector = p
-}
 
 // SetThroughput adjusts the modeled link speed of every token's bus
 // (Figure 14). Safe under concurrent sessions: the channel knob is
@@ -758,10 +710,10 @@ func (db *DB) mergeTotals(st Stats) {
 	db.totals.BusUp += st.BusUp
 }
 
-// Run parses and executes one SQL statement under the default
-// configuration (the mono-user entry point; safe to call concurrently).
+// Run parses and executes one SQL statement under the zero QueryConfig
+// (the mono-user entry point; safe to call concurrently).
 func (db *DB) Run(sql string) (*Result, error) {
-	return db.RunCtx(context.Background(), sql, db.DefaultConfig())
+	return db.RunCtx(context.Background(), sql, QueryConfig{})
 }
 
 // Stmt is a prepared statement: the parsed, resolved and planned form of
@@ -1000,9 +952,9 @@ func wrapAdmission(err error) error {
 	return err
 }
 
-// Select executes a resolved query under the default configuration.
+// Select executes a resolved query under the zero QueryConfig.
 func (db *DB) Select(q *query.Query) (*Result, error) {
-	return db.SelectCtx(context.Background(), q, db.DefaultConfig())
+	return db.SelectCtx(context.Background(), q, QueryConfig{})
 }
 
 // SelectCtx plans and executes a resolved query (prepare-then-run for

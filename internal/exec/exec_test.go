@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -26,17 +27,20 @@ type fixture struct {
 	sch *schema.Schema
 }
 
-func synthDefs() []schema.TableDef {
-	attrs := func() []schema.Column {
-		var cols []schema.Column
-		for i := 1; i <= 3; i++ {
-			cols = append(cols, schema.Column{Name: fmt.Sprintf("v%d", i), Kind: schema.KindChar, Width: 10})
-		}
-		for i := 1; i <= 3; i++ {
-			cols = append(cols, schema.Column{Name: fmt.Sprintf("h%d", i), Kind: schema.KindChar, Width: 10, Hidden: true})
-		}
-		return cols
+// attrs is the column set every test table carries: v1..v3 visible and
+// h1..h3 hidden, char(10).
+func attrs() []schema.Column {
+	var cols []schema.Column
+	for i := 1; i <= 3; i++ {
+		cols = append(cols, schema.Column{Name: fmt.Sprintf("v%d", i), Kind: schema.KindChar, Width: 10})
 	}
+	for i := 1; i <= 3; i++ {
+		cols = append(cols, schema.Column{Name: fmt.Sprintf("h%d", i), Kind: schema.KindChar, Width: 10, Hidden: true})
+	}
+	return cols
+}
+
+func synthDefs() []schema.TableDef {
 	return []schema.TableDef{
 		{Name: "T0", Columns: attrs(), Refs: []schema.Ref{
 			{FKColumn: "fk1", Child: "T1", Hidden: true},
@@ -60,7 +64,22 @@ func (l *lcg) next(n int) int {
 
 func newFixture(t testing.TB, seed uint64, cards map[string]int) *fixture {
 	t.Helper()
-	sch, err := schema.New(synthDefs())
+	return newFixtureOpts(t, seed, cards, Options{
+		FlashParams: flash.Params{PageSize: 2048, PagesPerBlock: 16, Blocks: 8192, ReserveBlocks: 4},
+	})
+}
+
+// newFixtureOpts is newFixture with custom engine options.
+func newFixtureOpts(t testing.TB, seed uint64, cards map[string]int, opts Options) *fixture {
+	t.Helper()
+	return newFixtureDefs(t, seed, synthDefs(), cards, opts)
+}
+
+// newFixtureDefs loads cards[table] seeded random rows per table of defs
+// into an engine built with opts, plus a matching reference engine.
+func newFixtureDefs(t testing.TB, seed uint64, defs []schema.TableDef, cards map[string]int, opts Options) *fixture {
+	t.Helper()
+	sch, err := schema.New(defs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,9 +116,7 @@ func newFixture(t testing.TB, seed uint64, cards map[string]int) *fixture {
 		load[tb.Index] = ld
 		re.Load(tb.Index, rows, ld.FKs)
 	}
-	db, err := NewDB(sch, Options{
-		FlashParams: flash.Params{PageSize: 2048, PagesPerBlock: 16, Blocks: 8192, ReserveBlocks: 4},
-	})
+	db, err := NewDB(sch, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,9 +220,7 @@ func TestQueriesMatchReferenceAcrossStrategies(t *testing.T) {
 		want := f.refAnswer(t, sql)
 		for _, s := range strategies {
 			for _, pj := range projectors {
-				f.db.SetForceStrategy(s)
-				f.db.SetProjector(pj)
-				res, err := f.db.Run(sql)
+				res, err := f.db.RunCtx(context.Background(), sql, QueryConfig{Strategy: s, Projector: pj})
 				if err != nil {
 					if errors.Is(err, ErrBloomInfeasible) {
 						continue // the paper stops Post curves there too
@@ -234,7 +249,6 @@ func sample(rows []schema.Row) []schema.Row {
 
 func TestAutoPlannerPicksSaneStrategies(t *testing.T) {
 	f := newFixture(t, 7, defaultCards())
-	f.db.SetForceStrategy(StratAuto)
 	// Selective visible selection with cross opportunity -> Cross-Pre.
 	res, err := f.db.Run(`SELECT T0.id FROM T0, T1, T12 WHERE T0.fk1 = T1.id AND T1.fk12 = T12.id AND T1.v1 < '0000000020' AND T12.h2 < '0000000100'`)
 	if err != nil {
@@ -361,9 +375,8 @@ func TestVisibleOnlyFastPathStaysOffFlash(t *testing.T) {
 
 func TestStatsBreakdownCoversCost(t *testing.T) {
 	f := newFixture(t, 9, defaultCards())
-	f.db.SetForceStrategy(StratCrossPre)
 	sql := `SELECT T0.id, T1.id, T12.id, T1.v1 FROM T0, T1, T12 WHERE T0.fk1 = T1.id AND T1.fk12 = T12.id AND T1.v1 < '0000000100' AND T12.h2 < '0000000100'`
-	res, err := f.db.Run(sql)
+	res, err := f.db.RunCtx(context.Background(), sql, QueryConfig{Strategy: StratCrossPre})
 	if err != nil {
 		t.Fatal(err)
 	}

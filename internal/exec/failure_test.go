@@ -8,59 +8,8 @@ import (
 
 	"ghostdb/internal/flash"
 	"ghostdb/internal/ram"
-	"ghostdb/internal/ref"
 	"ghostdb/internal/schema"
 )
-
-// newFixtureOpts is newFixture with custom engine options.
-func newFixtureOpts(t testing.TB, seed uint64, cards map[string]int, opts Options) *fixture {
-	t.Helper()
-	sch, err := schema.New(synthDefs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := &lcg{s: seed}
-	load := map[int]*TableLoad{}
-	re := ref.New(sch)
-	for _, tb := range sch.Tables {
-		n := cards[tb.Name]
-		ld := &TableLoad{Rows: n, FKs: map[int][]uint32{}}
-		rows := make([]schema.Row, n)
-		for ci, col := range tb.Columns {
-			w := col.EncodedWidth()
-			data := make([]byte, n*w)
-			for i := 0; i < n; i++ {
-				v := schema.CharVal(pad(rng.next(testDomain)))
-				if rows[i] == nil {
-					rows[i] = make(schema.Row, len(tb.Columns))
-				}
-				rows[i][ci] = v
-				if err := schema.EncodeValue(data[i*w:(i+1)*w], v); err != nil {
-					t.Fatal(err)
-				}
-			}
-			ld.Cols = append(ld.Cols, ColData{Width: w, Data: data})
-		}
-		for _, ci := range tb.Children() {
-			cn := cards[sch.Tables[ci].Name]
-			fk := make([]uint32, n)
-			for i := range fk {
-				fk[i] = uint32(rng.next(cn))
-			}
-			ld.FKs[ci] = fk
-		}
-		load[tb.Index] = ld
-		re.Load(tb.Index, rows, ld.FKs)
-	}
-	db, err := NewDB(sch, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Load(load); err != nil {
-		t.Fatal(err)
-	}
-	return &fixture{db: db, ref: re, sch: sch}
-}
 
 // TestTinyRAMStaysCorrect: under severely constrained RAM the engine must
 // either answer exactly or fail loudly — never return wrong rows. 16KB

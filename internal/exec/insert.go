@@ -191,19 +191,7 @@ func (db *DB) insertOn(tok *Token, ins sqlparse.Insert) error {
 	tok.mu.Lock()
 	tok.rows[t.Index]++
 	tok.mu.Unlock()
-	// The update is committed: bump this shard's data version so no later
-	// query touching the shard can be answered from a pre-insert entry.
-	// (Queries whose execution is already in flight are prevented from
-	// *storing* their results by the same version stamp.) Entries whose
-	// queries touch only other shards are untouched — that is the point
-	// of the per-shard vector.
-	tok.bumpVersion()
-	if db.cache != nil {
-		db.cache.BumpShard(tok.id)
-	}
-	if db.pages != nil {
-		db.pages.BumpShard(tok.id)
-	}
+	db.committed(tok)
 	return nil
 }
 

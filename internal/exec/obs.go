@@ -94,9 +94,8 @@ func newInstruments(db *DB) *instruments {
 		func() float64 { return time.Since(db.start).Seconds() })
 
 	// The live SLO observatory: client-level wall latency in a rolling
-	// window, scored against Options.SLOTarget. These are the same
-	// obs.TimeBuckets the bench harness reads, so offline sweeps and
-	// live scrapes compute identical quantiles from identical data.
+	// window, scored against Options.SLOTarget, in the same
+	// obs.TimeBuckets as every other latency histogram of the registry.
 	inst.wallWin = obs.NewWindowedHistogram(obs.TimeBuckets(), sloWindow, sloSlots)
 	target := db.opts.SLOTarget.Seconds()
 	r.GaugeFunc("ghostdb_queries_in_flight", "client-level statements currently queued or executing",

@@ -21,7 +21,7 @@ const threeTableJoin = `SELECT T0.id, T1.id, T12.id, T1.v1 FROM T0, T1, T12 WHER
 func TestTraceSpansSumToSimTime(t *testing.T) {
 	f := newFixture(t, 42, defaultCards())
 	tr := obs.NewTrace(threeTableJoin)
-	cfg := f.db.DefaultConfig()
+	cfg := QueryConfig{}
 	cfg.Trace = tr
 	res, err := f.db.RunCtx(context.Background(), threeTableJoin, cfg)
 	if err != nil {
@@ -79,7 +79,7 @@ func TestScatterTraceHasLegSpans(t *testing.T) {
 	}, 2)
 	sql := `SELECT T12.id, U1.v1 FROM T12, U1 WHERE T12.h1 < '0000000200' AND U1.h2 < '0000000300'`
 	tr := obs.NewTrace(sql)
-	cfg := f.db.DefaultConfig()
+	cfg := QueryConfig{}
 	cfg.Trace = tr
 	res, err := f.db.RunCtx(context.Background(), sql, cfg)
 	if err != nil {
@@ -110,7 +110,7 @@ func TestScatterTraceHasLegSpans(t *testing.T) {
 // and the grant histogram saw the session's buffers.
 func TestQueueWaitAndSlotOccupancyObserved(t *testing.T) {
 	f := newFixture(t, 42, defaultCards())
-	cfg := f.db.DefaultConfig()
+	cfg := QueryConfig{}
 	res, err := f.db.RunCtx(context.Background(), threeTableJoin, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +146,7 @@ func TestQueueWaitAndSlotOccupancyObserved(t *testing.T) {
 func TestSlowLogRecordsQuery(t *testing.T) {
 	f := newFixture(t, 42, defaultCards())
 	f.db.slow = obs.NewSlowLog(time.Nanosecond, 16)
-	if _, err := f.db.RunCtx(context.Background(), threeTableJoin, f.db.DefaultConfig()); err != nil {
+	if _, err := f.db.RunCtx(context.Background(), threeTableJoin, QueryConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	entries := f.db.SlowLog().Entries()
@@ -172,7 +172,7 @@ func TestSlowLogRecordsQuery(t *testing.T) {
 // and checks the acceptance families are present.
 func TestMetricsRenderAfterTraffic(t *testing.T) {
 	f := newFixture(t, 42, defaultCards())
-	if _, err := f.db.RunCtx(context.Background(), threeTableJoin, f.db.DefaultConfig()); err != nil {
+	if _, err := f.db.RunCtx(context.Background(), threeTableJoin, QueryConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
@@ -212,7 +212,7 @@ func TestConcurrentTracedSessions(t *testing.T) {
 			sql := testQueries[i%len(testQueries)]
 			tr := obs.NewTrace(sql)
 			traces[i] = tr
-			cfg := f.db.DefaultConfig()
+			cfg := QueryConfig{}
 			cfg.Trace = tr
 			_, errs[i] = f.db.RunCtx(context.Background(), sql, cfg)
 			tr.Finish()

@@ -18,6 +18,11 @@ func pcTestOpts() Options {
 	}
 }
 
+// minBusDownDropPct is the page cache's acceptance floor: on a
+// repeating workload the cache-on arm must cut total Down bus bytes by
+// at least this percentage.
+const minBusDownDropPct = 20.0
+
 // pcTestQueries mixes spool-eligible shapes (projected visible values,
 // hidden predicates forcing exact id work) with streamed-only ones, so
 // both the header-reuse path and the always-ship path are exercised.
@@ -34,7 +39,8 @@ var pcTestQueries = []string{
 // data. The contract of PR 10: answers are identical, the uplink audit
 // trail is byte-for-byte identical (the cache must add no new Up
 // traffic — the query text remains the only leak), and the cache-on
-// arm moves strictly fewer Down bytes in no more simulated time.
+// arm moves at least minBusDownDropPct fewer Down bytes in strictly
+// less simulated time.
 func TestPageCacheByteParityAndSavings(t *testing.T) {
 	cards := map[string]int{"T0": 1200, "T1": 150, "T2": 120, "T11": 40, "T12": 40}
 	cold := newFixtureOpts(t, 99, cards, pcTestOpts())
@@ -75,17 +81,21 @@ func TestPageCacheByteParityAndSavings(t *testing.T) {
 	}
 
 	wt, ct := warm.db.Totals(), cold.db.Totals()
-	if wt.BusDown >= ct.BusDown {
-		t.Fatalf("page cache saved no Down bytes: cached %d vs cold %d", wt.BusDown, ct.BusDown)
+	if drop := 100 * (float64(ct.BusDown) - float64(wt.BusDown)) / float64(ct.BusDown); drop < minBusDownDropPct {
+		t.Fatalf("page cache saved %.1f%% of Down bytes, want >= %.0f%%: cached %d vs cold %d",
+			drop, minBusDownDropPct, wt.BusDown, ct.BusDown)
 	}
-	if wt.SimTime > ct.SimTime {
-		t.Fatalf("page cache raised simulated time: cached %v vs cold %v", wt.SimTime, ct.SimTime)
+	if wt.SimTime >= ct.SimTime {
+		t.Fatalf("page cache did not lower simulated time: cached %v vs cold %v", wt.SimTime, ct.SimTime)
 	}
 	if hits := warm.db.PageCacheStats().Hits; hits == 0 {
 		t.Fatal("page cache recorded no hits over a repeating workload")
 	}
-	if got := warm.db.PrefetchInflight(); got != 0 {
-		t.Fatalf("prefetch inflight gauge = %d after quiesce, want 0", got)
+	if warm.db.BusCoalesced() == 0 {
+		t.Fatal("no Down payload rode a batched transfer")
+	}
+	if w, c := warm.db.PrefetchInflight(), cold.db.PrefetchInflight(); w != 0 || c != 0 {
+		t.Fatalf("prefetch inflight gauges = %d cached, %d cold after quiesce, want 0", w, c)
 	}
 	if warm.db.RAM.InUse() != 0 || cold.db.RAM.InUse() != 0 {
 		t.Fatal("RAM grant leak after page-cache workload")

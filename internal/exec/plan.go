@@ -21,8 +21,8 @@ import (
 // decided *before* a query session is admitted. GhostDB's security model
 // makes plan time the only safe place to commit to a memory footprint —
 // once a session holds its grant, degrading mid-run would either fail the
-// query (the old `DefaultSessionMinBuffers` floor could die with
-// ram.ErrExhausted) or leak timing back into admission. So, ObliDB-style,
+// query (a blind fixed floor could die with ram.ErrExhausted) or leak
+// timing back into admission. So, ObliDB-style,
 // the planner selects every operator variant and derives the plan's true
 // minimum RAM footprint up front; admission then requests exactly that
 // floor and the session binds its chunk sizes from the grant it actually

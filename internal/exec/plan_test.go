@@ -281,10 +281,11 @@ func TestPlanFloorSweepNoMidRunExhaustion(t *testing.T) {
 // are admitted concurrently into a budget the fixed floor would have
 // serialized.
 func TestNarrowFloorsOverlapUnderCrowdedBudget(t *testing.T) {
-	// 8-buffer budget: the old DefaultSessionMinBuffers equals the whole
-	// budget, so at most one fixed-floor session could ever hold RAM.
+	// A fixed 8-buffer floor would equal the whole budget, so at most
+	// one such session could ever hold RAM.
+	const budgetBuffers = 8
 	f := newFixtureOpts(t, 42, defaultCards(), Options{
-		RAMBudget:            8 * 2048,
+		RAMBudget:            budgetBuffers * 2048,
 		FlashParams:          flash.Params{PageSize: 2048, PagesPerBlock: 16, Blocks: 8192, ReserveBlocks: 4},
 		MaxConcurrentQueries: 4,
 	})
@@ -294,9 +295,9 @@ func TestNarrowFloorsOverlapUnderCrowdedBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := stmt.Plan()
-	if plan.MinBuffers >= DefaultSessionMinBuffers {
-		t.Fatalf("narrow query floor %d is not below the old %d-buffer default",
-			plan.MinBuffers, DefaultSessionMinBuffers)
+	if 2*plan.MinBuffers > budgetBuffers {
+		t.Fatalf("two sessions at the narrow query's floor (%d) do not fit the %d-buffer budget",
+			plan.MinBuffers, budgetBuffers)
 	}
 	// With want clamped to the floor, two floor-sized sessions fit the
 	// 8-buffer budget side by side — admission must grant both without

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -104,9 +105,7 @@ func TestRandomQueriesMatchReferenceProperty(t *testing.T) {
 		want := f.refAnswer(t, sql)
 		s := strategies[rng.Intn(len(strategies))]
 		pj := projectors[rng.Intn(len(projectors))]
-		f.db.SetForceStrategy(s)
-		f.db.SetProjector(pj)
-		res, err := f.db.Run(sql)
+		res, err := f.db.RunCtx(context.Background(), sql, QueryConfig{Strategy: s, Projector: pj})
 		if err != nil {
 			if errors.Is(err, ErrBloomInfeasible) {
 				return true
@@ -192,8 +191,6 @@ func TestRandomInsertsProperty(t *testing.T) {
 		// Every few inserts, verify a random query still matches.
 		sql := randomQuery(rng)
 		want := f.refAnswer(t, sql)
-		f.db.SetForceStrategy(StratAuto)
-		f.db.SetProjector(ProjectBloom)
 		res, err := f.db.Run(sql)
 		if err != nil {
 			t.Fatalf("after %d inserts: %s: %v", i+1, sql, err)

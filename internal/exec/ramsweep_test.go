@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -68,9 +69,7 @@ func TestRAMBudgetSweepForcedStrategies(t *testing.T) {
 			want := f.refAnswer(t, sql)
 			for _, s := range strategies {
 				for _, pj := range projectors {
-					f.db.SetForceStrategy(s)
-					f.db.SetProjector(pj)
-					res, err := f.db.Run(sql)
+					res, err := f.db.RunCtx(context.Background(), sql, QueryConfig{Strategy: s, Projector: pj})
 					if err != nil {
 						if errors.Is(err, ErrBloomInfeasible) {
 							continue // the paper stops Post curves there too

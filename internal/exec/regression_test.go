@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -35,9 +36,7 @@ func TestPostSelectSeedRegression(t *testing.T) {
 		t.Logf("note: seed no longer forces Post-Select (got %v); still checking", s)
 	}
 	want := f.refAnswer(t, sql)
-	f.db.SetForceStrategy(s)
-	f.db.SetProjector(pj)
-	res, err := f.db.Run(sql)
+	res, err := f.db.RunCtx(context.Background(), sql, QueryConfig{Strategy: s, Projector: pj})
 	if err != nil {
 		t.Fatalf("seed %d [%v/%v] %s: %v", seed, s, pj, sql, err)
 	}
@@ -53,9 +52,7 @@ func TestPostSelectSeedRegression(t *testing.T) {
 	// combination forced, not just the recorded one.
 	for _, fs := range strategies {
 		for _, fp := range projectors {
-			f.db.SetForceStrategy(fs)
-			f.db.SetProjector(fp)
-			res, err := f.db.Run(sql)
+			res, err := f.db.RunCtx(context.Background(), sql, QueryConfig{Strategy: fs, Projector: fp})
 			if err != nil {
 				t.Fatalf("[%v/%v] %s: %v", fs, fp, sql, err)
 			}

@@ -29,10 +29,28 @@ import (
 //     flash I/O happens, and not a single byte crosses the bus in either
 //     direction (the query text itself never travels). Stats of a hit
 //     are all-zero except the CacheHit/CacheShared markers.
-//   - Invalidation is wholesale: every committed INSERT bumps the global
-//     data version, so a post-update query can never observe a
-//     pre-update answer. Concurrent identical queries collapse onto one
-//     admitted session (singleflight) and share its materialized result.
+//   - Invalidation is per shard: every committed INSERT, UPDATE or
+//     DELETE bumps the data version of the one token it wrote
+//     (db.committed), so a post-update query can never observe a
+//     pre-update answer while results over other tokens stay cached.
+//     Concurrent identical queries collapse onto one admitted session
+//     (singleflight) and share its materialized result.
+
+// committed is the one commit hook of every write statement: it advances
+// the token's data version and the shard's version in both untrusted-side
+// caches, so no later query touching the shard can be answered from a
+// pre-write entry. Queries already in flight are prevented from *storing*
+// their results by the same version stamp; entries over other shards are
+// untouched.
+func (db *DB) committed(tok *Token) {
+	tok.bumpVersion()
+	if db.cache != nil {
+		db.cache.BumpShard(tok.id)
+	}
+	if db.pages != nil {
+		db.pages.BumpShard(tok.id)
+	}
+}
 
 // cacheKey derives the result-cache key for a resolved query under a
 // given configuration. Strategy and projector are part of the key so a

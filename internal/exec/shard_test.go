@@ -3,10 +3,11 @@ package exec
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"ghostdb/internal/flash"
-	"ghostdb/internal/ref"
 	"ghostdb/internal/schema"
 )
 
@@ -14,16 +15,6 @@ import (
 // smallest schema on which placement can split tables across tokens and
 // queries can span them.
 func forestDefs() []schema.TableDef {
-	attrs := func() []schema.Column {
-		var cols []schema.Column
-		for i := 1; i <= 3; i++ {
-			cols = append(cols, schema.Column{Name: fmt.Sprintf("v%d", i), Kind: schema.KindChar, Width: 10})
-		}
-		for i := 1; i <= 3; i++ {
-			cols = append(cols, schema.Column{Name: fmt.Sprintf("h%d", i), Kind: schema.KindChar, Width: 10, Hidden: true})
-		}
-		return cols
-	}
 	defs := synthDefs()
 	defs = append(defs,
 		schema.TableDef{Name: "U0", Columns: attrs(), Refs: []schema.Ref{
@@ -47,51 +38,7 @@ func newForestFixture(t testing.TB, seed uint64, cards map[string]int, shards in
 // engine options (result cache, compaction threshold, ...).
 func newForestFixtureOpts(t testing.TB, seed uint64, cards map[string]int, opts Options) *fixture {
 	t.Helper()
-	sch, err := schema.New(forestDefs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := &lcg{s: seed}
-	load := map[int]*TableLoad{}
-	re := ref.New(sch)
-	for _, tb := range sch.Tables {
-		n := cards[tb.Name]
-		ld := &TableLoad{Rows: n, FKs: map[int][]uint32{}}
-		rows := make([]schema.Row, n)
-		for ci, col := range tb.Columns {
-			w := col.EncodedWidth()
-			data := make([]byte, n*w)
-			for i := 0; i < n; i++ {
-				v := schema.CharVal(pad(rng.next(testDomain)))
-				if rows[i] == nil {
-					rows[i] = make(schema.Row, len(tb.Columns))
-				}
-				rows[i][ci] = v
-				if err := schema.EncodeValue(data[i*w:(i+1)*w], v); err != nil {
-					t.Fatal(err)
-				}
-			}
-			ld.Cols = append(ld.Cols, ColData{Width: w, Data: data})
-		}
-		for _, ci := range tb.Children() {
-			cn := cards[sch.Tables[ci].Name]
-			fk := make([]uint32, n)
-			for i := range fk {
-				fk[i] = uint32(rng.next(cn))
-			}
-			ld.FKs[ci] = fk
-		}
-		load[tb.Index] = ld
-		re.Load(tb.Index, rows, ld.FKs)
-	}
-	db, err := NewDB(sch, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Load(load); err != nil {
-		t.Fatal(err)
-	}
-	return &fixture{db: db, ref: re, sch: sch}
+	return newFixtureDefs(t, seed, forestDefs(), cards, opts)
 }
 
 func forestCards() map[string]int {
@@ -269,5 +216,76 @@ func TestShardedTotalsParity(t *testing.T) {
 	}
 	if f1 != f2 || b1 != b2 {
 		t.Fatalf("sharded totals diverge: flash %d vs %d, bus %d vs %d", f1, f2, b1, b2)
+	}
+}
+
+// TestPacedTokensOverlap holds sharding's scaling contract without
+// leaning on host cores: the same shard-local statement list, pushed by
+// 16 workers, finishes sooner on 4 paced tokens than on 1. Pacing turns
+// each statement's simulated cost into a real sleep inside its token's
+// execution slot, so one token serializes every sleep (~360 ms) while
+// four tokens overlap them (~90 ms); the sleeps dwarf the host CPU a
+// statement costs, which keeps the verdict the same on a single-core
+// runner and under -race. The 3/4 margin makes the failure certain,
+// not a coin toss, should the sleeps stop overlapping.
+func TestPacedTokensOverlap(t *testing.T) {
+	const trees, workers, perTree = 4, 16, 10
+	var defs []schema.TableDef
+	cards := map[string]int{}
+	for k := 0; k < trees; k++ {
+		s, c := fmt.Sprintf("S%d", k), fmt.Sprintf("C%d", k)
+		defs = append(defs,
+			schema.TableDef{Name: s, Columns: attrs(), Refs: []schema.Ref{{FKColumn: "fkc", Child: c, Hidden: true}}},
+			schema.TableDef{Name: c, Columns: attrs()})
+		cards[s], cards[c] = 300, 50
+	}
+	var stmts []string
+	for i := 0; i < trees*perTree; i++ {
+		k := i % trees
+		stmts = append(stmts, fmt.Sprintf(
+			`SELECT S%d.id, S%d.v1, S%d.h1, C%d.v1 FROM S%d, C%d WHERE S%d.fkc = C%d.id AND S%d.v1 < '%010d' AND C%d.h2 < '0000000500'`,
+			k, k, k, k, k, k, k, k, k, 200+100*(i/trees%4), k))
+	}
+
+	run := func(tokens int) time.Duration {
+		f := newFixtureDefs(t, 11, defs, cards, Options{
+			FlashParams:          flash.Params{PageSize: 2048, PagesPerBlock: 16, Blocks: 8192, ReserveBlocks: 4},
+			Shards:               tokens,
+			MaxConcurrentQueries: workers,
+			PaceSimulation:       0.5,
+		})
+		next := make(chan string)
+		var wg sync.WaitGroup
+		start := time.Now()
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for sql := range next {
+					if _, err := f.db.Run(sql); err != nil {
+						t.Errorf("%d tokens: %s: %v", tokens, sql, err)
+					}
+				}
+			}()
+		}
+		for _, sql := range stmts {
+			next <- sql
+		}
+		close(next)
+		wg.Wait()
+		wall := time.Since(start)
+		for _, u := range f.db.Tokens() {
+			if got := u.Totals().Queries; got != uint64(len(stmts)/tokens) {
+				t.Errorf("%d tokens: token %d served %d statements, want %d", tokens, u.TokenID(), got, len(stmts)/tokens)
+			}
+		}
+		if f.db.Leaked() {
+			t.Errorf("%d tokens: RAM grants leaked", tokens)
+		}
+		return wall
+	}
+	one, four := run(1), run(4)
+	if 4*four >= 3*one {
+		t.Fatalf("4 paced tokens took %v, 1 token %v: pacing sleeps no longer overlap across tokens", four, one)
 	}
 }

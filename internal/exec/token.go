@@ -367,7 +367,7 @@ func (t *Token) Compactions() uint64 {
 
 // Leaked reports whether any token's shared RAM budget was released
 // with outstanding grants (an operator bookkeeping bug, surfaced for
-// the benchmark sweeps and tests).
+// the benchmark and tests).
 func (db *DB) Leaked() bool {
 	for _, t := range db.tokens {
 		if t.RAM.Leaked() {

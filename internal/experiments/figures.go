@@ -174,7 +174,6 @@ func (l *Lab) strategySweep(name, title string, mkQ func(float64, int, bool) str
 			fig.Points = append(fig.Points, runPoint(db, sql, strat, exec.ProjectBloom, label, sv))
 		}
 	}
-	db.SetForceStrategy(exec.StratAuto)
 	return fig, nil
 }
 
@@ -207,8 +206,6 @@ func (l *Lab) projectionSweep(name, title string, strat exec.Strategy) (*Figure,
 			fig.Points = append(fig.Points, runPoint(db, sql, strat, proj, label, sv))
 		}
 	}
-	db.SetForceStrategy(exec.StratAuto)
-	db.SetProjector(exec.ProjectBloom)
 	return fig, nil
 }
 
@@ -233,7 +230,6 @@ func (l *Lab) Fig14() (*Figure, error) {
 	}
 	db.SetThroughput(0) // restore default? 0 is ignored by bus
 	db.SetThroughput(1.5)
-	db.SetForceStrategy(exec.StratAuto)
 	return fig, nil
 }
 
@@ -278,7 +274,6 @@ func costBars(db *exec.DB, name, title string, mkQ func(float64) string) (*Figur
 		p := runPoint(db, mkQ(c.sv), c.strat, exec.ProjectBloom, c.label, c.sv)
 		fig.Points = append(fig.Points, p)
 	}
-	db.SetForceStrategy(exec.StratAuto)
 	return fig, nil
 }
 

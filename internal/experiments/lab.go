@@ -3,7 +3,7 @@
 // strategy sweeps (Figs 8–11), the projection algorithms (Figs 12–13),
 // the communication bottleneck (Fig 14) and the per-operator cost
 // decompositions on the synthetic and medical datasets (Figs 15–16), plus
-// ablations for the design choices called out in DESIGN.md.
+// ablations for three design choices (ablations.go).
 //
 // Experiments run at a configurable ScaleFactor; the paper's absolute
 // sizes (10M-tuple root table) correspond to SF = 1.0. Shapes — which
@@ -56,7 +56,6 @@ type Lab struct {
 
 	synthDS   *datagen.Dataset
 	medicalDS *datagen.Dataset
-	forestDS  map[int]*datagen.Dataset
 	synth     *exec.DB
 	medical   *exec.DB
 }
@@ -190,8 +189,7 @@ func MedicalQ(sv float64) string {
 		datagen.MedicalZipSelValue(sv), datagen.SelValue(SH))
 }
 
-// runPoint executes sql under a forced strategy and projector, passed as
-// an immutable per-query config rather than by mutating DB-wide knobs.
+// runPoint executes sql under a forced strategy and projector.
 func runPoint(db *exec.DB, sql string, strat exec.Strategy, proj exec.Projector, series string, x float64) Point {
 	res, err := db.RunCtx(context.Background(), sql,
 		exec.QueryConfig{Strategy: strat, Projector: proj})
@@ -217,21 +215,4 @@ func runPoint(db *exec.DB, sql string, strat exec.Strategy, proj exec.Projector,
 		CommTime:  res.Stats.CommTime,
 		Breakdown: bd,
 	}
-}
-
-// ForestDataset returns the nTrees-tree forest dataset (built once per
-// tree count), the substrate of the sharding sweep.
-func (l *Lab) ForestDataset(nTrees int) (*datagen.Dataset, error) {
-	if l.forestDS == nil {
-		l.forestDS = map[int]*datagen.Dataset{}
-	}
-	if ds := l.forestDS[nTrees]; ds != nil {
-		return ds, nil
-	}
-	ds, err := datagen.Forest(l.SF, l.Seed+2, nTrees)
-	if err != nil {
-		return nil, err
-	}
-	l.forestDS[nTrees] = ds
-	return ds, nil
 }

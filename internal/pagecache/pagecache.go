@@ -16,8 +16,8 @@
 // query stream can predict every hit, so hits reveal nothing new. This
 // is the PR 4 result-cache argument, one level lower.
 //
-// Invalidation reuses the per-shard version-vector machinery of
-// internal/cache: every committed write bumps the version of exactly
+// Invalidation shares internal/cache's per-shard version vector
+// (cache.Versions): every committed write bumps the version of exactly
 // the shard it touched, and frames are stamped with the versions of the
 // shards their keys span. Versions advance only on statements the
 // untrusted side itself submitted, so neither stamps nor sweeps depend
@@ -37,6 +37,8 @@ package pagecache
 import (
 	"container/list"
 	"sync"
+
+	"ghostdb/internal/cache"
 )
 
 // Stats is a snapshot of the pool's counters.
@@ -44,7 +46,6 @@ type Stats struct {
 	Entries       int    `json:"entries"`
 	Bytes         int64  `json:"bytes"`
 	CapacityBytes int64  `json:"capacity_bytes"`
-	Policy        string `json:"policy"`
 	Hits          uint64 `json:"hits"`
 	Misses        uint64 `json:"misses"`
 	Stores        uint64 `json:"stores"`
@@ -64,181 +65,31 @@ type frame struct {
 	pins   int
 	shards []int
 	stamp  []uint64
+	el     *list.Element // position in Cache.lru
 }
 
-// Policy orders frames for eviction. Implementations are not
-// goroutine-safe on their own; the Cache calls them under its lock.
-type Policy interface {
-	// Name identifies the policy in Stats ("lru", "clock").
-	Name() string
-	// Inserted registers a new key.
-	Inserted(key string)
-	// Touched records a hit on key.
-	Touched(key string)
-	// Removed forgets key (eviction or invalidation).
-	Removed(key string)
-	// Victim proposes the next key to evict, skipping keys for which
-	// skip returns true (pinned frames). ok is false when every
-	// remaining frame is pinned.
-	Victim(skip func(key string) bool) (key string, ok bool)
-}
-
-// lruPolicy evicts the least-recently-used unpinned frame.
-type lruPolicy struct {
-	ll  *list.List // front = most recently used; values are string keys
-	pos map[string]*list.Element
-}
-
-// NewLRU returns the least-recently-used eviction policy.
-func NewLRU() Policy {
-	return &lruPolicy{ll: list.New(), pos: make(map[string]*list.Element)}
-}
-
-func (p *lruPolicy) Name() string { return "lru" }
-
-func (p *lruPolicy) Inserted(key string) { p.pos[key] = p.ll.PushFront(key) }
-
-func (p *lruPolicy) Touched(key string) {
-	if el, ok := p.pos[key]; ok {
-		p.ll.MoveToFront(el)
-	}
-}
-
-func (p *lruPolicy) Removed(key string) {
-	if el, ok := p.pos[key]; ok {
-		p.ll.Remove(el)
-		delete(p.pos, key)
-	}
-}
-
-func (p *lruPolicy) Victim(skip func(string) bool) (string, bool) {
-	for el := p.ll.Back(); el != nil; el = el.Prev() {
-		key := el.Value.(string)
-		if !skip(key) {
-			return key, true
-		}
-	}
-	return "", false
-}
-
-// clockEntry is one slot in the clock sweep.
-type clockEntry struct {
-	key string
-	ref bool
-}
-
-// clockPolicy is second-chance eviction: a sweep hand clears reference
-// bits and evicts the first unreferenced, unpinned frame.
-type clockPolicy struct {
-	ring []*clockEntry
-	pos  map[string]int
-	hand int
-}
-
-// NewClock returns the clock (second-chance) eviction policy.
-func NewClock() Policy {
-	return &clockPolicy{pos: make(map[string]int)}
-}
-
-func (p *clockPolicy) Name() string { return "clock" }
-
-func (p *clockPolicy) Inserted(key string) {
-	p.pos[key] = len(p.ring)
-	p.ring = append(p.ring, &clockEntry{key: key, ref: true})
-}
-
-func (p *clockPolicy) Touched(key string) {
-	if i, ok := p.pos[key]; ok {
-		p.ring[i].ref = true
-	}
-}
-
-func (p *clockPolicy) Removed(key string) {
-	i, ok := p.pos[key]
-	if !ok {
-		return
-	}
-	last := len(p.ring) - 1
-	p.ring[i] = p.ring[last]
-	p.pos[p.ring[i].key] = i
-	p.ring = p.ring[:last]
-	delete(p.pos, key)
-	if p.hand > last {
-		p.hand = 0
-	}
-}
-
-func (p *clockPolicy) Victim(skip func(string) bool) (string, bool) {
-	n := len(p.ring)
-	if n == 0 {
-		return "", false
-	}
-	// Two full rotations suffice: the first clears every reference bit,
-	// so the second must find a victim unless every frame is pinned.
-	for sweep := 0; sweep < 2*n; sweep++ {
-		if p.hand >= len(p.ring) {
-			p.hand = 0
-		}
-		e := p.ring[p.hand]
-		p.hand++
-		if skip(e.key) {
-			continue
-		}
-		if e.ref {
-			e.ref = false
-			continue
-		}
-		return e.key, true
-	}
-	return "", false
-}
-
-// Cache is the byte-bounded frame pool. All methods are safe for
-// concurrent use.
+// Cache is the byte-bounded frame pool, evicting the least-recently-used
+// unpinned frame. All methods are safe for concurrent use.
 type Cache struct {
-	mu       sync.Mutex
-	cap      int64
-	bytes    int64
-	frames   map[string]*frame
-	pol      Policy
-	versions []uint64 // per-shard data versions, grown on demand
-	epoch    uint64   // wholesale-invalidation epoch (Bump)
+	mu     sync.Mutex
+	cap    int64
+	bytes  int64
+	frames map[string]*frame
+	lru    *list.List // front = most recently used; values are *frame
+	ver    cache.Versions
 
 	hits, misses, stores, evictions, invalidations, pinSkips uint64
 }
 
+// Policy is the type of New's second parameter. Eviction is always LRU;
+// the parameter remains, and only nil is meaningful, because
+// benchmark/probes.go (frozen) calls New(n, nil).
+type Policy struct{}
+
 // New creates a pool bounded to capBytes of cached runs (sizes are
-// caller-reported). A nil policy defaults to LRU. capBytes <= 0 yields
-// a pool that never stores.
-func New(capBytes int64, pol Policy) *Cache {
-	if pol == nil {
-		pol = NewLRU()
-	}
-	return &Cache{cap: capBytes, frames: make(map[string]*frame), pol: pol}
-}
-
-// normShards defaults a nil/empty shard set to shard 0.
-func normShards(shards []int) []int {
-	if len(shards) == 0 {
-		return []int{0}
-	}
-	return shards
-}
-
-func (c *Cache) verLocked(shard int) uint64 {
-	if shard >= 0 && shard < len(c.versions) {
-		return c.versions[shard]
-	}
-	return 0
-}
-
-func (c *Cache) stampLocked(shards []int) []uint64 {
-	out := make([]uint64, len(shards)+1)
-	out[0] = c.epoch
-	for i, s := range shards {
-		out[i+1] = c.verLocked(s)
-	}
-	return out
+// caller-reported). capBytes <= 0 yields a pool that never stores.
+func New(capBytes int64, _ *Policy) *Cache {
+	return &Cache{cap: capBytes, frames: make(map[string]*frame), lru: list.New()}
 }
 
 // Stamp snapshots the version vector restricted to the given shards;
@@ -247,19 +98,7 @@ func (c *Cache) stampLocked(shards []int) []uint64 {
 func (c *Cache) Stamp(shards []int) []uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.stampLocked(normShards(shards))
-}
-
-func (c *Cache) freshLocked(shards []int, stamp []uint64) bool {
-	if len(stamp) != len(shards)+1 || stamp[0] != c.epoch {
-		return false
-	}
-	for i, s := range shards {
-		if stamp[i+1] != c.verLocked(s) {
-			return false
-		}
-	}
-	return true
+	return c.ver.Stamp(cache.NormShards(shards))
 }
 
 // Version returns one shard's current data version (0 for shards never
@@ -268,18 +107,16 @@ func (c *Cache) freshLocked(shards []int, stamp []uint64) bool {
 func (c *Cache) Version(shard int) uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.verLocked(shard)
+	return c.ver.Of(shard)
 }
 
 // Bump invalidates every frame regardless of shard (wholesale).
 func (c *Cache) Bump() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.epoch++
+	c.ver.BumpAll()
 	c.invalidations++
-	for key := range c.frames {
-		c.pol.Removed(key)
-	}
+	c.lru.Init()
 	clear(c.frames)
 	c.bytes = 0
 }
@@ -291,18 +128,12 @@ func (c *Cache) Bump() {
 func (c *Cache) BumpShard(shard int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if shard < 0 {
-		shard = 0
-	}
-	for shard >= len(c.versions) {
-		c.versions = append(c.versions, 0)
-	}
-	c.versions[shard]++
+	shard = c.ver.BumpShard(shard)
 	c.invalidations++
-	for key, f := range c.frames {
+	for _, f := range c.frames {
 		for _, s := range f.shards {
 			if s == shard {
-				c.removeLocked(key, f)
+				c.removeLocked(f)
 				break
 			}
 		}
@@ -349,14 +180,14 @@ func (c *Cache) getLocked(key string) (*frame, bool) {
 		c.misses++
 		return nil, false
 	}
-	if !c.freshLocked(f.shards, f.stamp) {
+	if !c.ver.Fresh(f.shards, f.stamp) {
 		// Stale under a racing bump; bumps sweep eagerly, so this is only
 		// a belt-and-suspenders check.
-		c.removeLocked(key, f)
+		c.removeLocked(f)
 		c.misses++
 		return nil, false
 	}
-	c.pol.Touched(key)
+	c.lru.MoveToFront(f.el)
 	c.hits++
 	return f, true
 }
@@ -367,39 +198,46 @@ func (c *Cache) getLocked(key string) (*frame, bool) {
 func (c *Cache) Put(key string, val any, size int64, shards []int, stamp []uint64) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	shards = normShards(shards)
-	if !c.freshLocked(shards, stamp) || size > c.cap || size < 0 {
+	shards = cache.NormShards(shards)
+	if !c.ver.Fresh(shards, stamp) || size > c.cap || size < 0 {
 		return false
 	}
 	if old, ok := c.frames[key]; ok {
-		c.removeLocked(key, old) // replacement, not counted as an eviction
+		c.removeLocked(old) // replacement, not counted as an eviction
 	}
 	for c.bytes+size > c.cap {
-		victim, ok := c.pol.Victim(func(k string) bool {
-			f := c.frames[k]
-			if f != nil && f.pins > 0 {
-				c.pinSkips++
-				return true
-			}
-			return false
-		})
-		if !ok {
+		victim := c.victimLocked()
+		if victim == nil {
 			return false // everything left is pinned; don't overfill
 		}
-		c.removeLocked(victim, c.frames[victim])
+		c.removeLocked(victim)
 		c.evictions++
 	}
-	c.frames[key] = &frame{key: key, val: val, size: size,
+	f := &frame{key: key, val: val, size: size,
 		shards: append([]int(nil), shards...), stamp: append([]uint64(nil), stamp...)}
-	c.pol.Inserted(key)
+	f.el = c.lru.PushFront(f)
+	c.frames[key] = f
 	c.bytes += size
 	c.stores++
 	return true
 }
 
-func (c *Cache) removeLocked(key string, f *frame) {
-	delete(c.frames, key)
-	c.pol.Removed(key)
+// victimLocked returns the least-recently-used unpinned frame, or nil
+// when every remaining frame is pinned.
+func (c *Cache) victimLocked() *frame {
+	for el := c.lru.Back(); el != nil; el = el.Prev() {
+		f := el.Value.(*frame)
+		if f.pins == 0 {
+			return f
+		}
+		c.pinSkips++
+	}
+	return nil
+}
+
+func (c *Cache) removeLocked(f *frame) {
+	delete(c.frames, f.key)
+	c.lru.Remove(f.el)
 	c.bytes -= f.size
 }
 
@@ -411,7 +249,6 @@ func (c *Cache) Stats() Stats {
 		Entries:       len(c.frames),
 		Bytes:         c.bytes,
 		CapacityBytes: c.cap,
-		Policy:        c.pol.Name(),
 		Hits:          c.hits,
 		Misses:        c.misses,
 		Stores:        c.stores,
