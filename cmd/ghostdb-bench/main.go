@@ -20,6 +20,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -39,7 +40,7 @@ func main() {
 
 	stop, err := startProfiles(*cpuProfile, *memProfile)
 	if err == nil {
-		err = run(experiments.NewLab(*scale, *seed), strings.ToLower(*exp))
+		err = dispatch(os.Stdout, experiments.NewLab(*scale, *seed), strings.ToLower(*exp))
 		if perr := stop(); err == nil {
 			err = perr
 		}
@@ -86,7 +87,9 @@ func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
 	}, nil
 }
 
-func run(lab *experiments.Lab, exp string) error {
+// dispatch runs the named experiment (or all, or the ablations) on lab
+// and prints its tables to w.
+func dispatch(w io.Writer, lab *experiments.Lab, exp string) error {
 	type entry struct {
 		name string
 		f    func() (*experiments.Figure, error)
@@ -104,11 +107,11 @@ func run(lab *experiments.Lab, exp string) error {
 	}
 
 	if exp == "table1" || exp == "all" {
-		fmt.Println("== Table 1: Main performance parameters of USB keys ==")
+		fmt.Fprintln(w, "== Table 1: Main performance parameters of USB keys ==")
 		for _, line := range experiments.Table1() {
-			fmt.Println("  " + line)
+			fmt.Fprintln(w, "  "+line)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 		if exp == "table1" {
 			return nil
 		}
@@ -134,22 +137,22 @@ func run(lab *experiments.Lab, exp string) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", e.name, err)
 		}
-		printFigure(fig)
+		printFigure(w, fig)
 	}
 	return nil
 }
 
-func printFigure(fig *experiments.Figure) {
-	fmt.Printf("== %s: %s ==\n", fig.Name, fig.Title)
-	fmt.Printf("   x-axis: %s\n", fig.XLabel)
+func printFigure(w io.Writer, fig *experiments.Figure) {
+	fmt.Fprintf(w, "== %s: %s ==\n", fig.Name, fig.Title)
+	fmt.Fprintf(w, "   x-axis: %s\n", fig.XLabel)
 	if fig.Name == "fig7" {
-		printFig7(fig)
-		fmt.Println()
+		printFig7(w, fig)
+		fmt.Fprintln(w)
 		return
 	}
 	if fig.Name == "fig15" || fig.Name == "fig16" {
-		printBars(fig)
-		fmt.Println()
+		printBars(w, fig)
+		fmt.Fprintln(w)
 		return
 	}
 	// Group points by series, ordered by first appearance.
@@ -163,29 +166,32 @@ func printFigure(fig *experiments.Figure) {
 	}
 	sort.Strings(order)
 	for _, s := range order {
-		fmt.Printf("  %-22s", s)
+		fmt.Fprintf(w, "  %-22s", s)
 		pts := series[s]
 		sort.Slice(pts, func(i, j int) bool { return pts[i].X < pts[j].X })
 		for _, p := range pts {
-			if p.Skipped {
-				fmt.Printf("  %8s", "-")
-				continue
+			switch {
+			case p.Skipped:
+				fmt.Fprintf(w, "  %8s", "-")
+			case fig.Name == "ablation-bloom":
+				fmt.Fprintf(w, "  %10.4f", p.Rate)
+			default:
+				fmt.Fprintf(w, "  %8.2fms", float64(p.Time.Microseconds())/1000)
 			}
-			fmt.Printf("  %8.2fms", float64(p.Time.Microseconds())/1000)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
-	fmt.Printf("  %-22s", "x =")
+	fmt.Fprintf(w, "  %-22s", "x =")
 	pts := series[order[0]]
 	sort.Slice(pts, func(i, j int) bool { return pts[i].X < pts[j].X })
 	for _, p := range pts {
-		fmt.Printf("  %10.3f", p.X)
+		fmt.Fprintf(w, "  %10.3f", p.X)
 	}
-	fmt.Println()
-	fmt.Println()
+	fmt.Fprintln(w)
+	fmt.Fprintln(w)
 }
 
-func printFig7(fig *experiments.Figure) {
+func printFig7(w io.Writer, fig *experiments.Figure) {
 	bySeries := map[string]map[float64]float64{}
 	var ks []float64
 	seen := map[float64]bool{}
@@ -200,40 +206,40 @@ func printFig7(fig *experiments.Figure) {
 		}
 	}
 	sort.Float64s(ks)
-	fmt.Printf("  %-14s", "k")
+	fmt.Fprintf(w, "  %-14s", "k")
 	for _, k := range ks {
-		fmt.Printf("  %8.0f", k)
+		fmt.Fprintf(w, "  %8.0f", k)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	for _, s := range []string{"FullIndex", "BasicIndex", "StarIndex", "JoinIndex", "DBSize"} {
-		fmt.Printf("  %-14s", s)
+		fmt.Fprintf(w, "  %-14s", s)
 		for _, k := range ks {
-			fmt.Printf("  %6.1fMB", bySeries[s][k])
+			fmt.Fprintf(w, "  %6.1fMB", bySeries[s][k])
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
-	fmt.Println("  medical dataset (all hidden attrs indexed):")
+	fmt.Fprintln(w, "  medical dataset (all hidden attrs indexed):")
 	for _, s := range []string{"medical-FullIndex", "medical-BasicIndex", "medical-StarIndex", "medical-JoinIndex", "medical-DBSize"} {
-		fmt.Printf("    %-26s %6.1fMB\n", s, bySeries[s][-1])
+		fmt.Fprintf(w, "    %-26s %6.1fMB\n", s, bySeries[s][-1])
 	}
 }
 
-func printBars(fig *experiments.Figure) {
+func printBars(w io.Writer, fig *experiments.Figure) {
 	comps := []string{"Merge", "SJoin", "Store", "Project"}
-	fmt.Printf("  %-8s", "case")
+	fmt.Fprintf(w, "  %-8s", "case")
 	for _, c := range comps {
-		fmt.Printf("  %10s", c)
+		fmt.Fprintf(w, "  %10s", c)
 	}
-	fmt.Printf("  %10s\n", "total-IO")
+	fmt.Fprintf(w, "  %10s\n", "total-IO")
 	for _, p := range fig.Points {
 		if p.Skipped {
-			fmt.Printf("  %-8s  skipped: %s\n", p.Series, p.Note)
+			fmt.Fprintf(w, "  %-8s  skipped: %s\n", p.Series, p.Note)
 			continue
 		}
-		fmt.Printf("  %-8s", p.Series)
+		fmt.Fprintf(w, "  %-8s", p.Series)
 		for _, c := range comps {
-			fmt.Printf("  %8.2fms", float64(p.Breakdown[c].Microseconds())/1000)
+			fmt.Fprintf(w, "  %8.2fms", float64(p.Breakdown[c].Microseconds())/1000)
 		}
-		fmt.Printf("  %8.2fms\n", float64(p.IOTime.Microseconds())/1000)
+		fmt.Fprintf(w, "  %8.2fms\n", float64(p.IOTime.Microseconds())/1000)
 	}
 }

@@ -12,8 +12,10 @@
 package datagen
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"ghostdb/internal/exec"
 	"ghostdb/internal/ref"
@@ -35,7 +37,28 @@ const PadWidth = 10
 
 // PadValue renders domain value v as a zero-padded char(10) literal, the
 // form used by generated attributes ("0000000042").
-func PadValue(v int) string { return fmt.Sprintf("%0*d", PadWidth, v) }
+func PadValue(v int) string {
+	var buf [24]byte
+	return string(appendPadded(buf[:0], v, PadWidth))
+}
+
+// appendPadded appends v in decimal, zero-padded to width bytes — what
+// fmt's "%0*d" prints: a negative value's sign counts toward the width,
+// and a value with more digits than width is not truncated.
+func appendPadded(dst []byte, v, width int) []byte {
+	u := uint64(v)
+	if v < 0 {
+		dst = append(dst, '-')
+		u = -u
+		width--
+	}
+	var digits [20]byte
+	d := strconv.AppendUint(digits[:0], u, 10)
+	for n := len(d); n < width; n++ {
+		dst = append(dst, '0')
+	}
+	return append(dst, d...)
+}
 
 // SelValue returns the literal x such that `attr < x` selects fraction
 // sel of a uniform attribute.
@@ -115,11 +138,8 @@ func generate(sch *schema.Schema, cards map[string]int, seed int64) (*Dataset, e
 		for _, col := range t.Columns {
 			w := col.EncodedWidth()
 			data := make([]byte, n*w)
-			for i := 0; i < n; i++ {
-				v := genValue(rng, col)
-				if err := schema.EncodeValue(data[i*w:(i+1)*w], v); err != nil {
-					return nil, err
-				}
+			if err := fillColumn(rng, col, data); err != nil {
+				return nil, err
 			}
 			ld.Cols = append(ld.Cols, exec.ColData{Width: w, Data: data})
 		}
@@ -137,19 +157,39 @@ func generate(sch *schema.Schema, cards map[string]int, seed int64) (*Dataset, e
 	return ds, nil
 }
 
-func genValue(rng *rand.Rand, col schema.Column) schema.Value {
-	switch col.Kind {
-	case schema.KindInt:
-		return schema.IntVal(int64(rng.Intn(Domain)))
-	case schema.KindFloat:
-		return schema.FloatVal(float64(rng.Intn(Domain)) + 0.5)
-	default:
-		v := rng.Intn(Domain)
-		if col.Width < PadWidth {
-			return schema.CharVal(fmt.Sprintf("%0*d", col.Width, v%pow10(col.Width)))
+// fillColumn draws one uniform domain value per row of col, one rng draw
+// each, and writes it into data in the schema.EncodeValue encoding. Char
+// values are written in place: PadWidth zero-padded digits (a narrower
+// column keeps the value's low col.Width digits), then space padding.
+func fillColumn(rng *rand.Rand, col schema.Column, data []byte) error {
+	w := col.EncodedWidth()
+	for off := 0; off < len(data); off += w {
+		dst := data[off : off+w]
+		switch col.Kind {
+		case schema.KindInt:
+			if err := schema.EncodeValue(dst, schema.IntVal(int64(rng.Intn(Domain)))); err != nil {
+				return err
+			}
+		case schema.KindFloat:
+			if err := schema.EncodeValue(dst, schema.FloatVal(float64(rng.Intn(Domain))+0.5)); err != nil {
+				return err
+			}
+		default:
+			v, width := rng.Intn(Domain), PadWidth
+			if col.Width < PadWidth {
+				v, width = v%pow10(col.Width), col.Width
+			}
+			var buf [24]byte
+			s := appendPadded(buf[:0], v, width)
+			if len(s) > w {
+				return fmt.Errorf("datagen: value %q exceeds char(%d)", s, w)
+			}
+			for i := copy(dst, s); i < w; i++ {
+				dst[i] = ' '
+			}
 		}
-		return schema.CharVal(PadValue(v))
 	}
+	return nil
 }
 
 func pow10(n int) int {
@@ -161,23 +201,43 @@ func pow10(n int) int {
 }
 
 // RefEngine decodes the generated load into a naive reference engine for
-// differential testing.
+// differential testing. Each table's values share one backing array, and
+// each distinct char value is decoded into one string that every row
+// holding it shares: generated columns draw from a domain of Domain
+// values, so this keeps the oracle's heap near the size of the values
+// themselves.
 func (d *Dataset) RefEngine() (*ref.Engine, error) {
 	e := ref.New(d.Sch)
+	strs := map[string]string{} // trimmed char value -> its one copy
 	for _, t := range d.Sch.Tables {
 		ld := d.Load[t.Index]
-		rows := make([]schema.Row, ld.Rows)
-		for i := 0; i < ld.Rows; i++ {
-			row := make(schema.Row, len(t.Columns))
-			for ci, col := range t.Columns {
-				w := col.EncodedWidth()
-				v, err := schema.DecodeValue(ld.Cols[ci].Data[i*w:(i+1)*w], col.Kind)
-				if err != nil {
-					return nil, err
+		nc := len(t.Columns)
+		vals := make([]schema.Value, ld.Rows*nc)
+		for ci, col := range t.Columns {
+			w := col.EncodedWidth()
+			data := ld.Cols[ci].Data
+			for i := 0; i < ld.Rows; i++ {
+				enc := data[i*w : (i+1)*w]
+				if col.Kind != schema.KindChar {
+					v, err := schema.DecodeValue(enc, col.Kind)
+					if err != nil {
+						return nil, err
+					}
+					vals[i*nc+ci] = v
+					continue
 				}
-				row[ci] = v
+				trimmed := bytes.TrimRight(enc, " ") // schema.DecodeValue's trim
+				s, ok := strs[string(trimmed)]
+				if !ok {
+					s = string(trimmed)
+					strs[s] = s
+				}
+				vals[i*nc+ci] = schema.CharVal(s)
 			}
-			rows[i] = row
+		}
+		rows := make([]schema.Row, ld.Rows)
+		for i := range rows {
+			rows[i] = vals[i*nc : (i+1)*nc : (i+1)*nc]
 		}
 		e.Load(t.Index, rows, ld.FKs)
 	}

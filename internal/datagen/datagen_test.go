@@ -1,6 +1,11 @@
 package datagen
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"ghostdb/internal/schema"
@@ -57,6 +62,44 @@ func TestSelValueGranularity(t *testing.T) {
 	}
 }
 
+func TestPadValueMatchesSprintf(t *testing.T) {
+	vs := []int{-1, -42, -999999999, -1000000000, math.MinInt, 9999999999, 10000000000, 12345678901, math.MaxInt}
+	for v := 0; v <= Domain; v++ {
+		vs = append(vs, v)
+	}
+	for _, v := range vs {
+		if got, want := PadValue(v), fmt.Sprintf("%0*d", PadWidth, v); got != want {
+			t.Fatalf("PadValue(%d) = %q, want %q", v, got, want)
+		}
+	}
+}
+
+// TestSyntheticBytesPinned pins the generated synthetic dataset: every
+// column's bytes and every foreign key of Synthetic(0.002, 1). Figures,
+// the golden counter ledger and the benchmark all load this generator's
+// output, so a change to it must be deliberate.
+func TestSyntheticBytesPinned(t *testing.T) {
+	ds, err := Synthetic(0.002, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for _, tb := range ds.Sch.Tables {
+		ld := ds.Load[tb.Index]
+		binary.Write(h, binary.BigEndian, uint64(ld.Rows))
+		for _, c := range ld.Cols {
+			h.Write(c.Data)
+		}
+		for _, ci := range tb.Children() {
+			binary.Write(h, binary.BigEndian, ld.FKs[ci])
+		}
+	}
+	const want = "b4e57b3be2a1ec79c9b22a6bfe6b413b08ab5c3d3bd4b283d3794d59722972e0"
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
+		t.Fatalf("Synthetic(0.002, 1) hashes to %s, want %s", got, want)
+	}
+}
+
 func TestSyntheticSelectivityApproximation(t *testing.T) {
 	ds, err := Synthetic(0.001, 3)
 	if err != nil {
@@ -84,17 +127,46 @@ func TestSyntheticSelectivityApproximation(t *testing.T) {
 }
 
 func TestRefEngineRoundTrip(t *testing.T) {
-	ds, err := Synthetic(0.0003, 5)
+	synth, err := Synthetic(0.0003, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	re, err := ds.RefEngine()
+	medical, err := Medical(0.001, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tb := range ds.Sch.Tables {
-		if re.Rows(tb.Index) != ds.Load[tb.Index].Rows {
-			t.Fatalf("%s: %d vs %d rows", tb.Name, re.Rows(tb.Index), ds.Load[tb.Index].Rows)
+	for _, ds := range []*Dataset{synth, medical} {
+		re, err := ds.RefEngine()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tb := range ds.Sch.Tables {
+			ld := ds.Load[tb.Index]
+			if re.Rows(tb.Index) != ld.Rows {
+				t.Fatalf("%s: %d vs %d rows", tb.Name, re.Rows(tb.Index), ld.Rows)
+			}
+			// Every value the oracle holds is the decoded load value.
+			cols := []string{tb.Name + ".id"}
+			for _, col := range tb.Columns {
+				cols = append(cols, tb.Name+"."+col.Name)
+			}
+			rows := refRows(t, ds, re, "SELECT "+strings.Join(cols, ", ")+" FROM "+tb.Name)
+			if len(rows) != ld.Rows {
+				t.Fatalf("%s: oracle returned %d of %d rows", tb.Name, len(rows), ld.Rows)
+			}
+			for _, row := range rows {
+				id := int(row[0].I)
+				for ci, col := range tb.Columns {
+					w := col.EncodedWidth()
+					want, err := schema.DecodeValue(ld.Cols[ci].Data[id*w:(id+1)*w], col.Kind)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !row[ci+1].Equal(want) {
+						t.Fatalf("%s row %d %s: oracle %v, load %v", tb.Name, id, col.Name, row[ci+1], want)
+					}
+				}
+			}
 		}
 	}
 }

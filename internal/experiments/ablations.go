@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"ghostdb/internal/bloom"
 	"ghostdb/internal/exec"
@@ -58,17 +57,12 @@ func (l *Lab) AblationBloomRatio() (*Figure, error) {
 		fig.Points = append(fig.Points, Point{
 			Series: "measured-FPR",
 			X:      ratio,
-			// Encode the rate as microseconds-per-unit for uniform
-			// Point shape; read it back with RateOf.
-			Time: time.Duration(rate * float64(time.Second)),
-			Note: fmt.Sprintf("fpr=%.4f k=%d", rate, k),
+			Rate:   rate,
+			Note:   fmt.Sprintf("fpr=%.4f k=%d", rate, k),
 		})
 	}
 	return fig, nil
 }
-
-// RateOf decodes the value packed into an AblationBloomRatio point.
-func RateOf(p Point) float64 { return p.Time.Seconds() }
 
 // AblationClimbingVsCascade compares the climbing index (one lookup
 // delivering anchor-level sublists directly) with the cascading

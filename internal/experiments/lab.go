@@ -36,7 +36,8 @@ type Point struct {
 	IOTime    time.Duration
 	CommTime  time.Duration
 	Breakdown map[string]time.Duration
-	Skipped   bool // e.g. Post-Filter beyond sV=0.5
+	Rate      float64 // a measured ratio in place of a time (the Bloom false-positive rate)
+	Skipped   bool    // e.g. Post-Filter beyond sV=0.5
 	Note      string
 }
 

@@ -361,7 +361,7 @@ func TestAblations(t *testing.T) {
 	// FPR decreases as m/n grows; m/n=8 lands near the paper's 2.4%.
 	rates := map[float64]float64{}
 	for _, p := range bloomFig.Points {
-		rates[p.X] = RateOf(p)
+		rates[p.X] = p.Rate
 	}
 	if !(rates[2] > rates[4] && rates[4] > rates[8]) {
 		t.Fatalf("bloom rates not monotone: %v", rates)

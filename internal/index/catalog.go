@@ -71,6 +71,13 @@ type Catalog struct {
 // other secure tokens — each token's catalog covers exactly the trees
 // placed on it, and index structures never cross trees).
 func Build(dev *flash.Device, sch *schema.Schema, inputs map[int]*TableInput, variant Variant) (*Catalog, error) {
+	return build(dev, sch, inputs, variant, buildClimbing)
+}
+
+// build is Build with the climbing-index constructor as a parameter, so
+// tests can build the same catalog through a reference constructor.
+func build(dev *flash.Device, sch *schema.Schema, inputs map[int]*TableInput, variant Variant,
+	newClimbing func(*flash.Device, climbingInput) (*Climbing, error)) (*Catalog, error) {
 	cat := &Catalog{
 		Sch:     sch,
 		Variant: variant,
@@ -134,7 +141,7 @@ func Build(dev *flash.Device, sch *schema.Schema, inputs map[int]*TableInput, va
 		in := inputs[t.Index]
 		levels := attrLevels(sch, t, variant)
 		for _, a := range in.Attrs {
-			ci, err := buildClimbing(dev, climbingInput{
+			ci, err := newClimbing(dev, climbingInput{
 				table:     t.Index,
 				colIdx:    a.ColIdx,
 				keyW:      a.Width,
@@ -166,7 +173,7 @@ func Build(dev *flash.Device, sch *schema.Schema, inputs map[int]*TableInput, va
 		case VariantJoin:
 			levels = []int{t.ParentIndex} // binary join index
 		}
-		ci, err := buildClimbing(dev, climbingInput{
+		ci, err := newClimbing(dev, climbingInput{
 			table:     t.Index,
 			colIdx:    -1,
 			keyW:      store.IDBytes,

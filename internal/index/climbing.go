@@ -2,7 +2,6 @@ package index
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -360,8 +359,10 @@ type climbingInput struct {
 }
 
 // buildClimbing constructs the index: it assigns an ordinal to each
-// distinct value, sorts (ordinal, id) pairs per level, packs the sorted
-// groups as runs in a list segment and bulk-loads the B+-tree.
+// distinct value, groups each level's ids by the ordinal of the value
+// they reach, packs the groups as runs in a list segment and bulk-loads
+// the B+-tree. Both sorts are linear: a radix sort over the fixed-width
+// keys and a counting sort by ordinal.
 func buildClimbing(dev *flash.Device, in climbingInput) (*Climbing, error) {
 	c := &Climbing{
 		table:  in.table,
@@ -373,19 +374,7 @@ func buildClimbing(dev *flash.Device, in climbingInput) (*Climbing, error) {
 	var distinct [][]byte // ascending encoded keys
 	var ordOfRow []uint32 // row -> ordinal
 	if in.colIdx >= 0 {
-		order := make([]uint32, in.rows)
-		for i := range order {
-			order[i] = uint32(i)
-		}
-		// A total order (key bytes, then row id): the sorted permutation
-		// is unique, whatever the sorting algorithm.
-		slices.SortFunc(order, func(ra, rb uint32) int {
-			if c := bytes.Compare(in.vals[int(ra)*in.keyW:int(ra+1)*in.keyW],
-				in.vals[int(rb)*in.keyW:int(rb+1)*in.keyW]); c != 0 {
-				return c
-			}
-			return cmp.Compare(ra, rb)
-		})
+		order := sortRowsByKey(in.vals, in.keyW, in.rows)
 		ordOfRow = make([]uint32, in.rows)
 		for _, r := range order {
 			v := in.vals[int(r)*in.keyW : int(r+1)*in.keyW]
@@ -412,79 +401,52 @@ func buildClimbing(dev *flash.Device, in climbingInput) (*Climbing, error) {
 			c.dist = d
 		}
 	} else {
-		// ID index: the key of row i is i itself; every id is distinct.
+		// ID index: the key of row i is i itself; every id is distinct and
+		// is its own ordinal.
 		distinct = make([][]byte, in.rows)
 		keys := make([]byte, in.rows*4)
+		ordOfRow = make([]uint32, in.rows)
 		for i := 0; i < in.rows; i++ {
 			binary.BigEndian.PutUint32(keys[i*4:], uint32(i))
 			distinct[i] = keys[i*4 : i*4+4]
+			ordOfRow[i] = uint32(i)
 		}
-		// ordOfRow is the identity; represented implicitly below.
 	}
 	nvals := len(distinct)
 	if c.dist != nil {
 		c.dist.distinct = nvals
 	}
 
-	// Sorted (ordinal, id) pairs per level, composite-encoded in uint64.
-	sorted := make([][]uint64, len(in.levels))
+	// Per level, the ordinal of the value each id reaches: its own on the
+	// self level, its descendant row's on an ancestor level.
+	groups := make([]levelGroups, len(in.levels))
 	for li, lvlTable := range in.levels {
-		if lvlTable == in.table {
-			// Self level: group rows by ordinal.
-			comp := make([]uint64, in.rows)
-			for i := 0; i < in.rows; i++ {
-				ord := uint64(uint32(i))
-				if in.colIdx >= 0 {
-					ord = uint64(ordOfRow[i])
-				}
-				comp[i] = ord<<32 | uint64(uint32(i))
+		ords := ordOfRow
+		if lvlTable != in.table {
+			ords = make([]uint32, len(in.descOfLvl[li]))
+			for a, r := range in.descOfLvl[li] {
+				ords[a] = ordOfRow[r]
 			}
-			slices.Sort(comp)
-			sorted[li] = comp
-			continue
 		}
-		descTi := in.descOfLvl[li]
-		comp := make([]uint64, len(descTi))
-		for a, ti := range descTi {
-			ord := uint64(ti)
-			if in.colIdx >= 0 {
-				ord = uint64(ordOfRow[ti])
-			}
-			comp[a] = ord<<32 | uint64(uint32(a))
-		}
-		slices.Sort(comp)
-		sorted[li] = comp
+		groups[li] = groupByOrdinal(ords, nvals)
 	}
 
-	// Pack runs value by value and assemble the tree entries.
-	entries := make([]btree.Entry, 0, nvals)
-	pos := make([]int, len(in.levels))
+	// Pack runs value by value and assemble the tree entries; the
+	// payloads are carved from one backing array.
+	entries := make([]btree.Entry, nvals)
 	payloadW := len(in.levels) * runDescWidth
-	for ord := 0; ord < nvals; ord++ {
-		payload := make([]byte, payloadW)
-		for li := range in.levels {
-			comp := sorted[li]
-			p := pos[li]
-			if err := c.lists.BeginRun(); err != nil {
-				return nil, err
-			}
-			n := 0
-			for p < len(comp) && int(comp[p]>>32) == ord {
-				if err := c.lists.Add(uint32(comp[p])); err != nil {
-					return nil, err
-				}
-				p++
-				n++
-			}
-			pos[li] = p
-			run, err := c.lists.EndRun()
+	payloads := make([]byte, nvals*payloadW)
+	for ord := range entries {
+		payload := payloads[ord*payloadW : (ord+1)*payloadW : (ord+1)*payloadW]
+		for li, g := range groups {
+			run, err := c.lists.AppendRun(g.ids[g.start[ord]:g.start[ord+1]])
 			if err != nil {
 				return nil, err
 			}
 			binary.BigEndian.PutUint32(payload[li*runDescWidth:], uint32(run.Off))
-			binary.BigEndian.PutUint32(payload[li*runDescWidth+4:], uint32(n))
+			binary.BigEndian.PutUint32(payload[li*runDescWidth+4:], uint32(run.Count))
 		}
-		entries = append(entries, btree.Entry{Key: distinct[ord], Payload: payload})
+		entries[ord] = btree.Entry{Key: distinct[ord], Payload: payload}
 	}
 	if err := c.lists.Seal(); err != nil {
 		return nil, err
@@ -495,4 +457,74 @@ func buildClimbing(dev *flash.Device, in climbingInput) (*Climbing, error) {
 	}
 	c.tree = tree
 	return c, nil
+}
+
+// sortRowsByKey returns the row ids 0..rows-1 in (key bytes, row id)
+// order, where row r's key is vals[r*keyW:(r+1)*keyW]. It is a stable LSD
+// radix sort, one counting pass per byte position from the last, started
+// from ascending ids; positions where every row holds the same byte are
+// skipped (zero-padded decimals share most of their leading bytes).
+// Every key encoding is fixed-width and byte-comparable, so this is the
+// order bytes.Compare with an id tie-break defines.
+func sortRowsByKey(vals []byte, keyW, rows int) []uint32 {
+	order := make([]uint32, rows)
+	for i := range order {
+		order[i] = uint32(i)
+	}
+	if rows < 2 {
+		return order
+	}
+	counts := make([][256]uint32, keyW)
+	for r := 0; r < rows; r++ {
+		for p, b := range vals[r*keyW : (r+1)*keyW] {
+			counts[p][b]++
+		}
+	}
+	tmp := make([]uint32, rows)
+	for p := keyW - 1; p >= 0; p-- {
+		cnt := &counts[p]
+		if cnt[vals[p]] == uint32(rows) {
+			continue // row 0's byte is every row's byte
+		}
+		var next [256]uint32
+		sum := uint32(0)
+		for b, n := range cnt {
+			next[b] = sum
+			sum += n
+		}
+		for _, r := range order {
+			b := vals[int(r)*keyW+p]
+			tmp[next[b]] = r
+			next[b]++
+		}
+		order, tmp = tmp, order
+	}
+	return order
+}
+
+// levelGroups is one level's ids grouped by ordinal: ids[start[o]:
+// start[o+1]] are, ascending, the ids whose value has ordinal o.
+type levelGroups struct {
+	ids   []uint32
+	start []uint32 // len nvals+1
+}
+
+// groupByOrdinal is a stable counting sort of a level's ids by ordinal,
+// where id a's value has ordinal ords[a] < nvals. The ids enter in
+// ascending order, so each group comes out ascending.
+func groupByOrdinal(ords []uint32, nvals int) levelGroups {
+	start := make([]uint32, nvals+1)
+	for _, o := range ords {
+		start[o+1]++
+	}
+	for o := 1; o <= nvals; o++ {
+		start[o] += start[o-1]
+	}
+	next := slices.Clone(start[:nvals])
+	ids := make([]uint32, len(ords))
+	for a, o := range ords {
+		ids[next[o]] = uint32(a)
+		next[o]++
+	}
+	return levelGroups{ids: ids, start: start}
 }
