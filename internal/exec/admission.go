@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"ghostdb/internal/ram"
@@ -64,6 +65,13 @@ type runSet struct {
 
 func (s *runSet) len() int { return len(s.live) }
 
+// grow makes room for n more sublists, so a caller that knows how many
+// it is about to add pays one allocation instead of append's doublings.
+func (s *runSet) grow(n int) {
+	s.subs = slices.Grow(s.subs, n)
+	s.live = slices.Grow(s.live, n)
+}
+
 func (s *runSet) add(seg *store.ListSegment, run store.Run) {
 	s.live.push(uint64(run.Count)<<32 | uint64(len(s.subs)))
 	s.subs = append(s.subs, sublist{seg: seg, run: run})
@@ -73,19 +81,25 @@ func (s *runSet) popSmallest() sublist { return s.subs[uint32(s.live.pop())] }
 
 // openUnion opens the union of every sublist in the set (one RAM buffer
 // per flash sublist) and of the direct streams, which ride the
-// communication buffer.
+// communication buffer. The sublists' streams are one slice under one
+// grant, which the first stream holds: a union closes its sources
+// together.
 func (r *queryRun) openUnion(s *runSet, direct []idStream) (idStream, error) {
 	srcs := make([]idStream, 0, s.len()+len(direct))
-	for _, key := range s.live {
-		sub := s.subs[uint32(key)]
-		st, err := r.newRunStream(sub.seg, sub.run)
+	if n := s.len(); n > 0 {
+		g, err := r.ram.AllocBuffers(n)
 		if err != nil {
-			for _, s2 := range srcs {
-				s2.close()
-			}
-			return nil, err
+			return nil, fmt.Errorf("exec: run buffers: %w", err)
 		}
-		srcs = append(srcs, st)
+		streams := make([]runStream, n)
+		for i, key := range s.live {
+			sub := s.subs[uint32(key)]
+			st := &streams[i]
+			st.tok, st.buf = r.tok, r.tok.pageBuf()
+			sub.seg.InitRunReader(&st.rd, sub.run, st.buf)
+			srcs = append(srcs, st)
+		}
+		streams[0].grant = g
 	}
 	srcs = append(srcs, direct...)
 	switch len(srcs) {
@@ -112,6 +126,7 @@ func (r *queryRun) unionSmallest(s *runSet, k int, span string) error {
 	defer wg.Release()
 
 	var pick runSet
+	pick.grow(k)
 	for i := 0; i < k; i++ {
 		sub := s.popSmallest()
 		pick.add(sub.seg, sub.run)

@@ -67,9 +67,16 @@ func (r *queryRun) bruteForce(res *Result) error {
 		spoolOff[ti] = offs
 	}
 
+	// One record buffer per table, made on first use and reused for every
+	// tuple: spoolBuf for the binary search, hidBuf for the hidden row.
+	check := append([]int{anchor}, order...)
+	spoolBuf := map[int][]byte{}
+	hidBuf := map[int][]byte{}
 	ids := map[int]uint32{}
 	visRec := map[int][]byte{}
 	hidRec := map[int][]byte{}
+	// r.resN bounds the rows: false positives are dropped in the pass.
+	rows := newRowArena(db.Sch, q, r.resN)
 
 	for pos := 0; pos < r.resN; pos++ {
 		aid, ok, err := anchorRd.Next()
@@ -92,13 +99,8 @@ func (r *queryRun) bruteForce(res *Result) error {
 		}
 		// Exact visible verification by random binary search.
 		keep := true
-		for ti := range visRec {
-			delete(visRec, ti)
-		}
-		for ti := range hidRec {
-			delete(hidRec, ti)
-		}
-		check := append([]int{anchor}, order...)
+		clear(visRec)
+		clear(hidRec)
 		for _, ti := range check {
 			sp := r.spool[ti]
 			needVis := len(projVis[ti]) > 0
@@ -106,7 +108,10 @@ func (r *queryRun) bruteForce(res *Result) error {
 			if sp == nil || (!needVis && !needExact) {
 				continue
 			}
-			rec, found, err := spoolSearch(sp.file, ids[ti])
+			if spoolBuf[ti] == nil {
+				spoolBuf[ti] = make([]byte, sp.file.RowWidth())
+			}
+			rec, found, err := spoolSearch(sp.file, ids[ti], spoolBuf[ti])
 			if err != nil {
 				return err
 			}
@@ -123,10 +128,10 @@ func (r *queryRun) bruteForce(res *Result) error {
 			continue
 		}
 		// Assemble the row with random hidden-image reads.
-		row := make(schema.Row, 0, len(q.Projections))
-		for _, p := range q.Projections {
+		row := rows.next()
+		for i, p := range q.Projections {
 			if p.ColIdx == query.IDCol {
-				row = append(row, schema.IntVal(int64(ids[p.Table])))
+				row[i] = schema.IntVal(int64(ids[p.Table]))
 				continue
 			}
 			col := db.Sch.Tables[p.Table].Columns[p.ColIdx]
@@ -136,11 +141,9 @@ func (r *queryRun) bruteForce(res *Result) error {
 					return fmt.Errorf("exec: no visible record for %s", db.Sch.Tables[p.Table].Name)
 				}
 				off := spoolOff[p.Table][p.ColIdx]
-				v, err := schema.DecodeValue(rec[off:off+col.EncodedWidth()], col.Kind)
-				if err != nil {
+				if err := rows.decode(&row[i], rec[off:off+col.EncodedWidth()], col.Kind); err != nil {
 					return err
 				}
-				row = append(row, v)
 				continue
 			}
 			img := r.tok.Hidden[p.Table]
@@ -149,7 +152,10 @@ func (r *queryRun) bruteForce(res *Result) error {
 			}
 			rec := hidRec[p.Table]
 			if rec == nil {
-				rec = make([]byte, img.File.RowWidth())
+				if hidBuf[p.Table] == nil {
+					hidBuf[p.Table] = make([]byte, img.File.RowWidth())
+				}
+				rec = hidBuf[p.Table]
 				if err := img.File.ReadRow(ids[p.Table], rec); err != nil {
 					return err
 				}
@@ -163,21 +169,19 @@ func (r *queryRun) bruteForce(res *Result) error {
 				hidRec[p.Table] = rec
 			}
 			o, w := img.Codec.ColumnRange(img.ColPos[p.ColIdx])
-			v, err := schema.DecodeValue(rec[o:o+w], col.Kind)
-			if err != nil {
+			if err := rows.decode(&row[i], rec[o:o+w], col.Kind); err != nil {
 				return err
 			}
-			row = append(row, v)
 		}
-		res.Rows = append(res.Rows, row)
 	}
+	rows.finish(res)
 	return nil
 }
 
-// spoolSearch binary-searches an id-sorted spool file; every probe is one
-// random page read, the defining cost of the brute-force projector.
-func spoolSearch(f *store.RowFile, id uint32) ([]byte, bool, error) {
-	rec := make([]byte, f.RowWidth())
+// spoolSearch binary-searches an id-sorted spool file, reading into rec
+// (RowWidth bytes), which it returns on a hit; every probe is one random
+// page read, the defining cost of the brute-force projector.
+func spoolSearch(f *store.RowFile, id uint32, rec []byte) ([]byte, bool, error) {
 	lo, hi := 0, f.Count()-1
 	for lo <= hi {
 		mid := (lo + hi) / 2

@@ -669,6 +669,8 @@ type Result struct {
 	Columns []string
 	Rows    []schema.Row
 	Stats   Stats
+
+	slack int64 // heap bytes Rows keep alive beyond their own (rowArena.finish)
 }
 
 // Totals accumulates the simulated cost of every completed query; one

@@ -62,10 +62,13 @@ func (s *segReader) next() ([]byte, bool, error) {
 // tupleCursor merges the pos-sorted batch runs of one table's MJoin
 // output. Positions are disjoint across runs (each result position's id
 // belongs to exactly one σVH batch), so a simple min-head scan suffices.
+// Heads are double-buffered: a take hands out its head and refills the
+// run from spare, the buffer the previous take handed out.
 type tupleCursor struct {
 	readers []*segReader
 	heads   [][]byte
 	poss    []int64
+	spare   []byte
 }
 
 func newTupleCursor(tp *tableProj) (*tupleCursor, error) {
@@ -93,7 +96,6 @@ func (c *tupleCursor) advance(i int) error {
 	}
 	if !ok {
 		c.poss[i] = -1
-		c.heads[i] = nil
 		return nil
 	}
 	// Copy: the reader reuses its window buffer across next() calls.
@@ -102,21 +104,27 @@ func (c *tupleCursor) advance(i int) error {
 	return nil
 }
 
-// take returns the tuple at position pos, if any run holds it. Ownership
-// of the returned slice passes to the caller (valid until the next take
-// for the same table).
+// take returns the tuple at position pos, if any run holds it. The
+// returned slice is valid until the next take or takeMin on this cursor,
+// which reuses it as the buffer its run refills.
 func (c *tupleCursor) take(pos uint32) ([]byte, bool, error) {
 	for i := range c.readers {
 		if c.poss[i] == int64(pos) {
-			t := c.heads[i]
-			c.heads[i] = nil // relinquish; advance allocates a fresh head
-			if err := c.advance(i); err != nil {
-				return nil, false, err
-			}
-			return t, true, nil
+			t, err := c.pop(i)
+			return t, err == nil, err
 		}
 	}
 	return nil, false, nil
+}
+
+// pop hands out run i's head and refills the run into the spare buffer.
+func (c *tupleCursor) pop(i int) ([]byte, error) {
+	t := c.heads[i]
+	c.heads[i], c.spare = c.spare, t
+	if err := c.advance(i); err != nil {
+		return nil, err
+	}
+	return t, nil
 }
 
 // takeMin returns the tuple with the smallest pending position across
@@ -132,16 +140,12 @@ func (c *tupleCursor) takeMin() ([]byte, bool, error) {
 	if min < 0 {
 		return nil, false, nil
 	}
-	t := c.heads[min]
-	c.heads[min] = nil
-	if err := c.advance(min); err != nil {
-		return nil, false, err
-	}
-	return t, true, nil
+	t, err := c.pop(min)
+	return t, err == nil, err
 }
 
 // valueGetter decodes one projection item from the final-join state.
-type valueGetter func() (schema.Value, error)
+type valueGetter func(dst *schema.Value) error
 
 // finalJoin is step 7 of the Project algorithm (§4): all operands are
 // sorted by position (equivalently by anchor id), so one synchronized
@@ -315,6 +319,8 @@ func (r *queryRun) finalJoin(res *Result, tps []*tableProj) error {
 	tuples := map[int][]byte{}
 	var aid uint32
 	var aHidLoaded bool
+	// r.resN bounds the rows: false positives are dropped in the pass.
+	rows := newRowArena(db.Sch, q, r.resN)
 
 	// Build one getter per projection item.
 	getters := make([]valueGetter, len(q.Projections))
@@ -323,29 +329,29 @@ func (r *queryRun) finalJoin(res *Result, tps []*tableProj) error {
 		t := db.Sch.Tables[p.Table]
 		switch {
 		case p.Table == anchor && p.ColIdx == query.IDCol:
-			getters[i] = func() (schema.Value, error) { return schema.IntVal(int64(aid)), nil }
+			getters[i] = func(dst *schema.Value) error { *dst = schema.IntVal(int64(aid)); return nil }
 		case p.Table != anchor && p.ColIdx == query.IDCol:
-			getters[i] = func() (schema.Value, error) { return schema.IntVal(int64(idVal[p.Table])), nil }
+			getters[i] = func(dst *schema.Value) error { *dst = schema.IntVal(int64(idVal[p.Table])); return nil }
 		case p.Table == anchor && !t.Columns[p.ColIdx].Hidden:
 			col := t.Columns[p.ColIdx]
-			getters[i] = func() (schema.Value, error) {
+			getters[i] = func(dst *schema.Value) error {
 				rec, err := aCur.seek(aid)
 				if err != nil {
-					return schema.Value{}, err
+					return err
 				}
 				if rec == nil {
-					return schema.Value{}, fmt.Errorf("exec: anchor id %d missing from its Vis spool", aid)
+					return fmt.Errorf("exec: anchor id %d missing from its Vis spool", aid)
 				}
 				off := aColOff[p.ColIdx]
-				return schema.DecodeValue(rec[off:off+col.EncodedWidth()], col.Kind)
+				return rows.decode(dst, rec[off:off+col.EncodedWidth()], col.Kind)
 			}
 		case p.Table == anchor:
 			col := t.Columns[p.ColIdx]
 			aDl := r.tok.deltaOf(anchor)
-			getters[i] = func() (schema.Value, error) {
+			getters[i] = func(dst *schema.Value) error {
 				if !aHidLoaded {
 					if err := aHidRd.Read(aid, aHidRec); err != nil {
-						return schema.Value{}, err
+						return err
 					}
 					// Delta overlay: upserted rows carry their latest
 					// values in the overlay, not the base image.
@@ -357,7 +363,7 @@ func (r *queryRun) finalJoin(res *Result, tps []*tableProj) error {
 					aHidLoaded = true
 				}
 				o, w := aImg.Codec.ColumnRange(aImg.ColPos[p.ColIdx])
-				return schema.DecodeValue(aHidRec[o:o+w], col.Kind)
+				return rows.decode(dst, aHidRec[o:o+w], col.Kind)
 			}
 		default:
 			col := t.Columns[p.ColIdx]
@@ -365,9 +371,9 @@ func (r *queryRun) finalJoin(res *Result, tps []*tableProj) error {
 			if !ok {
 				return fmt.Errorf("exec: no value source for %s.%s", t.Name, col.Name)
 			}
-			getters[i] = func() (schema.Value, error) {
+			getters[i] = func(dst *schema.Value) error {
 				tup := tuples[p.Table]
-				return schema.DecodeValue(tup[off:off+col.EncodedWidth()], col.Kind)
+				return rows.decode(dst, tup[off:off+col.EncodedWidth()], col.Kind)
 			}
 		}
 	}
@@ -408,15 +414,13 @@ func (r *queryRun) finalJoin(res *Result, tps []*tableProj) error {
 		if !keep {
 			continue
 		}
-		row := make(schema.Row, len(getters))
+		row := rows.next()
 		for i, g := range getters {
-			v, err := g()
-			if err != nil {
+			if err := g(&row[i]); err != nil {
 				return err
 			}
-			row[i] = v
 		}
-		res.Rows = append(res.Rows, row)
 	}
+	rows.finish(res)
 	return nil
 }

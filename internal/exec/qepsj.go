@@ -278,6 +278,8 @@ func (r *queryRun) visibleOnlyFastPath() (*Result, bool, error) {
 		offsets[i+1] = offsets[i] + t.Columns[c].EncodedWidth()
 	}
 	dl := r.tok.deltaOf(ti)
+	// len(vr.IDs) bounds the rows: tombstoned ones are dropped.
+	rows := newRowArena(db.Sch, q, len(vr.IDs))
 	for i, id := range vr.IDs {
 		// Tombstone exclusion happens here, on the secure side: the
 		// untrusted store still holds (and returned) the deleted rows.
@@ -288,22 +290,20 @@ func (r *queryRun) visibleOnlyFastPath() (*Result, bool, error) {
 		if len(cols) > 0 {
 			raw = vr.Rows[i*vr.RowWidth : (i+1)*vr.RowWidth]
 		}
-		row := make(schema.Row, 0, len(q.Projections))
-		for _, p := range q.Projections {
+		row := rows.next()
+		for j, p := range q.Projections {
 			if p.ColIdx == query.IDCol {
-				row = append(row, schema.IntVal(int64(id)))
+				row[j] = schema.IntVal(int64(id))
 				continue
 			}
 			ci := colPos[p.ColIdx]
 			w := t.Columns[p.ColIdx].EncodedWidth()
-			v, err := schema.DecodeValue(raw[offsets[ci]:offsets[ci]+w], t.Columns[p.ColIdx].Kind)
-			if err != nil {
+			if err := rows.decode(&row[j], raw[offsets[ci]:offsets[ci]+w], t.Columns[p.ColIdx].Kind); err != nil {
 				return nil, true, err
 			}
-			row = append(row, v)
 		}
-		res.Rows = append(res.Rows, row)
 	}
+	rows.finish(res)
 	// Stats are attached once by SelectCtx after execute returns.
 	return res, true, nil
 }

@@ -152,6 +152,7 @@ func (r *queryRun) qepsj() error {
 		if err != nil {
 			return err
 		}
+		g.runs.grow(len(runs))
 		for _, run := range runs {
 			g.addRun(ci.Lists(), run)
 		}
@@ -430,6 +431,7 @@ func (r *queryRun) crossedList(tv int, preds []query.Pred) ([]uint32, error) {
 			return nil, err
 		}
 		g := &mergeGroup{label: "cross"}
+		g.runs.grow(len(runs))
 		for _, run := range runs {
 			g.addRun(ci.Lists(), run)
 		}

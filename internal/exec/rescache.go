@@ -3,11 +3,13 @@ package exec
 import (
 	"context"
 	"fmt"
+	"unsafe"
 
 	"ghostdb/internal/cache"
 	"ghostdb/internal/obs"
 	"ghostdb/internal/pagecache"
 	"ghostdb/internal/query"
+	"ghostdb/internal/schema"
 	"ghostdb/internal/sqlparse"
 )
 
@@ -72,18 +74,25 @@ func (r *Result) Shared() *Result {
 	return &cp
 }
 
+// The sizes of one value and one row header, as SizeBytes counts them.
+const (
+	valueBytes = int64(unsafe.Sizeof(schema.Value{}))
+	rowBytes   = int64(unsafe.Sizeof(schema.Row(nil)))
+)
+
 // SizeBytes estimates the heap footprint of a materialized result for
-// the cache's byte accounting: value headers plus char payloads, row
-// slice headers, column labels and a fixed allowance for Stats.
+// the cache's byte accounting: values plus char payloads, row slice
+// headers, the arena storage the rows keep alive beyond their own
+// (rowarena.go), column labels and a fixed allowance for Stats.
 func (r *Result) SizeBytes() int64 {
-	n := int64(256)
+	n := 256 + r.slack
 	for _, c := range r.Columns {
 		n += int64(len(c)) + 16
 	}
 	for _, row := range r.Rows {
-		n += 24
+		n += rowBytes
 		for _, v := range row {
-			n += 40 + int64(len(v.S))
+			n += valueBytes + int64(len(v.S))
 		}
 	}
 	return n

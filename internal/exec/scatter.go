@@ -160,6 +160,9 @@ func (db *DB) mergeScatter(q *query.Query, parts []*Result) (*Result, error) {
 			mult *= int(pr.Rows[0][0].I)
 		} else {
 			rowsets[gi] = pr.Rows
+			// The cross rows keep the part's char bytes alive; counting
+			// all its slack over-estimates, never under-estimates.
+			res.slack += pr.slack
 		}
 	}
 

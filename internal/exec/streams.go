@@ -68,31 +68,27 @@ func (s *seqStream) close() {}
 
 // runStream streams one sorted sublist from flash, holding one RAM buffer
 // and, on the host, one page buffer borrowed from the token's free list.
+// openUnion opens a union's streams as one slice under one grant, held
+// by the first.
 //
 //ghostdb:requires-slot
 type runStream struct {
-	rd    *store.RunReader
-	grant *ram.Grant
+	rd    store.RunReader
+	grant *ram.Grant // nil but in a union's first stream
 	tok   *Token
 	buf   []byte
-}
-
-func (r *queryRun) newRunStream(seg *store.ListSegment, run store.Run) (*runStream, error) {
-	g, err := r.ram.AllocBuffers(1)
-	if err != nil {
-		return nil, fmt.Errorf("exec: run buffer: %w", err)
-	}
-	buf := r.tok.pageBuf()
-	return &runStream{rd: seg.NewRunReaderIn(run, buf), grant: g, tok: r.tok, buf: buf}, nil
 }
 
 func (s *runStream) next() (uint32, bool, error) { return s.rd.Next() }
 
 func (s *runStream) close() {
+	if s.buf != nil {
+		s.tok.releasePageBuf(s.buf)
+		s.buf = nil
+	}
 	if s.grant != nil {
 		s.grant.Release()
 		s.grant = nil
-		s.tok.releasePageBuf(s.buf)
 	}
 }
 

@@ -120,7 +120,7 @@ func TestLiteralCoercion(t *testing.T) {
 	sch := testSchema(t)
 	// Int literal for float column is fine.
 	q := mustResolve(t, sch, `SELECT id FROM T2 WHERE ratio > 3`)
-	if q.Preds[0].Lo.Kind != schema.KindFloat || q.Preds[0].Lo.F != 3 {
+	if q.Preds[0].Lo.Kind != schema.KindFloat || q.Preds[0].Lo.Float() != 3 {
 		t.Fatalf("coerced literal = %+v", q.Preds[0].Lo)
 	}
 	// Float literal for int column is not.

@@ -31,17 +31,21 @@ func (k Kind) String() string {
 }
 
 // Value is a dynamically typed column value. The zero Value is invalid.
+// A float keeps its IEEE 754 bits in I (read it with Float), which holds
+// a Value to 32 bytes: every result row is a slice of them.
 type Value struct {
 	Kind Kind
 	I    int64
-	F    float64
 	S    string
 }
 
 // IntVal, FloatVal and CharVal construct Values.
 func IntVal(i int64) Value     { return Value{Kind: KindInt, I: i} }
-func FloatVal(f float64) Value { return Value{Kind: KindFloat, F: f} }
+func FloatVal(f float64) Value { return Value{Kind: KindFloat, I: int64(math.Float64bits(f))} }
 func CharVal(s string) Value   { return Value{Kind: KindChar, S: s} }
+
+// Float returns the number a KindFloat value holds.
+func (v Value) Float() float64 { return math.Float64frombits(uint64(v.I)) }
 
 // String renders the value for display.
 func (v Value) String() string {
@@ -49,7 +53,7 @@ func (v Value) String() string {
 	case KindInt:
 		return strconv.FormatInt(v.I, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.F, 'g', -1, 64)
+		return strconv.FormatFloat(v.Float(), 'g', -1, 64)
 	case KindChar:
 		return v.S
 	}
@@ -72,10 +76,10 @@ func (v Value) Compare(o Value) int {
 		}
 		return 0
 	case KindFloat:
-		switch {
-		case v.F < o.F:
+		switch a, b := v.Float(), o.Float(); {
+		case a < b:
 			return -1
-		case v.F > o.F:
+		case a > b:
 			return 1
 		}
 		return 0
@@ -117,7 +121,7 @@ func EncodeValue(dst []byte, v Value) error {
 		if len(dst) != 8 {
 			return fmt.Errorf("schema: float needs 8 bytes, have %d", len(dst))
 		}
-		bits := math.Float64bits(v.F)
+		bits := uint64(v.I)
 		if bits&(1<<63) != 0 {
 			bits = ^bits
 		} else {
@@ -156,7 +160,7 @@ func DecodeValue(src []byte, k Kind) (Value, error) {
 		} else {
 			bits = ^bits
 		}
-		return FloatVal(math.Float64frombits(bits)), nil
+		return Value{Kind: KindFloat, I: int64(bits)}, nil
 	case KindChar:
 		return CharVal(strings.TrimRight(string(src), " ")), nil
 	}

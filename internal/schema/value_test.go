@@ -29,7 +29,7 @@ func TestEncodeDecodeRoundtripProperty(t *testing.T) {
 			return false
 		}
 		v, err := DecodeValue(buf[:], KindFloat)
-		return err == nil && v.F == f
+		return err == nil && v.Float() == f
 	}
 	if err := quick.Check(floatRT, nil); err != nil {
 		t.Fatalf("float roundtrip: %v", err)

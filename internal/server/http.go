@@ -204,7 +204,7 @@ func jsonValue(v ghostdb.Value) any {
 	case schema.KindInt:
 		return v.I
 	case schema.KindFloat:
-		return v.F
+		return v.Float()
 	default:
 		return v.S
 	}

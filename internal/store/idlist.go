@@ -123,14 +123,17 @@ type RunReader struct {
 
 // NewRunReader opens a streaming reader over run.
 func (l *ListSegment) NewRunReader(run Run) *RunReader {
-	return l.NewRunReaderIn(run, make([]byte, l.seg.PageSize()))
+	rd := &RunReader{}
+	l.InitRunReader(rd, run, make([]byte, l.seg.PageSize()))
+	return rd
 }
 
-// NewRunReaderIn is NewRunReader over a caller-owned page buffer of at
-// least PageSize bytes, so a caller that opens many readers can recycle
-// the buffers; the reader uses it until its last Next.
-func (l *ListSegment) NewRunReaderIn(run Run, buf []byte) *RunReader {
-	return &RunReader{l: l, run: run, buf: buf, bufLo: -1}
+// InitRunReader sets rd up as a reader over run that streams through a
+// caller-owned page buffer of at least PageSize bytes, so a caller that
+// opens many readers can hold them by value and recycle the buffers; the
+// reader uses buf until its last Next.
+func (l *ListSegment) InitRunReader(rd *RunReader, run Run, buf []byte) {
+	*rd = RunReader{l: l, run: run, buf: buf, bufLo: -1}
 }
 
 // Remaining returns how many identifiers have not been consumed yet.

@@ -159,11 +159,13 @@ type SeqReader struct {
 
 	// Read-ahead pipeline (SetReadAhead): ra holds the staging window,
 	// pages raBase..raBase+raN-1 are resident, inflight gauges the pages
-	// staged ahead of the consumer. Nil ra = classic one-page reads.
+	// staged ahead of the consumer, reqs is the window's read batch,
+	// reused from window to window. Nil ra = classic one-page reads.
 	ra       [][]byte
 	raBase   int
 	raN      int
 	inflight *atomic.Int64
+	reqs     []flash.ReadReq
 }
 
 // NewSeqReader returns a sequential reader positioned at record 0.
@@ -218,15 +220,15 @@ func (r *SeqReader) loadPage(pi int) error {
 			if rest := len(r.f.pages) - pi; rest < n {
 				n = rest
 			}
-			reqs := make([]flash.ReadReq, n)
+			r.reqs = r.reqs[:0]
 			for j := 0; j < n; j++ {
 				rj := r.f.rowsPerPage
 				if remaining := r.f.count - (pi+j)*r.f.rowsPerPage; remaining < rj {
 					rj = remaining
 				}
-				reqs[j] = flash.ReadReq{ID: r.f.pages[pi+j], Dst: r.ra[j], N: rj * r.f.rowWidth}
+				r.reqs = append(r.reqs, flash.ReadReq{ID: r.f.pages[pi+j], Dst: r.ra[j], N: rj * r.f.rowWidth})
 			}
-			if err := r.f.dev.ReadMulti(reqs); err != nil {
+			if err := r.f.dev.ReadMulti(r.reqs); err != nil {
 				return err
 			}
 			r.raBase, r.raN = pi, n

@@ -92,7 +92,7 @@ func TestCodecRoundtripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return back[0].I == i && back[1].F == fl && back[2].S == s
+		return back[0].I == i && back[1].Float() == fl && back[2].S == s
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -432,17 +432,19 @@ func (e *Engine) computeVis(table int, preds []query.Pred, projCols []int) (*Vis
 				break
 			}
 		}
-		if !ok {
-			continue
+		if ok {
+			res.IDs = append(res.IDs, uint32(row))
 		}
-		res.IDs = append(res.IDs, uint32(row))
-		if len(projCols) > 0 {
-			var idb [store.IDBytes]byte
-			binary.BigEndian.PutUint32(idb[:], uint32(row))
-			res.Rows = append(res.Rows, idb[:]...)
+	}
+	// The ids are known now, so the payload is allocated once at its
+	// exact size instead of growing row by row.
+	if len(projCols) > 0 {
+		res.Rows = make([]byte, 0, len(res.IDs)*res.RowWidth)
+		for _, id := range res.IDs {
+			res.Rows = binary.BigEndian.AppendUint32(res.Rows, id)
 			for _, ci := range projCols {
 				c := ts.cols[ci]
-				res.Rows = append(res.Rows, c.data[row*c.width:(row+1)*c.width]...)
+				res.Rows = append(res.Rows, c.data[int(id)*c.width:(int(id)+1)*c.width]...)
 			}
 		}
 	}
