@@ -93,12 +93,9 @@ func (db *DB) sessionStats(tok *Token, col *metrics.Collector, planMin, grant in
 		PlanMinBuffers: planMin,
 		GrantBuffers:   grant,
 		Shard:          tok.id,
+		ops:            opCosts(col),
 	}
 	st.SimTime = st.IOTime + st.CommTime
-	st.opSims = make(map[string]time.Duration)
-	for _, name := range col.Names() {
-		st.opSims[name] = col.SimTimeOf(name)
-	}
 	return st
 }
 

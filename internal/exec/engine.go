@@ -653,11 +653,39 @@ type Stats struct {
 	CacheHit    bool
 	CacheShared bool
 
-	// opSims holds each cost span's full simulated duration (I/O plus
-	// communication), feeding the slow-query log's span summary.
-	// Breakdown above stays the exported I/O-only decomposition of
-	// Figures 15–16.
-	opSims map[string]time.Duration
+	// ops lists the cost spans of the sessions behind these stats (one
+	// session, or one per scatter leg), each in the order its collector
+	// first completed them. The slow-query log sums their full simulated
+	// durations by name (opSims); Breakdown above stays the exported
+	// I/O-only decomposition of Figures 15–16.
+	ops []opCost
+}
+
+// opCost is one cost span of a session: its counters and its full
+// simulated duration (I/O plus communication).
+type opCost struct {
+	name   string
+	sample metrics.Sample
+	sim    time.Duration
+}
+
+// opCosts copies a quiesced collector's spans.
+func opCosts(col *metrics.Collector) []opCost {
+	names := col.Names()
+	out := make([]opCost, len(names))
+	for i, name := range names {
+		out[i] = opCost{name: name, sample: col.SampleOf(name), sim: col.SimTimeOf(name)}
+	}
+	return out
+}
+
+// opSims sums the cost spans' simulated durations by name.
+func (st *Stats) opSims() map[string]time.Duration {
+	out := make(map[string]time.Duration, len(st.ops))
+	for _, op := range st.ops {
+		out[op.name] += op.sim
+	}
+	return out
 }
 
 // Result is a query answer plus its cost statistics. A Result is
@@ -1093,12 +1121,9 @@ func (r *queryRun) collectStats() Stats {
 		Shard:          tok.id,
 		Strategy:       map[string]Strategy{},
 		Projector:      r.cfg.Projector,
+		ops:            opCosts(r.col),
 	}
 	st.SimTime = st.IOTime + st.CommTime
-	st.opSims = make(map[string]time.Duration)
-	for _, name := range r.col.Names() {
-		st.opSims[name] = r.col.SimTimeOf(name)
-	}
 	for ti, s := range r.strategies {
 		st.Strategy[db.Sch.Tables[ti].Name] = s
 	}

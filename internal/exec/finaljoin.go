@@ -285,55 +285,57 @@ func (r *queryRun) finalJoin(res *Result, tps []*tableProj) error {
 		aHidRec = make([]byte, aImg.File.RowWidth())
 	}
 
-	// Non-anchor id columns.
-	idRd := map[int]*store.RunReader{}
-	idVal := map[int]uint32{}
-	for _, ti := range idTables {
+	// Non-anchor id columns, in idTables order.
+	idRd := make([]*store.RunReader, len(idTables))
+	idVal := make([]uint32, len(idTables))
+	for i, ti := range idTables {
 		col, ok := r.resCols[ti]
 		if !ok {
 			return fmt.Errorf("exec: missing QEPSJ column for %s", db.Sch.Tables[ti].Name)
 		}
-		idRd[ti] = col.seg.NewRunReader(col.run)
+		idRd[i] = col.seg.NewRunReader(col.run)
 	}
 
-	// Per-table tuple cursors and value layouts.
-	curs := map[int]*tupleCursor{}
-	tupleOff := map[[2]int]int{} // (table, colIdx) -> byte offset within tuple
-	for _, tp := range tps {
+	// Per-table tuple cursors, in tps order, and value layouts.
+	curs := make([]*tupleCursor, len(tps))
+	tupleOff := map[[2]int]int{} // (tps slot, colIdx) -> byte offset within tuple
+	for i, tp := range tps {
 		c, err := newTupleCursor(tp)
 		if err != nil {
 			return err
 		}
-		curs[tp.table] = c
+		curs[i] = c
 		off := 4
 		for _, ci := range tp.visCols {
-			tupleOff[[2]int{tp.table, ci}] = off
+			tupleOff[[2]int{i, ci}] = off
 			off += db.Sch.Tables[tp.table].Columns[ci].EncodedWidth()
 		}
 		for _, ci := range tp.hidCols {
-			tupleOff[[2]int{tp.table, ci}] = off
+			tupleOff[[2]int{i, ci}] = off
 			off += db.Sch.Tables[tp.table].Columns[ci].EncodedWidth()
 		}
 	}
 
-	tuples := map[int][]byte{}
+	tuples := make([][]byte, len(tps))
 	var aid uint32
 	var aHidLoaded bool
 	// r.resN bounds the rows: false positives are dropped in the pass.
 	rows := newRowArena(db.Sch, q, r.resN)
 
-	// Build one getter per projection item.
+	// Build one getter per projection item; each captures its slot and
+	// byte offset once.
 	getters := make([]valueGetter, len(q.Projections))
 	for i, p := range q.Projections {
-		p := p
 		t := db.Sch.Tables[p.Table]
 		switch {
 		case p.Table == anchor && p.ColIdx == query.IDCol:
 			getters[i] = func(dst *schema.Value) error { *dst = schema.IntVal(int64(aid)); return nil }
 		case p.Table != anchor && p.ColIdx == query.IDCol:
-			getters[i] = func(dst *schema.Value) error { *dst = schema.IntVal(int64(idVal[p.Table])); return nil }
+			slot := slices.Index(idTables, p.Table)
+			getters[i] = func(dst *schema.Value) error { *dst = schema.IntVal(int64(idVal[slot])); return nil }
 		case p.Table == anchor && !t.Columns[p.ColIdx].Hidden:
 			col := t.Columns[p.ColIdx]
+			off, w := aColOff[p.ColIdx], col.EncodedWidth()
 			getters[i] = func(dst *schema.Value) error {
 				rec, err := aCur.seek(aid)
 				if err != nil {
@@ -342,12 +344,12 @@ func (r *queryRun) finalJoin(res *Result, tps []*tableProj) error {
 				if rec == nil {
 					return fmt.Errorf("exec: anchor id %d missing from its Vis spool", aid)
 				}
-				off := aColOff[p.ColIdx]
-				return rows.decode(dst, rec[off:off+col.EncodedWidth()], col.Kind)
+				return rows.decode(dst, rec[off:off+w], col.Kind)
 			}
 		case p.Table == anchor:
 			col := t.Columns[p.ColIdx]
 			aDl := r.tok.deltaOf(anchor)
+			o, w := aImg.Codec.ColumnRange(aImg.ColPos[p.ColIdx])
 			getters[i] = func(dst *schema.Value) error {
 				if !aHidLoaded {
 					if err := aHidRd.Read(aid, aHidRec); err != nil {
@@ -362,18 +364,18 @@ func (r *queryRun) finalJoin(res *Result, tps []*tableProj) error {
 					}
 					aHidLoaded = true
 				}
-				o, w := aImg.Codec.ColumnRange(aImg.ColPos[p.ColIdx])
 				return rows.decode(dst, aHidRec[o:o+w], col.Kind)
 			}
 		default:
 			col := t.Columns[p.ColIdx]
-			off, ok := tupleOff[[2]int{p.Table, p.ColIdx}]
+			slot := slices.IndexFunc(tps, func(tp *tableProj) bool { return tp.table == p.Table })
+			off, ok := tupleOff[[2]int{slot, p.ColIdx}]
 			if !ok {
 				return fmt.Errorf("exec: no value source for %s.%s", t.Name, col.Name)
 			}
+			w := col.EncodedWidth()
 			getters[i] = func(dst *schema.Value) error {
-				tup := tuples[p.Table]
-				return rows.decode(dst, tup[off:off+col.EncodedWidth()], col.Kind)
+				return rows.decode(dst, tuples[slot][off:off+w], col.Kind)
 			}
 		}
 	}
@@ -389,19 +391,19 @@ func (r *queryRun) finalJoin(res *Result, tps []*tableProj) error {
 			return fmt.Errorf("exec: anchor column shorter than result count")
 		}
 		aHidLoaded = false
-		for ti, rd := range idRd {
+		for i, rd := range idRd {
 			v, ok, err := rd.Next()
 			if err != nil {
 				return err
 			}
 			if !ok {
-				return fmt.Errorf("exec: id column of %s exhausted early", db.Sch.Tables[ti].Name)
+				return fmt.Errorf("exec: id column of %s exhausted early", db.Sch.Tables[idTables[i]].Name)
 			}
-			idVal[ti] = v
+			idVal[i] = v
 		}
 		keep := true
-		for _, tp := range tps {
-			tup, found, err := curs[tp.table].take(pos)
+		for i, c := range curs {
+			tup, found, err := c.take(pos)
 			if err != nil {
 				return err
 			}
@@ -409,7 +411,7 @@ func (r *queryRun) finalJoin(res *Result, tps []*tableProj) error {
 				keep = false // exact filter: a required table lacks this position
 				continue
 			}
-			tuples[tp.table] = tup
+			tuples[i] = tup
 		}
 		if !keep {
 			continue

@@ -126,8 +126,12 @@ var goldenCorpora = []struct {
 		cards: map[string]int{"T0": 20000, "T1": 2000, "T2": 2000, "T11": 200, "T12": 200}},
 }
 
-func recordGolden(t *testing.T) []goldenSection {
+// recordGolden replays every corpus and returns its ledger sections plus,
+// for the sections at the ordinary device size, each statement's
+// per-operator samples (TestOperatorSpansPinned).
+func recordGolden(t *testing.T) ([]goldenSection, []spanSection) {
 	var out []goldenSection
+	var spans []spanSection
 	for _, c := range goldenCorpora {
 		for _, buffers := range c.buffers {
 			dev := flash.Params{PageSize: 2048, PagesPerBlock: 16, Blocks: 8192, ReserveBlocks: 4}
@@ -137,6 +141,7 @@ func recordGolden(t *testing.T) []goldenSection {
 			}
 			f := newFixtureOpts(t, c.seed, c.cards, Options{RAMBudget: buffers * 2048, FlashParams: dev})
 			sec := goldenSection{Corpus: c.name, Buffers: buffers}
+			ssec := spanSection{Corpus: c.name, Buffers: buffers}
 			for _, st := range c.stmts() {
 				e := goldenEntry{SQL: st.sql, Strategy: st.cfg.Strategy.String(), Projector: st.cfg.Projector.String()}
 				res, err := f.db.RunCtx(context.Background(), st.sql, st.cfg)
@@ -155,15 +160,23 @@ func recordGolden(t *testing.T) []goldenSection {
 					t.Fatalf("%s @%d %s: grants leaked", c.name, buffers, st.sql)
 				}
 				sec.Entries = append(sec.Entries, e)
+				if err == nil {
+					ssec.Statements = append(ssec.Statements, operatorSpans(res.Stats))
+				} else {
+					ssec.Statements = append(ssec.Statements, nil)
+				}
 			}
 			out = append(out, sec)
+			if !c.tight {
+				spans = append(spans, ssec)
+			}
 		}
 	}
-	return out
+	return out, spans
 }
 
 func TestGoldenCounterLedger(t *testing.T) {
-	got := recordGolden(t)
+	got, _ := recordGolden(t)
 	if *updateGolden {
 		var b strings.Builder
 		b.WriteString("[\n")

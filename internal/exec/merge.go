@@ -3,6 +3,7 @@ package exec
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"ghostdb/internal/delta"
 	"ghostdb/internal/ram"
@@ -99,6 +100,11 @@ type storeSpill struct {
 // tombChecks lists joined non-anchor tables with live tombstones: each
 // anchor tuple is chased to them through the SKT and dropped when any
 // referenced row is deleted (SQL join semantics over tombstones).
+//
+// Each operator runs once per batch, under one cost span, never once per
+// tuple. The counters cannot tell: within a batch every SKT read now
+// precedes every Store write, but a read never moves a page, and the
+// Store writes keep their relative order.
 func (r *queryRun) joinAndStore(merged idStream, needed, tombChecks []int, bfs []*bfFilter) error {
 	db := r.db
 	anchor := r.q.Anchor
@@ -107,27 +113,30 @@ func (r *queryRun) joinAndStore(merged idStream, needed, tombChecks []int, bfs [
 	// The SKT lookup set is the projection's needed tables plus any
 	// tomb-checked tables not already among them.
 	lookup := append([]int(nil), needed...)
-	lookupPos := make(map[int]int, len(lookup))
-	for i, ti := range lookup {
-		lookupPos[ti] = i
-	}
 	type tombCheck struct {
 		pos int
 		dl  *delta.Table
 	}
 	var tombs []tombCheck
 	for _, ti := range tombChecks {
-		pos, ok := lookupPos[ti]
-		if !ok {
+		pos := slices.Index(lookup, ti)
+		if pos < 0 {
 			pos = len(lookup)
-			lookupPos[ti] = pos
 			lookup = append(lookup, ti)
 		}
 		tombs = append(tombs, tombCheck{pos: pos, dl: r.tok.deltaOf(ti)})
 	}
+	// Each filter probes the anchor id (-1) or one id of the tuple.
+	bfPos := make([]int, len(bfs))
+	for i, f := range bfs {
+		bfPos[i] = -1
+		if f.table != anchor {
+			bfPos[i] = slices.Index(needed, f.table)
+		}
+	}
 
 	var anchorSeg *store.ListSegment
-	var colSegs map[int]*store.ListSegment
+	var colSegs []*store.ListSegment // aligned with needed
 	var spillSeg *store.Segment
 	var spillRec []byte
 	if direct {
@@ -135,10 +144,10 @@ func (r *queryRun) joinAndStore(merged idStream, needed, tombChecks []int, bfs [
 		if err := anchorSeg.BeginRun(); err != nil {
 			return err
 		}
-		colSegs = make(map[int]*store.ListSegment, len(needed))
-		for _, ti := range needed {
-			colSegs[ti] = r.newTemp()
-			if err := colSegs[ti].BeginRun(); err != nil {
+		colSegs = make([]*store.ListSegment, len(needed))
+		for i := range needed {
+			colSegs[i] = r.newTemp()
+			if err := colSegs[i].BeginRun(); err != nil {
 				return err
 			}
 		}
@@ -167,15 +176,34 @@ func (r *queryRun) joinAndStore(merged idStream, needed, tombChecks []int, bfs [
 			rec: make([]byte, s.File().RowWidth())}
 	}
 
-	batchSize := r.bind.StoreBatch
-	ids := make([]uint32, 0, batchSize)
-	tuple := make([]uint32, len(lookup))
+	// One batch is the anchor ids plus their w-id SKT tuples, staged in
+	// the one buffer StoreBatch sizes.
+	w := len(lookup)
+	batch := max(r.bind.StoreBatch/(1+w), 1)
+	stage := make([]uint32, batch*(1+w))
+	ids, tuples := stage[:batch], stage[batch:]
+	// keep compacts the batch's first k tuples, in order, to those alive
+	// accepts and returns how many remain.
+	keep := func(k int, alive func(id uint32, tuple []uint32) bool) int {
+		j := 0
+		for i := 0; i < k; i++ {
+			if !alive(ids[i], tuples[i*w:(i+1)*w]) {
+				continue
+			}
+			if j != i {
+				ids[j] = ids[i]
+				copy(tuples[j*w:(j+1)*w], tuples[i*w:(i+1)*w])
+			}
+			j++
+		}
+		return j
+	}
 	n := 0
 	for {
 		// Merge: fill a batch of anchor ids.
-		ids = ids[:0]
+		k := 0
 		err := r.col.Span(spanMerge, func() error {
-			for len(ids) < batchSize {
+			for k < batch {
 				v, ok, err := merged.next()
 				if err != nil {
 					return err
@@ -183,83 +211,95 @@ func (r *queryRun) joinAndStore(merged idStream, needed, tombChecks []int, bfs [
 				if !ok {
 					break
 				}
-				ids = append(ids, v)
+				ids[k] = v
+				k++
 			}
 			return nil
 		})
 		if err != nil {
 			return err
 		}
-		if len(ids) == 0 {
+		if k == 0 {
 			break
 		}
-		for _, id := range ids {
-			// SJoin: fetch the descendant ids from the SKT.
-			if skt != nil {
-				err := r.col.Span(spanSJoin, func() error {
-					return skt.read(id, tuple)
-				})
-				if err != nil {
-					return err
-				}
-			}
-			// Tombstones: drop the tuple if any chased row is deleted.
-			if len(tombs) > 0 {
-				dead := false
-				for _, tc := range tombs {
-					if tc.dl.Dead(tuple[tc.pos]) {
-						dead = true
-						break
-					}
-				}
-				if dead {
-					continue
-				}
-			}
-			// ProbeBF: approximate visible filtering.
-			if len(bfs) > 0 {
-				drop := false
-				err := r.col.Span(spanBF, func() error {
-					for _, f := range bfs {
-						v := tupleValue(anchor, id, needed, tuple, f.table)
-						if !f.filter.MayContain(v) {
-							drop = true
-							return nil
-						}
-					}
-					return nil
-				})
-				if err != nil {
-					return err
-				}
-				if drop {
-					continue
-				}
-			}
-			// Store: materialize the survivor.
-			err = r.col.Span(spanStore, func() error {
-				if direct {
-					if err := anchorSeg.Add(id); err != nil {
+		// SJoin: fetch the descendant ids from the SKT.
+		if skt != nil {
+			err := r.col.Span(spanSJoin, func() error {
+				for i, id := range ids[:k] {
+					if err := skt.read(id, tuples[i*w:(i+1)*w]); err != nil {
 						return err
 					}
-					for i, ti := range needed {
-						if err := colSegs[ti].Add(tuple[i]); err != nil {
-							return err
-						}
-					}
-					return nil
 				}
-				binary.BigEndian.PutUint32(spillRec, id)
-				for i := range needed {
-					binary.BigEndian.PutUint32(spillRec[(i+1)*store.IDBytes:], tuple[i])
-				}
-				return spillSeg.Append(spillRec)
+				return nil
 			})
 			if err != nil {
 				return err
 			}
-			n++
 		}
+		// Tombstones: drop the tuples whose chased rows are deleted.
+		if len(tombs) > 0 {
+			k = keep(k, func(_ uint32, tuple []uint32) bool {
+				for _, tc := range tombs {
+					if tc.dl.Dead(tuple[tc.pos]) {
+						return false
+					}
+				}
+				return true
+			})
+		}
+		// ProbeBF: approximate visible filtering.
+		if len(bfs) > 0 && k > 0 {
+			err := r.col.Span(spanBF, func() error {
+				k = keep(k, func(id uint32, tuple []uint32) bool {
+					for i, f := range bfs {
+						v := id
+						if p := bfPos[i]; p >= 0 {
+							v = tuple[p]
+						}
+						if !f.filter.MayContain(v) {
+							return false
+						}
+					}
+					return true
+				})
+				return nil
+			})
+			if err != nil {
+				return err
+			}
+		}
+		if k == 0 {
+			continue
+		}
+		// Store: materialize the survivors.
+		err = r.col.Span(spanStore, func() error {
+			for i, id := range ids[:k] {
+				tuple := tuples[i*w : i*w+len(needed)]
+				if direct {
+					if err := anchorSeg.Add(id); err != nil {
+						return err
+					}
+					for c, v := range tuple {
+						if err := colSegs[c].Add(v); err != nil {
+							return err
+						}
+					}
+					continue
+				}
+				binary.BigEndian.PutUint32(spillRec, id)
+				for c, v := range tuple {
+					binary.BigEndian.PutUint32(spillRec[(c+1)*store.IDBytes:], v)
+				}
+				if err := spillSeg.Append(spillRec); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		n += k
 	}
 
 	r.resN = n
@@ -288,8 +328,8 @@ func (r *queryRun) joinAndStore(merged idStream, needed, tombChecks []int, bfs [
 	if err := finish(anchor, anchorSeg); err != nil {
 		return err
 	}
-	for _, ti := range needed {
-		if err := finish(ti, colSegs[ti]); err != nil {
+	for i, ti := range needed {
+		if err := finish(ti, colSegs[i]); err != nil {
 			return err
 		}
 	}
@@ -365,17 +405,4 @@ func (s *sktAccess) read(id uint32, dst []uint32) error {
 		dst[i] = binary.BigEndian.Uint32(s.rec[c*store.IDBytes:])
 	}
 	return nil
-}
-
-// tupleValue extracts the id of table `want` from the current tuple.
-func tupleValue(anchor int, anchorID uint32, needed []int, tuple []uint32, want int) uint32 {
-	if want == anchor {
-		return anchorID
-	}
-	for i, ti := range needed {
-		if ti == want {
-			return tuple[i]
-		}
-	}
-	return anchorID
 }

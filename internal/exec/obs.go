@@ -269,7 +269,7 @@ func (db *DB) observeStatement(kind, canonical string, st Stats) {
 		QueueWaitUs:    st.QueueWait.Microseconds(),
 		PlanMinBuffers: st.PlanMinBuffers,
 		GrantBuffers:   st.GrantBuffers,
-		Spans:          topSpanCosts(st.opSims, 8),
+		Spans:          topSpanCosts(st.opSims(), 8),
 	})
 }
 

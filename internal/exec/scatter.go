@@ -239,7 +239,6 @@ func mergeScatterStats(parts []*Result) Stats {
 		Scatter:   len(parts),
 		Breakdown: map[string]time.Duration{},
 		Strategy:  map[string]Strategy{},
-		opSims:    map[string]time.Duration{},
 	}
 	for _, pr := range parts {
 		ps := pr.Stats
@@ -253,9 +252,7 @@ func mergeScatterStats(parts []*Result) Stats {
 		if ps.QueueWait > st.QueueWait {
 			st.QueueWait = ps.QueueWait
 		}
-		for k, v := range ps.opSims {
-			st.opSims[k] += v
-		}
+		st.ops = append(st.ops, ps.ops...)
 		st.Flash = st.Flash.Add(ps.Flash)
 		st.BusDown += ps.BusDown
 		st.BusUp += ps.BusUp

@@ -237,9 +237,9 @@ func (c *Collector) Names() []string {
 	return out
 }
 
-// Total returns the sum over all spans plus unattributed activity is NOT
-// included; use Device counters for grand totals. Breakdown returns the
-// per-span I/O times sorted by name for stable output.
+// Breakdown returns each completed span's I/O time (no communication),
+// keyed by span name. Activity outside every span is not included; use
+// the Device counters for grand totals.
 func (c *Collector) Breakdown() map[string]time.Duration {
 	out := make(map[string]time.Duration, len(c.order))
 	for _, slot := range c.order {

@@ -36,7 +36,6 @@ type ListSegment struct {
 	runOpen  bool
 	runStart int
 	runCount int
-	scratch  [IDBytes]byte
 }
 
 // NewListSegment creates an empty list segment.
@@ -57,14 +56,24 @@ func (l *ListSegment) BeginRun() error {
 
 // Add appends one identifier to the open run. Identifiers within a run
 // must be added in ascending order; this is checked cheaply at read time
-// by the operators, not here, to keep the hot path tight.
+// by the operators, not here, to keep the hot path tight. An id that
+// leaves room in the page buffer is written straight into it; one that
+// fills the page (or straddles it) goes through Segment.Append, which
+// flushes.
 func (l *ListSegment) Add(id uint32) error {
 	if !l.runOpen {
 		return fmt.Errorf("store: Add outside a run")
 	}
-	binary.BigEndian.PutUint32(l.scratch[:], id)
-	if err := l.seg.Append(l.scratch[:]); err != nil {
-		return err
+	s := l.seg
+	if end := s.bufUsed + IDBytes; end < len(s.buf) && !s.sealed {
+		binary.BigEndian.PutUint32(s.buf[s.bufUsed:end], id)
+		s.bufUsed = end
+	} else {
+		var rec [IDBytes]byte
+		binary.BigEndian.PutUint32(rec[:], id)
+		if err := s.Append(rec[:]); err != nil {
+			return err
+		}
 	}
 	l.runCount++
 	return nil
@@ -112,13 +121,11 @@ func (l *ListSegment) Bytes() int { return l.seg.Bytes() }
 // flash page exactly once. It consumes one RAM buffer's worth of working
 // space (the caller accounts for it with a ram.Grant).
 type RunReader struct {
-	l    *ListSegment
-	run  Run
-	next int // ids consumed
-
-	buf    []byte
-	bufLo  int // absolute byte offset of buf[0]
-	bufLen int
+	l   *ListSegment
+	buf []byte
+	win []byte // the loaded ids not read yet, a prefix-trimmed window of buf
+	off int    // absolute byte offset of the first id not loaded yet
+	end int    // absolute byte offset just past the run
 }
 
 // NewRunReader opens a streaming reader over run.
@@ -133,37 +140,36 @@ func (l *ListSegment) NewRunReader(run Run) *RunReader {
 // opens many readers can hold them by value and recycle the buffers; the
 // reader uses buf until its last Next.
 func (l *ListSegment) InitRunReader(rd *RunReader, run Run, buf []byte) {
-	*rd = RunReader{l: l, run: run, buf: buf, bufLo: -1}
+	*rd = RunReader{l: l, buf: buf, off: run.Off, end: run.Off + run.Count*IDBytes}
 }
 
-// Remaining returns how many identifiers have not been consumed yet.
-func (r *RunReader) Remaining() int { return r.run.Count - r.next }
-
 // Next returns the next identifier, or ok=false at the end of the run.
+// The hot path decodes from the window and advances it; nextPage refills
+// the window.
 func (r *RunReader) Next() (uint32, bool, error) {
-	if r.next >= r.run.Count {
+	if len(r.win) < IDBytes {
+		return r.nextPage()
+	}
+	v := binary.BigEndian.Uint32(r.win)
+	r.win = r.win[IDBytes:]
+	return v, true, nil
+}
+
+// nextPage loads the window from the next id to the end of its flash
+// page (or of the run) and returns that id.
+func (r *RunReader) nextPage() (uint32, bool, error) {
+	if r.off >= r.end {
 		return 0, false, nil
 	}
-	off := r.run.Off + r.next*IDBytes
-	if r.bufLo < 0 || off < r.bufLo || off+IDBytes > r.bufLo+r.bufLen {
-		// Refill: read from off to the end of its flash page (or run).
-		ps := r.l.seg.PageSize()
-		pageEnd := (off/ps + 1) * ps
-		runEnd := r.run.Off + r.run.Count*IDBytes
-		end := pageEnd
-		if runEnd < end {
-			end = runEnd
-		}
-		n := end - off
-		if err := r.l.seg.ReadAt(r.buf[:n], off, n); err != nil {
-			return 0, false, err
-		}
-		r.bufLo = off
-		r.bufLen = n
+	ps := r.l.seg.PageSize()
+	end := min((r.off/ps+1)*ps, r.end)
+	n := end - r.off
+	if err := r.l.seg.ReadAt(r.buf[:n], r.off, n); err != nil {
+		return 0, false, err
 	}
-	v := binary.BigEndian.Uint32(r.buf[off-r.bufLo:])
-	r.next++
-	return v, true, nil
+	r.off = end
+	r.win = r.buf[IDBytes:n]
+	return binary.BigEndian.Uint32(r.buf), true, nil
 }
 
 // ReadAll materializes the whole run into a slice (used by small-list fast

@@ -14,6 +14,7 @@ package untrusted
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"sync"
@@ -174,48 +175,78 @@ func (e *Engine) UpdateRows(table, colIdx int, ids []uint32, v schema.Value) err
 	return nil
 }
 
-// matches evaluates one resolved predicate against a row.
-func (ts *tableStore) matches(p query.Pred, row int, lo, hi []byte) bool {
-	if p.ColIdx == query.IDCol {
-		id := int64(row)
-		switch p.Op {
-		case sqlparse.OpEq:
-			return id == p.Lo.I
-		case sqlparse.OpNe:
-			return id != p.Lo.I
-		case sqlparse.OpLt:
-			return id < p.Lo.I
-		case sqlparse.OpLe:
-			return id <= p.Lo.I
-		case sqlparse.OpGt:
-			return id > p.Lo.I
-		case sqlparse.OpGe:
-			return id >= p.Lo.I
-		case sqlparse.OpBetween:
-			return id >= p.Lo.I && id <= p.Hi.I
+// visPred is one visible predicate compiled for a scan: its bounds are
+// encoded, its column slice and its operator resolved once, so the row
+// loop (scanVis) neither copies a query.Pred nor switches on its
+// operator.
+type visPred struct {
+	col   []byte // the column's encoded rows; nil for the id column
+	width int    // bytes per row; 0 for the id column
+	// accept[c+1] tells whether a row ordered c (-1, 0, +1) against lo
+	// satisfies the operator; BETWEEN also needs the row <= hi.
+	accept  [3]bool
+	between bool
+	lo, hi  visBound
+}
+
+// visBound is an encoded comparison bound. Rows of 8 to 16 bytes, and
+// ids, compare as big-endian words: w0 holds the first eight bytes (a
+// biased id), w1 the last eight, overlapping w0 below 16 bytes (the
+// shared bytes are equal whenever w0 ties).
+type visBound struct {
+	b      []byte
+	w0, w1 uint64
+}
+
+// signBit biases an int64 into the order-preserving uint64 EncodeValue
+// writes.
+const signBit = 1 << 63
+
+// accepts maps each operator to the orderings against its (low) bound
+// that satisfy it.
+var accepts = map[sqlparse.CompareOp][3]bool{
+	sqlparse.OpEq:      {false, true, false},
+	sqlparse.OpNe:      {true, false, true},
+	sqlparse.OpLt:      {true, false, false},
+	sqlparse.OpLe:      {true, true, false},
+	sqlparse.OpGt:      {false, false, true},
+	sqlparse.OpGe:      {false, true, true},
+	sqlparse.OpBetween: {false, true, true},
+}
+
+// compare orders row's value against a bound: -1, 0 or +1.
+func (p *visPred) compare(row int, b *visBound) int {
+	w := p.width
+	switch {
+	case w == 0:
+		return cmp.Compare(uint64(row)^signBit, b.w0)
+	case w < 8 || w > 16:
+		return bytes.Compare(p.col[row*w:(row+1)*w], b.b)
+	}
+	v := p.col[row*w : (row+1)*w]
+	if c := cmp.Compare(binary.BigEndian.Uint64(v), b.w0); c != 0 || w == 8 {
+		return c
+	}
+	return cmp.Compare(binary.BigEndian.Uint64(v[w-8:]), b.w1)
+}
+
+// holds reports whether row satisfies the predicate.
+func (p *visPred) holds(row int) bool {
+	return p.accept[p.compare(row, &p.lo)+1] && (!p.between || p.compare(row, &p.hi) <= 0)
+}
+
+// scanVis calls hit, in row order, for every row satisfying the whole
+// conjunction: the one match loop behind CountVis and computeVis.
+func scanVis(rows int, preds []visPred, hit func(row int)) {
+next:
+	for row := 0; row < rows; row++ {
+		for i := range preds {
+			if !preds[i].holds(row) {
+				continue next
+			}
 		}
-		return false
+		hit(row)
 	}
-	c := ts.cols[p.ColIdx]
-	v := c.data[row*c.width : (row+1)*c.width]
-	cmp := bytes.Compare(v, lo)
-	switch p.Op {
-	case sqlparse.OpEq:
-		return cmp == 0
-	case sqlparse.OpNe:
-		return cmp != 0
-	case sqlparse.OpLt:
-		return cmp < 0
-	case sqlparse.OpLe:
-		return cmp <= 0
-	case sqlparse.OpGt:
-		return cmp > 0
-	case sqlparse.OpGe:
-		return cmp >= 0
-	case sqlparse.OpBetween:
-		return cmp >= 0 && bytes.Compare(v, hi) <= 0
-	}
-	return false
 }
 
 // VisResult is the product of the Vis operator (§3.3): the sorted list of
@@ -230,44 +261,56 @@ type VisResult struct {
 	Bytes    int      // bytes that crossed the link
 }
 
-// encodePredBounds validates the visible predicates of one table and
-// pre-encodes their comparison bounds. The caller holds at least a read
-// lock.
-func (e *Engine) encodePredBounds(table int, preds []query.Pred) (los, his [][]byte, err error) {
+// compilePreds validates the visible predicates of one table and
+// compiles them for scanVis. The caller holds at least a read lock.
+func (e *Engine) compilePreds(table int, preds []query.Pred) ([]visPred, error) {
 	t := e.sch.Tables[table]
 	ts := e.tables[table]
-	los = make([][]byte, len(preds))
-	his = make([][]byte, len(preds))
+	out := make([]visPred, len(preds))
 	for i, p := range preds {
+		vp := &out[i]
+		vp.accept, vp.between = accepts[p.Op], p.Op == sqlparse.OpBetween
 		// Identifier predicates are acceptable even though the resolver
 		// routes them to Secure by default: ids are replicated on both
 		// sides (§2.1) and reveal nothing.
 		if p.ColIdx == query.IDCol {
+			vp.lo.w0, vp.hi.w0 = uint64(p.Lo.I)^signBit, uint64(p.Hi.I)^signBit
 			continue
 		}
 		if p.Hidden {
-			return nil, nil, fmt.Errorf("untrusted: refusing hidden predicate on %s", t.Name)
+			return nil, fmt.Errorf("untrusted: refusing hidden predicate on %s", t.Name)
 		}
 		col := t.Columns[p.ColIdx]
 		if col.Hidden {
-			return nil, nil, fmt.Errorf("untrusted: refusing hidden column %s.%s", t.Name, col.Name)
+			return nil, fmt.Errorf("untrusted: refusing hidden column %s.%s", t.Name, col.Name)
 		}
-		if !ts.cols[p.ColIdx].present {
-			return nil, nil, fmt.Errorf("untrusted: column %s.%s not loaded", t.Name, col.Name)
+		c := ts.cols[p.ColIdx]
+		if !c.present {
+			return nil, fmt.Errorf("untrusted: column %s.%s not loaded", t.Name, col.Name)
 		}
-		w := col.EncodedWidth()
-		los[i] = make([]byte, w)
-		if err := schema.EncodeValue(los[i], p.Lo); err != nil {
-			return nil, nil, err
+		vp.col, vp.width = c.data, c.width
+		if err := vp.lo.encode(p.Lo, c.width); err != nil {
+			return nil, err
 		}
-		if p.Op == sqlparse.OpBetween {
-			his[i] = make([]byte, w)
-			if err := schema.EncodeValue(his[i], p.Hi); err != nil {
-				return nil, nil, err
+		if vp.between {
+			if err := vp.hi.encode(p.Hi, c.width); err != nil {
+				return nil, err
 			}
 		}
 	}
-	return los, his, nil
+	return out, nil
+}
+
+// encode sets b to v encoded at the column width.
+func (b *visBound) encode(v schema.Value, width int) error {
+	b.b = make([]byte, width)
+	if err := schema.EncodeValue(b.b, v); err != nil {
+		return err
+	}
+	if width >= 8 {
+		b.w0, b.w1 = binary.BigEndian.Uint64(b.b), binary.BigEndian.Uint64(b.b[width-8:])
+	}
+	return nil
 }
 
 // CountVis counts the rows of one table satisfying the visible
@@ -277,24 +320,12 @@ func (e *Engine) encodePredBounds(table int, preds []query.Pred) (los, his [][]b
 func (e *Engine) CountVis(table int, preds []query.Pred) (int, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	ts := e.tables[table]
-	los, his, err := e.encodePredBounds(table, preds)
+	cps, err := e.compilePreds(table, preds)
 	if err != nil {
 		return 0, err
 	}
 	n := 0
-	for row := 0; row < ts.rows; row++ {
-		ok := true
-		for i, p := range preds {
-			if !ts.matches(p, row, los[i], his[i]) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			n++
-		}
-	}
+	scanVis(e.tables[table].rows, cps, func(int) { n++ })
 	return n, nil
 }
 
@@ -409,7 +440,7 @@ func (e *Engine) computeVis(table int, preds []query.Pred, projCols []int) (*Vis
 	defer e.mu.RUnlock()
 	t := e.sch.Tables[table]
 	ts := e.tables[table]
-	los, his, err := e.encodePredBounds(table, preds)
+	cps, err := e.compilePreds(table, preds)
 	if err != nil {
 		return nil, err
 	}
@@ -424,18 +455,7 @@ func (e *Engine) computeVis(table int, preds []query.Pred, projCols []int) (*Vis
 		}
 		res.RowWidth += col.EncodedWidth()
 	}
-	for row := 0; row < ts.rows; row++ {
-		ok := true
-		for i, p := range preds {
-			if !ts.matches(p, row, los[i], his[i]) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			res.IDs = append(res.IDs, uint32(row))
-		}
-	}
+	scanVis(ts.rows, cps, func(row int) { res.IDs = append(res.IDs, uint32(row)) })
 	// The ids are known now, so the payload is allocated once at its
 	// exact size instead of growing row by row.
 	if len(projCols) > 0 {
