@@ -34,7 +34,6 @@ import (
 	"ghostdb/internal/flash"
 	"ghostdb/internal/index"
 	"ghostdb/internal/obs"
-	"ghostdb/internal/pagecache"
 	"ghostdb/internal/schema"
 	"ghostdb/internal/sqlparse"
 )
@@ -160,10 +159,10 @@ type Options struct {
 	// version vector).
 	ResultCacheBytes int
 	// PageCacheBytes bounds the untrusted-side page cache (0 disables
-	// it): a buffer pool below the result cache that retains computed
+	// it): a second cache below the result cache that retains computed
 	// visible-column runs in untrusted host RAM and lets each token keep
-	// its matching Vis spools flash-resident, so a repeated visible
-	// selection at the same data version ships a fixed-size header
+	// its matching Vis spools flash-resident until its next committed
+	// write, so a repeated visible selection ships a fixed-size header
 	// instead of the full run. Keys are canonical per-table predicate
 	// text — already revealed by the query — and invalidation rides the
 	// same per-shard committed-write versions as the result cache, so
@@ -501,9 +500,9 @@ func (db *DB) DescribePlacement() string {
 func (db *DB) CacheStats() CacheStats { return db.inner.CacheStats() }
 
 // PageCacheStats reports the page cache's counters (db.PageCacheStats).
-type PageCacheStats = pagecache.Stats
+type PageCacheStats = cache.Stats
 
-// PageCacheStats snapshots the page cache's counters: frames, bytes,
+// PageCacheStats snapshots the page cache's counters: entries, bytes,
 // hits, misses, evictions and invalidations. The zero value is returned
 // when Options.PageCacheBytes left the cache disabled.
 func (db *DB) PageCacheStats() PageCacheStats { return db.inner.PageCacheStats() }

@@ -1,26 +1,32 @@
-// Package cache is the untrusted-side result cache: materialized query
-// answers keyed on the *normalized query text*, bounded in bytes by an
-// LRU policy, invalidated by a per-shard data-version vector that every
-// committed update bumps for the one shard it touched, and fronted by a
-// singleflight layer that collapses concurrent identical lookups into
-// one computation.
+// Package cache is the untrusted side's one cache type: a byte-bounded
+// LRU of opaque values, invalidated by a per-shard data-version vector
+// that every committed write bumps for the one shard it touched, and
+// fronted by a singleflight layer that collapses concurrent identical
+// lookups into one computation. The engine runs two instances of it:
 //
-// Security invariant (why this cache is leak-free by construction):
+//   - the result cache: materialized query answers keyed on the
+//     *normalized query text* (internal/exec);
+//   - the page cache: encoded Vis runs keyed on canonical per-table
+//     predicate text (untrusted.Engine.ComputeVis), so repeated and
+//     multi-pass executions skip the scan and the re-encoding.
+//
+// Security invariant (why both are leak-free by construction):
 // GhostDB's guarantee is that the only information that ever leaves the
-// secure perimeter is the query text itself (§1 of the paper). The cache
-// key is a normalization of exactly that text, and the cached values are
-// query results — data the untrusted side has, by definition, already
-// seen once. A cache hit therefore reveals nothing an observer of the
-// query stream did not already know; it only *removes* secure-token
-// round-trips. In the volume-leakage sense of Poddar et al., hits repeat
-// a (query, result-volume) pair the adversary has already observed —
-// the cache never creates a new observable pair.
+// secure perimeter is the query text itself (§1 of the paper). Both keys
+// are normalizations of exactly that text, and the cached values are
+// either query results — data the untrusted side has, by definition,
+// already seen once — or pure functions of the visible partition, which
+// the untrusted side holds in full. A hit therefore reveals nothing an
+// observer of the query stream did not already know; it only *removes*
+// secure-token round-trips. In the volume-leakage sense of Poddar et
+// al., hits repeat a (query, result-volume) pair the adversary has
+// already observed — the cache never creates a new observable pair.
 //
 // The same argument covers the per-shard version vector: an entry is
-// stamped with the versions of exactly the shards its query touches,
-// and the shard set is a pure function of the query text and the schema
+// stamped with the versions of exactly the shards its key touches, and
+// the shard set is a pure function of the query text and the schema
 // (which tables the query names, and which token each table was placed
-// on). Versions advance on committed INSERTs — statements the untrusted
+// on). Versions advance on committed writes — statements the untrusted
 // side itself submitted — so neither the stamps nor the invalidations
 // depend on hidden data.
 //
@@ -73,7 +79,7 @@ type Stats struct {
 	Bytes         int64 `json:"bytes"`
 	CapacityBytes int64 `json:"capacity_bytes"`
 	// Version is a monotone global stamp: the sum of every shard's
-	// version plus the wholesale-invalidation epoch.
+	// version.
 	Version uint64 `json:"version"`
 	// ShardVersions is the per-shard data-version vector (index = shard).
 	ShardVersions []uint64 `json:"shard_versions,omitempty"`
@@ -86,20 +92,20 @@ type Stats struct {
 }
 
 // entry is one cached value, stamped with the versions of the shards its
-// query touches (parallel slices shards/stamp) plus the global epoch.
+// key touches (parallel slices shards/stamp).
 type entry struct {
 	key    string
 	val    any
 	size   int64
 	shards []int
-	stamp  []uint64 // stamp[0] = epoch, stamp[i+1] = version of shards[i]
+	stamp  []uint64 // stamp[i] = version of shards[i]
 }
 
 // flight is one in-progress computation that concurrent identical calls
 // can attach to.
 type flight struct {
 	shards []int
-	stamp  []uint64      // as in entry: epoch first, then per-shard versions
+	stamp  []uint64      // as in entry
 	done   chan struct{} // closed when val/err are set
 	val    any
 	err    error
@@ -115,7 +121,7 @@ type Cache struct {
 	ll      *list.List // front = most recently used; values are *entry
 	entries map[string]*list.Element
 	flights map[string]*flight
-	ver     Versions
+	ver     versions
 
 	hits, shared, misses, stores, evictions, invalidations uint64
 }
@@ -138,36 +144,16 @@ func New(capBytes int64) *Cache {
 func (c *Cache) Stamp(shards []int) []uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.ver.Stamp(NormShards(shards))
+	return c.ver.Stamp(normShards(shards))
 }
 
-// Version returns the monotone global stamp.
-func (c *Cache) Version() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ver.Sum()
-}
-
-// Bump invalidates every cached entry regardless of shard (wholesale).
-// In-progress computations that started before the bump are prevented
-// from storing their (possibly stale) results, and later Do calls will
-// not join their flights.
-func (c *Cache) Bump() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ver.BumpAll()
-	c.invalidations++
-	c.ll.Init()
-	clear(c.entries)
-	c.bytes = 0
-}
-
-// BumpShard advances one shard's data version: committed updates call it
-// for the shard that owns the inserted table, after their mutations are
-// visible. Only entries whose query touches that shard are dropped —
-// cached results over other shards survive, which is what makes INSERT
-// fan-out cheap in a sharded deployment. In-flight computations touching
-// the shard are prevented from storing their results.
+// BumpShard advances one shard's data version: committed writes call it
+// for the shard they wrote, after their mutations are visible. Only
+// entries whose key touches that shard are dropped — entries over other
+// shards survive, which is what makes INSERT fan-out cheap in a sharded
+// deployment. In-flight computations touching the shard are prevented
+// from storing their results, and later Do calls will not join their
+// flights.
 func (c *Cache) BumpShard(shard int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -225,7 +211,7 @@ func (c *Cache) getLocked(key string) (any, bool) {
 func (c *Cache) Put(key string, val any, size int64, shards []int, stamp []uint64) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.putLocked(key, val, size, NormShards(shards), stamp)
+	return c.putLocked(key, val, size, normShards(shards), stamp)
 }
 
 func (c *Cache) putLocked(key string, val any, size int64, shards []int, stamp []uint64) bool {
@@ -269,14 +255,14 @@ func (c *Cache) removeLocked(el *list.Element) {
 // ctx is cancelled while waiting returns the ctx error without having
 // computed anything.
 func (c *Cache) Do(ctx context.Context, key string, shards []int, compute func() (any, int64, error)) (any, Outcome, error) {
-	shards = NormShards(shards)
+	shards = normShards(shards)
 	c.mu.Lock()
-	stamp := c.ver.Stamp(shards)
 	if val, ok := c.getLocked(key); ok {
 		c.hits++
 		c.mu.Unlock()
 		return val, Hit, nil
 	}
+	stamp := c.ver.Stamp(shards)
 	if f, ok := c.flights[key]; ok && c.ver.Fresh(f.shards, f.stamp) {
 		c.mu.Unlock()
 		select {

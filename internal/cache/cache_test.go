@@ -63,32 +63,34 @@ func TestOversizedValueNotStored(t *testing.T) {
 	}
 }
 
-func TestBumpInvalidatesEverything(t *testing.T) {
+// TestBumpShardThenRecompute: a bump of the shard every entry is
+// stamped with empties the cache, and a key recomputes and is cached
+// again under the new version.
+func TestBumpShardThenRecompute(t *testing.T) {
 	c := New(1000)
 	mustDo(t, c, "a", "A", 10)
 	mustDo(t, c, "b", "B", 10)
-	c.Bump()
+	c.BumpShard(0)
 	if _, ok := c.Get("a"); ok {
-		t.Fatal("a survived Bump")
+		t.Fatal("a survived its shard's bump")
 	}
 	if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 || st.Version != 1 || st.Invalidations != 1 {
-		t.Fatalf("post-Bump stats: %+v", st)
+		t.Fatalf("post-bump stats: %+v", st)
 	}
-	// The same key recomputes and is cached again under the new version.
 	if out := mustDo(t, c, "a", "A2", 10); out != Miss {
-		t.Fatal("post-Bump a should recompute")
+		t.Fatal("post-bump a should recompute")
 	}
 	if v, ok := c.Get("a"); !ok || v != "A2" {
-		t.Fatal("post-Bump a should be cached fresh")
+		t.Fatal("post-bump a should be cached fresh")
 	}
 }
 
 func TestStaleVersionNotStored(t *testing.T) {
 	c := New(1000)
 	s0 := c.Stamp(nil)
-	c.Bump()
+	c.BumpShard(0)
 	if c.Put("k", "V", 10, nil, s0) {
-		t.Fatal("Put with a pre-Bump stamp must be rejected")
+		t.Fatal("Put with a pre-bump stamp must be rejected")
 	}
 	if !c.Put("k", "V", 10, nil, c.Stamp(nil)) {
 		t.Fatal("Put with the current stamp must succeed")
@@ -256,11 +258,11 @@ func TestBumpDuringFlightDropsResult(t *testing.T) {
 		}
 	}()
 	<-inCompute
-	c.Bump() // the update commits mid-flight
+	c.BumpShard(0) // the update commits mid-flight
 	close(gate)
 	<-done
 	if _, ok := c.Get("q"); ok {
-		t.Fatal("stale flight result was cached across a Bump")
+		t.Fatal("stale flight result was cached across a bump")
 	}
 }
 
@@ -276,7 +278,7 @@ func TestFollowerAfterBumpDoesNotJoinStaleFlight(t *testing.T) {
 		return "stale", 8, nil
 	})
 	<-inCompute
-	c.Bump()
+	c.BumpShard(0)
 
 	// This call starts after the bump: it must compute its own answer,
 	// not wait on (or share) the stale flight.
@@ -292,7 +294,7 @@ func TestFollowerAfterBumpDoesNotJoinStaleFlight(t *testing.T) {
 	}()
 	out := <-fresh // completes without the stale leader ever finishing
 	if out != Miss {
-		t.Fatalf("post-Bump call outcome %v, want miss (own compute)", out)
+		t.Fatalf("post-bump call outcome %v, want miss (own compute)", out)
 	}
 	if v, ok := c.Get("q"); !ok || v != "fresh" {
 		t.Fatalf("cached value %v, want fresh", v)
@@ -359,7 +361,7 @@ func TestFollowerCancellation(t *testing.T) {
 	}
 }
 
-// TestConcurrentChurn hammers Do/Bump/Get from many goroutines; run
+// TestConcurrentChurn hammers Do/BumpShard/Get from many goroutines; run
 // under -race this is the memory-safety check for the whole package.
 func TestConcurrentChurn(t *testing.T) {
 	c := New(1 << 12)
@@ -372,9 +374,7 @@ func TestConcurrentChurn(t *testing.T) {
 			for i := 0; i < 300; i++ {
 				key := fmt.Sprintf("k%d", (g+i)%7)
 				switch i % 13 {
-				case 5:
-					c.Bump()
-				case 7:
+				case 5, 7:
 					c.BumpShard(i % 3)
 				case 9:
 					c.Get(key)
@@ -390,5 +390,30 @@ func TestConcurrentChurn(t *testing.T) {
 	st := c.Stats()
 	if st.Bytes < 0 || st.Bytes > 1<<12 {
 		t.Fatalf("byte accounting off: %+v", st)
+	}
+}
+
+// TestHitAllocatesNothing: answering from the cache, through Do or Get,
+// allocates nothing — the page cache is consulted once per table per
+// statement.
+func TestHitAllocatesNothing(t *testing.T) {
+	c := New(1000)
+	compute := func() (any, int64, error) { return "V", 8, nil }
+	ctx := context.Background()
+	for _, shards := range [][]int{nil, {3}} {
+		if _, _, err := c.Do(ctx, "k", shards, compute); err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			if _, out, _ := c.Do(ctx, "k", shards, compute); out != Hit {
+				t.Fatalf("outcome %v, want hit", out)
+			}
+		}); n != 0 {
+			t.Fatalf("shards %v: Do hit allocates %.0f times", shards, n)
+		}
+		if n := testing.AllocsPerRun(100, func() { c.Get("k") }); n != 0 {
+			t.Fatalf("Get hit allocates %.0f times", n)
+		}
+		c.BumpShard(0) // the next round recomputes "k" under shard 3
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"ghostdb/internal/index"
 	"ghostdb/internal/metrics"
 	"ghostdb/internal/obs"
-	"ghostdb/internal/pagecache"
 	"ghostdb/internal/query"
 	"ghostdb/internal/ram"
 	"ghostdb/internal/sched"
@@ -141,12 +140,12 @@ type Options struct {
 	// secure-token round-trips, and a hit performs zero token work.
 	ResultCacheBytes int
 	// PageCacheBytes bounds the untrusted-side page cache (0 disables
-	// it): a buffer pool one level below the result cache holding encoded
-	// Vis runs keyed on canonical per-table predicate text, paired with
-	// token-retained spools so a repeated run ships a fixed header
-	// instead of its full payload. Like the result cache it is host RAM,
-	// never charged against the secure budget, and leak-free by
-	// construction (see internal/pagecache).
+	// it): a second cache.Cache, one level below the result cache,
+	// holding encoded Vis runs keyed on canonical per-table predicate
+	// text, paired with token-retained spools so a repeated run ships a
+	// fixed header instead of its full payload. Like the result cache it
+	// is host RAM, never charged against the secure budget, and leak-free
+	// by construction (see internal/cache).
 	PageCacheBytes int
 	// BusAuditEntries bounds each token bus's payload audit trail: 0 (the
 	// default) keeps the full unbounded trail byte-parity tests rely on,
@@ -308,11 +307,11 @@ type DB struct {
 	// per-shard version vector fed by each token's committed updates.
 	cache *cache.Cache
 
-	// pages is the untrusted-side page cache (nil when disabled): the
-	// buffer pool under the result cache, shared by every token's
+	// pages is the untrusted-side page cache (nil when disabled): a
+	// second cache.Cache under the result cache, shared by every token's
 	// untrusted engine and invalidated by the same per-shard committed-
 	// write bumps as the result cache.
-	pages *pagecache.Cache
+	pages *cache.Cache
 
 	// reg/inst/slow are the telemetry layer (internal/obs): the metric
 	// registry and its engine instruments always exist and collect
@@ -404,7 +403,7 @@ func NewDB(sch *schema.Schema, opts Options) (*DB, error) {
 		db.cache = cache.New(int64(opts.ResultCacheBytes))
 	}
 	if opts.PageCacheBytes > 0 {
-		db.pages = pagecache.New(int64(opts.PageCacheBytes), nil)
+		db.pages = cache.New(int64(opts.PageCacheBytes))
 		for _, tok := range db.tokens {
 			tok.Untr.SetPageCache(db.pages, tok.id)
 		}

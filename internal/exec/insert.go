@@ -23,7 +23,7 @@ import (
 //
 // insertOn runs against the token owning the table (the caller routed
 // it); every structure it maintains — untrusted store, hidden image,
-// SKT, climbing indexes, row counts, the data version — is that token's,
+// SKT, climbing indexes, row counts, retained spools — is that token's,
 // so the caller must hold that token's admitted session.
 //
 //ghostdb:requires-slot

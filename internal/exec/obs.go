@@ -184,11 +184,11 @@ func newInstruments(db *DB) *instruments {
 		func() float64 { return float64(db.PageCacheStats().Hits) })
 	r.CounterFunc("ghostdb_pagecache_misses_total", "page-cache misses",
 		func() float64 { return float64(db.PageCacheStats().Misses) })
-	r.CounterFunc("ghostdb_pagecache_evictions_total", "page-cache frame evictions",
+	r.CounterFunc("ghostdb_pagecache_evictions_total", "page-cache evictions",
 		func() float64 { return float64(db.PageCacheStats().Evictions) })
-	r.CounterFunc("ghostdb_pagecache_invalidations_total", "page-cache frames dropped by committed writes",
+	r.CounterFunc("ghostdb_pagecache_invalidations_total", "page-cache invalidations by committed writes",
 		func() float64 { return float64(db.PageCacheStats().Invalidations) })
-	r.GaugeFunc("ghostdb_pagecache_entries", "live page-cache frames",
+	r.GaugeFunc("ghostdb_pagecache_entries", "live page-cache entries",
 		func() float64 { return float64(db.PageCacheStats().Entries) })
 	r.GaugeFunc("ghostdb_pagecache_bytes", "page-cache occupancy in bytes",
 		func() float64 { return float64(db.PageCacheStats().Bytes) })

@@ -158,3 +158,57 @@ func TestPageCacheInvalidationStaysExact(t *testing.T) {
 		t.Fatal("inserts drove no page-cache invalidations")
 	}
 }
+
+// TestCommitDropsRetainedSpools: the commit hook frees every spool the
+// token retains, at once, rather than leaving them for a later lookup
+// to notice. A visible-only UPDATE writes no flash page of its own, so
+// the pages it frees are exactly the spools'; the repeat after it
+// rebuilds its spool and answers as a cache-off engine does.
+func TestCommitDropsRetainedSpools(t *testing.T) {
+	cards := map[string]int{"T0": 400, "T1": 80, "T2": 60, "T11": 20, "T12": 20}
+	cold := newFixtureOpts(t, 7, cards, pcTestOpts())
+	opts := pcTestOpts()
+	opts.PageCacheBytes = 4 << 20
+	f := newFixtureOpts(t, 7, cards, opts)
+	tok := f.db.tokens[0]
+	const sql = "SELECT T0.v1, T0.h1 FROM T0 WHERE T0.v2 < '0000000500'"
+	const update = "UPDATE T0 SET v1 = '0000000001' WHERE T0.v3 < '0000000100'"
+	for i := 0; i < 2; i++ {
+		if _, err := f.db.Run(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(tok.spools) == 0 {
+		t.Fatal("a repeated spool-eligible query retained no spool")
+	}
+	spoolPages := 0
+	for _, sp := range tok.spools {
+		spoolPages += sp.file.Pages()
+	}
+	used := f.db.Dev.PagesUsed()
+	for _, db := range []*DB{f.db, cold.db} {
+		if _, err := db.Run(update); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(tok.spools) != 0 {
+		t.Fatalf("%d spools survived a commit", len(tok.spools))
+	}
+	if got, want := f.db.Dev.PagesUsed(), used-spoolPages; got != want {
+		t.Fatalf("pages used after the commit = %d, want %d (%d before, %d spool pages)", got, want, used, spoolPages)
+	}
+	warm, err := f.db.Run(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := cold.db.Run(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rowsEqual(warm.Rows, want.Rows) {
+		t.Fatalf("after the commit: %d rows, cache-off engine %d", len(warm.Rows), len(want.Rows))
+	}
+	if len(tok.spools) == 0 {
+		t.Fatal("the repeat after the commit retained no spool")
+	}
+}

@@ -318,12 +318,12 @@ func (r *queryRun) indexFor(p query.Pred) *index.Climbing {
 // gated on the page cache being enabled:
 //
 //   - Spool reuse: when the token still retains the identical spool
-//     (same canonical Vis key, same shape, same data version) only a
+//     (same canonical Vis key, same shape, no committed write since) only a
 //     fixed VisHeaderBytes header crosses the link, and the token
 //     replays its flash-resident copy — a sequential re-read at 25µs a
 //     page instead of per-byte link time plus 200µs-a-page spool
 //     writes. Reuse is a pure function of the public query history and
-//     committed-write versions, so it leaks nothing.
+//     the committed writes, so it leaks nothing.
 //
 //   - Bus coalescing: all per-table shipments of the query merge into
 //     one batched Down round-trip (bus.TransferBatch).
@@ -354,8 +354,8 @@ func (r *queryRun) spoolVis() error {
 		}
 		key := fmt.Sprintf("%s|vals=%t", r.visKeys[ti], needValues)
 		if r.db.pages != nil {
-			if sp := r.tok.retainedSpoolFor(key); sp != nil {
-				r.spool[ti] = &visSpool{file: sp.file, cols: sp.cols, width: sp.width}
+			if sp, ok := r.tok.retainedSpoolFor(key); ok {
+				r.spool[ti] = &sp
 				r.reused[ti] = true
 				reqs = append(reqs, r.tok.Untr.ShipVisHeader(ti))
 				replays = append(replays, sp.file)
@@ -455,7 +455,6 @@ func (r *queryRun) retainSpools() {
 	if len(r.retain) == 0 {
 		return
 	}
-	ver := r.tok.DataVersion()
 	for ti, key := range r.retain {
 		sp := r.spool[ti]
 		if sp == nil || sp.file == nil {
@@ -467,7 +466,7 @@ func (r *queryRun) retainSpools() {
 				break
 			}
 		}
-		r.tok.retainSpool(key, &retainedSpool{file: sp.file, cols: sp.cols, width: sp.width, version: ver})
+		r.tok.retainSpool(key, *sp)
 	}
 }
 

@@ -7,14 +7,14 @@ import (
 
 	"ghostdb/internal/cache"
 	"ghostdb/internal/obs"
-	"ghostdb/internal/pagecache"
 	"ghostdb/internal/query"
 	"ghostdb/internal/schema"
 	"ghostdb/internal/sqlparse"
 )
 
-// This file wires the untrusted-side result cache (internal/cache) into
-// the executor. The design constraints, in the paper's terms:
+// This file wires the untrusted-side caches, two instances of
+// cache.Cache (the result cache and the page cache), into the executor.
+// The result cache's design constraints, in the paper's terms:
 //
 //   - The cache key is the *normalized query text* (query.Canonical plus
 //     the forced strategy/projector knobs, which change measured costs).
@@ -32,20 +32,22 @@ import (
 //     direction (the query text itself never travels). Stats of a hit
 //     are all-zero except the CacheHit/CacheShared markers.
 //   - Invalidation is per shard: every committed INSERT, UPDATE or
-//     DELETE bumps the data version of the one token it wrote
+//     DELETE bumps the data version of the one shard it wrote
 //     (db.committed), so a post-update query can never observe a
 //     pre-update answer while results over other tokens stay cached.
 //     Concurrent identical queries collapse onto one admitted session
 //     (singleflight) and share its materialized result.
 
-// committed is the one commit hook of every write statement: it advances
-// the token's data version and the shard's version in both untrusted-side
-// caches, so no later query touching the shard can be answered from a
-// pre-write entry. Queries already in flight are prevented from *storing*
-// their results by the same version stamp; entries over other shards are
-// untouched.
+// committed is the one commit hook of every write statement: it drops
+// the token's retained Vis spools and advances the shard's version in
+// both untrusted-side caches, so no later query touching the shard can
+// be answered from a pre-write entry or replay a pre-write spool.
+// Queries already in flight are prevented from *storing* their results
+// by the caches' version stamp; entries over other shards are untouched.
+//
+//ghostdb:requires-slot
 func (db *DB) committed(tok *Token) {
-	tok.bumpVersion()
+	tok.dropSpools()
 	if db.cache != nil {
 		db.cache.BumpShard(tok.id)
 	}
@@ -98,10 +100,6 @@ func (r *Result) SizeBytes() int64 {
 	return n
 }
 
-// ResultCache exposes the cache (nil when Options.ResultCacheBytes <= 0)
-// for tests and tools inside this module.
-func (db *DB) ResultCache() *cache.Cache { return db.cache }
-
 // CacheStats snapshots the result cache's counters (zero value when the
 // cache is disabled).
 func (db *DB) CacheStats() cache.Stats {
@@ -111,15 +109,11 @@ func (db *DB) CacheStats() cache.Stats {
 	return db.cache.Stats()
 }
 
-// PageCache exposes the untrusted-side page cache (nil when
-// Options.PageCacheBytes <= 0) for tests and tools inside this module.
-func (db *DB) PageCache() *pagecache.Cache { return db.pages }
-
 // PageCacheStats snapshots the page cache's counters (zero value when
 // the cache is disabled).
-func (db *DB) PageCacheStats() pagecache.Stats {
+func (db *DB) PageCacheStats() cache.Stats {
 	if db.pages == nil {
-		return pagecache.Stats{}
+		return cache.Stats{}
 	}
 	return db.pages.Stats()
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"ghostdb/internal/cache"
 	"ghostdb/internal/flash"
 	"ghostdb/internal/schema"
 )
@@ -156,15 +157,17 @@ func TestScatterCrossProduct(t *testing.T) {
 }
 
 // TestShardedInsertRouting: an INSERT bumps exactly the owning token's
-// data version and leaves the other token untouched.
+// shard version in both untrusted-side caches and leaves the other
+// token's untouched.
 func TestShardedInsertRouting(t *testing.T) {
-	f := newForestFixture(t, 7, forestCards(), 2)
+	f := newForestFixtureOpts(t, 7, forestCards(), Options{
+		FlashParams:      flash.Params{PageSize: 2048, PagesPerBlock: 16, Blocks: 8192, ReserveBlocks: 4},
+		Shards:           2,
+		ResultCacheBytes: 1 << 20,
+		PageCacheBytes:   1 << 20,
+	})
 	u1, _ := f.sch.Lookup("U1")
 	uTok := f.db.Placement().Of(u1.Index)
-	before := make([]uint64, 2)
-	for _, u := range f.db.Tokens() {
-		before[u.TokenID()] = u.DataVersion()
-	}
 	rows := f.db.Rows(u1.Index)
 	sql := `INSERT INTO U1 VALUES ('0000000001','0000000002','0000000003','0000000004','0000000005','0000000006')`
 	if _, err := f.db.Run(sql); err != nil {
@@ -173,13 +176,18 @@ func TestShardedInsertRouting(t *testing.T) {
 	if got := f.db.Rows(u1.Index); got != rows+1 {
 		t.Fatalf("U1 rows = %d, want %d", got, rows+1)
 	}
-	for _, u := range f.db.Tokens() {
-		want := before[u.TokenID()]
-		if u.TokenID() == uTok {
-			want++
-		}
-		if got := u.DataVersion(); got != want {
-			t.Fatalf("token %d version = %d, want %d", u.TokenID(), got, want)
+	for name, st := range map[string]cache.Stats{"result": f.db.CacheStats(), "page": f.db.PageCacheStats()} {
+		for tok := 0; tok < 2; tok++ {
+			var want, got uint64
+			if tok == uTok {
+				want = 1
+			}
+			if tok < len(st.ShardVersions) {
+				got = st.ShardVersions[tok]
+			}
+			if got != want {
+				t.Fatalf("%s cache: token %d version = %d, want %d", name, tok, got, want)
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"slices"
 	"sync"
 
 	"ghostdb/internal/bus"
@@ -9,7 +10,6 @@ import (
 	"ghostdb/internal/index"
 	"ghostdb/internal/ram"
 	"ghostdb/internal/sched"
-	"ghostdb/internal/store"
 	"ghostdb/internal/untrusted"
 )
 
@@ -49,14 +49,13 @@ type Token struct {
 	// hidden images outside the token slot; immutable after Load.
 	insBytes map[int]int
 
-	// spools maps a canonical Vis key (plus spool shape) to the
-	// flash-resident spool retained from an earlier query, so a repeat of
-	// the same visible selection at the same data version ships a fixed
+	// spools holds the flash-resident Vis spools retained from earlier
+	// queries, least recently used first, so a repeat of the same visible
+	// selection before the token's next committed write ships a fixed
 	// header instead of the full run (the token side of the page cache).
-	// Like Hidden, the map and its files are only touched with the
-	// execution slot held; spoolLRU orders keys for in-slot eviction.
-	spools   map[string]*retainedSpool
-	spoolLRU []string
+	// Like Hidden, the slice and its files are only touched with the
+	// execution slot held.
+	spools []retainedSpool
 
 	// freePages is the free list of page-sized host buffers that sublist
 	// streams and index-climb cursors borrow and return (pageBuf /
@@ -69,12 +68,11 @@ type Token struct {
 
 	// mu guards rows (against the public Rows accessor; in-query reads
 	// are serialized by the token's execution slot), the per-token totals,
-	// the data version, the catalog pointer (swapped by compaction) and
-	// the declassified delta telemetry mirrors below.
-	mu      sync.Mutex
-	rows    map[int]int
-	totals  Totals
-	version uint64
+	// the catalog pointer (swapped by compaction) and the declassified
+	// delta telemetry mirrors below.
+	mu     sync.Mutex
+	rows   map[int]int
+	totals Totals
 
 	// Declassified telemetry mirrors: public counts updated at DML
 	// commit and compaction so observability code never reads hidden
@@ -98,9 +96,6 @@ type Unit interface {
 	// Totals is the cumulative simulated cost of the query sessions this
 	// token has completed.
 	Totals() Totals
-	// DataVersion counts the committed updates this token has applied
-	// (the per-shard entry of the result cache's version vector).
-	DataVersion() uint64
 	// Running and QueueLen expose the admission scheduler's state.
 	Running() int
 	QueueLen() int
@@ -163,19 +158,6 @@ func (t *Token) mergeTotals(st Stats) {
 	t.totals.Flash = t.totals.Flash.Add(st.Flash)
 	t.totals.BusDown += st.BusDown
 	t.totals.BusUp += st.BusUp
-}
-
-// DataVersion counts the committed updates applied to this token.
-func (t *Token) DataVersion() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.version
-}
-
-func (t *Token) bumpVersion() {
-	t.mu.Lock()
-	t.version++
-	t.mu.Unlock()
 }
 
 // catalog returns the token's index catalog under mu: compaction swaps
@@ -247,14 +229,10 @@ func (t *Token) releasePageBuf(b []byte) {
 }
 
 // retainedSpool is one table's flash-resident Vis spool kept across
-// queries, stamped with the token data version it was built under.
-//
-//ghostdb:requires-slot
+// queries under its canonical Vis key (plus spool shape).
 type retainedSpool struct {
-	file    *store.RowFile
-	cols    []int
-	width   int
-	version uint64
+	key string
+	visSpool
 }
 
 // maxRetainedSpools bounds the flash pages parked in retained Vis
@@ -263,69 +241,49 @@ type retainedSpool struct {
 // match counts.
 const maxRetainedSpools = 32
 
-// retainedSpoolFor returns the still-valid retained spool for key, or
-// nil. A spool built under an older data version is freed on sight —
-// any committed write on this token may have changed the visible rows
-// it encodes. Must run with the execution slot held.
+// retainedSpoolFor returns the retained spool for key and marks it most
+// recently used. Every retained spool is current: a committed write on
+// this token drops them all (dropSpools).
 //
 //ghostdb:requires-slot
-func (t *Token) retainedSpoolFor(key string) *retainedSpool {
-	sp := t.spools[key]
-	if sp == nil {
-		return nil
-	}
-	if sp.version != t.DataVersion() {
-		t.dropSpool(key, sp)
-		return nil
-	}
-	t.touchSpool(key)
-	return sp
-}
-
-// retainSpool parks a sealed spool under key, evicting the least
-// recently used spools beyond the bound. Must run with the execution
-// slot held (eviction frees flash pages).
-//
-//ghostdb:requires-slot
-func (t *Token) retainSpool(key string, sp *retainedSpool) {
-	if t.spools == nil {
-		t.spools = make(map[string]*retainedSpool)
-	}
-	if old := t.spools[key]; old != nil {
-		t.dropSpool(key, old)
-	}
-	t.spools[key] = sp
-	t.spoolLRU = append(t.spoolLRU, key)
-	for len(t.spoolLRU) > maxRetainedSpools {
-		victim := t.spoolLRU[0]
-		t.dropSpool(victim, t.spools[victim])
-	}
-}
-
-// dropSpool frees one retained spool's pages and forgets its key.
-//
-//ghostdb:requires-slot
-func (t *Token) dropSpool(key string, sp *retainedSpool) {
-	delete(t.spools, key)
-	for i, k := range t.spoolLRU {
-		if k == key {
-			t.spoolLRU = append(t.spoolLRU[:i], t.spoolLRU[i+1:]...)
-			break
+func (t *Token) retainedSpoolFor(key string) (visSpool, bool) {
+	for i, sp := range t.spools {
+		if sp.key == key {
+			t.spools = append(slices.Delete(t.spools, i, i+1), sp)
+			return sp.visSpool, true
 		}
 	}
-	if sp != nil {
+	return visSpool{}, false
+}
+
+// retainSpool parks a sealed spool under key, freeing the least recently
+// used spools beyond the bound.
+//
+//ghostdb:requires-slot
+func (t *Token) retainSpool(key string, sp visSpool) {
+	if i := slices.IndexFunc(t.spools, func(r retainedSpool) bool { return r.key == key }); i >= 0 {
+		_ = t.spools[i].file.Free()
+		t.spools = slices.Delete(t.spools, i, i+1)
+	}
+	t.spools = append(t.spools, retainedSpool{key, sp})
+	if n := len(t.spools) - maxRetainedSpools; n > 0 {
+		for _, old := range t.spools[:n] {
+			_ = old.file.Free()
+		}
+		t.spools = slices.Delete(t.spools, 0, n)
+	}
+}
+
+// dropSpools frees every retained spool. The commit hook calls it: any
+// committed write on this token may have changed the visible rows a
+// spool encodes.
+//
+//ghostdb:requires-slot
+func (t *Token) dropSpools() {
+	for _, sp := range t.spools {
 		_ = sp.file.Free()
 	}
-}
-
-// touchSpool moves key to the most-recently-used end.
-func (t *Token) touchSpool(key string) {
-	for i, k := range t.spoolLRU {
-		if k == key {
-			t.spoolLRU = append(append(t.spoolLRU[:i], t.spoolLRU[i+1:]...), key)
-			return
-		}
-	}
+	t.spools = t.spools[:0]
 }
 
 // syncDeltaMirror refreshes the declassified delta-depth mirror from

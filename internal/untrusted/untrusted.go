@@ -15,12 +15,13 @@ package untrusted
 import (
 	"bytes"
 	"cmp"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"sync"
 
 	"ghostdb/internal/bus"
-	"ghostdb/internal/pagecache"
+	"ghostdb/internal/cache"
 	"ghostdb/internal/query"
 	"ghostdb/internal/schema"
 	"ghostdb/internal/sqlparse"
@@ -35,12 +36,13 @@ type Engine struct {
 	ch     *bus.Channel
 	mu     sync.RWMutex
 	tables []*tableStore
-	// pc, when set, caches encoded Vis runs keyed on canonical per-table
-	// predicate text (VisKey). Cached values are shared *VisResult
-	// pointers and immutable by contract; pcShard is the shard whose
-	// version vector stamps and invalidates this engine's frames.
-	pc      *pagecache.Cache
-	pcShard int
+	// pc, when set, is the page cache: it holds encoded Vis runs keyed on
+	// canonical per-table predicate text (VisKey). Cached values are
+	// shared *VisResult pointers and immutable by contract; pcShards is
+	// the one-shard set whose version stamps and invalidates this
+	// engine's entries.
+	pc       *cache.Cache
+	pcShards []int
 }
 
 type tableStore struct {
@@ -332,12 +334,12 @@ func (e *Engine) CountVis(table int, preds []query.Pred) (int, error) {
 // SetPageCache attaches the untrusted-side page cache: ComputeVis will
 // serve repeated canonical keys from it instead of rescanning and
 // re-encoding. shard is the secure token this engine fronts, so
-// committed writes invalidate exactly this engine's frames via
-// pagecache.BumpShard.
-func (e *Engine) SetPageCache(pc *pagecache.Cache, shard int) {
+// committed writes invalidate exactly this engine's entries via
+// cache.BumpShard.
+func (e *Engine) SetPageCache(pc *cache.Cache, shard int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.pc, e.pcShard = pc, shard
+	e.pc, e.pcShards = pc, []int{shard}
 }
 
 // VisKey canonicalizes one table's Vis computation: table name, each
@@ -362,7 +364,7 @@ func (e *Engine) VisKey(table int, preds []query.Pred, projCols []int) string {
 // VisHeaderBytes is the size of the fixed control header shipped in
 // place of a full Vis payload when the token already retains the
 // identical spool from an earlier execution: a 4-byte row count, a
-// 4-byte row width and an 8-byte version stamp. Its size is a constant
+// 4-byte row width and an 8-byte spool identifier. Its size is a constant
 // of the protocol — never a function of data — so header shipments are
 // indistinguishable from one another on the wire.
 const VisHeaderBytes = 16
@@ -405,17 +407,17 @@ func (e *Engine) ComputeVis(table int, preds []query.Pred, projCols []int) (*Vis
 		return e.computeVis(table, preds, projCols)
 	}
 	key := e.VisKey(table, preds, projCols)
-	if v, ok := e.pc.Get(key); ok {
-		return v.(*VisResult), nil
-	}
-	stamp := e.pc.Stamp([]int{e.pcShard})
-	res, err := e.computeVis(table, preds, projCols)
+	v, _, err := e.pc.Do(context.TODO(), key, e.pcShards, func() (any, int64, error) {
+		res, err := e.computeVis(table, preds, projCols)
+		if err != nil {
+			return nil, 0, err
+		}
+		return res, int64(len(res.Rows) + len(res.IDs)*store.IDBytes + 64), nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	size := int64(len(res.Rows) + len(res.IDs)*store.IDBytes + 64)
-	e.pc.Put(key, res, size, []int{e.pcShard}, stamp)
-	return res, nil
+	return v.(*VisResult), nil
 }
 
 // Vis evaluates the visible conjunction for one table and transfers the
