@@ -206,11 +206,14 @@ type Options struct {
 	// completed statements against (default 25ms).
 	SLOTarget time.Duration
 	// PaceSimulation > 0 makes every session hold its token's execution
-	// slot for SimTime/PaceSimulation of real time, so wall-clock
-	// latency reflects the modeled hardware's occupancy instead of host
-	// CPU speed. Answers and simulated counters are unaffected; 0
-	// disables pacing (the default). Benchmarks and overload tests use
-	// this — production embeddings normally leave it off.
+	// slot, after its host work, for SimTime/PaceSimulation of real time
+	// on average over the token's statements (a pacing sleep's overshoot
+	// is carried as credit into the token's next statements), so
+	// wall-clock latency reflects the modeled hardware's occupancy
+	// instead of host CPU speed. Answers and simulated counters are
+	// unaffected; 0 disables pacing (the default). Benchmarks and
+	// overload tests use this — production embeddings normally leave it
+	// off.
 	PaceSimulation float64
 }
 

@@ -156,14 +156,7 @@ func (db *DB) runDML(ctx context.Context, d *query.DML, plan *Plan, cfg QueryCon
 		}
 		st = db.sessionStats(tok, col, plan.MinBuffers, sess.Buffers())
 		attachOperatorSpans(execSp, col, st.SimTime)
-		// Paced mode: hold the slot for a real-time shadow of the
-		// simulated cost, so paced wall-clock benches see writes occupy
-		// the token like the modeled hardware would.
-		if pace := db.opts.PaceSimulation; pace > 0 {
-			paceSp := execSp.Start("pace")
-			time.Sleep(time.Duration(float64(st.SimTime) / pace))
-			paceSp.End()
-		}
+		db.paceSlot(tok, execSp, st.SimTime)
 		return nil
 	})
 	if err != nil {
@@ -509,11 +502,7 @@ func (db *DB) compactOn(ctx context.Context, tok *Token) error {
 		}
 		st = db.sessionStats(tok, col, min, sess.Buffers())
 		attachOperatorSpans(execSp, col, st.SimTime)
-		if pace := db.opts.PaceSimulation; pace > 0 {
-			paceSp := execSp.Start("pace")
-			time.Sleep(time.Duration(float64(st.SimTime) / pace))
-			paceSp.End()
-		}
+		db.paceSlot(tok, execSp, st.SimTime)
 		return nil
 	})
 	execSp.End()

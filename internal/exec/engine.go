@@ -159,15 +159,19 @@ type Options struct {
 	// granularity by internal/shard, so joins never cross tokens and only
 	// forest queries (cross products of independent trees) fan out.
 	Shards int
-	// PaceSimulation > 0 makes every query session sleep
-	// SimTime/PaceSimulation of real time while it holds its token's
-	// execution slot. The simulation itself is pure host CPU, so an
-	// unpaced engine's wall-clock throughput measures the host, not the
-	// modeled hardware; pacing restores the defining property of the
-	// real deployment — each token is a physical device whose I/O takes
-	// real time, and independent tokens genuinely overlap it. The
-	// open-mix benchmark workload uses this; answers and all simulated
-	// counters are unaffected. 0 disables pacing (the default).
+	// PaceSimulation > 0 makes every session hold its token's execution
+	// slot, after its host work, for SimTime/PaceSimulation of real time
+	// on average over the token's statements: each token keeps a pace
+	// balance, and a sleep's overshoot (timer slack) is carried as credit
+	// that the token's next statements use up, never more than one
+	// sleep's overshoot (Token.pace). The simulation itself is pure host
+	// CPU, so an unpaced engine's wall-clock throughput measures the
+	// host, not the modeled hardware; pacing restores the defining
+	// property of the real deployment — each token is a physical device
+	// whose I/O takes real time, and independent tokens genuinely
+	// overlap it. The open-mix benchmark workload uses this; answers and
+	// all simulated counters are unaffected. 0 disables pacing (the
+	// default).
 	PaceSimulation float64
 	// SlowQueryThreshold enables the slow-query log: completed SELECTs
 	// whose simulated time reaches the threshold are recorded in a ring
@@ -1084,14 +1088,7 @@ func (db *DB) runSelectOn(ctx context.Context, q *query.Query, plan *Plan, cfg Q
 		out.Stats.QueueWait = wait
 		attachOperatorSpans(execSp, r.col, out.Stats.SimTime)
 		res = out
-		// Paced mode: hold the token slot for a real-time shadow of the
-		// simulated cost, so wall-clock measurements see device-bound
-		// (not host-CPU-bound) behavior. See Options.PaceSimulation.
-		if pace := db.opts.PaceSimulation; pace > 0 {
-			paceSp := execSp.Start("pace")
-			time.Sleep(time.Duration(float64(out.Stats.SimTime) / pace))
-			paceSp.End()
-		}
+		db.paceSlot(tok, execSp, out.Stats.SimTime)
 		return nil
 	})
 	if err != nil {
@@ -1099,6 +1096,21 @@ func (db *DB) runSelectOn(ctx context.Context, q *query.Query, plan *Plan, cfg Q
 	}
 	tok.mergeTotals(res.Stats)
 	return res, nil
+}
+
+// paceSlot is paced mode (Options.PaceSimulation): under its own "pace"
+// span it holds tok's execution slot for a real-time shadow of the
+// statement's simulated cost, so wall-clock measurements see
+// device-bound (not host-CPU-bound) behavior.
+//
+//ghostdb:requires-slot
+func (db *DB) paceSlot(tok *Token, execSp *obs.Span, sim time.Duration) {
+	if db.opts.PaceSimulation <= 0 {
+		return
+	}
+	sp := execSp.Start("pace")
+	tok.pace(time.Duration(float64(sim) / db.opts.PaceSimulation))
+	sp.End()
 }
 
 // collectStats summarizes this query's cost from the counters the run

@@ -306,7 +306,14 @@ func (r *queryRun) qepsj() error {
 	if err != nil {
 		return err
 	}
-	for _, p := range r.anchorPred {
+	// The anchor's id predicates narrow the free id sequence and filter
+	// everything else: a flash-backed merged stream is never cut short,
+	// since draining it is metered Merge I/O.
+	idPreds := r.anchorPred
+	if seq, ok := merged.(*seqStream); ok {
+		idPreds = seq.clip(idPreds)
+	}
+	for _, p := range idPreds {
 		merged = &filterStream{src: merged, keep: idPredFilter(p)}
 	}
 	// Anchor tombstones: deleted anchor rows are dropped from the merged
@@ -366,6 +373,40 @@ func idPredFilter(p query.Pred) func(uint32) bool {
 		return func(id uint32) bool { return int64(id) >= lo && int64(id) <= hi }
 	}
 	return func(uint32) bool { return false }
+}
+
+// clip narrows the sequence to the ids the anchor id predicates preds
+// admit (the free-filter semantics of idPredFilter) and returns those it
+// cannot narrow to (<>), which stay filters.
+func (s *seqStream) clip(preds []query.Pred) []query.Pred {
+	lo, hi := int64(s.i), int64(s.n)-1
+	// Over ids in [0, n-1], clamping a literal into [-1, n] keeps every
+	// comparison's outcome and keeps the ±1 below from overflowing.
+	lit := func(v schema.Value) int64 { return min(max(v.I, -1), int64(s.n)) }
+	var rest []query.Pred
+	for _, p := range preds {
+		switch p.Op {
+		case sqlparse.OpEq:
+			lo, hi = max(lo, lit(p.Lo)), min(hi, lit(p.Lo))
+		case sqlparse.OpLt:
+			hi = min(hi, lit(p.Lo)-1)
+		case sqlparse.OpLe:
+			hi = min(hi, lit(p.Lo))
+		case sqlparse.OpGt:
+			lo = max(lo, lit(p.Lo)+1)
+		case sqlparse.OpGe:
+			lo = max(lo, lit(p.Lo))
+		case sqlparse.OpBetween:
+			lo, hi = max(lo, lit(p.Lo)), min(hi, lit(p.Hi))
+		default:
+			rest = append(rest, p)
+		}
+	}
+	if lo > hi {
+		lo, hi = 0, -1
+	}
+	s.i, s.n = uint32(lo), uint32(hi+1)
+	return rest
 }
 
 // crossingPreds returns the hidden predicates usable for the Cross

@@ -49,8 +49,9 @@ func (s *sliceStream) next() (uint32, bool, error) {
 
 func (s *sliceStream) close() {}
 
-// seqStream yields 0..n-1 (the degenerate "no selective predicate" case:
-// every anchor tuple qualifies so far).
+// seqStream yields i..n-1 (the degenerate "no selective predicate" case:
+// every anchor tuple qualifies so far; clip narrows it to the anchor's id
+// predicates).
 type seqStream struct {
 	n, i uint32
 }

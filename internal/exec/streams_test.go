@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -10,7 +11,10 @@ import (
 	"ghostdb/internal/bus"
 	"ghostdb/internal/flash"
 	"ghostdb/internal/metrics"
+	"ghostdb/internal/query"
 	"ghostdb/internal/ram"
+	"ghostdb/internal/schema"
+	"ghostdb/internal/sqlparse"
 )
 
 // randomSortedIDs draws n distinct ascending ids; with edge set, from the
@@ -281,5 +285,55 @@ func BenchmarkReduceRuns(b *testing.B) {
 			}
 			b.ReportMetric(float64(reads)/float64(b.N), "page-reads/op")
 		})
+	}
+}
+
+// TestSeqClipMatchesFilterProperty holds the clipped anchor id sequence
+// to its specification, the filter-only stream: for random anchor id
+// predicates (every operator; literals negative, inside and past the row
+// count, and at the int64 extremes; empty BETWEEN ranges), clipping the
+// sequence and filtering what clip leaves yields the same ids as
+// filtering the full sequence by every predicate.
+func TestSeqClipMatchesFilterProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	ops := []sqlparse.CompareOp{sqlparse.OpEq, sqlparse.OpNe, sqlparse.OpLt, sqlparse.OpLe, sqlparse.OpGt, sqlparse.OpGe, sqlparse.OpBetween}
+	for trial := 0; trial < 3000; trial++ {
+		n := uint32(rng.Intn(40))
+		lit := func() schema.Value {
+			switch rng.Intn(10) {
+			case 0:
+				return schema.IntVal(math.MinInt64)
+			case 1:
+				return schema.IntVal(math.MaxInt64)
+			}
+			return schema.IntVal(int64(rng.Intn(int(n)+10)) - 5)
+		}
+		preds := make([]query.Pred, rng.Intn(4))
+		for i := range preds {
+			preds[i] = query.Pred{ColIdx: query.IDCol, Hidden: true, Op: ops[rng.Intn(len(ops))], Lo: lit(), Hi: lit()}
+		}
+		var full idStream = &seqStream{n: n}
+		for _, p := range preds {
+			full = &filterStream{src: full, keep: idPredFilter(p)}
+		}
+		want, err := drain(full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq := &seqStream{n: n}
+		var clipped idStream = seq
+		for _, p := range seq.clip(preds) {
+			if p.Op != sqlparse.OpNe {
+				t.Fatalf("clip left a %v predicate to the filter", p.Op)
+			}
+			clipped = &filterStream{src: clipped, keep: idPredFilter(p)}
+		}
+		got, err := drain(clipped)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d, %d rows, preds %+v: clipped %v, filter-only %v", trial, n, preds, got, want)
+		}
 	}
 }

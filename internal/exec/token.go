@@ -3,6 +3,7 @@ package exec
 import (
 	"slices"
 	"sync"
+	"time"
 
 	"ghostdb/internal/bus"
 	"ghostdb/internal/delta"
@@ -63,6 +64,12 @@ type Token struct {
 	// needs no lock; it never holds more than the RAM budget's buffer
 	// count, the most page readers a session can have open at once.
 	freePages [][]byte
+
+	// paceOwed is the paced-mode balance (pace): real time the slot still
+	// owes the simulated cost or, when negative, what is left of the last
+	// pacing sleep's overshoot, carried as credit. Touched only with the
+	// execution slot held.
+	paceOwed time.Duration
 
 	sched *sched.Scheduler
 
@@ -225,6 +232,23 @@ func (t *Token) pageBuf() []byte {
 func (t *Token) releasePageBuf(b []byte) {
 	if len(t.freePages) < t.RAM.Buffers() {
 		t.freePages = append(t.freePages, b)
+	}
+}
+
+// pace holds the execution slot for d of real time on average over the
+// token's statements: d joins the pace balance, and the token sleeps only
+// while the balance is positive, subtracting the sleep it measured. A
+// sleep's overshoot (timer slack) so becomes credit that the next
+// statements use up, and because a sleep starts only on a positive
+// balance, the credit never exceeds one sleep's overshoot.
+//
+//ghostdb:requires-slot
+func (t *Token) pace(d time.Duration) {
+	t.paceOwed += d
+	for t.paceOwed > 0 {
+		start := time.Now()
+		time.Sleep(t.paceOwed)
+		t.paceOwed -= time.Since(start)
 	}
 }
 
