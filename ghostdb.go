@@ -186,11 +186,9 @@ type Options struct {
 	// (SELECT, UPDATE, DELETE and background COMPACT sessions, each entry
 	// kind-tagged) whose simulated time reaches the threshold are
 	// recorded (canonical statement text, costs and a span summary — all
-	// declassified scalars). Zero leaves the log disabled.
+	// declassified scalars) in a ring of the latest 128 entries. Zero
+	// leaves the log disabled.
 	SlowQueryThreshold time.Duration
-	// SlowLogEntries bounds the slow-query ring buffer (default 128;
-	// older entries are overwritten).
-	SlowLogEntries int
 	// CompactThreshold is the delta-log depth, in flash pages, at which
 	// a token starts a background compaction (default 64; negative
 	// disables automatic compaction — DB.Compact still works).
@@ -227,7 +225,6 @@ func (o Options) toExec() exec.Options {
 	eo.BusAuditEntries = o.BusAuditEntries
 	eo.Shards = o.Shards
 	eo.SlowQueryThreshold = o.SlowQueryThreshold
-	eo.SlowLogEntries = o.SlowLogEntries
 	eo.CompactThreshold = o.CompactThreshold
 	eo.MaxQueueWait = o.MaxQueueWait
 	eo.SLOTarget = o.SLOTarget
@@ -485,7 +482,8 @@ func (db *DB) ShardOf(table string) (int, error) {
 	return db.inner.Placement().Of(t.Index), nil
 }
 
-// ShardTotals reports each secure token's cumulative session costs, in
+// ShardTotals reports each secure token's cumulative costs of metered
+// sessions (SELECT, UPDATE, DELETE, COMPACT; INSERT is not metered), in
 // shard order. Summed across shards, the flash and bus counters equal
 // what an unsharded engine reports for the same executed work — sharding
 // spreads secure-side work, it never adds any.

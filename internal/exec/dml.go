@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"time"
 
-	"ghostdb/internal/bus"
 	"ghostdb/internal/delta"
 	"ghostdb/internal/index"
 	"ghostdb/internal/metrics"
@@ -75,97 +74,43 @@ const (
 	spanCompact = "Compact"
 )
 
-// sessionStats summarizes a write-path session's cost from the counters
-// it observed while holding its token — the DML/compaction counterpart
-// of queryRun.collectStats.
-//
-//ghostdb:requires-slot
-func (db *DB) sessionStats(tok *Token, col *metrics.Collector, planMin, grant int) Stats {
-	down, up := tok.Bus.Counters()
-	total := metrics.Sample{Flash: tok.Dev.Counters(), BusDown: down, BusUp: up}
-	st := Stats{
-		IOTime:         db.opts.Model.IOTime(total),
-		CommTime:       db.opts.Model.CommTime(total, col.ThroughputMBps()),
-		Breakdown:      col.Breakdown(),
-		Flash:          tok.Dev.Counters(),
-		BusDown:        down,
-		BusUp:          up,
-		PlanMinBuffers: planMin,
-		GrantBuffers:   grant,
-		Shard:          tok.id,
-		ops:            opCosts(col),
-	}
-	st.SimTime = st.IOTime + st.CommTime
-	return st
-}
-
-// runDML executes an UPDATE/DELETE as a session on the token owning the
-// target table, exactly like runInsert: FIFO admission sized from the
-// plan floor, then exclusive use of the token while the statement stages
-// and commits. The result carries the affected-row count plus the
-// statement's Stats, and the session gets the same trace spans, slow-log
-// entry (kind-tagged UPDATE/DELETE) and pacing a SELECT gets.
+// runDML executes an UPDATE/DELETE as a metered session on the token
+// owning the target table: FIFO admission sized from the plan floor, then
+// exclusive use of the token while the statement stages and commits. The
+// result carries the affected-row count plus the statement's Stats, and
+// the session gets the same trace spans, token totals, slow-log entry
+// (kind-tagged UPDATE/DELETE) and pacing a SELECT gets.
 func (db *DB) runDML(ctx context.Context, d *query.DML, plan *Plan, cfg QueryConfig) (*Result, error) {
-	tok := plan.tok
-	parent := cfg.traceParent()
-	admSp := parent.Start("admission")
-	queued := time.Now()
-	sess, err := tok.sched.Acquire(ctx, sched.Request{
-		MinBuffers: plan.MinBuffers, WantBuffers: plan.WantBuffers})
-	admSp.End()
+	s, err := db.admit(ctx, plan.tok, sched.Request{
+		MinBuffers: plan.MinBuffers, WantBuffers: plan.WantBuffers}, cfg.traceParent())
 	if err != nil {
-		db.noteAdmissionErr(tok, err)
 		db.inst.queryErrs.Inc()
-		return nil, wrapAdmission(err)
+		return nil, err
 	}
-	wait := time.Since(queued)
-	defer sess.Release()
-	execSp := parent.Start("exec")
-	execSp.SetNote(fmt.Sprintf("token %d, grant %d buffers", tok.id, sess.Buffers()))
-	defer execSp.End()
+	defer s.end()
 	var affected int
 	var st Stats
-	err = sess.Exclusive(ctx, func() error {
-		slotStart := time.Now()
-		defer func() {
-			db.inst.slotOcc[tok.id].Observe(time.Since(slotStart).Seconds())
-		}()
-		g, err := sess.RAM().AllocBuffers(plan.MinBuffers)
+	err = s.sess.Exclusive(ctx, func() error {
+		g, err := s.sess.RAM().AllocBuffers(plan.MinBuffers)
 		if err != nil {
 			return err
 		}
 		defer g.Release()
-		// The token is exclusively ours: zero the device/bus counters so
-		// the collector's spans see only this statement's I/O.
-		col := metrics.NewCollector(tok.Dev, tok.Bus, db.opts.Model)
-		col.Reset()
-		// Meter the statement-text upload like the read path does: the
-		// canonical text is the one thing the model reveals anyway.
-		if err := col.Span(spanBus, func() error {
-			sql := d.Canonical()
-			return tok.Bus.Transfer(bus.Up, "query", len(sql), sql)
-		}); err != nil {
-			return err
-		}
-		if err := col.Span(spanDML, func() error {
-			n, err := db.dmlOn(tok, d)
-			affected = n
-			return err
-		}); err != nil {
-			return err
-		}
-		st = db.sessionStats(tok, col, plan.MinBuffers, sess.Buffers())
-		attachOperatorSpans(execSp, col, st.SimTime)
-		db.paceSlot(tok, execSp, st.SimTime)
-		return nil
+		st, err = s.meter(d.Canonical(), func(col *metrics.Collector) error {
+			return col.Span(spanDML, func() error {
+				n, err := db.dmlOn(plan.tok, d)
+				affected = n
+				return err
+			})
+		})
+		return err
 	})
 	if err != nil {
 		db.inst.queryErrs.Inc()
 		return nil, err
 	}
-	st.QueueWait = wait
 	db.observeDML(d, st)
-	db.maybeCompact(tok)
+	db.maybeCompact(plan.tok)
 	return &Result{
 		Columns: []string{"affected"},
 		Rows:    []schema.Row{{schema.IntVal(int64(affected))}},
@@ -383,7 +328,7 @@ func (db *DB) maybeCompact(tok *Token) {
 			tok.compacting = false
 			tok.mu.Unlock()
 		}()
-		if err := db.compactOn(context.Background(), tok); err != nil {
+		if _, err := db.compactOn(context.Background(), tok, nil); err != nil {
 			db.inst.compactErrs.Inc()
 		}
 	}()
@@ -450,70 +395,53 @@ func (db *DB) TokenDeltaStats() []DeltaStats {
 // visible through the overlay), so the result cache is left untouched.
 func (db *DB) Compact(ctx context.Context) error {
 	for _, tok := range db.tokens {
-		if err := db.compactOn(ctx, tok); err != nil {
+		if _, err := db.compactOn(ctx, tok, nil); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// compactOn runs one token's compaction under a scheduled session. The
-// session is unsheddable (maintenance must run precisely when the
-// engine is busiest) but otherwise indistinguishable from query work in
-// the admission queue; it carries its own span tree and, past the slow
-// threshold, a COMPACT-kind slow-log entry, so background compactions
-// are as visible as the statements that triggered them.
-func (db *DB) compactOn(ctx context.Context, tok *Token) error {
+// compactOn runs one token's compaction under a scheduled session,
+// nested under parent when a trace wants it, and returns its Stats. The
+// session is unsheddable (maintenance must run precisely when the engine
+// is busiest) but otherwise indistinguishable from query work in the
+// admission queue; past the slow threshold it leaves a COMPACT-kind
+// slow-log entry, so background compactions are as visible as the
+// statements that triggered them.
+func (db *DB) compactOn(ctx context.Context, tok *Token, parent *obs.Span) (Stats, error) {
 	if tok.DeltaPages() == 0 {
-		return nil
+		return Stats{}, nil
 	}
 	min := compactFloor
 	if b := tok.RAM.Buffers(); b < min {
 		min = b
 	}
-	name := fmt.Sprintf("COMPACT(token %d)", tok.id)
-	tr := obs.NewTrace(name)
-	admSp := tr.Root().Start("admission")
-	queued := time.Now()
-	sess, err := tok.sched.Acquire(ctx, sched.Request{
-		MinBuffers: min, WantBuffers: min, Unsheddable: true})
-	admSp.End()
+	s, err := db.admit(ctx, tok, sched.Request{
+		MinBuffers: min, WantBuffers: min, Unsheddable: true}, parent)
 	if err != nil {
-		return wrapAdmission(err)
+		return Stats{}, err
 	}
-	wait := time.Since(queued)
-	defer sess.Release()
-	execSp := tr.Root().Start("exec")
-	execSp.SetNote(fmt.Sprintf("token %d, grant %d buffers", tok.id, sess.Buffers()))
+	defer s.end()
 	start := time.Now()
 	var st Stats
-	err = sess.Exclusive(ctx, func() error {
-		g, err := sess.RAM().AllocBuffers(min)
+	err = s.sess.Exclusive(ctx, func() error {
+		g, err := s.sess.RAM().AllocBuffers(min)
 		if err != nil {
 			return err
 		}
 		defer g.Release()
-		col := metrics.NewCollector(tok.Dev, tok.Bus, db.opts.Model)
-		col.Reset()
-		if err := col.Span(spanCompact, func() error {
-			return db.compactToken(tok)
-		}); err != nil {
-			return err
-		}
-		st = db.sessionStats(tok, col, min, sess.Buffers())
-		attachOperatorSpans(execSp, col, st.SimTime)
-		db.paceSlot(tok, execSp, st.SimTime)
-		return nil
-	})
-	execSp.End()
-	if err != nil {
+		st, err = s.meter("", func(col *metrics.Collector) error {
+			return col.Span(spanCompact, func() error { return db.compactToken(tok) })
+		})
 		return err
+	})
+	if err != nil {
+		return Stats{}, err
 	}
-	tr.Finish()
-	st.QueueWait = wait
 	db.inst.compactSecs[tok.id].Observe(time.Since(start).Seconds())
-	db.observeStatement("COMPACT", name, st)
-	return nil
+	db.observeStatement("COMPACT", fmt.Sprintf("COMPACT(token %d)", tok.id), st)
+	return st, nil
 }
 
 // compactToken rewrites the token's base state with its deltas folded

@@ -173,14 +173,13 @@ type Options struct {
 	// all simulated counters are unaffected. 0 disables pacing (the
 	// default).
 	PaceSimulation float64
-	// SlowQueryThreshold enables the slow-query log: completed SELECTs
-	// whose simulated time reaches the threshold are recorded in a ring
-	// buffer of canonical query text plus declassified cost scalars
-	// (see obs.SlowQuery). 0 disables the log (the default).
+	// SlowQueryThreshold enables the slow-query log: completed
+	// statements (SELECT, UPDATE, DELETE, COMPACT) whose simulated time
+	// reaches the threshold are recorded in a ring buffer of canonical
+	// query text plus declassified cost scalars (see obs.SlowQuery), the
+	// latest obs.DefaultSlowLogEntries of them. 0 disables the log (the
+	// default).
 	SlowQueryThreshold time.Duration
-	// SlowLogEntries caps the slow-query ring buffer (default
-	// obs.DefaultSlowLogEntries).
-	SlowLogEntries int
 	// CompactThreshold is the delta-log depth, in flash pages summed
 	// over a token's tables, at which a background compaction of that
 	// token starts (default DefaultCompactThreshold). Negative disables
@@ -419,7 +418,7 @@ func NewDB(sch *schema.Schema, opts Options) (*DB, error) {
 	}
 	db.reg = obs.NewRegistry()
 	if opts.SlowQueryThreshold > 0 {
-		db.slow = obs.NewSlowLog(opts.SlowQueryThreshold, opts.SlowLogEntries)
+		db.slow = obs.NewSlowLog(opts.SlowQueryThreshold, obs.DefaultSlowLogEntries)
 	}
 	db.inst = newInstruments(db)
 	return db, nil
@@ -458,9 +457,10 @@ func (db *DB) TokenOf(table int) *Token { return db.tokens[db.place.Of(table)] }
 // Placement exposes the table→token map.
 func (db *DB) Placement() *shard.Map { return db.place }
 
-// TokenTotals snapshots every token's cumulative session costs, shard
-// order. Summed across tokens, the flash and bus counters equal what an
-// unsharded engine reports for the same executed work.
+// TokenTotals snapshots every token's cumulative costs of metered
+// sessions (SELECT, UPDATE, DELETE, COMPACT; INSERT is not metered), in
+// shard order. Summed across tokens, the flash and bus counters equal
+// what an unsharded engine reports for the same executed work.
 func (db *DB) TokenTotals() []Totals {
 	out := make([]Totals, len(db.tokens))
 	for i, t := range db.tokens {
@@ -920,35 +920,27 @@ func (db *DB) runStatement(ctx context.Context, sql string, cfg QueryConfig) (*R
 // mutate shared structures (hidden images, indexes, row counts), so they
 // hold that token's slot — inserts into tables on *different* tokens
 // proceed in parallel (the write-through fan-out of a sharded load).
+// An INSERT is admitted like every statement but not metered: it uploads
+// nothing, returns zero Stats and books nothing into the token's totals,
+// and its I/O stays on the token's counters until the next metered
+// session zeroes them.
 func (db *DB) runInsert(ctx context.Context, ins sqlparse.Insert, plan *Plan, cfg QueryConfig) (*Result, error) {
-	tok := plan.tok
-	parent := cfg.traceParent()
-	admSp := parent.Start("admission")
-	sess, err := tok.sched.Acquire(ctx, sched.Request{
-		MinBuffers: plan.MinBuffers, WantBuffers: plan.WantBuffers})
-	admSp.End()
+	s, err := db.admit(ctx, plan.tok, sched.Request{
+		MinBuffers: plan.MinBuffers, WantBuffers: plan.WantBuffers}, cfg.traceParent())
 	if err != nil {
-		db.noteAdmissionErr(tok, err)
 		db.inst.queryErrs.Inc()
-		return nil, wrapAdmission(err)
+		return nil, err
 	}
-	defer sess.Release()
-	execSp := parent.Start("exec")
-	execSp.SetNote(fmt.Sprintf("token %d, grant %d buffers", tok.id, sess.Buffers()))
-	defer execSp.End()
-	err = sess.Exclusive(ctx, func() error {
-		slotStart := time.Now()
-		defer func() {
-			db.inst.slotOcc[tok.id].Observe(time.Since(slotStart).Seconds())
-		}()
+	defer s.end()
+	err = s.sess.Exclusive(ctx, func() error {
 		// Stage the insert's working set (hidden record + SKT row) in the
 		// session's private budget, so the accounting matches the plan.
-		g, err := sess.RAM().AllocBuffers(plan.MinBuffers)
+		g, err := s.sess.RAM().AllocBuffers(plan.MinBuffers)
 		if err != nil {
 			return err
 		}
 		defer g.Release()
-		return db.insertOn(tok, ins)
+		return db.insertOn(plan.tok, ins)
 	})
 	if err != nil {
 		db.inst.queryErrs.Inc()
@@ -973,16 +965,6 @@ func (db *DB) sessionRequest(plan *Plan, cfg QueryConfig) sched.Request {
 		want = min
 	}
 	return sched.Request{MinBuffers: min, WantBuffers: want}
-}
-
-// wrapAdmission tags never-admissible scheduler rejections with
-// ErrBudgetTooSmall so callers can tell a clean up-front denial from a
-// mid-run exhaustion.
-func wrapAdmission(err error) error {
-	if errors.Is(err, sched.ErrNeverAdmissible) {
-		return fmt.Errorf("%w: %w", ErrBudgetTooSmall, err)
-	}
-	return err
 }
 
 // Select executes a resolved query under the zero QueryConfig.
@@ -1020,125 +1002,57 @@ func (db *DB) runSelect(ctx context.Context, q *query.Query, plan *Plan, cfg Que
 	return res, nil
 }
 
-// runSelectOn runs one single-token plan as a session on its token and
-// merges the session's cost into that token's totals (but not into the
-// DB-level client totals — the caller does that once per client query).
+// runSelectOn runs one single-token plan as a session on its token
+// (whose totals meter books) but leaves the DB-level client totals to
+// the caller, which merges them once per client query.
 func (db *DB) runSelectOn(ctx context.Context, q *query.Query, plan *Plan, cfg QueryConfig) (*Result, error) {
-	tok := plan.tok
-	req := db.sessionRequest(plan, cfg)
-	parent := cfg.traceParent()
-	admSp := parent.Start("admission")
-	queued := time.Now()
-	sess, err := tok.sched.Acquire(ctx, req)
-	admSp.End()
+	s, err := db.admit(ctx, plan.tok, db.sessionRequest(plan, cfg), cfg.traceParent())
 	if err != nil {
-		db.noteAdmissionErr(tok, err)
-		return nil, wrapAdmission(err)
+		return nil, err
 	}
-	wait := time.Since(queued)
-	defer sess.Release()
-	execSp := parent.Start("exec")
-	execSp.SetNote(fmt.Sprintf("token %d, grant %d buffers", tok.id, sess.Buffers()))
-	defer execSp.End()
+	defer s.end()
 	var res *Result
-	err = sess.Exclusive(ctx, func() error {
-		slotStart := time.Now()
-		defer func() {
-			db.inst.slotOcc[tok.id].Observe(time.Since(slotStart).Seconds())
-		}()
+	err = s.sess.Exclusive(ctx, func() error {
 		r := &queryRun{
 			db:         db,
-			tok:        tok,
+			tok:        plan.tok,
 			q:          q,
 			cfg:        cfg,
 			plan:       plan,
-			bind:       plan.Bind(sess.Buffers()),
-			planMin:    req.MinBuffers,
+			bind:       plan.Bind(s.sess.Buffers()),
 			strategies: plan.Strategies(),
-			ram:        sess.RAM(),
-			// The collector snapshots the link speed at construction:
-			// SetThroughput calls during the run apply to later sessions
-			// only, so this query's CommTime is computed against one
-			// consistent speed.
-			col: metrics.NewCollector(tok.Dev, tok.Bus, db.opts.Model),
+			ram:        s.sess.RAM(),
 		}
-		// The token is exclusively ours: zero the device/bus counters so
-		// the collector's spans see only this query's I/O.
-		r.col.Reset()
-		// The query text is the only thing that ever leaves the secure
-		// perimeter (§1: "the only information revealed to a potential
-		// spy is which queries you pose"). Its upload is metered under
-		// its own cost span so the trace decomposition covers it.
-		if err := r.col.Span(spanBus, func() error {
-			return tok.Bus.Transfer(bus.Up, "query", len(q.SQL), q.SQL)
-		}); err != nil {
-			return err
-		}
-		out, err := r.execute()
+		st, err := s.meter(q.SQL, func(col *metrics.Collector) error {
+			r.col = col
+			out, err := r.execute()
+			if err != nil {
+				return err
+			}
+			if q.CountOnly {
+				out = &Result{
+					Columns: []string{"count(*)"},
+					Rows:    []schema.Row{{schema.IntVal(int64(len(out.Rows)))}},
+				}
+			}
+			res = out
+			return nil
+		})
 		if err != nil {
 			return err
 		}
-		if q.CountOnly {
-			out = &Result{
-				Columns: []string{"count(*)"},
-				Rows:    []schema.Row{{schema.IntVal(int64(len(out.Rows)))}},
-			}
+		st.Strategy = map[string]Strategy{}
+		for ti, strat := range r.strategies {
+			st.Strategy[db.Sch.Tables[ti].Name] = strat
 		}
-		out.Stats = r.collectStats()
-		out.Stats.QueueWait = wait
-		attachOperatorSpans(execSp, r.col, out.Stats.SimTime)
-		res = out
-		db.paceSlot(tok, execSp, out.Stats.SimTime)
+		st.Projector = cfg.Projector
+		res.Stats = st
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	tok.mergeTotals(res.Stats)
 	return res, nil
-}
-
-// paceSlot is paced mode (Options.PaceSimulation): under its own "pace"
-// span it holds tok's execution slot for a real-time shadow of the
-// statement's simulated cost, so wall-clock measurements see
-// device-bound (not host-CPU-bound) behavior.
-//
-//ghostdb:requires-slot
-func (db *DB) paceSlot(tok *Token, execSp *obs.Span, sim time.Duration) {
-	if db.opts.PaceSimulation <= 0 {
-		return
-	}
-	sp := execSp.Start("pace")
-	tok.pace(time.Duration(float64(sim) / db.opts.PaceSimulation))
-	sp.End()
-}
-
-// collectStats summarizes this query's cost from the counters the run
-// observed while it held its token.
-func (r *queryRun) collectStats() Stats {
-	db, tok := r.db, r.tok
-	down, up := tok.Bus.Counters()
-	total := metrics.Sample{Flash: tok.Dev.Counters(), BusDown: down, BusUp: up}
-	st := Stats{
-		IOTime:         db.opts.Model.IOTime(total),
-		CommTime:       db.opts.Model.CommTime(total, r.col.ThroughputMBps()),
-		Breakdown:      r.col.Breakdown(),
-		Flash:          tok.Dev.Counters(),
-		BusDown:        down,
-		BusUp:          up,
-		RAMHigh:        r.ram.HighWater(),
-		PlanMinBuffers: r.planMin,
-		GrantBuffers:   r.bind.GrantBuffers,
-		Shard:          tok.id,
-		Strategy:       map[string]Strategy{},
-		Projector:      r.cfg.Projector,
-		ops:            opCosts(r.col),
-	}
-	st.SimTime = st.IOTime + st.CommTime
-	for ti, s := range r.strategies {
-		st.Strategy[db.Sch.Tables[ti].Name] = s
-	}
-	return st
 }
 
 // columnLabel renders a projection header.

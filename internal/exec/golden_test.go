@@ -102,6 +102,55 @@ func goldenRandom() []goldenStmt {
 	return set
 }
 
+// goldenCompact is the writes corpus's stand-in statement for
+// DB.Compact.
+const goldenCompact = "COMPACT"
+
+// goldenWrites interleaves UPDATE (visible and hidden SET) and DELETE
+// from randomDML with INSERTs into a leaf and the root table and
+// random SELECTs that read through the live delta logs, then compacts
+// and reads the rebuilt images.
+func goldenWrites() []goldenStmt {
+	cards := writesCards()
+	rng := rand.New(rand.NewSource(36))
+	val := func() string { return fmt.Sprintf("'%010d'", rng.Intn(testDomain)) }
+	var set []goldenStmt
+	add := func(sql string) { set = append(set, goldenStmt{sql: sql}) }
+	for i := 0; i < 48; i++ {
+		add(randomDML(rng, cards))
+		switch i % 4 {
+		case 1:
+			add(fmt.Sprintf("INSERT INTO T12 VALUES (%s, %s, %s, %s, %s, %s)",
+				val(), val(), val(), val(), val(), val()))
+		case 2:
+			add(fmt.Sprintf("INSERT INTO T0 VALUES (%d, %d, %s, %s, %s, %s, %s, %s)",
+				rng.Intn(cards["T1"]), rng.Intn(cards["T2"]), val(), val(), val(), val(), val(), val()))
+		case 3:
+			add(randomQuery(rng))
+		}
+	}
+	add(goldenCompact)
+	for i := 0; i < 6; i++ {
+		add(randomQuery(rng))
+	}
+	return set
+}
+
+func writesCards() map[string]int {
+	return map[string]int{"T0": 900, "T1": 140, "T2": 110, "T11": 40, "T12": 40}
+}
+
+// tokenSample reads every token's device and bus counters, summed.
+func tokenSample(db *DB) (flash.Counters, uint64, uint64) {
+	var fc flash.Counters
+	var down, up uint64
+	for _, tok := range db.tokens {
+		d, u := tok.Bus.Counters()
+		fc, down, up = fc.Add(tok.Dev.Counters()), down+d, up+u
+	}
+	return fc, down, up
+}
+
 // goldenCorpora: paperq at scale 0.002 of the paper's cardinalities, the
 // random corpus on its usual fixture; each at the paper's 32-buffer
 // grant and at the 7-buffer floor, where sublist reduction really runs
@@ -124,11 +173,18 @@ var goldenCorpora = []struct {
 	{name: "paperq@0.002 x2, device = 2x image", seed: 11, buffers: []int{32}, tight: true,
 		stmts: func() []goldenStmt { return append(goldenPaperQ(), goldenPaperQ()...) },
 		cards: map[string]int{"T0": 20000, "T1": 2000, "T2": 2000, "T11": 200, "T12": 200}},
+	{name: "writes@36", seed: 97, stmts: goldenWrites, buffers: []int{32, minViableBuffers},
+		cards: writesCards()},
 }
 
 // recordGolden replays every corpus and returns its ledger sections plus,
 // for the sections at the ordinary device size, each statement's
-// per-operator samples (TestOperatorSpansPinned).
+// per-operator samples (TestOperatorSpansPinned). Automatic compaction
+// is off so the writes corpus compacts only where it says so. INSERT and
+// COMPACT return no Stats; their entries hold the device and bus
+// counters read the way the benchmark's ledger reads them: the change
+// across an INSERT, and the counters right after a compaction (whose
+// session zeroes them when it starts). They record no spans.
 func recordGolden(t *testing.T) ([]goldenSection, []spanSection) {
 	var out []goldenSection
 	var spans []spanSection
@@ -139,11 +195,31 @@ func recordGolden(t *testing.T) ([]goldenSection, []spanSection) {
 				image := newFixtureOpts(t, c.seed, c.cards, Options{FlashParams: dev}).db.Dev.PagesUsed()
 				dev.Blocks = 2*image/dev.PagesPerBlock + dev.ReserveBlocks
 			}
-			f := newFixtureOpts(t, c.seed, c.cards, Options{RAMBudget: buffers * 2048, FlashParams: dev})
+			f := newFixtureOpts(t, c.seed, c.cards, Options{
+				RAMBudget: buffers * 2048, FlashParams: dev, CompactThreshold: -1})
 			sec := goldenSection{Corpus: c.name, Buffers: buffers}
 			ssec := spanSection{Corpus: c.name, Buffers: buffers}
 			for _, st := range c.stmts() {
 				e := goldenEntry{SQL: st.sql, Strategy: st.cfg.Strategy.String(), Projector: st.cfg.Projector.String()}
+				if st.sql == goldenCompact || strings.HasPrefix(st.sql, "INSERT") {
+					fc, down, up := tokenSample(f.db)
+					var err error
+					if st.sql == goldenCompact {
+						err = f.db.Compact(context.Background())
+					} else {
+						_, err = f.db.RunCtx(context.Background(), st.sql, st.cfg)
+					}
+					if err != nil {
+						t.Fatalf("%s @%d %s: %v", c.name, buffers, st.sql, err)
+					}
+					e.Flash, e.BusDown, e.BusUp = tokenSample(f.db)
+					if st.sql != goldenCompact {
+						e.Flash, e.BusDown, e.BusUp = e.Flash.Sub(fc), e.BusDown-down, e.BusUp-up
+					}
+					sec.Entries = append(sec.Entries, e)
+					ssec.Statements = append(ssec.Statements, nil)
+					continue
+				}
 				res, err := f.db.RunCtx(context.Background(), st.sql, st.cfg)
 				switch {
 				case errors.Is(err, ErrBloomInfeasible):
@@ -154,6 +230,9 @@ func recordGolden(t *testing.T) ([]goldenSection, []spanSection) {
 					t.Fatalf("%s @%d [%s/%s] %s: %v", c.name, buffers, e.Strategy, e.Projector, st.sql, err)
 				default:
 					e.Rows = len(res.Rows)
+					if len(res.Columns) == 1 && res.Columns[0] == "affected" {
+						e.Rows = int(res.Rows[0][0].I) // UPDATE/DELETE
+					}
 					e.Flash, e.BusDown, e.BusUp = res.Stats.Flash, res.Stats.BusDown, res.Stats.BusUp
 				}
 				if f.db.RAM.Leaked() {

@@ -1,16 +1,13 @@
 package exec
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync/atomic"
 	"time"
 
-	"ghostdb/internal/metrics"
 	"ghostdb/internal/obs"
 	"ghostdb/internal/query"
-	"ghostdb/internal/sched"
 )
 
 // This file threads the leak-aware telemetry layer (internal/obs)
@@ -56,7 +53,6 @@ type instruments struct {
 
 	// Per-token (shard-labeled) instruments, indexed by token ordinal.
 	queueWait   []*obs.Histogram
-	slotOcc     []*obs.Histogram
 	rejections  []*obs.Counter
 	sheds       []*obs.Counter
 	compactSecs []*obs.Histogram
@@ -118,8 +114,9 @@ func newInstruments(db *DB) *instruments {
 		qw := r.Histogram("ghostdb_sched_queue_wait_seconds",
 			"wall-clock wait in the FIFO admission queue", obs.TimeBuckets(), shard)
 		inst.queueWait = append(inst.queueWait, qw)
-		inst.slotOcc = append(inst.slotOcc, r.Histogram("ghostdb_slot_occupancy_seconds",
-			"wall-clock time sessions hold the token's serial execution slot", obs.TimeBuckets(), shard))
+		occ := r.Histogram("ghostdb_slot_occupancy_seconds",
+			"wall-clock time sessions hold the token's serial execution slot", obs.TimeBuckets(), shard)
+		tok.sched.SetHoldObserver(func(hold time.Duration) { occ.Observe(hold.Seconds()) })
 		inst.rejections = append(inst.rejections, r.Counter("ghostdb_sched_rejections_total",
 			"admission requests rejected up front (plan floor exceeds the budget)", shard))
 		inst.sheds = append(inst.sheds, r.Counter("ghostdb_shed_total",
@@ -136,17 +133,18 @@ func newInstruments(db *DB) *instruments {
 			func() float64 { return float64(tok.Running()) }, shard)
 		r.GaugeFunc("ghostdb_token_ram_buffers", "secure RAM budget in whole buffers",
 			func() float64 { return float64(tok.RAMBuffers()) }, shard)
-		r.CounterFunc("ghostdb_token_sessions_total", "query sessions completed on this token",
+		r.CounterFunc("ghostdb_token_sessions_total",
+			"metered sessions (SELECT, UPDATE, DELETE, COMPACT; INSERT is not metered) completed on this token",
 			func() float64 { return float64(tok.Totals().Queries) }, shard)
-		r.CounterFunc("ghostdb_token_sim_seconds_total", "simulated seconds of completed sessions",
+		r.CounterFunc("ghostdb_token_sim_seconds_total", "simulated seconds of completed metered sessions",
 			func() float64 { return tok.Totals().SimTime.Seconds() }, shard)
-		r.CounterFunc("ghostdb_token_flash_reads_total", "flash page reads",
+		r.CounterFunc("ghostdb_token_flash_reads_total", "flash page reads of metered sessions",
 			func() float64 { return float64(tok.Totals().Flash.PageReads) }, shard)
-		r.CounterFunc("ghostdb_token_flash_writes_total", "flash page writes",
+		r.CounterFunc("ghostdb_token_flash_writes_total", "flash page writes of metered sessions",
 			func() float64 { return float64(tok.Totals().Flash.PageWrites) }, shard)
-		r.CounterFunc("ghostdb_token_bus_down_bytes_total", "bytes moved untrusted→token",
+		r.CounterFunc("ghostdb_token_bus_down_bytes_total", "bytes moved untrusted→token by metered sessions",
 			func() float64 { return float64(tok.Totals().BusDown) }, shard)
-		r.CounterFunc("ghostdb_token_bus_up_bytes_total", "bytes moved token→untrusted",
+		r.CounterFunc("ghostdb_token_bus_up_bytes_total", "bytes moved token→untrusted by metered sessions",
 			func() float64 { return float64(tok.Totals().BusUp) }, shard)
 		// Write-path families: everything here reads the token's
 		// declassified mirrors (statement counts and page depths —
@@ -216,39 +214,6 @@ func (cfg *QueryConfig) traceParent() *obs.Span {
 		return cfg.span
 	}
 	return cfg.Trace.Root()
-}
-
-// attachOperatorSpans converts the collector's per-operator cost spans
-// into sim-only children of the session's exec span, in first-seen
-// order, then adds the unattributed remainder as "other" — so the
-// children's simulated durations always sum to exactly the session's
-// SimTime (the EXPLAIN ANALYZE contract).
-func attachOperatorSpans(sp *obs.Span, col *metrics.Collector, simTime time.Duration) {
-	if sp == nil {
-		return
-	}
-	var sum time.Duration
-	for _, name := range col.Names() {
-		d := col.SimTimeOf(name)
-		sp.Add(name, d)
-		sum += d
-	}
-	if rest := simTime - sum; rest > 0 {
-		sp.Add("other", rest)
-	}
-	sp.SetSim(simTime)
-}
-
-// noteAdmissionErr classifies a failed Acquire into the per-shard
-// admission counters: clean up-front denials (plan floor over budget)
-// versus load sheds (predicted wait over the bound).
-func (db *DB) noteAdmissionErr(tok *Token, err error) {
-	switch {
-	case errors.Is(err, sched.ErrNeverAdmissible):
-		db.inst.rejections[tok.id].Inc()
-	case errors.Is(err, sched.ErrOverloaded):
-		db.inst.sheds[tok.id].Inc()
-	}
 }
 
 // observeStatement records one completed statement — kind-tagged

@@ -62,15 +62,14 @@ type resCol struct {
 //
 //ghostdb:requires-slot
 type queryRun struct {
-	db      *DB
-	tok     *Token // the secure token this session runs on
-	q       *query.Query
-	cfg     QueryConfig
-	plan    *Plan              // the prepared plan driving this run
-	bind    *Binding           // operator variants bound from the actual grant
-	planMin int                // the admission request's floor, for Stats
-	ram     *ram.Manager       // session-private budget, sized at admission
-	col     *metrics.Collector // per-query span collector (snapshots link speed)
+	db   *DB
+	tok  *Token // the secure token this session runs on
+	q    *query.Query
+	cfg  QueryConfig
+	plan *Plan              // the prepared plan driving this run
+	bind *Binding           // operator variants bound from the actual grant
+	ram  *ram.Manager       // session-private budget, sized at admission
+	col  *metrics.Collector // per-query span collector (snapshots link speed)
 
 	vis     map[int]*untrusted.VisResult
 	visKeys map[int]string // canonical Vis key per table (spool retention)

@@ -1,0 +1,147 @@
+package exec
+
+import (
+	"context"
+	"fmt"
+	"strings"
+	"testing"
+
+	"ghostdb/internal/flash"
+	"ghostdb/internal/obs"
+)
+
+// sessionSpans collects, depth first, the exec span of every session in
+// a trace, failing unless each directly follows its admission span.
+func sessionSpans(t *testing.T, sp obs.SpanJSON) []obs.SpanJSON {
+	t.Helper()
+	var out []obs.SpanJSON
+	for i, c := range sp.Children {
+		switch c.Name {
+		case "admission":
+			if i+1 == len(sp.Children) || sp.Children[i+1].Name != "exec" {
+				t.Fatalf("admission span under %q is not followed by an exec span", sp.Name)
+			}
+		case "exec":
+			if i == 0 || sp.Children[i-1].Name != "admission" {
+				t.Fatalf("exec span under %q does not follow an admission span", sp.Name)
+			}
+			out = append(out, c)
+		default:
+			out = append(out, sessionSpans(t, c)...)
+		}
+	}
+	return out
+}
+
+// TestEverySessionTakesOnePath runs each statement kind on a traced
+// two-token engine and checks that it reached its token through the one
+// admit/meter path: one admission span then one exec span per session
+// (two for a scatter), each carrying its token and grant; a slot hold
+// observed for every admission on every shard; and, for the metered
+// kinds, Stats with a queue wait, a grant and a RAM high water.
+func TestEverySessionTakesOnePath(t *testing.T) {
+	f := newForestFixtureOpts(t, 11, forestCards(), Options{
+		FlashParams:      flash.Params{PageSize: 2048, PagesPerBlock: 16, Blocks: 8192, ReserveBlocks: 4},
+		Shards:           2,
+		CompactThreshold: -1,
+	})
+	ctx := context.Background()
+	t0, _ := f.sch.Lookup("T0")
+	tok := f.db.TokenOf(t0.Index)
+	run := func(sql string) func(*obs.Trace) (Stats, error) {
+		return func(tr *obs.Trace) (Stats, error) {
+			res, err := f.db.RunCtx(ctx, sql, QueryConfig{Trace: tr})
+			if err != nil {
+				return Stats{}, err
+			}
+			return res.Stats, nil
+		}
+	}
+	steps := []struct {
+		name     string
+		run      func(*obs.Trace) (Stats, error)
+		sessions int
+		metered  bool
+	}{
+		{"SELECT", run(`SELECT T0.id, T1.v2 FROM T0, T1 WHERE T0.fk1 = T1.id AND T1.v1 < '0000000400' AND T1.h2 < '0000000500'`), 1, true},
+		{"scatter", run(`SELECT T12.id, U1.v1 FROM T12, U1 WHERE T12.h1 < '0000000200' AND U1.h2 < '0000000300'`), 2, true},
+		{"UPDATE", run(`UPDATE T1 SET h1 = '0000000007' WHERE T1.id <= 20`), 1, true},
+		{"DELETE", run(`DELETE FROM T2 WHERE T2.h1 < '0000000100'`), 1, true},
+		{"INSERT", run(`INSERT INTO T12 VALUES ('0000000001','0000000002','0000000003','0000000007','0000000005','0000000006')`), 1, false},
+		// DB.Compact runs compactOn per token; calling it directly lets
+		// the compaction nest under this step's trace.
+		{"COMPACT", func(tr *obs.Trace) (Stats, error) { return f.db.compactOn(ctx, tok, tr.Root()) }, 1, true},
+	}
+	reg := f.db.Metrics()
+	for _, step := range steps {
+		tr := obs.NewTrace(step.name)
+		st, err := step.run(tr)
+		if err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		tr.Finish()
+		execs := sessionSpans(t, tr.Snapshot())
+		if len(execs) != step.sessions {
+			t.Fatalf("%s: %d sessions in the trace, want %d", step.name, len(execs), step.sessions)
+		}
+		for _, ex := range execs {
+			var id, grant int
+			if _, err := fmt.Sscanf(ex.Note, "token %d, grant %d buffers", &id, &grant); err != nil || grant <= 0 {
+				t.Errorf("%s: exec span note %q", step.name, ex.Note)
+			}
+		}
+		for shard := 0; shard < 2; shard++ {
+			l := obs.L("shard", fmt.Sprint(shard))
+			holds := reg.FindHistogram("ghostdb_slot_occupancy_seconds", l).Count()
+			admits := reg.Counter("ghostdb_sched_admissions_total", "", l).Value()
+			if holds != admits {
+				t.Errorf("%s: shard %d observed %d slot holds for %d admissions", step.name, shard, holds, admits)
+			}
+		}
+		if step.metered && (st.QueueWait < 0 || st.GrantBuffers <= 0 || st.RAMHigh <= 0) {
+			t.Errorf("%s: QueueWait %v, GrantBuffers %d, RAMHigh %d", step.name, st.QueueWait, st.GrantBuffers, st.RAMHigh)
+		}
+	}
+	if tok.Compactions() != 1 {
+		t.Fatalf("%d compactions, want 1", tok.Compactions())
+	}
+}
+
+// TestTokenTotalsBookEveryMeteredSession is the one-token conservation
+// law: the Stats of every metered statement plus the counters of the
+// compaction sum to the token's totals, and only metered sessions
+// count. INSERT is not metered (its Stats are zero) and books nothing.
+func TestTokenTotalsBookEveryMeteredSession(t *testing.T) {
+	f := newFixtureOpts(t, 97, writesCards(), Options{
+		FlashParams:      flash.Params{PageSize: 2048, PagesPerBlock: 16, Blocks: 8192, ReserveBlocks: 4},
+		CompactThreshold: -1,
+	})
+	var want Totals
+	book := func(fc flash.Counters, down, up uint64) {
+		want.Queries++
+		want.Flash = want.Flash.Add(fc)
+		want.BusDown += down
+		want.BusUp += up
+	}
+	for _, st := range goldenWrites() {
+		if st.sql == goldenCompact {
+			if err := f.db.Compact(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			book(tokenSample(f.db))
+			continue
+		}
+		res, err := f.db.Run(st.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", st.sql, err)
+		}
+		if !strings.HasPrefix(st.sql, "INSERT") {
+			book(res.Stats.Flash, res.Stats.BusDown, res.Stats.BusUp)
+		}
+	}
+	got := f.db.TokenTotals()[0]
+	if got.Queries != want.Queries || got.Flash != want.Flash || got.BusDown != want.BusDown || got.BusUp != want.BusUp {
+		t.Fatalf("token totals %d sessions, %+v, bus %d/%d; metered sessions sum to %d, %+v, bus %d/%d",
+			got.Queries, got.Flash, got.BusDown, got.BusUp, want.Queries, want.Flash, want.BusDown, want.BusUp)
+	}
+}

@@ -100,8 +100,9 @@ type Token struct {
 type Unit interface {
 	// TokenID is the token's shard ordinal.
 	TokenID() int
-	// Totals is the cumulative simulated cost of the query sessions this
-	// token has completed.
+	// Totals is the cumulative simulated cost of the metered sessions
+	// (SELECT, UPDATE, DELETE, COMPACT) this token has completed; INSERT
+	// is admitted but not metered, so it is not booked.
 	Totals() Totals
 	// Running and QueueLen expose the admission scheduler's state.
 	Running() int
@@ -151,10 +152,10 @@ func (t *Token) Totals() Totals {
 	return t.totals
 }
 
-// mergeTotals folds one completed session's Stats into the token's
-// totals. Fan-out queries merge once per per-token sub-session, so the
-// per-shard byte counters always sum to exactly what an unsharded run
-// of the same work would report.
+// mergeTotals folds one metered session's Stats into the token's
+// totals (session.meter calls it). Fan-out queries merge once per
+// per-token sub-session, so the per-shard byte counters always sum to
+// exactly what an unsharded run of the same work would report.
 func (t *Token) mergeTotals(st Stats) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

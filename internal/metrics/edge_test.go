@@ -18,11 +18,8 @@ func TestZeroActivitySpan(t *testing.T) {
 	if s != (Sample{}) {
 		t.Fatalf("idle sample = %+v, want zero", s)
 	}
-	if got := col.TimeOf("idle"); got != 0 {
-		t.Fatalf("idle IO time = %v", got)
-	}
-	if got := col.CommTimeOf("idle"); got != 0 {
-		t.Fatalf("idle comm time = %v", got)
+	if got := col.SimTimeOf("idle"); got != 0 {
+		t.Fatalf("idle sim time = %v", got)
 	}
 	names := col.Names()
 	if len(names) != 1 || names[0] != "idle" {
@@ -31,8 +28,8 @@ func TestZeroActivitySpan(t *testing.T) {
 	if bd := col.Breakdown(); bd["idle"] != 0 {
 		t.Fatalf("breakdown = %v", bd)
 	}
-	if out := col.FormatBreakdown(); !containsStr(out, "idle") {
-		t.Fatalf("breakdown output missing idle span:\n%s", out)
+	if _, ok := col.Breakdown()["idle"]; !ok {
+		t.Fatal("breakdown is missing the idle span")
 	}
 }
 
@@ -57,7 +54,7 @@ func TestZeroActivityNestedSpans(t *testing.T) {
 // An unknown span name reads back as zero rather than panicking.
 func TestUnknownSpanIsZero(t *testing.T) {
 	_, _, col := testRig(t)
-	if col.SampleOf("never-opened") != (Sample{}) || col.TimeOf("never-opened") != 0 {
+	if col.SampleOf("never-opened") != (Sample{}) || col.SimTimeOf("never-opened") != 0 {
 		t.Fatal("unknown span should read as zero")
 	}
 }
@@ -115,14 +112,12 @@ func TestConcurrentSnapshots(t *testing.T) {
 					t.Errorf("names = %v", n)
 					return
 				}
-				if col.TimeOf("SJoin") != 200*time.Microsecond {
+				if col.SimTimeOf("SJoin") != 200*time.Microsecond {
 					t.Error("SJoin time changed under read-only access")
 					return
 				}
 				_ = col.Breakdown()
-				_ = col.FormatBreakdown()
-				_ = col.CommTimeOf("Project")
-				_ = col.Model()
+				_ = col.SimTimeOf("Project")
 				_ = col.ThroughputMBps()
 			}
 		}()

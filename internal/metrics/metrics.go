@@ -8,8 +8,6 @@
 package metrics
 
 import (
-	"fmt"
-	"sort"
 	"time"
 
 	"ghostdb/internal/bus"
@@ -90,8 +88,7 @@ func (m Model) Time(s Sample, throughputMBps float64) time.Duration {
 //
 // A Collector is single-writer: Span/Reset must not be called
 // concurrently. Once collection quiesces, the snapshot accessors
-// (SampleOf, Names, Breakdown, TimeOf, CommTimeOf, FormatBreakdown) are
-// read-only and safe to call from any number of goroutines.
+// (SampleOf, SimTimeOf, Names, Breakdown) are read-only and safe to call from any number of goroutines.
 type Collector struct {
 	dev   *flash.Device
 	ch    *bus.Channel
@@ -124,9 +121,6 @@ type spanAcc struct {
 func NewCollector(dev *flash.Device, ch *bus.Channel, model Model) *Collector {
 	return &Collector{dev: dev, ch: ch, model: model, mbps: ch.ThroughputMBps()}
 }
-
-// Model returns the collector's cost model.
-func (c *Collector) Model() Model { return c.model }
 
 // ThroughputMBps returns the link speed snapshotted at construction —
 // the single source of truth for this collection's communication
@@ -208,17 +202,6 @@ func (c *Collector) SampleOf(name string) Sample {
 	return Sample{}
 }
 
-// TimeOf returns the simulated I/O time of a span (no communication).
-func (c *Collector) TimeOf(name string) time.Duration {
-	return c.model.IOTime(c.SampleOf(name))
-}
-
-// CommTimeOf returns the simulated communication time of a span, at the
-// link speed snapshotted when the collector was created.
-func (c *Collector) CommTimeOf(name string) time.Duration {
-	return c.model.CommTime(c.SampleOf(name), c.mbps)
-}
-
 // SimTimeOf returns a span's full simulated duration — I/O plus
 // communication at the snapshotted link speed. Because activity is
 // attributed to the innermost open span only, summing SimTimeOf over
@@ -244,19 +227,6 @@ func (c *Collector) Breakdown() map[string]time.Duration {
 	out := make(map[string]time.Duration, len(c.order))
 	for _, slot := range c.order {
 		out[c.spans[slot].name] = c.model.IOTime(c.spans[slot].own)
-	}
-	return out
-}
-
-// FormatBreakdown renders the per-span costs for human consumption.
-func (c *Collector) FormatBreakdown() string {
-	names := c.Names()
-	sort.Strings(names)
-	out := ""
-	for _, n := range names {
-		f := c.SampleOf(n).Flash
-		out += fmt.Sprintf("%-10s %12v  (reads=%d writes=%d bytes=%d)\n",
-			n, c.TimeOf(n), f.PageReads, f.PageWrites, f.BytesToRAM)
 	}
 	return out
 }

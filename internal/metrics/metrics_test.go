@@ -64,7 +64,7 @@ func TestSpanAttribution(t *testing.T) {
 	if out.Flash.PageWrites != 1 || out.Flash.PageReads != 0 {
 		t.Fatalf("outer = %+v (must exclude inner)", out.Flash)
 	}
-	if got := col.TimeOf("outer"); got != 200*time.Microsecond {
+	if got := col.SimTimeOf("outer"); got != 200*time.Microsecond {
 		t.Fatalf("outer time = %v", got)
 	}
 }
@@ -98,32 +98,24 @@ func TestResetPanicsWithOpenSpans(t *testing.T) {
 	})
 }
 
-func TestFormatBreakdown(t *testing.T) {
+func TestBreakdown(t *testing.T) {
 	dev, _, col := testRig(t)
 	pg, _ := dev.Alloc()
 	buf := make([]byte, 2048)
 	_ = col.Span("Merge", func() error { return dev.Write(pg, buf) })
 	_ = col.Span("SJoin", func() error { return dev.ReadFull(pg, buf) })
-	out := col.FormatBreakdown()
-	for _, want := range []string{"Merge", "SJoin", "writes=1", "reads=1"} {
-		if !containsStr(out, want) {
-			t.Fatalf("breakdown missing %q:\n%s", want, out)
-		}
+	if m := col.SampleOf("Merge").Flash; m.PageWrites != 1 || m.PageReads != 0 {
+		t.Fatalf("Merge = %+v, want one write", m)
+	}
+	if s := col.SampleOf("SJoin").Flash; s.PageReads != 1 || s.PageWrites != 0 {
+		t.Fatalf("SJoin = %+v, want one read", s)
 	}
 	bd := col.Breakdown()
 	if bd["Merge"] != 200*time.Microsecond {
 		t.Fatalf("merge = %v", bd["Merge"])
 	}
-	if col.CommTimeOf("Merge") != 0 {
-		t.Fatal("no comm expected")
+	// No bus activity: the full simulated time is the I/O time alone.
+	if got := col.SimTimeOf("Merge"); got != bd["Merge"] {
+		t.Fatalf("Merge sim time %v, want its I/O time %v", got, bd["Merge"])
 	}
-}
-
-func containsStr(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
 }

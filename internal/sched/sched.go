@@ -94,6 +94,7 @@ type Scheduler struct {
 	admitted uint64 // admission sequence, for fairness assertions
 	leaks    int    // sessions released with outstanding sub-grants
 	onAdmit  func(wait time.Duration, grantBuffers int)
+	onHold   func(hold time.Duration)
 
 	maxWait time.Duration // shed bound; 0 disables shedding
 	avgSlot time.Duration // EWMA of Exclusive hold times, the wait predictor
@@ -156,6 +157,16 @@ func (s *Scheduler) SetAdmitObserver(fn func(wait time.Duration, grantBuffers in
 	s.mu.Unlock()
 }
 
+// SetHoldObserver registers fn to be called with the wall-clock time
+// of every Exclusive hold — the feed for slot-occupancy histograms.
+// Like the admit observer it is scheduling bookkeeping, runs under the
+// scheduler's lock and is set once, before traffic.
+func (s *Scheduler) SetHoldObserver(fn func(hold time.Duration)) {
+	s.mu.Lock()
+	s.onHold = fn
+	s.mu.Unlock()
+}
+
 // SetShedPolicy bounds the admission-queue wait: an arriving request
 // whose predicted wait exceeds maxWait is rejected immediately with
 // ErrOverloaded instead of joining the queue. 0 (the default) disables
@@ -193,13 +204,16 @@ func (s *Scheduler) predictedWaitLocked() time.Duration {
 
 // noteSlotHold feeds one Exclusive hold duration into the shed
 // predictor's EWMA (alpha 1/4: jumpy enough to track load shifts,
-// smooth enough to ignore one odd query).
+// smooth enough to ignore one odd query) and the hold observer.
 func (s *Scheduler) noteSlotHold(d time.Duration) {
 	s.mu.Lock()
 	if s.avgSlot == 0 {
 		s.avgSlot = d
 	} else {
 		s.avgSlot = (3*s.avgSlot + d) / 4
+	}
+	if s.onHold != nil {
+		s.onHold(d)
 	}
 	s.mu.Unlock()
 }
@@ -276,13 +290,15 @@ func (s *Scheduler) pumpLocked() {
 		s.queue = s.queue[1:]
 		s.running++
 		s.admitted++
+		wait := time.Since(w.enq)
 		if s.onAdmit != nil {
-			s.onAdmit(time.Since(w.enq), g.Buffers())
+			s.onAdmit(wait, g.Buffers())
 		}
 		sess := &Session{
 			s:     s,
 			grant: g,
 			seq:   s.admitted,
+			wait:  wait,
 			priv:  ram.NewManager(g.Bytes(), s.ram.BufferSize()),
 		}
 		w.ready <- sess
@@ -297,6 +313,7 @@ type Session struct {
 	grant *ram.Grant
 	priv  *ram.Manager
 	seq   uint64
+	wait  time.Duration // time spent in the admission queue
 
 	mu       sync.Mutex
 	released bool
@@ -314,6 +331,10 @@ func (sess *Session) Buffers() int { return sess.grant.Buffers() }
 // Seq returns the admission sequence number (1, 2, ... in admission
 // order); tests use it to assert FIFO fairness.
 func (sess *Session) Seq() uint64 { return sess.seq }
+
+// QueueWait returns the wall-clock time the session's request spent in
+// the admission queue — the value the admit observer saw.
+func (sess *Session) QueueWait() time.Duration { return sess.wait }
 
 // Exclusive runs fn holding the secure token's single execution slot,
 // serializing all simulated flash/bus access across sessions. The wait

@@ -447,3 +447,58 @@ func TestSheddingUnderConcurrentLoad(t *testing.T) {
 		t.Fatalf("budget not restored after load: inuse=%d", m.InUse())
 	}
 }
+
+// TestSessionKeepsItsWaitAndHoldsAreObserved pins the two readings the
+// engine takes from the scheduler: a session's QueueWait is the wait the
+// admit observer saw, and every Exclusive hold reaches the hold
+// observer, covering at least the time fn ran.
+func TestSessionKeepsItsWaitAndHoldsAreObserved(t *testing.T) {
+	s, _ := newSched(t, 4, 4)
+	var mu sync.Mutex
+	var waits, holds []time.Duration
+	s.SetAdmitObserver(func(wait time.Duration, _ int) {
+		mu.Lock()
+		waits = append(waits, wait)
+		mu.Unlock()
+	})
+	s.SetHoldObserver(func(hold time.Duration) {
+		mu.Lock()
+		holds = append(holds, hold)
+		mu.Unlock()
+	})
+	hog, err := s.Acquire(context.Background(), Request{MinBuffers: 4, WantBuffers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan *Session, 1)
+	go func() {
+		sess, err := s.Acquire(context.Background(), Request{MinBuffers: 2, WantBuffers: 2})
+		if err != nil {
+			t.Error(err)
+		}
+		got <- sess
+	}()
+	waitFor(t, "request queued", func() bool { return s.QueueLen() == 1 })
+	time.Sleep(5 * time.Millisecond)
+	if err := hog.Exclusive(context.Background(), func() error {
+		time.Sleep(2 * time.Millisecond)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	hog.Release()
+	queued := <-got
+	defer queued.Release()
+
+	mu.Lock()
+	defer mu.Unlock()
+	if len(waits) != 2 || waits[0] != hog.QueueWait() || waits[1] != queued.QueueWait() {
+		t.Fatalf("admit observer saw %v; sessions keep %v and %v", waits, hog.QueueWait(), queued.QueueWait())
+	}
+	if queued.QueueWait() < 5*time.Millisecond {
+		t.Fatalf("queued session waited %v, want at least 5ms", queued.QueueWait())
+	}
+	if len(holds) != 1 || holds[0] < 2*time.Millisecond {
+		t.Fatalf("hold observer saw %v, want one hold of at least 2ms", holds)
+	}
+}
