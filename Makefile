@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint fmt fuzz figures bench bench-test
+.PHONY: all build test race lint fmt fuzz figures bench bench-test coverage
 
 all: build lint test
 
@@ -42,3 +42,29 @@ bench:
 
 bench-test:
 	cd benchmark && $(GO) test .
+
+# Statement coverage of the product code (everything but benchmark/ and
+# internal/analysis) that the four benchmark workloads (2 s each,
+# untraced) and the paper's figures (scale 0.002) reach: per-package
+# percentages, the merged total, and every function no run entered.
+# Instrumented binaries and counters go under .bench_build/cover; ~30 s.
+COVER := .bench_build/cover
+coverage:
+	@set -e; rm -rf $(COVER); mkdir -p $(COVER)/data; \
+	export GOCACHE=$(CURDIR)/.bench_build/gocache GOTOOLCHAIN=local GOPROXY=off; \
+	(cd benchmark && $(GO) build -cover -coverpkg=ghostdb/... -o ../$(COVER)/ghostdb-benchmark .); \
+	$(GO) build -cover -coverpkg=ghostdb/... -o $(COVER)/ghostdb-bench ./cmd/ghostdb-bench; \
+	for w in paperq oltp-server write-mix open-mix; do \
+		echo "running $$w"; \
+		GOCOVERDIR=$(COVER)/data $(COVER)/ghostdb-benchmark -workload $$w -seconds 2 -trace 0 >/dev/null; \
+	done; \
+	echo "running ghostdb-bench -exp all -scale 0.002"; \
+	GOCOVERDIR=$(COVER)/data $(COVER)/ghostdb-bench -exp all -scale 0.002 >/dev/null; \
+	$(GO) tool covdata textfmt -i $(COVER)/data -o $(COVER)/all.txt; \
+	grep -v -e '^ghostdb/benchmark/' -e '^ghostdb/internal/analysis/' $(COVER)/all.txt > $(COVER)/product.txt; \
+	$(GO) tool cover -func $(COVER)/product.txt > $(COVER)/func.txt; \
+	echo "== statements reached, per package"; \
+	$(GO) tool covdata percent -i $(COVER)/data | grep -v -e 'ghostdb/benchmark' -e 'ghostdb/internal/analysis'; \
+	echo "== functions at 0%"; \
+	awk '$$NF == "0.0%"' $(COVER)/func.txt; \
+	echo "== $$(awk '$$NF == "0.0%"' $(COVER)/func.txt | wc -l) functions at 0%; product $$(tail -1 $(COVER)/func.txt | tr -s '\t ' ' ')"

@@ -32,7 +32,6 @@ import (
 	"ghostdb/internal/cache"
 	"ghostdb/internal/exec"
 	"ghostdb/internal/flash"
-	"ghostdb/internal/index"
 	"ghostdb/internal/obs"
 	"ghostdb/internal/schema"
 	"ghostdb/internal/sqlparse"
@@ -237,7 +236,6 @@ func (o Options) toExec() exec.Options {
 		fp.Blocks = o.FlashBlocks
 	}
 	eo.FlashParams = fp
-	eo.Variant = index.VariantFull
 	return eo
 }
 

@@ -84,7 +84,6 @@ func (db *DB) runDML(ctx context.Context, d *query.DML, plan *Plan, cfg QueryCon
 	s, err := db.admit(ctx, plan.tok, sched.Request{
 		MinBuffers: plan.MinBuffers, WantBuffers: plan.WantBuffers}, cfg.traceParent())
 	if err != nil {
-		db.inst.queryErrs.Inc()
 		return nil, err
 	}
 	defer s.end()
@@ -96,7 +95,7 @@ func (db *DB) runDML(ctx context.Context, d *query.DML, plan *Plan, cfg QueryCon
 			return err
 		}
 		defer g.Release()
-		st, err = s.meter(d.Canonical(), func(col *metrics.Collector) error {
+		st, err = s.meter(plan.SQL, func(col *metrics.Collector) error {
 			return col.Span(spanDML, func() error {
 				n, err := db.dmlOn(plan.tok, d)
 				affected = n
@@ -106,10 +105,8 @@ func (db *DB) runDML(ctx context.Context, d *query.DML, plan *Plan, cfg QueryCon
 		return err
 	})
 	if err != nil {
-		db.inst.queryErrs.Inc()
 		return nil, err
 	}
-	db.observeDML(d, st)
 	db.maybeCompact(plan.tok)
 	return &Result{
 		Columns: []string{"affected"},
@@ -440,7 +437,7 @@ func (db *DB) compactOn(ctx context.Context, tok *Token, parent *obs.Span) (Stat
 		return Stats{}, err
 	}
 	db.inst.compactSecs[tok.id].Observe(time.Since(start).Seconds())
-	db.observeStatement("COMPACT", fmt.Sprintf("COMPACT(token %d)", tok.id), st)
+	db.observeStatement("COMPACT", func() string { return fmt.Sprintf("COMPACT(token %d)", tok.id) }, st)
 	return st, nil
 }
 
@@ -453,11 +450,6 @@ func (db *DB) compactOn(ctx context.Context, tok *Token, parent *obs.Span) (Stat
 // indexes; the persistent tombstone set keeps excluding them at read
 // time, exactly as before the compaction, which is why answers are
 // unchanged and the result cache needs no invalidation.
-//
-// Only the FullIndex variant can compact: reduced variants keep no
-// per-table SKT, so the fk edges of inner tables cannot be recovered
-// for a rebuild. Under those variants the delta log simply accumulates
-// (the overlay-corrected read path stays correct, just slower).
 //
 //ghostdb:requires-slot
 func (db *DB) compactToken(tok *Token) error {
@@ -476,9 +468,6 @@ func (db *DB) compactToken(tok *Token) error {
 		}
 	}
 	if !work || cat == nil {
-		return nil
-	}
-	if cat.Variant != index.VariantFull {
 		return nil
 	}
 
@@ -589,7 +578,7 @@ func (db *DB) compactToken(tok *Token) error {
 	if len(inputs) == 0 {
 		return nil
 	}
-	newCat, err := index.Build(tok.Dev, db.Sch, inputs, cat.Variant)
+	newCat, err := index.Build(tok.Dev, db.Sch, inputs, index.VariantFull)
 	if err != nil {
 		return err
 	}

@@ -130,7 +130,6 @@ type Options struct {
 	RAMBudget      int     // secure chip RAM in bytes (default 64KB)
 	ThroughputMBps float64 // USB link speed (default 1.5)
 	Model          metrics.Model
-	Variant        index.Variant
 	// MaxConcurrentQueries bounds the query sessions admitted at once
 	// (default DefaultMaxConcurrentQueries; values below 1 mean 1).
 	MaxConcurrentQueries int
@@ -593,7 +592,7 @@ func (db *DB) Load(data map[int]*TableLoad) error {
 		if len(perTok[tok.id]) == 0 {
 			continue // token with no trees placed on it
 		}
-		cat, err := index.Build(tok.Dev, db.Sch, perTok[tok.id], db.opts.Variant)
+		cat, err := index.Build(tok.Dev, db.Sch, perTok[tok.id], index.VariantFull)
 		if err != nil {
 			return err
 		}
@@ -623,14 +622,18 @@ func (db *DB) Load(data map[int]*TableLoad) error {
 
 // Stats summarizes the cost of one query under the paper's cost model.
 type Stats struct {
-	SimTime   time.Duration // IOTime + CommTime
-	IOTime    time.Duration
-	CommTime  time.Duration
-	Breakdown map[string]time.Duration // per-operator I/O time (Figs 15-16)
-	Flash     flash.Counters
-	BusDown   uint64
-	BusUp     uint64
-	RAMHigh   int // high water of the query session's private RAM budget
+	SimTime  time.Duration // IOTime + CommTime
+	IOTime   time.Duration
+	CommTime time.Duration
+	// Ops lists the per-operator costs of the sessions behind these
+	// stats (one session, or one per scatter leg), each in the order its
+	// collector first completed them: the decomposition of Figures 15–16,
+	// the trace's operator spans and the slow log's span summary.
+	Ops     []metrics.Op
+	Flash   flash.Counters
+	BusDown uint64
+	BusUp   uint64
+	RAMHigh int // high water of the query session's private RAM budget
 	// PlanMinBuffers / GrantBuffers record the admission request's floor
 	// (the plan-derived minimum, possibly raised by the caller) and the
 	// elastic grant the session actually held.
@@ -655,40 +658,6 @@ type Stats struct {
 	// and moves zero bytes across the secure-token bus.
 	CacheHit    bool
 	CacheShared bool
-
-	// ops lists the cost spans of the sessions behind these stats (one
-	// session, or one per scatter leg), each in the order its collector
-	// first completed them. The slow-query log sums their full simulated
-	// durations by name (opSims); Breakdown above stays the exported
-	// I/O-only decomposition of Figures 15–16.
-	ops []opCost
-}
-
-// opCost is one cost span of a session: its counters and its full
-// simulated duration (I/O plus communication).
-type opCost struct {
-	name   string
-	sample metrics.Sample
-	sim    time.Duration
-}
-
-// opCosts copies a quiesced collector's spans.
-func opCosts(col *metrics.Collector) []opCost {
-	names := col.Names()
-	out := make([]opCost, len(names))
-	for i, name := range names {
-		out[i] = opCost{name: name, sample: col.SampleOf(name), sim: col.SimTimeOf(name)}
-	}
-	return out
-}
-
-// opSims sums the cost spans' simulated durations by name.
-func (st *Stats) opSims() map[string]time.Duration {
-	out := make(map[string]time.Duration, len(st.ops))
-	for _, op := range st.ops {
-		out[op.name] += op.sim
-	}
-	return out
 }
 
 // Result is a query answer plus its cost statistics. A Result is
@@ -704,9 +673,11 @@ type Result struct {
 	slack int64 // heap bytes Rows keep alive beyond their own (rowArena.finish)
 }
 
-// Totals accumulates the simulated cost of every completed query; one
-// query's Stats are merged in when it finishes, so the aggregate view
-// stays consistent under concurrency.
+// Totals accumulates the simulated cost of completed statements: the
+// client totals book every successful client statement once, a token's
+// totals every metered session on it. One statement's Stats are added
+// when it finishes, so the aggregate view stays consistent under
+// concurrency.
 type Totals struct {
 	Queries  uint64
 	SimTime  time.Duration
@@ -724,23 +695,29 @@ type Totals struct {
 	CacheShared uint64
 }
 
-// Totals returns a snapshot of the cumulative query costs.
+// add books one statement's Stats.
+func (t *Totals) add(st Stats) {
+	t.Queries++
+	t.SimTime += st.SimTime
+	t.IOTime += st.IOTime
+	t.CommTime += st.CommTime
+	t.Flash = t.Flash.Add(st.Flash)
+	t.BusDown += st.BusDown
+	t.BusUp += st.BusUp
+	if st.CacheHit {
+		t.CacheHits++
+	}
+	if st.CacheShared {
+		t.CacheShared++
+	}
+}
+
+// Totals returns a snapshot of the cumulative costs of every successful
+// client statement (SELECT, UPDATE, DELETE, INSERT; cache hits included).
 func (db *DB) Totals() Totals {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	return db.totals
-}
-
-func (db *DB) mergeTotals(st Stats) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.totals.Queries++
-	db.totals.SimTime += st.SimTime
-	db.totals.IOTime += st.IOTime
-	db.totals.CommTime += st.CommTime
-	db.totals.Flash = db.totals.Flash.Add(st.Flash)
-	db.totals.BusDown += st.BusDown
-	db.totals.BusUp += st.BusUp
 }
 
 // Run parses and executes one SQL statement under the zero QueryConfig
@@ -750,18 +727,16 @@ func (db *DB) Run(sql string) (*Result, error) {
 }
 
 // Stmt is a prepared statement: the parsed, resolved and planned form of
-// one SQL statement. Prepare is the single planning path — Run, RunCtx
-// and SelectCtx all go through it — so the plan a caller inspects is
-// exactly the plan admission will use. A Stmt is safe for concurrent
-// RunCtx calls with the configuration it was prepared under.
+// one SQL statement. Prepare and RunCtx share one preparation path, so
+// the plan a caller inspects is exactly the plan admission will use. A Stmt is safe for concurrent RunCtx calls with the
+// configuration it was prepared under.
 type Stmt struct {
 	db   *DB
 	sel  *query.Query // nil for INSERT/UPDATE/DELETE
 	ins  *sqlparse.Insert
 	dml  *query.DML // resolved UPDATE/DELETE
 	cfg  QueryConfig
-	plan *Plan
-	key  string // result-cache key ("" when the cache is disabled)
+	plan *Plan // nil for a SELECT that plans on its run (DB.RunCtx)
 }
 
 // Prepare parses, resolves and plans one SQL statement without admitting
@@ -769,19 +744,24 @@ type Stmt struct {
 // selectivity counts, and the plan's true minimum RAM footprint is
 // derived so admission can be sized from it.
 func (db *DB) Prepare(sql string, cfg QueryConfig) (*Stmt, error) {
+	return db.prepare(sql, cfg, true)
+}
+
+// prepare parses and resolves one statement, each under its trace span,
+// and plans it. A SELECT is planned only when planSelect is set: RunCtx
+// leaves it to the run, so with the result cache on a hit pays only
+// parse, resolve and the key derivation — no plan-time selectivity
+// scans and no token work.
+func (db *DB) prepare(sql string, cfg QueryConfig, planSelect bool) (*Stmt, error) {
 	if !db.loaded {
 		return nil, errors.New("exec: database not loaded")
 	}
+	parseSp := cfg.Trace.Root().Start("parse")
 	stmt, err := sqlparse.Parse(sql)
+	parseSp.End()
 	if err != nil {
 		return nil, err
 	}
-	return db.prepareParsed(stmt, sql, cfg)
-}
-
-// prepareParsed is Prepare after parsing, so callers that already hold
-// the AST (RunCtx) do not parse twice.
-func (db *DB) prepareParsed(stmt sqlparse.Statement, sql string, cfg QueryConfig) (*Stmt, error) {
 	switch st := stmt.(type) {
 	case *sqlparse.Select:
 		resolveSp := cfg.Trace.Root().Start("resolve")
@@ -790,15 +770,11 @@ func (db *DB) prepareParsed(stmt sqlparse.Statement, sql string, cfg QueryConfig
 		if err != nil {
 			return nil, err
 		}
-		planSp := cfg.Trace.Root().Start("plan")
-		p, err := db.PlanQuery(q, cfg)
-		planSp.End()
-		if err != nil {
-			return nil, err
-		}
-		ps := &Stmt{db: db, sel: q, cfg: cfg, plan: p}
-		if db.cache != nil {
-			ps.key = cacheKey(q, cfg)
+		ps := &Stmt{db: db, sel: q, cfg: cfg}
+		if planSelect {
+			if ps.plan, err = db.planSelect(q, cfg); err != nil {
+				return nil, err
+			}
 		}
 		return ps, nil
 	case sqlparse.Insert:
@@ -838,35 +814,24 @@ func (db *DB) prepareParsed(stmt sqlparse.Statement, sql string, cfg QueryConfig
 	return nil, fmt.Errorf("exec: unsupported statement %T", stmt)
 }
 
+// planSelect plans a resolved SELECT under a "plan" span.
+func (db *DB) planSelect(q *query.Query, cfg QueryConfig) (*Plan, error) {
+	sp := cfg.Trace.Root().Start("plan")
+	p, err := db.PlanQuery(q, cfg)
+	sp.End()
+	return p, err
+}
+
 // Plan returns the statement's execution plan.
 func (s *Stmt) Plan() *Plan { return s.plan }
 
-// RunCtx executes the prepared statement. Admission is sized from the
-// plan's derived floor (raised, never lowered, by cfg.MinBuffers); a
-// configuration whose strategy or projector differs from the prepared
-// one replans first, since those knobs change the plan itself.
+// RunCtx executes the prepared statement as one client statement.
+// Admission is sized from the plan's derived floor (raised, never
+// lowered, by cfg.MinBuffers); a configuration whose strategy or
+// projector differs from the prepared one replans for this run, since
+// those knobs change the plan itself.
 func (s *Stmt) RunCtx(ctx context.Context, cfg QueryConfig) (*Result, error) {
-	if s.ins != nil {
-		return s.db.runInsert(ctx, *s.ins, s.plan, cfg)
-	}
-	if s.dml != nil {
-		return s.db.runDML(ctx, s.dml, s.plan, cfg)
-	}
-	plan, key := s.plan, s.key
-	if cfg.Strategy != s.cfg.Strategy || cfg.Projector != s.cfg.Projector {
-		p, err := s.db.PlanQuery(s.sel, cfg)
-		if err != nil {
-			return nil, err
-		}
-		plan = p
-		if s.db.cache != nil {
-			key = cacheKey(s.sel, cfg)
-		}
-	}
-	if s.db.cache != nil {
-		return s.db.runSelectCached(ctx, s.sel, plan, cfg, key)
-	}
-	return s.db.runSelect(ctx, s.sel, plan, cfg)
+	return s.db.client(func() (*Result, error) { return s.run(ctx, cfg) })
 }
 
 // RunCtx parses, plans and executes one SQL statement with a per-query
@@ -875,44 +840,107 @@ func (s *Stmt) RunCtx(ctx context.Context, cfg QueryConfig) (*Result, error) {
 // free; cancelling ctx while queued abandons the request without having
 // reserved anything. Once execution has started it runs to completion
 // (the simulated hardware is synchronous).
-//
-// With the result cache enabled, SELECTs consult it before planning:
-// a hit pays only parse+resolve (the key derivation) — no plan-time
-// selectivity scans and no token work.
 func (db *DB) RunCtx(ctx context.Context, sql string, cfg QueryConfig) (*Result, error) {
-	if !db.loaded {
-		return nil, errors.New("exec: database not loaded")
-	}
-	// Client-level SLO bookkeeping: every statement entering here counts
-	// as in flight, and every success lands its wall-clock latency —
-	// queue wait, slot time and pacing included — in the rolling window
-	// behind /slo and ghostdb_slo_attainment.
-	db.inst.inFlight.Add(1)
-	start := time.Now()
-	res, err := db.runStatement(ctx, sql, cfg)
-	db.inst.inFlight.Add(-1)
-	if err == nil {
-		db.inst.wallWin.Observe(time.Since(start).Seconds())
-	}
-	return res, err
+	return db.client(func() (*Result, error) {
+		ps, err := db.prepare(sql, cfg, false)
+		if err != nil {
+			return nil, err
+		}
+		return ps.run(ctx, cfg)
+	})
 }
 
-// runStatement is RunCtx minus the client-level instrumentation.
-func (db *DB) runStatement(ctx context.Context, sql string, cfg QueryConfig) (*Result, error) {
-	parseSp := cfg.Trace.Root().Start("parse")
-	stmt, err := sqlparse.Parse(sql)
-	parseSp.End()
+// client is the one client step behind DB.RunCtx and Stmt.RunCtx: the
+// call counts as in flight until it returns, a success lands its
+// wall-clock latency — queue wait, slot time and pacing included — in
+// the rolling window behind /slo and ghostdb_slo_attainment, and a
+// failure of any stage counts once in ghostdb_query_errors_total.
+func (db *DB) client(call func() (*Result, error)) (*Result, error) {
+	db.inst.inFlight.Add(1)
+	start := time.Now()
+	res, err := call()
+	db.inst.inFlight.Add(-1)
+	if err != nil {
+		db.inst.queryErrs.Inc()
+		return nil, err
+	}
+	db.inst.wallWin.Observe(time.Since(start).Seconds())
+	return res, nil
+}
+
+// run executes the statement once and books a success once: its Stats
+// join the client totals, the simulated-latency histogram and, past its
+// threshold, the slow log. A cache hit is booked with its zero cost.
+func (s *Stmt) run(ctx context.Context, cfg QueryConfig) (*Result, error) {
+	db := s.db
+	var res *Result
+	var err error
+	kind := "SELECT"
+	switch {
+	case s.ins != nil:
+		kind = "INSERT"
+		res, err = db.runInsert(ctx, *s.ins, s.plan, cfg)
+	case s.dml != nil:
+		kind = "UPDATE"
+		if s.dml.Delete {
+			kind = "DELETE"
+		}
+		res, err = db.runDML(ctx, s.dml, s.plan, cfg)
+	default:
+		res, err = s.runSelect(ctx, cfg)
+	}
 	if err != nil {
 		return nil, err
 	}
-	if sel, ok := stmt.(*sqlparse.Select); ok && db.cache != nil {
-		return db.runCachedSelect(ctx, sel, sql, cfg)
+	db.mu.Lock()
+	db.totals.add(res.Stats)
+	db.mu.Unlock()
+	db.observeStatement(kind, s.canonical, res.Stats)
+	return res, nil
+}
+
+// canonical renders the statement's slow-log text: a SELECT's resolved
+// canonical form, else what its plan carries (a DML statement's
+// canonical form, an INSERT's target table).
+func (s *Stmt) canonical() string {
+	if s.sel != nil {
+		return s.sel.Canonical()
 	}
-	ps, err := db.prepareParsed(stmt, sql, cfg)
-	if err != nil {
-		return nil, err
+	return s.plan.SQL
+}
+
+// runSelect answers the SELECT: through the result cache when it is on,
+// else by executing it directly.
+func (s *Stmt) runSelect(ctx context.Context, cfg QueryConfig) (*Result, error) {
+	db, q, plan := s.db, s.sel, s.plan
+	if cfg.Strategy != s.cfg.Strategy || cfg.Projector != s.cfg.Projector {
+		plan = nil // those knobs change the plan itself: replan for this run
 	}
-	return ps.RunCtx(ctx, cfg)
+	if db.cache == nil {
+		return db.execSelect(ctx, q, plan, cfg)
+	}
+	return db.cachedSelect(ctx, q, cfg, func() (*Result, error) {
+		return db.execSelect(ctx, q, plan, cfg)
+	})
+}
+
+// execSelect plans q when plan is nil, then runs it. Single-token plans
+// run as one scheduled session on their token: FIFO RAM admission sized
+// from the plan's floor, operator variants bound from the actual grant,
+// then exclusive use of that token while the query runs, so per-query
+// counters and simulated timings are deterministic. Cross-token plans
+// fan out (runScatter).
+func (db *DB) execSelect(ctx context.Context, q *query.Query, plan *Plan, cfg QueryConfig) (*Result, error) {
+	if plan == nil {
+		var err error
+		if plan, err = db.planSelect(q, cfg); err != nil {
+			return nil, err
+		}
+	}
+	if len(plan.Parts) > 0 {
+		return db.runScatter(ctx, q, plan, cfg)
+	}
+	return db.runSelectOn(ctx, q, plan, cfg)
 }
 
 // runInsert executes an INSERT as a minimal session on the token owning
@@ -921,14 +949,13 @@ func (db *DB) runStatement(ctx context.Context, sql string, cfg QueryConfig) (*R
 // hold that token's slot — inserts into tables on *different* tokens
 // proceed in parallel (the write-through fan-out of a sharded load).
 // An INSERT is admitted like every statement but not metered: it uploads
-// nothing, returns zero Stats and books nothing into the token's totals,
-// and its I/O stays on the token's counters until the next metered
-// session zeroes them.
+// nothing, returns zero Stats (the client totals count it at that cost)
+// and books nothing into the token's totals, and its I/O stays on the
+// token's counters until the next metered session zeroes them.
 func (db *DB) runInsert(ctx context.Context, ins sqlparse.Insert, plan *Plan, cfg QueryConfig) (*Result, error) {
 	s, err := db.admit(ctx, plan.tok, sched.Request{
 		MinBuffers: plan.MinBuffers, WantBuffers: plan.WantBuffers}, cfg.traceParent())
 	if err != nil {
-		db.inst.queryErrs.Inc()
 		return nil, err
 	}
 	defer s.end()
@@ -943,7 +970,6 @@ func (db *DB) runInsert(ctx context.Context, ins sqlparse.Insert, plan *Plan, cf
 		return db.insertOn(plan.tok, ins)
 	})
 	if err != nil {
-		db.inst.queryErrs.Inc()
 		return nil, err
 	}
 	return &Result{}, nil
@@ -967,44 +993,8 @@ func (db *DB) sessionRequest(plan *Plan, cfg QueryConfig) sched.Request {
 	return sched.Request{MinBuffers: min, WantBuffers: want}
 }
 
-// Select executes a resolved query under the zero QueryConfig.
-func (db *DB) Select(q *query.Query) (*Result, error) {
-	return db.SelectCtx(context.Background(), q, QueryConfig{})
-}
-
-// SelectCtx plans and executes a resolved query (prepare-then-run for
-// callers that resolved the SQL themselves).
-func (db *DB) SelectCtx(ctx context.Context, q *query.Query, cfg QueryConfig) (*Result, error) {
-	plan, err := db.PlanQuery(q, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return db.runSelect(ctx, q, plan, cfg)
-}
-
-// runSelect executes a planned query. Single-token plans run as one
-// scheduled session on their token: FIFO RAM admission sized from the
-// plan's floor, operator variants bound from the actual grant, then
-// exclusive use of that token while the query runs, so per-query
-// counters and simulated timings are deterministic. Cross-token plans
-// fan out (runScatter).
-func (db *DB) runSelect(ctx context.Context, q *query.Query, plan *Plan, cfg QueryConfig) (*Result, error) {
-	if len(plan.Parts) > 0 {
-		return db.runScatter(ctx, q, plan, cfg)
-	}
-	res, err := db.runSelectOn(ctx, q, plan, cfg)
-	if err != nil {
-		db.inst.queryErrs.Inc()
-		return nil, err
-	}
-	db.mergeTotals(res.Stats)
-	db.observeSelect(q, res.Stats)
-	return res, nil
-}
-
 // runSelectOn runs one single-token plan as a session on its token
-// (whose totals meter books) but leaves the DB-level client totals to
-// the caller, which merges them once per client query.
+// (whose totals meter books); the client totals are Stmt.run's.
 func (db *DB) runSelectOn(ctx context.Context, q *query.Query, plan *Plan, cfg QueryConfig) (*Result, error) {
 	s, err := db.admit(ctx, plan.tok, db.sessionRequest(plan, cfg), cfg.traceParent())
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"ghostdb/internal/flash"
 	"ghostdb/internal/query"
@@ -383,12 +384,13 @@ func TestStatsBreakdownCoversCost(t *testing.T) {
 	if res.Stats.SimTime <= 0 || res.Stats.IOTime <= 0 {
 		t.Fatalf("stats = %+v", res.Stats)
 	}
-	var sum int64
-	for _, d := range res.Stats.Breakdown {
-		sum += int64(d)
+	var io, sim time.Duration
+	for _, op := range res.Stats.Ops {
+		io += f.db.opts.Model.IOTime(op.Sample)
+		sim += op.Sim
 	}
-	if sum <= 0 || sum > int64(res.Stats.IOTime) {
-		t.Fatalf("breakdown sum %d vs io %d", sum, int64(res.Stats.IOTime))
+	if io <= 0 || io > res.Stats.IOTime || sim > res.Stats.SimTime {
+		t.Fatalf("ops sum to io %v sim %v, stats io %v sim %v", io, sim, res.Stats.IOTime, res.Stats.SimTime)
 	}
 	if res.Stats.RAMHigh > f.db.RAM.Budget() {
 		t.Fatalf("RAM high water %d exceeds budget", res.Stats.RAMHigh)

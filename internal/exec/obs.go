@@ -6,8 +6,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ghostdb/internal/metrics"
 	"ghostdb/internal/obs"
-	"ghostdb/internal/query"
 )
 
 // This file threads the leak-aware telemetry layer (internal/obs)
@@ -45,9 +45,10 @@ type instruments struct {
 	simHist   *obs.Histogram
 	grantHist *obs.Histogram
 
-	// inFlight counts client-level statements between RunCtx entry and
-	// return (queued included); wallWin is the rolling wall-clock
-	// latency window the SLO gauges and /slo read.
+	// inFlight counts client statements (DB.RunCtx, Stmt.RunCtx)
+	// between entry and return, queued included; wallWin is the rolling
+	// wall-clock latency window of the successful ones, which the SLO
+	// gauges and /slo read.
 	inFlight atomic.Int64
 	wallWin  *obs.WindowedHistogram
 
@@ -66,15 +67,15 @@ type instruments struct {
 func newInstruments(db *DB) *instruments {
 	r := db.reg
 	inst := &instruments{
-		queryErrs: r.Counter("ghostdb_query_errors_total", "queries that failed during execution"),
+		queryErrs: r.Counter("ghostdb_query_errors_total", "failed client statements (parse, plan, admission or execution)"),
 		simHist: r.Histogram("ghostdb_query_sim_seconds",
-			"per-query simulated time under the paper's cost model (cache hits observe 0)", obs.TimeBuckets()),
+			"simulated time of each successful client statement and compaction (cache hits and INSERT observe 0)", obs.TimeBuckets()),
 		grantHist: r.Histogram("ghostdb_session_grant_buffers",
 			"elastic RAM grant per admitted session, in whole buffers", obs.GrantBuckets()),
 	}
 	inst.compactErrs = r.Counter("ghostdb_compaction_errors_total",
 		"background delta compactions that failed")
-	r.CounterFunc("ghostdb_queries_total", "completed queries, cache hits included",
+	r.CounterFunc("ghostdb_queries_total", "successful client statements (SELECT, UPDATE, DELETE, INSERT), cache hits included",
 		func() float64 { return float64(db.Totals().Queries) })
 	r.CounterFunc("ghostdb_slowlog_entries_total", "queries recorded by the slow-query log",
 		func() float64 { return float64(db.slow.Total()) })
@@ -217,16 +218,17 @@ func (cfg *QueryConfig) traceParent() *obs.Span {
 }
 
 // observeStatement records one completed statement — kind-tagged
-// SELECT/UPDATE/DELETE/COMPACT — into the simulated-latency histogram
-// and, when it clears the threshold, the slow log.
-func (db *DB) observeStatement(kind, canonical string, st Stats) {
+// SELECT/UPDATE/DELETE/INSERT/COMPACT — into the simulated-latency
+// histogram and, when it clears the threshold, the slow log. The
+// canonical text is built only for an entry the log records.
+func (db *DB) observeStatement(kind string, canonical func() string, st Stats) {
 	db.inst.simHist.Observe(st.SimTime.Seconds())
 	if db.slow == nil || st.SimTime < db.slow.Threshold() {
 		return
 	}
 	db.slow.Record(obs.SlowQuery{
 		Time:           time.Now(),
-		Query:          canonical,
+		Query:          canonical(),
 		Kind:           kind,
 		Shard:          st.Shard,
 		Scatter:        st.Scatter,
@@ -234,22 +236,8 @@ func (db *DB) observeStatement(kind, canonical string, st Stats) {
 		QueueWaitUs:    st.QueueWait.Microseconds(),
 		PlanMinBuffers: st.PlanMinBuffers,
 		GrantBuffers:   st.GrantBuffers,
-		Spans:          topSpanCosts(st.opSims(), 8),
+		Spans:          topSpanCosts(st.Ops, 8),
 	})
-}
-
-// observeSelect records one completed client-level SELECT.
-func (db *DB) observeSelect(q *query.Query, st Stats) {
-	db.observeStatement("SELECT", q.Canonical(), st)
-}
-
-// observeDML records one committed UPDATE or DELETE.
-func (db *DB) observeDML(d *query.DML, st Stats) {
-	kind := "UPDATE"
-	if d.Delete {
-		kind = "DELETE"
-	}
-	db.observeStatement(kind, d.Canonical(), st)
 }
 
 // SLOShard is one token's admission-side state in an SLO snapshot.
@@ -311,9 +299,13 @@ func (db *DB) SLO() SLOSnapshot {
 	return s
 }
 
-// topSpanCosts renders the per-operator simulated costs as a span
-// summary, slowest first, capped at n entries.
-func topSpanCosts(sims map[string]time.Duration, n int) []obs.SpanCost {
+// topSpanCosts sums the per-operator simulated costs by name into a
+// span summary, slowest first, capped at n entries.
+func topSpanCosts(ops []metrics.Op, n int) []obs.SpanCost {
+	sims := make(map[string]time.Duration, len(ops))
+	for _, op := range ops {
+		sims[op.Name] += op.Sim
+	}
 	out := make([]obs.SpanCost, 0, len(sims))
 	for name, d := range sims {
 		out = append(out, obs.SpanCost{Name: name, SimUs: d.Microseconds()})

@@ -42,9 +42,9 @@ type spanSection struct {
 // operatorSpans lists the cost spans of the sessions behind st.
 func operatorSpans(st Stats) []spanSample {
 	var out []spanSample
-	for _, op := range st.ops {
-		s := op.sample
-		out = append(out, spanSample{Op: op.name, N: [7]uint64{
+	for _, op := range st.Ops {
+		s := op.Sample
+		out = append(out, spanSample{Op: op.Name, N: [7]uint64{
 			s.Flash.PageReads, s.Flash.PageWrites, s.Flash.BlockErases,
 			s.Flash.BytesToRAM, s.Flash.GCPageMoves, s.BusDown, s.BusUp}})
 	}

@@ -303,7 +303,7 @@ func (r *queryRun) visibleOnlyFastPath() (*Result, bool, error) {
 		}
 	}
 	rows.finish(res)
-	// Stats are attached once by SelectCtx after execute returns.
+	// Stats are attached once by runSelectOn after execute returns.
 	return res, true, nil
 }
 

@@ -6,10 +6,8 @@ import (
 	"unsafe"
 
 	"ghostdb/internal/cache"
-	"ghostdb/internal/obs"
 	"ghostdb/internal/query"
 	"ghostdb/internal/schema"
-	"ghostdb/internal/sqlparse"
 )
 
 // This file wires the untrusted-side caches, two instances of
@@ -67,10 +65,10 @@ func cacheKey(q *query.Query, cfg QueryConfig) string {
 }
 
 // Shared returns a shallow copy of the result for handing to another
-// caller: Columns, Rows and the Breakdown map are shared with the
-// original. Both copies must be treated as immutable — the engine never
-// mutates a Result after returning it, and callers (including everything
-// behind the result cache) must not either.
+// caller: Columns, Rows and the Stats' Ops and Strategy are shared with
+// the original. Both copies must be treated as immutable — the engine
+// never mutates a Result after returning it, and callers (including
+// everything behind the result cache) must not either.
 func (r *Result) Shared() *Result {
 	cp := *r
 	return &cp
@@ -132,50 +130,21 @@ func (db *DB) BusCoalesced() uint64 {
 // not yet consumed, summed over every live scan.
 func (db *DB) PrefetchInflight() int64 { return db.prefetchInflight.Load() }
 
-// runCachedSelect is the cache fast path for one-shot SELECTs (RunCtx):
-// it resolves just far enough to derive the cache key, then defers
-// *planning as well as execution* into the singleflight compute — a hit
-// pays neither the plan-time selectivity scans nor any token work.
-func (db *DB) runCachedSelect(ctx context.Context, sel *sqlparse.Select, sql string, cfg QueryConfig) (*Result, error) {
-	resolveSp := cfg.Trace.Root().Start("resolve")
-	q, err := query.Resolve(db.Sch, sel, sql)
-	resolveSp.End()
-	if err != nil {
-		return nil, err
-	}
-	return db.cachedSelect(ctx, cfg.Trace, cacheKey(q, cfg), db.shardsOf(q), func() (*Result, error) {
-		planSp := cfg.Trace.Root().Start("plan")
-		plan, err := db.PlanQuery(q, cfg)
-		planSp.End()
-		if err != nil {
-			return nil, err
-		}
-		return db.runSelect(ctx, q, plan, cfg)
-	})
-}
-
-// runSelectCached answers an already-planned SELECT (a prepared Stmt)
-// through the result cache.
-func (db *DB) runSelectCached(ctx context.Context, q *query.Query, plan *Plan, cfg QueryConfig, key string) (*Result, error) {
-	return db.cachedSelect(ctx, cfg.Trace, key, db.shardsOf(q), func() (*Result, error) {
-		return db.runSelect(ctx, q, plan, cfg)
-	})
-}
-
 // cachedSelect routes one SELECT through the cache: hit → the
 // materialized result is shared with zero secure-token work; concurrent
 // identical queries → one computation (singleflight), shared result;
-// miss → compute runs (plan and/or execute) and its result is stored,
-// stamped with the versions of the shards the query touches (a pure
-// function of query text + schema placement) as observed before it
-// started, so a racing INSERT can never leave a stale entry behind —
-// and an INSERT to an untouched shard never evicts it at all.
-func (db *DB) cachedSelect(ctx context.Context, tr *obs.Trace, key string, shards []int, compute func() (*Result, error)) (*Result, error) {
-	// The cache span wraps the whole Do call; on a miss the compute's
-	// own plan/exec spans appear as siblings under the trace root (the
-	// lookup span's note records the outcome either way).
-	cacheSp := tr.Root().Start("cache")
-	v, outcome, err := db.cache.Do(ctx, key, shards, func() (any, int64, error) {
+// miss → compute runs (plan when unplanned, then execute) and its
+// result is stored, stamped with the versions of the shards the query
+// touches (a pure function of query text + schema placement) as
+// observed before it started, so a racing INSERT can never leave a
+// stale entry behind — and an INSERT to an untouched shard never evicts
+// it at all. Stmt.run books whatever it returns, a hit at zero cost.
+func (db *DB) cachedSelect(ctx context.Context, q *query.Query, cfg QueryConfig, compute func() (*Result, error)) (*Result, error) {
+	// The cache span wraps the key derivation and the whole Do call; on a
+	// miss the compute's own plan/exec spans appear as siblings under the
+	// trace root (the lookup span's note records the outcome either way).
+	cacheSp := cfg.Trace.Root().Start("cache")
+	v, outcome, err := db.cache.Do(ctx, cacheKey(q, cfg), db.shardsOf(q), func() (any, int64, error) {
 		res, err := compute()
 		if err != nil {
 			return nil, 0, err
@@ -190,7 +159,6 @@ func (db *DB) cachedSelect(ctx context.Context, tr *obs.Trace, key string, shard
 	if outcome == cache.Miss {
 		cacheSp.SetNote("miss")
 		cacheSp.End()
-		// The leader executed for real; runSelect already merged totals.
 		return res, nil
 	}
 	out := res.Shared()
@@ -204,24 +172,5 @@ func (db *DB) cachedSelect(ctx context.Context, tr *obs.Trace, key string, shard
 		cacheSp.SetNote("shared")
 	}
 	cacheSp.End()
-	db.mergeCacheTotals(outcome == cache.Shared)
-	// A hit is a served query with zero simulated cost: it belongs in
-	// the latency distribution exactly as the bench harness counts it.
-	db.inst.simHist.Observe(0)
 	return out, nil
-}
-
-// mergeCacheTotals accounts a query answered without execution: it
-// counts as a completed query, under its own hit/shared bucket, and
-// contributes zero simulated cost — that is the saving the benchmarks
-// attribute.
-func (db *DB) mergeCacheTotals(shared bool) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.totals.Queries++
-	if shared {
-		db.totals.CacheShared++
-	} else {
-		db.totals.CacheHits++
-	}
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"ghostdb/internal/query"
 	"ghostdb/internal/schema"
@@ -119,26 +118,18 @@ func (db *DB) runScatter(ctx context.Context, q *query.Query, plan *Plan, cfg Qu
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil && !errors.Is(err, context.Canceled) {
-			db.inst.queryErrs.Inc()
 			return nil, err
 		}
 	}
 	for _, err := range errs {
 		if err != nil {
-			db.inst.queryErrs.Inc()
 			return nil, err
 		}
 	}
 	mergeSp := parent.Start("merge")
 	res, err := db.mergeScatter(q, parts)
 	mergeSp.End()
-	if err != nil {
-		db.inst.queryErrs.Inc()
-		return nil, err
-	}
-	db.mergeTotals(res.Stats)
-	db.observeSelect(q, res.Stats)
-	return res, nil
+	return res, err
 }
 
 // mergeScatter composes the per-part results into the forest query's
@@ -235,10 +226,9 @@ func crossRows(q *query.Query, rowsets [][]schema.Row, mult int) []schema.Row {
 // Scatter records the fan-out width.
 func mergeScatterStats(parts []*Result) Stats {
 	st := Stats{
-		Shard:     -1,
-		Scatter:   len(parts),
-		Breakdown: map[string]time.Duration{},
-		Strategy:  map[string]Strategy{},
+		Shard:    -1,
+		Scatter:  len(parts),
+		Strategy: map[string]Strategy{},
 	}
 	for _, pr := range parts {
 		ps := pr.Stats
@@ -252,7 +242,7 @@ func mergeScatterStats(parts []*Result) Stats {
 		if ps.QueueWait > st.QueueWait {
 			st.QueueWait = ps.QueueWait
 		}
-		st.ops = append(st.ops, ps.ops...)
+		st.Ops = append(st.Ops, ps.Ops...)
 		st.Flash = st.Flash.Add(ps.Flash)
 		st.BusDown += ps.BusDown
 		st.BusUp += ps.BusUp
@@ -264,9 +254,6 @@ func mergeScatterStats(parts []*Result) Stats {
 		}
 		if ps.GrantBuffers > st.GrantBuffers {
 			st.GrantBuffers = ps.GrantBuffers
-		}
-		for k, v := range ps.Breakdown {
-			st.Breakdown[k] += v
 		}
 		for k, v := range ps.Strategy {
 			st.Strategy[k] = v

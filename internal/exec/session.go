@@ -91,7 +91,7 @@ func (s *session) meter(text string, body func(col *metrics.Collector) error) (S
 	st := Stats{
 		IOTime:         db.opts.Model.IOTime(total),
 		CommTime:       db.opts.Model.CommTime(total, col.ThroughputMBps()),
-		Breakdown:      col.Breakdown(),
+		Ops:            col.Ops(),
 		Flash:          total.Flash,
 		BusDown:        down,
 		BusUp:          up,
@@ -100,16 +100,14 @@ func (s *session) meter(text string, body func(col *metrics.Collector) error) (S
 		PlanMinBuffers: s.planMin,
 		GrantBuffers:   s.sess.Buffers(),
 		Shard:          tok.id,
-		ops:            opCosts(col),
 	}
 	st.SimTime = st.IOTime + st.CommTime
 	tok.mergeTotals(st)
 	if sp := s.span; sp != nil {
 		var sum time.Duration
-		for _, name := range col.Names() {
-			d := col.SimTimeOf(name)
-			sp.Add(name, d)
-			sum += d
+		for _, op := range st.Ops {
+			sp.Add(op.Name, op.Sim)
+			sum += op.Sim
 		}
 		if rest := st.SimTime - sum; rest > 0 {
 			sp.Add("other", rest)

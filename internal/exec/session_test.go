@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -143,5 +144,91 @@ func TestTokenTotalsBookEveryMeteredSession(t *testing.T) {
 	if got.Queries != want.Queries || got.Flash != want.Flash || got.BusDown != want.BusDown || got.BusUp != want.BusUp {
 		t.Fatalf("token totals %d sessions, %+v, bus %d/%d; metered sessions sum to %d, %+v, bus %d/%d",
 			got.Queries, got.Flash, got.BusDown, got.BusUp, want.Queries, want.Flash, want.BusDown, want.BusUp)
+	}
+}
+
+// TestEveryClientStatementBookedOnce drives every client entry point on
+// a two-token engine with the result cache on — RunCtx and prepared
+// statements, hits and misses, a scatter, every write kind and two kinds
+// of failure — and checks after each step that the statement landed
+// exactly once in every client-level count: the SLO window, the client
+// totals and the simulated-latency histogram count the successes, the
+// error counter the failures, the totals' hit count the cache hits, and
+// nothing is left in flight.
+func TestEveryClientStatementBookedOnce(t *testing.T) {
+	f := newForestFixtureOpts(t, 11, forestCards(), Options{
+		FlashParams:      flash.Params{PageSize: 2048, PagesPerBlock: 16, Blocks: 8192, ReserveBlocks: 4},
+		Shards:           2,
+		CompactThreshold: -1,
+		ResultCacheBytes: 1 << 20,
+	})
+	ctx := context.Background()
+	prepare := func(sql string) *Stmt {
+		ps, err := f.db.Prepare(sql, QueryConfig{})
+		if err != nil {
+			t.Fatalf("prepare %s: %v", sql, err)
+		}
+		return ps
+	}
+	run := func(sql string, cfg QueryConfig) func() error {
+		return func() error { _, err := f.db.RunCtx(ctx, sql, cfg); return err }
+	}
+	runPrepared := func(ps *Stmt, cfg QueryConfig) func() error {
+		return func() error { _, err := ps.RunCtx(ctx, cfg); return err }
+	}
+	const sel = `SELECT T0.id, T1.v2 FROM T0, T1 WHERE T0.fk1 = T1.id AND T1.v1 < '0000000400' AND T1.h2 < '0000000500'`
+	prepSel := prepare(`SELECT T0.id, T1.v1 FROM T0, T1 WHERE T0.fk1 = T1.id AND T1.v1 < '0000000300' AND T1.h1 < '0000000600'`)
+	prepDel := prepare(`DELETE FROM T2 WHERE T2.h1 < '0000000100'`)
+	steps := []struct {
+		name string
+		run  func() error
+		ok   bool
+		hit  bool
+	}{
+		{"RunCtx SELECT miss", run(sel, QueryConfig{}), true, false},
+		{"RunCtx SELECT hit", run(sel, QueryConfig{}), true, true},
+		{"prepared SELECT", runPrepared(prepSel, QueryConfig{}), true, false},
+		{"prepared SELECT, forced strategy", runPrepared(prepSel, QueryConfig{Strategy: StratCrossPre}), true, false},
+		{"scatter SELECT", run(`SELECT T12.id, U1.v1 FROM T12, U1 WHERE T12.h1 < '0000000200' AND U1.h2 < '0000000300'`, QueryConfig{}), true, false},
+		{"RunCtx UPDATE", run(`UPDATE T1 SET h1 = '0000000007' WHERE T1.id <= 20`, QueryConfig{}), true, false},
+		{"RunCtx INSERT", run(`INSERT INTO T12 VALUES ('0000000001','0000000002','0000000003','0000000007','0000000005','0000000006')`, QueryConfig{}), true, false},
+		{"prepared DELETE", runPrepared(prepDel, QueryConfig{}), true, false},
+		{"parse error", run(`SELEC T0.id FROM T0`, QueryConfig{}), false, false},
+		{"budget too small", run(`SELECT T1.id FROM T1 WHERE T1.h2 < '0000000050'`, QueryConfig{MinBuffers: 1 << 20}), false, false},
+	}
+	reg := f.db.Metrics()
+	var succeeded, failed, hits uint64
+	for _, step := range steps {
+		err := step.run()
+		if step.ok != (err == nil) {
+			t.Fatalf("%s: err = %v, want success %v", step.name, err, step.ok)
+		}
+		if step.name == "budget too small" && !errors.Is(err, ErrBudgetTooSmall) {
+			t.Fatalf("%s: err = %v, want ErrBudgetTooSmall", step.name, err)
+		}
+		if step.ok {
+			succeeded++
+		} else {
+			failed++
+		}
+		if step.hit {
+			hits++
+		}
+		slo, tot := f.db.SLO(), f.db.Totals()
+		sims := reg.FindHistogram("ghostdb_query_sim_seconds").Count()
+		errs := reg.Counter("ghostdb_query_errors_total", "").Value()
+		if slo.Count != succeeded || tot.Queries != succeeded || sims != succeeded {
+			t.Errorf("%s: SLO count %d, totals %d, sim histogram %d; want %d successes each",
+				step.name, slo.Count, tot.Queries, sims, succeeded)
+		}
+		if errs != failed {
+			t.Errorf("%s: %d errors counted, want %d", step.name, errs, failed)
+		}
+		if tot.CacheHits != hits {
+			t.Errorf("%s: %d cache hits booked, want %d", step.name, tot.CacheHits, hits)
+		}
+		if slo.InFlight != 0 {
+			t.Errorf("%s: %d statements still in flight", step.name, slo.InFlight)
+		}
 	}
 }

@@ -158,14 +158,8 @@ func (t *Token) Totals() Totals {
 // exactly what an unsharded run of the same work would report.
 func (t *Token) mergeTotals(st Stats) {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.totals.Queries++
-	t.totals.SimTime += st.SimTime
-	t.totals.IOTime += st.IOTime
-	t.totals.CommTime += st.CommTime
-	t.totals.Flash = t.totals.Flash.Add(st.Flash)
-	t.totals.BusDown += st.BusDown
-	t.totals.BusUp += st.BusUp
+	t.totals.add(st)
+	t.mu.Unlock()
 }
 
 // catalog returns the token's index catalog under mu: compaction swaps

@@ -200,10 +200,12 @@ func runPoint(db *exec.DB, sql string, strat exec.Strategy, proj exec.Projector,
 	// Fold index-lookup cost into the Merge bucket: in the paper's
 	// decomposition (Figure 15) the production of the sublists that Merge
 	// consumes is part of the Merge cost; our engine tracks it separately
-	// as "CI" (tree descents) and "Scan" (unindexed fallback).
-	bd := make(map[string]time.Duration, len(res.Stats.Breakdown))
-	for k, v := range res.Stats.Breakdown {
-		bd[k] = v
+	// as "CI" (tree descents) and "Scan" (unindexed fallback). Each bar
+	// prices its operator's flash I/O only.
+	model := db.Options().Model
+	bd := make(map[string]time.Duration, len(res.Stats.Ops))
+	for _, op := range res.Stats.Ops {
+		bd[op.Name] += model.IOTime(op.Sample)
 	}
 	bd["Merge"] += bd["CI"] + bd["Scan"]
 	delete(bd, "CI")

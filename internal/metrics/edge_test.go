@@ -8,28 +8,15 @@ import (
 
 // A span that performs no I/O at all (a zero-duration session in the
 // simulated cost model) must still be recorded: zero sample, zero
-// times, name present, and a stable breakdown entry.
+// time, and the span still listed.
 func TestZeroActivitySpan(t *testing.T) {
 	_, _, col := testRig(t)
 	if err := col.Span("idle", func() error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	s := col.SampleOf("idle")
-	if s != (Sample{}) {
-		t.Fatalf("idle sample = %+v, want zero", s)
-	}
-	if got := col.SimTimeOf("idle"); got != 0 {
-		t.Fatalf("idle sim time = %v", got)
-	}
-	names := col.Names()
-	if len(names) != 1 || names[0] != "idle" {
-		t.Fatalf("names = %v", names)
-	}
-	if bd := col.Breakdown(); bd["idle"] != 0 {
-		t.Fatalf("breakdown = %v", bd)
-	}
-	if _, ok := col.Breakdown()["idle"]; !ok {
-		t.Fatal("breakdown is missing the idle span")
+	ops := col.Ops()
+	if len(ops) != 1 || ops[0] != (Op{Name: "idle"}) {
+		t.Fatalf("ops = %+v, want one zero-cost idle span", ops)
 	}
 }
 
@@ -43,19 +30,30 @@ func TestZeroActivityNestedSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := col.SampleOf("outer"); s != (Sample{}) {
-		t.Fatalf("outer = %+v, want zero", s)
+	for _, op := range col.Ops() {
+		if op.Sample != (Sample{}) || op.Sim != 0 {
+			t.Fatalf("%s = %+v, want zero", op.Name, op)
+		}
 	}
-	if s := col.SampleOf("inner"); s != (Sample{}) {
-		t.Fatalf("inner = %+v, want zero", s)
+	if n := opNames(col); len(n) != 2 {
+		t.Fatalf("ops = %v, want inner and outer", n)
 	}
 }
 
-// An unknown span name reads back as zero rather than panicking.
+// A span name never opened is absent from Ops, and a fresh or reset
+// collector lists nothing.
 func TestUnknownSpanIsZero(t *testing.T) {
 	_, _, col := testRig(t)
-	if col.SampleOf("never-opened") != (Sample{}) || col.SimTimeOf("never-opened") != 0 {
-		t.Fatal("unknown span should read as zero")
+	if ops := col.Ops(); len(ops) != 0 {
+		t.Fatalf("fresh collector lists %+v", ops)
+	}
+	_ = col.Span("opened", func() error { return nil })
+	if opOf(col, "never-opened") != (Op{}) {
+		t.Fatal("unknown span should be absent")
+	}
+	col.Reset()
+	if ops := col.Ops(); len(ops) != 0 {
+		t.Fatalf("reset collector lists %+v", ops)
 	}
 }
 
@@ -104,20 +102,19 @@ func TestConcurrentSnapshots(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				if col.SampleOf("Merge").Flash.PageWrites != 1 {
+				ops := col.Ops()
+				if len(ops) != 3 {
+					t.Errorf("ops = %+v", ops)
+					return
+				}
+				if ops[0].Sample.Flash.PageWrites != 1 {
 					t.Error("Merge sample changed under read-only access")
 					return
 				}
-				if n := col.Names(); len(n) != 3 {
-					t.Errorf("names = %v", n)
-					return
-				}
-				if col.SimTimeOf("SJoin") != 200*time.Microsecond {
+				if ops[1].Sim != 200*time.Microsecond {
 					t.Error("SJoin time changed under read-only access")
 					return
 				}
-				_ = col.Breakdown()
-				_ = col.SimTimeOf("Project")
 				_ = col.ThroughputMBps()
 			}
 		}()

@@ -87,8 +87,9 @@ func (m Model) Time(s Sample, throughputMBps float64) time.Duration {
 // Figure 15 sums to the total).
 //
 // A Collector is single-writer: Span/Reset must not be called
-// concurrently. Once collection quiesces, the snapshot accessors
-// (SampleOf, SimTimeOf, Names, Breakdown) are read-only and safe to call from any number of goroutines.
+// concurrently. Once collection quiesces, the snapshot accessors (Ops,
+// ThroughputMBps) are read-only and safe to call from any number of
+// goroutines.
 type Collector struct {
 	dev   *flash.Device
 	ch    *bus.Channel
@@ -102,7 +103,7 @@ type Collector struct {
 	// a name is interned to its slot by a scan (a query uses a dozen
 	// names, all package constants, so nearly every probe is a length or
 	// pointer comparison). order lists the slots in first-completed
-	// order, which is what Names reports. stack is the open spans,
+	// order, which is what Ops reports. stack is the open spans,
 	// innermost last, and last the counters when a span last opened or
 	// closed: whatever moved since belongs to the innermost open span.
 	spans []spanAcc
@@ -194,39 +195,25 @@ func (c *Collector) slot(name string) int {
 	return -1
 }
 
-// SampleOf returns the accumulated activity of a span.
-func (c *Collector) SampleOf(name string) Sample {
-	if i := c.slot(name); i >= 0 {
-		return c.spans[i].own
-	}
-	return Sample{}
+// Op is one completed span's cost: its accumulated activity and its
+// full simulated duration — I/O plus communication at the collector's
+// snapshotted link speed.
+type Op struct {
+	Name   string
+	Sample Sample
+	Sim    time.Duration
 }
 
-// SimTimeOf returns a span's full simulated duration — I/O plus
-// communication at the snapshotted link speed. Because activity is
-// attributed to the innermost open span only, summing SimTimeOf over
-// Names() decomposes the session's attributed cost without double
-// counting; the trace layer builds its per-operator spans from this.
-func (c *Collector) SimTimeOf(name string) time.Duration {
-	return c.model.Time(c.SampleOf(name), c.mbps)
-}
-
-// Names returns the span names in first-seen order.
-func (c *Collector) Names() []string {
-	out := make([]string, len(c.order))
+// Ops returns every completed span, in first-completed order. Because
+// activity is attributed to the innermost open span only, summing Sim
+// over the list decomposes the session's attributed cost without double
+// counting; activity outside every span is not included (use the Device
+// counters for grand totals).
+func (c *Collector) Ops() []Op {
+	out := make([]Op, len(c.order))
 	for i, slot := range c.order {
-		out[i] = c.spans[slot].name
-	}
-	return out
-}
-
-// Breakdown returns each completed span's I/O time (no communication),
-// keyed by span name. Activity outside every span is not included; use
-// the Device counters for grand totals.
-func (c *Collector) Breakdown() map[string]time.Duration {
-	out := make(map[string]time.Duration, len(c.order))
-	for _, slot := range c.order {
-		out[c.spans[slot].name] = c.model.IOTime(c.spans[slot].own)
+		sp := &c.spans[slot]
+		out[i] = Op{Name: sp.name, Sample: sp.own, Sim: c.model.Time(sp.own, c.mbps)}
 	}
 	return out
 }

@@ -19,6 +19,25 @@ func testRig(t *testing.T) (*flash.Device, *bus.Channel, *Collector) {
 	return dev, ch, NewCollector(dev, ch, DefaultModel())
 }
 
+// opOf returns the named span's entry of col.Ops(), zero when absent.
+func opOf(col *Collector, name string) Op {
+	for _, op := range col.Ops() {
+		if op.Name == name {
+			return op
+		}
+	}
+	return Op{}
+}
+
+// opNames lists col.Ops()'s names in order.
+func opNames(col *Collector) []string {
+	var out []string
+	for _, op := range col.Ops() {
+		out = append(out, op.Name)
+	}
+	return out
+}
+
 func TestIOTimeMath(t *testing.T) {
 	m := DefaultModel()
 	s := Sample{Flash: flash.Counters{PageReads: 4, PageWrites: 2, BytesToRAM: 1000}}
@@ -56,15 +75,15 @@ func TestSpanAttribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = ch
-	in := col.SampleOf("inner")
-	out := col.SampleOf("outer")
+	in := opOf(col, "inner").Sample
+	out := opOf(col, "outer").Sample
 	if in.Flash.PageReads != 1 || in.Flash.PageWrites != 0 {
 		t.Fatalf("inner = %+v", in.Flash)
 	}
 	if out.Flash.PageWrites != 1 || out.Flash.PageReads != 0 {
 		t.Fatalf("outer = %+v (must exclude inner)", out.Flash)
 	}
-	if got := col.SimTimeOf("outer"); got != 200*time.Microsecond {
+	if got := opOf(col, "outer").Sim; got != 200*time.Microsecond {
 		t.Fatalf("outer time = %v", got)
 	}
 }
@@ -76,10 +95,10 @@ func TestSpanAccumulatesAcrossCalls(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		_ = col.Span("w", func() error { return dev.Write(pg, buf) })
 	}
-	if col.SampleOf("w").Flash.PageWrites != 3 {
-		t.Fatalf("accumulated = %+v", col.SampleOf("w").Flash)
+	if w := opOf(col, "w").Sample.Flash; w.PageWrites != 3 {
+		t.Fatalf("accumulated = %+v", w)
 	}
-	names := col.Names()
+	names := opNames(col)
 	if len(names) != 1 || names[0] != "w" {
 		t.Fatalf("names = %v", names)
 	}
@@ -104,18 +123,22 @@ func TestBreakdown(t *testing.T) {
 	buf := make([]byte, 2048)
 	_ = col.Span("Merge", func() error { return dev.Write(pg, buf) })
 	_ = col.Span("SJoin", func() error { return dev.ReadFull(pg, buf) })
-	if m := col.SampleOf("Merge").Flash; m.PageWrites != 1 || m.PageReads != 0 {
+	ops := col.Ops()
+	if len(ops) != 2 || ops[0].Name != "Merge" || ops[1].Name != "SJoin" {
+		t.Fatalf("ops = %+v, want Merge then SJoin", ops)
+	}
+	if m := ops[0].Sample.Flash; m.PageWrites != 1 || m.PageReads != 0 {
 		t.Fatalf("Merge = %+v, want one write", m)
 	}
-	if s := col.SampleOf("SJoin").Flash; s.PageReads != 1 || s.PageWrites != 0 {
+	if s := ops[1].Sample.Flash; s.PageReads != 1 || s.PageWrites != 0 {
 		t.Fatalf("SJoin = %+v, want one read", s)
 	}
-	bd := col.Breakdown()
-	if bd["Merge"] != 200*time.Microsecond {
-		t.Fatalf("merge = %v", bd["Merge"])
+	io := DefaultModel().IOTime(ops[0].Sample)
+	if io != 200*time.Microsecond {
+		t.Fatalf("merge = %v", io)
 	}
 	// No bus activity: the full simulated time is the I/O time alone.
-	if got := col.SimTimeOf("Merge"); got != bd["Merge"] {
-		t.Fatalf("Merge sim time %v, want its I/O time %v", got, bd["Merge"])
+	if ops[0].Sim != io {
+		t.Fatalf("Merge sim time %v, want its I/O time %v", ops[0].Sim, io)
 	}
 }

@@ -32,8 +32,8 @@ func (c *refCollector) span(name string, f func(child *Sample)) Sample {
 
 // TestSpanTreesMatchReferenceProperty drives random nested span trees,
 // with flash and bus activity at every level, through the collector and
-// the reference at once: each name's own-cost sample, the first-completed
-// Names() order and the exact decomposition (samples sum to the device
+// the reference at once: each name's own-cost sample and simulated time,
+// the first-completed Ops() order and the exact decomposition (samples sum to the device
 // and bus totals) must agree.
 func TestSpanTreesMatchReferenceProperty(t *testing.T) {
 	names := []string{"Vis", "CI", "Merge", "SJoin", "BF", "Store", "Project", "Bus"}
@@ -81,15 +81,19 @@ func TestSpanTreesMatchReferenceProperty(t *testing.T) {
 		for len(ref.order) == 0 {
 			tree(0, &top)
 		}
-		if got := col.Names(); !reflect.DeepEqual(got, ref.order) {
-			t.Fatalf("seed %d: Names() = %v, reference order %v", seed, got, ref.order)
+		if got := opNames(col); !reflect.DeepEqual(got, ref.order) {
+			t.Fatalf("seed %d: Ops() order = %v, reference order %v", seed, got, ref.order)
 		}
 		var sum Sample
-		for _, n := range col.Names() {
-			if got, want := col.SampleOf(n), ref.spans[n]; got != want {
-				t.Fatalf("seed %d: span %s = %+v, reference %+v", seed, n, got, want)
+		for _, op := range col.Ops() {
+			want := ref.spans[op.Name]
+			if op.Sample != want {
+				t.Fatalf("seed %d: span %s = %+v, reference %+v", seed, op.Name, op.Sample, want)
 			}
-			sum = sum.Add(col.SampleOf(n))
+			if sim := DefaultModel().Time(want, col.ThroughputMBps()); op.Sim != sim {
+				t.Fatalf("seed %d: span %s sim %v, reference %v", seed, op.Name, op.Sim, sim)
+			}
+			sum = sum.Add(op.Sample)
 		}
 		if sum != top || sum != col.now() {
 			t.Fatalf("seed %d: spans sum to %+v, top-level spans saw %+v, counters say %+v", seed, sum, top, col.now())
@@ -126,7 +130,7 @@ func TestSettleCoversEveryCounter(t *testing.T) {
 		_ = ch.Transfer(bus.Down, "vis-ids", 3, "")
 		return ch.Transfer(bus.Up, "query", 5, "q")
 	})
-	got := col.SampleOf("all")
+	got := opOf(col, "all").Sample
 	if want := col.now(); got != want {
 		t.Fatalf("span saw %+v, counters say %+v", got, want)
 	}
