@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint fmt fuzz figures bench bench-test coverage
+.PHONY: all build test race lint fmt fuzz figures golden bench bench-test coverage
 
 all: build lint test
 
@@ -33,6 +33,13 @@ fuzz:
 # simulated time (machine-independent).
 figures:
 	$(GO) run ./cmd/ghostdb-bench -exp all
+
+# Rewrite the three pinned outputs from this build: the counter and
+# operator-span ledgers and the scale-0.002 figures. Only for a change
+# meant to move simulated behaviour; explain every changed line.
+golden:
+	$(GO) test ./internal/exec -run 'TestGoldenCounterLedger|TestOperatorSpansPinned' -update
+	$(GO) test ./cmd/ghostdb-bench -run TestFiguresPinned -update
 
 # The two-clock benchmark (benchmark/README.md): every workload,
 # untraced then traced, ~2 min. bench-test runs the same pipeline at

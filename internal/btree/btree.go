@@ -44,6 +44,7 @@ type Tree struct {
 	height int // 1 = root is a leaf
 	count  int
 	pages  int
+	writes int // Insert calls so far: a cursor trusts its held leaf only while this holds still
 }
 
 // New creates an empty tree with the given key and payload widths.
@@ -392,13 +393,15 @@ func (t *Tree) Lookup(key []byte) ([]byte, error) {
 	return p, nil
 }
 
-// Cursor iterates leaf entries in key order.
+// Cursor iterates leaf entries in key order. Entries 0..n-1 of buf are
+// the leaf it holds, read while the tree's write count was writes; n = 0
+// means it holds none.
 type Cursor struct {
-	t   *Tree
-	buf []byte
-	pg  flash.PageID
-	i   int
-	n   int
+	t      *Tree
+	buf    []byte
+	i      int
+	n      int
+	writes int
 }
 
 // Seek positions a new cursor at the first entry with key >= the given key.
@@ -422,15 +425,24 @@ func (t *Tree) NewCursor(buf []byte) *Cursor {
 }
 
 // Seek repositions the cursor at the first entry with key >= the given
-// key: one full descent, exactly as Tree.Seek.
+// key. When the leaf the cursor holds now has first < key <= last and
+// the tree has not been written since it was read, that leaf holds the
+// answer (leaves are chained in key order, so no earlier leaf can hold
+// an entry >= key): Seek searches it and reads no page. Otherwise it
+// descends from the root, exactly as Tree.Seek. Sorted probes therefore
+// pay one descent per leaf they touch, not one per key.
 func (c *Cursor) Seek(key []byte) error {
 	t := c.t
-	leaf, _, err := t.descend(key, c.buf, false)
-	if err != nil {
-		return err
+	if !c.holds(key) {
+		// A descent reads inner nodes into buf: forget the held leaf
+		// first, so a read error mid-descent leaves nothing to trust.
+		c.n = 0
+		if _, _, err := t.descend(key, c.buf, false); err != nil {
+			return err
+		}
+		c.n, c.writes = nodeCount(c.buf), t.writes
 	}
-	n := nodeCount(c.buf)
-	lo, hi, pos := 0, n-1, n
+	lo, hi, pos := 0, c.n-1, c.n
 	for lo <= hi {
 		mid := (lo + hi) / 2
 		k, _ := t.leafEntry(c.buf, mid)
@@ -444,8 +456,18 @@ func (c *Cursor) Seek(key []byte) error {
 	// Because internal first-keys equal their subtree minimum, an exact
 	// lower bound never requires stepping back; but an absent key can
 	// leave us at the end of a leaf whose successor holds the answer.
-	c.pg, c.i, c.n = leaf, pos, n
+	c.i = pos
 	return nil
+}
+
+// holds reports whether the held leaf is current and has first < key <= last.
+func (c *Cursor) holds(key []byte) bool {
+	if c.n == 0 || c.writes != c.t.writes {
+		return false
+	}
+	first, _ := c.t.leafEntry(c.buf, 0)
+	last, _ := c.t.leafEntry(c.buf, c.n-1)
+	return bytes.Compare(first, key) < 0 && bytes.Compare(key, last) <= 0
 }
 
 // First positions a cursor at the smallest entry.
@@ -457,7 +479,7 @@ func (t *Tree) First() (*Cursor, error) {
 			return nil, err
 		}
 		if buf[hdrType] == nodeLeaf {
-			return &Cursor{t: t, buf: buf, pg: pg, i: 0, n: nodeCount(buf)}, nil
+			return &Cursor{t: t, buf: buf, n: nodeCount(buf), writes: t.writes}, nil
 		}
 		_, child := t.intEntry(buf, 0)
 		pg = child
@@ -472,12 +494,12 @@ func (c *Cursor) Next() (key, payload []byte, ok bool, err error) {
 		if next == flash.InvalidPage {
 			return nil, nil, false, nil
 		}
+		c.n = 0
 		if err := c.t.readNode(next, c.buf); err != nil {
 			return nil, nil, false, err
 		}
-		c.pg = next
 		c.i = 0
-		c.n = nodeCount(c.buf)
+		c.n, c.writes = nodeCount(c.buf), c.t.writes
 	}
 	k, p := c.t.leafEntry(c.buf, c.i)
 	c.i++
@@ -489,6 +511,7 @@ func (t *Tree) Insert(key, payload []byte) error {
 	if len(key) != t.keyW || len(payload) != t.payW {
 		return fmt.Errorf("btree: entry widths %d/%d, want %d/%d", len(key), len(payload), t.keyW, t.payW)
 	}
+	t.writes++
 	buf := make([]byte, t.dev.PageSize())
 	leaf, path, err := t.descend(key, buf, true)
 	if err != nil {

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -369,5 +371,141 @@ func TestSeekLandsBeforeDuplicateRunAcrossLeaves(t *testing.T) {
 	}
 	if count != 41 { // 1 original + 40 duplicates
 		t.Fatalf("duplicates visible from Seek = %d, want 41", count)
+	}
+}
+
+// scanEq seeks c to key and reads entries while they equal key plus the
+// first one past them, as a climbing-index lookup does. It returns the
+// entries read ("key/payload" strings) and the page reads spent.
+func scanEq(t *testing.T, dev *flash.Device, c *Cursor, key uint64) ([]string, uint64) {
+	t.Helper()
+	before := dev.Counters().PageReads
+	if err := c.Seek(key8(key)); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for {
+		k, p, ok, err := c.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		v := binary.BigEndian.Uint64(k)
+		got = append(got, fmt.Sprintf("%d/%d", v, binary.BigEndian.Uint32(p)))
+		if v != key {
+			break
+		}
+	}
+	return got, dev.Counters().PageReads - before
+}
+
+func TestReusedSeekMatchesFreshProperty(t *testing.T) {
+	// Property: one cursor re-seeked across a probe sequence returns, for
+	// every key, what a fresh cursor returns, and never reads more pages.
+	// Keys are even with runs of duplicates longer than a leaf (20
+	// entries per 256-byte page), so odd probes fall between entries and
+	// between leaves, and probes below 10 or above the maximum miss the
+	// tree; some sequences insert between seeks, often the very key
+	// about to be probed, which lands in the leaf the cursor holds.
+	rng := rand.New(rand.NewSource(38))
+	var reused, fresh uint64
+	for trial := 0; trial < 200; trial++ {
+		dev := flash.MustDevice(flash.Params{PageSize: 256, PagesPerBlock: 8, Blocks: 1024, ReserveBlocks: 4})
+		var keys []uint64
+		for v := uint64(10); len(keys) < 50+rng.Intn(1500); v += 2 {
+			for r := 1 + rng.Intn(3)*rng.Intn(25); r > 0; r-- {
+				keys = append(keys, v)
+			}
+		}
+		entries := make([]Entry, len(keys))
+		for i, k := range keys {
+			entries[i] = Entry{Key: key8(k), Payload: pay4(uint32(i))}
+		}
+		tr, err := Bulk(dev, 8, 4, &SliceSource{Entries: entries})
+		if err != nil {
+			t.Fatal(err)
+		}
+		maxKey := keys[len(keys)-1]
+		probes := make([]uint64, 1+rng.Intn(300))
+		for i := range probes {
+			probes[i] = uint64(rng.Intn(int(maxKey) + 20))
+		}
+		sorted, inserts := trial%2 == 0, trial%3 == 0
+		if sorted {
+			slices.Sort(probes)
+		}
+		c := tr.NewCursor(nil)
+		for i, key := range probes {
+			if inserts && rng.Intn(4) == 0 {
+				at := key
+				if rng.Intn(2) == 0 {
+					at = uint64(rng.Intn(int(maxKey) + 20))
+				}
+				if err := tr.Insert(key8(at), pay4(uint32(100000+i))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, r := scanEq(t, dev, c, key)
+			want, f := scanEq(t, dev, tr.NewCursor(nil), key)
+			if !slices.Equal(got, want) {
+				t.Fatalf("trial %d (sorted %v, inserts %v), probe %d key %d:\n reused %v\n fresh  %v",
+					trial, sorted, inserts, i, key, got, want)
+			}
+			if r > f {
+				t.Fatalf("trial %d, probe %d key %d: reused cursor read %d pages, fresh %d", trial, i, key, r, f)
+			}
+			if sorted {
+				reused, fresh = reused+r, fresh+f
+			}
+		}
+	}
+	// Sorted probes must actually reuse the held leaf.
+	if reused*4 > fresh*3 {
+		t.Fatalf("sorted probes read %d pages re-seeking one cursor, %d with fresh cursors", reused, fresh)
+	}
+}
+
+func TestSeekAfterFailedDescentDescends(t *testing.T) {
+	// A read error part-way down leaves an inner node in the cursor's
+	// buffer; the next Seek must not take it for the leaf it held. The
+	// injected root is an inner node whose single child is unmapped and
+	// whose bytes, read as leaf entries, look like a leaf holding the
+	// probed key with a wrong payload.
+	dev := testDev(t)
+	const base = 0x00F00000 // low 32 bits of every key: an unmapped page id
+	keys := make([]uint64, 2000)
+	for i := range keys {
+		keys[i] = base + uint64(2*i)
+	}
+	tr := bulkOf(t, dev, keys)
+	key := keys[1000]
+	c := tr.NewCursor(nil)
+	want, _ := scanEq(t, dev, c, key)
+
+	img := make([]byte, dev.PageSize())
+	for i := 0; leafHdr+(i+1)*12 <= len(img); i++ {
+		k, p := tr.leafEntry(img, i)
+		copy(k, key8(key-1+uint64(i)))
+		copy(p, pay4(0xDEAD))
+	}
+	tr.initInternal(img, 1)
+	bogus, err := dev.Alloc()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dev.Write(bogus, img); err != nil {
+		t.Fatal(err)
+	}
+	root := tr.root
+	tr.root = bogus
+	if err := c.Seek(key8(keys[0])); err == nil {
+		t.Fatal("descent through an unmapped child succeeded")
+	}
+	tr.root = root
+	got, reads := scanEq(t, dev, c, key)
+	if !slices.Equal(got, want) || reads == 0 {
+		t.Fatalf("after a failed descent: %v in %d reads, want %v from a descent", got, reads, want)
 	}
 }

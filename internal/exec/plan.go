@@ -3,6 +3,7 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"time"
@@ -713,8 +714,7 @@ func (p *Plan) estimate(db *DB, q *query.Query) {
 		sel *= tp.SV
 		switch tp.Strategy {
 		case StratPre, StratCrossPre:
-			// One id-index climb per visible id (≈ the tree height).
-			reads += float64(tp.VisCount) * 3
+			reads += p.idClimbReads(tp)
 		}
 	}
 	for _, hp := range q.HiddenPreds() {
@@ -747,6 +747,42 @@ func (p *Plan) estimate(db *DB, q *query.Query) {
 		PageReads:  uint64(p.EstPageReads),
 		PageWrites: uint64(p.EstPageWrites),
 	}})
+}
+
+// idClimbReads prices a table's Pre or Cross-Pre climb: its visible ids
+// probe the table's id index in sorted order. The index geometry is
+// read from the widths its tree was built with (fixed at load, so this
+// needs no slot), at the ~90% fill a bulk load leaves in every node.
+func (p *Plan) idClimbReads(tp TablePlan) float64 {
+	ci, ok := p.tok.catalog().IDIndex(tp.TableIdx)
+	if !ok {
+		return 0
+	}
+	tr := ci.Tree()
+	usable := p.BufferBytes * 9 / 10
+	leafCap := maxInt(usable/(tr.KeyWidth()+tr.PayloadWidth()), 1)
+	fanout := maxInt(usable/(tr.KeyWidth()+4), 2) // key + child page id
+	return idProbeReads(tp.VisCount, tp.Rows, leafCap, fanout)
+}
+
+// idProbeReads is the expected page reads of n sorted id probes into an
+// id index over rows dense ids, leafCap entries to a leaf and fanout
+// children to an inner node. A probe descends only when its id leaves
+// the leaf the cursor holds, so the probes pay one descent (the tree's
+// height) per distinct leaf they touch: L·(1 − (1 − 1/L)ⁿ) of the L
+// leaves for ids spread uniformly. Every input is public: the visible
+// count, the table's cardinality and the index geometry.
+func idProbeReads(n, rows, leafCap, fanout int) float64 {
+	if n <= 0 || rows <= 0 {
+		return 0
+	}
+	leaves := (rows + leafCap - 1) / leafCap
+	height := 1
+	for nodes := leaves; nodes > 1; nodes = (nodes + fanout - 1) / fanout {
+		height++
+	}
+	l := float64(leaves)
+	return l * (1 - math.Pow(1-1/l, float64(n))) * float64(height)
 }
 
 // hiddenSelOf estimates one hidden predicate's selectivity for the cost

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -370,5 +371,59 @@ func TestExplainRendersPlan(t *testing.T) {
 	}
 	if !ins.Plan().Insert || ins.Plan().MinBuffers < 1 {
 		t.Fatalf("insert plan = %+v", ins.Plan())
+	}
+}
+
+// TestIDProbeReadsMatchesBruteForce checks the Pre-Filter climb's price
+// against counted leaves. Exhaustively: over every sequence of n ids
+// drawn from a tiny index, the mean number of distinct leaves times the
+// height is the closed form, exactly. Sampled: n distinct ids, as a
+// visible selection yields them, touch the predicted number of leaves
+// of a paper-sized id index to within 3%.
+func TestIDProbeReadsMatchesBruteForce(t *testing.T) {
+	for _, c := range []struct{ rows, leafCap, n, height int }{
+		{6, 2, 1, 2}, {6, 2, 3, 2}, {6, 2, 5, 2}, {9, 3, 4, 2}, {8, 1, 4, 2}, {4, 4, 3, 1},
+	} {
+		total, seqs := 0, 0
+		ids := make([]int, c.n)
+		var walk func(int)
+		walk = func(i int) {
+			if i == c.n {
+				leaves := map[int]bool{}
+				for _, id := range ids {
+					leaves[id/c.leafCap] = true
+				}
+				total, seqs = total+len(leaves), seqs+1
+				return
+			}
+			for id := 0; id < c.rows; id++ {
+				ids[i] = id
+				walk(i + 1)
+			}
+		}
+		walk(0)
+		want := float64(total) / float64(seqs) * float64(c.height)
+		if got := idProbeReads(c.n, c.rows, c.leafCap, 8); math.Abs(got-want) > 1e-9 {
+			t.Errorf("rows %d, %d a leaf, n %d: idProbeReads %.6f, brute force %.6f", c.rows, c.leafCap, c.n, got, want)
+		}
+	}
+	rng := rand.New(rand.NewSource(16))
+	const rows, leafCap, fanout, height = 100000, 150, 229, 3
+	for _, n := range []int{10, 100, 1000, 10000, 50000} {
+		touched := 0
+		for draw := 0; draw < 10; draw++ {
+			leaves := map[int]bool{}
+			for _, id := range rng.Perm(rows)[:n] {
+				leaves[id/leafCap] = true
+			}
+			touched += len(leaves)
+		}
+		want := float64(touched) / 10 * height
+		if got := idProbeReads(n, rows, leafCap, fanout); math.Abs(got-want) > 0.03*want {
+			t.Errorf("n %d of %d rows: idProbeReads %.1f, counted %.1f", n, rows, got, want)
+		}
+	}
+	if got := idProbeReads(0, rows, leafCap, fanout); got != 0 {
+		t.Errorf("no visible ids priced at %.1f reads", got)
 	}
 }

@@ -3,6 +3,8 @@ package experiments
 import (
 	"testing"
 	"time"
+
+	"ghostdb/internal/exec"
 )
 
 // These tests assert the *shapes* the paper reports — who wins, by
@@ -143,14 +145,18 @@ func TestFig10PostStopsAtHalf(t *testing.T) {
 	if s["Post-Filter"][0.5].Skipped {
 		t.Fatal("Post-Filter should still run at sV=0.5")
 	}
-	// Pre wins at very low sV; Post wins in the middle range (paper: "Post-
-	// Filter becomes better than Pre-Filter for values of sV higher than
-	// 0.05").
-	if !(s["Pre-Filter"][0.001].Time < s["Post-Filter"][0.001].Time) {
-		t.Fatal("Pre should win at 0.001")
+	// Pre wins up to sV = 0.05 and Post from the next grid point on
+	// (paper: "Post-Filter becomes better than Pre-Filter for values of
+	// sV higher than 0.05").
+	for _, sv := range []float64{0.001, 0.05} {
+		if pre, post := s["Pre-Filter"][sv].Time, s["Post-Filter"][sv].Time; !(pre < post) {
+			t.Fatalf("Pre should win at %v: Pre %v, Post %v", sv, pre, post)
+		}
 	}
-	if !(s["Post-Filter"][0.2].Time < s["Pre-Filter"][0.2].Time) {
-		t.Fatal("Post should win at 0.2")
+	for _, sv := range []float64{0.1, 0.2} {
+		if pre, post := s["Pre-Filter"][sv].Time, s["Post-Filter"][sv].Time; !(post < pre) {
+			t.Fatalf("Post should win at %v: Pre %v, Post %v", sv, pre, post)
+		}
 	}
 	// NoFilter runs at every selectivity.
 	for _, sv := range SVGrid {
@@ -158,6 +164,60 @@ func TestFig10PostStopsAtHalf(t *testing.T) {
 			t.Fatalf("NoFilter skipped at %v", sv)
 		}
 	}
+}
+
+// TestPlannerRegret bounds what the planner's strategy ladder costs
+// against hindsight: on the Figure 8 and Figure 10 queries, at every sV
+// of the grid, Auto's simulated time over the best forced strategy's
+// must stay within 15% at the paper's 32-buffer grant. The 7-buffer
+// floor is logged, not bounded.
+func TestPlannerRegret(t *testing.T) {
+	l := testLab(t)
+	queries := []struct {
+		name string
+		sql  func(float64) string
+	}{
+		{"fig8", func(sv float64) string { return SynthQ(sv, 1, false) }},
+		{"fig10", SynthQNoCross},
+	}
+	forced := []exec.Strategy{exec.StratPre, exec.StratCrossPre, exec.StratPost,
+		exec.StratCrossPost, exec.StratNoFilter}
+	regrets := func(db *exec.DB, buffers int, bound float64) {
+		for _, q := range queries {
+			name := q.name
+			for _, sv := range SVGrid {
+				sql := q.sql(sv)
+				auto := runPoint(db, sql, exec.StratAuto, exec.ProjectBloom, "Auto", sv)
+				if auto.Skipped {
+					t.Fatalf("%s sV=%v @%d buffers: Auto failed: %s", name, sv, buffers, auto.Note)
+				}
+				var best Point
+				for _, strat := range forced {
+					p := runPoint(db, sql, strat, exec.ProjectBloom, strat.String(), sv)
+					if !p.Skipped && (best.Series == "" || p.Time < best.Time) {
+						best = p
+					}
+				}
+				regret := float64(auto.Time) / float64(best.Time)
+				t.Logf("%s sV=%v @%d buffers: Auto %v, best %s %v, regret %.2f",
+					name, sv, buffers, auto.Time, best.Series, best.Time, regret)
+				if bound > 0 && regret > bound {
+					t.Errorf("%s sV=%v @%d buffers: regret %.2f > %.2f (Auto %v, %s %v)",
+						name, sv, buffers, regret, bound, auto.Time, best.Series, best.Time)
+				}
+			}
+		}
+	}
+	db, err := l.SynthDB()
+	if err != nil {
+		t.Fatal(err)
+	}
+	regrets(db, 32, 1.15)
+	tight, err := l.SynthDBWithRAM(7 * 2048)
+	if err != nil {
+		t.Fatal(err)
+	}
+	regrets(tight, 7, 0)
 }
 
 func TestFig11PostSelectWorseThanBloom(t *testing.T) {

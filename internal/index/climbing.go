@@ -261,18 +261,21 @@ func (c *Climbing) RunsRange(lo, hi []byte, loInc, hiInc bool, slot int) ([]stor
 	}
 }
 
-// RunsForID is the ID-index lookup: one full tree descent per identifier,
-// which is precisely why Pre-Filter degrades at low selectivity ("as many
-// lookups on the T1.id index as there are tuples resulting from the
-// Visible selection", §3.3).
+// RunsForID is the ID-index lookup: one full tree descent per
+// identifier. Pre-Filter makes "as many lookups on the T1.id index as
+// there are tuples resulting from the Visible selection" (§3.3) through
+// a Probe, which descends only when the next id leaves the leaf it holds.
 func (c *Climbing) RunsForID(id uint32, slot int) ([]store.Run, error) {
 	return c.NewProbe(nil).RunsForID(id, slot)
 }
 
 // Probe repeats RunsForID lookups on one ID index with the host state of
 // a single lookup: the cursor's page buffer and the result slice are
-// reused from call to call. The flash traffic per lookup is unchanged.
-// Hidden data, like the index it reads.
+// reused from call to call. The cursor keeps the leaf it last read, so a
+// lookup whose id falls inside that leaf reads no page; ids probed in
+// sorted order pay one descent per leaf they touch. Which lookups reuse
+// the leaf depends only on the ids and on the shape of the dense id
+// index. Hidden data, like the index it reads.
 //
 //ghostdb:hidden
 type Probe struct {
