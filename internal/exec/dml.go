@@ -185,34 +185,18 @@ func (db *DB) dmlOn(tok *Token, d *query.DML) (int, error) {
 		// here — their entries go stale the moment an upsert changes a
 		// key, and the scan's cost is data-independent anyway.
 		hidSet = make(map[uint32]bool)
-		rd := img.File.NewSeqReader()
-		for {
-			rec, id, ok, err := rd.Next()
-			if err != nil {
-				return 0, err
-			}
-			if !ok {
-				break
-			}
-			if dl != nil {
-				if ov, ok := dl.Lookup(id); ok {
-					rec = ov
-				}
-			}
-			all := true
+		err := img.scan(dl, func(id uint32, rec []byte) error {
 			for _, p := range hidPreds {
 				v, err := img.Codec.DecodeColumn(rec, img.ColPos[p.ColIdx])
-				if err != nil {
-					return 0, err
-				}
-				if !matchValue(p, v) {
-					all = false
-					break
+				if err != nil || !matchValue(p, v) {
+					return err
 				}
 			}
-			if all {
-				hidSet[id] = true
-			}
+			hidSet[id] = true
+			return nil
+		})
+		if err != nil {
+			return 0, err
 		}
 	}
 
@@ -542,28 +526,17 @@ func (db *DB) compactToken(tok *Token) error {
 					return err
 				}
 			}
-			rd := img.File.NewSeqReader()
-			for {
-				rec, id, ok, err := rd.Next()
-				if err != nil {
-					return err
-				}
-				if !ok {
-					break
-				}
-				if dl != nil {
-					if ov, ok := dl.Lookup(id); ok {
-						rec = ov
-					}
-				}
+			err := img.scan(dl, func(_ uint32, rec []byte) error {
 				for _, f := range fills {
 					attrs[f.ai].Data = append(attrs[f.ai].Data, rec[f.off:f.off+f.w]...)
 				}
 				if rebuild {
-					if err := nf.Append(rec); err != nil {
-						return err
-					}
+					return nf.Append(rec)
 				}
+				return nil
+			})
+			if err != nil {
+				return err
 			}
 			if rebuild {
 				if err := nf.Seal(); err != nil {

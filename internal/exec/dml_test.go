@@ -128,7 +128,7 @@ func TestRandomDMLMatchesReference(t *testing.T) {
 		}
 	}
 
-	tok := f.db.Tokens()[0].(*Token)
+	tok := f.db.Tokens()[0]
 	if tok.DeltaPages() == 0 {
 		t.Fatal("60 DML statements left no delta pages")
 	}
@@ -180,7 +180,7 @@ func TestVisibleUpdateWithHiddenPredicateRejected(t *testing.T) {
 // count. A visible-only UPDATE never touches the delta log at all.
 func TestZeroMatchDMLWritesOnePadPage(t *testing.T) {
 	f := newFixture(t, 3, map[string]int{"T0": 80, "T1": 30, "T2": 30, "T11": 10, "T12": 10})
-	tok := f.db.Tokens()[0].(*Token)
+	tok := f.db.Tokens()[0]
 
 	before := tok.DeltaPages()
 	res, err := f.db.Run("DELETE FROM T2 WHERE T2.id >= 5000")

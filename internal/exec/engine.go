@@ -4,8 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ghostdb/internal/bus"
@@ -276,6 +276,31 @@ type HiddenImage struct {
 	ColPos map[int]int // table column index -> position within the image
 }
 
+// scan calls fn for every row of the image in id order, with the
+// table's delta overlay (dl, nil when the table has none) substituted
+// for each upserted row: one sequential page-by-page pass whose reads
+// depend on the image's size only. Tombstoned rows are passed too;
+// callers screen them with dl.Dead. rec is valid until fn returns.
+//
+//ghostdb:requires-slot
+func (img *HiddenImage) scan(dl *delta.Table, fn func(id uint32, rec []byte) error) error {
+	rd := img.File.NewSeqReader()
+	for {
+		rec, id, ok, err := rd.Next()
+		if err != nil || !ok {
+			return err
+		}
+		if dl != nil {
+			if ov, ok := dl.Lookup(id); ok {
+				rec = ov
+			}
+		}
+		if err := fn(id, rec); err != nil {
+			return err
+		}
+	}
+}
+
 // DB is a complete GhostDB instance: one or more secure tokens (each a
 // flash device + RAM budget + bus + index catalog + hidden images + an
 // admission scheduler), the table→token placement, and the untrusted-
@@ -325,11 +350,6 @@ type DB struct {
 
 	// start stamps engine construction, for the process-uptime gauge.
 	start time.Time
-
-	// prefetchInflight gauges flash pages staged by read-ahead windows
-	// but not yet consumed, summed over every live scan (the
-	// ghostdb_prefetch_inflight metric).
-	prefetchInflight atomic.Int64
 
 	// mu guards the client-level cumulative totals (per-token totals
 	// live on each Token).
@@ -441,14 +461,8 @@ func treeFloorWeight(sch *schema.Schema, root int) int {
 	return writers + skt + maxInt(hidden, 3)
 }
 
-// Tokens returns every secure token as a read-only Unit, shard order.
-func (db *DB) Tokens() []Unit {
-	out := make([]Unit, len(db.tokens))
-	for i, t := range db.tokens {
-		out[i] = t
-	}
-	return out
-}
+// Tokens returns every secure token, shard order.
+func (db *DB) Tokens() []*Token { return slices.Clone(db.tokens) }
 
 // TokenOf returns the token holding a table.
 func (db *DB) TokenOf(table int) *Token { return db.tokens[db.place.Of(table)] }

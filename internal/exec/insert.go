@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"ghostdb/internal/query"
 	"ghostdb/internal/schema"
 	"ghostdb/internal/sqlparse"
 )
@@ -296,5 +295,3 @@ func coerceInsert(v schema.Value, col schema.Column) (schema.Value, error) {
 	}
 	return schema.Value{}, fmt.Errorf("value %s incompatible with %v", v, col.Kind)
 }
-
-var _ = query.IDCol // keep the import while insert uses only sibling files

@@ -193,8 +193,6 @@ func newInstruments(db *DB) *instruments {
 		func() float64 { return float64(db.PageCacheStats().Bytes) })
 	r.CounterFunc("ghostdb_bus_coalesced_total", "link round-trips saved by batched transfers",
 		func() float64 { return float64(db.BusCoalesced()) })
-	r.GaugeFunc("ghostdb_prefetch_inflight", "flash pages staged by read-ahead but not yet consumed",
-		func() float64 { return float64(db.PrefetchInflight()) })
 	return inst
 }
 

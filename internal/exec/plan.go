@@ -202,14 +202,6 @@ type Binding struct {
 	// per batch: one RAM buffer's worth of ids, so the staging area is
 	// covered by the pipeline's reserved buffer instead of a literal.
 	StoreBatch int
-	// PrefetchPages is the read-ahead window full-file spool scans may
-	// double-buffer (store.SeqReader.SetReadAhead): the grant buffers
-	// left once the scan's fixed reader and writer are spoken for,
-	// capped at 4. Purely grant-derived — by design it can never encode
-	// a hidden match count, which the prefetchdepth leaklint check
-	// enforces at every SetReadAhead call site. Below 2 the scans stay
-	// in classic one-page mode.
-	PrefetchPages int
 }
 
 // Bind derives the session's operator binding from its actual grant.
@@ -232,10 +224,6 @@ func (p *Plan) Bind(grant int) *Binding {
 		b.MJoinBatch[ti] = maxInt(grant-fixed, p.mjoinMinVal[ti])
 	}
 	b.StoreBatch = maxInt(p.BufferBytes/store.IDBytes, 16)
-	b.PrefetchPages = maxInt(grant-2, 0)
-	if b.PrefetchPages > 4 {
-		b.PrefetchPages = 4
-	}
 	return b
 }
 

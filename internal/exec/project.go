@@ -165,7 +165,6 @@ func (r *queryRun) sigmaVH(tp *tableProj) (*store.ListSegment, store.Run, error)
 		}
 		// Probe the spooled visible ids (sequential flash scan).
 		srd := sp.file.NewSeqReader()
-		defer r.prefetch(srd)()
 		for {
 			rec, _, ok, err := srd.Next()
 			if err != nil {
@@ -190,30 +189,6 @@ func (r *queryRun) sigmaVH(tp *tableProj) (*store.ListSegment, store.Run, error)
 		return nil, store.Run{}, err
 	}
 	return out, run, nil
-}
-
-// prefetch arms a full-file sequential scan with the session's
-// grant-derived read-ahead window (Binding.PrefetchPages — never a
-// function of hidden match counts; the prefetchdepth leaklint check
-// holds every SetReadAhead call site to that). The staging buffers are
-// accounted against the session's own RAM grant; when the grant cannot
-// cover the window, or the bound depth is below 2, the scan stays in
-// classic one-page mode. The returned release must run once the scan
-// is done.
-func (r *queryRun) prefetch(rd *store.SeqReader) func() {
-	if r.bind == nil || r.bind.PrefetchPages < 2 {
-		return func() {}
-	}
-	g, err := r.ram.AllocBuffers(r.bind.PrefetchPages)
-	if err != nil {
-		return func() {}
-	}
-	staging := make([][]byte, g.Buffers())
-	for i := range staging {
-		staging[i] = make([]byte, r.ram.BufferSize())
-	}
-	rd.SetReadAhead(r.bind.PrefetchPages, staging, &r.db.prefetchInflight)
-	return g.Release
 }
 
 // sortColumn writes the sorted distinct ids of a result column into an

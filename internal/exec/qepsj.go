@@ -133,8 +133,8 @@ func (r *queryRun) execute() (*Result, error) {
 		return nil, err
 	}
 
-	if res, done, err := r.visibleOnlyFastPath(); done {
-		return res, err
+	if r.plan.FastPath {
+		return r.visibleOnlyRun()
 	}
 
 	// ---- Vis: visible selections and projected visible values. The
@@ -227,29 +227,13 @@ func (r *queryRun) projectedVisibleCols() map[int][]int {
 	return projectedVisibleColsOf(r.db.Sch, r.q)
 }
 
-// visibleOnlyFastPath executes single-table all-visible queries entirely
-// on Untrusted: no hidden data is involved, so Secure only relays.
-func (r *queryRun) visibleOnlyFastPath() (*Result, bool, error) {
+// visibleOnlyRun executes a single-table all-visible query (a FastPath
+// plan) entirely on Untrusted: no hidden data is involved, so Secure
+// only relays.
+func (r *queryRun) visibleOnlyRun() (*Result, error) {
 	q, db := r.q, r.db
-	if len(q.Tables) != 1 {
-		return nil, false, nil
-	}
 	ti := q.Tables[0]
 	t := db.Sch.Tables[ti]
-	for _, p := range q.Preds {
-		if p.ColIdx == query.IDCol {
-			continue // id is known on both sides
-		}
-		if t.Columns[p.ColIdx].Hidden {
-			return nil, false, nil
-		}
-	}
-	for _, p := range q.Projections {
-		if p.ColIdx != query.IDCol && t.Columns[p.ColIdx].Hidden {
-			return nil, false, nil
-		}
-	}
-	// All visible: evaluate on the PC.
 	var preds []query.Pred
 	preds = append(preds, q.Preds...)
 	cols := r.projectedVisibleCols()[ti]
@@ -260,7 +244,7 @@ func (r *queryRun) visibleOnlyFastPath() (*Result, bool, error) {
 		return err
 	})
 	if err != nil {
-		return nil, true, err
+		return nil, err
 	}
 	res := &Result{}
 	for _, p := range q.Projections {
@@ -298,13 +282,13 @@ func (r *queryRun) visibleOnlyFastPath() (*Result, bool, error) {
 			ci := colPos[p.ColIdx]
 			w := t.Columns[p.ColIdx].EncodedWidth()
 			if err := rows.decode(&row[j], raw[offsets[ci]:offsets[ci]+w], t.Columns[p.ColIdx].Kind); err != nil {
-				return nil, true, err
+				return nil, err
 			}
 		}
 	}
 	rows.finish(res)
 	// Stats are attached once by runSelectOn after execute returns.
-	return res, true, nil
+	return res, nil
 }
 
 // indexFor returns the climbing index evaluating a hidden predicate.

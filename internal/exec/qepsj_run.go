@@ -560,8 +560,9 @@ func (r *queryRun) dropDeadAnchors(anchor int, src idStream) idStream {
 	return &filterStream{src: src, keep: func(id uint32) bool { return !dl.Dead(id) }}
 }
 
-// scanFallback evaluates a hidden predicate without an index by scanning
-// the hidden image (only reachable with reduced index variants).
+// scanFallback evaluates a hidden predicate by scanning the hidden image:
+// the path taken when the predicate's table carries live upserts (whose
+// index entries are stale) or when no climbing index covers the column.
 func (r *queryRun) scanFallback(g *mergeGroup, p query.Pred) error {
 	db := r.db
 	img := r.tok.Hidden[p.Table]
@@ -576,38 +577,19 @@ func (r *queryRun) scanFallback(g *mergeGroup, p query.Pred) error {
 	dl := r.tok.deltaOf(p.Table)
 	matches := r.newTemp()
 	err := r.col.Span(spanScan, func() error {
-		rd := img.File.NewSeqReader()
-		defer r.prefetch(rd)()
 		if err := matches.BeginRun(); err != nil {
 			return err
 		}
-		for {
-			rec, id, ok, err := rd.Next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
-			if dl != nil {
-				if dl.Dead(id) {
-					continue
-				}
-				if ov, ok := dl.Lookup(id); ok {
-					rec = ov
-				}
+		return img.scan(dl, func(id uint32, rec []byte) error {
+			if dl != nil && dl.Dead(id) {
+				return nil
 			}
 			v, err := img.Codec.DecodeColumn(rec, pos)
-			if err != nil {
+			if err != nil || !matchValue(p, v) {
 				return err
 			}
-			if matchValue(p, v) {
-				if err := matches.Add(id); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
+			return matches.Add(id)
+		})
 	})
 	if err != nil {
 		return err

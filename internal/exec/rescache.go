@@ -126,10 +126,6 @@ func (db *DB) BusCoalesced() uint64 {
 	return n
 }
 
-// PrefetchInflight gauges flash pages staged by read-ahead windows but
-// not yet consumed, summed over every live scan.
-func (db *DB) PrefetchInflight() int64 { return db.prefetchInflight.Load() }
-
 // cachedSelect routes one SELECT through the cache: hit → the
 // materialized result is shared with zero secure-token work; concurrent
 // identical queries → one computation (singleflight), shared result;

@@ -136,10 +136,9 @@ func TestScatterCrossProduct(t *testing.T) {
 		}
 	}
 	// No leaked grants anywhere.
-	for _, u := range f.db.Tokens() {
-		tok := f.db.tokens[u.TokenID()]
+	for _, tok := range f.db.Tokens() {
 		if tok.RAM.InUse() != 0 {
-			t.Fatalf("token %d holds %d bytes after queries", u.TokenID(), tok.RAM.InUse())
+			t.Fatalf("token %d holds %d bytes after queries", tok.TokenID(), tok.RAM.InUse())
 		}
 	}
 	// Scatter plans explain themselves: per-token sub-plans and the

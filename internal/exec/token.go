@@ -92,27 +92,6 @@ type Token struct {
 	compacting  bool
 }
 
-// Unit is the narrow, read-only view of a secure token that the
-// untrusted-side composition layers — placement diagnostics, per-shard
-// STATS aggregation, the server frontend — operate through. *Token is
-// the (only) simulated implementation; a hardware-backed token would
-// satisfy the same interface.
-type Unit interface {
-	// TokenID is the token's shard ordinal.
-	TokenID() int
-	// Totals is the cumulative simulated cost of the metered sessions
-	// (SELECT, UPDATE, DELETE, COMPACT) this token has completed; INSERT
-	// is admitted but not metered, so it is not booked.
-	Totals() Totals
-	// Running and QueueLen expose the admission scheduler's state.
-	Running() int
-	QueueLen() int
-	// RAMBuffers is the token's secure RAM budget in whole buffers.
-	RAMBuffers() int
-}
-
-var _ Unit = (*Token)(nil)
-
 // TokenID returns the token's shard ordinal.
 func (t *Token) TokenID() int { return t.id }
 
@@ -145,7 +124,9 @@ func (t *Token) setRows(table, n int) {
 	t.mu.Unlock()
 }
 
-// Totals returns a snapshot of this token's cumulative session costs.
+// Totals returns a snapshot of the cumulative simulated cost of the
+// metered sessions (SELECT, UPDATE, DELETE, COMPACT) this token has
+// completed; INSERT is admitted but not metered, so it is not booked.
 func (t *Token) Totals() Totals {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -11,10 +11,10 @@
 // turns a small budget into a hard error. Instead they declare needs and
 // receive what the budget can actually give:
 //
-//   - Reserve(min, want) / ReserveBuffers(min, want) grant the largest
-//     feasible allocation in [min, want]. An operator sizes its chunking
-//     (staging area, batch capacity) from the grant it received and runs
-//     more passes when min is all it gets. Reserve fails (wrapping
+//   - ReserveBuffers(min, want) grants the largest feasible allocation
+//     in [min, want] buffers. An operator sizes its chunking (staging
+//     area, batch capacity) from the grant it received and runs more
+//     passes when min is all it gets. ReserveBuffers fails (wrapping
 //     ErrExhausted) only when even min does not fit.
 //
 //   - Plan(claims...) admits a set of named sub-reservations atomically:
@@ -30,11 +30,11 @@
 //
 // A Manager is safe for concurrent use: reservation and release from
 // multiple query sessions are serialized by an internal mutex, and every
-// Reserve/Plan decision is atomic (no interleaving between the "what is
-// free" check and the allocation). This is what lets internal/sched run
-// several admitted sessions against one budget. Grants and Reservations
-// themselves still belong to a single query: only their Release may be
-// called from another goroutine.
+// ReserveBuffers/Plan decision is atomic (no interleaving between the
+// "what is free" check and the allocation). This is what lets
+// internal/sched run several admitted sessions against one budget.
+// Grants and Reservations themselves still belong to a single query:
+// only their Release may be called from another goroutine.
 //
 // # Per-operator minimums
 //
@@ -171,31 +171,12 @@ func (m *Manager) AllocBuffers(n int) (*Grant, error) {
 	return m.Alloc(n * m.bufSize)
 }
 
-// Reserve grants the largest feasible allocation in [min, want] bytes:
-// want when it fits, whatever is free otherwise, and an ErrExhausted
-// failure only when even min does not fit. Operators size their chunking
-// from the grant they actually received and fall back to more passes
-// when min is all they get. The clamp-and-allocate step is atomic with
-// respect to concurrent reservations.
-func (m *Manager) Reserve(min, want int) (*Grant, error) {
-	if min <= 0 || want < min {
-		return nil, fmt.Errorf("ram: invalid reservation [%d, %d]", min, want)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	n := want
-	if free := m.budget - m.inUse; n > free {
-		n = free
-	}
-	if n < min {
-		return nil, fmt.Errorf("%w: need at least %d, free %d of %d",
-			ErrExhausted, min, m.budget-m.inUse, m.budget)
-	}
-	return m.allocLocked(n)
-}
-
-// ReserveBuffers grants between min and want whole buffers, preferring
-// want.
+// ReserveBuffers grants the largest feasible allocation in [min, want]
+// whole buffers: want when it fits, whatever is free otherwise, and an
+// ErrExhausted failure only when even min does not fit. Operators size
+// their chunking from the grant they actually received and fall back to
+// more passes when min is all they get. The clamp-and-allocate step is
+// atomic with respect to concurrent reservations.
 func (m *Manager) ReserveBuffers(min, want int) (*Grant, error) {
 	if min <= 0 || want < min {
 		return nil, fmt.Errorf("ram: invalid reservation [%d, %d] buffers", min, want)
@@ -233,29 +214,6 @@ func (g *Grant) Release() {
 	g.released = true
 	g.m.inUse -= g.bytes
 	g.m.grants--
-}
-
-// Resize grows or shrinks the reservation in place, failing with
-// ErrExhausted when growth does not fit.
-func (g *Grant) Resize(n int) error {
-	g.m.mu.Lock()
-	defer g.m.mu.Unlock()
-	if g.released {
-		panic("ram: resize after release")
-	}
-	if n <= 0 {
-		return fmt.Errorf("ram: non-positive resize %d", n)
-	}
-	delta := n - g.bytes
-	if delta > 0 && g.m.inUse+delta > g.m.budget {
-		return fmt.Errorf("%w: grow by %d, free %d", ErrExhausted, delta, g.m.budget-g.m.inUse)
-	}
-	g.m.inUse += delta
-	g.bytes = n
-	if g.m.inUse > g.m.highWater {
-		g.m.highWater = g.m.inUse
-	}
-	return nil
 }
 
 // Claim declares one pipeline stage's buffer needs for a Plan: at least

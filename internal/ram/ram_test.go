@@ -46,63 +46,6 @@ func TestDoubleReleasePanics(t *testing.T) {
 	g.Release()
 }
 
-func TestResize(t *testing.T) {
-	m := NewManager(4096, 2048)
-	g, _ := m.Alloc(1000)
-	if err := g.Resize(2000); err != nil {
-		t.Fatal(err)
-	}
-	if m.InUse() != 2000 {
-		t.Fatalf("inUse = %d", m.InUse())
-	}
-	if err := g.Resize(8000); !errors.Is(err, ErrExhausted) {
-		t.Fatalf("oversize resize: %v", err)
-	}
-	if err := g.Resize(500); err != nil {
-		t.Fatal(err)
-	}
-	if m.InUse() != 500 {
-		t.Fatalf("inUse after shrink = %d", m.InUse())
-	}
-	g.Release()
-}
-
-func TestReserveGrantsLargestFeasible(t *testing.T) {
-	m := NewManager(8192, 2048) // 4 buffers
-	// Everything free: want is honored.
-	g, err := m.Reserve(2048, 6144)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Bytes() != 6144 || g.Buffers() != 3 {
-		t.Fatalf("got %d bytes / %d buffers", g.Bytes(), g.Buffers())
-	}
-	// Less than want free: the grant shrinks to what is there.
-	g2, err := m.Reserve(1024, 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g2.Bytes() != 2048 {
-		t.Fatalf("elastic grant = %d, want 2048", g2.Bytes())
-	}
-	// Less than min free: ErrExhausted.
-	if _, err := m.Reserve(1024, 1024); !errors.Is(err, ErrExhausted) {
-		t.Fatalf("reserve under min: %v", err)
-	}
-	g.Release()
-	g2.Release()
-	if m.Leaked() {
-		t.Fatal("leak")
-	}
-	// Invalid ranges.
-	if _, err := m.Reserve(0, 100); err == nil {
-		t.Fatal("zero min accepted")
-	}
-	if _, err := m.Reserve(200, 100); err == nil {
-		t.Fatal("want < min accepted")
-	}
-}
-
 func TestReserveBuffers(t *testing.T) {
 	m := NewManager(8192, 2048)
 	g, err := m.ReserveBuffers(1, 10)
@@ -116,6 +59,30 @@ func TestReserveBuffers(t *testing.T) {
 		t.Fatalf("over-reserve: %v", err)
 	}
 	g.Release()
+	// Less than want free: the grant shrinks to what is there.
+	g, err = m.ReserveBuffers(1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g2, err := m.ReserveBuffers(1, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g2.Buffers() != 2 {
+		t.Fatalf("elastic grant = %d buffers, want 2", g2.Buffers())
+	}
+	g.Release()
+	g2.Release()
+	if m.Leaked() {
+		t.Fatal("leak")
+	}
+	// Invalid ranges.
+	if _, err := m.ReserveBuffers(0, 1); err == nil {
+		t.Fatal("zero min accepted")
+	}
+	if _, err := m.ReserveBuffers(2, 1); err == nil {
+		t.Fatal("want < min accepted")
+	}
 }
 
 func TestPlanDistributesMinsThenWants(t *testing.T) {

@@ -118,9 +118,6 @@ func New(m *ram.Manager, maxConcurrent int) *Scheduler {
 	return s
 }
 
-// MaxConcurrent returns the in-flight session bound.
-func (s *Scheduler) MaxConcurrent() int { return s.max }
-
 // Running returns the number of admitted, unreleased sessions.
 func (s *Scheduler) Running() int {
 	s.mu.Lock()

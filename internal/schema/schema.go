@@ -248,16 +248,6 @@ func (t *Table) Column(name string) (Column, int, bool) {
 	return Column{}, -1, false
 }
 
-// RefTo returns the fk edge from t to the given child table index.
-func (t *Table) RefTo(child string) (Ref, bool) {
-	for _, r := range t.Refs {
-		if strings.EqualFold(r.Child, child) {
-			return r, true
-		}
-	}
-	return Ref{}, false
-}
-
 // VisibleColumns and HiddenColumns return the vertical partitioning of the
 // data attributes (§2.1): Visible columns live on Untrusted, Hidden ones
 // (plus all hidden fks) on Secure; the id is replicated on both sides.

@@ -106,10 +106,6 @@ func (m *Map) Tables(tok int) []int { return m.byToken[tok] }
 // Roots returns the tree roots placed on token tok (sorted).
 func (m *Map) Roots(tok int) []int { return m.roots[tok] }
 
-// Single reports whether every table sits on one token (the mono-token
-// degenerate case: no fan-out ever happens).
-func (m *Map) Single() bool { return m.n == 1 }
-
 // TokenOfAll returns the single token holding every listed table, or
 // ok=false when the set spans tokens.
 func (m *Map) TokenOfAll(tables []int) (int, bool) {

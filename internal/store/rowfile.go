@@ -145,9 +145,6 @@ func (f *RowFile) ReadRow(id uint32, dst []byte) error {
 	return f.dev.ReadRange(f.pages[pi], dst, slot*f.rowWidth, f.rowWidth)
 }
 
-// PageOf returns the page index holding record id.
-func (f *RowFile) PageOf(id uint32) int { return int(id) / f.rowsPerPage }
-
 // SeqReader streams records in ID order, reading each page once.
 type SeqReader struct {
 	f    *RowFile
@@ -179,14 +176,14 @@ func (f *RowFile) NewSeqReader() *SeqReader {
 // while the next ones are already in untrusted-of-the-FTL staging RAM.
 // Each staging buffer must hold a full flash page, and the buffers must
 // be accounted against the session's RAM grant by the caller. The
-// window depth MUST be grant-derived (Binding.PrefetchPages) — never a
-// function of hidden match counts — which the prefetchdepth leaklint
-// check enforces at every call site; depth is clamped to len(staging).
-// Counter parity with the plain scan is exact by construction: the
-// batched request charges precisely what the per-page reads it replaces
-// would. inflight, when non-nil, gauges staged-but-unconsumed pages
-// (the ghostdb_prefetch_inflight metric). Depths below 2 leave the
-// reader in classic one-page mode.
+// window depth MUST be a constant or grant-derived (a Binding field) —
+// never a function of hidden match counts — which the prefetchdepth
+// leaklint check enforces at every call site; depth is clamped to
+// len(staging). Counter parity with the plain scan is exact by
+// construction: the batched request charges precisely what the per-page
+// reads it replaces would. inflight, when non-nil, gauges
+// staged-but-unconsumed pages. Depths below 2 leave the reader in
+// classic one-page mode.
 func (r *SeqReader) SetReadAhead(depth int, staging [][]byte, inflight *atomic.Int64) {
 	if depth > len(staging) {
 		depth = len(staging)
