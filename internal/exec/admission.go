@@ -233,7 +233,7 @@ func (r *queryRun) mergeTupleRuns(tp *tableProj, k int) error {
 
 	out := store.NewSegment(r.tok.Dev)
 	r.tempSegs = append(r.tempSegs, out)
-	sub := &tableProj{table: tp.table, tupleW: tp.tupleW}
+	sub := &tableProj{projSpec: tp.projSpec}
 	for _, i := range pick {
 		sub.outRuns = append(sub.outRuns, tp.outRuns[i])
 	}

@@ -3,10 +3,8 @@ package exec
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"ghostdb/internal/query"
-	"ghostdb/internal/ram"
 	"ghostdb/internal/schema"
 	"ghostdb/internal/store"
 )
@@ -17,28 +15,13 @@ import (
 // the hidden image, per tuple, per table. Visible-selection false
 // positives are discarded when the binary search misses.
 func (r *queryRun) bruteForce(res *Result) error {
-	db, q := r.db, r.q
+	db, q, sh := r.db, r.q, r.plan.shape
 	anchor := q.Anchor
 
-	// Column readers: anchor plus every table we must look at. Their
-	// buffers are declared up front as one plan (the operator's
-	// documented minimum: one buffer per open column reader).
-	tables := map[int]bool{}
-	for _, ti := range q.ProjTables() {
-		if ti != anchor {
-			tables[ti] = true
-		}
-	}
-	for ti := range r.exactAtProject {
-		tables[ti] = true
-	}
-	var order []int
-	for ti := range tables {
-		order = append(order, ti)
-	}
-	sort.Ints(order)
-
-	resv, err := r.ram.Plan(ram.Claim{Name: "column-readers", Min: 1 + len(order), Want: 1 + len(order)})
+	// Column readers: anchor plus every table we must look at, declared
+	// up front as one plan.
+	check := append([]*projSpec{sh.specs[anchor]}, sh.proj...)
+	resv, err := r.ram.Plan(sh.bruteClaims()...)
 	if err != nil {
 		return fmt.Errorf("exec: brute-force projection: %w", err)
 	}
@@ -47,29 +30,16 @@ func (r *queryRun) bruteForce(res *Result) error {
 	anchorCol := r.resCols[anchor]
 	anchorRd := anchorCol.seg.NewRunReader(anchorCol.run)
 	colRd := map[int]*store.RunReader{}
-	for _, ti := range order {
-		c, ok := r.resCols[ti]
+	for _, s := range sh.proj {
+		c, ok := r.resCols[s.table]
 		if !ok {
-			return fmt.Errorf("exec: missing QEPSJ column for %s", db.Sch.Tables[ti].Name)
+			return fmt.Errorf("exec: missing QEPSJ column for %s", db.Sch.Tables[s.table].Name)
 		}
-		colRd[ti] = c.seg.NewRunReader(c.run)
-	}
-
-	projVis := r.projectedVisibleCols()
-	spoolOff := map[int]map[int]int{} // table -> colIdx -> offset in spool row
-	for ti, sp := range r.spool {
-		offs := map[int]int{}
-		off := store.IDBytes
-		for _, c := range sp.cols {
-			offs[c] = off
-			off += db.Sch.Tables[ti].Columns[c].EncodedWidth()
-		}
-		spoolOff[ti] = offs
+		colRd[s.table] = c.seg.NewRunReader(c.run)
 	}
 
 	// One record buffer per table, made on first use and reused for every
 	// tuple: spoolBuf for the binary search, hidBuf for the hidden row.
-	check := append([]int{anchor}, order...)
 	spoolBuf := map[int][]byte{}
 	hidBuf := map[int][]byte{}
 	ids := map[int]uint32{}
@@ -87,7 +57,8 @@ func (r *queryRun) bruteForce(res *Result) error {
 			return fmt.Errorf("exec: anchor column exhausted early")
 		}
 		ids[anchor] = aid
-		for _, ti := range order {
+		for _, s := range sh.proj {
+			ti := s.table
 			v, ok, err := colRd[ti].Next()
 			if err != nil {
 				return err
@@ -101,11 +72,9 @@ func (r *queryRun) bruteForce(res *Result) error {
 		keep := true
 		clear(visRec)
 		clear(hidRec)
-		for _, ti := range check {
-			sp := r.spool[ti]
-			needVis := len(projVis[ti]) > 0
-			needExact := r.exactAtProject[ti]
-			if sp == nil || (!needVis && !needExact) {
+		for _, s := range check {
+			ti, sp := s.table, r.spool[s.table]
+			if sp == nil || (len(s.visCols) == 0 && !s.presence) {
 				continue
 			}
 			if spoolBuf[ti] == nil {
@@ -116,7 +85,7 @@ func (r *queryRun) bruteForce(res *Result) error {
 				return err
 			}
 			if !found {
-				if needExact {
+				if s.presence {
 					keep = false
 					break
 				}
@@ -140,7 +109,7 @@ func (r *queryRun) bruteForce(res *Result) error {
 				if rec == nil {
 					return fmt.Errorf("exec: no visible record for %s", db.Sch.Tables[p.Table].Name)
 				}
-				off := spoolOff[p.Table][p.ColIdx]
+				off := sh.specs[p.Table].off[p.ColIdx]
 				if err := rows.decode(&row[i], rec[off:off+col.EncodedWidth()], col.Kind); err != nil {
 					return err
 				}
@@ -156,15 +125,10 @@ func (r *queryRun) bruteForce(res *Result) error {
 					hidBuf[p.Table] = make([]byte, img.File.RowWidth())
 				}
 				rec = hidBuf[p.Table]
-				if err := img.File.ReadRow(ids[p.Table], rec); err != nil {
+				// A random row read per tuple: the defining cost of
+				// this projector.
+				if err := img.row(nil, r.tok.deltaOf(p.Table), ids[p.Table], rec); err != nil {
 					return err
-				}
-				// Delta overlay: upserted rows carry their latest values
-				// in the overlay, not the immutable base image.
-				if dl := r.tok.deltaOf(p.Table); dl != nil {
-					if ov, ok := dl.Lookup(ids[p.Table]); ok {
-						copy(rec, ov)
-					}
 				}
 				hidRec[p.Table] = rec
 			}

@@ -301,6 +301,30 @@ func (img *HiddenImage) scan(dl *delta.Table, fn func(id uint32, rec []byte) err
 	}
 }
 
+// row reads row id into rec with the table's delta overlay (dl, nil when
+// the table has none) substituted when the row was upserted: the point
+// read beside scan's sequential pass. rd is the caller's sorted reader
+// over File for ascending ids; nil reads the row at random (ReadRow).
+//
+//ghostdb:requires-slot
+func (img *HiddenImage) row(rd *store.SortedReader, dl *delta.Table, id uint32, rec []byte) error {
+	var err error
+	if rd != nil {
+		err = rd.Read(id, rec)
+	} else {
+		err = img.File.ReadRow(id, rec)
+	}
+	if err != nil {
+		return err
+	}
+	if dl != nil {
+		if ov, ok := dl.Lookup(id); ok {
+			copy(rec, ov)
+		}
+	}
+	return nil
+}
+
 // DB is a complete GhostDB instance: one or more secure tokens (each a
 // flash device + RAM budget + bus + index catalog + hidden images + an
 // admission scheduler), the table→token placement, and the untrusted-
@@ -458,7 +482,7 @@ func treeFloorWeight(sch *schema.Schema, root int) int {
 	for _, ti := range tables {
 		hidden += len(sch.Tables[ti].HiddenColumns())
 	}
-	return writers + skt + maxInt(hidden, 3)
+	return writers + skt + max(hidden, 3)
 }
 
 // Tokens returns every secure token, shard order.

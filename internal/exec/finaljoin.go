@@ -155,41 +155,15 @@ type valueGetter func(dst *schema.Value) error
 // projected id columns) plus one cursor buffer per joined table — MJoin
 // batch runs are consolidated first so that minimum always suffices.
 func (r *queryRun) finalJoin(res *Result, tps []*tableProj) error {
-	db, q := r.db, r.q
+	db, q, sh := r.db, r.q, r.plan.shape
 	anchor := q.Anchor
-
-	projVis := r.projectedVisibleCols()
+	aSpec, idTables := sh.specs[anchor], sh.idTables
 	aImg := r.tok.Hidden[anchor]
-	anchorHidden := false
-	for _, p := range q.Projections {
-		if p.Table == anchor && p.ColIdx != query.IDCol && db.Sch.Tables[anchor].Columns[p.ColIdx].Hidden {
-			anchorHidden = true
-		}
-	}
-	var idTables []int
-	for _, p := range q.Projections {
-		if p.Table == anchor || p.ColIdx != query.IDCol || slices.Contains(idTables, p.Table) {
-			continue
-		}
-		idTables = append(idTables, p.Table)
-	}
 
-	// Fixed reader buffers this pass cannot do without, declared once so
-	// the consolidation budget below and the Plan stay in lockstep.
-	claims := []ram.Claim{{Name: "anchor", Min: 1, Want: 1}}
-	if len(projVis[anchor]) > 0 {
-		claims = append(claims, ram.Claim{Name: "anchor-spool", Min: 1, Want: 1})
-	}
-	if anchorHidden {
-		claims = append(claims, ram.Claim{Name: "anchor-hidden", Min: 1, Want: 1})
-	}
-	if len(idTables) > 0 {
-		claims = append(claims, ram.Claim{Name: "id-readers", Min: len(idTables), Want: len(idTables)})
-	}
-	fixed := 0
-	for _, c := range claims {
-		fixed += c.Min
-	}
+	// Fixed reader buffers this pass cannot do without: the shape's, so
+	// the consolidation budget below and the plan's floor agree.
+	claims := sh.finalClaims()
+	fixed := claimMin(claims)
 
 	// Drop empty batch runs, then consolidate each remaining table's
 	// runs to its share of the free buffers so the cursors below always
@@ -260,24 +234,18 @@ func (r *queryRun) finalJoin(res *Result, tps []*tableProj) error {
 
 	// Anchor visible values (spooled, id-sorted).
 	var aCur *spoolCursor
-	aColOff := map[int]int{}
-	if cols := projVis[anchor]; len(cols) > 0 {
+	if len(aSpec.visCols) > 0 {
 		sp := r.spool[anchor]
 		if sp == nil {
 			return fmt.Errorf("exec: anchor visible values not spooled")
 		}
 		aCur = newSpoolCursor(sp.file)
-		off := store.IDBytes
-		for _, c := range sp.cols {
-			aColOff[c] = off
-			off += db.Sch.Tables[anchor].Columns[c].EncodedWidth()
-		}
 	}
 
 	// Anchor hidden values.
 	var aHidRd *store.SortedReader
 	var aHidRec []byte
-	if anchorHidden {
+	if len(aSpec.hidCols) > 0 {
 		if aImg == nil {
 			return fmt.Errorf("exec: no hidden image for anchor")
 		}
@@ -296,24 +264,14 @@ func (r *queryRun) finalJoin(res *Result, tps []*tableProj) error {
 		idRd[i] = col.seg.NewRunReader(col.run)
 	}
 
-	// Per-table tuple cursors, in tps order, and value layouts.
+	// Per-table tuple cursors, in tps order.
 	curs := make([]*tupleCursor, len(tps))
-	tupleOff := map[[2]int]int{} // (tps slot, colIdx) -> byte offset within tuple
 	for i, tp := range tps {
 		c, err := newTupleCursor(tp)
 		if err != nil {
 			return err
 		}
 		curs[i] = c
-		off := 4
-		for _, ci := range tp.visCols {
-			tupleOff[[2]int{i, ci}] = off
-			off += db.Sch.Tables[tp.table].Columns[ci].EncodedWidth()
-		}
-		for _, ci := range tp.hidCols {
-			tupleOff[[2]int{i, ci}] = off
-			off += db.Sch.Tables[tp.table].Columns[ci].EncodedWidth()
-		}
 	}
 
 	tuples := make([][]byte, len(tps))
@@ -335,7 +293,7 @@ func (r *queryRun) finalJoin(res *Result, tps []*tableProj) error {
 			getters[i] = func(dst *schema.Value) error { *dst = schema.IntVal(int64(idVal[slot])); return nil }
 		case p.Table == anchor && !t.Columns[p.ColIdx].Hidden:
 			col := t.Columns[p.ColIdx]
-			off, w := aColOff[p.ColIdx], col.EncodedWidth()
+			off, w := aSpec.off[p.ColIdx], col.EncodedWidth()
 			getters[i] = func(dst *schema.Value) error {
 				rec, err := aCur.seek(aid)
 				if err != nil {
@@ -352,15 +310,8 @@ func (r *queryRun) finalJoin(res *Result, tps []*tableProj) error {
 			o, w := aImg.Codec.ColumnRange(aImg.ColPos[p.ColIdx])
 			getters[i] = func(dst *schema.Value) error {
 				if !aHidLoaded {
-					if err := aHidRd.Read(aid, aHidRec); err != nil {
+					if err := aImg.row(aHidRd, aDl, aid, aHidRec); err != nil {
 						return err
-					}
-					// Delta overlay: upserted rows carry their latest
-					// values in the overlay, not the base image.
-					if aDl != nil {
-						if ov, ok := aDl.Lookup(aid); ok {
-							copy(aHidRec, ov)
-						}
 					}
 					aHidLoaded = true
 				}
@@ -369,10 +320,10 @@ func (r *queryRun) finalJoin(res *Result, tps []*tableProj) error {
 		default:
 			col := t.Columns[p.ColIdx]
 			slot := slices.IndexFunc(tps, func(tp *tableProj) bool { return tp.table == p.Table })
-			off, ok := tupleOff[[2]int{slot, p.ColIdx}]
-			if !ok {
+			if slot < 0 {
 				return fmt.Errorf("exec: no value source for %s.%s", t.Name, col.Name)
 			}
+			off := tps[slot].off[p.ColIdx]
 			w := col.EncodedWidth()
 			getters[i] = func(dst *schema.Value) error {
 				return rows.decode(dst, tuples[slot][off:off+w], col.Kind)

@@ -87,17 +87,11 @@ func goldenPaperQ() []goldenStmt {
 // goldenRandom is the random-query corpus of
 // TestPlanFloorsSufficientProperty: same rng seed, same draws.
 func goldenRandom() []goldenStmt {
-	strategies := []Strategy{StratAuto, StratPre, StratCrossPre, StratPost,
-		StratCrossPost, StratPostSelect, StratCrossPostSelect, StratNoFilter}
-	projectors := []Projector{ProjectBloom, ProjectNoBF, ProjectBruteForce}
 	rng := rand.New(rand.NewSource(2024))
 	var set []goldenStmt
 	for i := 0; i < 150; i++ {
 		sql := randomQuery(rng)
-		set = append(set, goldenStmt{sql: sql, cfg: QueryConfig{
-			Strategy:  strategies[rng.Intn(len(strategies))],
-			Projector: projectors[rng.Intn(len(projectors))],
-		}})
+		set = append(set, goldenStmt{sql: sql, cfg: randomConfig(rng)})
 	}
 	return set
 }

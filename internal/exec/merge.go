@@ -108,7 +108,7 @@ type storeSpill struct {
 func (r *queryRun) joinAndStore(merged idStream, needed, tombChecks []int, bfs []*bfFilter) error {
 	db := r.db
 	anchor := r.q.Anchor
-	direct := r.bind.StoreDirect || len(needed) == 0
+	direct := r.bind.StoreDirect
 
 	// The SKT lookup set is the projection's needed tables plus any
 	// tomb-checked tables not already among them.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -140,11 +141,11 @@ type Plan struct {
 	Shard int
 	Parts []*Plan
 
-	// Execution-side bindings (not part of the public surface).
-	tok         *Token
-	strategies  map[int]Strategy
-	mjoinFixed  map[int]int // per-table fixed reader buffers in MJoin
-	mjoinMinVal map[int]int // per-table minimum batch buffers
+	// Execution-side bindings (not part of the public surface). shape is
+	// nil for FastPath, scatter, INSERT and DML plans.
+	tok        *Token
+	strategies map[int]Strategy
+	shape      *queryShape
 }
 
 // HiddenSelEst is one hidden predicate's estimated selectivity in the
@@ -215,15 +216,17 @@ func (p *Plan) Bind(grant int) *Binding {
 	if !b.StoreDirect {
 		pipe = 1 + p.Footprint.SKTReader
 	}
-	b.MergeFanIn = maxInt(grant-pipe-1, 2)
-	b.CrossFanIn = maxInt(grant-1, 2)
+	b.MergeFanIn = max(grant-pipe-1, 2)
+	b.CrossFanIn = max(grant-1, 2)
 	b.MergeReserve = p.Footprint.Merge
-	b.PostSelectStage = maxInt(grant-2, 1)
-	b.SortChunk = maxInt(grant-2, 1)
-	for ti, fixed := range p.mjoinFixed {
-		b.MJoinBatch[ti] = maxInt(grant-fixed, p.mjoinMinVal[ti])
+	b.PostSelectStage = max(grant-2, 1)
+	b.SortChunk = max(grant-2, 1)
+	if p.shape != nil {
+		for _, s := range p.shape.mjoin {
+			b.MJoinBatch[s.table] = max(grant-s.fixed, s.minBatch)
+		}
 	}
-	b.StoreBatch = maxInt(p.BufferBytes/store.IDBytes, 16)
+	b.StoreBatch = max(p.BufferBytes/store.IDBytes, 16)
 	return b
 }
 
@@ -252,64 +255,19 @@ func visibleOnly(sch *schema.Schema, q *query.Query) bool {
 }
 
 // projectedVisibleColsOf returns, per table, the visible column positions
-// in the projection list (sorted, deduplicated).
+// in the projection list (ascending, deduplicated).
 func projectedVisibleColsOf(sch *schema.Schema, q *query.Query) map[int][]int {
 	out := map[int][]int{}
-	seen := map[[2]int]bool{}
 	for _, p := range q.Projections {
-		if p.ColIdx == query.IDCol {
-			continue
-		}
-		col := sch.Tables[p.Table].Columns[p.ColIdx]
-		if col.Hidden || seen[[2]int{p.Table, p.ColIdx}] {
-			continue
-		}
-		seen[[2]int{p.Table, p.ColIdx}] = true
-		// Keep declaration order (stable within a table).
-		lst := out[p.Table]
-		pos := len(lst)
-		for i, c := range lst {
-			if c > p.ColIdx {
-				pos = i
-				break
-			}
-		}
-		lst = append(lst[:pos:pos], append([]int{p.ColIdx}, lst[pos:]...)...)
-		out[p.Table] = lst
-	}
-	return out
-}
-
-// projectedHiddenColsOf returns, per non-anchor table, the hidden column
-// positions the projection needs (declaration order, deduplicated).
-func projectedHiddenColsOf(sch *schema.Schema, q *query.Query) map[int][]int {
-	out := map[int][]int{}
-	for _, p := range q.Projections {
-		if p.ColIdx == query.IDCol || p.Table == q.Anchor {
-			continue
-		}
-		col := sch.Tables[p.Table].Columns[p.ColIdx]
-		if col.Hidden && !containsInt(out[p.Table], p.ColIdx) {
+		if p.ColIdx != query.IDCol && !sch.Tables[p.Table].Columns[p.ColIdx].Hidden {
 			out[p.Table] = append(out[p.Table], p.ColIdx)
 		}
 	}
+	for ti, cols := range out {
+		slices.Sort(cols)
+		out[ti] = slices.Compact(cols)
+	}
 	return out
-}
-
-func containsInt(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // indexForPred returns the climbing index evaluating a hidden predicate
@@ -324,47 +282,6 @@ func (tok *Token) indexForPred(p query.Pred) *index.Climbing {
 	}
 	ci, _ := cat.AttrIndex(p.Table, p.ColIdx)
 	return ci
-}
-
-// crossAvailableFor reports whether the Cross optimization applies to a
-// table: a hidden selection on the same table or on one of its
-// descendants (whose climbing index carries this table's level), §3.3.
-func (db *DB) crossAvailableFor(tok *Token, q *query.Query, ti int) bool {
-	return db.crossCandidates(tok, q, ti) > 0
-}
-
-// crossCandidates counts the hidden predicates that could participate in
-// the Cross optimization at table ti (an upper bound on the sublist
-// groups the cross intersection opens at once).
-func (db *DB) crossCandidates(tok *Token, q *query.Query, ti int) int {
-	n := 0
-	for _, p := range q.HiddenPreds() {
-		if p.Table == ti {
-			if p.ColIdx == query.IDCol {
-				continue // id predicate on ti itself: cheap at anchor level
-			}
-			n++
-			continue
-		}
-		if db.Sch.IsAncestorOf(ti, p.Table) {
-			if ci := tok.indexForPred(p); ci != nil {
-				if _, ok := ci.LevelOf(ti); ok {
-					n++
-				}
-			}
-		}
-	}
-	return n
-}
-
-// strategyNeedsExact reports whether a strategy defers exact visible
-// verification to projection time.
-func strategyNeedsExact(s Strategy) bool {
-	switch s {
-	case StratPost, StratCrossPost, StratNoFilter:
-		return true
-	}
-	return false
 }
 
 // PlanQuery builds the execution plan for a resolved query under a
@@ -395,8 +312,6 @@ func (db *DB) PlanQuery(q *query.Query, cfg QueryConfig) (*Plan, error) {
 		Shard:        tok.id,
 		tok:          tok,
 		strategies:   map[int]Strategy{},
-		mjoinFixed:   map[int]int{},
-		mjoinMinVal:  map[int]int{},
 	}
 	if visibleOnly(db.Sch, q) {
 		// Untrusted answers alone; the session needs only the nominal
@@ -410,6 +325,8 @@ func (db *DB) PlanQuery(q *query.Query, cfg QueryConfig) (*Plan, error) {
 	p.WantBuffers = p.TotalBuffers // Bloom filters calibrate to spare RAM (§5)
 
 	// ---- Per-table strategies from plan-time selectivity counts.
+	fp := &p.Footprint
+	hidden := q.HiddenPreds()
 	visPreds := q.VisiblePreds()
 	var visTables []int
 	for ti := range visPreds {
@@ -438,7 +355,8 @@ func (db *DB) PlanQuery(q *query.Query, cfg QueryConfig) (*Plan, error) {
 			p.Tables = append(p.Tables, tp)
 			continue
 		}
-		cross := db.crossAvailableFor(tok, q, ti)
+		crossing, _ := crossingPreds(db.Sch, tok, hidden, ti, nil)
+		cross := len(crossing) > 0
 		s := cfg.Strategy
 		if s == StratAuto {
 			// The selectivity thresholds observed in §6.
@@ -458,42 +376,23 @@ func (db *DB) PlanQuery(q *query.Query, cfg QueryConfig) (*Plan, error) {
 		// Forced cross strategies degrade gracefully when no same-level
 		// hidden selection exists.
 		if !cross {
-			switch s {
-			case StratCrossPre:
-				s = StratPre
-			case StratCrossPost:
-				s = StratPost
-			case StratCrossPostSelect:
-				s = StratPostSelect
-			}
+			s = uncrossed(s)
+		}
+		// Cross phase (runs before the pipeline is reserved): one stream
+		// per crossing sublist group plus the reduction workspace.
+		if s != uncrossed(s) {
+			fp.Cross = max(fp.Cross, len(crossing), 3)
 		}
 		tp.Strategy, tp.Cross = s, cross
 		p.strategies[ti] = s
 		p.Tables = append(p.Tables, tp)
 	}
-
-	// ---- Derived sets: which tables need a QEPSJ result column, which
-	// are verified exactly at projection time, which get a Post-Select
-	// pass. These mirror the executor, so the floor below is the memory
-	// the run will actually claim.
-	needed := map[int]bool{}
-	for _, ti := range q.ProjTables() {
-		if ti != q.Anchor {
-			needed[ti] = true
-		}
-	}
-	exact := map[int]bool{}
-	postSel := map[int]bool{}
-	for ti, s := range p.strategies {
-		if strategyNeedsExact(s) {
-			exact[ti] = true
-			needed[ti] = true
-		}
-		if s == StratPostSelect || s == StratCrossPostSelect {
-			postSel[ti] = true
-			needed[ti] = true
-		}
-	}
+	// ---- The query shape: which tables need a QEPSJ column, are verified
+	// exactly or get a Post-Select pass, and each table's projection
+	// spec. The operators claim their buffers from this same shape, so
+	// the floor below is the memory the run will actually claim.
+	sh := newShape(db.Sch, q, p.strategies, bufSize)
+	p.shape = sh
 
 	// ---- QEPSJ phase footprint: writers + SKT reader + Merge.
 	//
@@ -509,25 +408,24 @@ func (db *DB) PlanQuery(q *query.Query, cfg QueryConfig) (*Plan, error) {
 			nGroups++
 		}
 	}
-	for _, hp := range q.HiddenPreds() {
+	for _, hp := range hidden {
 		if hp.Table == q.Anchor && hp.ColIdx == query.IDCol {
 			continue // free filter on the ids flowing by
 		}
 		nGroups++
 	}
-	fp := &p.Footprint
-	fp.StoreWriters = len(needed) + 1
+	fp.StoreWriters = len(sh.needed) + 1
 	// The SKT reader is reserved for every multi-table query, not only
 	// when descendant columns are stored: the join may need it to check
 	// non-anchor tombstones after a DELETE. The floor must stay a pure
 	// function of the query shape — reserving it only when tombstones
 	// exist would make admission data-dependent (a leak) and could
 	// exhaust a floor-sized grant mid-run.
-	if len(needed) > 0 || len(q.Tables) > 1 {
+	if len(sh.needed) > 0 || len(q.Tables) > 1 {
 		fp.SKTReader = 1
 	}
 	if nGroups > 0 {
-		fp.Merge = maxInt(nGroups, 3)
+		fp.Merge = max(nGroups, 3)
 	}
 	fp.QEPSJ = fp.StoreWriters + fp.SKTReader + fp.Merge
 	// Shared-stage floor: with stored columns the writers can collapse
@@ -535,114 +433,36 @@ func (db *DB) PlanQuery(q *query.Query, cfg QueryConfig) (*Plan, error) {
 	// needs a 2-buffer spill reader (tuples may span a page boundary)
 	// plus one column writer.
 	fp.QEPSJShared = fp.QEPSJ
-	if len(needed) > 0 {
+	if len(sh.needed) > 0 {
 		fp.QEPSJShared = 1 + fp.SKTReader + fp.Merge
 		fp.Distribute = 3
-	}
-
-	// ---- Cross phase (runs before the pipeline is reserved): one stream
-	// per crossing sublist group plus the reduction workspace.
-	for ti, s := range p.strategies {
-		switch s {
-		case StratCrossPre, StratCrossPost, StratCrossPostSelect:
-			if f := maxInt(db.crossCandidates(tok, q, ti), 3); f > fp.Cross {
-				fp.Cross = f
-			}
-		}
 	}
 
 	// ---- Post-Select phase (runs after the pipeline is released):
 	// staging chunk + column reader + position writer; smaller staging
 	// only means more re-scans (Figure 11).
-	if len(postSel) > 0 {
+	if len(sh.postSelect) > 0 {
 		fp.PostSelect = 3
 	}
 
-	// ---- Projection phase.
-	projVis := projectedVisibleColsOf(db.Sch, q)
-	hidProj := projectedHiddenColsOf(db.Sch, q)
-	projTables := map[int]bool{}
-	for _, ti := range q.ProjTables() {
-		if ti != q.Anchor {
-			projTables[ti] = true
-		}
-	}
-	for ti := range exact {
-		projTables[ti] = true
-	}
+	// ---- Projection phase: the claims of the operators that will run.
 	if cfg.Projector == ProjectBruteForce {
-		// One buffer per open column reader: the anchor plus every table
-		// that must be looked at.
-		fp.Projection = 1 + len(projTables)
+		fp.Projection = claimMin(sh.bruteClaims())
 	} else {
-		anchorHidden := false
-		for _, pr := range q.Projections {
-			if pr.Table == q.Anchor && pr.ColIdx != query.IDCol &&
-				db.Sch.Tables[q.Anchor].Columns[pr.ColIdx].Hidden {
-				anchorHidden = true
-			}
+		for _, s := range sh.mjoin {
+			fp.MJoin = max(fp.MJoin, s.fixed+s.minBatch)
 		}
-		idTables := map[int]bool{}
-		for _, pr := range q.Projections {
-			if pr.Table != q.Anchor && pr.ColIdx == query.IDCol {
-				idTables[pr.Table] = true
-			}
+		// Final join: its fixed readers plus one tuple cursor per joined
+		// table (batch runs are consolidated first, a pass that needs the
+		// 3-buffer reduction workspace).
+		fp.FinalJoin = claimMin(sh.finalClaims()) + len(sh.mjoin)
+		if len(sh.mjoin) > 0 {
+			fp.FinalJoin = max(fp.FinalJoin, 3)
 		}
-		nTps := 0
-		for ti := range projTables {
-			visW, hidW := 0, 0
-			for _, c := range projVis[ti] {
-				visW += db.Sch.Tables[ti].Columns[c].EncodedWidth()
-			}
-			for _, c := range hidProj[ti] {
-				hidW += db.Sch.Tables[ti].Columns[c].EncodedWidth()
-			}
-			if visW+hidW == 0 && !exact[ti] {
-				continue // id-only projection: the QEPSJ column is enough
-			}
-			nTps++
-			// MJoin fixed readers: σVH run + QEPSJ column + output writer,
-			// plus the spool cursor and hidden-image reader the widths
-			// require; the batch staging area takes what is left.
-			fixed := 3
-			if visW > 0 {
-				fixed++
-			}
-			if hidW > 0 {
-				fixed++
-			}
-			minBatch := (4 + visW + hidW + bufSize - 1) / bufSize
-			p.mjoinFixed[ti] = fixed
-			p.mjoinMinVal[ti] = minBatch
-			if f := fixed + minBatch; f > fp.MJoin {
-				fp.MJoin = f
-			}
-		}
-		// Final join fixed readers: anchor column, anchor spool, anchor
-		// hidden image, one per projected id column — plus one tuple
-		// cursor per joined table (batch runs are consolidated first, a
-		// pass that needs the 3-buffer reduction workspace).
-		fixed := 1
-		if len(projVis[q.Anchor]) > 0 {
-			fixed++
-		}
-		if anchorHidden {
-			fixed++
-		}
-		fixed += len(idTables)
-		fp.FinalJoin = fixed + nTps
-		if nTps > 0 {
-			fp.FinalJoin = maxInt(fp.FinalJoin, 3)
-		}
-		fp.Projection = maxInt(fp.MJoin, fp.FinalJoin)
+		fp.Projection = max(fp.MJoin, fp.FinalJoin)
 	}
 
-	p.MinBuffers = 1
-	for _, f := range []int{fp.QEPSJShared, fp.Distribute, fp.Cross, fp.PostSelect, fp.Projection} {
-		if f > p.MinBuffers {
-			p.MinBuffers = f
-		}
-	}
+	p.MinBuffers = max(1, fp.QEPSJShared, fp.Distribute, fp.Cross, fp.PostSelect, fp.Projection)
 	p.estimate(db, q)
 	return p, nil
 }
@@ -748,8 +568,8 @@ func (p *Plan) idClimbReads(tp TablePlan) float64 {
 	}
 	tr := ci.Tree()
 	usable := p.BufferBytes * 9 / 10
-	leafCap := maxInt(usable/(tr.KeyWidth()+tr.PayloadWidth()), 1)
-	fanout := maxInt(usable/(tr.KeyWidth()+4), 2) // key + child page id
+	leafCap := max(usable/(tr.KeyWidth()+tr.PayloadWidth()), 1)
+	fanout := max(usable/(tr.KeyWidth()+4), 2) // key + child page id
 	return idProbeReads(tp.VisCount, tp.Rows, leafCap, fanout)
 }
 

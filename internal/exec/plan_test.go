@@ -58,22 +58,27 @@ func TestPlanMatchesAdmissionRequest(t *testing.T) {
 	}
 }
 
+// randomConfig draws a forced strategy (Auto included) and a projector.
+func randomConfig(rng *rand.Rand) QueryConfig {
+	strategies := []Strategy{StratAuto, StratPre, StratCrossPre, StratPost,
+		StratCrossPost, StratPostSelect, StratCrossPostSelect, StratNoFilter}
+	projectors := []Projector{ProjectBloom, ProjectNoBF, ProjectBruteForce}
+	return QueryConfig{
+		Strategy:  strategies[rng.Intn(len(strategies))],
+		Projector: projectors[rng.Intn(len(projectors))],
+	}
+}
+
 // TestPlanFloorsSufficientProperty drives the random query corpus with
 // random forced strategies and projectors at the default budget: every
 // plan's floor must be honored by the run (no mid-run exhaustion, high
 // water within the grant, floor == admission request).
 func TestPlanFloorsSufficientProperty(t *testing.T) {
 	f := newFixture(t, 77, map[string]int{"T0": 1200, "T1": 150, "T2": 120, "T11": 40, "T12": 40})
-	strategies := []Strategy{StratAuto, StratPre, StratCrossPre, StratPost,
-		StratCrossPost, StratPostSelect, StratCrossPostSelect, StratNoFilter}
-	projectors := []Projector{ProjectBloom, ProjectNoBF, ProjectBruteForce}
 	rng := rand.New(rand.NewSource(2024))
 	for i := 0; i < 150; i++ {
 		sql := randomQuery(rng)
-		cfg := QueryConfig{
-			Strategy:  strategies[rng.Intn(len(strategies))],
-			Projector: projectors[rng.Intn(len(projectors))],
-		}
+		cfg := randomConfig(rng)
 		stmt, err := f.db.Prepare(sql, cfg)
 		if err != nil {
 			t.Fatalf("%s: prepare: %v", sql, err)
@@ -232,46 +237,60 @@ func TestSharedStageLowersWideFloors(t *testing.T) {
 // minimum and beyond, to 2), an admitted query may never hit
 // ram.ErrExhausted mid-run — a floor above the budget must be rejected
 // *before* admission with ErrBudgetTooSmall, and a floor within it must
-// run to the exact answer with Stats.RAMHigh inside the grant.
+// run to the exact answer with Stats.RAMHigh inside the grant. Each
+// query runs under Auto and the default projector, then once more under
+// its own rng-chosen forced strategy and projector, the same at every
+// budget, so the Brute-Force and Post-Select floors are also checked at
+// the budget that equals them.
 func TestPlanFloorSweepNoMidRunExhaustion(t *testing.T) {
 	rng := rand.New(rand.NewSource(404))
 	var randoms []string
 	for i := 0; i < 15; i++ {
 		randoms = append(randoms, randomQuery(rng))
 	}
+	queries := append(append([]string{}, testQueries...), randoms...)
+	cfgRng := rand.New(rand.NewSource(405))
+	forced := make([]QueryConfig, len(queries))
+	for i := range forced {
+		forced[i] = randomConfig(cfgRng)
+	}
 	for buffers := ram.DefaultBudget / 2048; buffers >= 2; buffers-- {
 		f := sweepFixture(t, buffers)
-		for _, sql := range append(append([]string{}, testQueries...), randoms...) {
-			stmt, err := f.db.Prepare(sql, QueryConfig{})
-			if err != nil {
-				t.Fatalf("%d buffers: %s: prepare: %v", buffers, sql, err)
-			}
-			plan := stmt.Plan()
-			res, err := stmt.RunCtx(context.Background(), QueryConfig{})
-			if plan.MinBuffers > buffers {
-				if err == nil {
-					t.Fatalf("%d buffers: %s: floor %d admitted anyway", buffers, sql, plan.MinBuffers)
-				}
-				if !errors.Is(err, ErrBudgetTooSmall) {
-					t.Fatalf("%d buffers: %s: want clean admission denial, got: %v", buffers, sql, err)
-				}
-			} else {
+		for qi, sql := range queries {
+			for _, cfg := range []QueryConfig{{}, forced[qi]} {
+				stmt, err := f.db.Prepare(sql, cfg)
 				if err != nil {
-					t.Fatalf("%d buffers: %s: floor %d fits but run failed mid-run: %v",
-						buffers, sql, plan.MinBuffers, err)
+					t.Fatalf("%d buffers: %s: prepare: %v", buffers, sql, err)
 				}
-				if !rowsEqual(res.Rows, f.refAnswer(t, sql)) {
-					t.Fatalf("%d buffers: %s: wrong answer", buffers, sql)
+				plan := stmt.Plan()
+				res, err := stmt.RunCtx(context.Background(), cfg)
+				switch {
+				case plan.MinBuffers > buffers:
+					if err == nil {
+						t.Fatalf("%d buffers [%v/%v]: %s: floor %d admitted anyway",
+							buffers, cfg.Strategy, cfg.Projector, sql, plan.MinBuffers)
+					}
+					if !errors.Is(err, ErrBudgetTooSmall) {
+						t.Fatalf("%d buffers [%v/%v]: %s: want clean admission denial, got: %v",
+							buffers, cfg.Strategy, cfg.Projector, sql, err)
+					}
+				case errors.Is(err, ErrBloomInfeasible):
+					// forced Post beyond sV=0.5, as in the paper
+				case err != nil:
+					t.Fatalf("%d buffers [%v/%v]: %s: floor %d fits but run failed mid-run: %v",
+						buffers, cfg.Strategy, cfg.Projector, sql, plan.MinBuffers, err)
+				case !rowsEqual(res.Rows, f.refAnswer(t, sql)):
+					t.Fatalf("%d buffers [%v/%v]: %s: wrong answer", buffers, cfg.Strategy, cfg.Projector, sql)
+				case res.Stats.RAMHigh > res.Stats.GrantBuffers*f.db.RAM.BufferSize():
+					t.Fatalf("%d buffers [%v/%v]: %s: high water %d exceeds grant",
+						buffers, cfg.Strategy, cfg.Projector, sql, res.Stats.RAMHigh)
 				}
-				if res.Stats.RAMHigh > res.Stats.GrantBuffers*f.db.RAM.BufferSize() {
-					t.Fatalf("%d buffers: %s: high water %d exceeds grant", buffers, sql, res.Stats.RAMHigh)
+				if f.db.RAM.Leaked() {
+					t.Fatalf("%d buffers: %s: grants leaked", buffers, sql)
 				}
-			}
-			if f.db.RAM.Leaked() {
-				t.Fatalf("%d buffers: %s: grants leaked", buffers, sql)
-			}
-			if f.db.RAM.HighWater() > f.db.RAM.Budget() {
-				t.Fatalf("%d buffers: %s: budget exceeded", buffers, sql)
+				if f.db.RAM.HighWater() > f.db.RAM.Budget() {
+					t.Fatalf("%d buffers: %s: budget exceeded", buffers, sql)
+				}
 			}
 		}
 	}

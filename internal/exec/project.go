@@ -4,11 +4,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"sort"
 
 	"ghostdb/internal/bloom"
 	"ghostdb/internal/delta"
-	"ghostdb/internal/query"
 	"ghostdb/internal/ram"
 	"ghostdb/internal/schema"
 	"ghostdb/internal/store"
@@ -21,22 +19,13 @@ type segRun struct {
 	count int
 }
 
-// tableProj is the projection work for one non-anchor table (§4: the
-// Project algorithm works "on a table-by-table basis").
+// tableProj is one run's projection work for one table: the plan's
+// spec and the MJoin output this run writes.
 type tableProj struct {
-	table    int
-	visCols  []int // projected visible columns (spool layout order)
-	hidCols  []int // projected hidden columns (table column indexes)
-	presence bool  // exact visible verification required (post/no-filter)
-
-	visW, hidW int
-	tupleW     int // 4 (pos) + visW + hidW
-
+	*projSpec
 	outSeg  *store.Segment
 	outRuns []segRun
 }
-
-func (tp *tableProj) hasValues() bool { return tp.visW+tp.hidW > 0 }
 
 // project runs QEPP: σVH computation, MJoin batches and the final
 // positional join, producing the result rows.
@@ -55,52 +44,9 @@ func (r *queryRun) project() (*Result, error) {
 		return res, err
 	}
 
-	// ---- Per-table preparation.
 	var tps []*tableProj
-	projVis := r.projectedVisibleCols()
-	hidProj := map[int][]int{}
-	for _, p := range q.Projections {
-		if p.ColIdx == query.IDCol || p.Table == q.Anchor {
-			continue
-		}
-		col := db.Sch.Tables[p.Table].Columns[p.ColIdx]
-		if col.Hidden && !slices.Contains(hidProj[p.Table], p.ColIdx) {
-			hidProj[p.Table] = append(hidProj[p.Table], p.ColIdx)
-		}
-	}
-	tables := map[int]bool{}
-	for _, ti := range q.ProjTables() {
-		if ti != q.Anchor {
-			tables[ti] = true
-		}
-	}
-	for ti := range r.exactAtProject {
-		tables[ti] = true
-	}
-	var order []int
-	for ti := range tables {
-		order = append(order, ti)
-	}
-	sort.Ints(order)
-	for _, ti := range order {
-		tp := &tableProj{table: ti, presence: r.exactAtProject[ti]}
-		if sp := r.spool[ti]; sp != nil {
-			for _, c := range sp.cols {
-				if slices.Contains(projVis[ti], c) {
-					tp.visCols = append(tp.visCols, c)
-					tp.visW += db.Sch.Tables[ti].Columns[c].EncodedWidth()
-				}
-			}
-		}
-		for _, c := range hidProj[ti] {
-			tp.hidCols = append(tp.hidCols, c)
-			tp.hidW += db.Sch.Tables[ti].Columns[c].EncodedWidth()
-		}
-		tp.tupleW = 4 + tp.visW + tp.hidW
-		if !tp.hasValues() && !tp.presence {
-			continue // id-only projection: read the QEPSJ column directly
-		}
-		tps = append(tps, tp)
+	for _, s := range r.plan.shape.mjoin {
+		tps = append(tps, &tableProj{projSpec: s})
 	}
 
 	err := r.col.Span(spanProject, func() error {
@@ -301,40 +247,19 @@ func (r *queryRun) mjoinTable(tp *tableProj) error {
 		return err
 	}
 
-	// Declare the pipeline's buffer needs up front: one buffer per open
-	// reader/writer the table shape requires, and a batch staging area
-	// capped by the binding derived from the session's grant at admission
-	// ("RAM capacity minus two buffers" in the paper, generalized to the
-	// table's true reader set). A minimal batch grant only means more
-	// passes over the QEPSJ column.
-	memTuple := 4 + tp.visW + tp.hidW
+	// Declare the pipeline's buffer needs up front (the table's spec): a
+	// batch staging area capped by the binding derived from the session's
+	// grant at admission ("RAM capacity minus two buffers" in the paper,
+	// generalized to the table's true reader set). A minimal batch grant
+	// only means more passes over the QEPSJ column.
 	bufSize := r.ram.BufferSize()
-	minBatch := (memTuple + bufSize - 1) / bufSize
-	wantBatch := (sigRun.Count*memTuple + bufSize - 1) / bufSize
-	if wantBatch < minBatch {
-		wantBatch = minBatch
-	}
-	if bound, ok := r.bind.MJoinBatch[tp.table]; ok && wantBatch > bound {
-		wantBatch = bound
-	}
-	claims := []ram.Claim{
-		{Name: "sig", Min: 1, Want: 1}, // σVH run reader
-		{Name: "col", Min: 1, Want: 1}, // QEPSJ column reader
-		{Name: "out", Min: 1, Want: 1}, // batch output writer
-		{Name: "batch", Min: minBatch, Want: wantBatch},
-	}
-	if tp.visW > 0 {
-		claims = append(claims, ram.Claim{Name: "spool", Min: 1, Want: 1})
-	}
-	if tp.hidW > 0 {
-		claims = append(claims, ram.Claim{Name: "hidden", Min: 1, Want: 1})
-	}
-	resv, err := r.ram.Plan(claims...)
+	wantBatch := min((sigRun.Count*tp.tupleW+bufSize-1)/bufSize, r.bind.MJoinBatch[tp.table])
+	resv, err := r.ram.Plan(tp.mjoinClaims(wantBatch)...)
 	if err != nil {
 		return fmt.Errorf("exec: MJoin: %w", err)
 	}
 	defer resv.Release()
-	batchCap := resv.Bytes("batch") / memTuple
+	batchCap := resv.Bytes("batch") / tp.tupleW
 	if batchCap < 1 {
 		batchCap = 1
 	}
@@ -344,10 +269,8 @@ func (r *queryRun) mjoinTable(tp *tableProj) error {
 
 	sig := sigSeg.NewRunReader(sigRun)
 	var spoolCur *spoolCursor
-	var sp *visSpool
 	if tp.visW > 0 {
-		sp = r.spool[tp.table]
-		spoolCur = newSpoolCursor(sp.file)
+		spoolCur = newSpoolCursor(r.spool[tp.table].file)
 	}
 	var hidRd *store.SortedReader
 	var img *HiddenImage
@@ -368,21 +291,6 @@ func (r *queryRun) mjoinTable(tp *tableProj) error {
 	batchVals := make([]byte, 0, batchCap*(tp.visW+tp.hidW))
 	valW := tp.visW + tp.hidW
 	posBuf := make([]byte, 4)
-
-	// Lay out the visible columns of the spool row once.
-	var visOffsets []int
-	var visWidths []int
-	if sp != nil {
-		off := store.IDBytes
-		for _, c := range sp.cols {
-			w := db.Sch.Tables[tp.table].Columns[c].EncodedWidth()
-			if slices.Contains(tp.visCols, c) {
-				visOffsets = append(visOffsets, off)
-				visWidths = append(visWidths, w)
-			}
-			off += w
-		}
-	}
 
 	for {
 		// Fill one batch from σVH.
@@ -406,20 +314,12 @@ func (r *queryRun) mjoinTable(tp *tableProj) error {
 					return fmt.Errorf("exec: σVH id %d missing from spool of %s",
 						id, db.Sch.Tables[tp.table].Name)
 				}
-				for i, off := range visOffsets {
-					batchVals = append(batchVals, rec[off:off+visWidths[i]]...)
-				}
+				// The spool row's values are the visible prefix of the tuple.
+				batchVals = append(batchVals, rec[store.IDBytes:store.IDBytes+tp.visW]...)
 			}
 			if tp.hidW > 0 {
-				if err := hidRd.Read(id, hidRec); err != nil {
+				if err := img.row(hidRd, dl, id, hidRec); err != nil {
 					return err
-				}
-				// Delta overlay: the base image is immutable, so an
-				// upserted row's latest values live in the overlay.
-				if dl != nil {
-					if ov, ok := dl.Lookup(id); ok {
-						copy(hidRec, ov)
-					}
 				}
 				for _, c := range tp.hidCols {
 					o, w := img.Codec.ColumnRange(img.ColPos[c])

@@ -38,11 +38,10 @@ const (
 )
 
 // visSpool is the flash-resident copy of one table's Vis result: rows of
-// (id, projected visible values), in id order.
+// (id, projected visible values), in id order; the plan's projSpec holds
+// the row layout.
 type visSpool struct {
-	file  *store.RowFile
-	cols  []int // visible column positions carried per row
-	width int   // row width: 4 + Σ widths
+	file *store.RowFile
 }
 
 // resCol is one column of the materialized QEPSJ result.
@@ -84,9 +83,6 @@ type queryRun struct {
 	// only when an operator degrades (e.g. an infeasible Bloom filter
 	// falling back to No-Filter).
 	strategies map[int]Strategy
-	// exact verification needed at projection time (Post / Cross-Post /
-	// NoFilter tables).
-	exactAtProject map[int]bool
 	// exact in-RAM selection after materialization (Post-Select).
 	postSelect map[int][]uint32
 	anchorPred []query.Pred // id predicates on the anchor (free filters)
@@ -142,13 +138,12 @@ func (r *queryRun) execute() (*Result, error) {
 	// spoolVis, which knows which tables can reuse a retained spool and
 	// coalesces the remaining payloads into one batched round-trip.
 	visPreds := q.VisiblePreds()
-	projVis := r.projectedVisibleCols()
 	r.vis = map[int]*untrusted.VisResult{}
 	r.visKeys = map[int]string{}
 	err := r.col.Span(spanVis, func() error {
 		for _, ti := range q.Tables {
 			preds, hasPreds := visPreds[ti]
-			cols := projVis[ti]
+			cols := r.plan.shape.specs[ti].visCols
 			if !hasPreds && len(cols) == 0 {
 				continue
 			}
@@ -165,8 +160,7 @@ func (r *queryRun) execute() (*Result, error) {
 		return nil, err
 	}
 
-	// ---- Per-query working sets for the planned strategies.
-	r.exactAtProject = map[int]bool{}
+	// ---- Per-query working set for the planned Post-Select passes.
 	r.postSelect = map[int][]uint32{}
 
 	// ---- Ship Vis results and spool the rows needed at projection time.
@@ -220,13 +214,6 @@ func (r *queryRun) refreshDeltas() error {
 	})
 }
 
-// projectedVisibleCols returns, per table, the visible column positions in
-// the projection list (sorted, deduplicated). Shared with the planner so
-// the footprint derivation and the executor can never disagree.
-func (r *queryRun) projectedVisibleCols() map[int][]int {
-	return projectedVisibleColsOf(r.db.Sch, r.q)
-}
-
 // visibleOnlyRun executes a single-table all-visible query (a FastPath
 // plan) entirely on Untrusted: no hidden data is involved, so Secure
 // only relays.
@@ -236,7 +223,7 @@ func (r *queryRun) visibleOnlyRun() (*Result, error) {
 	t := db.Sch.Tables[ti]
 	var preds []query.Pred
 	preds = append(preds, q.Preds...)
-	cols := r.projectedVisibleCols()[ti]
+	cols := projectedVisibleColsOf(db.Sch, q)[ti]
 	var vr *untrusted.VisResult
 	err := r.col.Span(spanVis, func() error {
 		var err error
@@ -250,16 +237,7 @@ func (r *queryRun) visibleOnlyRun() (*Result, error) {
 	for _, p := range q.Projections {
 		res.Columns = append(res.Columns, db.columnLabel(p))
 	}
-	colPos := map[int]int{}
-	for i, c := range cols {
-		colPos[c] = i
-	}
-	// Decode shipped rows.
-	offsets := make([]int, len(cols)+1)
-	offsets[0] = store.IDBytes
-	for i, c := range cols {
-		offsets[i+1] = offsets[i] + t.Columns[c].EncodedWidth()
-	}
+	off := rowLayout(t, cols)
 	dl := r.tok.deltaOf(ti)
 	// len(vr.IDs) bounds the rows: tombstoned ones are dropped.
 	rows := newRowArena(db.Sch, q, len(vr.IDs))
@@ -279,9 +257,8 @@ func (r *queryRun) visibleOnlyRun() (*Result, error) {
 				row[j] = schema.IntVal(int64(id))
 				continue
 			}
-			ci := colPos[p.ColIdx]
-			w := t.Columns[p.ColIdx].EncodedWidth()
-			if err := rows.decode(&row[j], raw[offsets[ci]:offsets[ci]+w], t.Columns[p.ColIdx].Kind); err != nil {
+			o, w := off[p.ColIdx], t.Columns[p.ColIdx].EncodedWidth()
+			if err := rows.decode(&row[j], raw[o:o+w], t.Columns[p.ColIdx].Kind); err != nil {
 				return nil, err
 			}
 		}
@@ -328,7 +305,7 @@ func (r *queryRun) spoolVis() error {
 			continue
 		}
 		needValues := len(vr.ProjCols) > 0
-		needIDs := r.needsExact(ti) || ti == r.q.Anchor && needValues
+		needIDs := r.plan.shape.exact[ti] || ti == r.q.Anchor && needValues
 		if !needValues && !needIDs {
 			// Streamed only: the ids feed the merge directly and no
 			// flash copy exists to reuse, so the full run always ships.
@@ -363,11 +340,11 @@ func (r *queryRun) spoolVis() error {
 		}
 		for _, b := range builds {
 			vr := b.vr
-			sp := &visSpool{cols: vr.ProjCols, width: vr.RowWidth}
-			if !b.needValues {
-				sp.width = store.IDBytes
+			width := store.IDBytes
+			if b.needValues {
+				width = vr.RowWidth
 			}
-			f, err := store.NewRowFile(r.tok.Dev, sp.width)
+			f, err := store.NewRowFile(r.tok.Dev, width)
 			if err != nil {
 				return err
 			}
@@ -390,8 +367,7 @@ func (r *queryRun) spoolVis() error {
 			if err := f.Seal(); err != nil {
 				return err
 			}
-			sp.file = f
-			r.spool[b.ti] = sp
+			r.spool[b.ti] = &visSpool{file: f}
 			if r.db.pages != nil {
 				r.retain[b.ti] = fmt.Sprintf("%s|vals=%t", r.visKeys[b.ti], b.needValues)
 			}
@@ -451,16 +427,6 @@ func (r *queryRun) retainSpools() {
 		}
 		r.tok.retainSpool(key, *sp)
 	}
-}
-
-// needsExact reports whether a table's visible selection must be verified
-// exactly at projection time.
-func (r *queryRun) needsExact(ti int) bool {
-	switch r.strategies[ti] {
-	case StratPost, StratCrossPost, StratNoFilter:
-		return true
-	}
-	return false
 }
 
 // mergeGroup is one conjunct of the anchor-level Merge: the union of its

@@ -17,7 +17,7 @@ import (
 // one Merge group per conjunct at the anchor level, reduces sublists to
 // fit the RAM budget, and pipelines Merge → SJoin → ProbeBF → Store.
 func (r *queryRun) qepsj() error {
-	q, db := r.q, r.db
+	q, db, sh := r.q, r.db, r.plan.shape
 	anchor := q.Anchor
 
 	var groups []*mergeGroup
@@ -45,19 +45,14 @@ func (r *queryRun) qepsj() error {
 	for _, tv := range visTables {
 		strat := r.strategies[tv]
 		vr := r.vis[tv]
-		crossPreds, crossIdx := r.crossingPreds(tv, hidden, absorbed)
+		crossPreds, crossIdx := crossingPreds(db.Sch, r.tok, hidden, tv, func(i int) bool {
+			return absorbed[i] || r.staleIndex(hidden[i])
+		})
 
 		// Degrade cross strategies when every crossing predicate has
 		// already been absorbed by a deeper table.
 		if len(crossPreds) == 0 {
-			switch strat {
-			case StratCrossPre:
-				strat = StratPre
-			case StratCrossPost:
-				strat = StratPost
-			case StratCrossPostSelect:
-				strat = StratPostSelect
-			}
+			strat = uncrossed(strat)
 			r.strategies[tv] = strat
 		}
 
@@ -102,9 +97,6 @@ func (r *queryRun) qepsj() error {
 		default:
 			return fmt.Errorf("exec: unexpected strategy %v", strat)
 		}
-		if r.needsExact(tv) {
-			r.exactAtProject[tv] = true
-		}
 	}
 
 	// ---- Hidden predicates (not absorbed) at the anchor level.
@@ -117,18 +109,8 @@ func (r *queryRun) qepsj() error {
 			continue
 		}
 		g := &mergeGroup{label: fmt.Sprintf("hidden:%s", db.Sch.Tables[p.Table].Name)}
-		// An upsert overlay makes the table's climbing indexes stale for
-		// attribute keys (entries are never removed when a row's value
-		// changes): force the overlay-corrected scan. Id keys are exempt
-		// — ids never move, so id-index entries cannot go stale.
-		dirty := false
-		if p.ColIdx != query.IDCol {
-			if dl := r.tok.deltaOf(p.Table); dl != nil && dl.DirtyCount() > 0 {
-				dirty = true
-			}
-		}
 		ci := r.indexFor(p)
-		if ci == nil || dirty {
+		if ci == nil || r.staleIndex(p) {
 			if err := r.scanFallback(g, p); err != nil {
 				return err
 			}
@@ -168,47 +150,22 @@ func (r *queryRun) qepsj() error {
 		})
 	}
 
-	// ---- Which tables need a column in the QEPSJ result?
-	neededSet := map[int]bool{}
-	for _, ti := range q.ProjTables() {
-		if ti != anchor {
-			neededSet[ti] = true
-		}
-	}
-	for ti := range r.exactAtProject {
-		neededSet[ti] = true
-	}
-	for ti := range r.postSelect {
-		neededSet[ti] = true
-	}
-	// bfPlans tables are already covered: Post / Cross-Post strategies
-	// are exact-at-project, so the loop above picked them up.
-	var needed []int
-	for ti := range neededSet {
-		needed = append(needed, ti)
-	}
-	sort.Ints(needed)
-
 	// ---- Reserve the store pipeline's buffers up front as named
 	// sub-reservations, so the Bloom filters and the Merge reduction can
 	// only spend what is genuinely left instead of racing the writers
 	// for it. Under a tight grant (Binding.StoreDirect false) the column
 	// writers share one staged spill buffer instead of holding one each;
 	// the survivors are distributed into per-column segments by an extra
-	// pass after the pipeline releases.
-	var claims []ram.Claim
-	if r.bind.StoreDirect || len(needed) == 0 {
-		claims = []ram.Claim{{Name: "store-writers", Min: len(needed) + 1, Want: len(needed) + 1}}
-	} else {
+	// pass after the pipeline releases. The SKT reader is the plan's
+	// data-independent claim: whether tombstones actually exist is hidden
+	// state, so neither the claim set nor any admission error may depend
+	// on it.
+	fp := r.plan.Footprint
+	claims := []ram.Claim{{Name: "store-writers", Min: fp.StoreWriters, Want: fp.StoreWriters}}
+	if !r.bind.StoreDirect {
 		claims = []ram.Claim{{Name: "store-stage", Min: 1, Want: 1}}
 	}
-	// The SKT reader claim mirrors the plan's data-independent floor
-	// condition exactly: every multi-table query reserves it, because the
-	// join may need to chase anchor tuples to joined tables and drop
-	// those referencing a tombstoned row. Whether tombstones actually
-	// exist is hidden state — neither the claim set nor any admission
-	// error may depend on it.
-	if len(needed) > 0 || len(q.Tables) > 1 {
+	if fp.SKTReader > 0 {
 		claims = append(claims, ram.Claim{Name: "skt-reader", Min: 1, Want: 1})
 	}
 	// Joined non-anchor tables with live tombstones (consumed in-slot by
@@ -321,7 +278,7 @@ func (r *queryRun) qepsj() error {
 	merged = r.dropDeadAnchors(q.Anchor, merged)
 
 	// ---- Pipeline: Merge -> SJoin -> ProbeBF -> Store.
-	err = r.joinAndStore(merged, needed, tombChecks, bfs)
+	err = r.joinAndStore(merged, sh.needed, tombChecks, bfs)
 	merged.close()
 	pipe.Release()
 	if err != nil {
@@ -409,41 +366,16 @@ func (s *seqStream) clip(preds []query.Pred) []query.Pred {
 	return rest
 }
 
-// crossingPreds returns the hidden predicates usable for the Cross
-// optimization at table tv, with their positions in the hidden list.
-func (r *queryRun) crossingPreds(tv int, hidden []query.Pred, absorbed []bool) ([]query.Pred, []int) {
-	var preds []query.Pred
-	var idx []int
-	for i, p := range hidden {
-		if absorbed[i] {
-			continue
-		}
-		if p.ColIdx != query.IDCol {
-			if dl := r.tok.deltaOf(p.Table); dl != nil && dl.DirtyCount() > 0 {
-				// Upserts make the attribute index stale: the predicate
-				// must go through the overlay-corrected scan at the
-				// anchor level instead of being crossed here.
-				continue
-			}
-		}
-		if p.Table == tv {
-			if p.ColIdx == query.IDCol {
-				continue // id predicate on tv itself: cheap at anchor level
-			}
-			preds = append(preds, p)
-			idx = append(idx, i)
-			continue
-		}
-		if r.db.Sch.IsAncestorOf(tv, p.Table) {
-			if ci := r.indexFor(p); ci != nil {
-				if _, ok := ci.LevelOf(tv); ok {
-					preds = append(preds, p)
-					idx = append(idx, i)
-				}
-			}
-		}
+// staleIndex reports whether an upsert overlay has made the climbing
+// index of p's attribute stale (entries are never removed when a row's
+// value changes), so p must go through the overlay-corrected scan at the
+// anchor level. Id keys are exempt: ids never move.
+func (r *queryRun) staleIndex(p query.Pred) bool {
+	if p.ColIdx == query.IDCol {
+		return false
 	}
-	return preds, idx
+	dl := r.tok.deltaOf(p.Table)
+	return dl != nil && dl.DirtyCount() > 0
 }
 
 // crossedList intersects a table's Visible id list with the same-level

@@ -152,9 +152,6 @@ var ErrNoLevel = errors.New("index: level not present in climbing index")
 // Table returns the indexed table.
 func (c *Climbing) Table() int { return c.table }
 
-// ColIdx returns the indexed column position, or -1 for an ID index.
-func (c *Climbing) ColIdx() int { return c.colIdx }
-
 // Levels returns the table index carried at each payload slot.
 func (c *Climbing) Levels() []int { return c.levels }
 

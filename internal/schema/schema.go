@@ -309,23 +309,6 @@ func (s *Schema) CommonAncestor(set []int) int {
 	return anc[0]
 }
 
-// PathUp returns the table indexes from `from` up to `to` inclusive,
-// where `to` must be an ancestor-or-self of `from`.
-func (s *Schema) PathUp(from, to int) ([]int, error) {
-	path := []int{from}
-	cur := from
-	for cur != to {
-		p := s.Tables[cur].ParentIndex
-		if p < 0 {
-			return nil, fmt.Errorf("schema: %q is not an ancestor of %q",
-				s.Tables[to].Name, s.Tables[from].Name)
-		}
-		path = append(path, p)
-		cur = p
-	}
-	return path, nil
-}
-
 // String renders the schema as CREATE TABLE statements (each tree root
 // first, then preorder), for diagnostics.
 func (s *Schema) String() string {

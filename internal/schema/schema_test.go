@@ -71,7 +71,7 @@ func TestTreeComputation(t *testing.T) {
 	}
 }
 
-func TestCommonAncestorAndPath(t *testing.T) {
+func TestCommonAncestor(t *testing.T) {
 	s := paperSchema(t)
 	idx := func(n string) int { tb, _ := s.Lookup(n); return tb.Index }
 	if got := s.CommonAncestor([]int{idx("T11"), idx("T12")}); s.Tables[got].Name != "T1" {
@@ -82,16 +82,6 @@ func TestCommonAncestorAndPath(t *testing.T) {
 	}
 	if got := s.CommonAncestor([]int{idx("T12")}); s.Tables[got].Name != "T12" {
 		t.Fatalf("CA(T12) = %s", s.Tables[got].Name)
-	}
-	path, err := s.PathUp(idx("T12"), idx("T0"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(path) != 3 || s.Tables[path[1]].Name != "T1" {
-		t.Fatalf("path = %v", path)
-	}
-	if _, err := s.PathUp(idx("T1"), idx("T12")); err == nil {
-		t.Fatal("downhill path accepted")
 	}
 }
 

@@ -167,6 +167,3 @@ func (s *Segment) ReadAt(dst []byte, off, n int) error {
 	}
 	return nil
 }
-
-// Device exposes the underlying device (index builders need it).
-func (s *Segment) Device() *flash.Device { return s.dev }
