@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint fmt fuzz figures golden bench bench-test coverage size
+.PHONY: all build test race lint fmt fuzz figures golden bench bench-test coverage size profile
 
 all: build lint test
 
@@ -48,6 +48,19 @@ GOSRC = find $(1) -name '.?*' -prune -o -name testdata -prune -o -name '*.go' ! 
 size:
 	@echo "non-test Go lines outside benchmark/: $$($(call GOSRC,. -path ./benchmark -prune -o))"
 	@echo "non-test Go lines inside benchmark/:  $$($(call GOSRC,benchmark))"
+
+# CPU and allocation profiles of BenchmarkPaperQStatement (one paperq
+# statement per point, internal/exec/allocs_test.go), with the test
+# binary beside them for pprof, under .bench_build/profile; prints the
+# top of each. Sizes a host-side gain without the full benchmark, ~10 s.
+PROFILE := .bench_build/profile
+profile:
+	@set -e; mkdir -p $(PROFILE); \
+	$(GO) test -run '^$$' -bench PaperQStatement -benchtime 2s -benchmem \
+		-o $(PROFILE)/exec.test -cpuprofile $(PROFILE)/cpu.pprof -memprofile $(PROFILE)/mem.pprof \
+		./internal/exec; \
+	echo "== CPU"; $(GO) tool pprof -top -nodecount 25 $(PROFILE)/exec.test $(PROFILE)/cpu.pprof; \
+	echo "== allocated space"; $(GO) tool pprof -top -nodecount 25 -sample_index alloc_space $(PROFILE)/exec.test $(PROFILE)/mem.pprof
 
 # The two-clock benchmark (benchmark/README.md): every workload,
 # untraced then traced, ~2 min. bench-test runs the same pipeline at

@@ -72,6 +72,11 @@ func (s *runSet) grow(n int) {
 	s.live = slices.Grow(s.live, n)
 }
 
+// reset empties the set, keeping its capacity.
+func (s *runSet) reset() {
+	s.subs, s.live = s.subs[:0], s.live[:0]
+}
+
 func (s *runSet) add(seg *store.ListSegment, run store.Run) {
 	s.live.push(uint64(run.Count)<<32 | uint64(len(s.subs)))
 	s.subs = append(s.subs, sublist{seg: seg, run: run})
@@ -79,42 +84,54 @@ func (s *runSet) add(seg *store.ListSegment, run store.Run) {
 
 func (s *runSet) popSmallest() sublist { return s.subs[uint32(s.live.pop())] }
 
+// unionScratch is a union's host bookkeeping: its sublists' streams,
+// its source list and the union stream itself. The sublists' streams are
+// one slice under one grant, which the first stream holds: a union
+// closes its sources together.
+type unionScratch struct {
+	streams []runStream
+	srcs    []idStream
+	u       unionStream
+}
+
 // openUnion opens the union of every sublist in the set (one RAM buffer
 // per flash sublist) and of the direct streams, which ride the
-// communication buffer. The sublists' streams are one slice under one
-// grant, which the first stream holds: a union closes its sources
-// together.
-func (r *queryRun) openUnion(s *runSet, direct []idStream) (idStream, error) {
-	srcs := make([]idStream, 0, s.len()+len(direct))
-	if n := s.len(); n > 0 {
+// communication buffer. It builds the union in sc, which must not hold an
+// open union.
+func (r *queryRun) openUnion(s *runSet, direct []idStream, sc *unionScratch) (idStream, error) {
+	n := s.len()
+	sc.srcs = slices.Grow(sc.srcs[:0], n+len(direct))
+	if n > 0 {
 		g, err := r.ram.AllocBuffers(n)
 		if err != nil {
 			return nil, fmt.Errorf("exec: run buffers: %w", err)
 		}
-		streams := make([]runStream, n)
+		sc.streams = slices.Grow(sc.streams[:0], n)[:n]
 		for i, key := range s.live {
 			sub := s.subs[uint32(key)]
-			st := &streams[i]
-			st.tok, st.buf = r.tok, r.tok.pageBuf()
-			sub.seg.InitRunReader(&st.rd, sub.run, st.buf)
-			srcs = append(srcs, st)
+			st := &sc.streams[i]
+			st.open(r.tok, sub.seg, sub.run)
+			sc.srcs = append(sc.srcs, st)
 		}
-		streams[0].grant = g
+		sc.streams[0].grant = g
 	}
-	srcs = append(srcs, direct...)
-	switch len(srcs) {
+	sc.srcs = append(sc.srcs, direct...)
+	switch len(sc.srcs) {
 	case 0:
 		return emptyStream{}, nil
 	case 1:
-		return srcs[0], nil
+		return sc.srcs[0], nil
 	}
-	return newUnionStream(srcs)
+	if err := sc.u.init(sc.srcs); err != nil {
+		return nil, err
+	}
+	return &sc.u, nil
 }
 
 // unionSmallest replaces the k smallest sublists of the set with their
-// union, written as one run on a fresh temp segment; it holds one stream
+// union, written as one run on a temp segment; it holds one stream
 // buffer per input plus one spill-writer buffer for the duration of the
-// pass.
+// pass. The pass's bookkeeping is the run's scratch (r.pick, r.union).
 func (r *queryRun) unionSmallest(s *runSet, k int, span string) error {
 	if k < 2 || k > s.len() {
 		return fmt.Errorf("exec: bad union fan-in %d of %d", k, s.len())
@@ -125,13 +142,13 @@ func (r *queryRun) unionSmallest(s *runSet, k int, span string) error {
 	}
 	defer wg.Release()
 
-	var pick runSet
-	pick.grow(k)
+	pick := &r.pick
+	pick.reset()
 	for i := 0; i < k; i++ {
 		sub := s.popSmallest()
 		pick.add(sub.seg, sub.run)
 	}
-	u, err := r.openUnion(&pick, nil)
+	u, err := r.openUnion(pick, nil, &r.union)
 	if err != nil {
 		return err
 	}
@@ -164,7 +181,7 @@ func (r *queryRun) unionSmallest(s *runSet, k int, span string) error {
 	if err := out.Seal(); err != nil {
 		return err
 	}
-	s.add(out, run)
+	s.add(&out.ListSegment, run)
 	return nil
 }
 
@@ -221,7 +238,7 @@ func (r *queryRun) consolidateTupleRuns(tp *tableProj, maxRuns int) error {
 }
 
 // mergeTupleRuns replaces the k smallest batch runs of tp with their
-// position-ordered merge, spilled to a fresh tuple segment.
+// position-ordered merge, spilled to a temp tuple segment.
 func (r *queryRun) mergeTupleRuns(tp *tableProj, k int) error {
 	order := make([]int, len(tp.outRuns))
 	for i := range order {
@@ -231,8 +248,7 @@ func (r *queryRun) mergeTupleRuns(tp *tableProj, k int) error {
 	pick := order[:k]
 	sort.Ints(pick)
 
-	out := store.NewSegment(r.tok.Dev)
-	r.tempSegs = append(r.tempSegs, out)
+	out := r.newTuples()
 	sub := &tableProj{projSpec: tp.projSpec}
 	for _, i := range pick {
 		sub.outRuns = append(sub.outRuns, tp.outRuns[i])
@@ -274,6 +290,6 @@ func (r *queryRun) mergeTupleRuns(tp *tableProj, k int) error {
 			nruns = append(nruns, run)
 		}
 	}
-	tp.outRuns = append(nruns, segRun{seg: out, off: 0, count: count})
+	tp.outRuns = append(nruns, segRun{seg: &out.Segment, off: 0, count: count})
 	return nil
 }

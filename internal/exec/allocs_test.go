@@ -54,8 +54,9 @@ var rowProducers = []struct {
 // 1.0 and bounds the extra mallocs by the extra rows. The grant (512
 // buffers) lets the Merge open every sublist of the sV 1.0 climb at
 // once: under the paper's 32 buffers it first unions them in reduction
-// passes, each a flash spill with its own bookkeeping, and their number
-// grows with the sublists, not with the output this test is about.
+// passes, whose number grows with the sublists, not with the output this
+// test is about, and each still takes its RAM grants (a few mallocs per
+// pass, which TestReductionAllocsPerPass bounds).
 func TestSelectAllocsIndependentOfRows(t *testing.T) {
 	db := synthDB(t, 512*2048)
 	ctx := context.Background()
@@ -85,19 +86,64 @@ func TestSelectAllocsIndependentOfRows(t *testing.T) {
 	}
 }
 
+// TestReductionAllocsPerPass runs Pre-Filter on Q-no-cross at sV 1.0,
+// whose climb yields more sublists than the paper's 32 buffers can open:
+// the Merge first unions the smallest in reduction passes, each spilling
+// at least one flash page. At 512 buffers no pass runs. The passes reuse
+// the token's page buffers and the run's reduction scratch, so the extra
+// mallocs stay under 4 per extra page written — the ram grants a pass
+// takes are two of them.
+func TestReductionAllocsPerPass(t *testing.T) {
+	ctx := context.Background()
+	sql := experiments.SynthQNoCross(1.0)
+	cfg := exec.QueryConfig{Strategy: exec.StratPre}
+	measure := func(buffers int) (allocs float64, writes uint64) {
+		db := synthDB(t, buffers*2048)
+		var reads uint64
+		allocs = testing.AllocsPerRun(5, func() {
+			res, err := db.RunCtx(ctx, sql, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reads, writes = res.Stats.Flash.PageReads, res.Stats.Flash.PageWrites
+		})
+		t.Logf("%d buffers: %.0f mallocs, %d page reads, %d page writes", buffers, allocs, reads, writes)
+		return allocs, writes
+	}
+	tightA, tightW := measure(32)
+	wideA, wideW := measure(512)
+	if tightW <= wideW {
+		t.Fatalf("%d page writes at 32 buffers, %d at 512: no reduction pass ran", tightW, wideW)
+	}
+	if extra, limit := tightA-wideA, 4*float64(tightW-wideW); extra >= limit {
+		t.Fatalf("%.0f extra mallocs for %d extra page writes (limit %.0f)", extra, tightW-wideW, limit)
+	}
+}
+
 // BenchmarkPaperQStatement times one statement of the benchmark's paperq
-// round, query Q under the planner's strategy at the paper's 64 KB grant,
-// at three points of the sV grid, with allocations reported:
+// round at the paper's 64 KB grant, with allocations reported: query Q
+// under the planner's strategy at three points of the sV grid, and
+// Pre-Filter on Q-no-cross at sV 1.0, whose Merge runs the sublist
+// reduction's spill passes:
 //
 //	go test -run '^$' -bench PaperQStatement ./internal/exec
 func BenchmarkPaperQStatement(b *testing.B) {
 	db := synthDB(b, 0)
+	type point struct {
+		name string
+		sql  string
+		cfg  exec.QueryConfig
+	}
+	var points []point
 	for _, sv := range []float64{0.01, 0.1, 1.0} {
-		sql := experiments.SynthQ(sv, 2, true)
-		b.Run(fmt.Sprintf("sV=%g", sv), func(b *testing.B) {
+		points = append(points, point{fmt.Sprintf("sV=%g", sv), experiments.SynthQ(sv, 2, true), exec.QueryConfig{}})
+	}
+	points = append(points, point{"noCross/Pre/sV=1", experiments.SynthQNoCross(1.0), exec.QueryConfig{Strategy: exec.StratPre}})
+	for _, p := range points {
+		b.Run(p.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
-				if _, err := db.RunCtx(context.Background(), sql, exec.QueryConfig{}); err != nil {
+				if _, err := db.RunCtx(context.Background(), p.sql, p.cfg); err != nil {
 					b.Fatal(err)
 				}
 			}

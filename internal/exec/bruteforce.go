@@ -28,14 +28,17 @@ func (r *queryRun) bruteForce(res *Result) error {
 	defer resv.Release()
 
 	anchorCol := r.resCols[anchor]
-	anchorRd := anchorCol.seg.NewRunReader(anchorCol.run)
-	colRd := map[int]*store.RunReader{}
-	for _, s := range sh.proj {
+	var anchorRd runStream
+	defer anchorRd.close()
+	anchorRd.open(r.tok, anchorCol.seg, anchorCol.run)
+	colRd := make([]runStream, len(sh.proj)) // aligned with sh.proj
+	defer closeStreams(colRd)
+	for i, s := range sh.proj {
 		c, ok := r.resCols[s.table]
 		if !ok {
 			return fmt.Errorf("exec: missing QEPSJ column for %s", db.Sch.Tables[s.table].Name)
 		}
-		colRd[s.table] = c.seg.NewRunReader(c.run)
+		colRd[i].open(r.tok, c.seg, c.run)
 	}
 
 	// One record buffer per table, made on first use and reused for every
@@ -49,7 +52,7 @@ func (r *queryRun) bruteForce(res *Result) error {
 	rows := newRowArena(db.Sch, q, r.resN)
 
 	for pos := 0; pos < r.resN; pos++ {
-		aid, ok, err := anchorRd.Next()
+		aid, ok, err := anchorRd.next()
 		if err != nil {
 			return err
 		}
@@ -57,9 +60,9 @@ func (r *queryRun) bruteForce(res *Result) error {
 			return fmt.Errorf("exec: anchor column exhausted early")
 		}
 		ids[anchor] = aid
-		for _, s := range sh.proj {
+		for i, s := range sh.proj {
 			ti := s.table
-			v, ok, err := colRd[ti].Next()
+			v, ok, err := colRd[i].next()
 			if err != nil {
 				return err
 			}

@@ -230,7 +230,9 @@ func (r *queryRun) finalJoin(res *Result, tps []*tableProj) error {
 	defer resv.Release()
 
 	anchorCol := r.resCols[anchor]
-	anchorRd := anchorCol.seg.NewRunReader(anchorCol.run)
+	var anchorRd runStream
+	defer anchorRd.close()
+	anchorRd.open(r.tok, anchorCol.seg, anchorCol.run)
 
 	// Anchor visible values (spooled, id-sorted).
 	var aCur *spoolCursor
@@ -254,14 +256,15 @@ func (r *queryRun) finalJoin(res *Result, tps []*tableProj) error {
 	}
 
 	// Non-anchor id columns, in idTables order.
-	idRd := make([]*store.RunReader, len(idTables))
+	idRd := make([]runStream, len(idTables))
+	defer closeStreams(idRd)
 	idVal := make([]uint32, len(idTables))
 	for i, ti := range idTables {
 		col, ok := r.resCols[ti]
 		if !ok {
 			return fmt.Errorf("exec: missing QEPSJ column for %s", db.Sch.Tables[ti].Name)
 		}
-		idRd[i] = col.seg.NewRunReader(col.run)
+		idRd[i].open(r.tok, col.seg, col.run)
 	}
 
 	// Per-table tuple cursors, in tps order.
@@ -334,7 +337,7 @@ func (r *queryRun) finalJoin(res *Result, tps []*tableProj) error {
 	for pos := uint32(0); int(pos) < r.resN; pos++ {
 		var ok bool
 		var err error
-		aid, ok, err = anchorRd.Next()
+		aid, ok, err = anchorRd.next()
 		if err != nil {
 			return err
 		}
@@ -342,8 +345,8 @@ func (r *queryRun) finalJoin(res *Result, tps []*tableProj) error {
 			return fmt.Errorf("exec: anchor column shorter than result count")
 		}
 		aHidLoaded = false
-		for i, rd := range idRd {
-			v, ok, err := rd.Next()
+		for i := range idRd {
+			v, ok, err := idRd[i].next()
 			if err != nil {
 				return err
 			}

@@ -52,7 +52,7 @@ func (r *queryRun) reduceGroups(groups []*mergeGroup, fanCap int) error {
 
 // openGroup opens the union stream of one merge group.
 func (r *queryRun) openGroup(g *mergeGroup) (idStream, error) {
-	return r.openUnion(&g.runs, g.streams)
+	return r.openUnion(&g.runs, g.streams, &g.union)
 }
 
 // openMerged opens the full Merge: the intersection of all groups. With
@@ -135,16 +135,16 @@ func (r *queryRun) joinAndStore(merged idStream, needed, tombChecks []int, bfs [
 		}
 	}
 
-	var anchorSeg *store.ListSegment
-	var colSegs []*store.ListSegment // aligned with needed
-	var spillSeg *store.Segment
+	var anchorSeg *tempList
+	var colSegs []*tempList // aligned with needed
+	var spillSeg *tempTuples
 	var spillRec []byte
 	if direct {
 		anchorSeg = r.newTemp()
 		if err := anchorSeg.BeginRun(); err != nil {
 			return err
 		}
-		colSegs = make([]*store.ListSegment, len(needed))
+		colSegs = make([]*tempList, len(needed))
 		for i := range needed {
 			colSegs[i] = r.newTemp()
 			if err := colSegs[i].BeginRun(); err != nil {
@@ -152,8 +152,7 @@ func (r *queryRun) joinAndStore(merged idStream, needed, tombChecks []int, bfs [
 			}
 		}
 	} else {
-		spillSeg = store.NewSegment(r.tok.Dev)
-		r.tempSegs = append(r.tempSegs, spillSeg)
+		spillSeg = r.newTuples()
 		spillRec = make([]byte, (1+len(needed))*store.IDBytes)
 	}
 
@@ -309,10 +308,10 @@ func (r *queryRun) joinAndStore(merged idStream, needed, tombChecks []int, bfs [
 		if err != nil {
 			return err
 		}
-		r.spill = &storeSpill{seg: spillSeg, needed: needed, n: n}
+		r.spill = &storeSpill{seg: &spillSeg.Segment, needed: needed, n: n}
 		return nil
 	}
-	finish := func(ti int, seg *store.ListSegment) error {
+	finish := func(ti int, seg *tempList) error {
 		return r.col.Span(spanStore, func() error {
 			run, err := seg.EndRun()
 			if err != nil {
@@ -321,7 +320,7 @@ func (r *queryRun) joinAndStore(merged idStream, needed, tombChecks []int, bfs [
 			if err := seg.Seal(); err != nil {
 				return err
 			}
-			r.resCols[ti] = resCol{seg: seg, run: run}
+			r.resCols[ti] = resCol{seg: &seg.ListSegment, run: run}
 			return nil
 		})
 	}
@@ -383,7 +382,7 @@ func (r *queryRun) distributeSpill() error {
 			if err := seg.Seal(); err != nil {
 				return err
 			}
-			r.resCols[ti] = resCol{seg: seg, run: run}
+			r.resCols[ti] = resCol{seg: &seg.ListSegment, run: run}
 		}
 		return sp.seg.Free()
 	})

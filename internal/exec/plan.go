@@ -84,13 +84,6 @@ type Footprint struct {
 	// writers and skips the extra pass.
 	QEPSJShared int
 	Distribute  int
-	// Cross phase: stream buffers for intersecting a visible id list
-	// with same-level hidden sublists (runs before the QEPSJ pipeline is
-	// reserved).
-	Cross int
-	// PostSelect phase: staging chunk + column reader + position writer
-	// (runs after the QEPSJ pipeline is released).
-	PostSelect int
 	// MJoin / FinalJoin are the projection phase peaks; Projection is
 	// their maximum (or the brute-force reader plan when forced).
 	MJoin      int
@@ -378,11 +371,6 @@ func (db *DB) PlanQuery(q *query.Query, cfg QueryConfig) (*Plan, error) {
 		if !cross {
 			s = uncrossed(s)
 		}
-		// Cross phase (runs before the pipeline is reserved): one stream
-		// per crossing sublist group plus the reduction workspace.
-		if s != uncrossed(s) {
-			fp.Cross = max(fp.Cross, len(crossing), 3)
-		}
 		tp.Strategy, tp.Cross = s, cross
 		p.strategies[ti] = s
 		p.Tables = append(p.Tables, tp)
@@ -438,13 +426,6 @@ func (db *DB) PlanQuery(q *query.Query, cfg QueryConfig) (*Plan, error) {
 		fp.Distribute = 3
 	}
 
-	// ---- Post-Select phase (runs after the pipeline is released):
-	// staging chunk + column reader + position writer; smaller staging
-	// only means more re-scans (Figure 11).
-	if len(sh.postSelect) > 0 {
-		fp.PostSelect = 3
-	}
-
 	// ---- Projection phase: the claims of the operators that will run.
 	if cfg.Projector == ProjectBruteForce {
 		fp.Projection = claimMin(sh.bruteClaims())
@@ -462,7 +443,12 @@ func (db *DB) PlanQuery(q *query.Query, cfg QueryConfig) (*Plan, error) {
 		fp.Projection = max(fp.MJoin, fp.FinalJoin)
 	}
 
-	p.MinBuffers = max(1, fp.QEPSJShared, fp.Distribute, fp.Cross, fp.PostSelect, fp.Projection)
+	// The Cross phase and Post-Select need no term of their own. The
+	// predicates crossing at a table are among the Merge's run groups, so
+	// a Cross pass (one stream per crossing group, at least 3) fits in
+	// Merge < QEPSJShared; a Post-Select table is stored, so Distribute
+	// already covers its 3 buffers (staging chunk + reader + writer).
+	p.MinBuffers = max(1, fp.QEPSJShared, fp.Distribute, fp.Projection)
 	p.estimate(db, q)
 	return p, nil
 }
@@ -781,12 +767,6 @@ func (p *Plan) Explain() string {
 			fp.QEPSJ, fp.StoreWriters, fp.SKTReader, fp.Merge)
 		if fp.Distribute > 0 && fp.QEPSJShared < fp.QEPSJ {
 			fmt.Fprintf(&b, " [shared-stage floor %d + distribute %d]", fp.QEPSJShared, fp.Distribute)
-		}
-		if fp.Cross > 0 {
-			fmt.Fprintf(&b, " · cross %d", fp.Cross)
-		}
-		if fp.PostSelect > 0 {
-			fmt.Fprintf(&b, " · post-select %d", fp.PostSelect)
 		}
 		fmt.Fprintf(&b, " · projection %d", fp.Projection)
 		if fp.MJoin > 0 || fp.FinalJoin > 0 {

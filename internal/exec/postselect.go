@@ -45,6 +45,8 @@ func (r *queryRun) applyPostSelect(tv int, visIDs []uint32) error {
 		posSeg := r.newTemp()
 		var posRuns runSet
 		selErr := func() error {
+			var rd runStream
+			defer rd.close()
 			for start := 0; start < len(visIDs); start += chunkCap {
 				end := start + chunkCap
 				if end > len(visIDs) {
@@ -54,10 +56,10 @@ func (r *queryRun) applyPostSelect(tv int, visIDs []uint32) error {
 				if err := posSeg.BeginRun(); err != nil {
 					return err
 				}
-				rd := col.seg.NewRunReader(col.run)
+				rd.open(r.tok, col.seg, col.run)
 				pos := uint32(0)
 				for {
-					v, ok, err := rd.Next()
+					v, ok, err := rd.next()
 					if err != nil {
 						return err
 					}
@@ -75,7 +77,7 @@ func (r *queryRun) applyPostSelect(tv int, visIDs []uint32) error {
 				if err != nil {
 					return err
 				}
-				posRuns.add(posSeg, run)
+				posRuns.add(&posSeg.ListSegment, run)
 			}
 			return posSeg.Seal()
 		}()
@@ -102,8 +104,10 @@ func (r *queryRun) applyPostSelect(tv int, visIDs []uint32) error {
 
 		newCols := make(map[int]resCol, len(r.resCols))
 		newN := 0
+		var rd runStream
+		defer rd.close()
 		for ti, c := range r.resCols {
-			ps, err := r.openUnion(&posRuns, nil)
+			ps, err := r.openUnion(&posRuns, nil, &r.union)
 			if err != nil {
 				return err
 			}
@@ -112,7 +116,7 @@ func (r *queryRun) applyPostSelect(tv int, visIDs []uint32) error {
 				ps.close()
 				return err
 			}
-			rd := c.seg.NewRunReader(c.run)
+			rd.open(r.tok, c.seg, c.run)
 			nextSel, selOK, err := ps.next()
 			if err != nil {
 				ps.close()
@@ -121,7 +125,7 @@ func (r *queryRun) applyPostSelect(tv int, visIDs []uint32) error {
 			pos := uint32(0)
 			kept := 0
 			for selOK {
-				v, ok, err := rd.Next()
+				v, ok, err := rd.next()
 				if err != nil {
 					ps.close()
 					return err
@@ -151,7 +155,7 @@ func (r *queryRun) applyPostSelect(tv int, visIDs []uint32) error {
 			if err := out.Seal(); err != nil {
 				return err
 			}
-			newCols[ti] = resCol{seg: out, run: run}
+			newCols[ti] = resCol{seg: &out.ListSegment, run: run}
 			newN = kept
 		}
 		r.resCols = newCols

@@ -23,7 +23,7 @@ type segRun struct {
 // spec and the MJoin output this run writes.
 type tableProj struct {
 	*projSpec
-	outSeg  *store.Segment
+	outSeg  *tempTuples
 	outRuns []segRun
 }
 
@@ -74,7 +74,7 @@ func (r *queryRun) sigmaVH(tp *tableProj) (*store.ListSegment, store.Run, error)
 	if sp == nil {
 		// No visible data for this table: derive the sorted distinct ids
 		// of the column by chunked in-RAM sorting.
-		if err := r.sortColumn(col, out); err != nil {
+		if err := r.sortColumn(col, &out.ListSegment); err != nil {
 			return nil, store.Run{}, err
 		}
 	} else {
@@ -95,9 +95,11 @@ func (r *queryRun) sigmaVH(tp *tableProj) (*store.ListSegment, store.Run, error)
 				if g, err := r.ram.Alloc(bp.Bytes); err == nil {
 					grant = g
 					f = bloom.New(bp, r.resN)
-					rd := col.seg.NewRunReader(col.run)
+					var rd runStream
+					defer rd.close()
+					rd.open(r.tok, col.seg, col.run)
 					for {
-						v, ok, err := rd.Next()
+						v, ok, err := rd.next()
 						if err != nil {
 							return nil, store.Run{}, err
 						}
@@ -134,7 +136,7 @@ func (r *queryRun) sigmaVH(tp *tableProj) (*store.ListSegment, store.Run, error)
 	if err := out.Seal(); err != nil {
 		return nil, store.Run{}, err
 	}
-	return out, run, nil
+	return &out.ListSegment, run, nil
 }
 
 // sortColumn writes the sorted distinct ids of a result column into an
@@ -162,7 +164,9 @@ func (r *queryRun) sortColumn(col resCol, out *store.ListSegment) error {
 	chunks := r.newTemp()
 	var runs runSet
 	chunkErr := func() error {
-		rd := col.seg.NewRunReader(col.run)
+		var rd runStream
+		defer rd.close()
+		rd.open(r.tok, col.seg, col.run)
 		buf := make([]uint32, 0, cap)
 		flush := func() error {
 			if len(buf) == 0 {
@@ -174,12 +178,12 @@ func (r *queryRun) sortColumn(col resCol, out *store.ListSegment) error {
 			if err != nil {
 				return err
 			}
-			runs.add(chunks, run)
+			runs.add(&chunks.ListSegment, run)
 			buf = buf[:0]
 			return nil
 		}
 		for {
-			v, ok, err := rd.Next()
+			v, ok, err := rd.next()
 			if err != nil {
 				return err
 			}
@@ -217,7 +221,7 @@ func (r *queryRun) sortColumn(col resCol, out *store.ListSegment) error {
 		return fmt.Errorf("exec: column sort: %w", err)
 	}
 	defer wg.Release()
-	u, err := r.openUnion(&runs, nil)
+	u, err := r.openUnion(&runs, nil, &r.union)
 	if err != nil {
 		return err
 	}
@@ -264,10 +268,11 @@ func (r *queryRun) mjoinTable(tp *tableProj) error {
 		batchCap = 1
 	}
 
-	tp.outSeg = store.NewSegment(r.tok.Dev)
-	defer func() { r.tempSegs = append(r.tempSegs, tp.outSeg) }()
-
-	sig := sigSeg.NewRunReader(sigRun)
+	tp.outSeg = r.newTuples()
+	var sig, rd runStream
+	defer sig.close()
+	defer rd.close()
+	sig.open(r.tok, sigSeg, sigRun)
 	var spoolCur *spoolCursor
 	if tp.visW > 0 {
 		spoolCur = newSpoolCursor(r.spool[tp.table].file)
@@ -297,7 +302,7 @@ func (r *queryRun) mjoinTable(tp *tableProj) error {
 		batchIDs = batchIDs[:0]
 		batchVals = batchVals[:0]
 		for len(batchIDs) < batchCap {
-			id, ok, err := sig.Next()
+			id, ok, err := sig.next()
 			if err != nil {
 				return err
 			}
@@ -333,10 +338,10 @@ func (r *queryRun) mjoinTable(tp *tableProj) error {
 		// Scan the QEPSJ.Ti.id column and emit matches.
 		start := tp.outSeg.Bytes()
 		count := 0
-		rd := col.seg.NewRunReader(col.run)
+		rd.open(r.tok, col.seg, col.run)
 		pos := uint32(0)
 		for {
-			v, ok, err := rd.Next()
+			v, ok, err := rd.next()
 			if err != nil {
 				return err
 			}
@@ -357,7 +362,7 @@ func (r *queryRun) mjoinTable(tp *tableProj) error {
 			}
 			pos++
 		}
-		tp.outRuns = append(tp.outRuns, segRun{seg: tp.outSeg, off: start, count: count})
+		tp.outRuns = append(tp.outRuns, segRun{seg: &tp.outSeg.Segment, off: start, count: count})
 	}
 	return tp.outSeg.Seal()
 }

@@ -95,23 +95,103 @@ type queryRun struct {
 	// distribution pass (distributeSpill).
 	spill *storeSpill
 
-	temps    []*store.ListSegment
-	tempSegs []*store.Segment
+	// pick and union are the reduction pass's scratch: the sublists it
+	// unions and that union's host bookkeeping. Passes run one at a time
+	// and each closes its union before the next opens, so one scratch
+	// serves them all, and the other unions opened alone too: a column
+	// sort's final union and the Post-Select column rebuilds.
+	pick  runSet
+	union unionScratch
+
+	temps    []*tempList
+	slab     []tempList // where newTemp carves the next temps from
+	tempSegs []*tempTuples
 	files    []*store.RowFile
 }
 
-func (r *queryRun) newTemp() *store.ListSegment {
-	t := store.NewListSegment(r.tok.Dev)
+// lentPage is the page buffer a temp segment assembles its pages in,
+// borrowed from the token's free list until the segment is sealed.
+//
+//ghostdb:requires-slot
+type lentPage struct {
+	tok *Token
+	buf []byte // nil once returned
+}
+
+func (p *lentPage) borrow(tok *Token) []byte {
+	p.tok, p.buf = tok, tok.pageBuf()
+	return p.buf
+}
+
+func (p *lentPage) giveBack() {
+	if p.buf != nil {
+		p.tok.releasePageBuf(p.buf)
+		p.buf = nil
+	}
+}
+
+// tempList is a temp id-list segment of the run; Seal returns its page.
+//
+//ghostdb:requires-slot
+type tempList struct {
+	store.ListSegment
+	lentPage
+}
+
+func (t *tempList) Seal() error {
+	if err := t.ListSegment.Seal(); err != nil {
+		return err
+	}
+	t.giveBack()
+	return nil
+}
+
+// tempTuples is a temp tuple segment of the run; Seal returns its page.
+//
+//ghostdb:requires-slot
+type tempTuples struct {
+	store.Segment
+	lentPage
+}
+
+func (t *tempTuples) Seal() error {
+	if err := t.Segment.Seal(); err != nil {
+		return err
+	}
+	t.giveBack()
+	return nil
+}
+
+// newTemp opens a temp list segment. The run holds its temps by value in
+// slabs that double in size, so a statement's temps cost a few
+// allocations, not one per segment.
+func (r *queryRun) newTemp() *tempList {
+	if len(r.slab) == cap(r.slab) {
+		r.slab = make([]tempList, 0, max(8, len(r.temps)))
+	}
+	r.slab = r.slab[:len(r.slab)+1]
+	t := &r.slab[len(r.slab)-1]
+	t.Init(r.tok.Dev, t.borrow(r.tok))
 	r.temps = append(r.temps, t)
+	return t
+}
+
+// newTuples opens a temp tuple segment.
+func (r *queryRun) newTuples() *tempTuples {
+	t := &tempTuples{}
+	t.Init(r.tok.Dev, t.borrow(r.tok))
+	r.tempSegs = append(r.tempSegs, t)
 	return t
 }
 
 func (r *queryRun) cleanup() {
 	for _, t := range r.temps {
 		_ = t.Free()
+		t.giveBack()
 	}
 	for _, s := range r.tempSegs {
 		_ = s.Free()
+		s.giveBack()
 	}
 	for _, f := range r.files {
 		_ = f.Free()
@@ -430,11 +510,14 @@ func (r *queryRun) retainSpools() {
 }
 
 // mergeGroup is one conjunct of the anchor-level Merge: the union of its
-// sorted sublists (flash runs and/or direct streams).
+// sorted sublists (flash runs and/or direct streams). The groups' unions
+// are open side by side under the intersection, so each has its own
+// scratch.
 type mergeGroup struct {
 	label   string
 	runs    runSet
 	streams []idStream
+	union   unionScratch
 }
 
 func (g *mergeGroup) addRun(seg *store.ListSegment, run store.Run) {

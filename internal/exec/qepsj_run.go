@@ -459,8 +459,12 @@ func (r *queryRun) preFilterGroup(tv int, ids []uint32) (*mergeGroup, error) {
 
 // climb adds to g the anchor-level sublists of every id, one id-index
 // lookup each. A single probe, reading through a page buffer borrowed
-// from the token's free list, serves all the lookups.
+// from the token's free list, serves all the lookups. An id has one
+// sublist at a level (a few more once inserts appended their own), so
+// g's set is sized up front for one per id plus the unions of the
+// reduction passes at the bound Merge fan-in.
 func (r *queryRun) climb(g *mergeGroup, ci *index.Climbing, slot int, ids []uint32) error {
+	g.runs.grow(len(ids) + len(ids)/max(r.bind.MergeFanIn-1, 1))
 	return r.col.Span(spanCI, func() error {
 		buf := r.tok.pageBuf()
 		defer r.tok.releasePageBuf(buf)
@@ -534,7 +538,7 @@ func (r *queryRun) scanFallback(g *mergeGroup, p query.Pred) error {
 		return err
 	}
 	if p.Table == r.q.Anchor {
-		g.addRun(matches, run)
+		g.addRun(&matches.ListSegment, run)
 		return nil
 	}
 	// Climb per id through the id index (expensive, like Pre-Filter).

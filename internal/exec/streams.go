@@ -8,6 +8,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"ghostdb/internal/ram"
 	"ghostdb/internal/store"
@@ -70,7 +71,8 @@ func (s *seqStream) close() {}
 // runStream streams one sorted sublist from flash, holding one RAM buffer
 // and, on the host, one page buffer borrowed from the token's free list.
 // openUnion opens a union's streams as one slice under one grant, held
-// by the first.
+// by the first; an operator's column reader is a runStream with no grant
+// (its operator's reservation holds the RAM buffer).
 //
 //ghostdb:requires-slot
 type runStream struct {
@@ -78,6 +80,16 @@ type runStream struct {
 	grant *ram.Grant // nil but in a union's first stream
 	tok   *Token
 	buf   []byte
+}
+
+// open sets s up over one sublist, streaming through a page buffer
+// borrowed from the token's free list, or through the one s still holds
+// (a reader re-opened for each pass over a column); close returns it.
+func (s *runStream) open(tok *Token, seg *store.ListSegment, run store.Run) {
+	if s.buf == nil {
+		s.tok, s.buf = tok, tok.pageBuf()
+	}
+	seg.InitRunReader(&s.rd, run, s.buf)
 }
 
 func (s *runStream) next() (uint32, bool, error) { return s.rd.Next() }
@@ -90,6 +102,15 @@ func (s *runStream) close() {
 	if s.grant != nil {
 		s.grant.Release()
 		s.grant = nil
+	}
+}
+
+// closeStreams closes every stream of a slice of them.
+//
+//ghostdb:requires-slot
+func closeStreams(s []runStream) {
+	for i := range s {
+		s[i].close()
 	}
 }
 
@@ -147,19 +168,21 @@ type unionStream struct {
 	last  int64 // last id emitted; -1 before the first
 }
 
-func newUnionStream(srcs []idStream) (*unionStream, error) {
-	u := &unionStream{srcs: srcs, heads: make(keyHeap, 0, len(srcs)), last: -1}
+// init sets u up as the union of srcs, reusing its heap's capacity, and
+// reads each source's first id. On error it closes the sources.
+func (u *unionStream) init(srcs []idStream) error {
+	*u = unionStream{srcs: srcs, heads: slices.Grow(u.heads[:0], len(srcs)), last: -1}
 	for i, s := range srcs {
 		v, ok, err := s.next()
 		if err != nil {
 			u.close()
-			return nil, err
+			return err
 		}
 		if ok {
 			u.heads.push(uint64(v)<<32 | uint64(i))
 		}
 	}
-	return u, nil
+	return nil
 }
 
 func (u *unionStream) next() (uint32, bool, error) {

@@ -69,11 +69,11 @@ func TestUnionStreamMatchesSortDedupProperty(t *testing.T) {
 		}
 		slices.Sort(want)
 		want = slices.Compact(want)
-		u, err := newUnionStream(srcs)
-		if err != nil {
+		var u unionStream
+		if err := u.init(srcs); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		got, err := drain(u)
+		got, err := drain(&u)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -106,9 +106,10 @@ func TestUnionStreamRejectsUnsortedSource(t *testing.T) {
 			}
 			srcs = append(srcs, newSliceStream(ids))
 		}
-		u, err := newUnionStream(srcs)
+		var u unionStream
+		err := u.init(srcs)
 		if err == nil {
-			_, err = drain(u)
+			_, err = drain(&u)
 		}
 		if err == nil || !strings.Contains(err.Error(), "unsorted sublist") {
 			t.Fatalf("seed %d: k=%d, source %d out of order: err = %v", seed, k, bad, err)
@@ -139,7 +140,7 @@ func loadRuns(tb testing.TB, r *queryRun, lists [][]uint32) *runSet {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		set.add(seg, run)
+		set.add(&seg.ListSegment, run)
 	}
 	if err := seg.Seal(); err != nil {
 		tb.Fatal(err)
@@ -232,13 +233,13 @@ func BenchmarkUnionStream(b *testing.B) {
 			}
 			srcs := make([]idStream, k)
 			b.ReportAllocs()
+			var u unionStream
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for j, ids := range lists {
 					srcs[j] = newSliceStream(ids)
 				}
-				u, err := newUnionStream(srcs)
-				if err != nil {
+				if err := u.init(srcs); err != nil {
 					b.Fatal(err)
 				}
 				for {

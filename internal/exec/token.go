@@ -58,11 +58,12 @@ type Token struct {
 	// execution slot held.
 	spools []retainedSpool
 
-	// freePages is the free list of page-sized host buffers that sublist
-	// streams and index-climb cursors borrow and return (pageBuf /
-	// releasePageBuf). Touched only with the execution slot held, so it
-	// needs no lock; it never holds more than the RAM budget's buffer
-	// count, the most page readers a session can have open at once.
+	// freePages is the free list of page-sized host buffers that a
+	// SELECT's id-list readers, index-climb cursors and temp segment
+	// writers borrow and return (pageBuf / releasePageBuf). Touched only
+	// with the execution slot held, so it needs no lock; it never holds
+	// more than the RAM budget's buffer count, the most page buffers a
+	// session can have open at once.
 	freePages [][]byte
 
 	// paceOwed is the paced-mode balance (pace): real time the slot still

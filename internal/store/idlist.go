@@ -31,7 +31,7 @@ func (r Run) Pages(pageSize int) int {
 // index sublists, temporary intermediate ID lists and Merge spill areas
 // are all ListSegments.
 type ListSegment struct {
-	seg *Segment
+	seg Segment
 
 	runOpen  bool
 	runStart int
@@ -40,7 +40,15 @@ type ListSegment struct {
 
 // NewListSegment creates an empty list segment.
 func NewListSegment(dev *flash.Device) *ListSegment {
-	return &ListSegment{seg: NewSegment(dev)}
+	return &ListSegment{seg: Segment{dev: dev, buf: make([]byte, dev.PageSize())}}
+}
+
+// Init sets l up as an empty list segment on dev that assembles its pages
+// in buf, a caller-owned buffer, on the terms of Segment.Init: Seal and
+// Free hand buf back.
+func (l *ListSegment) Init(dev *flash.Device, buf []byte) {
+	*l = ListSegment{}
+	l.seg.Init(dev, buf)
 }
 
 // BeginRun starts a new sublist at the current append position.
@@ -64,7 +72,7 @@ func (l *ListSegment) Add(id uint32) error {
 	if !l.runOpen {
 		return fmt.Errorf("store: Add outside a run")
 	}
-	s := l.seg
+	s := &l.seg
 	if end := s.bufUsed + IDBytes; end < len(s.buf) && !s.sealed {
 		binary.BigEndian.PutUint32(s.buf[s.bufUsed:end], id)
 		s.bufUsed = end

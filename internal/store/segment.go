@@ -26,11 +26,28 @@ type Segment struct {
 	bufUsed  int
 	lastUsed int // meaningful bytes in the final page, valid once sealed
 	sealed   bool
+	lent     bool // buf is the caller's (Init), handed back at Seal
 }
 
 // NewSegment creates an empty segment on dev.
 func NewSegment(dev *flash.Device) *Segment {
 	return &Segment{dev: dev, buf: make([]byte, dev.PageSize())}
+}
+
+// Init sets s up as an empty segment on dev that assembles its pages in
+// buf, a caller-owned buffer of at least PageSize bytes, so a caller that
+// opens many short-lived segments can hold them by value and recycle
+// their buffers. Seal and Free hand buf back: from then on the segment
+// never touches it (a Reopen takes a buffer of its own).
+func (s *Segment) Init(dev *flash.Device, buf []byte) {
+	*s = Segment{dev: dev, buf: buf[:dev.PageSize()], lent: true}
+}
+
+// handBack drops a lent assembly buffer, which is the caller's again.
+func (s *Segment) handBack() {
+	if s.lent {
+		s.buf, s.lent = nil, false
+	}
 }
 
 // PageSize returns the device page size.
@@ -96,6 +113,7 @@ func (s *Segment) Seal() error {
 		s.lastUsed = s.dev.PageSize()
 	}
 	s.sealed = true
+	s.handBack()
 	return nil
 }
 
@@ -107,6 +125,9 @@ func (s *Segment) Reopen() error {
 		return nil
 	}
 	s.sealed = false
+	if s.buf == nil {
+		s.buf = make([]byte, s.dev.PageSize())
+	}
 	if len(s.pages) == 0 {
 		s.bufUsed = 0
 		return nil
@@ -138,6 +159,7 @@ func (s *Segment) Free() error {
 	s.pages = nil
 	s.bufUsed = 0
 	s.sealed = true
+	s.handBack()
 	return nil
 }
 
