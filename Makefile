@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint fmt fuzz figures golden bench bench-test coverage size profile
+.PHONY: all build test race lint fmt fuzz figures golden bench bench-test coverage test-coverage size profile
 
 all: build lint test
 
@@ -96,3 +96,20 @@ coverage:
 	echo "== functions at 0%"; \
 	awk '$$NF == "0.0%"' $(COVER)/func.txt; \
 	echo "== $$(awk '$$NF == "0.0%"' $(COVER)/func.txt | wc -l) functions at 0%; product $$(tail -1 $(COVER)/func.txt | tr -s '\t ' ' ')"
+
+# Statement coverage of the product packages (the ghostdb package and
+# internal/, but not the internal/analysis lint, the cmd/ and examples/
+# mains or the benchmark/ module) that the whole test suite reaches: the
+# total and every function no test entered. Complements `make coverage`,
+# which counts only what the workloads and figures reach. Profile and
+# test log under .bench_build/testcover; ~20 s.
+TCOVER := .bench_build/testcover
+test-coverage:
+	@set -e; rm -rf $(TCOVER); mkdir -p $(TCOVER); \
+	pkgs=$$($(GO) list ./... | grep -v -e '/internal/analysis' -e '/cmd/' -e '/examples/' | paste -sd, -); \
+	$(GO) test -coverpkg=$$pkgs -coverprofile=$(TCOVER)/profile.txt ./... > $(TCOVER)/test.log 2>&1 \
+		|| { tail -40 $(TCOVER)/test.log; exit 1; }; \
+	$(GO) tool cover -func $(TCOVER)/profile.txt > $(TCOVER)/func.txt; \
+	echo "== functions at 0%"; \
+	awk '$$NF == "0.0%"' $(TCOVER)/func.txt; \
+	echo "== $$(awk '$$NF == "0.0%"' $(TCOVER)/func.txt | wc -l) functions at 0%; product $$(tail -1 $(TCOVER)/func.txt | tr -s '\t ' ' ')"

@@ -10,11 +10,17 @@ import (
 // cache enabled (cacheBytes) or disabled (0).
 func cacheTestDB(t *testing.T, nCustomers, nOrders, cacheBytes int) *DB {
 	t.Helper()
+	return ordersDB(t, nCustomers, nOrders, Options{FlashBlocks: 4096, MaxConcurrentQueries: 8, ResultCacheBytes: cacheBytes})
+}
+
+// ordersDB builds the Orders/Customers database with opts.
+func ordersDB(t *testing.T, nCustomers, nOrders int, opts Options) *DB {
+	t.Helper()
 	db, err := Create([]string{
 		`CREATE TABLE Orders (id int, customer_id int REFERENCES Customers HIDDEN,
 		   quarter char(7), amount float HIDDEN)`,
 		`CREATE TABLE Customers (id int, company char(30) HIDDEN, region char(20))`,
-	}, Options{FlashBlocks: 4096, MaxConcurrentQueries: 8, ResultCacheBytes: cacheBytes})
+	}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"ghostdb/internal/ram"
 	"ghostdb/internal/store"
@@ -11,8 +10,10 @@ import (
 
 // This file holds the RAM-admission fallbacks shared by the operators:
 // when a stage receives fewer buffers than it has sorted sublists to
-// open, the sublists are consolidated by multi-pass unions (the sublist
-// reduction of §3.4) until they fit, instead of failing the query.
+// open, the sublists are consolidated in passes until they fit, instead
+// of failing the query — id runs by unions (the sublist reduction of
+// §3.4), the MJoin's tuple runs by position merges, with one run set,
+// fan-in and pass loop for both.
 
 // unionFanIn sizes one reduction pass over nRuns sublists: as many
 // streams as the session's bound fan-in cap and the free buffers allow
@@ -25,26 +26,19 @@ import (
 // momentarily unallocated. Fails wrapping ram.ErrExhausted when not even
 // a 2-way union fits.
 func (r *queryRun) unionFanIn(nRuns, deficit, fanCap int) (int, error) {
-	k := r.ram.AvailableBuffers() - 1
-	if k > fanCap {
-		k = fanCap
-	}
-	if k > nRuns {
-		k = nRuns
-	}
+	k := min(r.ram.AvailableBuffers()-1, fanCap, nRuns)
 	if k < 2 {
 		return 0, fmt.Errorf("exec: cannot union %d sublists with %d buffers free: %w",
 			nRuns, r.ram.AvailableBuffers(), ram.ErrExhausted)
 	}
-	if need := deficit + 1; k > need {
-		k = need
-	}
-	return k, nil
+	return min(k, deficit+1), nil
 }
 
-// sublist is one sorted id run and the list segment that holds it.
+// sublist is one sorted run and the segment that holds it: an id run of
+// a list segment, or a run of MJoin tuples (position-sorted records of
+// the set's width) of a tuple segment.
 type sublist struct {
-	seg *store.ListSegment
+	seg *store.Segment
 	run store.Run
 }
 
@@ -52,18 +46,24 @@ type sublist struct {
 // pass can take the k smallest without re-sorting the rest: live is a
 // min-heap keyed on (Count, arrival order), the low word indexing subs,
 // which only ever grows. Arrival order — position in the initial list,
-// then one slot per union in the order the passes produce them — is the
-// tie-break among equal counts. The simulated counters do not depend on
-// it: the sublists of one set are pairwise disjoint (one index level, or
-// disjoint chunks), so every original run is read exactly once and a
-// union's size is the sum of its inputs whichever equal-sized run goes
-// in.
+// then one slot per pass output in the order the passes produce them —
+// is the tie-break among equal counts. The simulated counters do not
+// depend on it: the sublists of one set are pairwise disjoint (one index
+// level, disjoint chunks, or the MJoin batches of one table), so every
+// original run is read exactly once and a pass's output size is the sum
+// of its inputs whichever equal-sized run goes in.
 type runSet struct {
 	subs []sublist
 	live keyHeap
+	// tupleW is the record width of a set of MJoin tuple runs, which a
+	// pass merges by position; 0 for id runs, which a pass unions.
+	tupleW int
 }
 
 func (s *runSet) len() int { return len(s.live) }
+
+// width is the byte width of the set's records.
+func (s *runSet) width() int { return max(s.tupleW, store.IDBytes) }
 
 // grow makes room for n more sublists, so a caller that knows how many
 // it is about to add pays one allocation instead of append's doublings.
@@ -72,26 +72,40 @@ func (s *runSet) grow(n int) {
 	s.live = slices.Grow(s.live, n)
 }
 
-// reset empties the set, keeping its capacity.
-func (s *runSet) reset() {
-	s.subs, s.live = s.subs[:0], s.live[:0]
+// reset empties the set and sets its record width, keeping its capacity.
+func (s *runSet) reset(tupleW int) {
+	s.subs, s.live, s.tupleW = s.subs[:0], s.live[:0], tupleW
 }
 
-func (s *runSet) add(seg *store.ListSegment, run store.Run) {
+func (s *runSet) add(seg *store.Segment, run store.Run) {
 	s.live.push(uint64(run.Count)<<32 | uint64(len(s.subs)))
 	s.subs = append(s.subs, sublist{seg: seg, run: run})
 }
 
 func (s *runSet) popSmallest() sublist { return s.subs[uint32(s.live.pop())] }
 
-// unionScratch is a union's host bookkeeping: its sublists' streams,
-// its source list and the union stream itself. The sublists' streams are
-// one slice under one grant, which the first stream holds: a union
-// closes its sources together.
+// openRuns opens one stream over every sublist of the set, in heap
+// order, into streams (reusing its capacity). With g non-nil the streams
+// hold their RAM buffers as one grant, held by the first: a pass closes
+// its inputs together; with g nil the caller's reservation holds them.
+func (r *queryRun) openRuns(s *runSet, streams []runStream, g *ram.Grant) []runStream {
+	streams = slices.Grow(streams[:0], s.len())[:s.len()]
+	for i, key := range s.live {
+		streams[i].open(r.tok, s.subs[uint32(key)], s.width())
+	}
+	if len(streams) > 0 {
+		streams[0].grant = g
+	}
+	return streams
+}
+
+// unionScratch is a pass's host bookkeeping: an id union's streams,
+// source list and union stream, or a tuple merge's cursor.
 type unionScratch struct {
 	streams []runStream
 	srcs    []idStream
 	u       unionStream
+	c       tupleCursor
 }
 
 // openUnion opens the union of every sublist in the set (one RAM buffer
@@ -106,14 +120,10 @@ func (r *queryRun) openUnion(s *runSet, direct []idStream, sc *unionScratch) (id
 		if err != nil {
 			return nil, fmt.Errorf("exec: run buffers: %w", err)
 		}
-		sc.streams = slices.Grow(sc.streams[:0], n)[:n]
-		for i, key := range s.live {
-			sub := s.subs[uint32(key)]
-			st := &sc.streams[i]
-			st.open(r.tok, sub.seg, sub.run)
-			sc.srcs = append(sc.srcs, st)
+		sc.streams = r.openRuns(s, sc.streams, g)
+		for i := range sc.streams {
+			sc.srcs = append(sc.srcs, &sc.streams[i])
 		}
-		sc.streams[0].grant = g
 	}
 	sc.srcs = append(sc.srcs, direct...)
 	switch len(sc.srcs) {
@@ -132,6 +142,9 @@ func (r *queryRun) openUnion(s *runSet, direct []idStream, sc *unionScratch) (id
 // union, written as one run on a temp segment; it holds one stream
 // buffer per input plus one spill-writer buffer for the duration of the
 // pass. The pass's bookkeeping is the run's scratch (r.pick, r.union).
+// Only the pass body depends on the kind of run: id runs are unioned
+// (deduplicated), tuple runs merged by position (their positions are
+// disjoint).
 func (r *queryRun) unionSmallest(s *runSet, k int, span string) error {
 	if k < 2 || k > s.len() {
 		return fmt.Errorf("exec: bad union fan-in %d of %d", k, s.len())
@@ -143,14 +156,30 @@ func (r *queryRun) unionSmallest(s *runSet, k int, span string) error {
 	defer wg.Release()
 
 	pick := &r.pick
-	pick.reset()
+	pick.reset(s.tupleW)
 	for i := 0; i < k; i++ {
 		sub := s.popSmallest()
 		pick.add(sub.seg, sub.run)
 	}
-	u, err := r.openUnion(pick, nil, &r.union)
+	var out sublist
+	if s.tupleW == 0 {
+		out, err = r.unionPass(pick, span)
+	} else {
+		out, err = r.mergePass(pick, span)
+	}
 	if err != nil {
 		return err
+	}
+	s.add(out.seg, out.run)
+	return nil
+}
+
+// unionPass writes the union of the picked id runs as one run on a temp
+// list segment.
+func (r *queryRun) unionPass(pick *runSet, span string) (sublist, error) {
+	u, err := r.openUnion(pick, nil, &r.union)
+	if err != nil {
+		return sublist{}, err
 	}
 	out := r.newTemp()
 	err = r.col.Span(span, func() error {
@@ -172,29 +201,55 @@ func (r *queryRun) unionSmallest(s *runSet, k int, span string) error {
 	})
 	u.close()
 	if err != nil {
-		return err
+		return sublist{}, err
 	}
 	run, err := out.EndRun()
 	if err != nil {
-		return err
+		return sublist{}, err
 	}
-	if err := out.Seal(); err != nil {
-		return err
-	}
-	s.add(&out.ListSegment, run)
-	return nil
+	return sublist{seg: &out.Segment, run: run}, out.Seal()
 }
 
-// consolidateRuns unions sorted id runs in as many passes as needed until
-// at most maxRuns remain, so a downstream stage can open them with the
-// stream buffers it actually has. It runs outside the QEPSJ pipeline
-// (nothing else held), so passes use the full-grant CrossFanIn binding.
-// Needs 3 free buffers (2 streams + 1 writer) to make progress; fails
-// wrapping ram.ErrExhausted below that.
-func (r *queryRun) consolidateRuns(s *runSet, maxRuns int, span string) error {
-	if maxRuns < 1 {
-		maxRuns = 1
+// mergePass writes the position-ordered merge of the picked tuple runs
+// as one run on a temp tuple segment.
+func (r *queryRun) mergePass(pick *runSet, span string) (sublist, error) {
+	g, err := r.ram.AllocBuffers(pick.len())
+	if err != nil {
+		return sublist{}, fmt.Errorf("exec: run buffers: %w", err)
 	}
+	out := r.newTuples()
+	c := &r.union.c
+	if err := c.open(r, pick, g); err != nil {
+		return sublist{}, err
+	}
+	count := 0
+	err = r.col.Span(span, func() error {
+		for {
+			t, ok, err := c.takeMin()
+			if err != nil || !ok {
+				return err
+			}
+			if err := out.Append(t); err != nil {
+				return err
+			}
+			count++
+		}
+	})
+	c.close()
+	if err != nil {
+		return sublist{}, err
+	}
+	return sublist{seg: &out.Segment, run: store.Run{Count: count}}, out.Seal()
+}
+
+// consolidateRuns reduces a set of sorted runs in as many passes as
+// needed until at most maxRuns remain, so a downstream stage can open
+// them with the stream buffers it actually has. It runs outside the
+// QEPSJ pipeline (nothing else held), so passes use the full-grant
+// CrossFanIn binding. Needs 3 free buffers (2 streams + 1 writer) to make
+// progress; fails wrapping ram.ErrExhausted below that.
+func (r *queryRun) consolidateRuns(s *runSet, maxRuns int, span string) error {
+	maxRuns = max(maxRuns, 1)
 	for s.len() > maxRuns {
 		k, err := r.unionFanIn(s.len(), s.len()-maxRuns, r.bind.CrossFanIn)
 		if err != nil {
@@ -204,92 +259,5 @@ func (r *queryRun) consolidateRuns(s *runSet, maxRuns int, span string) error {
 			return err
 		}
 	}
-	return nil
-}
-
-// consolidateTupleRuns merges a table's pos-sorted MJoin batch runs until
-// at most maxRuns remain, so the final join can cursor over them with the
-// buffers its reservation granted. Runs hold disjoint position sets, so a
-// min-head merge is exact. Each pass reserves one buffer per input reader
-// plus one writer.
-func (r *queryRun) consolidateTupleRuns(tp *tableProj, maxRuns int) error {
-	if maxRuns < 1 {
-		maxRuns = 1
-	}
-	for len(tp.outRuns) > maxRuns {
-		g, err := r.ram.ReserveBuffers(3, len(tp.outRuns)+1)
-		if err != nil {
-			return fmt.Errorf("exec: final join consolidation: %w", err)
-		}
-		k := g.Buffers() - 1
-		if k > len(tp.outRuns) {
-			k = len(tp.outRuns)
-		}
-		if need := len(tp.outRuns) - maxRuns + 1; k > need {
-			k = need
-		}
-		err = r.mergeTupleRuns(tp, k)
-		g.Release()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// mergeTupleRuns replaces the k smallest batch runs of tp with their
-// position-ordered merge, spilled to a temp tuple segment.
-func (r *queryRun) mergeTupleRuns(tp *tableProj, k int) error {
-	order := make([]int, len(tp.outRuns))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return tp.outRuns[order[a]].count < tp.outRuns[order[b]].count })
-	pick := order[:k]
-	sort.Ints(pick)
-
-	out := r.newTuples()
-	sub := &tableProj{projSpec: tp.projSpec}
-	for _, i := range pick {
-		sub.outRuns = append(sub.outRuns, tp.outRuns[i])
-	}
-	cur, err := newTupleCursor(sub)
-	if err != nil {
-		return err
-	}
-	count := 0
-	err = r.col.Span(spanProject, func() error {
-		for {
-			t, ok, err := cur.takeMin()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return nil
-			}
-			if err := out.Append(t); err != nil {
-				return err
-			}
-			count++
-		}
-	})
-	if err != nil {
-		return err
-	}
-	if err := out.Seal(); err != nil {
-		return err
-	}
-
-	picked := make(map[int]bool, k)
-	for _, i := range pick {
-		picked[i] = true
-	}
-	var nruns []segRun
-	for i, run := range tp.outRuns {
-		if !picked[i] {
-			nruns = append(nruns, run)
-		}
-	}
-	tp.outRuns = append(nruns, segRun{seg: &out.Segment, off: 0, count: count})
 	return nil
 }

@@ -12,137 +12,86 @@ import (
 	"ghostdb/internal/store"
 )
 
-// segReader streams fixed-width tuples out of a tuple segment run.
-type segReader struct {
-	seg    *store.Segment
-	off    int
-	end    int
-	tupleW int
-	buf    []byte
-	bufLo  int
-	bufLen int
-}
-
-func newSegReader(seg *store.Segment, run segRun, tupleW int) *segReader {
-	return &segReader{
-		seg:    seg,
-		off:    run.off,
-		end:    run.off + run.count*tupleW,
-		tupleW: tupleW,
-		buf:    make([]byte, 2*seg.PageSize()),
-		bufLo:  -1,
-	}
-}
-
-func (s *segReader) next() ([]byte, bool, error) {
-	if s.off >= s.end {
-		return nil, false, nil
-	}
-	if s.bufLo < 0 || s.off < s.bufLo || s.off+s.tupleW > s.bufLo+s.bufLen {
-		ps := s.seg.PageSize()
-		// Read from off to the end of the page containing the tuple's
-		// last byte (each flash page is touched once per pass).
-		last := s.off + s.tupleW - 1
-		wend := (last/ps + 1) * ps
-		if wend > s.end {
-			wend = s.end
-		}
-		n := wend - s.off
-		if err := s.seg.ReadAt(s.buf[:n], s.off, n); err != nil {
-			return nil, false, err
-		}
-		s.bufLo = s.off
-		s.bufLen = n
-	}
-	t := s.buf[s.off-s.bufLo : s.off-s.bufLo+s.tupleW]
-	s.off += s.tupleW
-	return t, true, nil
-}
-
-// tupleCursor merges the pos-sorted batch runs of one table's MJoin
-// output. Positions are disjoint across runs (each result position's id
-// belongs to exactly one σVH batch), so a simple min-head scan suffices.
-// Heads are double-buffered: a take hands out its head and refills the
-// run from spare, the buffer the previous take handed out.
+// tupleCursor merges the position-sorted MJoin tuple runs of one set: a
+// keyHeap of pos<<32 | stream over the streams' head records. Positions
+// are disjoint across runs (each result position's id belongs to exactly
+// one σVH batch), so the heap's minimum is the only candidate for the
+// next position. Heads are double-buffered: a take hands out its head and
+// refills the stream into spare, the buffer the previous take handed out,
+// so a take allocates nothing.
+//
+//ghostdb:requires-slot
 type tupleCursor struct {
-	readers []*segReader
+	streams []runStream
 	heads   [][]byte
-	poss    []int64
 	spare   []byte
+	slab    []byte // the heads' and spare's storage
+	heap    keyHeap
 }
 
-func newTupleCursor(tp *tableProj) (*tupleCursor, error) {
-	c := &tupleCursor{}
-	for _, run := range tp.outRuns {
-		if run.count == 0 {
-			continue
+// open sets the cursor up over every run of the set (openRuns says what
+// g holds) and reads each run's first record. On error it closes the
+// streams.
+func (c *tupleCursor) open(r *queryRun, s *runSet, g *ram.Grant) error {
+	n, w := s.len(), s.tupleW
+	c.streams = r.openRuns(s, c.streams, g)
+	c.slab = slices.Grow(c.slab[:0], (n+1)*w)[:(n+1)*w]
+	c.heads = slices.Grow(c.heads[:0], n)[:n]
+	c.heap = slices.Grow(c.heap[:0], n)
+	for i := range c.streams {
+		c.heads[i] = c.slab[i*w : (i+1)*w]
+		ok, err := c.streams[i].rd.NextRecord(c.heads[i])
+		if err != nil {
+			c.close()
+			return err
 		}
-		c.readers = append(c.readers, newSegReader(run.seg, run, tp.tupleW))
-		c.heads = append(c.heads, nil)
-		c.poss = append(c.poss, -1)
-	}
-	for i := range c.readers {
-		if err := c.advance(i); err != nil {
-			return nil, err
+		if ok {
+			c.heap.push(c.key(i))
 		}
 	}
-	return c, nil
-}
-
-func (c *tupleCursor) advance(i int) error {
-	t, ok, err := c.readers[i].next()
-	if err != nil {
-		return err
-	}
-	if !ok {
-		c.poss[i] = -1
-		return nil
-	}
-	// Copy: the reader reuses its window buffer across next() calls.
-	c.heads[i] = append(c.heads[i][:0], t...)
-	c.poss[i] = int64(binary.BigEndian.Uint32(c.heads[i]))
+	c.spare = c.slab[n*w:]
 	return nil
 }
 
-// take returns the tuple at position pos, if any run holds it. The
-// returned slice is valid until the next take or takeMin on this cursor,
-// which reuses it as the buffer its run refills.
-func (c *tupleCursor) take(pos uint32) ([]byte, bool, error) {
-	for i := range c.readers {
-		if c.poss[i] == int64(pos) {
-			t, err := c.pop(i)
-			return t, err == nil, err
-		}
-	}
-	return nil, false, nil
+// key is stream i's heap key: its head's position, then i.
+func (c *tupleCursor) key(i int) uint64 {
+	return uint64(binary.BigEndian.Uint32(c.heads[i]))<<32 | uint64(i)
 }
 
-// pop hands out run i's head and refills the run into the spare buffer.
-func (c *tupleCursor) pop(i int) ([]byte, error) {
-	t := c.heads[i]
-	c.heads[i], c.spare = c.spare, t
-	if err := c.advance(i); err != nil {
-		return nil, err
+// take returns the tuple at position pos, if a run holds it. The final
+// join asks for every position in ascending order, so only the minimum
+// can match. The returned slice is valid until the next take or takeMin
+// on this cursor, which reuses it as the buffer its run refills.
+func (c *tupleCursor) take(pos uint32) ([]byte, bool, error) {
+	if len(c.heap) == 0 || uint32(c.heap[0]>>32) != pos {
+		return nil, false, nil
 	}
-	return t, nil
+	return c.takeMin()
 }
 
 // takeMin returns the tuple with the smallest pending position across
-// all runs (positions are disjoint across runs). Used by the run
-// consolidation passes to rewrite many batch runs as one.
+// all runs: one step of a tuple reduction pass.
 func (c *tupleCursor) takeMin() ([]byte, bool, error) {
-	min := -1
-	for i, p := range c.poss {
-		if p >= 0 && (min < 0 || p < c.poss[min]) {
-			min = i
-		}
-	}
-	if min < 0 {
+	if len(c.heap) == 0 {
 		return nil, false, nil
 	}
-	t, err := c.pop(min)
-	return t, err == nil, err
+	i := int(uint32(c.heap[0]))
+	t := c.heads[i]
+	c.heads[i], c.spare = c.spare, t
+	ok, err := c.streams[i].rd.NextRecord(c.heads[i])
+	if err != nil {
+		return nil, false, err
+	}
+	if ok {
+		c.heap[0] = c.key(i)
+		c.heap.down(0)
+	} else {
+		c.heap.pop()
+	}
+	return t, true, nil
 }
+
+func (c *tupleCursor) close() { closeStreams(c.streams) }
 
 // valueGetter decodes one projection item from the final-join state.
 type valueGetter func(dst *schema.Value) error
@@ -165,19 +114,11 @@ func (r *queryRun) finalJoin(res *Result, tps []*tableProj) error {
 	claims := sh.finalClaims()
 	fixed := claimMin(claims)
 
-	// Drop empty batch runs, then consolidate each remaining table's
-	// runs to its share of the free buffers so the cursors below always
-	// fit.
+	// Consolidate each table's batch runs to its share of the free
+	// buffers so the cursors below always fit.
 	liveTables := 0
 	for _, tp := range tps {
-		live := tp.outRuns[:0]
-		for _, run := range tp.outRuns {
-			if run.count > 0 {
-				live = append(live, run)
-			}
-		}
-		tp.outRuns = live
-		if len(tp.outRuns) > 0 {
+		if tp.runs.len() > 0 {
 			liveTables++
 		}
 	}
@@ -194,21 +135,18 @@ func (r *queryRun) finalJoin(res *Result, tps []*tableProj) error {
 		// the leftovers instead of consolidating against a flat share.
 		order := make([]*tableProj, 0, liveTables)
 		for _, tp := range tps {
-			if len(tp.outRuns) > 0 {
+			if tp.runs.len() > 0 {
 				order = append(order, tp)
 			}
 		}
-		sort.Slice(order, func(a, b int) bool { return len(order[a].outRuns) < len(order[b].outRuns) })
+		sort.Slice(order, func(a, b int) bool { return order[a].runs.len() < order[b].runs.len() })
 		left := liveTables
 		for _, tp := range order {
-			share := budget / left
-			if share < 1 {
-				share = 1
-			}
-			give := len(tp.outRuns)
+			share := max(budget/left, 1)
+			give := tp.runs.len()
 			if give > share {
 				give = share
-				if err := r.consolidateTupleRuns(tp, give); err != nil {
+				if err := r.consolidateRuns(&tp.runs, give, spanProject); err != nil {
 					return err
 				}
 			}
@@ -218,7 +156,7 @@ func (r *queryRun) finalJoin(res *Result, tps []*tableProj) error {
 	}
 
 	for _, tp := range tps {
-		if n := len(tp.outRuns); n > 0 {
+		if n := tp.runs.len(); n > 0 {
 			claims = append(claims, ram.Claim{
 				Name: fmt.Sprintf("cursors:%s", db.Sch.Tables[tp.table].Name), Min: n, Want: n})
 		}
@@ -232,7 +170,7 @@ func (r *queryRun) finalJoin(res *Result, tps []*tableProj) error {
 	anchorCol := r.resCols[anchor]
 	var anchorRd runStream
 	defer anchorRd.close()
-	anchorRd.open(r.tok, anchorCol.seg, anchorCol.run)
+	anchorRd.open(r.tok, anchorCol, store.IDBytes)
 
 	// Anchor visible values (spooled, id-sorted).
 	var aCur *spoolCursor
@@ -264,17 +202,21 @@ func (r *queryRun) finalJoin(res *Result, tps []*tableProj) error {
 		if !ok {
 			return fmt.Errorf("exec: missing QEPSJ column for %s", db.Sch.Tables[ti].Name)
 		}
-		idRd[i].open(r.tok, col.seg, col.run)
+		idRd[i].open(r.tok, col, store.IDBytes)
 	}
 
-	// Per-table tuple cursors, in tps order.
-	curs := make([]*tupleCursor, len(tps))
+	// Per-table tuple cursors, in tps order; the reservation holds their
+	// buffers.
+	curs := make([]tupleCursor, len(tps))
+	defer func() {
+		for i := range curs {
+			curs[i].close()
+		}
+	}()
 	for i, tp := range tps {
-		c, err := newTupleCursor(tp)
-		if err != nil {
+		if err := curs[i].open(r, &tp.runs, nil); err != nil {
 			return err
 		}
-		curs[i] = c
 	}
 
 	tuples := make([][]byte, len(tps))
@@ -356,8 +298,8 @@ func (r *queryRun) finalJoin(res *Result, tps []*tableProj) error {
 			idVal[i] = v
 		}
 		keep := true
-		for i, c := range curs {
-			tup, found, err := c.take(pos)
+		for i := range curs {
+			tup, found, err := curs[i].take(pos)
 			if err != nil {
 				return err
 			}

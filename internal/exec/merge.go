@@ -302,7 +302,7 @@ func (r *queryRun) joinAndStore(merged idStream, needed, tombChecks []int, bfs [
 	}
 
 	r.resN = n
-	r.resCols = map[int]resCol{}
+	r.resCols = map[int]sublist{}
 	if !direct {
 		err := r.col.Span(spanStore, func() error { return spillSeg.Seal() })
 		if err != nil {
@@ -320,7 +320,7 @@ func (r *queryRun) joinAndStore(merged idStream, needed, tombChecks []int, bfs [
 			if err := seg.Seal(); err != nil {
 				return err
 			}
-			r.resCols[ti] = resCol{seg: &seg.ListSegment, run: run}
+			r.resCols[ti] = sublist{seg: &seg.Segment, run: run}
 			return nil
 		})
 	}
@@ -357,14 +357,17 @@ func (r *queryRun) distributeSpill() error {
 	defer resv.Release()
 	return r.col.Span(spanStore, func() error {
 		order := append([]int{r.q.Anchor}, sp.needed...)
+		var rd runStream
+		defer rd.close()
+		rec := make([]byte, tupleW)
 		for pos, ti := range order {
 			seg := r.newTemp()
 			if err := seg.BeginRun(); err != nil {
 				return err
 			}
-			rd := newSegReader(sp.seg, segRun{seg: sp.seg, off: 0, count: sp.n}, tupleW)
+			rd.open(r.tok, sublist{seg: sp.seg, run: store.Run{Count: sp.n}}, tupleW)
 			for {
-				rec, ok, err := rd.next()
+				ok, err := rd.rd.NextRecord(rec)
 				if err != nil {
 					return err
 				}
@@ -382,7 +385,7 @@ func (r *queryRun) distributeSpill() error {
 			if err := seg.Seal(); err != nil {
 				return err
 			}
-			r.resCols[ti] = resCol{seg: &seg.ListSegment, run: run}
+			r.resCols[ti] = sublist{seg: &seg.Segment, run: run}
 		}
 		return sp.seg.Free()
 	})

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"slices"
 
 	"ghostdb/internal/ram"
 	"ghostdb/internal/store"
@@ -26,13 +25,7 @@ func (r *queryRun) applyPostSelect(tv int, visIDs []uint32) error {
 		// session's grant at admission time (grant minus the fixed reader
 		// and writer); the data's own size can only shrink it.
 		bufSize := r.ram.BufferSize()
-		wantStage := (len(visIDs)*store.IDBytes + bufSize - 1) / bufSize
-		if wantStage < 1 {
-			wantStage = 1
-		}
-		if wantStage > r.bind.PostSelectStage {
-			wantStage = r.bind.PostSelectStage
-		}
+		wantStage := min(max((len(visIDs)*store.IDBytes+bufSize-1)/bufSize, 1), r.bind.PostSelectStage)
 		resv, err := r.ram.Plan(
 			ram.Claim{Name: "stage", Min: 1, Want: wantStage},
 			ram.Claim{Name: "scan", Min: 1, Want: 1},
@@ -45,39 +38,20 @@ func (r *queryRun) applyPostSelect(tv int, visIDs []uint32) error {
 		posSeg := r.newTemp()
 		var posRuns runSet
 		selErr := func() error {
-			var rd runStream
-			defer rd.close()
 			for start := 0; start < len(visIDs); start += chunkCap {
-				end := start + chunkCap
-				if end > len(visIDs) {
-					end = len(visIDs)
-				}
-				chunk := visIDs[start:end]
+				chunk := visIDs[start:min(start+chunkCap, len(visIDs))]
 				if err := posSeg.BeginRun(); err != nil {
 					return err
 				}
-				rd.open(r.tok, col.seg, col.run)
-				pos := uint32(0)
-				for {
-					v, ok, err := rd.next()
-					if err != nil {
-						return err
-					}
-					if !ok {
-						break
-					}
-					if _, found := slices.BinarySearch(chunk, v); found {
-						if err := posSeg.Add(pos); err != nil {
-							return err
-						}
-					}
-					pos++
+				err := r.scanPositions(col, chunk, func(pos uint32, _ int) error { return posSeg.Add(pos) })
+				if err != nil {
+					return err
 				}
 				run, err := posSeg.EndRun()
 				if err != nil {
 					return err
 				}
-				posRuns.add(&posSeg.ListSegment, run)
+				posRuns.add(&posSeg.Segment, run)
 			}
 			return posSeg.Seal()
 		}()
@@ -102,7 +76,7 @@ func (r *queryRun) applyPostSelect(tv int, visIDs []uint32) error {
 		}
 		defer rw.Release()
 
-		newCols := make(map[int]resCol, len(r.resCols))
+		newCols := make(map[int]sublist, len(r.resCols))
 		newN := 0
 		var rd runStream
 		defer rd.close()
@@ -116,7 +90,7 @@ func (r *queryRun) applyPostSelect(tv int, visIDs []uint32) error {
 				ps.close()
 				return err
 			}
-			rd.open(r.tok, c.seg, c.run)
+			rd.open(r.tok, c, store.IDBytes)
 			nextSel, selOK, err := ps.next()
 			if err != nil {
 				ps.close()
@@ -155,7 +129,7 @@ func (r *queryRun) applyPostSelect(tv int, visIDs []uint32) error {
 			if err := out.Seal(); err != nil {
 				return err
 			}
-			newCols[ti] = resCol{seg: &out.ListSegment, run: run}
+			newCols[ti] = sublist{seg: &out.Segment, run: run}
 			newN = kept
 		}
 		r.resCols = newCols

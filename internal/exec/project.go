@@ -12,19 +12,12 @@ import (
 	"ghostdb/internal/store"
 )
 
-// segRun locates one pos-sorted tuple run inside a tuple segment.
-type segRun struct {
-	seg   *store.Segment
-	off   int
-	count int
-}
-
 // tableProj is one run's projection work for one table: the plan's
-// spec and the MJoin output this run writes.
+// spec and the MJoin output this run writes, one position-sorted run of
+// <pos, vlist, hlist> tuples per batch that matched.
 type tableProj struct {
 	*projSpec
-	outSeg  *tempTuples
-	outRuns []segRun
+	runs runSet
 }
 
 // project runs QEPP: σVH computation, MJoin batches and the final
@@ -46,7 +39,7 @@ func (r *queryRun) project() (*Result, error) {
 
 	var tps []*tableProj
 	for _, s := range r.plan.shape.mjoin {
-		tps = append(tps, &tableProj{projSpec: s})
+		tps = append(tps, &tableProj{projSpec: s, runs: runSet{tupleW: s.tupleW}})
 	}
 
 	err := r.col.Span(spanProject, func() error {
@@ -63,19 +56,19 @@ func (r *queryRun) project() (*Result, error) {
 // sigmaVH computes σVH(Ti): the visible ids that can possibly appear in
 // the result, per §4 — a Bloom filter over the QEPSJ.Ti.id column probed
 // with the ids sent by Untrusted. Returns a temp run of sorted ids.
-func (r *queryRun) sigmaVH(tp *tableProj) (*store.ListSegment, store.Run, error) {
+func (r *queryRun) sigmaVH(tp *tableProj) (sublist, error) {
 	col := r.resCols[tp.table]
 	sp := r.spool[tp.table]
 	out := r.newTemp()
 	if err := out.BeginRun(); err != nil {
-		return nil, store.Run{}, err
+		return sublist{}, err
 	}
 
 	if sp == nil {
 		// No visible data for this table: derive the sorted distinct ids
 		// of the column by chunked in-RAM sorting.
 		if err := r.sortColumn(col, &out.ListSegment); err != nil {
-			return nil, store.Run{}, err
+			return sublist{}, err
 		}
 	} else {
 		var f *bloom.Filter
@@ -97,11 +90,11 @@ func (r *queryRun) sigmaVH(tp *tableProj) (*store.ListSegment, store.Run, error)
 					f = bloom.New(bp, r.resN)
 					var rd runStream
 					defer rd.close()
-					rd.open(r.tok, col.seg, col.run)
+					rd.open(r.tok, col, store.IDBytes)
 					for {
 						v, ok, err := rd.next()
 						if err != nil {
-							return nil, store.Run{}, err
+							return sublist{}, err
 						}
 						if !ok {
 							break
@@ -116,7 +109,7 @@ func (r *queryRun) sigmaVH(tp *tableProj) (*store.ListSegment, store.Run, error)
 		for {
 			rec, _, ok, err := srd.Next()
 			if err != nil {
-				return nil, store.Run{}, err
+				return sublist{}, err
 			}
 			if !ok {
 				break
@@ -124,34 +117,26 @@ func (r *queryRun) sigmaVH(tp *tableProj) (*store.ListSegment, store.Run, error)
 			id := binary.BigEndian.Uint32(rec)
 			if f == nil || f.MayContain(id) {
 				if err := out.Add(id); err != nil {
-					return nil, store.Run{}, err
+					return sublist{}, err
 				}
 			}
 		}
 	}
 	run, err := out.EndRun()
 	if err != nil {
-		return nil, store.Run{}, err
+		return sublist{}, err
 	}
-	if err := out.Seal(); err != nil {
-		return nil, store.Run{}, err
-	}
-	return &out.ListSegment, run, nil
+	return sublist{seg: &out.Segment, run: run}, out.Seal()
 }
 
 // sortColumn writes the sorted distinct ids of a result column into an
 // open run, using grant-sized chunks and a union merge. A small grant
 // only means more chunks, consolidated by multi-pass unions; the minimum
 // is 3 free buffers (chunk + reader + writer).
-func (r *queryRun) sortColumn(col resCol, out *store.ListSegment) error {
+func (r *queryRun) sortColumn(col sublist, out *store.ListSegment) error {
 	bufSize := r.ram.BufferSize()
-	want := (col.run.Count*store.IDBytes + bufSize - 1) / bufSize
-	if want < 1 {
-		want = 1
-	}
-	if want > r.bind.SortChunk {
-		want = r.bind.SortChunk // chunk cap bound from the grant at admission
-	}
+	// The chunk cap was bound from the grant at admission.
+	want := min(max((col.run.Count*store.IDBytes+bufSize-1)/bufSize, 1), r.bind.SortChunk)
 	resv, err := r.ram.Plan(
 		ram.Claim{Name: "chunk", Min: 1, Want: want},
 		ram.Claim{Name: "scan", Min: 1, Want: 1},
@@ -166,7 +151,7 @@ func (r *queryRun) sortColumn(col resCol, out *store.ListSegment) error {
 	chunkErr := func() error {
 		var rd runStream
 		defer rd.close()
-		rd.open(r.tok, col.seg, col.run)
+		rd.open(r.tok, col, store.IDBytes)
 		buf := make([]uint32, 0, cap)
 		flush := func() error {
 			if len(buf) == 0 {
@@ -178,7 +163,7 @@ func (r *queryRun) sortColumn(col resCol, out *store.ListSegment) error {
 			if err != nil {
 				return err
 			}
-			runs.add(&chunks.ListSegment, run)
+			runs.add(&chunks.Segment, run)
 			buf = buf[:0]
 			return nil
 		}
@@ -246,7 +231,7 @@ func (r *queryRun) sortColumn(col resCol, out *store.ListSegment) error {
 // <pos, vlist, hlist> tuples to flash.
 func (r *queryRun) mjoinTable(tp *tableProj) error {
 	db := r.db
-	sigSeg, sigRun, err := r.sigmaVH(tp)
+	sig, err := r.sigmaVH(tp)
 	if err != nil {
 		return err
 	}
@@ -257,7 +242,7 @@ func (r *queryRun) mjoinTable(tp *tableProj) error {
 	// generalized to the table's true reader set). A minimal batch grant
 	// only means more passes over the QEPSJ column.
 	bufSize := r.ram.BufferSize()
-	wantBatch := min((sigRun.Count*tp.tupleW+bufSize-1)/bufSize, r.bind.MJoinBatch[tp.table])
+	wantBatch := min((sig.run.Count*tp.tupleW+bufSize-1)/bufSize, r.bind.MJoinBatch[tp.table])
 	resv, err := r.ram.Plan(tp.mjoinClaims(wantBatch)...)
 	if err != nil {
 		return fmt.Errorf("exec: MJoin: %w", err)
@@ -268,11 +253,10 @@ func (r *queryRun) mjoinTable(tp *tableProj) error {
 		batchCap = 1
 	}
 
-	tp.outSeg = r.newTuples()
-	var sig, rd runStream
-	defer sig.close()
-	defer rd.close()
-	sig.open(r.tok, sigSeg, sigRun)
+	out := r.newTuples()
+	var sigRd runStream
+	defer sigRd.close()
+	sigRd.open(r.tok, sig, store.IDBytes)
 	var spoolCur *spoolCursor
 	if tp.visW > 0 {
 		spoolCur = newSpoolCursor(r.spool[tp.table].file)
@@ -302,7 +286,7 @@ func (r *queryRun) mjoinTable(tp *tableProj) error {
 		batchIDs = batchIDs[:0]
 		batchVals = batchVals[:0]
 		for len(batchIDs) < batchCap {
-			id, ok, err := sig.next()
+			id, ok, err := sigRd.next()
 			if err != nil {
 				return err
 			}
@@ -336,35 +320,49 @@ func (r *queryRun) mjoinTable(tp *tableProj) error {
 			break
 		}
 		// Scan the QEPSJ.Ti.id column and emit matches.
-		start := tp.outSeg.Bytes()
-		count := 0
-		rd.open(r.tok, col.seg, col.run)
-		pos := uint32(0)
-		for {
-			v, ok, err := rd.next()
-			if err != nil {
+		start, count := out.Bytes(), 0
+		err := r.scanPositions(col, batchIDs, func(pos uint32, i int) error {
+			binary.BigEndian.PutUint32(posBuf, pos)
+			if err := out.Append(posBuf); err != nil {
 				return err
 			}
-			if !ok {
-				break
-			}
-			if i, found := slices.BinarySearch(batchIDs, v); found {
-				binary.BigEndian.PutUint32(posBuf, pos)
-				if err := tp.outSeg.Append(posBuf); err != nil {
+			if valW > 0 {
+				if err := out.Append(batchVals[i*valW : (i+1)*valW]); err != nil {
 					return err
 				}
-				if valW > 0 {
-					if err := tp.outSeg.Append(batchVals[i*valW : (i+1)*valW]); err != nil {
-						return err
-					}
-				}
-				count++
 			}
-			pos++
+			count++
+			return nil
+		})
+		if err != nil {
+			return err
 		}
-		tp.outRuns = append(tp.outRuns, segRun{seg: &tp.outSeg.Segment, off: start, count: count})
+		if count > 0 {
+			tp.runs.add(&out.Segment, store.Run{Off: start, Count: count})
+		}
 	}
-	return tp.outSeg.Seal()
+	return out.Seal()
+}
+
+// scanPositions is the one pass over a QEPSJ result column that an MJoin
+// batch and a Post-Select chunk each make: it streams col and calls emit
+// with the position of every id found in ids (staged, sorted) and the
+// id's index in ids.
+func (r *queryRun) scanPositions(col sublist, ids []uint32, emit func(pos uint32, i int) error) error {
+	var rd runStream
+	defer rd.close()
+	rd.open(r.tok, col, store.IDBytes)
+	for pos := uint32(0); ; pos++ {
+		v, ok, err := rd.next()
+		if err != nil || !ok {
+			return err
+		}
+		if i, found := slices.BinarySearch(ids, v); found {
+			if err := emit(pos, i); err != nil {
+				return err
+			}
+		}
+	}
 }
 
 // spoolCursor is a sequential cursor over an id-sorted spool file with

@@ -44,12 +44,6 @@ type visSpool struct {
 	file *store.RowFile
 }
 
-// resCol is one column of the materialized QEPSJ result.
-type resCol struct {
-	seg *store.ListSegment
-	run store.Run
-}
-
 // queryRun is the per-query execution state. Everything a query needs
 // that used to be mutable DB-level state is threaded here instead: the
 // immutable QueryConfig snapshot, the bound plan, the session's private
@@ -87,9 +81,9 @@ type queryRun struct {
 	postSelect map[int][]uint32
 	anchorPred []query.Pred // id predicates on the anchor (free filters)
 
-	// QEPSJ output.
+	// QEPSJ output: resN tuples, one id run per table column.
 	resN    int
-	resCols map[int]resCol
+	resCols map[int]sublist
 	// spill is set when the store pipeline ran in shared-stage mode: the
 	// survivor tuples sit row-major in one spilled segment awaiting the
 	// distribution pass (distributeSpill).
@@ -524,7 +518,7 @@ func (g *mergeGroup) addRun(seg *store.ListSegment, run store.Run) {
 	if run.Count == 0 {
 		return
 	}
-	g.runs.add(seg, run)
+	g.runs.add(&seg.Segment, run)
 }
 
 // encodePredKey encodes a predicate literal for the index key space.

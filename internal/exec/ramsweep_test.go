@@ -27,6 +27,55 @@ func sweepFixture(t testing.TB, buffers int) *fixture {
 		})
 }
 
+// tupleRunCards and tupleRunStmts reach the final join's tuple-run
+// reduction: with 20 000 anchor rows and a 2 000-row T1, the MJoin of a
+// wide T1 projection writes more batch runs than a 7- to 10-buffer grant
+// leaves cursors for, so they are merged in passes of 4 to 17 runs. The
+// second query's visible T1 predicate makes Post-Select and the column
+// sort consolidate their id runs too.
+func tupleRunCards() map[string]int {
+	return map[string]int{"T0": 20000, "T1": 2000, "T2": 1200, "T11": 400, "T12": 400}
+}
+
+func tupleRunStmts() []goldenStmt {
+	var set []goldenStmt
+	for _, sql := range []string{
+		`SELECT T0.id, T1.h1, T1.v1, T1.v2, T0.h3, T0.v1 FROM T0, T1 WHERE T0.fk1 = T1.id AND T1.h1 < '0000000900'`,
+		`SELECT T0.id, T1.h1 FROM T0, T1 WHERE T0.fk1 = T1.id AND T1.v1 < '0000000900' AND T0.h1 < '0000000900'`,
+	} {
+		for _, cfg := range []QueryConfig{{}, {Strategy: StratPostSelect}, {Projector: ProjectNoBF}} {
+			set = append(set, goldenStmt{sql: sql, cfg: cfg})
+		}
+	}
+	return set
+}
+
+// TestTupleRunReductionMatchesReference answers tupleRunStmts at grants
+// where the final join must merge MJoin batch runs before its cursors
+// fit, and holds every answer to the reference engine.
+func TestTupleRunReductionMatchesReference(t *testing.T) {
+	for _, buffers := range []int{minViableBuffers, 8, 10} {
+		f := newFixtureOpts(t, 77, tupleRunCards(), Options{
+			RAMBudget:   buffers * 2048,
+			FlashParams: flash.Params{PageSize: 2048, PagesPerBlock: 16, Blocks: 8192, ReserveBlocks: 4},
+		})
+		for _, st := range tupleRunStmts() {
+			want := f.refAnswer(t, st.sql)
+			res, err := f.db.RunCtx(context.Background(), st.sql, st.cfg)
+			if err != nil {
+				t.Fatalf("%d buffers [%v/%v] %s: %v", buffers, st.cfg.Strategy, st.cfg.Projector, st.sql, err)
+			}
+			if !rowsEqual(res.Rows, want) {
+				t.Fatalf("%d buffers [%v/%v] %s: %d rows, want %d",
+					buffers, st.cfg.Strategy, st.cfg.Projector, st.sql, len(res.Rows), len(want))
+			}
+			if f.db.RAM.Leaked() {
+				t.Fatalf("%d buffers [%v/%v] %s: grants leaked", buffers, st.cfg.Strategy, st.cfg.Projector, st.sql)
+			}
+		}
+	}
+}
+
 // TestRAMBudgetSweep runs the representative query mix at every
 // whole-buffer budget from the paper's default (32 buffers) down to the
 // minimum viable count, asserting the answer matches the reference

@@ -68,11 +68,12 @@ func (s *seqStream) next() (uint32, bool, error) {
 
 func (s *seqStream) close() {}
 
-// runStream streams one sorted sublist from flash, holding one RAM buffer
-// and, on the host, one page buffer borrowed from the token's free list.
-// openUnion opens a union's streams as one slice under one grant, held
-// by the first; an operator's column reader is a runStream with no grant
-// (its operator's reservation holds the RAM buffer).
+// runStream streams one run from flash — ids (next) or fixed-width MJoin
+// tuples (rd.NextRecord) — holding one RAM buffer and, on the host, one
+// page buffer borrowed from the token's free list. openRuns opens a
+// pass's streams as one slice under one grant, held by the first; an
+// operator's column reader is a runStream with no grant (its operator's
+// reservation holds the RAM buffer).
 //
 //ghostdb:requires-slot
 type runStream struct {
@@ -82,14 +83,15 @@ type runStream struct {
 	buf   []byte
 }
 
-// open sets s up over one sublist, streaming through a page buffer
-// borrowed from the token's free list, or through the one s still holds
-// (a reader re-opened for each pass over a column); close returns it.
-func (s *runStream) open(tok *Token, seg *store.ListSegment, run store.Run) {
+// open sets s up over one sublist of records of width bytes (store.IDBytes
+// for an id run), streaming through a page buffer borrowed from the
+// token's free list, or through the one s still holds (a reader re-opened
+// for each pass over a column); close returns it.
+func (s *runStream) open(tok *Token, sub sublist, width int) {
 	if s.buf == nil {
 		s.tok, s.buf = tok, tok.pageBuf()
 	}
-	seg.InitRunReader(&s.rd, run, s.buf)
+	sub.seg.InitRunReader(&s.rd, sub.run, width, s.buf)
 }
 
 func (s *runStream) next() (uint32, bool, error) { return s.rd.Next() }
@@ -116,8 +118,8 @@ func closeStreams(s []runStream) {
 
 // keyHeap is a binary min-heap of packed keys: the ordering value in the
 // high 32 bits, a tag (source or sublist index) in the low 32, so equal
-// values order by tag. It backs both the k-way union and the reduction's
-// run set.
+// values order by tag. It backs the k-way union, the reduction's run set
+// and the tuple cursor.
 type keyHeap []uint64
 
 func (h keyHeap) down(i int) {

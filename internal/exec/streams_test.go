@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -15,6 +16,7 @@ import (
 	"ghostdb/internal/ram"
 	"ghostdb/internal/schema"
 	"ghostdb/internal/sqlparse"
+	"ghostdb/internal/store"
 )
 
 // randomSortedIDs draws n distinct ascending ids; with edge set, from the
@@ -140,7 +142,7 @@ func loadRuns(tb testing.TB, r *queryRun, lists [][]uint32) *runSet {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		set.add(&seg.ListSegment, run)
+		set.add(&seg.Segment, run)
 	}
 	if err := seg.Seal(); err != nil {
 		tb.Fatal(err)
@@ -148,28 +150,113 @@ func loadRuns(tb testing.TB, r *queryRun, lists [][]uint32) *runSet {
 	return &set
 }
 
+// loadTupleRuns writes one sublist per list of tupleW-byte records, back
+// to back, into a fresh tuple segment.
+func loadTupleRuns(tb testing.TB, r *queryRun, tupleW int, lists [][]string) *runSet {
+	seg := r.newTuples()
+	set := runSet{tupleW: tupleW}
+	for _, recs := range lists {
+		off := seg.Bytes()
+		for _, rec := range recs {
+			if err := seg.Append([]byte(rec)); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		set.add(&seg.Segment, store.Run{Off: off, Count: len(recs)})
+	}
+	if err := seg.Seal(); err != nil {
+		tb.Fatal(err)
+	}
+	return &set
+}
+
+// readRecords reads a sublist back as width-byte records.
+func readRecords(tb testing.TB, sub sublist, width int) []string {
+	var rd store.RunReader
+	sub.seg.InitRunReader(&rd, sub.run, width, make([]byte, sub.seg.PageSize()))
+	rec := make([]byte, width)
+	var out []string
+	for {
+		ok, err := rd.NextRecord(rec)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if !ok {
+			return out
+		}
+		out = append(out, string(rec))
+	}
+}
+
+// randomTupleRuns draws n runs of tupleW-byte MJoin tuples, each a
+// big-endian position and a random payload, over positions disjoint
+// across runs: few distinct counts, some runs empty, on odd draws
+// several pages long.
+func randomTupleRuns(rng *rand.Rand, n, tupleW int) [][]string {
+	scale := 1 + 40*rng.Intn(2)
+	counts, total := make([]int, n), 0
+	for i := range counts {
+		counts[i] = rng.Intn(6) * scale
+		total += counts[i]
+	}
+	pos := rng.Perm(2 * total)
+	lists := make([][]string, n)
+	for i, c := range counts {
+		ps := pos[:c]
+		pos = pos[c:]
+		slices.Sort(ps)
+		for _, p := range ps {
+			rec := binary.BigEndian.AppendUint32(nil, uint32(p))
+			for len(rec) < tupleW {
+				rec = append(rec, byte(rng.Intn(256)))
+			}
+			lists[i] = append(lists[i], string(rec))
+		}
+	}
+	return lists
+}
+
 // TestReductionTakesKSmallestByCountThenArrivalProperty replays random
-// run lists (equal counts everywhere, overlapping ids) through
-// consolidateRuns' passes and a model of the specification side by side:
-// each pass must union exactly the k smallest sublists by (Count,
-// arrival order), and the surviving sublists must hold every input id —
-// none lost, none duplicated within a run.
+// run lists through consolidateRuns' passes and a model of the
+// specification side by side: each pass must reduce exactly the k
+// smallest sublists by (Count, arrival order), and the surviving
+// sublists must hold every input record — none lost, none duplicated
+// within a run. Seeds 1–60 reduce id runs (equal counts everywhere,
+// overlapping ids: a pass unions); seeds 61–120 MJoin tuple runs, of
+// widths that do and do not divide the 2 048-byte page (disjoint
+// positions: a pass merges by position). As records, ids are their
+// big-endian bytes and a tuple starts with its big-endian position, so
+// the model's pass output is the sorted, deduplicated records of its
+// inputs either way.
 func TestReductionTakesKSmallestByCountThenArrivalProperty(t *testing.T) {
 	type modelRun struct {
-		ids     []uint32
+		recs    []string
 		arrival int
 	}
-	for seed := int64(1); seed <= 60; seed++ {
+	tupleWidths := []int{8, 12, 16, 20, 36, 64, 100}
+	for seed := int64(1); seed <= 120; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		r := reduceRig(4 + rng.Intn(29))
 		n := 2 + rng.Intn(150)
-		lists := make([][]uint32, n)
-		var model []modelRun
-		for i := range lists {
-			lists[i] = randomSortedIDs(rng, rng.Intn(6), false) // few distinct counts, some empty
-			model = append(model, modelRun{ids: lists[i], arrival: i})
+		var set *runSet
+		lists := make([][]string, n)
+		if seed <= 60 {
+			ids := make([][]uint32, n)
+			for i := range ids {
+				ids[i] = randomSortedIDs(rng, rng.Intn(6), false) // few distinct counts, some empty
+				for _, id := range ids[i] {
+					lists[i] = append(lists[i], string(binary.BigEndian.AppendUint32(nil, id)))
+				}
+			}
+			set = loadRuns(t, r, ids)
+		} else {
+			lists = randomTupleRuns(rng, n, tupleWidths[seed%int64(len(tupleWidths))])
+			set = loadTupleRuns(t, r, tupleWidths[seed%int64(len(tupleWidths))], lists)
 		}
-		set := loadRuns(t, r, lists)
+		var model []modelRun
+		for i, recs := range lists {
+			model = append(model, modelRun{recs: recs, arrival: i})
+		}
 		maxRuns := 1 + rng.Intn(4)
 		for pass := 0; set.len() > maxRuns; pass++ {
 			k, err := r.unionFanIn(set.len(), set.len()-maxRuns, r.bind.CrossFanIn)
@@ -180,14 +267,14 @@ func TestReductionTakesKSmallestByCountThenArrivalProperty(t *testing.T) {
 				t.Fatalf("seed %d pass %d: %v", seed, pass, err)
 			}
 			// The specification: a stable sort by Count over arrival order.
-			slices.SortStableFunc(model, func(a, b modelRun) int { return len(a.ids) - len(b.ids) })
-			var union []uint32
+			slices.SortStableFunc(model, func(a, b modelRun) int { return len(a.recs) - len(b.recs) })
+			var out []string
 			for _, m := range model[:k] {
-				union = append(union, m.ids...)
+				out = append(out, m.recs...)
 			}
-			slices.Sort(union)
-			union = slices.Compact(union)
-			model = append(model[k:], modelRun{ids: union, arrival: n + pass})
+			slices.Sort(out)
+			out = slices.Compact(out)
+			model = append(model[k:], modelRun{recs: out, arrival: n + pass})
 			slices.SortFunc(model, func(a, b modelRun) int { return a.arrival - b.arrival })
 
 			if set.len() != len(model) {
@@ -201,14 +288,11 @@ func TestReductionTakesKSmallestByCountThenArrivalProperty(t *testing.T) {
 				sub, ok := live[m.arrival]
 				if !ok {
 					t.Fatalf("seed %d pass %d (k=%d): sublist of arrival %d (count %d) was consumed, the model keeps it",
-						seed, pass, k, m.arrival, len(m.ids))
+						seed, pass, k, m.arrival, len(m.recs))
 				}
-				got, err := sub.seg.ReadAll(sub.run)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !slices.Equal(got, m.ids) {
-					t.Fatalf("seed %d pass %d (k=%d): sublist of arrival %d holds %v, model %v", seed, pass, k, m.arrival, got, m.ids)
+				if got := readRecords(t, sub, set.width()); !slices.Equal(got, m.recs) {
+					t.Fatalf("seed %d pass %d (k=%d): sublist of arrival %d holds %d records, model %d (or they differ)",
+						seed, pass, k, m.arrival, len(got), len(m.recs))
 				}
 			}
 		}

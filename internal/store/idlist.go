@@ -29,9 +29,10 @@ func (r Run) Pages(pageSize int) int {
 
 // ListSegment stores packed sorted runs of 4-byte identifiers. Climbing
 // index sublists, temporary intermediate ID lists and Merge spill areas
-// are all ListSegments.
+// are all ListSegments. Its pages are its Segment's: sealing, freeing and
+// reading runs (InitRunReader at width IDBytes) are the Segment's own.
 type ListSegment struct {
-	seg Segment
+	Segment
 
 	runOpen  bool
 	runStart int
@@ -40,7 +41,7 @@ type ListSegment struct {
 
 // NewListSegment creates an empty list segment.
 func NewListSegment(dev *flash.Device) *ListSegment {
-	return &ListSegment{seg: Segment{dev: dev, buf: make([]byte, dev.PageSize())}}
+	return &ListSegment{Segment: Segment{dev: dev, buf: make([]byte, dev.PageSize())}}
 }
 
 // Init sets l up as an empty list segment on dev that assembles its pages
@@ -48,7 +49,7 @@ func NewListSegment(dev *flash.Device) *ListSegment {
 // Free hand buf back.
 func (l *ListSegment) Init(dev *flash.Device, buf []byte) {
 	*l = ListSegment{}
-	l.seg.Init(dev, buf)
+	l.Segment.Init(dev, buf)
 }
 
 // BeginRun starts a new sublist at the current append position.
@@ -57,7 +58,7 @@ func (l *ListSegment) BeginRun() error {
 		return fmt.Errorf("store: run already open")
 	}
 	l.runOpen = true
-	l.runStart = l.seg.Bytes()
+	l.runStart = l.Bytes()
 	l.runCount = 0
 	return nil
 }
@@ -72,7 +73,7 @@ func (l *ListSegment) Add(id uint32) error {
 	if !l.runOpen {
 		return fmt.Errorf("store: Add outside a run")
 	}
-	s := &l.seg
+	s := &l.Segment
 	if end := s.bufUsed + IDBytes; end < len(s.buf) && !s.sealed {
 		binary.BigEndian.PutUint32(s.buf[s.bufUsed:end], id)
 		s.bufUsed = end
@@ -109,51 +110,44 @@ func (l *ListSegment) AppendRun(ids []uint32) (Run, error) {
 	return l.EndRun()
 }
 
-// Seal flushes the trailing partial page.
-func (l *ListSegment) Seal() error { return l.seg.Seal() }
-
-// Reopen makes a sealed list segment appendable again (post-load insert
-// maintenance appends tiny runs).
-func (l *ListSegment) Reopen() error { return l.seg.Reopen() }
-
-// Free releases all pages.
-func (l *ListSegment) Free() error { return l.seg.Free() }
-
-// Pages returns the flash footprint in pages.
-func (l *ListSegment) Pages() int { return l.seg.Pages() }
-
-// Bytes returns the number of content bytes appended so far.
-func (l *ListSegment) Bytes() int { return l.seg.Bytes() }
-
-// RunReader streams a run's identifiers in order, reading each underlying
-// flash page exactly once. It consumes one RAM buffer's worth of working
-// space (the caller accounts for it with a ram.Grant).
+// RunReader streams a run of fixed-width records in order through one
+// page buffer: an id run of a ListSegment (width IDBytes, decoded by
+// Next) or a run of wider records (NextRecord). A refill reads from the
+// next record's offset to the end of the flash page holding its last
+// byte (or to the end of the run), one page read per page touched. For a
+// width that divides the page size and a run aligned to it (every id
+// run), each page of the run is so read exactly once; a record that
+// straddles a page boundary re-reads the tail of its first page, which
+// the previous refill already read. The reader consumes one RAM buffer's
+// worth of working space (the caller accounts for it with a ram.Grant).
 type RunReader struct {
-	l   *ListSegment
+	seg *Segment
 	buf []byte
-	win []byte // the loaded ids not read yet, a prefix-trimmed window of buf
-	off int    // absolute byte offset of the first id not loaded yet
+	win []byte // the loaded bytes not read yet, a suffix of buf
+	off int    // absolute byte offset of the first byte not loaded yet
 	end int    // absolute byte offset just past the run
+	w   int    // record width
 }
 
-// NewRunReader opens a streaming reader over run.
+// NewRunReader opens a streaming reader over an id run.
 func (l *ListSegment) NewRunReader(run Run) *RunReader {
 	rd := &RunReader{}
-	l.InitRunReader(rd, run, make([]byte, l.seg.PageSize()))
+	l.InitRunReader(rd, run, IDBytes, make([]byte, l.PageSize()))
 	return rd
 }
 
-// InitRunReader sets rd up as a reader over run that streams through a
-// caller-owned page buffer of at least PageSize bytes, so a caller that
-// opens many readers can hold them by value and recycle the buffers; the
-// reader uses buf until its last Next.
-func (l *ListSegment) InitRunReader(rd *RunReader, run Run, buf []byte) {
-	*rd = RunReader{l: l, buf: buf, off: run.Off, end: run.Off + run.Count*IDBytes}
+// InitRunReader sets rd up as a reader over run.Count records of width
+// bytes starting at byte run.Off, streaming through a caller-owned page
+// buffer of at least PageSize bytes, so a caller that opens many readers
+// can hold them by value and recycle the buffers; the reader uses buf
+// until its last read.
+func (s *Segment) InitRunReader(rd *RunReader, run Run, width int, buf []byte) {
+	*rd = RunReader{seg: s, buf: buf, off: run.Off, end: run.Off + run.Count*width, w: width}
 }
 
-// Next returns the next identifier, or ok=false at the end of the run.
-// The hot path decodes from the window and advances it; nextPage refills
-// the window.
+// Next returns the next identifier of an id run, or ok=false at the end
+// of the run. The hot path decodes from the window and advances it;
+// nextPage refills the window.
 func (r *RunReader) Next() (uint32, bool, error) {
 	if len(r.win) < IDBytes {
 		return r.nextPage()
@@ -163,21 +157,47 @@ func (r *RunReader) Next() (uint32, bool, error) {
 	return v, true, nil
 }
 
-// nextPage loads the window from the next id to the end of its flash
-// page (or of the run) and returns that id.
+// nextPage loads the id the window does not hold and returns it.
 func (r *RunReader) nextPage() (uint32, bool, error) {
-	if r.off >= r.end {
-		return 0, false, nil
+	var rec [IDBytes]byte
+	ok, err := r.load(rec[:])
+	return binary.BigEndian.Uint32(rec[:]), ok, err
+}
+
+// NextRecord copies the next record into dst, which must hold the
+// reader's width, or returns ok=false at the end of the run.
+func (r *RunReader) NextRecord(dst []byte) (bool, error) {
+	if len(r.win) < r.w {
+		return r.load(dst)
 	}
-	ps := r.l.seg.PageSize()
-	end := min((r.off/ps+1)*ps, r.end)
-	n := end - r.off
-	if err := r.l.seg.ReadAt(r.buf[:n], r.off, n); err != nil {
-		return 0, false, err
+	copy(dst, r.win[:r.w])
+	r.win = r.win[r.w:]
+	return true, nil
+}
+
+// load reads the record the window holds only part of, or none of, into
+// dst, and loads the window with the rest of the page holding its last
+// byte. Of a record that straddles a page boundary, the bytes before
+// that page are read straight into dst: dst is the one-record carry.
+func (r *RunReader) load(dst []byte) (bool, error) {
+	off := r.off - len(r.win) // the record's first byte
+	if off >= r.end {
+		return false, nil
 	}
-	r.off = end
-	r.win = r.buf[IDBytes:n]
-	return binary.BigEndian.Uint32(r.buf), true, nil
+	ps := r.seg.PageSize()
+	page := (off + r.w - 1) / ps * ps // the page holding the record's last byte
+	h := max(page-off, 0)
+	if err := r.seg.ReadAt(dst[:h], off, h); err != nil {
+		return false, err
+	}
+	end := min(page+ps, r.end)
+	n := end - off - h
+	if err := r.seg.ReadAt(r.buf[:n], off+h, n); err != nil {
+		return false, err
+	}
+	copy(dst[h:r.w], r.buf)
+	r.off, r.win = end, r.buf[r.w-h:n]
+	return true, nil
 }
 
 // ReadAll materializes the whole run into a slice (used by small-list fast
