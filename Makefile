@@ -36,10 +36,14 @@ figures:
 
 # Rewrite the three pinned outputs from this build: the counter and
 # operator-span ledgers and the scale-0.002 figures. Only for a change
-# meant to move simulated behaviour; explain every changed line.
+# meant to move simulated behaviour; explain every changed line. Ends
+# with the diff stat of the three files, so a regeneration lists what
+# moved.
+PINNED := internal/exec/testdata/counters_golden.json internal/exec/testdata/operator_spans_golden.json cmd/ghostdb-bench/testdata/figures_0.002.txt
 golden:
 	$(GO) test ./internal/exec -run 'TestGoldenCounterLedger|TestOperatorSpansPinned' -update
 	$(GO) test ./cmd/ghostdb-bench -run TestFiguresPinned -update
+	git diff --stat -- $(PINNED)
 
 # Non-test Go lines (no _test.go, nothing under testdata/ or dot
 # directories), outside and inside benchmark/: the line counts the

@@ -85,16 +85,12 @@ func (s *runSet) add(seg *store.Segment, run store.Run) {
 func (s *runSet) popSmallest() sublist { return s.subs[uint32(s.live.pop())] }
 
 // openRuns opens one stream over every sublist of the set, in heap
-// order, into streams (reusing its capacity). With g non-nil the streams
-// hold their RAM buffers as one grant, held by the first: a pass closes
-// its inputs together; with g nil the caller's reservation holds them.
-func (r *queryRun) openRuns(s *runSet, streams []runStream, g *ram.Grant) []runStream {
+// order, into streams (reusing its capacity). The stage that opens them
+// claims their RAM buffers, one per stream.
+func (r *queryRun) openRuns(s *runSet, streams []runStream) []runStream {
 	streams = slices.Grow(streams[:0], s.len())[:s.len()]
 	for i, key := range s.live {
 		streams[i].open(r.tok, s.subs[uint32(key)], s.width())
-	}
-	if len(streams) > 0 {
-		streams[0].grant = g
 	}
 	return streams
 }
@@ -108,22 +104,15 @@ type unionScratch struct {
 	c       tupleCursor
 }
 
-// openUnion opens the union of every sublist in the set (one RAM buffer
-// per flash sublist) and of the direct streams, which ride the
-// communication buffer. It builds the union in sc, which must not hold an
-// open union.
+// openUnion opens the union of every sublist in the set (one stream
+// buffer per flash sublist, which the calling stage claims) and of the
+// direct streams, which ride the communication buffer. It builds the
+// union in sc, which must not hold an open union.
 func (r *queryRun) openUnion(s *runSet, direct []idStream, sc *unionScratch) (idStream, error) {
-	n := s.len()
-	sc.srcs = slices.Grow(sc.srcs[:0], n+len(direct))
-	if n > 0 {
-		g, err := r.ram.AllocBuffers(n)
-		if err != nil {
-			return nil, fmt.Errorf("exec: run buffers: %w", err)
-		}
-		sc.streams = r.openRuns(s, sc.streams, g)
-		for i := range sc.streams {
-			sc.srcs = append(sc.srcs, &sc.streams[i])
-		}
+	sc.srcs = slices.Grow(sc.srcs[:0], s.len()+len(direct))
+	sc.streams = r.openRuns(s, sc.streams)
+	for i := range sc.streams {
+		sc.srcs = append(sc.srcs, &sc.streams[i])
 	}
 	sc.srcs = append(sc.srcs, direct...)
 	switch len(sc.srcs) {
@@ -139,34 +128,33 @@ func (r *queryRun) openUnion(s *runSet, direct []idStream, sc *unionScratch) (id
 }
 
 // unionSmallest replaces the k smallest sublists of the set with their
-// union, written as one run on a temp segment; it holds one stream
-// buffer per input plus one spill-writer buffer for the duration of the
-// pass. The pass's bookkeeping is the run's scratch (r.pick, r.union).
-// Only the pass body depends on the kind of run: id runs are unioned
-// (deduplicated), tuple runs merged by position (their positions are
-// disjoint).
+// union, written as one run on a temp segment. The pass is one stage of
+// span's operator, claiming a spill-writer buffer and one stream buffer
+// per input. The pass's bookkeeping is the run's scratch (r.pick,
+// r.union). Only the pass body depends on the kind of run: id runs are
+// unioned (deduplicated), tuple runs merged by position (their positions
+// are disjoint).
 func (r *queryRun) unionSmallest(s *runSet, k int, span string) error {
 	if k < 2 || k > s.len() {
 		return fmt.Errorf("exec: bad union fan-in %d of %d", k, s.len())
 	}
-	wg, err := r.ram.ReserveBuffers(1, 1) // spill writer
-	if err != nil {
-		return err
-	}
-	defer wg.Release()
-
 	pick := &r.pick
 	pick.reset(s.tupleW)
 	for i := 0; i < k; i++ {
 		sub := s.popSmallest()
 		pick.add(sub.seg, sub.run)
 	}
+	claims := []ram.Claim{{Name: "spill-writer", Min: 1, Want: 1}, {Name: "streams", Min: k, Want: k}}
 	var out sublist
-	if s.tupleW == 0 {
-		out, err = r.unionPass(pick, span)
-	} else {
-		out, err = r.mergePass(pick, span)
-	}
+	err := r.stage(span, claims, func(*ram.Reservation) error {
+		var err error
+		if s.tupleW == 0 {
+			out, err = r.unionPass(pick)
+		} else {
+			out, err = r.mergePass(pick)
+		}
+		return err
+	})
 	if err != nil {
 		return err
 	}
@@ -176,29 +164,26 @@ func (r *queryRun) unionSmallest(s *runSet, k int, span string) error {
 
 // unionPass writes the union of the picked id runs as one run on a temp
 // list segment.
-func (r *queryRun) unionPass(pick *runSet, span string) (sublist, error) {
+func (r *queryRun) unionPass(pick *runSet) (sublist, error) {
 	u, err := r.openUnion(pick, nil, &r.union)
 	if err != nil {
 		return sublist{}, err
 	}
 	out := r.newTemp()
-	err = r.col.Span(span, func() error {
+	err = func() error {
 		if err := out.BeginRun(); err != nil {
 			return err
 		}
 		for {
 			v, ok, err := u.next()
-			if err != nil {
+			if err != nil || !ok {
 				return err
-			}
-			if !ok {
-				return nil
 			}
 			if err := out.Add(v); err != nil {
 				return err
 			}
 		}
-	})
+	}()
 	u.close()
 	if err != nil {
 		return sublist{}, err
@@ -212,18 +197,14 @@ func (r *queryRun) unionPass(pick *runSet, span string) (sublist, error) {
 
 // mergePass writes the position-ordered merge of the picked tuple runs
 // as one run on a temp tuple segment.
-func (r *queryRun) mergePass(pick *runSet, span string) (sublist, error) {
-	g, err := r.ram.AllocBuffers(pick.len())
-	if err != nil {
-		return sublist{}, fmt.Errorf("exec: run buffers: %w", err)
-	}
+func (r *queryRun) mergePass(pick *runSet) (sublist, error) {
 	out := r.newTuples()
 	c := &r.union.c
-	if err := c.open(r, pick, g); err != nil {
+	if err := c.open(r, pick); err != nil {
 		return sublist{}, err
 	}
 	count := 0
-	err = r.col.Span(span, func() error {
+	err := func() error {
 		for {
 			t, ok, err := c.takeMin()
 			if err != nil || !ok {
@@ -234,7 +215,7 @@ func (r *queryRun) mergePass(pick *runSet, span string) (sublist, error) {
 			}
 			count++
 		}
-	})
+	}()
 	c.close()
 	if err != nil {
 		return sublist{}, err

@@ -13,19 +13,14 @@ import (
 // result and fetch every attribute value with *random* flash accesses — a
 // binary search over the spooled visible rows and a direct row read in
 // the hidden image, per tuple, per table. Visible-selection false
-// positives are discarded when the binary search misses.
+// positives are discarded when the binary search misses. It runs inside
+// its stage, which claims the shape's column readers (bruteClaims).
 func (r *queryRun) bruteForce(res *Result) error {
 	db, q, sh := r.db, r.q, r.plan.shape
 	anchor := q.Anchor
 
-	// Column readers: anchor plus every table we must look at, declared
-	// up front as one plan.
+	// Column readers: anchor plus every table we must look at.
 	check := append([]*projSpec{sh.specs[anchor]}, sh.proj...)
-	resv, err := r.ram.Plan(sh.bruteClaims()...)
-	if err != nil {
-		return fmt.Errorf("exec: brute-force projection: %w", err)
-	}
-	defer resv.Release()
 
 	anchorCol := r.resCols[anchor]
 	var anchorRd runStream

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -73,40 +74,8 @@ func contains(s, sub string) bool {
 // TestDeviceFullDuringQuery: a flash device with almost no free space
 // must fail temp-segment allocation cleanly, not corrupt anything.
 func TestDeviceFullDuringQuery(t *testing.T) {
-	// Device sized so the load fits but leaves almost no headroom for
-	// intermediate results.
-	cards := map[string]int{"T0": 1500, "T1": 200, "T2": 150, "T11": 50, "T12": 50}
-	var f *fixture
-	blocks := 0
-	for try := 40; try < 200; try += 4 {
-		func() {
-			defer func() { recover() }()
-			g := newFixtureOptsMaybe(t, 21, cards, Options{
-				FlashParams: flash.Params{PageSize: 2048, PagesPerBlock: 16, Blocks: try, ReserveBlocks: 2},
-			})
-			if g != nil {
-				f = g
-				blocks = try
-			}
-		}()
-		if f != nil {
-			break
-		}
-	}
-	if f == nil {
-		t.Skip("could not find a barely-fitting device size")
-	}
-	t.Logf("loaded at %d blocks", blocks)
-	// Fill the remaining space so intermediates cannot be materialized.
-	for {
-		pg, err := f.db.Dev.Alloc()
-		if err != nil {
-			break
-		}
-		if err := f.db.Dev.Write(pg, []byte{1}); err != nil {
-			break
-		}
-	}
+	f := barelyFittingFixture(t, 0)
+	fillDevice(f)
 	_, err := f.db.Run(`SELECT T0.id, T1.v1 FROM T0, T1 WHERE T0.fk1 = T1.id AND T1.v1 < '0000000300' AND T1.h1 < '0000000300'`)
 	if err == nil {
 		t.Fatal("query succeeded on a full device")
@@ -115,8 +84,84 @@ func TestDeviceFullDuringQuery(t *testing.T) {
 		t.Fatalf("error should wrap ErrDeviceFull: %v", err)
 	}
 	// The engine must remain usable for queries that need no temp space.
-	if f.db.RAM.InUse() != 0 {
-		t.Fatalf("RAM leak after device-full failure: %d", f.db.RAM.InUse())
+	if f.db.RAM.InUse() != 0 || f.db.Sched().Leaks() != 0 {
+		t.Fatalf("RAM leak after device-full failure: %d bytes in use, %d leaking sessions",
+			f.db.RAM.InUse(), f.db.Sched().Leaks())
+	}
+}
+
+// TestDeviceFullInReductionPass: at the 7-buffer floor a forced
+// Pre-Filter join's first flash writes are the Merge's sublist reduction
+// passes, so on a full device the write fails inside a pass's stage,
+// which holds both its spill-writer and its stream claims. The stage must
+// return both on the error path.
+func TestDeviceFullInReductionPass(t *testing.T) {
+	f := barelyFittingFixture(t, minViableBuffers*2048)
+	sql := `SELECT T0.id FROM T0, T1 WHERE T0.fk1 = T1.id AND T1.v1 < '0000000300'`
+	cfg := QueryConfig{Strategy: StratPre}
+	res, err := f.db.RunCtx(context.Background(), sql, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Ops lists the operators in the order each first completed: nothing
+	// before the Merge writes, and the Merge writes only its passes.
+	for _, op := range res.Stats.Ops {
+		if op.Name == spanMerge {
+			if op.Sample.Flash.PageWrites == 0 {
+				t.Fatal("the Merge wrote no reduction pass; the test needs one")
+			}
+			break
+		}
+		if op.Sample.Flash.PageWrites > 0 {
+			t.Fatalf("%s writes %d pages before the Merge's first pass", op.Name, op.Sample.Flash.PageWrites)
+		}
+	}
+	fillDevice(f)
+	_, err = f.db.RunCtx(context.Background(), sql, cfg)
+	if !errors.Is(err, flash.ErrDeviceFull) {
+		t.Fatalf("error should wrap ErrDeviceFull: %v", err)
+	}
+	// The operators claim from the session's private budget; a session
+	// released with claims outstanding counts as a scheduler leak.
+	if f.db.RAM.InUse() != 0 || f.db.RAM.Leaked() || f.db.Sched().Leaks() != 0 {
+		t.Fatalf("a failed reduction pass kept RAM: %d bytes in use, leaked %t, %d leaking sessions",
+			f.db.RAM.InUse(), f.db.RAM.Leaked(), f.db.Sched().Leaks())
+	}
+}
+
+// barelyFittingFixture loads the failure tests' dataset on the smallest
+// device it fits, with a RAM budget of ramBudget bytes (0: the default).
+func barelyFittingFixture(t *testing.T, ramBudget int) *fixture {
+	cards := map[string]int{"T0": 1500, "T1": 200, "T2": 150, "T11": 50, "T12": 50}
+	for try := 40; try < 200; try += 4 {
+		var f *fixture
+		func() {
+			defer func() { recover() }()
+			f = newFixtureOptsMaybe(t, 21, cards, Options{
+				RAMBudget:   ramBudget,
+				FlashParams: flash.Params{PageSize: 2048, PagesPerBlock: 16, Blocks: try, ReserveBlocks: 2},
+			})
+		}()
+		if f != nil {
+			t.Logf("loaded at %d blocks", try)
+			return f
+		}
+	}
+	t.Skip("could not find a barely-fitting device size")
+	return nil
+}
+
+// fillDevice writes the device's remaining free pages so intermediates
+// cannot be materialized.
+func fillDevice(f *fixture) {
+	for {
+		pg, err := f.db.Dev.Alloc()
+		if err != nil {
+			return
+		}
+		if err := f.db.Dev.Write(pg, []byte{1}); err != nil {
+			return
+		}
 	}
 }
 

@@ -29,12 +29,12 @@ type tupleCursor struct {
 	heap    keyHeap
 }
 
-// open sets the cursor up over every run of the set (openRuns says what
-// g holds) and reads each run's first record. On error it closes the
-// streams.
-func (c *tupleCursor) open(r *queryRun, s *runSet, g *ram.Grant) error {
+// open sets the cursor up over every run of the set, one stream buffer
+// each (the calling stage claims them), and reads each run's first
+// record. On error it closes the streams.
+func (c *tupleCursor) open(r *queryRun, s *runSet) error {
 	n, w := s.len(), s.tupleW
-	c.streams = r.openRuns(s, c.streams, g)
+	c.streams = r.openRuns(s, c.streams)
 	c.slab = slices.Grow(c.slab[:0], (n+1)*w)[:(n+1)*w]
 	c.heads = slices.Grow(c.heads[:0], n)[:n]
 	c.heap = slices.Grow(c.heap[:0], n)
@@ -99,15 +99,12 @@ type valueGetter func(dst *schema.Value) error
 // finalJoin is step 7 of the Project algorithm (§4): all operands are
 // sorted by position (equivalently by anchor id), so one synchronized
 // sequential pass assembles the final tuples and drops the remaining
-// false positives. Its buffer needs are declared up front as one plan:
-// the fixed readers (anchor column, anchor spool, anchor hidden image,
-// projected id columns) plus one cursor buffer per joined table — MJoin
-// batch runs are consolidated first so that minimum always suffices.
+// false positives. Its stage claims the fixed readers (anchor column,
+// anchor spool, anchor hidden image, projected id columns) plus one
+// cursor buffer per joined table — MJoin batch runs are consolidated
+// first so that minimum always suffices.
 func (r *queryRun) finalJoin(res *Result, tps []*tableProj) error {
-	db, q, sh := r.db, r.q, r.plan.shape
-	anchor := q.Anchor
-	aSpec, idTables := sh.specs[anchor], sh.idTables
-	aImg := r.tok.Hidden[anchor]
+	db, sh := r.db, r.plan.shape
 
 	// Fixed reader buffers this pass cannot do without: the shape's, so
 	// the consolidation budget below and the plan's floor agree.
@@ -161,11 +158,16 @@ func (r *queryRun) finalJoin(res *Result, tps []*tableProj) error {
 				Name: fmt.Sprintf("cursors:%s", db.Sch.Tables[tp.table].Name), Min: n, Want: n})
 		}
 	}
-	resv, err := r.ram.Plan(claims...)
-	if err != nil {
-		return fmt.Errorf("exec: final join: %w", err)
-	}
-	defer resv.Release()
+	return r.stage(spanProject, claims, func(*ram.Reservation) error { return r.joinPositions(res, tps) })
+}
+
+// joinPositions is the final join's one synchronized pass, run inside its
+// stage, which holds the readers' and the tuple cursors' buffers.
+func (r *queryRun) joinPositions(res *Result, tps []*tableProj) error {
+	db, q, sh := r.db, r.q, r.plan.shape
+	anchor := q.Anchor
+	aSpec, idTables := sh.specs[anchor], sh.idTables
+	aImg := r.tok.Hidden[anchor]
 
 	anchorCol := r.resCols[anchor]
 	var anchorRd runStream
@@ -205,8 +207,7 @@ func (r *queryRun) finalJoin(res *Result, tps []*tableProj) error {
 		idRd[i].open(r.tok, col, store.IDBytes)
 	}
 
-	// Per-table tuple cursors, in tps order; the reservation holds their
-	// buffers.
+	// Per-table tuple cursors, in tps order.
 	curs := make([]tupleCursor, len(tps))
 	defer func() {
 		for i := range curs {
@@ -214,7 +215,7 @@ func (r *queryRun) finalJoin(res *Result, tps []*tableProj) error {
 		}
 	}()
 	for i, tp := range tps {
-		if err := curs[i].open(r, &tp.runs, nil); err != nil {
+		if err := curs[i].open(r, &tp.runs); err != nil {
 			return err
 		}
 	}

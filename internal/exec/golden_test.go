@@ -180,11 +180,13 @@ var goldenCorpora = []struct {
 // for the sections at the ordinary device size, each statement's
 // per-operator samples (TestOperatorSpansPinned). Automatic compaction
 // is off so the writes corpus compacts only where it says so. INSERT and
-// COMPACT return no Stats; their entries hold the device and bus
+// COMPACT return no client Stats; their entries hold the device and bus
 // counters read the way the benchmark's ledger reads them: the change
 // across an INSERT, and the counters right after a compaction (whose
-// session zeroes them when it starts). They record no spans.
-func recordGolden(t *testing.T) ([]goldenSection, []spanSection) {
+// session zeroes them when it starts). They record no spans. Each
+// metered statement's Stats, the compaction's included, go to each when
+// it is not nil.
+func recordGolden(t *testing.T, each func(corpus string, buffers int, sql string, st Stats)) ([]goldenSection, []spanSection) {
 	var out []goldenSection
 	var spans []spanSection
 	for _, c := range goldenCorpora {
@@ -204,7 +206,15 @@ func recordGolden(t *testing.T) ([]goldenSection, []spanSection) {
 					fc, down, up := tokenSample(f.db)
 					var err error
 					if st.sql == goldenCompact {
-						err = f.db.Compact(context.Background())
+						for _, tok := range f.db.tokens {
+							var cst Stats
+							if cst, err = f.db.compactOn(context.Background(), tok, nil); err != nil {
+								break
+							}
+							if each != nil {
+								each(c.name, buffers, st.sql, cst)
+							}
+						}
 					} else {
 						_, err = f.db.RunCtx(context.Background(), st.sql, st.cfg)
 					}
@@ -233,8 +243,14 @@ func recordGolden(t *testing.T) ([]goldenSection, []spanSection) {
 						e.Rows = int(res.Rows[0][0].I) // UPDATE/DELETE
 					}
 					e.Flash, e.BusDown, e.BusUp = res.Stats.Flash, res.Stats.BusDown, res.Stats.BusUp
+					if each != nil {
+						each(c.name, buffers, st.sql, res.Stats)
+					}
 				}
-				if f.db.RAM.Leaked() {
+				// Operators claim from the session's private budget: a
+				// session released with claims outstanding is a scheduler
+				// leak, which the shared budget alone does not show.
+				if f.db.RAM.Leaked() || f.db.Sched().Leaks() != 0 {
 					t.Fatalf("%s @%d %s: grants leaked", c.name, buffers, st.sql)
 				}
 				sec.Entries = append(sec.Entries, e)
@@ -254,7 +270,7 @@ func recordGolden(t *testing.T) ([]goldenSection, []spanSection) {
 }
 
 func TestGoldenCounterLedger(t *testing.T) {
-	got, _ := recordGolden(t)
+	got, _ := recordGolden(t, nil)
 	if *updateGolden {
 		var b strings.Builder
 		b.WriteString("[\n")

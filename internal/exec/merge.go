@@ -55,9 +55,24 @@ func (r *queryRun) openGroup(g *mergeGroup) (idStream, error) {
 	return r.openUnion(&g.runs, g.streams, &g.union)
 }
 
+// groupClaims is the claim of a stage that opens the unions of groups:
+// one stream buffer per flash sublist; none when the groups hold only
+// direct streams.
+func groupClaims(groups []*mergeGroup) []ram.Claim {
+	n := 0
+	for _, g := range groups {
+		n += g.runs.len()
+	}
+	if n == 0 {
+		return nil
+	}
+	return []ram.Claim{{Name: "streams", Min: n, Want: n}}
+}
+
 // openMerged opens the full Merge: the intersection of all groups. With
 // no groups at all, every anchor tuple qualifies so far (a sequential id
-// stream over the anchor table).
+// stream over the anchor table). The Merge stage that calls it claims the
+// groups' stream buffers (groupClaims).
 func (r *queryRun) openMerged(groups []*mergeGroup) (idStream, error) {
 	if len(groups) == 0 {
 		return &seqStream{n: uint32(r.tok.rows[r.q.Anchor])}, nil
@@ -201,7 +216,7 @@ func (r *queryRun) joinAndStore(merged idStream, needed, tombChecks []int, bfs [
 	for {
 		// Merge: fill a batch of anchor ids.
 		k := 0
-		err := r.col.Span(spanMerge, func() error {
+		err := r.stage(spanMerge, nil, func(*ram.Reservation) error {
 			for k < batch {
 				v, ok, err := merged.next()
 				if err != nil {
@@ -223,7 +238,7 @@ func (r *queryRun) joinAndStore(merged idStream, needed, tombChecks []int, bfs [
 		}
 		// SJoin: fetch the descendant ids from the SKT.
 		if skt != nil {
-			err := r.col.Span(spanSJoin, func() error {
+			err := r.stage(spanSJoin, nil, func(*ram.Reservation) error {
 				for i, id := range ids[:k] {
 					if err := skt.read(id, tuples[i*w:(i+1)*w]); err != nil {
 						return err
@@ -248,7 +263,7 @@ func (r *queryRun) joinAndStore(merged idStream, needed, tombChecks []int, bfs [
 		}
 		// ProbeBF: approximate visible filtering.
 		if len(bfs) > 0 && k > 0 {
-			err := r.col.Span(spanBF, func() error {
+			err := r.stage(spanBF, nil, func(*ram.Reservation) error {
 				k = keep(k, func(id uint32, tuple []uint32) bool {
 					for i, f := range bfs {
 						v := id
@@ -271,7 +286,7 @@ func (r *queryRun) joinAndStore(merged idStream, needed, tombChecks []int, bfs [
 			continue
 		}
 		// Store: materialize the survivors.
-		err = r.col.Span(spanStore, func() error {
+		err = r.stage(spanStore, nil, func(*ram.Reservation) error {
 			for i, id := range ids[:k] {
 				tuple := tuples[i*w : i*w+len(needed)]
 				if direct {
@@ -304,7 +319,7 @@ func (r *queryRun) joinAndStore(merged idStream, needed, tombChecks []int, bfs [
 	r.resN = n
 	r.resCols = map[int]sublist{}
 	if !direct {
-		err := r.col.Span(spanStore, func() error { return spillSeg.Seal() })
+		err := r.stage(spanStore, nil, func(*ram.Reservation) error { return spillSeg.Seal() })
 		if err != nil {
 			return err
 		}
@@ -312,7 +327,7 @@ func (r *queryRun) joinAndStore(merged idStream, needed, tombChecks []int, bfs [
 		return nil
 	}
 	finish := func(ti int, seg *tempList) error {
-		return r.col.Span(spanStore, func() error {
+		return r.stage(spanStore, nil, func(*ram.Reservation) error {
 			run, err := seg.EndRun()
 			if err != nil {
 				return err
@@ -339,23 +354,20 @@ func (r *queryRun) joinAndStore(merged idStream, needed, tombChecks []int, bfs [
 // spilled row-major survivor tuples once per column (a sequential scan
 // each) and write that column's ids into its own list segment — exactly
 // the layout the projection operators expect from the direct writers.
-// Holds 3 buffers: a 2-buffer spill reader (tuples may straddle a page
-// boundary) plus the one open column writer. The extra flash traffic
-// (one spill write + k+1 sequential re-reads) is the price of the lower
-// floor; the simulated counters record it under Store.
+// Its Store stage claims 2 buffers: the spill reader (one page, a tuple
+// straddling a page boundary carried in a one-record buffer, like the
+// final join's tuple cursors) plus the one open column writer. The extra
+// flash traffic (one spill write + k+1 sequential re-reads) is the price
+// of the lower floor; the simulated counters record it under Store.
 func (r *queryRun) distributeSpill() error {
 	sp := r.spill
 	r.spill = nil
 	tupleW := (1 + len(sp.needed)) * store.IDBytes
-	resv, err := r.ram.Plan(
-		ram.Claim{Name: "spill-reader", Min: 2, Want: 2},
-		ram.Claim{Name: "column-writer", Min: 1, Want: 1},
-	)
-	if err != nil {
-		return fmt.Errorf("exec: store distribution: %w", err)
+	claims := []ram.Claim{
+		{Name: "spill-reader", Min: 1, Want: 1},
+		{Name: "column-writer", Min: 1, Want: 1},
 	}
-	defer resv.Release()
-	return r.col.Span(spanStore, func() error {
+	return r.stage(spanStore, claims, func(*ram.Reservation) error {
 		order := append([]int{r.q.Anchor}, sp.needed...)
 		var rd runStream
 		defer rd.close()

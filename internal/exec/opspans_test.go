@@ -7,6 +7,9 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
+
+	"ghostdb/internal/metrics"
 )
 
 // The counter ledger pins each statement's totals, so it would pass a
@@ -52,7 +55,7 @@ func operatorSpans(st Stats) []spanSample {
 }
 
 func TestOperatorSpansPinned(t *testing.T) {
-	_, got := recordGolden(t)
+	_, got := recordGolden(t, nil)
 	if *updateGolden {
 		var b strings.Builder
 		b.WriteString("[\n")
@@ -105,4 +108,30 @@ func TestOperatorSpansPinned(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestOpsConserveCounters is the conservation law behind Figures 15 and
+// 16: every page read, page write, erase and bus byte of a metered
+// statement happens inside exactly one operator span, so the operators'
+// samples add up to the statement's counters field by field and their
+// simulated times to its SimTime (within the 1 ns per operator that
+// rounding each one to whole nanoseconds can lose). It covers every
+// metered statement of every ledger section and grant, compactions
+// included.
+func TestOpsConserveCounters(t *testing.T) {
+	recordGolden(t, func(corpus string, buffers int, sql string, st Stats) {
+		var sum metrics.Sample
+		var sim time.Duration
+		for _, op := range st.Ops {
+			sum = sum.Add(op.Sample)
+			sim += op.Sim
+		}
+		total := metrics.Sample{Flash: st.Flash, BusDown: st.BusDown, BusUp: st.BusUp}
+		if sum != total {
+			t.Errorf("%s @%d %s: operators sum to %+v, statement counted %+v", corpus, buffers, sql, sum, total)
+		}
+		if d := sim - st.SimTime; d > time.Duration(len(st.Ops)) || -d > time.Duration(len(st.Ops)) {
+			t.Errorf("%s @%d %s: operators sum to %v, SimTime is %v", corpus, buffers, sql, sim, st.SimTime)
+		}
+	})
 }

@@ -78,8 +78,10 @@ type Footprint struct {
 	// into ONE staged spill buffer (survivor tuples written row-major),
 	// and a post-pipeline distribution pass rewrites them column by
 	// column. QEPSJShared = 1 + SKTReader + Merge is the pipeline's
-	// shared-mode footprint; Distribute (3: spill reader spanning a page
-	// boundary + one column writer) is the pass that follows. The floor
+	// shared-mode footprint. Distribute is 3 whenever columns are stored:
+	// the distribution pass itself claims 2 (spill reader + one column
+	// writer), but 3 is Post-Select's minimum (staging chunk + reader +
+	// writer), which the shared-stage floor must also cover. The floor
 	// uses these; a session granted the direct footprint binds direct
 	// writers and skips the extra pass.
 	QEPSJShared int
@@ -417,9 +419,10 @@ func (db *DB) PlanQuery(q *query.Query, cfg QueryConfig) (*Plan, error) {
 	}
 	fp.QEPSJ = fp.StoreWriters + fp.SKTReader + fp.Merge
 	// Shared-stage floor: with stored columns the writers can collapse
-	// into one staged spill buffer; the post-pipeline distribution pass
-	// needs a 2-buffer spill reader (tuples may span a page boundary)
-	// plus one column writer.
+	// into one staged spill buffer, followed by the distribution pass (a
+	// spill reader plus one column writer). Distribute is 3, not that
+	// pass's 2: it is Post-Select's minimum (staging chunk + reader +
+	// writer), which a floor at the shared-stage footprint must cover.
 	fp.QEPSJShared = fp.QEPSJ
 	if len(sh.needed) > 0 {
 		fp.QEPSJShared = 1 + fp.SKTReader + fp.Merge

@@ -15,67 +15,59 @@ import (
 // while its 3-buffer minimum (staging chunk + column reader + position
 // writer) is free: a smaller staging grant only means more re-scans.
 func (r *queryRun) applyPostSelect(tv int, visIDs []uint32) error {
-	db := r.db
-	return r.col.Span(spanPostSelect, func() error {
-		col, ok := r.resCols[tv]
-		if !ok {
-			return fmt.Errorf("exec: post-select table %s has no result column", db.Sch.Tables[tv].Name)
-		}
-		// Stage the id list in chunks. The staging cap was bound from the
-		// session's grant at admission time (grant minus the fixed reader
-		// and writer); the data's own size can only shrink it.
-		bufSize := r.ram.BufferSize()
-		wantStage := min(max((len(visIDs)*store.IDBytes+bufSize-1)/bufSize, 1), r.bind.PostSelectStage)
-		resv, err := r.ram.Plan(
-			ram.Claim{Name: "stage", Min: 1, Want: wantStage},
-			ram.Claim{Name: "scan", Min: 1, Want: 1},
-			ram.Claim{Name: "out", Min: 1, Want: 1},
-		)
-		if err != nil {
-			return fmt.Errorf("exec: post-select: %w", err)
-		}
+	col, ok := r.resCols[tv]
+	if !ok {
+		return fmt.Errorf("exec: post-select table %s has no result column", r.db.Sch.Tables[tv].Name)
+	}
+	// Stage the id list in chunks. The staging cap was bound from the
+	// session's grant at admission time (grant minus the fixed reader and
+	// writer); the data's own size can only shrink it.
+	bufSize := r.ram.BufferSize()
+	wantStage := min(max((len(visIDs)*store.IDBytes+bufSize-1)/bufSize, 1), r.bind.PostSelectStage)
+	claims := []ram.Claim{
+		{Name: "stage", Min: 1, Want: wantStage},
+		{Name: "scan", Min: 1, Want: 1},
+		{Name: "out", Min: 1, Want: 1},
+	}
+	posSeg := r.newTemp()
+	var posRuns runSet
+	err := r.stage(spanPostSelect, claims, func(resv *ram.Reservation) error {
 		chunkCap := resv.Bytes("stage") / store.IDBytes
-		posSeg := r.newTemp()
-		var posRuns runSet
-		selErr := func() error {
-			for start := 0; start < len(visIDs); start += chunkCap {
-				chunk := visIDs[start:min(start+chunkCap, len(visIDs))]
-				if err := posSeg.BeginRun(); err != nil {
-					return err
-				}
-				err := r.scanPositions(col, chunk, func(pos uint32, _ int) error { return posSeg.Add(pos) })
-				if err != nil {
-					return err
-				}
-				run, err := posSeg.EndRun()
-				if err != nil {
-					return err
-				}
-				posRuns.add(&posSeg.Segment, run)
+		for start := 0; start < len(visIDs); start += chunkCap {
+			chunk := visIDs[start:min(start+chunkCap, len(visIDs))]
+			if err := posSeg.BeginRun(); err != nil {
+				return err
 			}
-			return posSeg.Seal()
-		}()
-		resv.Release()
-		if selErr != nil {
-			return selErr
+			err := r.scanPositions(col, chunk, func(pos uint32, _ int) error { return posSeg.Add(pos) })
+			if err != nil {
+				return err
+			}
+			run, err := posSeg.EndRun()
+			if err != nil {
+				return err
+			}
+			posRuns.add(&posSeg.Segment, run)
 		}
+		return posSeg.Seal()
+	})
+	if err != nil {
+		return err
+	}
 
-		// Rebuild every result column, keeping only selected positions.
-		// The chunk runs hold disjoint position ranges; consolidate them
-		// first when there are more than the stream buffers left after
-		// the per-column reader and writer.
-		if err := r.consolidateRuns(&posRuns, r.ram.AvailableBuffers()-2, spanPostSelect); err != nil {
-			return err
-		}
-		rw, err := r.ram.Plan(
-			ram.Claim{Name: "scan", Min: 1, Want: 1},
-			ram.Claim{Name: "out", Min: 1, Want: 1},
-		)
-		if err != nil {
-			return fmt.Errorf("exec: post-select: %w", err)
-		}
-		defer rw.Release()
-
+	// Rebuild every result column, keeping only selected positions. The
+	// chunk runs hold disjoint position ranges; consolidate them first
+	// when there are more than the stream buffers left after the
+	// per-column reader and writer, which the rebuild stage claims beside
+	// the position streams.
+	if err := r.consolidateRuns(&posRuns, r.ram.AvailableBuffers()-2, spanPostSelect); err != nil {
+		return err
+	}
+	claims = []ram.Claim{
+		{Name: "scan", Min: 1, Want: 1},
+		{Name: "out", Min: 1, Want: 1},
+		{Name: "streams", Min: posRuns.len(), Want: posRuns.len()},
+	}
+	return r.stage(spanPostSelect, claims, func(*ram.Reservation) error {
 		newCols := make(map[int]sublist, len(r.resCols))
 		newN := 0
 		var rd runStream
@@ -86,42 +78,11 @@ func (r *queryRun) applyPostSelect(tv int, visIDs []uint32) error {
 				return err
 			}
 			out := r.newTemp()
-			if err := out.BeginRun(); err != nil {
-				ps.close()
-				return err
-			}
-			rd.open(r.tok, c, store.IDBytes)
-			nextSel, selOK, err := ps.next()
-			if err != nil {
-				ps.close()
-				return err
-			}
-			pos := uint32(0)
-			kept := 0
-			for selOK {
-				v, ok, err := rd.next()
-				if err != nil {
-					ps.close()
-					return err
-				}
-				if !ok {
-					break
-				}
-				if pos == nextSel {
-					if err := out.Add(v); err != nil {
-						ps.close()
-						return err
-					}
-					kept++
-					nextSel, selOK, err = ps.next()
-					if err != nil {
-						ps.close()
-						return err
-					}
-				}
-				pos++
-			}
+			kept, err := r.keepPositions(ps, &rd, c, out)
 			ps.close()
+			if err != nil {
+				return err
+			}
 			run, err := out.EndRun()
 			if err != nil {
 				return err
@@ -136,4 +97,35 @@ func (r *queryRun) applyPostSelect(tv int, visIDs []uint32) error {
 		r.resN = newN
 		return nil
 	})
+}
+
+// keepPositions copies to a new run of out the ids of column c (read
+// through rd) at the positions ps yields, ascending, and returns how
+// many it kept.
+func (r *queryRun) keepPositions(ps idStream, rd *runStream, c sublist, out *tempList) (int, error) {
+	if err := out.BeginRun(); err != nil {
+		return 0, err
+	}
+	rd.open(r.tok, c, store.IDBytes)
+	nextSel, selOK, err := ps.next()
+	if err != nil {
+		return 0, err
+	}
+	kept := 0
+	for pos := uint32(0); selOK; pos++ {
+		v, ok, err := rd.next()
+		if err != nil || !ok {
+			return kept, err
+		}
+		if pos == nextSel {
+			if err := out.Add(v); err != nil {
+				return kept, err
+			}
+			kept++
+			if nextSel, selOK, err = ps.next(); err != nil {
+				return kept, err
+			}
+		}
+	}
+	return kept, nil
 }

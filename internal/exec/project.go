@@ -33,29 +33,28 @@ func (r *queryRun) project() (*Result, error) {
 		return res, nil
 	}
 	if r.cfg.Projector == ProjectBruteForce {
-		err := r.col.Span(spanProject, func() error { return r.bruteForce(res) })
-		return res, err
+		claims := r.plan.shape.bruteClaims()
+		return res, r.stage(spanProject, claims, func(*ram.Reservation) error { return r.bruteForce(res) })
 	}
 
 	var tps []*tableProj
 	for _, s := range r.plan.shape.mjoin {
 		tps = append(tps, &tableProj{projSpec: s, runs: runSet{tupleW: s.tupleW}})
 	}
-
-	err := r.col.Span(spanProject, func() error {
-		for _, tp := range tps {
-			if err := r.mjoinTable(tp); err != nil {
-				return err
-			}
+	for _, tp := range tps {
+		if err := r.mjoinTable(tp); err != nil {
+			return res, err
 		}
-		return r.finalJoin(res, tps)
-	})
-	return res, err
+	}
+	return res, r.finalJoin(res, tps)
 }
 
 // sigmaVH computes σVH(Ti): the visible ids that can possibly appear in
 // the result, per §4 — a Bloom filter over the QEPSJ.Ti.id column probed
-// with the ids sent by Untrusted. Returns a temp run of sorted ids.
+// with the ids sent by Untrusted. Returns a temp run of sorted ids. It
+// runs inside its stage, which claims nothing: its Bloom filter takes a
+// byte grant of its own, and a column sort's steps are stages of their
+// own.
 func (r *queryRun) sigmaVH(tp *tableProj) (sublist, error) {
 	col := r.resCols[tp.table]
 	sp := r.spool[tp.table]
@@ -130,25 +129,24 @@ func (r *queryRun) sigmaVH(tp *tableProj) (sublist, error) {
 }
 
 // sortColumn writes the sorted distinct ids of a result column into an
-// open run, using grant-sized chunks and a union merge. A small grant
-// only means more chunks, consolidated by multi-pass unions; the minimum
-// is 3 free buffers (chunk + reader + writer).
+// open run, using grant-sized chunks and a union merge, in three kinds of
+// stage: the chunking pass (chunk, reader and writer), the reduction
+// passes, and the final union (writer and one stream per chunk run). A
+// small grant only means more chunks, consolidated by multi-pass unions;
+// the minimum is 3 free buffers (chunk + reader + writer).
 func (r *queryRun) sortColumn(col sublist, out *store.ListSegment) error {
 	bufSize := r.ram.BufferSize()
 	// The chunk cap was bound from the grant at admission.
 	want := min(max((col.run.Count*store.IDBytes+bufSize-1)/bufSize, 1), r.bind.SortChunk)
-	resv, err := r.ram.Plan(
-		ram.Claim{Name: "chunk", Min: 1, Want: want},
-		ram.Claim{Name: "scan", Min: 1, Want: 1},
-		ram.Claim{Name: "write", Min: 1, Want: 1},
-	)
-	if err != nil {
-		return fmt.Errorf("exec: column sort: %w", err)
+	claims := []ram.Claim{
+		{Name: "chunk", Min: 1, Want: want},
+		{Name: "scan", Min: 1, Want: 1},
+		{Name: "write", Min: 1, Want: 1},
 	}
-	cap := resv.Bytes("chunk") / store.IDBytes
 	chunks := r.newTemp()
 	var runs runSet
-	chunkErr := func() error {
+	err := r.stage(spanProject, claims, func(resv *ram.Reservation) error {
+		cap := resv.Bytes("chunk") / store.IDBytes
 		var rd runStream
 		defer rd.close()
 		rd.open(r.tok, col, store.IDBytes)
@@ -186,13 +184,9 @@ func (r *queryRun) sortColumn(col sublist, out *store.ListSegment) error {
 			return err
 		}
 		return chunks.Seal()
-	}()
-	resv.Release()
-	if chunkErr != nil {
-		return chunkErr
-	}
-	if runs.len() == 0 {
-		return nil
+	})
+	if err != nil || runs.len() == 0 {
+		return err
 	}
 
 	// Union the chunk runs into the caller's open output run, reducing
@@ -201,28 +195,23 @@ func (r *queryRun) sortColumn(col sublist, out *store.ListSegment) error {
 	if err := r.consolidateRuns(&runs, r.ram.AvailableBuffers()-1, spanProject); err != nil {
 		return err
 	}
-	wg, err := r.ram.ReserveBuffers(1, 1) // output writer
-	if err != nil {
-		return fmt.Errorf("exec: column sort: %w", err)
-	}
-	defer wg.Release()
-	u, err := r.openUnion(&runs, nil, &r.union)
-	if err != nil {
-		return err
-	}
-	defer u.close()
-	for {
-		v, ok, err := u.next()
+	claims = []ram.Claim{{Name: "write", Min: 1, Want: 1}, {Name: "streams", Min: runs.len(), Want: runs.len()}}
+	return r.stage(spanProject, claims, func(*ram.Reservation) error {
+		u, err := r.openUnion(&runs, nil, &r.union)
 		if err != nil {
 			return err
 		}
-		if !ok {
-			return nil
+		defer u.close()
+		for {
+			v, ok, err := u.next()
+			if err != nil || !ok {
+				return err
+			}
+			if err := out.Add(v); err != nil {
+				return err
+			}
 		}
-		if err := out.Add(v); err != nil {
-			return err
-		}
-	}
+	})
 }
 
 // mjoinTable runs the MJoin of §4 for one table: σVH ids and their
@@ -230,25 +219,33 @@ func (r *queryRun) sortColumn(col sublist, out *store.ListSegment) error {
 // QEPSJ.Ti.id column is scanned once and matching positions emit
 // <pos, vlist, hlist> tuples to flash.
 func (r *queryRun) mjoinTable(tp *tableProj) error {
-	db := r.db
-	sig, err := r.sigmaVH(tp)
+	var sig sublist
+	err := r.stage(spanProject, nil, func(*ram.Reservation) error {
+		var err error
+		sig, err = r.sigmaVH(tp)
+		return err
+	})
 	if err != nil {
 		return err
 	}
 
-	// Declare the pipeline's buffer needs up front (the table's spec): a
-	// batch staging area capped by the binding derived from the session's
-	// grant at admission ("RAM capacity minus two buffers" in the paper,
+	// The MJoin stage claims the table's buffer needs (its spec): a batch
+	// staging area capped by the binding derived from the session's grant
+	// at admission ("RAM capacity minus two buffers" in the paper,
 	// generalized to the table's true reader set). A minimal batch grant
 	// only means more passes over the QEPSJ column.
 	bufSize := r.ram.BufferSize()
 	wantBatch := min((sig.run.Count*tp.tupleW+bufSize-1)/bufSize, r.bind.MJoinBatch[tp.table])
-	resv, err := r.ram.Plan(tp.mjoinClaims(wantBatch)...)
-	if err != nil {
-		return fmt.Errorf("exec: MJoin: %w", err)
-	}
-	defer resv.Release()
-	batchCap := resv.Bytes("batch") / tp.tupleW
+	return r.stage(spanProject, tp.mjoinClaims(wantBatch), func(resv *ram.Reservation) error {
+		return r.mjoinBatches(tp, sig, resv.Bytes("batch"))
+	})
+}
+
+// mjoinBatches is the MJoin stage's work: stage σVH ids and their values
+// in batches of batchBytes and emit each batch's matches as one run.
+func (r *queryRun) mjoinBatches(tp *tableProj, sig sublist, batchBytes int) error {
+	db := r.db
+	batchCap := batchBytes / tp.tupleW
 	if batchCap < 1 {
 		batchCap = 1
 	}

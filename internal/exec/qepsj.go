@@ -214,7 +214,7 @@ func (r *queryRun) execute() (*Result, error) {
 	visPreds := q.VisiblePreds()
 	r.vis = map[int]*untrusted.VisResult{}
 	r.visKeys = map[int]string{}
-	err := r.col.Span(spanVis, func() error {
+	err := r.stage(spanVis, nil, func(*ram.Reservation) error {
 		for _, ti := range q.Tables {
 			preds, hasPreds := visPreds[ti]
 			cols := r.plan.shape.specs[ti].visCols
@@ -260,9 +260,9 @@ func (r *queryRun) execute() (*Result, error) {
 // touches — the per-query read amplification of the LSM write path. The
 // replay is a sequential, data-independent scan of each log (its length
 // depends only on committed statement volume, which the untrusted side
-// already observes); it borrows a single buffer from the session's
-// grant, released before any operator runs, so plan floors are
-// unchanged.
+// already observes); its Delta stage claims a single buffer of the
+// session's grant, released before any other operator runs, so plan
+// floors are unchanged.
 func (r *queryRun) refreshDeltas() error {
 	var touched []*delta.Table
 	for _, ti := range r.q.Tables {
@@ -273,12 +273,8 @@ func (r *queryRun) refreshDeltas() error {
 	if len(touched) == 0 {
 		return nil
 	}
-	g, err := r.ram.AllocBuffers(1)
-	if err != nil {
-		return err
-	}
-	defer g.Release()
-	return r.col.Span(spanDelta, func() error {
+	claims := []ram.Claim{{Name: "log-reader", Min: 1, Want: 1}}
+	return r.stage(spanDelta, claims, func(*ram.Reservation) error {
 		for _, dl := range touched {
 			if err := dl.Refresh(); err != nil {
 				return err
@@ -299,7 +295,7 @@ func (r *queryRun) visibleOnlyRun() (*Result, error) {
 	preds = append(preds, q.Preds...)
 	cols := projectedVisibleColsOf(db.Sch, q)[ti]
 	var vr *untrusted.VisResult
-	err := r.col.Span(spanVis, func() error {
+	err := r.stage(spanVis, nil, func(*ram.Reservation) error {
 		var err error
 		vr, err = r.tok.Untr.Vis(ti, preds, cols)
 		return err
@@ -399,7 +395,13 @@ func (r *queryRun) spoolVis() error {
 		reqs = append(reqs, r.tok.Untr.ShipVisReq(vr))
 		builds = append(builds, pending{ti, vr, needValues})
 	}
-	return r.col.Span(spanVis, func() error {
+	// A replay reads through one buffer of the session's grant, as
+	// refreshDeltas does.
+	var claims []ram.Claim
+	if len(replays) > 0 {
+		claims = []ram.Claim{{Name: "spool-replay", Min: 1, Want: 1}}
+	}
+	return r.stage(spanVis, claims, func(*ram.Reservation) error {
 		if len(reqs) > 1 {
 			if err := r.tok.Untr.ShipBatch(reqs); err != nil {
 				return err
@@ -452,17 +454,8 @@ func (r *queryRun) spoolVis() error {
 
 // replaySpools charges the token-side sequential re-read of each reused
 // spool: with a header-only shipment the ids stream from the retained
-// flash copy instead of the link. One grant buffer is borrowed for the
-// duration, as refreshDeltas does.
+// flash copy instead of the link.
 func (r *queryRun) replaySpools(files []*store.RowFile) error {
-	if len(files) == 0 {
-		return nil
-	}
-	g, err := r.ram.AllocBuffers(1)
-	if err != nil {
-		return err
-	}
-	defer g.Release()
 	for _, f := range files {
 		rd := f.NewSeqReader()
 		for {

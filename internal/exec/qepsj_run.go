@@ -126,7 +126,7 @@ func (r *queryRun) qepsj() error {
 			continue
 		}
 		var runs []store.Run
-		err := r.col.Span(spanCI, func() error {
+		err := r.stage(spanCI, nil, func(*ram.Reservation) error {
 			var err error
 			runs, err = r.runsForHiddenPred(p, ci, slot)
 			return err
@@ -240,7 +240,7 @@ func (r *queryRun) qepsj() error {
 			continue
 		}
 		f := bloom.New(bp, n)
-		err = r.col.Span(spanBF, func() error {
+		err = r.stage(spanBF, nil, func(*ram.Reservation) error {
 			for _, id := range plan.ids {
 				f.Add(id)
 			}
@@ -253,33 +253,35 @@ func (r *queryRun) qepsj() error {
 		bfs = append(bfs, &bfFilter{table: plan.table, filter: f, grant: grant})
 	}
 
-	// ---- Reduce sublists to fit the Merge's stream buffers, then open
-	// the merged stream (fan-in bound at admission: the grant minus the
-	// pipeline's fixed claims).
+	// ---- Reduce sublists to fit the Merge's stream buffers (fan-in bound
+	// at admission: the grant minus the pipeline's fixed claims), then
+	// run the pipeline Merge -> SJoin -> ProbeBF -> Store inside the Merge
+	// stage that opens the merged stream and holds its stream buffers.
 	if err := r.reduceGroups(groups, r.bind.MergeFanIn); err != nil {
 		return err
 	}
-	merged, err := r.openMerged(groups)
-	if err != nil {
-		return err
-	}
-	// The anchor's id predicates narrow the free id sequence and filter
-	// everything else: a flash-backed merged stream is never cut short,
-	// since draining it is metered Merge I/O.
-	idPreds := r.anchorPred
-	if seq, ok := merged.(*seqStream); ok {
-		idPreds = seq.clip(idPreds)
-	}
-	for _, p := range idPreds {
-		merged = &filterStream{src: merged, keep: idPredFilter(p)}
-	}
-	// Anchor tombstones: deleted anchor rows are dropped from the merged
-	// stream before the join (their index entries survive a DELETE).
-	merged = r.dropDeadAnchors(q.Anchor, merged)
-
-	// ---- Pipeline: Merge -> SJoin -> ProbeBF -> Store.
-	err = r.joinAndStore(merged, sh.needed, tombChecks, bfs)
-	merged.close()
+	err = r.stage(spanMerge, groupClaims(groups), func(*ram.Reservation) error {
+		merged, err := r.openMerged(groups)
+		if err != nil {
+			return err
+		}
+		// The anchor's id predicates narrow the free id sequence and
+		// filter everything else: a flash-backed merged stream is never
+		// cut short, since draining it is metered Merge I/O.
+		idPreds := r.anchorPred
+		if seq, ok := merged.(*seqStream); ok {
+			idPreds = seq.clip(idPreds)
+		}
+		for _, p := range idPreds {
+			merged = &filterStream{src: merged, keep: idPredFilter(p)}
+		}
+		// Anchor tombstones: deleted anchor rows are dropped from the
+		// merged stream before the join (their index entries survive a
+		// DELETE).
+		merged = r.dropDeadAnchors(q.Anchor, merged)
+		defer merged.close()
+		return r.joinAndStore(merged, sh.needed, tombChecks, bfs)
+	})
 	pipe.Release()
 	if err != nil {
 		return err
@@ -382,25 +384,17 @@ func (r *queryRun) staleIndex(p query.Pred) bool {
 // hidden selections (the Cross optimization, §3.3): the result is both
 // smaller and exact at level tv.
 func (r *queryRun) crossedList(tv int, preds []query.Pred) ([]uint32, error) {
-	vr := r.vis[tv]
-	srcs := []idStream{newSliceStream(vr.IDs)}
-	cleanup := func() {
-		for _, s := range srcs {
-			s.close()
-		}
-	}
 	var groups []*mergeGroup
 	for _, p := range preds {
 		ci := r.indexFor(p)
 		slot, _ := ci.LevelOf(tv)
 		var runs []store.Run
-		err := r.col.Span(spanCI, func() error {
+		err := r.stage(spanCI, nil, func(*ram.Reservation) error {
 			var err error
 			runs, err = r.runsForHiddenPred(p, ci, slot)
 			return err
 		})
 		if err != nil {
-			cleanup()
 			return nil, err
 		}
 		g := &mergeGroup{label: "cross"}
@@ -413,27 +407,26 @@ func (r *queryRun) crossedList(tv int, preds []query.Pred) ([]uint32, error) {
 	// The cross intersection runs before the QEPSJ pipeline is reserved,
 	// so its reduction passes use the full-grant fan-in binding.
 	if err := r.reduceGroups(groups, r.bind.CrossFanIn); err != nil {
-		cleanup()
 		return nil, err
 	}
-	for _, g := range groups {
-		u, err := r.openGroup(g)
-		if err != nil {
-			cleanup()
-			return nil, err
-		}
-		srcs = append(srcs, u)
-	}
 	var out []uint32
-	err := r.col.Span(spanMerge, func() error {
+	err := r.stage(spanMerge, groupClaims(groups), func(*ram.Reservation) error {
+		srcs := []idStream{newSliceStream(r.vis[tv].IDs)}
+		for _, g := range groups {
+			u, err := r.openGroup(g)
+			if err != nil {
+				for _, s := range srcs {
+					s.close()
+				}
+				return err
+			}
+			srcs = append(srcs, u)
+		}
 		var err error
 		out, err = drain(newIntersectStream(srcs))
 		return err
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return out, err
 }
 
 // preFilterGroup performs the Pre-Filter climb: one id-index lookup per
@@ -465,7 +458,7 @@ func (r *queryRun) preFilterGroup(tv int, ids []uint32) (*mergeGroup, error) {
 // reduction passes at the bound Merge fan-in.
 func (r *queryRun) climb(g *mergeGroup, ci *index.Climbing, slot int, ids []uint32) error {
 	g.runs.grow(len(ids) + len(ids)/max(r.bind.MergeFanIn-1, 1))
-	return r.col.Span(spanCI, func() error {
+	return r.stage(spanCI, nil, func(*ram.Reservation) error {
 		buf := r.tok.pageBuf()
 		defer r.tok.releasePageBuf(buf)
 		probe := ci.NewProbe(buf)
@@ -512,11 +505,15 @@ func (r *queryRun) scanFallback(g *mergeGroup, p query.Pred) error {
 	}
 	dl := r.tok.deltaOf(p.Table)
 	matches := r.newTemp()
-	err := r.col.Span(spanScan, func() error {
+	// The Scan stage writes the matching ids and, for a non-anchor table,
+	// reads them back for the climb.
+	var run store.Run
+	var ids []uint32
+	err := r.stage(spanScan, nil, func(*ram.Reservation) error {
 		if err := matches.BeginRun(); err != nil {
 			return err
 		}
-		return img.scan(dl, func(id uint32, rec []byte) error {
+		err := img.scan(dl, func(id uint32, rec []byte) error {
 			if dl != nil && dl.Dead(id) {
 				return nil
 			}
@@ -526,15 +523,21 @@ func (r *queryRun) scanFallback(g *mergeGroup, p query.Pred) error {
 			}
 			return matches.Add(id)
 		})
+		if err != nil {
+			return err
+		}
+		if run, err = matches.EndRun(); err != nil {
+			return err
+		}
+		if err := matches.Seal(); err != nil {
+			return err
+		}
+		if p.Table != r.q.Anchor {
+			ids, err = matches.ReadAll(run)
+		}
+		return err
 	})
 	if err != nil {
-		return err
-	}
-	run, err := matches.EndRun()
-	if err != nil {
-		return err
-	}
-	if err := matches.Seal(); err != nil {
 		return err
 	}
 	if p.Table == r.q.Anchor {
@@ -549,10 +552,6 @@ func (r *queryRun) scanFallback(g *mergeGroup, p query.Pred) error {
 	slot, ok := ci.LevelOf(r.q.Anchor)
 	if !ok {
 		return fmt.Errorf("exec: id index on %s lacks the anchor level", db.Sch.Tables[p.Table].Name)
-	}
-	ids, err := matches.ReadAll(run)
-	if err != nil {
-		return err
 	}
 	return r.climb(g, ci, slot, ids)
 }

@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"time"
 
 	"ghostdb/internal/bus"
 	"ghostdb/internal/metrics"
 	"ghostdb/internal/obs"
+	"ghostdb/internal/ram"
 	"ghostdb/internal/sched"
 )
 
@@ -16,7 +18,8 @@ import (
 // session (grant, queue wait, execution slot), the exec span its work
 // nests under and the admission floor its Stats report. db.admit is the
 // only way onto a token and end the only way off; meter is the only
-// metered step. Every statement kind — SELECT (one per scatter leg),
+// metered step, and a SELECT's operators run inside it as stages
+// (queryRun.stage). Every statement kind — SELECT (one per scatter leg),
 // UPDATE/DELETE, INSERT and compaction — goes through them.
 type session struct {
 	db      *DB
@@ -104,13 +107,8 @@ func (s *session) meter(text string, body func(col *metrics.Collector) error) (S
 	st.SimTime = st.IOTime + st.CommTime
 	tok.mergeTotals(st)
 	if sp := s.span; sp != nil {
-		var sum time.Duration
 		for _, op := range st.Ops {
 			sp.Add(op.Name, op.Sim)
-			sum += op.Sim
-		}
-		if rest := st.SimTime - sum; rest > 0 {
-			sp.Add("other", rest)
 		}
 		sp.SetSim(st.SimTime)
 	}
@@ -120,4 +118,30 @@ func (s *session) meter(text string, body func(col *metrics.Collector) error) (S
 		sp.End()
 	}
 	return st, nil
+}
+
+// stage runs one operator step: it opens the operator's cost span, takes
+// the step's claims in one ram.Plan (no plan at all when there are
+// none), runs run with that reservation and, on every exit path, returns
+// the claims and closes the span. Every page an operator reads, writes or
+// ships, stream opens and seals included, moves inside one of its stages,
+// so the operators' samples add up to the statement's counters. A stage
+// may nest another (a reduction pass inside a column sort); the inner
+// one is charged its own I/O.
+func (r *queryRun) stage(name string, claims []ram.Claim, run func(*ram.Reservation) error) error {
+	return r.col.Span(name, func() error {
+		if len(claims) == 0 {
+			return run(nil)
+		}
+		resv, err := r.ram.Plan(claims...)
+		if err != nil {
+			names := make([]string, len(claims))
+			for i, c := range claims {
+				names[i] = c.Name
+			}
+			return fmt.Errorf("exec: %s claims %s: %w", name, strings.Join(names, ", "), err)
+		}
+		defer resv.Release()
+		return run(resv)
+	})
 }

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"slices"
 
-	"ghostdb/internal/ram"
 	"ghostdb/internal/store"
 )
 
@@ -69,18 +68,15 @@ func (s *seqStream) next() (uint32, bool, error) {
 func (s *seqStream) close() {}
 
 // runStream streams one run from flash — ids (next) or fixed-width MJoin
-// tuples (rd.NextRecord) — holding one RAM buffer and, on the host, one
-// page buffer borrowed from the token's free list. openRuns opens a
-// pass's streams as one slice under one grant, held by the first; an
-// operator's column reader is a runStream with no grant (its operator's
-// reservation holds the RAM buffer).
+// tuples (rd.NextRecord) — through one RAM buffer, which the stage that
+// opens it claims, and, on the host, one page buffer borrowed from the
+// token's free list.
 //
 //ghostdb:requires-slot
 type runStream struct {
-	rd    store.RunReader
-	grant *ram.Grant // nil but in a union's first stream
-	tok   *Token
-	buf   []byte
+	rd  store.RunReader
+	tok *Token
+	buf []byte
 }
 
 // open sets s up over one sublist of records of width bytes (store.IDBytes
@@ -100,10 +96,6 @@ func (s *runStream) close() {
 	if s.buf != nil {
 		s.tok.releasePageBuf(s.buf)
 		s.buf = nil
-	}
-	if s.grant != nil {
-		s.grant.Release()
-		s.grant = nil
 	}
 }
 

@@ -231,8 +231,17 @@ type Claim struct {
 // it is not safe for concurrent use.
 type Reservation struct {
 	m     *Manager
-	parts map[string]*Grant
-	order []string
+	parts []part
+	// inline holds the parts of a plan of up to two claims (a reduction
+	// pass's writer and streams), so such a plan costs one allocation.
+	inline [2]part
+}
+
+// part is one claim's sub-grant; bytes is 0 for a zero-min claim that
+// got nothing and once the reservation is released.
+type part struct {
+	name  string
+	bytes int
 }
 
 // Plan admits a set of named sub-reservations atomically. Every claim
@@ -244,15 +253,15 @@ type Reservation struct {
 // sessions can never observe a half-allocated plan.
 func (m *Manager) Plan(claims ...Claim) (*Reservation, error) {
 	need := 0
-	seen := make(map[string]bool, len(claims))
-	for _, c := range claims {
+	for i, c := range claims {
 		if c.Name == "" || c.Min < 0 || c.Want < c.Min {
 			return nil, fmt.Errorf("ram: invalid claim %+v", c)
 		}
-		if seen[c.Name] {
-			return nil, fmt.Errorf("ram: duplicate claim %q", c.Name)
+		for _, d := range claims[:i] {
+			if d.Name == c.Name {
+				return nil, fmt.Errorf("ram: duplicate claim %q", c.Name)
+			}
 		}
-		seen[c.Name] = true
 		need += c.Min
 	}
 	m.mu.Lock()
@@ -262,62 +271,38 @@ func (m *Manager) Plan(claims ...Claim) (*Reservation, error) {
 		return nil, fmt.Errorf("%w: plan needs %d buffers, %d free of %d",
 			ErrExhausted, need, free, m.Buffers())
 	}
+	r := &Reservation{m: m}
+	r.parts = r.inline[:0]
+	if len(claims) > len(r.inline) {
+		r.parts = make([]part, 0, len(claims))
+	}
 	// Distribute: mins first, then top up toward wants in order.
-	give := make([]int, len(claims))
 	spare := free - need
-	for i, c := range claims {
-		give[i] = c.Min
-		if extra := c.Want - c.Min; extra > 0 {
-			if extra > spare {
-				extra = spare
-			}
-			give[i] += extra
-			spare -= extra
+	for _, c := range claims {
+		give := c.Min + min(c.Want-c.Min, spare)
+		spare -= give - c.Min
+		r.parts = append(r.parts, part{name: c.Name, bytes: give * m.bufSize})
+		if give > 0 {
+			m.inUse += give * m.bufSize
+			m.grants++
 		}
 	}
-	r := &Reservation{m: m, parts: make(map[string]*Grant, len(claims))}
-	for i, c := range claims {
-		if give[i] == 0 {
-			r.parts[c.Name] = nil
-			r.order = append(r.order, c.Name)
-			continue
-		}
-		g, err := m.allocLocked(give[i] * m.bufSize)
-		if err != nil {
-			// Unreachable: the mins were checked against free above and
-			// the lock is held; unwind defensively all the same.
-			for _, name := range r.order {
-				if pg := r.parts[name]; pg != nil {
-					pg.released = true
-					m.inUse -= pg.bytes
-					m.grants--
-				}
-			}
-			return nil, err
-		}
-		r.parts[c.Name] = g
-		r.order = append(r.order, c.Name)
-	}
+	m.highWater = max(m.highWater, m.inUse)
 	return r, nil
 }
 
 // Buffers returns the whole buffers granted to a named claim (0 for a
 // zero-min claim that got nothing, or an unknown name).
-func (r *Reservation) Buffers(name string) int {
-	g := r.parts[name]
-	if g == nil {
-		return 0
-	}
-	return g.Buffers()
-}
+func (r *Reservation) Buffers(name string) int { return r.Bytes(name) / r.m.bufSize }
 
 // Bytes returns the byte size granted to a named claim.
 func (r *Reservation) Bytes(name string) int {
-	g := r.parts[name]
-	if g == nil {
-		return 0
+	for _, p := range r.parts {
+		if p.name == name {
+			return p.bytes
+		}
 	}
-	return g.Bytes()
+	return 0
 }
 
 // Release returns every sub-grant to the pool. Safe on a nil
@@ -328,10 +313,13 @@ func (r *Reservation) Release() {
 	if r == nil {
 		return
 	}
-	for _, name := range r.order {
-		if g := r.parts[name]; g != nil {
-			g.Release()
-			r.parts[name] = nil
+	r.m.mu.Lock()
+	defer r.m.mu.Unlock()
+	for i := range r.parts {
+		if p := &r.parts[i]; p.bytes > 0 {
+			r.m.inUse -= p.bytes
+			r.m.grants--
+			p.bytes = 0
 		}
 	}
 }
