@@ -100,11 +100,8 @@ func TestQueryCtxConcurrentSessions(t *testing.T) {
 	if got := db.Internal().RAM.InUse(); got != 0 {
 		t.Fatalf("RAM still in use after drain: %d", got)
 	}
-	if db.Internal().RAM.Leaked() {
+	if db.Internal().Leaked() {
 		t.Fatal("grants leaked after concurrent drain")
-	}
-	if got := db.Internal().Sched().Leaks(); got != 0 {
-		t.Fatalf("%d private-budget leaks", got)
 	}
 	if tot := db.Totals(); tot.Queries == 0 || tot.SimTime <= 0 {
 		t.Fatalf("totals not accumulated: %+v", tot)

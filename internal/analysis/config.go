@@ -54,12 +54,8 @@ type Config struct {
 
 	// PrefetchMethods are the method names that arm a read-ahead window
 	// (the depth is their first argument); prefetchdepth requires that
-	// depth to be a constant or a field of ExecPkg's BindingType.
+	// depth to be a constant.
 	PrefetchMethods []string
-	// BindingType is the ExecPkg type whose fields are all derived from
-	// the admission grant (the per-session operator binding); selectors
-	// on it are legitimate read-ahead depths.
-	BindingType string
 
 	// DocPkgs are the packages whose exported identifiers exportdoc
 	// requires doc comments on.
@@ -102,7 +98,6 @@ func DefaultConfig() *Config {
 		SessionType:     "Session",
 		ExclusiveMethod: "Exclusive",
 		PrefetchMethods: []string{"SetReadAhead"},
-		BindingType:     "Binding",
 		DocPkgs: []string{
 			"ghostdb",
 			"ghostdb/internal/delta",

@@ -8,7 +8,7 @@ import (
 
 // GrantSize enforces the RAM-grant discipline inside the execution
 // package: buffers allocated on the query path must size themselves
-// from the admission grant (a ram.Plan / Binding derived value), never
+// from the admission grant (a stage's ram.Claim allotment), never
 // from a hard-coded literal. A literal-sized buffer silently consumes
 // secure RAM the admission floor never accounted for — exactly the bug
 // class that reintroduces mid-run exhaustion under crowded budgets.
@@ -57,7 +57,7 @@ func runGrantSize(pass *Pass) error {
 					continue
 				}
 				pass.Reportf(arg.Pos(),
-					"make with constant size %d on the exec path: derive the capacity from the session's RAM grant (ram.Plan/Binding) or annotate //%s",
+					"make with constant size %d on the exec path: derive the capacity from a stage's RAM claims or annotate //%s",
 					v, MarkFixedSize)
 			}
 			return true

@@ -2,25 +2,22 @@ package analysis
 
 import (
 	"go/ast"
-	"go/types"
 )
 
 // PrefetchDepth enforces the read-ahead sizing rule: the depth handed
 // to a prefetch entry point (store.SeqReader.SetReadAhead and any other
 // method named in Config.PrefetchMethods) must be a compile-time
-// constant or derive from the session's operator Binding — whose every
-// field is computed from the admission grant, a public quantity. A
-// depth computed from data (a match count, a hidden cardinality, a
-// result length) would modulate the shape of flash traffic with hidden
-// state, re-opening exactly the side channel the grant discipline
-// closed.
+// constant. A depth computed at run time could come from data (a match
+// count, a hidden cardinality, a result length) and would then modulate
+// the shape of flash traffic with hidden state, re-opening exactly the
+// side channel the grant discipline closed. Operators size their RAM
+// through their stages' claims, never through a read-ahead depth.
 //
-// Accepted depth expressions: integer literals, named constants,
-// selectors on a Binding-typed value (b.PrefetchPages), and
-// parenthesized, binary or builtin min/max combinations of those.
+// Accepted depth expressions: any constant expression — literals, named
+// constants and their arithmetic or builtin min/max combinations.
 var PrefetchDepth = &Analyzer{
 	Name: "prefetchdepth",
-	Doc:  "read-ahead depths must be constants or grant-derived Binding fields",
+	Doc:  "read-ahead depths must be constants",
 	Run:  runPrefetchDepth,
 }
 
@@ -43,50 +40,12 @@ func runPrefetchDepth(pass *Pass) error {
 			if info.TypeOf(sel.X) == nil {
 				return true // a package selector, not a method call
 			}
-			if !grantDerivedDepth(pass, call.Args[0]) {
+			if tv, ok := info.Types[call.Args[0]]; !ok || tv.Value == nil {
 				pass.Reportf(call.Args[0].Pos(),
-					"read-ahead depth must be a constant or a grant-derived %s field; a data-dependent depth modulates flash traffic with hidden state",
-					cfg.BindingType)
+					"read-ahead depth must be a constant; a data-dependent depth modulates flash traffic with hidden state")
 			}
 			return true
 		})
 	}
 	return nil
-}
-
-// grantDerivedDepth reports whether e is an allowed depth expression:
-// constant, Binding field, or a paren/binary/min/max composition of
-// allowed parts.
-func grantDerivedDepth(pass *Pass, e ast.Expr) bool {
-	cfg := pass.Cfg
-	info := pass.Pkg.Info
-	if tv, ok := info.Types[e]; ok && tv.Value != nil {
-		return true // any constant expression, named or literal
-	}
-	switch e := ast.Unparen(e).(type) {
-	case *ast.BasicLit:
-		return true
-	case *ast.Ident:
-		_, isConst := info.Uses[e].(*types.Const)
-		return isConst
-	case *ast.SelectorExpr:
-		return isPkgType(info.TypeOf(e.X), cfg.ExecPkg, cfg.BindingType)
-	case *ast.BinaryExpr:
-		return grantDerivedDepth(pass, e.X) && grantDerivedDepth(pass, e.Y)
-	case *ast.CallExpr:
-		id, ok := ast.Unparen(e.Fun).(*ast.Ident)
-		if !ok || (id.Name != "min" && id.Name != "max") {
-			return false
-		}
-		if _, isBuiltin := info.Uses[id].(*types.Builtin); !isBuiltin {
-			return false
-		}
-		for _, a := range e.Args {
-			if !grantDerivedDepth(pass, a) {
-				return false
-			}
-		}
-		return len(e.Args) > 0
-	}
-	return false
 }

@@ -31,7 +31,6 @@ func fixtureConfig() *analysis.Config {
 		SessionType:       "Session",
 		ExclusiveMethod:   "Exclusive",
 		PrefetchMethods:   []string{"SetReadAhead"},
-		BindingType:       "Binding",
 		DocPkgs:           []string{"fixture/docpkg"},
 	}
 }

@@ -137,19 +137,14 @@ func Expose(t *Token) *hidden.Image { // want slotdiscipline:"exported function 
 	return t.Hidden[0]
 }
 
-// Binding is the session's operator binding: every field derives from
-// the admission grant, a public quantity, so selectors on it are
-// legitimate read-ahead depths.
-type Binding struct {
-	PrefetchPages int
-}
-
-// scanAhead arms read-ahead from grant-derived depths only: a Binding
-// field, a constant and a builtin min over both all stay silent.
-func scanAhead(r *store.SeqReader, b *Binding, staging [][]byte) {
-	r.SetReadAhead(b.PrefetchPages, staging)
+// scanAhead arms read-ahead at constant depths, a literal and a builtin
+// min over constants, which stay silent; a depth that arrives at run
+// time is flagged whatever derived it.
+func scanAhead(r *store.SeqReader, pages int, staging [][]byte) {
 	r.SetReadAhead(2, staging)
-	r.SetReadAhead(min(b.PrefetchPages, 4), staging)
+	r.SetReadAhead(min(2, 4), staging)
+	r.SetReadAhead(pages, staging)         // want prefetchdepth:"read-ahead depth must be a constant"
+	r.SetReadAhead(min(pages, 4), staging) // want prefetchdepth:"read-ahead depth must be a constant"
 }
 
 // leakDepth is a seeded violation: a hidden-derived cardinality as the

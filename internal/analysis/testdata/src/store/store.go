@@ -28,8 +28,8 @@ type SeqReader struct {
 	depth int
 }
 
-// SetReadAhead arms the read-ahead window; the depth must be
-// grant-derived, which the prefetchdepth rule enforces at call sites.
+// SetReadAhead arms the read-ahead window; the depth must be a
+// constant, which the prefetchdepth rule enforces at call sites.
 func (r *SeqReader) SetReadAhead(depth int, staging [][]byte) {
 	r.depth = depth
 	_ = staging

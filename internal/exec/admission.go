@@ -16,17 +16,17 @@ import (
 // fan-in and pass loop for both.
 
 // unionFanIn sizes one reduction pass over nRuns sublists: as many
-// streams as the session's bound fan-in cap and the free buffers allow
-// (one is kept back for the spill writer inside unionSmallest), but no
-// more than the deficit requires — merging k runs reduces the count by
-// k-1, and rewriting extra sublists costs flash I/O without buying
-// anything. The cap comes from the admission-time Binding (MergeFanIn
-// inside the QEPSJ pipeline, CrossFanIn when the whole grant is free),
-// so the pass structure is fixed by the grant, not by what happens to be
-// momentarily unallocated. Fails wrapping ram.ErrExhausted when not even
-// a 2-way union fits.
-func (r *queryRun) unionFanIn(nRuns, deficit, fanCap int) (int, error) {
-	k := min(r.ram.AvailableBuffers()-1, fanCap, nRuns)
+// streams as the free buffers allow (one is kept back for the spill
+// writer inside unionSmallest), but no more than the deficit requires —
+// merging k runs reduces the count by k-1, and rewriting extra sublists
+// costs flash I/O without buying anything. The free buffers are the
+// grant minus what the session's other stages hold (the QEPSJ
+// pipeline's writers and SKT reader, the Bloom filters), none of which
+// changes during a reduction, so the pass structure is fixed by the
+// grant and the plan. Fails wrapping ram.ErrExhausted when not even a
+// 2-way union fits.
+func (r *queryRun) unionFanIn(nRuns, deficit int) (int, error) {
+	k := min(r.ram.AvailableBuffers()-1, nRuns)
 	if k < 2 {
 		return 0, fmt.Errorf("exec: cannot union %d sublists with %d buffers free: %w",
 			nRuns, r.ram.AvailableBuffers(), ram.ErrExhausted)
@@ -90,7 +90,7 @@ func (s *runSet) popSmallest() sublist { return s.subs[uint32(s.live.pop())] }
 func (r *queryRun) openRuns(s *runSet, streams []runStream) []runStream {
 	streams = slices.Grow(streams[:0], s.len())[:s.len()]
 	for i, key := range s.live {
-		streams[i].open(r.tok, s.subs[uint32(key)], s.width())
+		streams[i].open(r, s.subs[uint32(key)], s.width())
 	}
 	return streams
 }
@@ -188,11 +188,7 @@ func (r *queryRun) unionPass(pick *runSet) (sublist, error) {
 	if err != nil {
 		return sublist{}, err
 	}
-	run, err := out.EndRun()
-	if err != nil {
-		return sublist{}, err
-	}
-	return sublist{seg: &out.Segment, run: run}, out.Seal()
+	return out.sealRun()
 }
 
 // mergePass writes the position-ordered merge of the picked tuple runs
@@ -225,14 +221,13 @@ func (r *queryRun) mergePass(pick *runSet) (sublist, error) {
 
 // consolidateRuns reduces a set of sorted runs in as many passes as
 // needed until at most maxRuns remain, so a downstream stage can open
-// them with the stream buffers it actually has. It runs outside the
-// QEPSJ pipeline (nothing else held), so passes use the full-grant
-// CrossFanIn binding. Needs 3 free buffers (2 streams + 1 writer) to make
-// progress; fails wrapping ram.ErrExhausted below that.
+// them with the stream buffers it actually has. Needs 3 free buffers (2
+// streams + 1 writer) to make progress; fails wrapping ram.ErrExhausted
+// below that.
 func (r *queryRun) consolidateRuns(s *runSet, maxRuns int, span string) error {
 	maxRuns = max(maxRuns, 1)
 	for s.len() > maxRuns {
-		k, err := r.unionFanIn(s.len(), s.len()-maxRuns, r.bind.CrossFanIn)
+		k, err := r.unionFanIn(s.len(), s.len()-maxRuns)
 		if err != nil {
 			return err
 		}

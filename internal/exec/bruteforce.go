@@ -25,7 +25,7 @@ func (r *queryRun) bruteForce(res *Result) error {
 	anchorCol := r.resCols[anchor]
 	var anchorRd runStream
 	defer anchorRd.close()
-	anchorRd.open(r.tok, anchorCol, store.IDBytes)
+	anchorRd.open(r, anchorCol, store.IDBytes)
 	colRd := make([]runStream, len(sh.proj)) // aligned with sh.proj
 	defer closeStreams(colRd)
 	for i, s := range sh.proj {
@@ -33,7 +33,7 @@ func (r *queryRun) bruteForce(res *Result) error {
 		if !ok {
 			return fmt.Errorf("exec: missing QEPSJ column for %s", db.Sch.Tables[s.table].Name)
 		}
-		colRd[i].open(r.tok, c, store.IDBytes)
+		colRd[i].open(r, c, store.IDBytes)
 	}
 
 	// One record buffer per table, made on first use and reused for every

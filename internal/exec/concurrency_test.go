@@ -30,7 +30,7 @@ func concurrencyFixture(t testing.TB, maxConcurrent int) *fixture {
 // and nothing but query text on the uplink audit trail.
 func checkDrained(t *testing.T, f *fixture) {
 	t.Helper()
-	if f.db.RAM.Leaked() {
+	if f.db.Leaked() {
 		t.Fatal("shared RAM grants leaked after drain")
 	}
 	if got := f.db.RAM.InUse(); got != 0 {

@@ -123,7 +123,7 @@ func TestRandomDMLMatchesReference(t *testing.T) {
 			lastChecks = append(lastChecks, sql)
 		}
 		f.checkQuery(t, sql, fmt.Sprintf("after %d statements", i+1))
-		if f.db.RAM.InUse() != 0 {
+		if f.db.RAM.InUse() != 0 || f.db.Leaked() {
 			t.Fatalf("after %d statements: secure RAM leak", i+1)
 		}
 	}

@@ -1047,7 +1047,6 @@ func (db *DB) runSelectOn(ctx context.Context, q *query.Query, plan *Plan, cfg Q
 			q:          q,
 			cfg:        cfg,
 			plan:       plan,
-			bind:       plan.Bind(s.sess.Buffers()),
 			strategies: plan.Strategies(),
 			ram:        s.sess.RAM(),
 		}

@@ -233,7 +233,7 @@ func TestQueriesMatchReferenceAcrossStrategies(t *testing.T) {
 						qi, s, pj, len(res.Rows), len(want), sql, sample(res.Rows), sample(want))
 				}
 				checkNoLeak(t, f.db, sql)
-				if f.db.RAM.InUse() != 0 {
+				if f.db.RAM.InUse() != 0 || f.db.Leaked() {
 					t.Fatalf("q%d [%v/%v]: RAM leak: %d bytes", qi, s, pj, f.db.RAM.InUse())
 				}
 			}

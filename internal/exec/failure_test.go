@@ -84,9 +84,9 @@ func TestDeviceFullDuringQuery(t *testing.T) {
 		t.Fatalf("error should wrap ErrDeviceFull: %v", err)
 	}
 	// The engine must remain usable for queries that need no temp space.
-	if f.db.RAM.InUse() != 0 || f.db.Sched().Leaks() != 0 {
-		t.Fatalf("RAM leak after device-full failure: %d bytes in use, %d leaking sessions",
-			f.db.RAM.InUse(), f.db.Sched().Leaks())
+	if f.db.RAM.InUse() != 0 || f.db.Leaked() {
+		t.Fatalf("RAM leak after device-full failure: %d bytes in use, leaked %t",
+			f.db.RAM.InUse(), f.db.Leaked())
 	}
 }
 
@@ -122,10 +122,10 @@ func TestDeviceFullInReductionPass(t *testing.T) {
 		t.Fatalf("error should wrap ErrDeviceFull: %v", err)
 	}
 	// The operators claim from the session's private budget; a session
-	// released with claims outstanding counts as a scheduler leak.
-	if f.db.RAM.InUse() != 0 || f.db.RAM.Leaked() || f.db.Sched().Leaks() != 0 {
-		t.Fatalf("a failed reduction pass kept RAM: %d bytes in use, leaked %t, %d leaking sessions",
-			f.db.RAM.InUse(), f.db.RAM.Leaked(), f.db.Sched().Leaks())
+	// released with claims outstanding counts as a leak of db.Leaked.
+	if f.db.RAM.InUse() != 0 || f.db.Leaked() {
+		t.Fatalf("a failed reduction pass kept RAM: %d bytes in use, leaked %t",
+			f.db.RAM.InUse(), f.db.Leaked())
 	}
 }
 

@@ -172,7 +172,7 @@ func (r *queryRun) joinPositions(res *Result, tps []*tableProj) error {
 	anchorCol := r.resCols[anchor]
 	var anchorRd runStream
 	defer anchorRd.close()
-	anchorRd.open(r.tok, anchorCol, store.IDBytes)
+	anchorRd.open(r, anchorCol, store.IDBytes)
 
 	// Anchor visible values (spooled, id-sorted).
 	var aCur *spoolCursor
@@ -204,7 +204,7 @@ func (r *queryRun) joinPositions(res *Result, tps []*tableProj) error {
 		if !ok {
 			return fmt.Errorf("exec: missing QEPSJ column for %s", db.Sch.Tables[ti].Name)
 		}
-		idRd[i].open(r.tok, col, store.IDBytes)
+		idRd[i].open(r, col, store.IDBytes)
 	}
 
 	// Per-table tuple cursors, in tps order.

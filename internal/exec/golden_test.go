@@ -249,8 +249,8 @@ func recordGolden(t *testing.T, each func(corpus string, buffers int, sql string
 				}
 				// Operators claim from the session's private budget: a
 				// session released with claims outstanding is a scheduler
-				// leak, which the shared budget alone does not show.
-				if f.db.RAM.Leaked() || f.db.Sched().Leaks() != 0 {
+				// leak, which db.Leaked counts beside the shared budget.
+				if f.db.Leaked() {
 					t.Fatalf("%s @%d %s: grants leaked", c.name, buffers, st.sql)
 				}
 				sec.Entries = append(sec.Entries, e)

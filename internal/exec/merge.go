@@ -16,10 +16,9 @@ import (
 // a single sublist spilled to flash, repeatedly, until everything fits.
 // Downstream pipeline stages (SKT reader, column writers) hold their own
 // reservations, so whatever AvailableBuffers reports really is the
-// Merge's to spend; fanCap is the admission-time fan-in binding for this
-// context. Needs 3 free buffers (2 streams + 1 spill writer) to make
-// progress when reduction is required.
-func (r *queryRun) reduceGroups(groups []*mergeGroup, fanCap int) error {
+// Merge's to spend. Needs 3 free buffers (2 streams + 1 spill writer) to
+// make progress when reduction is required.
+func (r *queryRun) reduceGroups(groups []*mergeGroup) error {
 	totalRuns := 0
 	for _, g := range groups {
 		totalRuns += g.runs.len()
@@ -38,7 +37,7 @@ func (r *queryRun) reduceGroups(groups []*mergeGroup, fanCap int) error {
 		}
 		// Union the k smallest sublists ("the smallest sublists of each
 		// list are the best candidates for reduction").
-		k, err := r.unionFanIn(g.runs.len(), totalRuns-r.ram.AvailableBuffers(), fanCap)
+		k, err := r.unionFanIn(g.runs.len(), totalRuns-r.ram.AvailableBuffers())
 		if err != nil {
 			return err
 		}
@@ -108,10 +107,11 @@ type storeSpill struct {
 // ids the projection needs, probe the Bloom filters, and materialize the
 // survivors (the Store cost of Figure 15). The RAM for the writers and
 // the SKT reader is reserved up front by the caller's pipeline plan
-// (qepsj), so this stage never races the Merge for buffers. The writer
-// variant was bound at admission: direct per-column writers when the
-// grant holds them, otherwise one shared staged spill buffer whose
-// contents distributeSpill rewrites column by column afterwards.
+// (qepsj), so this stage never races the Merge for buffers. direct is
+// the writer variant the grant picked (Plan.storeDirect): per-column
+// writers when the grant holds them, otherwise one shared staged spill
+// buffer whose contents distributeSpill rewrites column by column
+// afterwards.
 // tombChecks lists joined non-anchor tables with live tombstones: each
 // anchor tuple is chased to them through the SKT and dropped when any
 // referenced row is deleted (SQL join semantics over tombstones).
@@ -120,10 +120,9 @@ type storeSpill struct {
 // tuple. The counters cannot tell: within a batch every SKT read now
 // precedes every Store write, but a read never moves a page, and the
 // Store writes keep their relative order.
-func (r *queryRun) joinAndStore(merged idStream, needed, tombChecks []int, bfs []*bfFilter) error {
+func (r *queryRun) joinAndStore(merged idStream, direct bool, needed, tombChecks []int, bfs []*bfFilter) error {
 	db := r.db
 	anchor := r.q.Anchor
-	direct := r.bind.StoreDirect
 
 	// The SKT lookup set is the projection's needed tables plus any
 	// tomb-checked tables not already among them.
@@ -191,9 +190,9 @@ func (r *queryRun) joinAndStore(merged idStream, needed, tombChecks []int, bfs [
 	}
 
 	// One batch is the anchor ids plus their w-id SKT tuples, staged in
-	// the one buffer StoreBatch sizes.
+	// one buffer's worth of ids (at least 16).
 	w := len(lookup)
-	batch := max(r.bind.StoreBatch/(1+w), 1)
+	batch := max(max(r.ram.BufferSize()/store.IDBytes, 16)/(1+w), 1)
 	stage := make([]uint32, batch*(1+w))
 	ids, tuples := stage[:batch], stage[batch:]
 	// keep compacts the batch's first k tuples, in order, to those alive
@@ -328,15 +327,9 @@ func (r *queryRun) joinAndStore(merged idStream, needed, tombChecks []int, bfs [
 	}
 	finish := func(ti int, seg *tempList) error {
 		return r.stage(spanStore, nil, func(*ram.Reservation) error {
-			run, err := seg.EndRun()
-			if err != nil {
-				return err
-			}
-			if err := seg.Seal(); err != nil {
-				return err
-			}
-			r.resCols[ti] = sublist{seg: &seg.Segment, run: run}
-			return nil
+			var err error
+			r.resCols[ti], err = seg.sealRun()
+			return err
 		})
 	}
 	if err := finish(anchor, anchorSeg); err != nil {
@@ -377,7 +370,7 @@ func (r *queryRun) distributeSpill() error {
 			if err := seg.BeginRun(); err != nil {
 				return err
 			}
-			rd.open(r.tok, sublist{seg: sp.seg, run: store.Run{Count: sp.n}}, tupleW)
+			rd.open(r, sublist{seg: sp.seg, run: store.Run{Count: sp.n}}, tupleW)
 			for {
 				ok, err := rd.rd.NextRecord(rec)
 				if err != nil {
@@ -390,14 +383,10 @@ func (r *queryRun) distributeSpill() error {
 					return err
 				}
 			}
-			run, err := seg.EndRun()
-			if err != nil {
+			var err error
+			if r.resCols[ti], err = seg.sealRun(); err != nil {
 				return err
 			}
-			if err := seg.Seal(); err != nil {
-				return err
-			}
-			r.resCols[ti] = sublist{seg: &seg.Segment, run: run}
 		}
 		return sp.seg.Free()
 	})

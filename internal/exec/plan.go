@@ -26,9 +26,12 @@ import (
 // query (a blind fixed floor could die with ram.ErrExhausted) or leak
 // timing back into admission. So, ObliDB-style,
 // the planner selects every operator variant and derives the plan's true
-// minimum RAM footprint up front; admission then requests exactly that
-// floor and the session binds its chunk sizes from the grant it actually
-// received.
+// minimum RAM footprint up front from the claims its operators will
+// make (shape.go); admission then requests exactly that floor. Within
+// the grant the session actually received, each operator's stage takes
+// its claims in one ram.Plan, which tops them up from what is free, so
+// chunk and batch sizes need no derivation of their own; the only
+// variant the grant picks is the store pipeline's (Plan.storeDirect).
 
 // ErrBudgetTooSmall marks a plan whose derived minimum footprint exceeds
 // the configured secure-RAM budget: the query is rejected cleanly at
@@ -82,8 +85,8 @@ type Footprint struct {
 	// the distribution pass itself claims 2 (spill reader + one column
 	// writer), but 3 is Post-Select's minimum (staging chunk + reader +
 	// writer), which the shared-stage floor must also cover. The floor
-	// uses these; a session granted the direct footprint binds direct
-	// writers and skips the extra pass.
+	// uses these; a session granted the direct footprint runs direct
+	// writers and skips the extra pass (Plan.storeDirect).
 	QEPSJShared int
 	Distribute  int
 	// MJoin / FinalJoin are the projection phase peaks; Projection is
@@ -166,63 +169,15 @@ func (p *Plan) Strategies() map[int]Strategy {
 	return out
 }
 
-// Binding fixes one admitted session's operator variants from the grant
-// it actually received: staging chunk counts, batch sizes and fan-ins are
-// picked here, once, instead of being discovered through mid-run
-// reservation outcomes. All values are whole buffers.
-type Binding struct {
-	GrantBuffers int
-	// StoreDirect selects the store pipeline variant: true binds one
-	// writer per result column (no extra pass); false binds the shared
-	// staged spill buffer plus the distribution pass — chosen when the
-	// grant cannot hold the direct writer set.
-	StoreDirect bool
-	// MergeFanIn caps the streams one QEPSJ sublist-reduction pass opens
-	// (the pipeline's writers and SKT reader are already spoken for).
-	MergeFanIn int
-	// CrossFanIn caps reduction passes that run before the pipeline is
-	// reserved (cross intersections), when the whole grant is free.
-	CrossFanIn int
-	// MergeReserve is kept free of Bloom filters so the Merge always has
-	// its reduction workspace: max(planned run groups, 3).
-	MergeReserve int
-	// PostSelectStage / SortChunk are the staging areas of Post-Select
-	// and the column sort: the grant minus their fixed reader/writer.
-	PostSelectStage int
-	SortChunk       int
-	// MJoinBatch is the per-table batch staging cap: the grant minus the
-	// table's fixed readers ("RAM capacity minus two buffers" in §4,
-	// generalized to the table's true reader set).
-	MJoinBatch map[int]int
-	// StoreBatch is the number of anchor ids the Store pipeline stages
-	// per batch: one RAM buffer's worth of ids, so the staging area is
-	// covered by the pipeline's reserved buffer instead of a literal.
-	StoreBatch int
-}
-
-// Bind derives the session's operator binding from its actual grant.
-func (p *Plan) Bind(grant int) *Binding {
-	b := &Binding{GrantBuffers: grant, MJoinBatch: map[int]int{}}
-	// Direct column writers when the grant can hold them alongside the
-	// Merge; otherwise the shared staged spill buffer (whose existence is
-	// what pushed the floor below the direct footprint).
-	b.StoreDirect = p.Footprint.Distribute == 0 || grant >= p.Footprint.QEPSJ
-	pipe := p.Footprint.StoreWriters + p.Footprint.SKTReader
-	if !b.StoreDirect {
-		pipe = 1 + p.Footprint.SKTReader
-	}
-	b.MergeFanIn = max(grant-pipe-1, 2)
-	b.CrossFanIn = max(grant-1, 2)
-	b.MergeReserve = p.Footprint.Merge
-	b.PostSelectStage = max(grant-2, 1)
-	b.SortChunk = max(grant-2, 1)
-	if p.shape != nil {
-		for _, s := range p.shape.mjoin {
-			b.MJoinBatch[s.table] = max(grant-s.fixed, s.minBatch)
-		}
-	}
-	b.StoreBatch = max(p.BufferBytes/store.IDBytes, 16)
-	return b
+// storeDirect reports whether a session granted grant buffers runs the
+// store pipeline with one writer per result column (no extra pass) or,
+// when the grant cannot hold that writer set beside the Merge, with the
+// shared staged spill buffer and the distribution pass (whose existence
+// is what pushed the floor below the direct footprint). It is the one
+// operator variant the grant picks; every other size comes from a
+// stage's claims.
+func (p *Plan) storeDirect(grant int) bool {
+	return p.Footprint.Distribute == 0 || grant >= p.Footprint.QEPSJ
 }
 
 // visibleOnly reports whether a query touches no hidden data at all: a
@@ -434,7 +389,7 @@ func (db *DB) PlanQuery(q *query.Query, cfg QueryConfig) (*Plan, error) {
 		fp.Projection = claimMin(sh.bruteClaims())
 	} else {
 		for _, s := range sh.mjoin {
-			fp.MJoin = max(fp.MJoin, s.fixed+s.minBatch)
+			fp.MJoin = max(fp.MJoin, claimMin(s.mjoinClaims(0)))
 		}
 		// Final join: its fixed readers plus one tuple cursor per joined
 		// table (batch runs are consolidated first, a pass that needs the

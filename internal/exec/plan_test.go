@@ -101,7 +101,7 @@ func TestPlanFloorsSufficientProperty(t *testing.T) {
 		if !rowsEqual(res.Rows, f.refAnswer(t, sql)) {
 			t.Fatalf("[%v/%v] %s: wrong answer", cfg.Strategy, cfg.Projector, sql)
 		}
-		if f.db.RAM.Leaked() {
+		if f.db.Leaked() {
 			t.Fatalf("%s: grants leaked", sql)
 		}
 	}
@@ -185,7 +185,7 @@ func TestHiddenSelEstimateFromIndexStats(t *testing.T) {
 // each holding one); with the column writers collapsed into one staged
 // spill buffer the floor drops below 7, and the query still runs to the
 // exact answer in a budget of exactly that floor (where the session
-// necessarily binds the spill variant, StoreDirect=false).
+// necessarily runs the spill variant: storeDirect is false).
 func TestSharedStageLowersWideFloors(t *testing.T) {
 	wide := []string{
 		`SELECT T0.id, T1.id, T12.id, T1.v1 FROM T0, T1, T12 WHERE T0.fk1 = T1.id AND T1.fk12 = T12.id AND T1.v1 < '0000000300' AND T12.h2 < '0000000100'`,
@@ -206,8 +206,8 @@ func TestSharedStageLowersWideFloors(t *testing.T) {
 			t.Fatalf("%s: shared footprint %d not below direct %d",
 				sql, plan.Footprint.QEPSJShared, plan.Footprint.QEPSJ)
 		}
-		// Run in a budget of exactly the floor: the binding must choose
-		// the spill variant and the answer must stay exact.
+		// Run in a budget of exactly the floor: the grant must pick the
+		// spill variant and the answer must stay exact.
 		f := sweepFixture(t, plan.MinBuffers)
 		stmt2, err := f.db.Prepare(sql, QueryConfig{})
 		if err != nil {
@@ -216,8 +216,8 @@ func TestSharedStageLowersWideFloors(t *testing.T) {
 		if got := stmt2.Plan().MinBuffers; got != plan.MinBuffers {
 			t.Fatalf("%s: floor drifted across fixtures: %d vs %d", sql, got, plan.MinBuffers)
 		}
-		if b := stmt2.Plan().Bind(plan.MinBuffers); b.StoreDirect {
-			t.Fatalf("%s: floor-sized grant bound direct writers", sql)
+		if stmt2.Plan().storeDirect(plan.MinBuffers) {
+			t.Fatalf("%s: floor-sized grant picked direct writers", sql)
 		}
 		res, err := stmt2.RunCtx(context.Background(), QueryConfig{})
 		if err != nil {
@@ -226,7 +226,7 @@ func TestSharedStageLowersWideFloors(t *testing.T) {
 		if !rowsEqual(res.Rows, f.refAnswer(t, sql)) {
 			t.Fatalf("%s at %d buffers: wrong answer via spill store", sql, plan.MinBuffers)
 		}
-		if f.db.RAM.Leaked() {
+		if f.db.Leaked() {
 			t.Fatalf("%s: grants leaked", sql)
 		}
 	}
@@ -285,7 +285,7 @@ func TestPlanFloorSweepNoMidRunExhaustion(t *testing.T) {
 					t.Fatalf("%d buffers [%v/%v]: %s: high water %d exceeds grant",
 						buffers, cfg.Strategy, cfg.Projector, sql, res.Stats.RAMHigh)
 				}
-				if f.db.RAM.Leaked() {
+				if f.db.Leaked() {
 					t.Fatalf("%d buffers: %s: grants leaked", buffers, sql)
 				}
 				if f.db.RAM.HighWater() > f.db.RAM.Budget() {

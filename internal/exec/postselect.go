@@ -19,19 +19,18 @@ func (r *queryRun) applyPostSelect(tv int, visIDs []uint32) error {
 	if !ok {
 		return fmt.Errorf("exec: post-select table %s has no result column", r.db.Sch.Tables[tv].Name)
 	}
-	// Stage the id list in chunks. The staging cap was bound from the
-	// session's grant at admission time (grant minus the fixed reader and
-	// writer); the data's own size can only shrink it.
+	// Stage the id list in chunks: the staging claim wants the whole
+	// list and gets what the grant leaves beside the reader and writer.
 	bufSize := r.ram.BufferSize()
-	wantStage := min(max((len(visIDs)*store.IDBytes+bufSize-1)/bufSize, 1), r.bind.PostSelectStage)
+	wantStage := max((len(visIDs)*store.IDBytes+bufSize-1)/bufSize, 1)
 	claims := []ram.Claim{
 		{Name: "stage", Min: 1, Want: wantStage},
 		{Name: "scan", Min: 1, Want: 1},
 		{Name: "out", Min: 1, Want: 1},
 	}
-	posSeg := r.newTemp()
 	var posRuns runSet
 	err := r.stage(spanPostSelect, claims, func(resv *ram.Reservation) error {
+		posSeg := r.newTemp()
 		chunkCap := resv.Bytes("stage") / store.IDBytes
 		for start := 0; start < len(visIDs); start += chunkCap {
 			chunk := visIDs[start:min(start+chunkCap, len(visIDs))]
@@ -83,14 +82,9 @@ func (r *queryRun) applyPostSelect(tv int, visIDs []uint32) error {
 			if err != nil {
 				return err
 			}
-			run, err := out.EndRun()
-			if err != nil {
+			if newCols[ti], err = out.sealRun(); err != nil {
 				return err
 			}
-			if err := out.Seal(); err != nil {
-				return err
-			}
-			newCols[ti] = sublist{seg: &out.Segment, run: run}
 			newN = kept
 		}
 		r.resCols = newCols
@@ -106,7 +100,7 @@ func (r *queryRun) keepPositions(ps idStream, rd *runStream, c sublist, out *tem
 	if err := out.BeginRun(); err != nil {
 		return 0, err
 	}
-	rd.open(r.tok, c, store.IDBytes)
+	rd.open(r, c, store.IDBytes)
 	nextSel, selOK, err := ps.next()
 	if err != nil {
 		return 0, err

@@ -51,49 +51,44 @@ func (r *queryRun) project() (*Result, error) {
 
 // sigmaVH computes σVH(Ti): the visible ids that can possibly appear in
 // the result, per §4 — a Bloom filter over the QEPSJ.Ti.id column probed
-// with the ids sent by Untrusted. Returns a temp run of sorted ids. It
-// runs inside its stage, which claims nothing: its Bloom filter takes a
-// byte grant of its own, and a column sort's steps are stages of their
-// own.
+// with the ids sent by Untrusted. Returns a temp run of sorted ids. A
+// table with no visible data takes the column sort's stages instead.
+// Otherwise its stage claims the spool reader, the output writer and,
+// for the Bloom projector, the column reader; the filter takes a byte
+// grant of its own.
 func (r *queryRun) sigmaVH(tp *tableProj) (sublist, error) {
 	col := r.resCols[tp.table]
 	sp := r.spool[tp.table]
-	out := r.newTemp()
-	if err := out.BeginRun(); err != nil {
-		return sublist{}, err
-	}
-
 	if sp == nil {
 		// No visible data for this table: derive the sorted distinct ids
 		// of the column by chunked in-RAM sorting.
-		if err := r.sortColumn(col, &out.ListSegment); err != nil {
-			return sublist{}, err
-		}
-	} else {
+		return r.sortColumn(col)
+	}
+	bloomed := r.cfg.Projector == ProjectBloom
+	claims := []ram.Claim{{Name: "spool", Min: 1, Want: 1}, {Name: "out", Min: 1, Want: 1}}
+	if bloomed {
+		claims = append(claims, ram.Claim{Name: "col", Min: 1, Want: 1})
+	}
+	var sig sublist
+	err := r.stage(spanProject, claims, func(*ram.Reservation) error {
 		var f *bloom.Filter
-		var grant *ram.Grant
-		defer func() {
-			if grant != nil {
-				grant.Release()
-			}
-		}()
-		if r.cfg.Projector == ProjectBloom {
+		if bloomed {
 			// "The Bloom filter is calibrated by default to occupy the
-			// entire RAM" (§5), minus working buffers. The filter is a pure
-			// optimization: when RAM is too tight for a useful one, σVH
-			// proceeds unfiltered instead of failing.
-			budget := r.ram.Available() - 4*r.ram.BufferSize()
+			// entire RAM" (§5), minus a working buffer. The filter is a
+			// pure optimization: when RAM is too tight for a useful one,
+			// σVH proceeds unfiltered instead of failing.
+			budget := r.ram.Available() - r.ram.BufferSize()
 			if bp, err := bloom.PlanFor(r.resN, budget); err == nil {
 				if g, err := r.ram.Alloc(bp.Bytes); err == nil {
-					grant = g
+					defer g.Release()
 					f = bloom.New(bp, r.resN)
 					var rd runStream
 					defer rd.close()
-					rd.open(r.tok, col, store.IDBytes)
+					rd.open(r, col, store.IDBytes)
 					for {
 						v, ok, err := rd.next()
 						if err != nil {
-							return sublist{}, err
+							return err
 						}
 						if !ok {
 							break
@@ -104,11 +99,15 @@ func (r *queryRun) sigmaVH(tp *tableProj) (sublist, error) {
 			}
 		}
 		// Probe the spooled visible ids (sequential flash scan).
+		out := r.newTemp()
+		if err := out.BeginRun(); err != nil {
+			return err
+		}
 		srd := sp.file.NewSeqReader()
 		for {
 			rec, _, ok, err := srd.Next()
 			if err != nil {
-				return sublist{}, err
+				return err
 			}
 			if !ok {
 				break
@@ -116,40 +115,41 @@ func (r *queryRun) sigmaVH(tp *tableProj) (sublist, error) {
 			id := binary.BigEndian.Uint32(rec)
 			if f == nil || f.MayContain(id) {
 				if err := out.Add(id); err != nil {
-					return sublist{}, err
+					return err
 				}
 			}
 		}
-	}
-	run, err := out.EndRun()
-	if err != nil {
-		return sublist{}, err
-	}
-	return sublist{seg: &out.Segment, run: run}, out.Seal()
+		var err error
+		sig, err = out.sealRun()
+		return err
+	})
+	return sig, err
 }
 
-// sortColumn writes the sorted distinct ids of a result column into an
-// open run, using grant-sized chunks and a union merge, in three kinds of
-// stage: the chunking pass (chunk, reader and writer), the reduction
-// passes, and the final union (writer and one stream per chunk run). A
-// small grant only means more chunks, consolidated by multi-pass unions;
-// the minimum is 3 free buffers (chunk + reader + writer).
-func (r *queryRun) sortColumn(col sublist, out *store.ListSegment) error {
+// sortColumn returns a temp run of the sorted distinct ids of a result
+// column, built with grant-sized chunks and a union merge, in three
+// kinds of stage: the chunking pass (chunk, reader and writer), the
+// reduction passes, and the final union (output writer and one stream
+// per chunk run). A small grant only means more chunks, consolidated by
+// multi-pass unions; the minimum is 3 free buffers (chunk + reader +
+// writer).
+func (r *queryRun) sortColumn(col sublist) (sublist, error) {
 	bufSize := r.ram.BufferSize()
-	// The chunk cap was bound from the grant at admission.
-	want := min(max((col.run.Count*store.IDBytes+bufSize-1)/bufSize, 1), r.bind.SortChunk)
+	// The chunk claim wants the whole column and gets what the grant
+	// leaves beside the reader and writer.
+	want := max((col.run.Count*store.IDBytes+bufSize-1)/bufSize, 1)
 	claims := []ram.Claim{
 		{Name: "chunk", Min: 1, Want: want},
 		{Name: "scan", Min: 1, Want: 1},
 		{Name: "write", Min: 1, Want: 1},
 	}
-	chunks := r.newTemp()
 	var runs runSet
 	err := r.stage(spanProject, claims, func(resv *ram.Reservation) error {
+		chunks := r.newTemp()
 		cap := resv.Bytes("chunk") / store.IDBytes
 		var rd runStream
 		defer rd.close()
-		rd.open(r.tok, col, store.IDBytes)
+		rd.open(r, col, store.IDBytes)
 		buf := make([]uint32, 0, cap)
 		flush := func() error {
 			if len(buf) == 0 {
@@ -185,33 +185,44 @@ func (r *queryRun) sortColumn(col sublist, out *store.ListSegment) error {
 		}
 		return chunks.Seal()
 	})
-	if err != nil || runs.len() == 0 {
-		return err
+	if err != nil {
+		return sublist{}, err
 	}
 
-	// Union the chunk runs into the caller's open output run, reducing
-	// first when more chunks exist than stream buffers (one is kept back
-	// for the output writer).
+	// Union the chunk runs into the output run, reducing first when more
+	// chunks exist than stream buffers (one is kept back for the output
+	// writer, which the final union's stage opens).
 	if err := r.consolidateRuns(&runs, r.ram.AvailableBuffers()-1, spanProject); err != nil {
-		return err
+		return sublist{}, err
 	}
 	claims = []ram.Claim{{Name: "write", Min: 1, Want: 1}, {Name: "streams", Min: runs.len(), Want: runs.len()}}
-	return r.stage(spanProject, claims, func(*ram.Reservation) error {
+	var sorted sublist
+	err = r.stage(spanProject, claims, func(*ram.Reservation) error {
 		u, err := r.openUnion(&runs, nil, &r.union)
 		if err != nil {
 			return err
 		}
 		defer u.close()
+		out := r.newTemp()
+		if err := out.BeginRun(); err != nil {
+			return err
+		}
 		for {
 			v, ok, err := u.next()
-			if err != nil || !ok {
+			if err != nil {
 				return err
+			}
+			if !ok {
+				break
 			}
 			if err := out.Add(v); err != nil {
 				return err
 			}
 		}
+		sorted, err = out.sealRun()
+		return err
 	})
+	return sorted, err
 }
 
 // mjoinTable runs the MJoin of §4 for one table: σVH ids and their
@@ -219,23 +230,19 @@ func (r *queryRun) sortColumn(col sublist, out *store.ListSegment) error {
 // QEPSJ.Ti.id column is scanned once and matching positions emit
 // <pos, vlist, hlist> tuples to flash.
 func (r *queryRun) mjoinTable(tp *tableProj) error {
-	var sig sublist
-	err := r.stage(spanProject, nil, func(*ram.Reservation) error {
-		var err error
-		sig, err = r.sigmaVH(tp)
-		return err
-	})
+	sig, err := r.sigmaVH(tp)
 	if err != nil {
 		return err
 	}
 
 	// The MJoin stage claims the table's buffer needs (its spec): a batch
-	// staging area capped by the binding derived from the session's grant
-	// at admission ("RAM capacity minus two buffers" in the paper,
-	// generalized to the table's true reader set). A minimal batch grant
-	// only means more passes over the QEPSJ column.
+	// staging area that wants every σVH tuple and gets what the grant
+	// leaves beside the table's readers and writer ("RAM capacity minus
+	// two buffers" in the paper, generalized to the table's true reader
+	// set). A minimal batch grant only means more passes over the QEPSJ
+	// column.
 	bufSize := r.ram.BufferSize()
-	wantBatch := min((sig.run.Count*tp.tupleW+bufSize-1)/bufSize, r.bind.MJoinBatch[tp.table])
+	wantBatch := (sig.run.Count*tp.tupleW + bufSize - 1) / bufSize
 	return r.stage(spanProject, tp.mjoinClaims(wantBatch), func(resv *ram.Reservation) error {
 		return r.mjoinBatches(tp, sig, resv.Bytes("batch"))
 	})
@@ -253,7 +260,7 @@ func (r *queryRun) mjoinBatches(tp *tableProj, sig sublist, batchBytes int) erro
 	out := r.newTuples()
 	var sigRd runStream
 	defer sigRd.close()
-	sigRd.open(r.tok, sig, store.IDBytes)
+	sigRd.open(r, sig, store.IDBytes)
 	var spoolCur *spoolCursor
 	if tp.visW > 0 {
 		spoolCur = newSpoolCursor(r.spool[tp.table].file)
@@ -348,7 +355,7 @@ func (r *queryRun) mjoinBatches(tp *tableProj, sig sublist, batchBytes int) erro
 func (r *queryRun) scanPositions(col sublist, ids []uint32, emit func(pos uint32, i int) error) error {
 	var rd runStream
 	defer rd.close()
-	rd.open(r.tok, col, store.IDBytes)
+	rd.open(r, col, store.IDBytes)
 	for pos := uint32(0); ; pos++ {
 		v, ok, err := rd.next()
 		if err != nil || !ok {

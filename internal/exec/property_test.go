@@ -117,7 +117,7 @@ func TestRandomQueriesMatchReferenceProperty(t *testing.T) {
 			t.Logf("seed %d [%v/%v]: %d rows vs %d\nsql: %s", seed, s, pj, len(res.Rows), len(want), sql)
 			return false
 		}
-		if f.db.RAM.InUse() != 0 {
+		if f.db.RAM.InUse() != 0 || f.db.Leaked() {
 			t.Logf("seed %d: RAM leak", seed)
 			return false
 		}

@@ -60,7 +60,6 @@ type queryRun struct {
 	q    *query.Query
 	cfg  QueryConfig
 	plan *Plan              // the prepared plan driving this run
-	bind *Binding           // operator variants bound from the actual grant
 	ram  *ram.Manager       // session-private budget, sized at admission
 	col  *metrics.Collector // per-query span collector (snapshots link speed)
 
@@ -103,6 +102,21 @@ type queryRun struct {
 	files    []*store.RowFile
 }
 
+// lendHook, when set, runs after every page buffer a query run borrows
+// from its token's free list; tests use it to check that each lent page
+// is covered by a claim of the stage that holds it.
+var lendHook func(r *queryRun)
+
+// lend borrows a page-sized host buffer from the token's free list for a
+// reader or writer of the running stage, which claims its RAM buffer.
+func (r *queryRun) lend() []byte {
+	buf := r.tok.pageBuf()
+	if lendHook != nil {
+		lendHook(r)
+	}
+	return buf
+}
+
 // lentPage is the page buffer a temp segment assembles its pages in,
 // borrowed from the token's free list until the segment is sealed.
 //
@@ -112,8 +126,8 @@ type lentPage struct {
 	buf []byte // nil once returned
 }
 
-func (p *lentPage) borrow(tok *Token) []byte {
-	p.tok, p.buf = tok, tok.pageBuf()
+func (p *lentPage) borrow(r *queryRun) []byte {
+	p.tok, p.buf = r.tok, r.lend()
 	return p.buf
 }
 
@@ -138,6 +152,15 @@ func (t *tempList) Seal() error {
 	}
 	t.giveBack()
 	return nil
+}
+
+// sealRun ends t's open run and seals t, returning the run.
+func (t *tempList) sealRun() (sublist, error) {
+	run, err := t.EndRun()
+	if err != nil {
+		return sublist{}, err
+	}
+	return sublist{seg: &t.Segment, run: run}, t.Seal()
 }
 
 // tempTuples is a temp tuple segment of the run; Seal returns its page.
@@ -165,7 +188,7 @@ func (r *queryRun) newTemp() *tempList {
 	}
 	r.slab = r.slab[:len(r.slab)+1]
 	t := &r.slab[len(r.slab)-1]
-	t.Init(r.tok.Dev, t.borrow(r.tok))
+	t.Init(r.tok.Dev, t.borrow(r))
 	r.temps = append(r.temps, t)
 	return t
 }
@@ -173,7 +196,7 @@ func (r *queryRun) newTemp() *tempList {
 // newTuples opens a temp tuple segment.
 func (r *queryRun) newTuples() *tempTuples {
 	t := &tempTuples{}
-	t.Init(r.tok.Dev, t.borrow(r.tok))
+	t.Init(r.tok.Dev, t.borrow(r))
 	r.tempSegs = append(r.tempSegs, t)
 	return t
 }

@@ -126,7 +126,7 @@ func (r *queryRun) qepsj() error {
 			continue
 		}
 		var runs []store.Run
-		err := r.stage(spanCI, nil, func(*ram.Reservation) error {
+		err := r.stage(spanCI, indexPage, func(*ram.Reservation) error {
 			var err error
 			runs, err = r.runsForHiddenPred(p, ci, slot)
 			return err
@@ -153,21 +153,8 @@ func (r *queryRun) qepsj() error {
 	// ---- Reserve the store pipeline's buffers up front as named
 	// sub-reservations, so the Bloom filters and the Merge reduction can
 	// only spend what is genuinely left instead of racing the writers
-	// for it. Under a tight grant (Binding.StoreDirect false) the column
-	// writers share one staged spill buffer instead of holding one each;
-	// the survivors are distributed into per-column segments by an extra
-	// pass after the pipeline releases. The SKT reader is the plan's
-	// data-independent claim: whether tombstones actually exist is hidden
-	// state, so neither the claim set nor any admission error may depend
-	// on it.
-	fp := r.plan.Footprint
-	claims := []ram.Claim{{Name: "store-writers", Min: fp.StoreWriters, Want: fp.StoreWriters}}
-	if !r.bind.StoreDirect {
-		claims = []ram.Claim{{Name: "store-stage", Min: 1, Want: 1}}
-	}
-	if fp.SKTReader > 0 {
-		claims = append(claims, ram.Claim{Name: "skt-reader", Min: 1, Want: 1})
-	}
+	// for it.
+	claims, direct := r.pipeline()
 	// Joined non-anchor tables with live tombstones (consumed in-slot by
 	// joinAndStore's chase; never reaches untrusted-observable output).
 	var tombChecks []int
@@ -213,12 +200,10 @@ func (r *queryRun) qepsj() error {
 		if len(bfPlans) > 1 {
 			budget /= len(bfPlans)
 		}
-		// The filter must leave the Merge its bound reserve: one stream
-		// buffer per planned sublist group plus the reduction workspace,
-		// fixed at admission time. The old hardcoded 3-buffer slack could
-		// starve a Merge with more groups than that under a floor-sized
-		// grant.
-		if free := r.ram.Available() - r.bind.MergeReserve*r.ram.BufferSize(); budget > free {
+		// The filter must leave the Merge its planned footprint: one
+		// stream buffer per planned sublist group, and at least the
+		// 3-buffer reduction workspace.
+		if free := r.ram.Available() - r.plan.Footprint.Merge*r.ram.BufferSize(); budget > free {
 			budget = free
 		}
 		bp, err := bloom.PlanFor(n, budget)
@@ -253,11 +238,11 @@ func (r *queryRun) qepsj() error {
 		bfs = append(bfs, &bfFilter{table: plan.table, filter: f, grant: grant})
 	}
 
-	// ---- Reduce sublists to fit the Merge's stream buffers (fan-in bound
-	// at admission: the grant minus the pipeline's fixed claims), then
-	// run the pipeline Merge -> SJoin -> ProbeBF -> Store inside the Merge
-	// stage that opens the merged stream and holds its stream buffers.
-	if err := r.reduceGroups(groups, r.bind.MergeFanIn); err != nil {
+	// ---- Reduce sublists to fit the Merge's stream buffers (what the
+	// pipeline's claims and the filters leave of the grant), then run the
+	// pipeline Merge -> SJoin -> ProbeBF -> Store inside the Merge stage
+	// that opens the merged stream and holds its stream buffers.
+	if err := r.reduceGroups(groups); err != nil {
 		return err
 	}
 	err = r.stage(spanMerge, groupClaims(groups), func(*ram.Reservation) error {
@@ -280,7 +265,7 @@ func (r *queryRun) qepsj() error {
 		// DELETE).
 		merged = r.dropDeadAnchors(q.Anchor, merged)
 		defer merged.close()
-		return r.joinAndStore(merged, sh.needed, tombChecks, bfs)
+		return r.joinAndStore(merged, direct, sh.needed, tombChecks, bfs)
 	})
 	pipe.Release()
 	if err != nil {
@@ -311,6 +296,32 @@ func (r *queryRun) qepsj() error {
 	}
 	return nil
 }
+
+// pipeline is the QEPSJ pipeline's claims under the session's grant and
+// whether they are direct column writers. With the grant the plan's
+// direct footprint needs (Plan.storeDirect), one writer per stored
+// column and the anchor's; under a tighter grant the column writers
+// share one staged spill buffer instead, and the survivors are
+// distributed into per-column segments by an extra pass after the
+// pipeline releases. The SKT reader is the plan's data-independent
+// claim: whether tombstones actually exist is hidden state, so neither
+// the claim set nor any admission error may depend on it.
+func (r *queryRun) pipeline() (claims []ram.Claim, direct bool) {
+	fp := r.plan.Footprint
+	direct = r.plan.storeDirect(r.ram.Buffers())
+	claims = []ram.Claim{{Name: "store-writers", Min: fp.StoreWriters, Want: fp.StoreWriters}}
+	if !direct {
+		claims = []ram.Claim{{Name: "store-stage", Min: 1, Want: 1}}
+	}
+	if fp.SKTReader > 0 {
+		claims = append(claims, ram.Claim{Name: "skt-reader", Min: 1, Want: 1})
+	}
+	return claims, direct
+}
+
+// indexPage is a CI stage's claim: the one index page its cursor or
+// probe reads through.
+var indexPage = []ram.Claim{{Name: "index-page", Min: 1, Want: 1}}
 
 // idPredFilter compiles an anchor id predicate into a keep function.
 func idPredFilter(p query.Pred) func(uint32) bool {
@@ -389,7 +400,7 @@ func (r *queryRun) crossedList(tv int, preds []query.Pred) ([]uint32, error) {
 		ci := r.indexFor(p)
 		slot, _ := ci.LevelOf(tv)
 		var runs []store.Run
-		err := r.stage(spanCI, nil, func(*ram.Reservation) error {
+		err := r.stage(spanCI, indexPage, func(*ram.Reservation) error {
 			var err error
 			runs, err = r.runsForHiddenPred(p, ci, slot)
 			return err
@@ -405,8 +416,8 @@ func (r *queryRun) crossedList(tv int, preds []query.Pred) ([]uint32, error) {
 		groups = append(groups, g)
 	}
 	// The cross intersection runs before the QEPSJ pipeline is reserved,
-	// so its reduction passes use the full-grant fan-in binding.
-	if err := r.reduceGroups(groups, r.bind.CrossFanIn); err != nil {
+	// so its reduction passes may use the whole grant.
+	if err := r.reduceGroups(groups); err != nil {
 		return nil, err
 	}
 	var out []uint32
@@ -452,14 +463,17 @@ func (r *queryRun) preFilterGroup(tv int, ids []uint32) (*mergeGroup, error) {
 
 // climb adds to g the anchor-level sublists of every id, one id-index
 // lookup each. A single probe, reading through a page buffer borrowed
-// from the token's free list, serves all the lookups. An id has one
-// sublist at a level (a few more once inserts appended their own), so
-// g's set is sized up front for one per id plus the unions of the
-// reduction passes at the bound Merge fan-in.
+// from the token's free list (the page its CI stage claims), serves all
+// the lookups. An id has one sublist at a level (a few more once inserts
+// appended their own), so g's set is sized up front for one per id plus
+// the unions of the Merge's reduction passes, which run beside the
+// pipeline's claims and keep one buffer for their writer.
 func (r *queryRun) climb(g *mergeGroup, ci *index.Climbing, slot int, ids []uint32) error {
-	g.runs.grow(len(ids) + len(ids)/max(r.bind.MergeFanIn-1, 1))
-	return r.stage(spanCI, nil, func(*ram.Reservation) error {
-		buf := r.tok.pageBuf()
+	pipe, _ := r.pipeline()
+	fanIn := r.ram.Buffers() - claimMin(pipe) - 1
+	g.runs.grow(len(ids) + len(ids)/max(fanIn-1, 1))
+	return r.stage(spanCI, indexPage, func(*ram.Reservation) error {
+		buf := r.lend()
 		defer r.tok.releasePageBuf(buf)
 		probe := ci.NewProbe(buf)
 		for _, id := range ids {
@@ -504,12 +518,15 @@ func (r *queryRun) scanFallback(g *mergeGroup, p query.Pred) error {
 		return fmt.Errorf("exec: column %d of %s is not hidden", p.ColIdx, db.Sch.Tables[p.Table].Name)
 	}
 	dl := r.tok.deltaOf(p.Table)
-	matches := r.newTemp()
-	// The Scan stage writes the matching ids and, for a non-anchor table,
-	// reads them back for the climb.
-	var run store.Run
+	// The Scan stage claims the image reader and the matches writer: it
+	// writes the matching ids and, for a non-anchor table, reads them
+	// back for the climb.
+	claims := []ram.Claim{{Name: "image-reader", Min: 1, Want: 1}, {Name: "matches-writer", Min: 1, Want: 1}}
+	var matches *tempList
+	var sub sublist
 	var ids []uint32
-	err := r.stage(spanScan, nil, func(*ram.Reservation) error {
+	err := r.stage(spanScan, claims, func(*ram.Reservation) error {
+		matches = r.newTemp()
 		if err := matches.BeginRun(); err != nil {
 			return err
 		}
@@ -526,22 +543,17 @@ func (r *queryRun) scanFallback(g *mergeGroup, p query.Pred) error {
 		if err != nil {
 			return err
 		}
-		if run, err = matches.EndRun(); err != nil {
+		if sub, err = matches.sealRun(); err != nil || p.Table == r.q.Anchor {
 			return err
 		}
-		if err := matches.Seal(); err != nil {
-			return err
-		}
-		if p.Table != r.q.Anchor {
-			ids, err = matches.ReadAll(run)
-		}
+		ids, err = matches.ReadAll(sub.run)
 		return err
 	})
 	if err != nil {
 		return err
 	}
 	if p.Table == r.q.Anchor {
-		g.addRun(&matches.ListSegment, run)
+		g.addRun(&matches.ListSegment, sub.run)
 		return nil
 	}
 	// Climb per id through the id index (expensive, like Pre-Filter).

@@ -69,7 +69,7 @@ func TestTupleRunReductionMatchesReference(t *testing.T) {
 				t.Fatalf("%d buffers [%v/%v] %s: %d rows, want %d",
 					buffers, st.cfg.Strategy, st.cfg.Projector, st.sql, len(res.Rows), len(want))
 			}
-			if f.db.RAM.Leaked() {
+			if f.db.Leaked() {
 				t.Fatalf("%d buffers [%v/%v] %s: grants leaked", buffers, st.cfg.Strategy, st.cfg.Projector, st.sql)
 			}
 		}
@@ -94,7 +94,7 @@ func TestRAMBudgetSweep(t *testing.T) {
 			if !rowsEqual(res.Rows, want) {
 				t.Fatalf("%d buffers: %s: %d rows, want %d", buffers, sql, len(res.Rows), len(want))
 			}
-			if f.db.RAM.Leaked() {
+			if f.db.Leaked() {
 				t.Fatalf("%d buffers: %s: grants leaked", buffers, sql)
 			}
 			if f.db.RAM.HighWater() > f.db.RAM.Budget() {
@@ -129,7 +129,7 @@ func TestRAMBudgetSweepForcedStrategies(t *testing.T) {
 						t.Fatalf("%d buffers [%v/%v] %s: %d rows, want %d",
 							buffers, s, pj, sql, len(res.Rows), len(want))
 					}
-					if f.db.RAM.Leaked() {
+					if f.db.Leaked() {
 						t.Fatalf("%d buffers [%v/%v] %s: grants leaked", buffers, s, pj, sql)
 					}
 				}
@@ -160,7 +160,7 @@ func TestRAMBudgetBelowMinimumFailsCleanly(t *testing.T) {
 					t.Fatalf("%d buffers: %s: wrong answer under pressure", buffers, sql)
 				}
 			}
-			if f.db.RAM.Leaked() {
+			if f.db.Leaked() {
 				t.Fatalf("%d buffers: %s: grants leaked (err=%v)", buffers, sql, err)
 			}
 			if f.db.RAM.HighWater() > f.db.RAM.Budget() {

@@ -43,7 +43,7 @@ func TestPostSelectSeedRegression(t *testing.T) {
 	if !rowsEqual(res.Rows, want) {
 		t.Fatalf("seed %d [%v/%v]: %d rows vs %d\nsql: %s", seed, s, pj, len(res.Rows), len(want), sql)
 	}
-	if f.db.RAM.Leaked() {
+	if f.db.Leaked() {
 		t.Fatalf("seed %d: RAM grants leaked", seed)
 	}
 	checkNoLeak(t, f.db, sql)
@@ -59,7 +59,7 @@ func TestPostSelectSeedRegression(t *testing.T) {
 			if !rowsEqual(res.Rows, want) {
 				t.Fatalf("[%v/%v]: %d rows vs %d", fs, fp, len(res.Rows), len(want))
 			}
-			if f.db.RAM.Leaked() {
+			if f.db.Leaked() {
 				t.Fatalf("[%v/%v]: RAM grants leaked", fs, fp)
 			}
 		}

@@ -9,6 +9,8 @@ import (
 
 	"ghostdb/internal/flash"
 	"ghostdb/internal/obs"
+	"ghostdb/internal/ram"
+	"ghostdb/internal/sched"
 )
 
 // sessionSpans collects, depth first, the exec span of every session in
@@ -230,5 +232,47 @@ func TestEveryClientStatementBookedOnce(t *testing.T) {
 		if slo.InFlight != 0 {
 			t.Errorf("%s: %d statements still in flight", step.name, slo.InFlight)
 		}
+	}
+}
+
+// TestLeakedSeesSessionClaims: releasing a session makes the shared
+// budget whole even when an operator left a claim on the session's
+// private budget, so the shared budget alone cannot show such a leak.
+// db.Leaked must report it.
+func TestLeakedSeesSessionClaims(t *testing.T) {
+	f := newFixture(t, 7, map[string]int{"T0": 50, "T1": 20, "T2": 20, "T11": 10, "T12": 10})
+	s, err := f.db.admit(context.Background(), f.db.tokens[0], sched.Request{MinBuffers: 2, WantBuffers: 2}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.sess.RAM().Plan(ram.Claim{Name: "forgotten", Min: 1, Want: 1}); err != nil {
+		t.Fatal(err)
+	}
+	s.end()
+	if f.db.RAM.InUse() != 0 || f.db.RAM.Leaked() {
+		t.Fatalf("the shared budget holds %d bytes after the session ended", f.db.RAM.InUse())
+	}
+	if !f.db.Leaked() {
+		t.Fatal("db.Leaked() is false after a session ended holding a claim")
+	}
+}
+
+// TestStagesClaimTheirPages: every page buffer an operator borrows from
+// its token's free list backs a reader or writer of the running stage,
+// and that stage claims a RAM buffer for it, so at no borrow are more
+// pages lent than the session's budget has given out. Replays every
+// golden corpus at its grants.
+func TestStagesClaimTheirPages(t *testing.T) {
+	var over []string
+	lendHook = func(r *queryRun) {
+		if claimed := r.ram.InUse() / r.ram.BufferSize(); r.tok.lent > claimed {
+			over = append(over, fmt.Sprintf("[%v/%v] %s: %d pages lent, %d buffers claimed",
+				r.cfg.Strategy, r.cfg.Projector, r.q.SQL, r.tok.lent, claimed))
+		}
+	}
+	defer func() { lendHook = nil }()
+	recordGolden(t, nil)
+	if len(over) > 0 {
+		t.Fatalf("%d borrows beyond the claims, first: %s", len(over), over[0])
 	}
 }

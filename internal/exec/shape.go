@@ -51,9 +51,8 @@ type projSpec struct {
 	off map[int]int
 	// presence marks exact visible verification at projection time.
 	presence bool
-	// fixed is the MJoin's fixed readers and writer and minBatch its
-	// smallest batch staging area, in buffers.
-	fixed, minBatch int
+	// minBatch is the MJoin's smallest batch staging area, in buffers.
+	minBatch int
 }
 
 // uncrossed maps a Cross strategy to its plain counterpart, the strategy
@@ -110,7 +109,6 @@ func newShape(sch *schema.Schema, q *query.Query, strategies map[int]Strategy, b
 		s.tupleW = 4 + s.visW + s.hidW
 		s.off = rowLayout(t, s.visCols, s.hidCols)
 		s.minBatch = (s.tupleW + bufSize - 1) / bufSize
-		s.fixed = claimMin(s.mjoinClaims(0)) - s.minBatch
 	}
 	projTables := q.ProjTables()
 	for ti, s := range sh.specs {

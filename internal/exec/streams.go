@@ -83,9 +83,9 @@ type runStream struct {
 // for an id run), streaming through a page buffer borrowed from the
 // token's free list, or through the one s still holds (a reader re-opened
 // for each pass over a column); close returns it.
-func (s *runStream) open(tok *Token, sub sublist, width int) {
+func (s *runStream) open(r *queryRun, sub sublist, width int) {
 	if s.buf == nil {
-		s.tok, s.buf = tok, tok.pageBuf()
+		s.tok, s.buf = r.tok, r.lend()
 	}
 	sub.seg.InitRunReader(&s.rd, sub.run, width, s.buf)
 }

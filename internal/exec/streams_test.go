@@ -121,15 +121,14 @@ func TestUnionStreamRejectsUnsortedSource(t *testing.T) {
 
 // reduceRig is a queryRun with just what sublist reduction touches: a
 // token (flash device, RAM budget, link), a session budget of the same
-// size, a collector and the fan-in binding of that grant.
+// size and a collector.
 func reduceRig(buffers int) *queryRun {
 	dev := flash.MustDevice(flash.Params{PageSize: 2048, PagesPerBlock: 64, Blocks: 4096, ReserveBlocks: 4})
 	tok := &Token{Dev: dev, RAM: ram.NewManager(buffers*2048, 2048), Bus: bus.NewChannel(0)}
 	return &queryRun{
-		tok:  tok,
-		ram:  ram.NewManager(buffers*2048, 2048),
-		col:  metrics.NewCollector(dev, tok.Bus, metrics.DefaultModel()),
-		bind: &Binding{GrantBuffers: buffers, CrossFanIn: buffers - 1},
+		tok: tok,
+		ram: ram.NewManager(buffers*2048, 2048),
+		col: metrics.NewCollector(dev, tok.Bus, metrics.DefaultModel()),
 	}
 }
 
@@ -259,7 +258,7 @@ func TestReductionTakesKSmallestByCountThenArrivalProperty(t *testing.T) {
 		}
 		maxRuns := 1 + rng.Intn(4)
 		for pass := 0; set.len() > maxRuns; pass++ {
-			k, err := r.unionFanIn(set.len(), set.len()-maxRuns, r.bind.CrossFanIn)
+			k, err := r.unionFanIn(set.len(), set.len()-maxRuns)
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}

@@ -63,8 +63,9 @@ type Token struct {
 	// writers borrow and return (pageBuf / releasePageBuf). Touched only
 	// with the execution slot held, so it needs no lock; it never holds
 	// more than the RAM budget's buffer count, the most page buffers a
-	// session can have open at once.
+	// session can have open at once. lent counts the buffers out of it.
 	freePages [][]byte
+	lent      int
 
 	// paceOwed is the paced-mode balance (pace): real time the slot still
 	// owes the simulated cost or, when negative, what is left of the last
@@ -194,6 +195,7 @@ func (t *Token) deltaFor(table int) (*delta.Table, error) {
 //
 //ghostdb:requires-slot
 func (t *Token) pageBuf() []byte {
+	t.lent++
 	if n := len(t.freePages); n > 0 {
 		b := t.freePages[n-1]
 		t.freePages = t.freePages[:n-1]
@@ -207,6 +209,7 @@ func (t *Token) pageBuf() []byte {
 //
 //ghostdb:requires-slot
 func (t *Token) releasePageBuf(b []byte) {
+	t.lent--
 	if len(t.freePages) < t.RAM.Buffers() {
 		t.freePages = append(t.freePages, b)
 	}
@@ -324,12 +327,13 @@ func (t *Token) Compactions() uint64 {
 	return t.compactions
 }
 
-// Leaked reports whether any token's shared RAM budget was released
-// with outstanding grants (an operator bookkeeping bug, surfaced for
-// the benchmark and tests).
+// Leaked reports whether any token's RAM bookkeeping went wrong (an
+// operator bug, surfaced for the benchmark and tests): grants still
+// outstanding on its shared budget, or a session released while its
+// private budget, which the operators claim from, still held claims.
 func (db *DB) Leaked() bool {
 	for _, t := range db.tokens {
-		if t.RAM.Leaked() {
+		if t.RAM.Leaked() || t.sched.Leaks() != 0 {
 			return true
 		}
 	}

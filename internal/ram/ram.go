@@ -6,25 +6,29 @@
 //
 // # Reservation protocol
 //
-// Operators never compute "what is left" with Available() arithmetic —
-// that pattern races against grants held by other pipeline stages and
-// turns a small budget into a hard error. Instead they declare needs and
-// receive what the budget can actually give:
-//
-//   - ReserveBuffers(min, want) grants the largest feasible allocation
-//     in [min, want] buffers. An operator sizes its chunking (staging
-//     area, batch capacity) from the grant it received and runs more
-//     passes when min is all it gets. ReserveBuffers fails (wrapping
-//     ErrExhausted) only when even min does not fit.
+// Operators declare their needs and receive what the budget can
+// actually give, instead of computing "what is left" and racing the
+// grants other pipeline stages hold:
 //
 //   - Plan(claims...) admits a set of named sub-reservations atomically:
-//     every pipeline stage (QEPSJ stream, merge writer, post-select
-//     staging, ...) declares its buffer needs up front as a Claim
-//     {Name, Min, Want}. Either every claim gets at least Min buffers or
-//     the whole plan fails with ErrExhausted; leftover budget then tops
-//     claims up toward Want in declaration order. Stages read their
-//     actual allotment with Reservation.Buffers(name) and the operator
-//     releases the whole pipeline with one Reservation.Release().
+//     every operator stage (a merge's streams and spill writer, a
+//     post-select's staging chunk, reader and writer, ...) declares its
+//     buffer needs up front as a Claim {Name, Min, Want}. Either every
+//     claim gets at least Min buffers or the whole plan fails with
+//     ErrExhausted; leftover budget then tops claims up toward Want in
+//     declaration order, so a claim that wants all its data gets what the
+//     other claims leave. Stages read their allotment with
+//     Reservation.Buffers(name) and release it with one
+//     Reservation.Release().
+//
+//   - ReserveBuffers(min, want) grants the largest feasible allocation
+//     in [min, want] buffers (internal/sched sizes each session's grant
+//     with it), and Alloc a byte count (a Bloom filter's).
+//
+// Two kinds of operator read Available() and size themselves from it:
+// the sublist reductions, which union runs until the set fits the
+// stream buffers left free, and the Bloom filters (Post-Filter, σVH),
+// which take a budget of what their stage leaves.
 //
 // # Concurrency
 //
@@ -38,35 +42,18 @@
 //
 // # Per-operator minimums
 //
-// With the reservation protocol the executor's operators degrade to
-// multi-pass variants instead of erroring; each needs only a small fixed
-// number of free buffers to make progress (its plan minimum):
+// The executor's operators degrade to multi-pass variants instead of
+// erroring, so each needs only a small fixed number of free buffers to
+// make progress. Those minimums are the Min of each stage's claims; the
+// planner sums them into the admission floor from the same query shape
+// the operators claim from (internal/exec shape.go and Footprint). The
+// Bloom filters are pure optimizations: when no RAM is left for a
+// useful filter the operator proceeds unfiltered instead of failing.
 //
-//   - Merge sublist reduction: 3 buffers (2 input streams + 1 spill
-//     writer); each reduction pass unions as many sublists as fit.
-//   - QEPSJ pipeline (Merge→SJoin→ProbeBF→Store): 1 writer per stored
-//     column + 1 anchor writer + 1 SKT reader, reserved up front so the
-//     merge reduction above never eats them.
-//   - Post-select: 3 buffers (1 id-staging chunk + 1 column reader + 1
-//     position writer); a smaller staging grant only means the result
-//     column is re-scanned more times (Figure 11's cost model).
-//   - Column sort (σVH without visible data): 3 buffers (1 sort chunk +
-//     1 reader + 1 writer); small chunks produce more runs, which are
-//     consolidated by multi-pass unions.
-//   - MJoin: 1 buffer per open reader/writer (σVH reader, spool cursor,
-//     hidden-image reader, QEPSJ column reader, output writer — only
-//     those the table shape needs) + 1 batch buffer; a minimal batch
-//     grant only means more passes over the QEPSJ column.
-//   - Final join: 1 buffer per fixed reader (anchor column, anchor spool,
-//     anchor hidden image, one per projected id column) + 1 tuple-cursor
-//     buffer per joined table; MJoin batch runs are consolidated first so
-//     one cursor buffer per table always suffices.
-//   - Bloom filters (Post-Filter, σVH) are pure optimizations: when no
-//     RAM is left for a useful filter the operator proceeds unfiltered
-//     instead of failing.
-//
-// Tests assert Manager.Leaked() after every query to catch operators that
-// forget to release grants on error paths.
+// Tests assert the engine's DB.Leaked() after every query to catch
+// operators that forget to release grants on error paths: it reads
+// Manager.Leaked() on each shared budget and the scheduler's count of
+// sessions released while their private budget still held claims.
 package ram
 
 import (

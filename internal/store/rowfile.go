@@ -176,8 +176,8 @@ func (f *RowFile) NewSeqReader() *SeqReader {
 // while the next ones are already in untrusted-of-the-FTL staging RAM.
 // Each staging buffer must hold a full flash page, and the buffers must
 // be accounted against the session's RAM grant by the caller. The
-// window depth MUST be a constant or grant-derived (a Binding field) —
-// never a function of hidden match counts — which the prefetchdepth
+// window depth MUST be a constant — never a function of hidden match
+// counts — which the prefetchdepth
 // leaklint check enforces at every call site; depth is clamped to
 // len(staging). Counter parity with the plain scan is exact by
 // construction: the batched request charges precisely what the per-page
