@@ -2,7 +2,6 @@ package exec
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -11,15 +10,23 @@ import (
 	"ghostdb/internal/metrics"
 	"ghostdb/internal/obs"
 	"ghostdb/internal/query"
+	"ghostdb/internal/ram"
 	"ghostdb/internal/sched"
 	"ghostdb/internal/schema"
 	"ghostdb/internal/store"
 )
 
-// This file is the DML write path: UPDATE and DELETE run as minimal
-// sessions on the token owning the target table, stage their secure-side
-// effects in the table's delta log (internal/delta) and, when the log
-// grows past the threshold, hand the accumulated deltas to a background
+// This file is the DML write path: an UPDATE or DELETE is a query. Its
+// WHERE clause is planned by PlanQuery as the one-table query
+// `SELECT T.id FROM T WHERE …` (whereQuery; anchor = the target table,
+// never the visible-only fast path) and runs through runSelectOn's
+// session and the SELECT's stages: Delta refresh, Vis, CI or Scan as
+// staleIndex decides, then the Merge with its id-predicate clip and
+// tombstone filter. Only the Merge's consumer differs: instead of the
+// store pipeline, the ascending matched ids feed one write stage
+// (writeRows) that stages the statement's secure-side effects in the
+// table's delta log (internal/delta) and commits them. When the log
+// grows past the threshold, the accumulated deltas go to a background
 // compaction that rebuilds the token's base images and indexes.
 //
 // The division of labor mirrors the read path's trust boundary:
@@ -33,39 +40,22 @@ import (
 //     page-aligned log append volume.
 //   - UPDATE of visible columns is applied in place by the untrusted
 //     engine — legal only because the resolver guarantees the matched
-//     set derives from public data (visible or id predicates).
+//     set derives from public data (visible or id predicates). With no
+//     hidden predicate the Merge is the clipped id sequence or the Vis
+//     stream, so such an UPDATE touches no token flash.
+//
+// One consequence: on a clean table a hidden-predicate DML costs what
+// the SELECT of its WHERE costs (the climbing index serves it, and the
+// Merge reduces its sublists within the DML's floor grant), so its flash
+// traffic depends on how many rows match, exactly as that SELECT's
+// already does. Only a dirty table (live upserts make its indexes stale)
+// still pays the data-independent full-image Scan.
 
 // compactFloor is the RAM floor of a compaction session: one buffer for
 // the sequential base-image/SKT reads, one for the row being folded, one
 // for the rebuild append path. Like every admission floor it is a
 // constant — never a function of hidden state.
 const compactFloor = 3
-
-// planDML sizes the admission request of an UPDATE/DELETE. The floor is
-// derived from the statement's public shape only: a statement with
-// secure-side work (a delete, a hidden SET or a hidden predicate scan)
-// needs the scan + staging + delta-append buffers; a visible-only UPDATE
-// runs entirely in the untrusted store and needs a single buffer.
-func (db *DB) planDML(d *query.DML) (*Plan, error) {
-	if !db.loaded {
-		return nil, errors.New("exec: database not loaded")
-	}
-	tok := db.TokenOf(d.Table)
-	min := 1
-	if d.Delete || d.HiddenSets() || d.HiddenAttrPreds() {
-		min = 3
-	}
-	return &Plan{
-		SQL:          d.Canonical(),
-		DML:          true,
-		MinBuffers:   min,
-		WantBuffers:  min,
-		TotalBuffers: tok.RAM.Buffers(),
-		BufferBytes:  tok.RAM.BufferSize(),
-		Shard:        tok.id,
-		tok:          tok,
-	}, nil
-}
 
 // spanDML / spanCompact name the cost spans covering the write path's
 // secure-side work, mirroring the read path's per-operator spans.
@@ -74,188 +64,131 @@ const (
 	spanCompact = "Compact"
 )
 
-// runDML executes an UPDATE/DELETE as a metered session on the token
-// owning the target table: FIFO admission sized from the plan floor, then
-// exclusive use of the token while the statement stages and commits. The
-// result carries the affected-row count plus the statement's Stats, and
-// the session gets the same trace spans, token totals, slow-log entry
-// (kind-tagged UPDATE/DELETE) and pacing a SELECT gets.
-func (db *DB) runDML(ctx context.Context, d *query.DML, plan *Plan, cfg QueryConfig) (*Result, error) {
-	s, err := db.admit(ctx, plan.tok, sched.Request{
-		MinBuffers: plan.MinBuffers, WantBuffers: plan.WantBuffers}, cfg.traceParent())
-	if err != nil {
-		return nil, err
+// whereQuery is a DML's WHERE clause as the one-table query
+// SELECT T.id FROM T WHERE …, carrying the statement's canonical text as
+// its SQL: the text the session uploads, EXPLAIN and the slow log show.
+func whereQuery(d *query.DML) *query.Query {
+	return &query.Query{
+		SQL:         d.Canonical(),
+		Tables:      []int{d.Table},
+		Anchor:      d.Table,
+		Preds:       d.Preds,
+		Projections: []query.Proj{{Table: d.Table, ColIdx: query.IDCol}},
 	}
-	defer s.end()
-	var affected int
-	var st Stats
-	err = s.sess.Exclusive(ctx, func() error {
-		g, err := s.sess.RAM().AllocBuffers(plan.MinBuffers)
-		if err != nil {
-			return err
-		}
-		defer g.Release()
-		st, err = s.meter(plan.SQL, func(col *metrics.Collector) error {
-			return col.Span(spanDML, func() error {
-				n, err := db.dmlOn(plan.tok, d)
-				affected = n
-				return err
-			})
-		})
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	db.maybeCompact(plan.tok)
-	return &Result{
-		Columns: []string{"affected"},
-		Rows:    []schema.Row{{schema.IntVal(int64(affected))}},
-		Stats:   st,
-	}, nil
 }
 
-// dmlOn stages and commits one UPDATE/DELETE against its token. The
-// matched set is the intersection of three independently-derived id
-// sets — the untrusted engine's visible selection (metered over the
-// bus), an overlay-corrected sequential scan of the hidden image for
-// hidden attribute predicates, and pure id arithmetic — minus the
-// tombstoned ids.
-//
-//ghostdb:requires-slot
-func (db *DB) dmlOn(tok *Token, d *query.DML) (int, error) {
-	t := db.Sch.Tables[d.Table]
-	rows := tok.rows[d.Table]
+// writeClaims is a DML write stage's claims, a function of the
+// statement's public shape only: the page a hidden SET's read-modify-
+// write reads hidden rows through, and the delta-append page of a
+// statement with secure-side work (a DELETE or a hidden SET). A
+// visible-only UPDATE claims nothing: the untrusted store applies it.
+func writeClaims(d *query.DML) []ram.Claim {
+	var claims []ram.Claim
+	if d.HiddenSets() {
+		claims = append(claims, ram.Claim{Name: "row-reader", Min: 1, Want: 1})
+	}
+	if d.Delete || d.HiddenSets() {
+		claims = append(claims, ram.Claim{Name: "delta-append", Min: 1, Want: 1})
+	}
+	return claims
+}
 
+// writeRows is a DML's write stage, the consumer of its Merge: it pulls
+// the matched ids in ascending order a batch at a time (under the Merge
+// span, as joinAndStore does) and, under the DML span, stages a
+// tombstone per id (DELETE) or a read-modify-write upsert through one
+// SortedReader (hidden SET), and keeps the ids a visible SET hands to
+// the untrusted store. Then it commits the statement's batch, padded to
+// whole pages; resN counts the affected rows. Its claims
+// (writeClaims) are taken with the Merge stage's, after a reduction that
+// leaves them room.
+func (r *queryRun) writeRows(d *query.DML, merged idStream) error {
+	tok := r.tok
+	img := tok.Hidden[d.Table]
 	// DELETEs and hidden SETs stage secure-side work; a visible-only
 	// UPDATE must not touch the token's flash (it would charge secure
 	// write cost for untrusted-side work).
 	secure := d.Delete || d.HiddenSets()
 	var dl *delta.Table
-	var err error
+	var srd *store.SortedReader
+	var rec []byte
 	if secure {
-		dl, err = tok.deltaFor(d.Table)
-		if err != nil {
-			return 0, err
-		}
-	} else {
-		dl = tok.deltaOf(d.Table)
-	}
-	// Rebuild the merge view by replaying the existing log — the read
-	// amplification every delta-touching statement pays (a sequential,
-	// data-independent scan charged to this session).
-	if dl != nil && dl.Depth() > 0 {
-		if err := dl.Refresh(); err != nil {
-			return 0, err
+		var err error
+		if dl, err = tok.deltaFor(d.Table); err != nil {
+			return err
 		}
 	}
-
-	var visPreds, hidPreds []query.Pred
-	var idFilters []func(uint32) bool
-	for _, p := range d.Preds {
-		switch {
-		case p.ColIdx == query.IDCol:
-			idFilters = append(idFilters, idPredFilter(p))
-		case p.Hidden:
-			hidPreds = append(hidPreds, p)
-		default:
-			visPreds = append(visPreds, p)
-		}
-	}
-
-	var visSet map[uint32]bool
-	if len(visPreds) > 0 {
-		vr, err := tok.Untr.Vis(d.Table, visPreds, nil)
-		if err != nil {
-			return 0, err
-		}
-		visSet = make(map[uint32]bool, len(vr.IDs))
-		for _, id := range vr.IDs {
-			visSet[id] = true
-		}
-	}
-
-	img := tok.Hidden[d.Table]
-	var hidSet map[uint32]bool
-	if len(hidPreds) > 0 {
+	if d.HiddenSets() {
 		if img == nil {
-			return 0, fmt.Errorf("exec: hidden predicate on %s without a hidden image", t.Name)
+			return fmt.Errorf("exec: hidden SET on %s without a hidden image", r.db.Sch.Tables[d.Table].Name)
 		}
-		// Full overlay-corrected scan: climbing indexes are not usable
-		// here — their entries go stale the moment an upsert changes a
-		// key, and the scan's cost is data-independent anyway.
-		hidSet = make(map[uint32]bool)
-		err := img.scan(dl, func(id uint32, rec []byte) error {
-			for _, p := range hidPreds {
-				v, err := img.Codec.DecodeColumn(rec, img.ColPos[p.ColIdx])
-				if err != nil || !matchValue(p, v) {
+		srd = img.File.NewSortedReader()
+		rec = make([]byte, img.Codec.Width())
+	}
+	// write stages one id: its tombstone, or its hidden row with the SET
+	// values encoded in, read from the overlay when upserted before.
+	write := func(id uint32) error {
+		if d.Delete {
+			return dl.StageTombstone(id)
+		}
+		if ov, ok := dl.Lookup(id); ok {
+			copy(rec, ov)
+		} else if err := srd.Read(id, rec); err != nil {
+			return err
+		}
+		for _, s := range d.Sets {
+			if !s.Hidden {
+				continue
+			}
+			o, w := img.Codec.ColumnRange(img.ColPos[s.ColIdx])
+			if err := schema.EncodeValue(rec[o:o+w], s.Val); err != nil {
+				return err
+			}
+		}
+		return dl.StageUpsert(id, rec)
+	}
+
+	batch := make([]uint32, max(r.ram.BufferSize()/store.IDBytes, 16))
+	var visIDs []uint32 // the ids a visible SET hands the untrusted store
+	for {
+		k := 0
+		err := r.stage(spanMerge, nil, func(*ram.Reservation) error {
+			for k < len(batch) {
+				v, ok, err := merged.next()
+				if err != nil || !ok {
 					return err
 				}
+				batch[k] = v
+				k++
 			}
-			hidSet[id] = true
 			return nil
 		})
 		if err != nil {
-			return 0, err
+			return err
+		}
+		if k == 0 {
+			break
+		}
+		r.resN += k
+		if d.VisibleSets() {
+			visIDs = append(visIDs, batch[:k]...)
+		}
+		if !secure {
+			continue
+		}
+		err = r.stage(spanDML, nil, func(*ram.Reservation) error {
+			for _, id := range batch[:k] {
+				if err := write(id); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			return err
 		}
 	}
-
-	var matched []uint32
-	for id := uint32(0); int(id) < rows; id++ {
-		if dl != nil && dl.Dead(id) {
-			continue
-		}
-		if visSet != nil && !visSet[id] {
-			continue
-		}
-		if hidSet != nil && !hidSet[id] {
-			continue
-		}
-		keep := true
-		for _, f := range idFilters {
-			if !f(id) {
-				keep = false
-				break
-			}
-		}
-		if keep {
-			matched = append(matched, id)
-		}
-	}
-
-	if d.Delete {
-		for _, id := range matched {
-			if err := dl.StageTombstone(id); err != nil {
-				return 0, err
-			}
-		}
-	} else {
-		if d.HiddenSets() {
-			if img == nil {
-				return 0, fmt.Errorf("exec: hidden SET on %s without a hidden image", t.Name)
-			}
-			srd := img.File.NewSortedReader()
-			rec := make([]byte, img.Codec.Width())
-			for _, id := range matched { // ascending, as SortedReader requires
-				if ov, ok := dl.Lookup(id); ok {
-					copy(rec, ov)
-				} else if err := srd.Read(id, rec); err != nil {
-					return 0, err
-				}
-				for _, s := range d.Sets {
-					if !s.Hidden {
-						continue
-					}
-					o, w := img.Codec.ColumnRange(img.ColPos[s.ColIdx])
-					if err := schema.EncodeValue(rec[o:o+w], s.Val); err != nil {
-						return 0, err
-					}
-				}
-				if err := dl.StageUpsert(id, rec); err != nil {
-					return 0, err
-				}
-			}
-		}
+	return r.stage(spanDML, nil, func(*ram.Reservation) error {
 		// Visible SETs go to the untrusted store in place. The resolver
 		// guarantees the matched set derives from visible or id
 		// predicates only, so handing it over reveals nothing the spy
@@ -265,25 +198,24 @@ func (db *DB) dmlOn(tok *Token, d *query.DML) (int, error) {
 			if s.Hidden {
 				continue
 			}
-			if err := tok.Untr.UpdateRows(d.Table, s.ColIdx, matched, s.Val); err != nil {
-				return 0, err
+			if err := tok.Untr.UpdateRows(d.Table, s.ColIdx, visIDs, s.Val); err != nil {
+				return err
 			}
 		}
-	}
-	if secure {
 		// Page-aligned commit: the statement's flash write volume is a
 		// whole number of pages, at least one, even when nothing matched.
-		if err := dl.Commit(); err != nil {
-			return 0, err
+		if secure {
+			if err := dl.Commit(); err != nil {
+				return err
+			}
 		}
-	}
-
-	tok.mu.Lock()
-	tok.dmlCount++
-	tok.mu.Unlock()
-	tok.syncDeltaMirror()
-	db.committed(tok)
-	return len(matched), nil
+		tok.mu.Lock()
+		tok.dmlCount++
+		tok.mu.Unlock()
+		tok.syncDeltaMirror()
+		r.db.committed(tok)
+		return nil
+	})
 }
 
 // maybeCompact starts a background compaction of the token when its

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"ghostdb/internal/flash"
+	"ghostdb/internal/metrics"
 	"ghostdb/internal/query"
 	"ghostdb/internal/sqlparse"
 )
@@ -106,10 +107,21 @@ func randomDML(rng *rand.Rand, cards map[string]int) string {
 // TestRandomDMLMatchesReference interleaves random UPDATE/DELETE
 // statements with random SELECTs, requiring reference-equal answers
 // throughout, then compacts every token and requires the same answers
-// again from the rebuilt base images.
+// again from the rebuilt base images. It runs at the 7-buffer floor of
+// the mix, where the Merge feeding a DML's write stage reduces its
+// sublists, and at the paper's 32 buffers.
 func TestRandomDMLMatchesReference(t *testing.T) {
+	for _, buffers := range []int{minViableBuffers, 32} {
+		t.Run(fmt.Sprintf("%d-buffers", buffers), func(t *testing.T) { randomDMLMatchesReference(t, buffers) })
+	}
+}
+
+func randomDMLMatchesReference(t *testing.T, buffers int) {
 	cards := map[string]int{"T0": 900, "T1": 140, "T2": 110, "T11": 40, "T12": 40}
-	f := newFixture(t, 97, cards)
+	f := newFixtureOpts(t, 97, cards, Options{
+		RAMBudget:   buffers * 2048,
+		FlashParams: flash.Params{PageSize: 2048, PagesPerBlock: 16, Blocks: 8192, ReserveBlocks: 4},
+	})
 	rng := rand.New(rand.NewSource(41))
 
 	var lastChecks []string
@@ -338,7 +350,11 @@ func TestBackgroundCompactionUnderConcurrentDML(t *testing.T) {
 	}
 }
 
-// TestExplainDML renders a DML plan without executing it.
+// TestExplainDML renders a DML plan without executing it: the plan of
+// its WHERE clause, with the hidden predicate's route and the footprint
+// and admission lines a SELECT's EXPLAIN prints. Every DML plan of the
+// writes corpus asks for exactly its floor, which fits the mix's
+// 7-buffer minimum.
 func TestExplainDML(t *testing.T) {
 	f := newFixture(t, 9, map[string]int{"T0": 50, "T1": 20, "T2": 20, "T11": 10, "T12": 10})
 	stmt, err := f.db.Prepare("DELETE FROM T1 WHERE T1.h1 = '0000000004'", QueryConfig{})
@@ -346,10 +362,92 @@ func TestExplainDML(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := stmt.Plan().Explain()
-	if !strings.Contains(out, "delete from") {
-		t.Fatalf("DML explain missing canonical text:\n%s", out)
+	for _, want := range []string{"delete from", "anchor: T1", "via CI",
+		"footprint (buffers): QEPSJ 3 (merge 3, then write stage 1 + a stream per merge group)",
+		"admission: min 3 of 32 buffers (2048 B each), want 3"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("DML explain missing %q:\n%s", want, out)
+		}
 	}
 	if f.db.Totals().Queries != 0 {
 		t.Fatal("EXPLAIN executed the statement")
+	}
+	for _, st := range goldenWrites() {
+		if !strings.HasPrefix(st.sql, "UPDATE") && !strings.HasPrefix(st.sql, "DELETE") {
+			continue
+		}
+		stmt, err := f.db.Prepare(st.sql, QueryConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p := stmt.Plan(); p.MinBuffers > minViableBuffers || p.WantBuffers != p.MinBuffers {
+			t.Errorf("%s: admission min %d, want %d", st.sql, p.MinBuffers, p.WantBuffers)
+		}
+	}
+}
+
+// TestDMLFindsRowsAsItsSelect: an UPDATE's WHERE runs the stages of the
+// SELECT of its WHERE. While an upsert leaves T0's indexes stale the
+// hidden predicate takes the Scan stage; right after a compaction the
+// index serves it, reading the same CI pages as the SELECT, and the
+// whole UPDATE reads fewer pages than the hidden image it used to scan.
+func TestDMLFindsRowsAsItsSelect(t *testing.T) {
+	f := newFixture(t, 97, writesCards())
+	t0, _ := f.sch.Lookup("T0")
+	where := "T0.h2 < '0000000003'"
+	run := func(sql string) *Result {
+		t.Helper()
+		res, err := f.db.Run(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		return res
+	}
+	op := func(res *Result, name string) (metrics.Sample, bool) {
+		for _, o := range res.Stats.Ops {
+			if o.Name == name {
+				return o.Sample, true
+			}
+		}
+		return metrics.Sample{}, false
+	}
+
+	f.applyDML(t, "UPDATE T0 SET h3 = '0000000001' WHERE T0.id <= 3")
+	sql := "UPDATE T0 SET h1 = '0000000007' WHERE " + where
+	stale := run(sql)
+	if got, want := stale.Rows[0][0].I, f.refDML(t, sql); int(got) != want {
+		t.Fatalf("UPDATE on the dirty table affected %d rows, reference %d", got, want)
+	}
+	if _, ci := op(stale, spanCI); ci {
+		t.Fatal("an UPDATE on a table with live upserts took the stale index")
+	}
+	if _, scan := op(stale, spanScan); !scan {
+		t.Fatal("an UPDATE on a table with live upserts did not scan")
+	}
+
+	if err := f.db.Compact(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	sel := run("SELECT T0.id FROM T0 WHERE " + where)
+	if n := len(sel.Rows); n == 0 || n*50 > f.db.Rows(t0.Index) {
+		t.Fatalf("the SELECT matches %d of %d rows, want 1 to 2%%", n, f.db.Rows(t0.Index))
+	}
+	f.checkQuery(t, "SELECT T0.id FROM T0 WHERE "+where, "after compaction")
+	sql = "UPDATE T0 SET h1 = '0000000008' WHERE " + where
+	upd := run(sql)
+	if got, want := upd.Rows[0][0].I, f.refDML(t, sql); int(got) != want || int(got) != len(sel.Rows) {
+		t.Fatalf("UPDATE affected %d rows, reference %d, its SELECT %d", got, want, len(sel.Rows))
+	}
+	selCI, ok := op(sel, spanCI)
+	if !ok {
+		t.Fatal("the SELECT has no CI operator")
+	}
+	if updCI, ok := op(upd, spanCI); !ok || updCI != selCI {
+		t.Fatalf("UPDATE's CI sample %+v (present %v), its SELECT's %+v", updCI, ok, selCI)
+	}
+	reads, image := upd.Stats.Flash.PageReads, f.db.Hidden[t0.Index].File.Pages()
+	t.Logf("UPDATE of %d rows read %d pages (CI %d); the hidden image holds %d", len(sel.Rows), reads, selCI.Flash.PageReads, image)
+	if reads >= uint64(image) {
+		t.Fatalf("UPDATE read %d pages, the hidden image holds %d", reads, image)
 	}
 }

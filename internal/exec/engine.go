@@ -770,7 +770,7 @@ func (db *DB) Run(sql string) (*Result, error) {
 // configuration it was prepared under.
 type Stmt struct {
 	db   *DB
-	sel  *query.Query // nil for INSERT/UPDATE/DELETE
+	sel  *query.Query // nil for INSERT; an UPDATE/DELETE's WHERE (whereQuery)
 	ins  *sqlparse.Insert
 	dml  *query.DML // resolved UPDATE/DELETE
 	cfg  QueryConfig
@@ -810,7 +810,7 @@ func (db *DB) prepare(sql string, cfg QueryConfig, planSelect bool) (*Stmt, erro
 		}
 		ps := &Stmt{db: db, sel: q, cfg: cfg}
 		if planSelect {
-			if ps.plan, err = db.planSelect(q, cfg); err != nil {
+			if ps.plan, err = db.planSelect(q, cfg, nil); err != nil {
 				return nil, err
 			}
 		}
@@ -822,40 +822,35 @@ func (db *DB) prepare(sql string, cfg QueryConfig, planSelect bool) (*Stmt, erro
 		}
 		ins := st
 		return &Stmt{db: db, ins: &ins, cfg: cfg, plan: p}, nil
-	case *sqlparse.Update:
+	case *sqlparse.Update, *sqlparse.Delete:
 		resolveSp := cfg.Trace.Root().Start("resolve")
-		d, err := query.ResolveUpdate(db.Sch, st, sql)
+		var d *query.DML
+		if upd, ok := st.(*sqlparse.Update); ok {
+			d, err = query.ResolveUpdate(db.Sch, upd, sql)
+		} else {
+			d, err = query.ResolveDelete(db.Sch, st.(*sqlparse.Delete), sql)
+		}
 		resolveSp.End()
 		if err != nil {
 			return nil, err
 		}
-		p, err := db.planDML(d)
+		q := whereQuery(d)
+		p, err := db.planSelect(q, cfg, d)
 		if err != nil {
 			return nil, err
 		}
-		return &Stmt{db: db, dml: d, cfg: cfg, plan: p}, nil
-	case *sqlparse.Delete:
-		resolveSp := cfg.Trace.Root().Start("resolve")
-		d, err := query.ResolveDelete(db.Sch, st, sql)
-		resolveSp.End()
-		if err != nil {
-			return nil, err
-		}
-		p, err := db.planDML(d)
-		if err != nil {
-			return nil, err
-		}
-		return &Stmt{db: db, dml: d, cfg: cfg, plan: p}, nil
+		return &Stmt{db: db, sel: q, dml: d, cfg: cfg, plan: p}, nil
 	case sqlparse.CreateTable:
 		return nil, errors.New("exec: schema is fixed at load time; CREATE TABLE goes through ghostdb.Create")
 	}
 	return nil, fmt.Errorf("exec: unsupported statement %T", stmt)
 }
 
-// planSelect plans a resolved SELECT under a "plan" span.
-func (db *DB) planSelect(q *query.Query, cfg QueryConfig) (*Plan, error) {
+// planSelect plans a resolved SELECT, or the WHERE clause of the
+// UPDATE/DELETE d, under a "plan" span.
+func (db *DB) planSelect(q *query.Query, cfg QueryConfig, d *query.DML) (*Plan, error) {
 	sp := cfg.Trace.Root().Start("plan")
-	p, err := db.PlanQuery(q, cfg)
+	p, err := db.planQuery(q, cfg, d)
 	sp.End()
 	return p, err
 }
@@ -923,7 +918,9 @@ func (s *Stmt) run(ctx context.Context, cfg QueryConfig) (*Result, error) {
 		if s.dml.Delete {
 			kind = "DELETE"
 		}
-		res, err = db.runDML(ctx, s.dml, s.plan, cfg)
+		if res, err = db.runSelectOn(ctx, s.sel, s.plan, cfg); err == nil {
+			db.maybeCompact(s.plan.tok)
+		}
 	default:
 		res, err = s.runSelect(ctx, cfg)
 	}
@@ -941,7 +938,7 @@ func (s *Stmt) run(ctx context.Context, cfg QueryConfig) (*Result, error) {
 // canonical form, else what its plan carries (a DML statement's
 // canonical form, an INSERT's target table).
 func (s *Stmt) canonical() string {
-	if s.sel != nil {
+	if s.sel != nil && s.dml == nil {
 		return s.sel.Canonical()
 	}
 	return s.plan.SQL
@@ -971,7 +968,7 @@ func (s *Stmt) runSelect(ctx context.Context, cfg QueryConfig) (*Result, error) 
 func (db *DB) execSelect(ctx context.Context, q *query.Query, plan *Plan, cfg QueryConfig) (*Result, error) {
 	if plan == nil {
 		var err error
-		if plan, err = db.planSelect(q, cfg); err != nil {
+		if plan, err = db.planSelect(q, cfg, nil); err != nil {
 			return nil, err
 		}
 	}
@@ -1015,8 +1012,13 @@ func (db *DB) runInsert(ctx context.Context, ins sqlparse.Insert, plan *Plan, cf
 
 // sessionRequest derives the admission request from the plan floor and
 // the per-query configuration. cfg can raise the floor or cap the want,
-// but never push the grant below what the plan needs to finish.
+// but never push the grant below what the plan needs to finish. An
+// UPDATE/DELETE asks for exactly its plan's floor whatever cfg says
+// (planQuery).
 func (db *DB) sessionRequest(plan *Plan, cfg QueryConfig) sched.Request {
+	if plan.DML {
+		return sched.Request{MinBuffers: plan.MinBuffers, WantBuffers: plan.WantBuffers}
+	}
 	min := plan.MinBuffers
 	if cfg.MinBuffers > min {
 		min = cfg.MinBuffers
@@ -1032,7 +1034,9 @@ func (db *DB) sessionRequest(plan *Plan, cfg QueryConfig) sched.Request {
 }
 
 // runSelectOn runs one single-token plan as a session on its token
-// (whose totals meter books); the client totals are Stmt.run's.
+// (whose totals meter books); the client totals are Stmt.run's. It is
+// also the session step of an UPDATE/DELETE, whose plan is the query of
+// its WHERE clause and whose result is the affected-row count.
 func (db *DB) runSelectOn(ctx context.Context, q *query.Query, plan *Plan, cfg QueryConfig) (*Result, error) {
 	s, err := db.admit(ctx, plan.tok, db.sessionRequest(plan, cfg), cfg.traceParent())
 	if err != nil {

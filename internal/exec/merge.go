@@ -15,15 +15,16 @@ import (
 // open, the smallest sublists of the largest group are pre-unioned into
 // a single sublist spilled to flash, repeatedly, until everything fits.
 // Downstream pipeline stages (SKT reader, column writers) hold their own
-// reservations, so whatever AvailableBuffers reports really is the
-// Merge's to spend. Needs 3 free buffers (2 streams + 1 spill writer) to
-// make progress when reduction is required.
-func (r *queryRun) reduceGroups(groups []*mergeGroup) error {
+// reservations, so whatever AvailableBuffers reports, less the keep
+// buffers the Merge's consumer claims in the Merge stage itself (a DML's
+// write stage), is the Merge's to spend. Needs 3 free buffers (2 streams
+// + 1 spill writer) to make progress when reduction is required.
+func (r *queryRun) reduceGroups(groups []*mergeGroup, keep int) error {
 	totalRuns := 0
 	for _, g := range groups {
 		totalRuns += g.runs.len()
 	}
-	for totalRuns > r.ram.AvailableBuffers() {
+	for totalRuns > r.ram.AvailableBuffers()-keep {
 		// Largest group first.
 		g := groups[0]
 		for _, cand := range groups[1:] {
@@ -37,7 +38,7 @@ func (r *queryRun) reduceGroups(groups []*mergeGroup) error {
 		}
 		// Union the k smallest sublists ("the smallest sublists of each
 		// list are the best candidates for reduction").
-		k, err := r.unionFanIn(g.runs.len(), totalRuns-r.ram.AvailableBuffers())
+		k, err := r.unionFanIn(g.runs.len(), totalRuns-(r.ram.AvailableBuffers()-keep))
 		if err != nil {
 			return err
 		}

@@ -117,9 +117,18 @@ func TestOperatorSpansPinned(t *testing.T) {
 // simulated times to its SimTime (within the 1 ns per operator that
 // rounding each one to whole nanoseconds can lose). It covers every
 // metered statement of every ledger section and grant, compactions
-// included.
+// included. The writes corpus's UPDATE/DELETE statements are among them,
+// each with its WHERE's stages beside its write stage.
 func TestOpsConserveCounters(t *testing.T) {
+	dml := 0
 	recordGolden(t, func(corpus string, buffers int, sql string, st Stats) {
+		if strings.HasPrefix(sql, "UPDATE") || strings.HasPrefix(sql, "DELETE") {
+			if !slices.ContainsFunc(st.Ops, func(op metrics.Op) bool { return op.Name == spanDML }) ||
+				!slices.ContainsFunc(st.Ops, func(op metrics.Op) bool { return op.Name == spanMerge }) {
+				t.Errorf("%s @%d %s: operators %v lack the Merge or the write stage", corpus, buffers, sql, operatorSpans(st))
+			}
+			dml++
+		}
 		var sum metrics.Sample
 		var sim time.Duration
 		for _, op := range st.Ops {
@@ -134,4 +143,7 @@ func TestOpsConserveCounters(t *testing.T) {
 			t.Errorf("%s @%d %s: operators sum to %v, SimTime is %v", corpus, buffers, sql, sim, st.SimTime)
 		}
 	})
+	if dml == 0 {
+		t.Fatal("no UPDATE/DELETE statement was metered")
+	}
 }

@@ -72,7 +72,11 @@ type TablePlan struct {
 type Footprint struct {
 	// QEPSJ phase, direct mode: one writer per stored column + one anchor
 	// writer, one SKT reader when descendant columns are stored, and the
-	// Merge's stream/reduction buffers, all held simultaneously.
+	// Merge's stream/reduction buffers, all held simultaneously. A DML
+	// plan's Merge feeds its write stage instead of the store pipeline:
+	// StoreWriters counts that stage's claims (writeClaims), held beside
+	// one stream per Merge group once the reduction has run, so its QEPSJ
+	// is the larger of the two.
 	StoreWriters int
 	SKTReader    int
 	Merge        int
@@ -108,7 +112,7 @@ type Plan struct {
 	FastPath  bool
 	CountOnly bool
 	Insert    bool // non-SELECT plan (INSERT admission sizing)
-	DML       bool // UPDATE/DELETE plan (delta-log admission sizing)
+	DML       bool // UPDATE/DELETE plan: its WHERE as a query, feeding the write stage
 	Tables    []TablePlan
 	Projector Projector
 	Footprint Footprint
@@ -140,10 +144,12 @@ type Plan struct {
 	Parts []*Plan
 
 	// Execution-side bindings (not part of the public surface). shape is
-	// nil for FastPath, scatter, INSERT and DML plans.
+	// nil for FastPath, scatter and INSERT plans; dml is the UPDATE or
+	// DELETE a DML plan's Merge feeds.
 	tok        *Token
 	strategies map[int]Strategy
 	shape      *queryShape
+	dml        *query.DML
 }
 
 // HiddenSelEst is one hidden predicate's estimated selectivity in the
@@ -241,6 +247,17 @@ func (tok *Token) indexForPred(p query.Pred) *index.Climbing {
 // admitted, metered or transferred; counts come from Untrusted's own
 // data, which the query text already exposes.
 func (db *DB) PlanQuery(q *query.Query, cfg QueryConfig) (*Plan, error) {
+	return db.planQuery(q, cfg, nil)
+}
+
+// planQuery is PlanQuery for a SELECT (d nil) or for the WHERE clause of
+// the UPDATE/DELETE d, as whereQuery renders it. A DML plan is never the
+// visible-only fast path, its Merge feeds the write stage instead of the
+// store pipeline and no projection follows, and it asks for exactly its
+// floor: a write never competes for the spare RAM a SELECT's Bloom
+// filters calibrate to. A hidden predicate whose index returns more
+// sublists than the floor's Merge streams pays reduction passes for it.
+func (db *DB) planQuery(q *query.Query, cfg QueryConfig, d *query.DML) (*Plan, error) {
 	if !db.loaded {
 		return nil, errors.New("exec: database not loaded")
 	}
@@ -262,8 +279,10 @@ func (db *DB) PlanQuery(q *query.Query, cfg QueryConfig) (*Plan, error) {
 		Shard:        tok.id,
 		tok:          tok,
 		strategies:   map[int]Strategy{},
+		DML:          d != nil,
+		dml:          d,
 	}
-	if visibleOnly(db.Sch, q) {
+	if d == nil && visibleOnly(db.Sch, q) {
 		// Untrusted answers alone; the session needs only the nominal
 		// one-buffer minimum and holds no RAM worth speaking of.
 		p.FastPath = true
@@ -373,6 +392,13 @@ func (db *DB) PlanQuery(q *query.Query, cfg QueryConfig) (*Plan, error) {
 		fp.Merge = max(nGroups, 3)
 	}
 	fp.QEPSJ = fp.StoreWriters + fp.SKTReader + fp.Merge
+	if d != nil {
+		// A DML has no store pipeline: its write stage's claims join the
+		// Merge stage's, beside one stream per group, after a reduction
+		// that leaves them room.
+		fp.StoreWriters = claimMin(writeClaims(d))
+		fp.QEPSJ = max(fp.Merge, nGroups+fp.StoreWriters)
+	}
 	// Shared-stage floor: with stored columns the writers can collapse
 	// into one staged spill buffer, followed by the distribution pass (a
 	// spill reader plus one column writer). Distribute is 3, not that
@@ -385,9 +411,12 @@ func (db *DB) PlanQuery(q *query.Query, cfg QueryConfig) (*Plan, error) {
 	}
 
 	// ---- Projection phase: the claims of the operators that will run.
-	if cfg.Projector == ProjectBruteForce {
+	switch {
+	case d != nil:
+		// A DML's write stage is its last operator.
+	case cfg.Projector == ProjectBruteForce:
 		fp.Projection = claimMin(sh.bruteClaims())
-	} else {
+	default:
 		for _, s := range sh.mjoin {
 			fp.MJoin = max(fp.MJoin, claimMin(s.mjoinClaims(0)))
 		}
@@ -407,6 +436,9 @@ func (db *DB) PlanQuery(q *query.Query, cfg QueryConfig) (*Plan, error) {
 	// Merge < QEPSJShared; a Post-Select table is stored, so Distribute
 	// already covers its 3 buffers (staging chunk + reader + writer).
 	p.MinBuffers = max(1, fp.QEPSJShared, fp.Distribute, fp.Projection)
+	if d != nil {
+		p.WantBuffers = p.MinBuffers
+	}
 	p.estimate(db, q)
 	return p, nil
 }
@@ -482,6 +514,9 @@ func (p *Plan) estimate(db *DB, q *query.Query) {
 		return
 	}
 	cols := float64(p.Footprint.StoreWriters)
+	if p.DML {
+		cols = 0 // no Store or Project follows; the write stage is not priced
+	}
 	// SJoin reads one SKT row per surviving anchor id (random access);
 	// Store writes the materialized columns; Project re-reads them.
 	if p.Footprint.SKTReader > 0 {
@@ -654,20 +689,18 @@ func attrPredSel(tok *Token, hp query.Pred, col schema.Column) (float64, bool) {
 	return 0, false
 }
 
-// Explain renders the plan for humans: per-table strategies, the
-// footprint derivation, the admission request and the cost estimate.
+// Explain renders the plan for humans: per-table strategies, each hidden
+// predicate's estimate and route (the anchor's id predicates filter the
+// ids flowing by; an indexed predicate takes the CI stage, which an
+// upsert overlay on its table turns into the Scan at run time), the
+// footprint derivation, the admission request and the cost estimate. A
+// DML plan renders as the query of its WHERE clause, whose Merge feeds
+// the write stage.
 func (p *Plan) Explain() string {
 	var b strings.Builder
 	if p.Insert {
 		fmt.Fprintf(&b, "plan: INSERT INTO %s\n", p.SQL)
 		fmt.Fprintf(&b, "  admission: min %d of %d buffers (%d B each) — hidden record + SKT row staging\n",
-			p.MinBuffers, p.TotalBuffers, p.BufferBytes)
-		return b.String()
-	}
-	if p.DML {
-		fmt.Fprintf(&b, "plan: %s\n", p.SQL)
-		fmt.Fprintf(&b, "  token: %d\n", p.Shard)
-		fmt.Fprintf(&b, "  admission: min %d of %d buffers (%d B each) — match scan + row staging + delta append\n",
 			p.MinBuffers, p.TotalBuffers, p.BufferBytes)
 		return b.String()
 	}
@@ -715,12 +748,21 @@ func (p *Plan) Explain() string {
 			if !h.FromIndex {
 				src = "fixed 10% fallback"
 			}
-			fmt.Fprintf(&b, "    %s.%-10s ~%.3f  [%s]\n", h.Table, h.Col, h.Sel, src)
+			route := "via Scan"
+			switch {
+			case h.Col == "id" && h.Table == p.Anchor:
+				route = "id filter"
+			case h.FromIndex:
+				route = "via CI"
+			}
+			fmt.Fprintf(&b, "    %s.%-10s ~%.3f  [%s]  %s\n", h.Table, h.Col, h.Sel, src, route)
 		}
 	}
-	if !p.FastPath {
+	if fp := p.Footprint; p.DML {
+		fmt.Fprintf(&b, "  footprint (buffers): QEPSJ %d (merge %d, then write stage %d + a stream per merge group)\n",
+			fp.QEPSJ, fp.Merge, fp.StoreWriters)
+	} else if !p.FastPath {
 		fmt.Fprintf(&b, "  projector: %v\n", p.Projector)
-		fp := p.Footprint
 		fmt.Fprintf(&b, "  footprint (buffers): QEPSJ %d (%d writers + %d SKT + %d merge)",
 			fp.QEPSJ, fp.StoreWriters, fp.SKTReader, fp.Merge)
 		if fp.Distribute > 0 && fp.QEPSJShared < fp.QEPSJ {

@@ -216,8 +216,8 @@ func (r *queryRun) cleanup() {
 }
 
 // execute runs the execute phase of a prepared plan: Vis, QEPSJ,
-// projection. Strategies were chosen at plan time; this side only binds
-// them to data.
+// projection (for a DML plan, the write stage instead). Strategies were
+// chosen at plan time; this side only binds them to data.
 func (r *queryRun) execute() (*Result, error) {
 	defer r.cleanup()
 	q := r.q
@@ -265,9 +265,16 @@ func (r *queryRun) execute() (*Result, error) {
 		return nil, err
 	}
 
-	// ---- QEPSJ: selections, climbs, merge, semi-join, filters.
+	// ---- QEPSJ: selections, climbs, merge, semi-join, filters. A DML's
+	// write stage consumes the Merge and ends the run.
 	if err := r.qepsj(); err != nil {
 		return nil, err
+	}
+	if r.plan.dml != nil {
+		return &Result{
+			Columns: []string{"affected"},
+			Rows:    []schema.Row{{schema.IntVal(int64(r.resN))}},
+		}, nil
 	}
 
 	// ---- QEPP: projection.

@@ -15,7 +15,8 @@ import (
 
 // qepsj evaluates the selection/join part of the query (§3.3): it builds
 // one Merge group per conjunct at the anchor level, reduces sublists to
-// fit the RAM budget, and pipelines Merge → SJoin → ProbeBF → Store.
+// fit the RAM budget, and feeds the Merge to its consumer: a SELECT's
+// pipeline SJoin → ProbeBF → Store, or a DML's write stage.
 func (r *queryRun) qepsj() error {
 	q, db, sh := r.q, r.db, r.plan.shape
 	anchor := q.Anchor
@@ -239,13 +240,18 @@ func (r *queryRun) qepsj() error {
 	}
 
 	// ---- Reduce sublists to fit the Merge's stream buffers (what the
-	// pipeline's claims and the filters leave of the grant), then run the
-	// pipeline Merge -> SJoin -> ProbeBF -> Store inside the Merge stage
-	// that opens the merged stream and holds its stream buffers.
-	if err := r.reduceGroups(groups); err != nil {
+	// pipeline's claims and the filters leave of the grant, less a DML's
+	// write-stage claims), then run the consumer inside the Merge stage
+	// that opens the merged stream and holds its stream buffers, and a
+	// DML's write-stage claims beside them.
+	var write []ram.Claim
+	if d := r.plan.dml; d != nil {
+		write = writeClaims(d)
+	}
+	if err := r.reduceGroups(groups, claimMin(write)); err != nil {
 		return err
 	}
-	err = r.stage(spanMerge, groupClaims(groups), func(*ram.Reservation) error {
+	err = r.stage(spanMerge, append(groupClaims(groups), write...), func(*ram.Reservation) error {
 		merged, err := r.openMerged(groups)
 		if err != nil {
 			return err
@@ -265,10 +271,13 @@ func (r *queryRun) qepsj() error {
 		// DELETE).
 		merged = r.dropDeadAnchors(q.Anchor, merged)
 		defer merged.close()
+		if d := r.plan.dml; d != nil {
+			return r.writeRows(d, merged)
+		}
 		return r.joinAndStore(merged, direct, sh.needed, tombChecks, bfs)
 	})
 	pipe.Release()
-	if err != nil {
+	if err != nil || r.plan.dml != nil {
 		return err
 	}
 	// The filters are dead once the pipeline has stored its columns;
@@ -305,8 +314,13 @@ func (r *queryRun) qepsj() error {
 // distributed into per-column segments by an extra pass after the
 // pipeline releases. The SKT reader is the plan's data-independent
 // claim: whether tombstones actually exist is hidden state, so neither
-// the claim set nor any admission error may depend on it.
+// the claim set nor any admission error may depend on it. A DML has no
+// store pipeline: its Merge feeds the write stage, whose claims join the
+// Merge stage's.
 func (r *queryRun) pipeline() (claims []ram.Claim, direct bool) {
+	if r.plan.dml != nil {
+		return nil, true
+	}
 	fp := r.plan.Footprint
 	direct = r.plan.storeDirect(r.ram.Buffers())
 	claims = []ram.Claim{{Name: "store-writers", Min: fp.StoreWriters, Want: fp.StoreWriters}}
@@ -323,26 +337,10 @@ func (r *queryRun) pipeline() (claims []ram.Claim, direct bool) {
 // probe reads through.
 var indexPage = []ram.Claim{{Name: "index-page", Min: 1, Want: 1}}
 
-// idPredFilter compiles an anchor id predicate into a keep function.
+// idPredFilter compiles an anchor id predicate into a keep function,
+// evaluated like every secure-side predicate (matchValue).
 func idPredFilter(p query.Pred) func(uint32) bool {
-	lo, hi := p.Lo.I, p.Hi.I
-	switch p.Op {
-	case sqlparse.OpEq:
-		return func(id uint32) bool { return int64(id) == lo }
-	case sqlparse.OpNe:
-		return func(id uint32) bool { return int64(id) != lo }
-	case sqlparse.OpLt:
-		return func(id uint32) bool { return int64(id) < lo }
-	case sqlparse.OpLe:
-		return func(id uint32) bool { return int64(id) <= lo }
-	case sqlparse.OpGt:
-		return func(id uint32) bool { return int64(id) > lo }
-	case sqlparse.OpGe:
-		return func(id uint32) bool { return int64(id) >= lo }
-	case sqlparse.OpBetween:
-		return func(id uint32) bool { return int64(id) >= lo && int64(id) <= hi }
-	}
-	return func(uint32) bool { return false }
+	return func(id uint32) bool { return matchValue(p, schema.IntVal(int64(id))) }
 }
 
 // clip narrows the sequence to the ids the anchor id predicates preds
@@ -417,7 +415,7 @@ func (r *queryRun) crossedList(tv int, preds []query.Pred) ([]uint32, error) {
 	}
 	// The cross intersection runs before the QEPSJ pipeline is reserved,
 	// so its reduction passes may use the whole grant.
-	if err := r.reduceGroups(groups); err != nil {
+	if err := r.reduceGroups(groups, 0); err != nil {
 		return nil, err
 	}
 	var out []uint32
