@@ -361,14 +361,16 @@ func (db *DB) Prepare(sql string) (*Stmt, error) {
 func (s *Stmt) Plan() *Plan { return s.inner.Plan() }
 
 // Explain renders the plan as text (what the shell prints for
-// `EXPLAIN SELECT ...`).
+// `EXPLAIN SELECT ...`), with each hidden predicate's planned route: an
+// anchor's hidden selection shows the CI and Scan prices it chose by.
 func (s *Stmt) Explain() string { return s.inner.Plan().Explain() }
 
 // Run executes the prepared statement as one admitted query session.
 // Options that change the plan itself (WithStrategy, WithProjector)
 // trigger a replan for that run only; WithRAMBuffers can raise the
 // admission floor or cap the elastic want, but never push the grant
-// below the plan's derived minimum.
+// below the plan's derived minimum; the hidden predicates keep the
+// routes the plan priced at the grant it was prepared to request.
 func (s *Stmt) Run(ctx context.Context, opts ...QueryOption) (*Result, error) {
 	var cfg exec.QueryConfig
 	for _, o := range opts {

@@ -387,10 +387,13 @@ func TestExplainDML(t *testing.T) {
 }
 
 // TestDMLFindsRowsAsItsSelect: an UPDATE's WHERE runs the stages of the
-// SELECT of its WHERE. While an upsert leaves T0's indexes stale the
-// hidden predicate takes the Scan stage; right after a compaction the
-// index serves it, reading the same CI pages as the SELECT, and the
-// whole UPDATE reads fewer pages than the hidden image it used to scan.
+// SELECT of its WHERE, by the route its plan priced, and the route does
+// not depend on the table's write history. While an upsert leaves T0's
+// indexes stale the hidden predicate takes the Scan stage whatever its
+// route; right after a compaction the UPDATE plans the same route and
+// runs it. Where that route is CI, as for this predicate on T0, it reads
+// the same CI pages as the SELECT, and the whole UPDATE reads fewer
+// pages than the hidden image it used to scan.
 func TestDMLFindsRowsAsItsSelect(t *testing.T) {
 	f := newFixture(t, 97, writesCards())
 	t0, _ := f.sch.Lookup("T0")
@@ -414,6 +417,10 @@ func TestDMLFindsRowsAsItsSelect(t *testing.T) {
 
 	f.applyDML(t, "UPDATE T0 SET h3 = '0000000001' WHERE T0.id <= 3")
 	sql := "UPDATE T0 SET h1 = '0000000007' WHERE " + where
+	route := routeOf(t, f.db, sql)
+	if route != RouteCI {
+		t.Fatalf("%s: planned route %s on T0, want CI", sql, route)
+	}
 	stale := run(sql)
 	if got, want := stale.Rows[0][0].I, f.refDML(t, sql); int(got) != want {
 		t.Fatalf("UPDATE on the dirty table affected %d rows, reference %d", got, want)
@@ -434,9 +441,15 @@ func TestDMLFindsRowsAsItsSelect(t *testing.T) {
 	}
 	f.checkQuery(t, "SELECT T0.id FROM T0 WHERE "+where, "after compaction")
 	sql = "UPDATE T0 SET h1 = '0000000008' WHERE " + where
+	if r := routeOf(t, f.db, sql); r != route {
+		t.Fatalf("%s: planned route %s on the clean table, %s on the dirty one", sql, r, route)
+	}
 	upd := run(sql)
 	if got, want := upd.Rows[0][0].I, f.refDML(t, sql); int(got) != want || int(got) != len(sel.Rows) {
 		t.Fatalf("UPDATE affected %d rows, reference %d, its SELECT %d", got, want, len(sel.Rows))
+	}
+	if _, scan := op(upd, spanScan); scan {
+		t.Fatal("an UPDATE routed through the index of a clean table scanned")
 	}
 	selCI, ok := op(sel, spanCI)
 	if !ok {
@@ -449,5 +462,23 @@ func TestDMLFindsRowsAsItsSelect(t *testing.T) {
 	t.Logf("UPDATE of %d rows read %d pages (CI %d); the hidden image holds %d", len(sel.Rows), reads, selCI.Flash.PageReads, image)
 	if reads >= uint64(image) {
 		t.Fatalf("UPDATE read %d pages, the hidden image holds %d", reads, image)
+	}
+
+	// On a table pricing sends to Scan, the UPDATE scans dirty and clean.
+	sql = "UPDATE T1 SET h1 = '0000000009' WHERE T1.h2 BETWEEN '0000000100' AND '0000000600'"
+	for _, when := range []string{"clean", "dirty"} {
+		if r := routeOf(t, f.db, sql); r != RouteScan {
+			t.Fatalf("%s T1: planned route %s, want Scan", when, r)
+		}
+		res := run(sql)
+		if got, want := res.Rows[0][0].I, f.refDML(t, sql); int(got) != want {
+			t.Fatalf("%s T1: UPDATE affected %d rows, reference %d", when, got, want)
+		}
+		if _, ci := op(res, spanCI); ci {
+			t.Fatalf("%s T1: an UPDATE routed to Scan took the index", when)
+		}
+		if _, scan := op(res, spanScan); !scan {
+			t.Fatalf("%s T1: an UPDATE routed to Scan did not scan", when)
+		}
 	}
 }

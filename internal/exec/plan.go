@@ -162,6 +162,13 @@ type HiddenSelEst struct {
 	// FromIndex reports whether the estimate came from the secure-side
 	// index statistics (false = the fixed 10% fallback).
 	FromIndex bool
+	// Route is how the predicate's ids reach the Merge, the stage the run
+	// opens for it: RouteIDFilter, RouteCI or RouteScan. An attribute
+	// predicate on the anchor with a climbing index takes the cheaper of
+	// CI and Scan, priced at ScanCost and CICost (zero when unpriced); a
+	// CI route on a table with live upserts still scans at run time.
+	Route            string
+	ScanCost, CICost time.Duration
 }
 
 // Strategies returns a fresh copy of the planned per-table strategies,
@@ -173,6 +180,17 @@ func (p *Plan) Strategies() map[int]Strategy {
 		out[ti] = s
 	}
 	return out
+}
+
+// visCount is the number of the table's rows its visible selection
+// kept at plan time, all of them when it has none.
+func (p *Plan) visCount(ti int) int {
+	for _, tp := range p.Tables {
+		if tp.TableIdx == ti {
+			return tp.VisCount
+		}
+	}
+	return p.tok.Rows(ti)
 }
 
 // storeDirect reports whether a session granted grant buffers runs the
@@ -288,7 +306,7 @@ func (db *DB) planQuery(q *query.Query, cfg QueryConfig, d *query.DML) (*Plan, e
 		p.FastPath = true
 		p.MinBuffers = 1
 		p.WantBuffers = 1
-		p.estimate(db, q)
+		p.estimate(db, q, mergeRoom{})
 		return p, nil
 	}
 	p.WantBuffers = p.TotalBuffers // Bloom filters calibrate to spare RAM (§5)
@@ -439,7 +457,7 @@ func (db *DB) planQuery(q *query.Query, cfg QueryConfig, d *query.DML) (*Plan, e
 	if d != nil {
 		p.WantBuffers = p.MinBuffers
 	}
-	p.estimate(db, q)
+	p.estimate(db, q, p.requestedRoom(db, cfg, nGroups))
 	return p, nil
 }
 
@@ -478,15 +496,17 @@ func (db *DB) planInsert(ins sqlparse.Insert) (*Plan, error) {
 }
 
 // estimate fills the plan's coarse cost model: expected page traffic
-// under the Table 1 parameters. It exists to rank plans in EXPLAIN
-// output; measured Stats remain the ground truth. Hidden selectivities
-// come from the per-index statistics each token keeps beside its
+// under the Table 1 parameters. It also decides each hidden predicate's
+// route (route), pricing the anchor's attribute predicates in the room
+// the requested grant leaves the Merge. The totals exist to rank plans
+// in EXPLAIN output; measured Stats remain the ground truth. Hidden
+// selectivities come from the per-index statistics each token keeps beside its
 // climbing indexes (equi-depth key boundaries, maintained at build and
 // insert time): the raw statistics never leave the token — the planner
 // receives only the derived scalar per predicate, which EXPLAIN then
 // shows. Predicates with no covering index fall back to the paper's
 // fixed 10% sH.
-func (p *Plan) estimate(db *DB, q *query.Query) {
+func (p *Plan) estimate(db *DB, q *query.Query, room mergeRoom) {
 	idsPerPage := p.BufferBytes / store.IDBytes
 	if idsPerPage < 1 {
 		idsPerPage = 1
@@ -502,11 +522,10 @@ func (p *Plan) estimate(db *DB, q *query.Query) {
 		}
 	}
 	for _, hp := range q.HiddenPreds() {
-		rows := float64(db.Rows(hp.Table))
-		hs := p.hiddenSelOf(db, hp)
-		sel *= hs
-		// Index descent plus the matching sublist pages.
-		reads += 3 + rows*hs/float64(idsPerPage)
+		sel *= p.hiddenSelOf(db, hp)
+		r, w := p.route(db, q, hp, &p.HiddenSel[len(p.HiddenSel)-1], room)
+		reads += r
+		writes += w
 	}
 	est := anchorRows * sel
 	if p.FastPath {
@@ -563,13 +582,20 @@ func idProbeReads(n, rows, leafCap, fanout int) float64 {
 	if n <= 0 || rows <= 0 {
 		return 0
 	}
-	leaves := (rows + leafCap - 1) / leafCap
-	height := 1
+	leaves, height := treeShape(rows, leafCap, fanout)
+	l := float64(leaves)
+	return l * (1 - math.Pow(1-1/l, float64(n))) * float64(height)
+}
+
+// treeShape is the leaf count and height of a tree over entries keys,
+// leafCap to a leaf and fanout children to an inner node.
+func treeShape(entries, leafCap, fanout int) (leaves, height int) {
+	leaves = max((entries+leafCap-1)/leafCap, 1)
+	height = 1
 	for nodes := leaves; nodes > 1; nodes = (nodes + fanout - 1) / fanout {
 		height++
 	}
-	l := float64(leaves)
-	return l * (1 - math.Pow(1-1/l, float64(n))) * float64(height)
+	return leaves, height
 }
 
 // hiddenSelOf estimates one hidden predicate's selectivity for the cost
@@ -690,12 +716,13 @@ func attrPredSel(tok *Token, hp query.Pred, col schema.Column) (float64, bool) {
 }
 
 // Explain renders the plan for humans: per-table strategies, each hidden
-// predicate's estimate and route (the anchor's id predicates filter the
-// ids flowing by; an indexed predicate takes the CI stage, which an
-// upsert overlay on its table turns into the Scan at run time), the
-// footprint derivation, the admission request and the cost estimate. A
-// DML plan renders as the query of its WHERE clause, whose Merge feeds
-// the write stage.
+// predicate's estimate and planned route (the anchor's id predicates
+// filter the ids flowing by; an attribute predicate on the anchor takes
+// the cheaper of CI and Scan, both prices shown; any other indexed
+// predicate climbs through the CI stage; a CI route on a table with live
+// upserts scans at run time), the footprint derivation, the admission
+// request and the cost estimate. A DML plan renders as the query of its
+// WHERE clause, whose Merge feeds the write stage.
 func (p *Plan) Explain() string {
 	var b strings.Builder
 	if p.Insert {
@@ -748,12 +775,13 @@ func (p *Plan) Explain() string {
 			if !h.FromIndex {
 				src = "fixed 10% fallback"
 			}
-			route := "via Scan"
-			switch {
-			case h.Col == "id" && h.Table == p.Anchor:
-				route = "id filter"
-			case h.FromIndex:
-				route = "via CI"
+			route := h.Route
+			if route != RouteIDFilter {
+				route = "via " + route
+			}
+			if h.CICost > 0 {
+				route += fmt.Sprintf(" (priced: Scan ~%v, CI ~%v)",
+					h.ScanCost.Round(time.Microsecond), h.CICost.Round(time.Microsecond))
 			}
 			fmt.Fprintf(&b, "    %s.%-10s ~%.3f  [%s]  %s\n", h.Table, h.Col, h.Sel, src, route)
 		}

@@ -244,7 +244,7 @@ func (r *queryRun) execute() (*Result, error) {
 			if !hasPreds && len(cols) == 0 {
 				continue
 			}
-			vr, err := r.tok.Untr.ComputeVis(ti, preds, cols)
+			vr, err := r.tok.Untr.ComputeVis(ti, preds, cols, r.plan.visCount(ti))
 			if err != nil {
 				return err
 			}

@@ -100,7 +100,8 @@ func (r *queryRun) qepsj() error {
 		}
 	}
 
-	// ---- Hidden predicates (not absorbed) at the anchor level.
+	// ---- Hidden predicates (not absorbed) at the anchor level, each by
+	// its planned route (HiddenSel lists them in q.HiddenPreds order).
 	for i, p := range hidden {
 		if absorbed[i] {
 			continue
@@ -111,7 +112,7 @@ func (r *queryRun) qepsj() error {
 		}
 		g := &mergeGroup{label: fmt.Sprintf("hidden:%s", db.Sch.Tables[p.Table].Name)}
 		ci := r.indexFor(p)
-		if ci == nil || r.staleIndex(p) {
+		if ci == nil || r.plan.HiddenSel[i].Route == RouteScan || r.staleIndex(p) {
 			if err := r.scanFallback(g, p); err != nil {
 				return err
 			}
@@ -502,7 +503,8 @@ func (r *queryRun) dropDeadAnchors(anchor int, src idStream) idStream {
 }
 
 // scanFallback evaluates a hidden predicate by scanning the hidden image:
-// the path taken when the predicate's table carries live upserts (whose
+// the path taken when the plan priced the scan cheaper than the index
+// (Plan.route), when the predicate's table carries live upserts (whose
 // index entries are stale) or when no climbing index covers the column.
 func (r *queryRun) scanFallback(g *mergeGroup, p query.Pred) error {
 	db := r.db

@@ -146,6 +146,21 @@ func (c *Climbing) EstimateFracEq() (float64, bool) {
 	return c.dist.fracEq(), true
 }
 
+// EstimateEntries returns the number of tree entries and of rows they
+// cover, from the statistics kept on the token: one entry per distinct
+// bulk key holding that key's rows, plus one single-row entry per
+// post-load insert. Their ratio is the expected size of one self-level
+// sublist. ok=false when the index keeps no statistics (id indexes).
+func (c *Climbing) EstimateEntries() (entries, rows int, ok bool) {
+	if c.dist == nil {
+		return 0, 0, false
+	}
+	d := c.dist
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.distinct + d.extraN, d.totalLocked(), true
+}
+
 // ErrNoLevel is returned when an index does not carry the requested level.
 var ErrNoLevel = errors.New("index: level not present in climbing index")
 

@@ -189,6 +189,10 @@ type visPred struct {
 	accept  [3]bool
 	between bool
 	lo, hi  visBound
+	// op, idLo and idHi keep an id predicate's operator and literals,
+	// which clipRows turns into the scan's row range.
+	op         sqlparse.CompareOp
+	idLo, idHi int64
 }
 
 // visBound is an encoded comparison bound. Rows of 8 to 16 bytes, and
@@ -238,10 +242,13 @@ func (p *visPred) holds(row int) bool {
 }
 
 // scanVis calls hit, in row order, for every row satisfying the whole
-// conjunction: the one match loop behind CountVis and computeVis.
+// conjunction: the one match loop behind CountVis and computeVis. Its id
+// predicates clip the loop to the rows they admit (clipRows), so a point
+// lookup tests one row, not the whole table. preds is reordered in place.
 func scanVis(rows int, preds []visPred, hit func(row int)) {
+	lo, hi, preds := clipRows(rows, preds)
 next:
-	for row := 0; row < rows; row++ {
+	for row := lo; row < hi; row++ {
 		for i := range preds {
 			if !preds[i].holds(row) {
 				continue next
@@ -249,6 +256,44 @@ next:
 		}
 		hit(row)
 	}
+}
+
+// clipRows returns the rows [lo, hi) of a rows-row table the id
+// predicates among preds admit (ids are the rows' positions), and the
+// predicates a row must still be tested against: every other one, <> on
+// the id included. It compacts preds in place.
+func clipRows(rows int, preds []visPred) (lo, hi int, rest []visPred) {
+	l, h := int64(0), int64(rows)-1
+	// Over ids in [0, rows-1], clamping a literal into [-1, rows] keeps
+	// every comparison's outcome and keeps the ±1 below from overflowing.
+	lit := func(v int64) int64 { return min(max(v, -1), int64(rows)) }
+	rest = preds[:0]
+	for _, p := range preds {
+		if p.width != 0 {
+			rest = append(rest, p)
+			continue
+		}
+		switch p.op {
+		case sqlparse.OpEq:
+			l, h = max(l, lit(p.idLo)), min(h, lit(p.idLo))
+		case sqlparse.OpLt:
+			h = min(h, lit(p.idLo)-1)
+		case sqlparse.OpLe:
+			h = min(h, lit(p.idLo))
+		case sqlparse.OpGt:
+			l = max(l, lit(p.idLo)+1)
+		case sqlparse.OpGe:
+			l = max(l, lit(p.idLo))
+		case sqlparse.OpBetween:
+			l, h = max(l, lit(p.idLo)), min(h, lit(p.idHi))
+		default:
+			rest = append(rest, p)
+		}
+	}
+	if l > h {
+		return 0, 0, rest
+	}
+	return int(l), int(h) + 1, rest
 }
 
 // VisResult is the product of the Vis operator (§3.3): the sorted list of
@@ -271,12 +316,13 @@ func (e *Engine) compilePreds(table int, preds []query.Pred) ([]visPred, error) 
 	out := make([]visPred, len(preds))
 	for i, p := range preds {
 		vp := &out[i]
-		vp.accept, vp.between = accepts[p.Op], p.Op == sqlparse.OpBetween
+		vp.accept, vp.between, vp.op = accepts[p.Op], p.Op == sqlparse.OpBetween, p.Op
 		// Identifier predicates are acceptable even though the resolver
 		// routes them to Secure by default: ids are replicated on both
 		// sides (§2.1) and reveal nothing.
 		if p.ColIdx == query.IDCol {
 			vp.lo.w0, vp.hi.w0 = uint64(p.Lo.I)^signBit, uint64(p.Hi.I)^signBit
+			vp.idLo, vp.idHi = p.Lo.I, p.Hi.I
 			continue
 		}
 		if p.Hidden {
@@ -401,14 +447,15 @@ func (e *Engine) ShipBatch(reqs []bus.Req) error {
 // retains the identical spool). Repeated canonical keys are served from
 // the page cache when one is attached — the returned *VisResult is then
 // shared and must be treated as immutable, which every reader in
-// internal/exec already does.
-func (e *Engine) ComputeVis(table int, preds []query.Pred, projCols []int) (*VisResult, error) {
+// internal/exec already does. hint, the expected match count, only
+// sizes the id list.
+func (e *Engine) ComputeVis(table int, preds []query.Pred, projCols []int, hint int) (*VisResult, error) {
 	if e.pc == nil {
-		return e.computeVis(table, preds, projCols)
+		return e.computeVis(table, preds, projCols, hint)
 	}
 	key := e.VisKey(table, preds, projCols)
 	v, _, err := e.pc.Do(context.TODO(), key, e.pcShards, func() (any, int64, error) {
-		res, err := e.computeVis(table, preds, projCols)
+		res, err := e.computeVis(table, preds, projCols, hint)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -424,7 +471,7 @@ func (e *Engine) ComputeVis(table int, preds []query.Pred, projCols []int) (*Vis
 // result down to Secure, accounting every byte on the channel. projCols
 // lists the visible columns whose values the projection will need.
 func (e *Engine) Vis(table int, preds []query.Pred, projCols []int) (*VisResult, error) {
-	res, err := e.ComputeVis(table, preds, projCols)
+	res, err := e.ComputeVis(table, preds, projCols, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -436,8 +483,10 @@ func (e *Engine) Vis(table int, preds []query.Pred, projCols []int) (*VisResult,
 
 // computeVis is the uncached scan-and-encode: every row satisfying the
 // visible conjunction yields its id (and, with projCols, its encoded
-// visible values).
-func (e *Engine) computeVis(table int, preds []query.Pred, projCols []int) (*VisResult, error) {
+// visible values). hint is the expected number of matches (the
+// planner's CountVis), the id list's initial capacity: a write since
+// the count only grows the list.
+func (e *Engine) computeVis(table int, preds []query.Pred, projCols []int, hint int) (*VisResult, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	t := e.sch.Tables[table]
@@ -446,7 +495,8 @@ func (e *Engine) computeVis(table int, preds []query.Pred, projCols []int) (*Vis
 	if err != nil {
 		return nil, err
 	}
-	res := &VisResult{Table: table, ProjCols: projCols, RowWidth: store.IDBytes}
+	res := &VisResult{Table: table, ProjCols: projCols, RowWidth: store.IDBytes,
+		IDs: make([]uint32, 0, min(max(hint, 0), ts.rows))}
 	for _, ci := range projCols {
 		col := t.Columns[ci]
 		if col.Hidden {

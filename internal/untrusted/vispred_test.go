@@ -168,7 +168,7 @@ func checkConjunction(t *testing.T, e *Engine, tb *schema.Table, preds []query.P
 	if err != nil {
 		t.Fatal(err)
 	}
-	vr, err := e.ComputeVis(tb.Index, preds, nil)
+	vr, err := e.ComputeVis(tb.Index, preds, nil, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,6 +206,46 @@ func TestCompiledPredsConjunctions(t *testing.T) {
 			preds[j] = randPred(rng, 300)
 		}
 		checkConjunction(t, e, tb, preds)
+	}
+}
+
+// TestClippedScanMatchesFullScan: the row range the id predicates clip a
+// scan to (clipRows) drops only rows the full conjunction rejects. Each
+// random conjunction holds one to three id predicates, their literals
+// often past the table's ends or at the int64 extremes, beside visible
+// ones; scanVis must hit exactly the rows a test of every predicate on
+// every row accepts.
+func TestClippedScanMatchesFullScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, rows := range []int{0, 1, 2, 300} {
+		e, tb := predTable(t, rng, rows)
+		for i := 0; i < 400; i++ {
+			var preds []query.Pred
+			for len(preds) < 1+rng.Intn(3) {
+				if p := randPred(rng, rows); p.ColIdx == query.IDCol {
+					preds = append(preds, p)
+				}
+			}
+			for j := rng.Intn(2); j > 0; j-- {
+				preds = append(preds, randPred(rng, rows))
+			}
+			rng.Shuffle(len(preds), func(a, b int) { preds[a], preds[b] = preds[b], preds[a] })
+			cps, err := e.compilePreds(tb.Index, preds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var full []int
+			for row := 0; row < rows; row++ {
+				if !slices.ContainsFunc(cps, func(p visPred) bool { return !p.holds(row) }) {
+					full = append(full, row)
+				}
+			}
+			var clipped []int
+			scanVis(rows, cps, func(row int) { clipped = append(clipped, row) })
+			if !slices.Equal(clipped, full) {
+				t.Fatalf("%d rows, %v: clipped scan hits %v, full scan %v", rows, preds, clipped, full)
+			}
+		}
 	}
 }
 
@@ -253,7 +293,7 @@ func BenchmarkCountVis(b *testing.B) {
 func BenchmarkComputeVis(b *testing.B) {
 	e, preds, proj, rows := benchTable(b)
 	for b.Loop() {
-		if _, err := e.ComputeVis(0, preds, proj); err != nil {
+		if _, err := e.ComputeVis(0, preds, proj, rows/20); err != nil {
 			b.Fatal(err)
 		}
 	}
