@@ -16,10 +16,12 @@ func newDev(t *testing.T) *flash.Device {
 	return dev
 }
 
-// TestCommitPadsToWholePages: every statement's batch lands as a whole
-// number of pages, and a statement that staged nothing still writes one
-// full pad page — the write volume depends on the batch's record count,
-// never on what the records say.
+// TestCommitPadsToWholePages: every statement's batch lands in the log
+// of its kind as a whole number of pages, and a statement that staged
+// nothing still writes one full pad page there — the write volume
+// depends on the batch's record count, never on what the records say.
+// Tombstones are header-only, so a tombstone page holds more records
+// than an upsert page.
 func TestCommitPadsToWholePages(t *testing.T) {
 	const rowW = 30
 	dl, err := NewTable(newDev(t), rowW)
@@ -29,38 +31,124 @@ func TestCommitPadsToWholePages(t *testing.T) {
 	if got := dl.Depth(); got != 0 {
 		t.Fatalf("fresh log depth = %d, want 0", got)
 	}
-
-	// Zero-match statement: one full pad page.
-	if err := dl.Commit(); err != nil {
-		t.Fatal(err)
+	commit := func(what string, stage func(i int) error, n int, c func() error, want int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if err := stage(i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c(); err != nil {
+			t.Fatal(err)
+		}
+		if got := dl.Depth(); got != want {
+			t.Fatalf("%s: depth = %d, want %d", what, got, want)
+		}
 	}
-	if got := dl.Depth(); got != 1 {
-		t.Fatalf("zero-match commit depth = %d, want 1", got)
-	}
+	next := uint32(7)
+	tomb := func(int) error { next++; return dl.StageTombstone(next) }
+	row := bytes.Repeat([]byte{0xab}, rowW)
+	upsert := func(i int) error { return dl.StageUpsert(uint32(1000+i), row) }
 
 	// A one-record statement and a statement filling several pages pad
 	// to the same boundary rule: ceil(staged/perPage) pages each.
-	perPage := 512 / (headerBytes + rowW)
-	if err := dl.StageTombstone(7); err != nil {
+	tombsPerPage, upsertsPerPage := 512/headerBytes, 512/(headerBytes+rowW)
+	commit("one tombstone", tomb, 1, dl.CommitDeletes, 1)
+	commit("one upsert", upsert, 1, dl.Commit, 2)
+	commit("a page of tombstones and one more", tomb, tombsPerPage+1, dl.CommitDeletes, 4)
+	commit("a page of upserts and one more", upsert, upsertsPerPage+1, dl.Commit, 6)
+	if got, _ := dl.ReadSize(false); got != 3 {
+		t.Fatalf("tombstone log holds %d pages, want 3", got)
+	}
+}
+
+// TestZeroMatchPadsItsOwnLog: a DELETE and a hidden UPDATE that matched
+// nothing each write one pad page, to the log of the statement's kind,
+// so neither which log grows nor by how much depends on matches; Depth
+// counts both logs.
+func TestZeroMatchPadsItsOwnLog(t *testing.T) {
+	dl, err := NewTable(newDev(t), 20)
+	if err != nil {
 		t.Fatal(err)
+	}
+	sizes := func() [2]int {
+		live, _ := dl.ReadSize(false)
+		all, _ := dl.ReadSize(true)
+		return [2]int{live, all - live}
+	}
+	if err := dl.CommitDeletes(); err != nil {
+		t.Fatal(err)
+	}
+	if got := sizes(); got != [2]int{1, 0} || dl.Depth() != 1 {
+		t.Fatalf("zero-match DELETE: tombstone/upsert pages %v, depth %d; want [1 0], 1", got, dl.Depth())
 	}
 	if err := dl.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if got := dl.Depth(); got != 2 {
-		t.Fatalf("one-record commit depth = %d, want 2", got)
+	if got := sizes(); got != [2]int{1, 1} || dl.Depth() != 2 {
+		t.Fatalf("zero-match UPDATE: tombstone/upsert pages %v, depth %d; want [1 1], 2", got, dl.Depth())
 	}
-	row := bytes.Repeat([]byte{0xab}, rowW)
-	for i := 0; i < perPage+1; i++ {
-		if err := dl.StageUpsert(uint32(100+i), row); err != nil {
+}
+
+// TestLivenessReadLoadsCheckpointAndTombstones: a liveness Refresh reads
+// exactly the tombstone checkpoint's and the tombstone log's pages and
+// bytes, an images Refresh the upsert log's too, all through the
+// caller's one page buffer; ReadSize predicts both.
+func TestLivenessReadLoadsCheckpointAndTombstones(t *testing.T) {
+	const rowW = 24
+	dev := newDev(t)
+	dl, err := NewTable(dev, rowW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := func(first, n int) {
+		for i := 0; i < n; i++ {
+			if err := dl.StageTombstone(uint32(first + i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := dl.CommitDeletes(); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			if err := dl.StageUpsert(uint32(5000+first+i), make([]byte, rowW)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := dl.Commit(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := dl.Commit(); err != nil {
+	batch(0, 250) // checkpointed by the compaction below
+	if err := dl.Reset(); err != nil {
 		t.Fatal(err)
 	}
-	if got := dl.Depth(); got != 4 {
-		t.Fatalf("perPage+1 records commit depth = %d, want 4", got)
+	batch(1000, 40)
+	ck := dl.checkpoint
+	if ck == nil || ck.Pages() != 3 {
+		t.Fatalf("checkpoint = %v, want 250 tombstones on 3 pages", ck)
+	}
+	tombs, ups := dl.tombLog.file, dl.upsertLog.file
+	buf := make([]byte, dev.PageSize())
+	for _, images := range []bool{false, true} {
+		wantPages := ck.Pages() + tombs.Pages()
+		wantBytes := (ck.Count() + tombs.Count()) * headerBytes
+		if images {
+			wantPages += ups.Pages()
+			wantBytes += ups.Count() * (headerBytes + rowW)
+		}
+		if p, b := dl.ReadSize(images); p != wantPages || b != wantBytes {
+			t.Fatalf("images=%v: ReadSize = %d pages, %d B; want %d, %d", images, p, b, wantPages, wantBytes)
+		}
+		dev.ResetCounters()
+		if err := dl.Refresh(images, buf); err != nil {
+			t.Fatal(err)
+		}
+		c := dev.Counters()
+		if c.PageReads != uint64(wantPages) || c.BytesToRAM != uint64(wantBytes) || c.PageWrites != 0 {
+			t.Fatalf("images=%v: Refresh read %d pages, %d B (wrote %d); want %d, %d",
+				images, c.PageReads, c.BytesToRAM, c.PageWrites, wantPages, wantBytes)
+		}
 	}
 }
 
@@ -106,7 +194,10 @@ func TestOverlaySemantics(t *testing.T) {
 	if err := dl.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if err := dl.Refresh(); err != nil {
+	if err := dl.CommitDeletes(); err != nil {
+		t.Fatal(err)
+	}
+	if err := dl.Refresh(true, make([]byte, 512)); err != nil {
 		t.Fatal(err)
 	}
 

@@ -202,10 +202,15 @@ func (r *queryRun) writeRows(d *query.DML, merged idStream) error {
 				return err
 			}
 		}
-		// Page-aligned commit: the statement's flash write volume is a
-		// whole number of pages, at least one, even when nothing matched.
+		// Page-aligned commit to the log of the statement's kind: its
+		// flash write volume is a whole number of pages, at least one,
+		// even when nothing matched.
 		if secure {
-			if err := dl.Commit(); err != nil {
+			commit := dl.Commit
+			if d.Delete {
+				commit = dl.CommitDeletes
+			}
+			if err := commit(); err != nil {
 				return err
 			}
 		}
@@ -533,12 +538,8 @@ func (db *DB) compactToken(tok *Token) error {
 	tok.mu.Lock()
 	tok.Cat = newCat
 	tok.compactions++
-	pages := 0
-	for _, dl := range tok.deltas {
-		pages += dl.Depth()
-	}
-	tok.deltaPages = pages
 	tok.mu.Unlock()
+	tok.syncDeltaMirror()
 	if tok.id == 0 {
 		db.Cat = newCat
 	}

@@ -225,6 +225,72 @@ func TestZeroMatchDMLWritesOnePadPage(t *testing.T) {
 	}
 }
 
+// TestDeltaReadIgnoresWriteMatches is the hidden-twin check on the
+// overlay read: two databases loaded alike each run a hidden UPDATE and
+// a DELETE of the same shapes, which match rows on one twin and none on
+// the other (their ranges lie past the value domain), then the same
+// SELECTs — a visible-only one and a join that read T1's liveness, and
+// one projecting T1's hidden attributes, which reads its images. What
+// each SELECT's Delta stage reads is the statement text's choice: its
+// flash sample is identical across the twins, and the images read is
+// the liveness read plus the upsert log.
+func TestDeltaReadIgnoresWriteMatches(t *testing.T) {
+	selects := []string{
+		"SELECT T1.id, T1.v1 FROM T1 WHERE T1.v2 < '0000000500'",
+		"SELECT T0.id, T1.v1 FROM T0, T1 WHERE T0.fk1 = T1.id AND T0.h1 < '0000000300'",
+		"SELECT T1.id, T1.h1 FROM T1 WHERE T1.v2 < '0000000500'",
+	}
+	twin := func(lo, hi int) (*fixture, [][]metrics.Op) {
+		f := newFixture(t, 97, writesCards())
+		f.applyDML(t, fmt.Sprintf("UPDATE T1 SET h1 = '0000000001' WHERE T1.h3 BETWEEN '%010d' AND '%010d'", lo, hi))
+		f.applyDML(t, fmt.Sprintf("DELETE FROM T1 WHERE T1.h2 BETWEEN '%010d' AND '%010d'", lo+300, hi+200))
+		var ops [][]metrics.Op
+		for _, sql := range selects {
+			res, err := f.db.Run(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := f.refAnswer(t, sql); !rowsEqual(res.Rows, want) {
+				t.Fatalf("%s: %d rows, reference %d", sql, len(res.Rows), len(want))
+			}
+			ops = append(ops, res.Stats.Ops)
+		}
+		return f, ops
+	}
+	fa, a := twin(200, 400)
+	fb, b := twin(2200, 2400)
+	t1, _ := fa.sch.Lookup("T1")
+	overlay := func(f *fixture) (int, int) {
+		dl := f.db.TokenOf(t1.Index).deltaOf(t1.Index)
+		return dl.DirtyCount(), dl.TombCount()
+	}
+	if d, k := overlay(fa); d == 0 || k == 0 {
+		t.Fatalf("matching twin holds %d upserts and %d tombstones; want some of each", d, k)
+	}
+	if d, k := overlay(fb); d != 0 || k != 0 {
+		t.Fatalf("other twin holds %d upserts and %d tombstones; want none", d, k)
+	}
+	deltaOf := func(ops []metrics.Op) metrics.Sample {
+		for _, o := range ops {
+			if o.Name == spanDelta {
+				return o.Sample
+			}
+		}
+		t.Fatalf("no %s stage in %v", spanDelta, ops)
+		return metrics.Sample{}
+	}
+	for i, sql := range selects {
+		if da, db := deltaOf(a[i]), deltaOf(b[i]); da != db {
+			t.Fatalf("%s: Delta reads differ across the twins: %+v / %+v", sql, da.Flash, db.Flash)
+		}
+	}
+	live, images := deltaOf(a[0]).Flash, deltaOf(a[2]).Flash
+	if deltaOf(a[1]).Flash != live || images.PageReads != live.PageReads+1 || images.BytesToRAM <= live.BytesToRAM {
+		t.Fatalf("liveness reads %+v and %+v, images read %+v; want equal liveness and one upsert page more",
+			live, deltaOf(a[1]).Flash, images)
+	}
+}
+
 // concurrentDMLQueries are the reads raceDML hammers and then settles.
 var concurrentDMLQueries = []string{
 	"SELECT T0.id, T0.h1 FROM T0 WHERE T0.h2 < '0000000100'",
@@ -362,7 +428,7 @@ func TestExplainDML(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := stmt.Plan().Explain()
-	for _, want := range []string{"delete from", "anchor: T1", "via CI",
+	for _, want := range []string{"delete from", "anchor: T1", "via CI", "delta: T1 images",
 		"footprint (buffers): QEPSJ 3 (merge 3, then write stage 1 + a stream per merge group)",
 		"admission: min 3 of 32 buffers (2048 B each), want 3"} {
 		if !strings.Contains(out, want) {
@@ -371,6 +437,21 @@ func TestExplainDML(t *testing.T) {
 	}
 	if f.db.Totals().Queries != 0 {
 		t.Fatal("EXPLAIN executed the statement")
+	}
+	// The overlay read follows the text: a DELETE by id needs liveness
+	// only, a hidden SET the images it rewrites.
+	for sql, want := range map[string]string{
+		"DELETE FROM T1 WHERE T1.id <= 3":                            "delta: T1 liveness\n",
+		"UPDATE T1 SET h2 = '0000000001' WHERE T1.id <= 3":           "delta: T1 images\n",
+		"UPDATE T1 SET v2 = '0000000001' WHERE T1.v1 < '0000000003'": "delta: T1 liveness\n",
+	} {
+		stmt, err := f.db.Prepare(sql, QueryConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out := stmt.Plan().Explain(); !strings.Contains(out, want) {
+			t.Fatalf("%s: EXPLAIN misses %q:\n%s", sql, want, out)
+		}
 	}
 	for _, st := range goldenWrites() {
 		if !strings.HasPrefix(st.sql, "UPDATE") && !strings.HasPrefix(st.sql, "DELETE") {

@@ -426,15 +426,16 @@ func NewDB(sch *schema.Schema, opts Options) (*DB, error) {
 		}
 		ch := bus.NewChannel(opts.ThroughputMBps)
 		tok := &Token{
-			id:       i,
-			Dev:      dev,
-			RAM:      ram.NewManager(opts.RAMBudget, opts.FlashParams.PageSize),
-			Bus:      ch,
-			Untr:     untrusted.NewEngine(sch, ch),
-			Hidden:   make(map[int]*HiddenImage),
-			deltas:   make(map[int]*delta.Table),
-			insBytes: make(map[int]int),
-			rows:     make(map[int]int),
+			id:         i,
+			Dev:        dev,
+			RAM:        ram.NewManager(opts.RAMBudget, opts.FlashParams.PageSize),
+			Bus:        ch,
+			Untr:       untrusted.NewEngine(sch, ch),
+			Hidden:     make(map[int]*HiddenImage),
+			deltas:     make(map[int]*delta.Table),
+			deltaReads: make(map[int][2]flashIO),
+			insBytes:   make(map[int]int),
+			rows:       make(map[int]int),
 		}
 		tok.sched = sched.New(tok.RAM, opts.MaxConcurrentQueries)
 		if opts.MaxQueueWait > 0 {

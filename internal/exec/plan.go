@@ -9,9 +9,7 @@ import (
 	"strings"
 	"time"
 
-	"ghostdb/internal/flash"
 	"ghostdb/internal/index"
-	"ghostdb/internal/metrics"
 	"ghostdb/internal/query"
 	"ghostdb/internal/sched"
 	"ghostdb/internal/schema"
@@ -145,11 +143,46 @@ type Plan struct {
 
 	// Execution-side bindings (not part of the public surface). shape is
 	// nil for FastPath, scatter and INSERT plans; dml is the UPDATE or
-	// DELETE a DML plan's Merge feeds.
+	// DELETE a DML plan's Merge feeds; delta is the overlay read of each
+	// table of a single-token SELECT or DML plan, FastPath included.
 	tok        *Token
 	strategies map[int]Strategy
 	shape      *queryShape
 	dml        *query.DML
+	delta      []deltaRead
+}
+
+// deltaRead is the part of one table's delta overlay a statement reads
+// before its operators run (refreshDeltas): liveness — the tombstone
+// checkpoint and log — for every table it names, images — the upsert
+// log too — for a table with a hidden attribute in a predicate or a
+// projection, or the target of a hidden SET. The choice is a function of
+// the statement text alone, never of the table's write history.
+type deltaRead struct {
+	table  int
+	name   string
+	images bool
+}
+
+// deltaReads plans the overlay read of each table of q (in FROM order),
+// the WHERE query of the UPDATE or DELETE d when d is not nil.
+func deltaReads(sch *schema.Schema, q *query.Query, d *query.DML) []deltaRead {
+	attr := func(ti, col int) bool { return col != query.IDCol && sch.Tables[ti].Columns[col].Hidden }
+	images := map[int]bool{}
+	for _, p := range q.Preds {
+		images[p.Table] = images[p.Table] || attr(p.Table, p.ColIdx)
+	}
+	for _, p := range q.Projections {
+		images[p.Table] = images[p.Table] || attr(p.Table, p.ColIdx)
+	}
+	if d != nil && d.HiddenSets() {
+		images[d.Table] = true
+	}
+	out := make([]deltaRead, len(q.Tables))
+	for i, ti := range q.Tables {
+		out[i] = deltaRead{table: ti, name: sch.Tables[ti].Name, images: images[ti]}
+	}
+	return out
 }
 
 // HiddenSelEst is one hidden predicate's estimated selectivity in the
@@ -299,6 +332,7 @@ func (db *DB) planQuery(q *query.Query, cfg QueryConfig, d *query.DML) (*Plan, e
 		strategies:   map[int]Strategy{},
 		DML:          d != nil,
 		dml:          d,
+		delta:        deltaReads(db.Sch, q, d),
 	}
 	if d == nil && visibleOnly(db.Sch, q) {
 		// Untrusted answers alone; the session needs only the nominal
@@ -495,43 +529,37 @@ func (db *DB) planInsert(ins sqlparse.Insert) (*Plan, error) {
 	}, nil
 }
 
-// estimate fills the plan's coarse cost model: expected page traffic
-// under the Table 1 parameters. It also decides each hidden predicate's
-// route (route), pricing the anchor's attribute predicates in the room
-// the requested grant leaves the Merge. The totals exist to rank plans
-// in EXPLAIN output; measured Stats remain the ground truth. Hidden
-// selectivities come from the per-index statistics each token keeps beside its
-// climbing indexes (equi-depth key boundaries, maintained at build and
-// insert time): the raw statistics never leave the token — the planner
-// receives only the derived scalar per predicate, which EXPLAIN then
-// shows. Predicates with no covering index fall back to the paper's
-// fixed 10% sH.
+// estimate fills the plan's coarse cost model: expected flash traffic
+// under the Table 1 parameters, page reads and writes and the bytes the
+// reads move, summed into one flashIO and priced as the run is. It also
+// decides each hidden predicate's route (route), pricing the anchor's
+// attribute predicates in the room the requested grant leaves the
+// Merge. The totals exist to rank plans in EXPLAIN output; measured
+// Stats remain the ground truth. Hidden selectivities come from the
+// per-index statistics each token keeps beside its climbing indexes
+// (equi-depth key boundaries, maintained at build and insert time): the
+// raw statistics never leave the token — the planner receives only the
+// derived scalar per predicate, which EXPLAIN then shows. Predicates
+// with no covering index fall back to the paper's fixed 10% sH. The
+// planned Delta reads are priced from the token's declassified mirror of
+// its logs' sizes.
 func (p *Plan) estimate(db *DB, q *query.Query, room mergeRoom) {
-	idsPerPage := p.BufferBytes / store.IDBytes
-	if idsPerPage < 1 {
-		idsPerPage = 1
-	}
+	idsPerPage := float64(max(p.BufferBytes/store.IDBytes, 1))
+	var io flashIO
 	anchorRows := float64(db.Rows(q.Anchor))
 	sel := 1.0
-	reads, writes := 0.0, 0.0
 	for _, tp := range p.Tables {
 		sel *= tp.SV
 		switch tp.Strategy {
 		case StratPre, StratCrossPre:
-			reads += p.idClimbReads(tp)
+			io.add(p.idClimbIO(tp))
 		}
 	}
 	for _, hp := range q.HiddenPreds() {
 		sel *= p.hiddenSelOf(db, hp)
-		r, w := p.route(db, q, hp, &p.HiddenSel[len(p.HiddenSel)-1], room)
-		reads += r
-		writes += w
+		io.add(p.route(db, q, hp, &p.HiddenSel[len(p.HiddenSel)-1], room))
 	}
 	est := anchorRows * sel
-	if p.FastPath {
-		p.EstCost = 0
-		return
-	}
 	cols := float64(p.Footprint.StoreWriters)
 	if p.DML {
 		cols = 0 // no Store or Project follows; the write stage is not priced
@@ -539,36 +567,41 @@ func (p *Plan) estimate(db *DB, q *query.Query, room mergeRoom) {
 	// SJoin reads one SKT row per surviving anchor id (random access);
 	// Store writes the materialized columns; Project re-reads them.
 	if p.Footprint.SKTReader > 0 {
-		reads += est
+		io.reads += est
+		if skt, ok := p.tok.catalog().SKTOf(q.Anchor); ok {
+			io.bytes += est * float64(store.IDBytes*len(skt.Descendants()))
+		}
 	}
-	writes += est * cols / float64(idsPerPage)
-	reads += 2 * est * cols / float64(idsPerPage)
-	p.EstPageReads = int(reads)
-	p.EstPageWrites = int(writes)
-	model := db.opts.Model
-	if model == (metrics.Model{}) {
-		model = metrics.DefaultModel()
+	io.writes += est * cols / idsPerPage
+	io.reads += 2 * est * cols / idsPerPage
+	io.bytes += 2 * est * cols * store.IDBytes
+	if p.FastPath {
+		io = flashIO{} // Untrusted answers; the token reads only its overlay
 	}
-	p.EstCost = model.IOTime(metrics.Sample{Flash: flash.Counters{
-		PageReads:  uint64(p.EstPageReads),
-		PageWrites: uint64(p.EstPageWrites),
-	}})
+	for _, dr := range p.delta {
+		io.add(p.tok.deltaReadIO(dr))
+	}
+	p.EstPageReads = int(io.reads)
+	p.EstPageWrites = int(io.writes)
+	p.EstCost = io.time(db)
 }
 
-// idClimbReads prices a table's Pre or Cross-Pre climb: its visible ids
-// probe the table's id index in sorted order. The index geometry is
-// read from the widths its tree was built with (fixed at load, so this
-// needs no slot), at the ~90% fill a bulk load leaves in every node.
-func (p *Plan) idClimbReads(tp TablePlan) float64 {
+// idClimbIO prices a table's Pre or Cross-Pre climb: its visible ids
+// probe the table's id index in sorted order, each node read a whole
+// page. The index geometry is read from the widths its tree was built
+// with (fixed at load, so this needs no slot), at the ~90% fill a bulk
+// load leaves in every node.
+func (p *Plan) idClimbIO(tp TablePlan) flashIO {
 	ci, ok := p.tok.catalog().IDIndex(tp.TableIdx)
 	if !ok {
-		return 0
+		return flashIO{}
 	}
 	tr := ci.Tree()
 	usable := p.BufferBytes * 9 / 10
 	leafCap := max(usable/(tr.KeyWidth()+tr.PayloadWidth()), 1)
 	fanout := max(usable/(tr.KeyWidth()+4), 2) // key + child page id
-	return idProbeReads(tp.VisCount, tp.Rows, leafCap, fanout)
+	reads := idProbeReads(tp.VisCount, tp.Rows, leafCap, fanout)
+	return flashIO{reads: reads, bytes: reads * float64(p.BufferBytes)}
 }
 
 // idProbeReads is the expected page reads of n sorted id probes into an
@@ -785,6 +818,16 @@ func (p *Plan) Explain() string {
 			}
 			fmt.Fprintf(&b, "    %s.%-10s ~%.3f  [%s]  %s\n", h.Table, h.Col, h.Sel, src, route)
 		}
+	}
+	if len(p.delta) > 0 {
+		reads := make([]string, len(p.delta))
+		for i, dr := range p.delta {
+			reads[i] = dr.name + " liveness"
+			if dr.images {
+				reads[i] = dr.name + " images"
+			}
+		}
+		fmt.Fprintf(&b, "  delta: %s\n", strings.Join(reads, " · "))
 	}
 	if fp := p.Footprint; p.DML {
 		fmt.Fprintf(&b, "  footprint (buffers): QEPSJ %d (merge %d, then write stage %d + a stream per merge group)\n",

@@ -369,6 +369,7 @@ func TestExplainRendersPlan(t *testing.T) {
 	}
 	out := stmt.Plan().Explain()
 	for _, frag := range []string{"plan:", "anchor: T0", "visible selections:", "T1",
+		"delta: T0 liveness · T1 liveness · T12 images",
 		"footprint (buffers):", "admission: min", "estimated cost:"} {
 		if !strings.Contains(out, frag) {
 			t.Fatalf("EXPLAIN output missing %q:\n%s", frag, out)

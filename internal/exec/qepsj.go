@@ -286,18 +286,27 @@ func (r *queryRun) execute() (*Result, error) {
 	return res, nil
 }
 
-// refreshDeltas replays the delta log of every dirty table the query
-// touches — the per-query read amplification of the LSM write path. The
-// replay is a sequential, data-independent scan of each log (its length
-// depends only on committed statement volume, which the untrusted side
-// already observes); its Delta stage claims a single buffer of the
-// session's grant, released before any other operator runs, so plan
-// floors are unchanged.
+// refreshDeltas replays, for every table the query names that carries
+// delta state, the part of its overlay the plan reads (Plan.delta):
+// the tombstone checkpoint and log, and the upsert log for a table whose
+// hidden attributes the statement reads or sets — the per-query read
+// amplification of the LSM write path. Each replay is a sequential,
+// data-independent scan of whole files (their lengths depend only on
+// committed statement volume and compactions, which the untrusted side
+// already observes), chosen by the statement text alone. The Delta stage
+// reads every file through the one page it claims, released before any
+// other operator runs, so plan floors are unchanged.
 func (r *queryRun) refreshDeltas() error {
-	var touched []*delta.Table
-	for _, ti := range r.q.Tables {
-		if dl := r.tok.deltaOf(ti); dl != nil && dl.Depth() > 0 {
-			touched = append(touched, dl)
+	type refresh struct {
+		dl     *delta.Table
+		images bool
+	}
+	var touched []refresh
+	for _, dr := range r.plan.delta {
+		if dl := r.tok.deltaOf(dr.table); dl != nil {
+			if pages, _ := dl.ReadSize(dr.images); pages > 0 {
+				touched = append(touched, refresh{dl, dr.images})
+			}
 		}
 	}
 	if len(touched) == 0 {
@@ -305,8 +314,10 @@ func (r *queryRun) refreshDeltas() error {
 	}
 	claims := []ram.Claim{{Name: "log-reader", Min: 1, Want: 1}}
 	return r.stage(spanDelta, claims, func(*ram.Reservation) error {
-		for _, dl := range touched {
-			if err := dl.Refresh(); err != nil {
+		buf := r.lend()
+		defer r.tok.releasePageBuf(buf)
+		for _, t := range touched {
+			if err := t.dl.Refresh(t.images, buf); err != nil {
 				return err
 			}
 		}

@@ -62,8 +62,8 @@ func (p *Plan) requestedRoom(db *DB, cfg QueryConfig, nGroups int) mergeRoom {
 }
 
 // route decides how the hidden predicate hp, whose estimate est has just
-// been recorded, reaches the Merge, and returns the page reads and
-// writes the plan's cost estimate charges it. An attribute predicate on
+// been recorded, reaches the Merge, and returns the flash traffic the
+// plan's cost estimate charges it. An attribute predicate on
 // the anchor is priced both ways and takes the cheaper route (CI on a
 // tie): the Scan reads the image and writes and re-reads its matches;
 // the CI descends the index, reads one sublist per matched entry at one
@@ -74,17 +74,20 @@ func (p *Plan) requestedRoom(db *DB, cfg QueryConfig, nGroups int) mergeRoom {
 // move it. Other predicates keep their one route: an id predicate on
 // the anchor filters, an indexed one climbs through its CI, an
 // unindexed one scans.
-func (p *Plan) route(db *DB, q *query.Query, hp query.Pred, est *HiddenSelEst, room mergeRoom) (reads, writes float64) {
+func (p *Plan) route(db *DB, q *query.Query, hp query.Pred, est *HiddenSelEst, room mergeRoom) flashIO {
 	rows := float64(db.Rows(hp.Table))
 	// Index descent plus the matching sublist pages: the estimate of a
 	// route priced one way only.
-	unpriced := 3 + rows*est.Sel/float64(max(p.BufferBytes/store.IDBytes, 1))
+	unpriced := flashIO{
+		reads: 3 + rows*est.Sel/float64(max(p.BufferBytes/store.IDBytes, 1)),
+		bytes: 3*float64(p.BufferBytes) + rows*est.Sel*store.IDBytes,
+	}
 	matches := math.Round(rows * est.Sel)
 	ci := p.tok.indexForPred(hp)
 	switch {
 	case hp.Table == q.Anchor && hp.ColIdx == query.IDCol:
 		est.Route = RouteIDFilter
-		return unpriced, 0
+		return unpriced
 	case hp.Table != q.Anchor:
 		est.Route = RouteScan
 		if ci != nil {
@@ -92,29 +95,36 @@ func (p *Plan) route(db *DB, q *query.Query, hp query.Pred, est *HiddenSelEst, r
 				est.Route = RouteCI
 			}
 		}
-		return unpriced, 0
+		return unpriced
 	}
 	scan := db.scanIO(hp.Table, matches, p.BufferBytes)
 	est.Route, est.ScanCost = RouteScan, scan.time(db)
 	if ci == nil {
-		return scan.reads, scan.writes
+		return scan
 	}
 	io, ok := p.ciIO(ci, matches, room)
 	if !ok {
 		est.Route, est.ScanCost = RouteCI, 0
-		return unpriced, 0
+		return unpriced
 	}
 	if est.CICost = io.time(db); est.CICost <= est.ScanCost {
 		est.Route = RouteCI
-		return io.reads, io.writes
+		return io
 	}
-	return scan.reads, scan.writes
+	return scan
 }
 
 // flashIO is an estimated flash traffic: page reads and writes, and the
 // bytes the reads move into RAM (each priced per byte by the model).
 type flashIO struct {
 	reads, writes, bytes float64
+}
+
+// add adds o's traffic to io's.
+func (io *flashIO) add(o flashIO) {
+	io.reads += o.reads
+	io.writes += o.writes
+	io.bytes += o.bytes
 }
 
 // time prices the traffic under the engine's flash model.

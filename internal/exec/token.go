@@ -84,11 +84,13 @@ type Token struct {
 	totals Totals
 
 	// Declassified telemetry mirrors: public counts updated at DML
-	// commit and compaction so observability code never reads hidden
-	// delta state. What they reveal — statement counts and delta page
-	// depth — is derivable from statement text plus commit volume, both
-	// already visible to the untrusted observer.
+	// commit and compaction so observability code and the planner never
+	// read hidden delta state. What they reveal — statement counts, delta
+	// page depth and the size of each table's liveness and images reads
+	// — is derivable from statement text plus commit and compaction
+	// volume, all already visible to the untrusted observer.
 	deltaPages  int
+	deltaReads  map[int][2]flashIO // table -> [liveness, images] Refresh traffic
 	dmlCount    uint64
 	compactions uint64
 	compacting  bool
@@ -297,11 +299,28 @@ func (t *Token) dropSpools() {
 func (t *Token) syncDeltaMirror() {
 	pages := 0
 	t.mu.Lock()
-	for _, d := range t.deltas {
+	for ti, d := range t.deltas {
 		pages += d.Depth()
+		var reads [2]flashIO
+		for i, images := range []bool{false, true} {
+			p, b := d.ReadSize(images)
+			reads[i] = flashIO{reads: float64(p), bytes: float64(b)}
+		}
+		t.deltaReads[ti] = reads
 	}
 	t.deltaPages = pages
 	t.mu.Unlock()
+}
+
+// deltaReadIO is the flash traffic of the planned overlay read dr, from
+// the declassified mirror (zero for a table no DML has touched).
+func (t *Token) deltaReadIO(dr deltaRead) flashIO {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if dr.images {
+		return t.deltaReads[dr.table][1]
+	}
+	return t.deltaReads[dr.table][0]
 }
 
 // DeltaPages reports the token's live delta log depth in flash pages

@@ -165,9 +165,20 @@ type SeqReader struct {
 	reqs     []flash.ReadReq
 }
 
-// NewSeqReader returns a sequential reader positioned at record 0.
+// NewSeqReader returns a sequential reader positioned at record 0, over a
+// page buffer of its own.
 func (f *RowFile) NewSeqReader() *SeqReader {
-	return &SeqReader{f: f, page: -1, buf: make([]byte, f.dev.PageSize())}
+	rd := &SeqReader{}
+	f.InitSeqReader(rd, make([]byte, f.dev.PageSize()))
+	return rd
+}
+
+// InitSeqReader positions rd at record 0 of f, reading through the
+// caller's page buffer buf (at least one flash page), so a reader can
+// be reused across files and its page taken from a caller's pool, as
+// Segment.Init takes its writer's.
+func (f *RowFile) InitSeqReader(rd *SeqReader, buf []byte) {
+	*rd = SeqReader{f: f, page: -1, buf: buf}
 }
 
 // SetReadAhead double-buffers the scan: whenever the reader crosses into

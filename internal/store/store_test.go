@@ -166,6 +166,52 @@ func TestRowFileRoundtrip(t *testing.T) {
 	}
 }
 
+// TestInitSeqReaderReusesCallerPage: one reader re-initialised over two
+// files streams each from record 0 through the caller's page buffer,
+// and reads each file's pages once, as NewSeqReader's reader does.
+func TestInitSeqReaderReusesCallerPage(t *testing.T) {
+	dev := testDev(t)
+	var files []*RowFile
+	for _, n := range []int{37, 5} {
+		f, _ := NewRowFile(dev, 12)
+		for i := 0; i < n; i++ {
+			rec := make([]byte, 12)
+			binary.BigEndian.PutUint32(rec, uint32(1000*n+i))
+			f.Append(rec)
+		}
+		f.Seal()
+		files = append(files, f)
+	}
+	buf := make([]byte, dev.PageSize())
+	var rd SeqReader
+	for _, f := range files {
+		dev.ResetCounters()
+		f.InitSeqReader(&rd, buf)
+		n := 0
+		for {
+			rec, id, ok, err := rd.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			if &rec[0] != &buf[int(id)%(256/12)*12] {
+				t.Fatal("record not served from the caller's page")
+			}
+			if got := binary.BigEndian.Uint32(rec); got != uint32(1000*f.Count())+id {
+				t.Fatalf("row %d = %d", id, got)
+			}
+			n++
+		}
+		c := dev.Counters()
+		if n != f.Count() || c.PageReads != uint64(f.Pages()) || c.BytesToRAM != uint64(f.Count()*12) {
+			t.Fatalf("read %d of %d rows in %d reads (%d B), want %d pages (%d B)",
+				n, f.Count(), c.PageReads, c.BytesToRAM, f.Pages(), f.Count()*12)
+		}
+	}
+}
+
 func TestRowFileSortedReaderPageEconomy(t *testing.T) {
 	dev := testDev(t)
 	f, _ := NewRowFile(dev, 16) // 16 rows per 256B page
