@@ -37,6 +37,8 @@ package delta
 
 import (
 	"encoding/binary"
+	"maps"
+	"slices"
 
 	"ghostdb/internal/flash"
 	"ghostdb/internal/store"
@@ -247,8 +249,9 @@ func (t *Table) Refresh(images bool, buf []byte) error {
 
 // Reset is the compaction epilogue: the overlay has been folded into a
 // fresh base image, so upserts are dropped, the old logs' pages are
-// freed, and the surviving tombstone set is checkpointed to flash (ids
-// never revive, so tombstones outlive every compaction).
+// freed, and the surviving tombstone set is checkpointed to flash in
+// ascending id order (ids never revive, so tombstones outlive every
+// compaction), so equal histories write equal pages.
 func (t *Table) Reset() error {
 	if err := t.tombLog.file.Free(); err != nil {
 		return err
@@ -268,7 +271,7 @@ func (t *Table) Reset() error {
 			return err
 		}
 		rec := make([]byte, headerBytes)
-		for id := range t.tombs {
+		for _, id := range slices.Sorted(maps.Keys(t.tombs)) {
 			rec[0] = kindTombstone
 			binary.BigEndian.PutUint32(rec[1:], id)
 			if err := ck.Append(rec); err != nil {

@@ -221,3 +221,52 @@ func TestOverlaySemantics(t *testing.T) {
 		t.Fatalf("TombCount = %d after re-tombstone, want 1", dl.TombCount())
 	}
 }
+
+// TestCheckpointIsDeterministic: two tables given the same history —
+// deletions over two compactions, in a scattered id order — leave
+// checkpoints with byte-identical pages, their tombstones in ascending
+// id order.
+func TestCheckpointIsDeterministic(t *testing.T) {
+	const rowW = 8
+	history := func() []byte {
+		dl, err := NewTable(newDev(t), rowW)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round := 0; round < 2; round++ {
+			for i := 0; i < 150; i++ {
+				if err := dl.StageTombstone(uint32((i*97 + round*31) % 1000)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := dl.CommitDeletes(); err != nil {
+				t.Fatal(err)
+			}
+			if err := dl.Reset(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ck := dl.checkpoint
+		if ck == nil || ck.Count() != dl.TombCount() {
+			t.Fatalf("checkpoint %v, want %d tombstones", ck, dl.TombCount())
+		}
+		var img []byte
+		rec := make([]byte, headerBytes)
+		for id := 0; id < ck.Count(); id++ {
+			if err := ck.ReadRow(uint32(id), rec); err != nil {
+				t.Fatal(err)
+			}
+			img = append(img, rec...)
+		}
+		return img
+	}
+	a, b := history(), history()
+	if !bytes.Equal(a, b) {
+		t.Fatal("equal histories left different checkpoint pages")
+	}
+	for i := headerBytes; i < len(a); i += headerBytes {
+		if bytes.Compare(a[i-headerBytes+1:i], a[i+1:i+headerBytes]) >= 0 {
+			t.Fatalf("checkpoint record %d is not above its predecessor", i/headerBytes)
+		}
+	}
+}

@@ -80,6 +80,16 @@ func newFixtureOpts(t testing.TB, seed uint64, cards map[string]int, opts Option
 // into an engine built with opts, plus a matching reference engine.
 func newFixtureDefs(t testing.TB, seed uint64, defs []schema.TableDef, cards map[string]int, opts Options) *fixture {
 	t.Helper()
+	return newFixtureMapped(t, seed, defs, cards, opts, nil)
+}
+
+// newFixtureMapped is newFixtureDefs with every drawn value v of a
+// column passed through remap (nil keeps it), for twins that differ in
+// one column's values only: the draws, and so every other value, stay
+// the same.
+func newFixtureMapped(t testing.TB, seed uint64, defs []schema.TableDef, cards map[string]int, opts Options,
+	remap func(table, col string, v int) int) *fixture {
+	t.Helper()
 	sch, err := schema.New(defs)
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +105,11 @@ func newFixtureDefs(t testing.TB, seed uint64, defs []schema.TableDef, cards map
 			w := col.EncodedWidth()
 			data := make([]byte, n*w)
 			for i := 0; i < n; i++ {
-				v := schema.CharVal(pad(rng.next(testDomain)))
+				d := rng.next(testDomain)
+				if remap != nil {
+					d = remap(tb.Name, col.Name, d)
+				}
+				v := schema.CharVal(pad(d))
 				if rows[i] == nil {
 					rows[i] = make(schema.Row, len(tb.Columns))
 				}

@@ -103,16 +103,17 @@ type queryRun struct {
 }
 
 // lendHook, when set, runs after every page buffer a query run borrows
-// from its token's free list; tests use it to check that each lent page
-// is covered by a claim of the stage that holds it.
-var lendHook func(r *queryRun)
+// from its token's free list, with the buffer; tests use it to check
+// that each lent page is covered by a claim of the stage that holds it,
+// and to poison the page's stale bytes.
+var lendHook func(r *queryRun, buf []byte)
 
 // lend borrows a page-sized host buffer from the token's free list for a
 // reader or writer of the running stage, which claims its RAM buffer.
 func (r *queryRun) lend() []byte {
 	buf := r.tok.pageBuf()
 	if lendHook != nil {
-		lendHook(r)
+		lendHook(r, buf)
 	}
 	return buf
 }

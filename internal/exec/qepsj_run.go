@@ -518,23 +518,27 @@ func (r *queryRun) scanFallback(g *mergeGroup, p query.Pred) error {
 		return fmt.Errorf("exec: column %d of %s is not hidden", p.ColIdx, db.Sch.Tables[p.Table].Name)
 	}
 	dl := r.tok.deltaOf(p.Table)
+	kind := img.Codec.Columns()[pos].Kind
 	// The Scan stage claims the image reader and the matches writer: it
-	// writes the matching ids and, for a non-anchor table, reads them
-	// back for the climb.
+	// reads the predicate's column through a page lent from the token's
+	// pool, writes the matching ids and, for a non-anchor table, reads
+	// them back for the climb.
 	claims := []ram.Claim{{Name: "image-reader", Min: 1, Want: 1}, {Name: "matches-writer", Min: 1, Want: 1}}
 	var matches *tempList
 	var sub sublist
 	var ids []uint32
 	err := r.stage(spanScan, claims, func(*ram.Reservation) error {
+		buf := r.lend()
+		defer r.tok.releasePageBuf(buf)
 		matches = r.newTemp()
 		if err := matches.BeginRun(); err != nil {
 			return err
 		}
-		err := img.scan(dl, func(id uint32, rec []byte) error {
+		err := img.scanColumn(dl, pos, buf, func(id uint32, col []byte) error {
 			if dl != nil && dl.Dead(id) {
 				return nil
 			}
-			v, err := img.Codec.DecodeColumn(rec, pos)
+			v, err := schema.DecodeValue(col, kind)
 			if err != nil || !matchValue(p, v) {
 				return err
 			}

@@ -15,7 +15,8 @@ import (
 // The routes a hidden predicate's ids take to the Merge, named after the
 // stage that evaluates them (HiddenSelEst.Route): an anchor id predicate
 // filters the ids flowing by, an indexed predicate takes the CI stage,
-// and the Scan stage reads the whole hidden image.
+// and the Scan stage reads the predicate's column out of every page of
+// the hidden image.
 const (
 	RouteIDFilter = "id filter"
 	RouteCI       = spanCI
@@ -97,7 +98,7 @@ func (p *Plan) route(db *DB, q *query.Query, hp query.Pred, est *HiddenSelEst, r
 		}
 		return unpriced
 	}
-	scan := db.scanIO(hp.Table, matches, p.BufferBytes)
+	scan := db.scanIO(hp.Table, hp.ColIdx, matches, p.BufferBytes)
 	est.Route, est.ScanCost = RouteScan, scan.time(db)
 	if ci == nil {
 		return scan
@@ -136,14 +137,16 @@ func (io flashIO) time(db *DB) time.Duration {
 	}})
 }
 
-// scanIO prices a Scan of the table's hidden image for matches rows: one
-// sequential pass over the image, whose page count and bytes follow from
-// the row count and the widths of the hidden columns (public like the
-// table's size), then the matches written as one run, which the Merge
-// reads back. A page is the size of a RAM buffer.
-func (db *DB) scanIO(table int, matches float64, pageSize int) flashIO {
+// scanIO prices a Scan of column col of the table's hidden image for
+// matches rows: one sequential pass that loads every page of the image,
+// whose page count follows from the row count and the widths of the
+// hidden columns, and moves the column's bytes of each row (all public
+// like the table's size), then the matches written as one run, which
+// the Merge reads back. A page is the size of a RAM buffer.
+func (db *DB) scanIO(table, col int, matches float64, pageSize int) flashIO {
+	cols := db.Sch.Tables[table].Columns
 	w := 0
-	for _, c := range db.Sch.Tables[table].Columns {
+	for _, c := range cols {
 		if c.Hidden {
 			w += c.EncodedWidth()
 		}
@@ -154,7 +157,7 @@ func (db *DB) scanIO(table int, matches float64, pageSize int) flashIO {
 	return flashIO{
 		reads:  float64((rows+perPage-1)/perPage) + m,
 		writes: m,
-		bytes:  float64(rows*w) + matches*store.IDBytes,
+		bytes:  float64(rows*cols[col].EncodedWidth()) + matches*store.IDBytes,
 	}
 }
 

@@ -173,11 +173,20 @@ func plannedRouteProperty(t *testing.T, buffers int) {
 // the other (its range lies past the value domain), then the same
 // SELECT. The UPDATE leaves live upserts on one twin only, and the
 // SELECT's route does not depend on it: flash counters, Down bytes and
-// every operator's sample are identical.
+// every operator's sample are identical, at 7 and 32 buffers.
 func TestScanRouteIgnoresUpdateMatches(t *testing.T) {
+	for _, buffers := range []int{minViableBuffers, 32} {
+		t.Run(fmt.Sprintf("%d-buffers", buffers), func(t *testing.T) { scanRouteIgnoresUpdateMatches(t, buffers) })
+	}
+}
+
+func scanRouteIgnoresUpdateMatches(t *testing.T, buffers int) {
 	const sel = "SELECT T1.id, T1.v2 FROM T1 WHERE T1.h2 BETWEEN '0000000100' AND '0000000600'"
 	twin := func(update string) (*fixture, *Result) {
-		f := newFixture(t, 97, writesCards())
+		f := newFixtureOpts(t, 97, writesCards(), Options{
+			RAMBudget:   buffers * 2048,
+			FlashParams: flash.Params{PageSize: 2048, PagesPerBlock: 16, Blocks: 8192, ReserveBlocks: 4},
+		})
 		stmt, err := f.db.Prepare(sel, QueryConfig{})
 		if err != nil {
 			t.Fatal(err)

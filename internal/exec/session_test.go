@@ -262,13 +262,18 @@ func TestLeakedSeesSessionClaims(t *testing.T) {
 // and that stage claims a RAM buffer for it, so at no borrow are more
 // pages lent than the session's budget has given out. Replays every
 // golden corpus at its grants; the writes corpus's UPDATE/DELETE
-// statements lend pages too (Scan matches, reduction spills).
+// statements lend pages too (Scan matches, reduction spills), and a
+// Scan stage lends two: its image reader's and its matches writer's.
 func TestStagesClaimTheirPages(t *testing.T) {
 	var over []string
 	dmlLends := 0
-	lendHook = func(r *queryRun) {
+	scanLends := map[*queryRun]int{}
+	lendHook = func(r *queryRun, _ []byte) {
 		if r.plan.DML {
 			dmlLends++
+		}
+		if r.col.Open() == spanScan {
+			scanLends[r]++
 		}
 		if claimed := r.ram.InUse() / r.ram.BufferSize(); r.tok.lent > claimed {
 			over = append(over, fmt.Sprintf("[%v/%v] %s: %d pages lent, %d buffers claimed",
@@ -282,5 +287,13 @@ func TestStagesClaimTheirPages(t *testing.T) {
 	}
 	if dmlLends == 0 {
 		t.Fatal("no UPDATE/DELETE statement borrowed a page")
+	}
+	if len(scanLends) == 0 {
+		t.Fatal("no Scan stage borrowed a page")
+	}
+	for r, n := range scanLends {
+		if n < 2 {
+			t.Fatalf("%s: the Scan stage borrowed %d page, want its image reader's and its matches writer's", r.q.SQL, n)
+		}
 	}
 }

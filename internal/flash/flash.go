@@ -360,6 +360,50 @@ func (d *Device) ReadRange(id PageID, dst []byte, off, n int) error {
 	return nil
 }
 
+// ReadStrided loads a logical page into the data register once and
+// transfers count spans of n bytes, the i-th starting at off+i*stride,
+// each into the same offset of dst: one column of a page of fixed-width
+// records. Only the count*n transferred bytes are charged at the
+// per-byte rate, the page load once, as in ReadRange; bytes of dst
+// outside the spans are left untouched. The spans must lie inside the
+// page and must not overlap (stride >= n when count > 1); dst must
+// reach the last span's end. A count or n of 0 is a validated no-op, as
+// in Read.
+func (d *Device) ReadStrided(id PageID, dst []byte, off, n, stride, count int) error {
+	if d.closed {
+		return ErrDeviceClose
+	}
+	ps := d.params.PageSize
+	if off < 0 || n < 0 || count < 0 {
+		return fmt.Errorf("flash: strided read off %d n %d count %d negative", off, n, count)
+	}
+	if n == 0 || count == 0 {
+		return d.checkMapped(id)
+	}
+	if off > ps || n > ps || count > ps || count > 1 && (stride < n || stride > ps) {
+		return fmt.Errorf("flash: strided read of %d spans of %d bytes, stride %d, out of page or overlapping", count, n, stride)
+	}
+	end := off + n + (count-1)*stride
+	if end > ps {
+		return fmt.Errorf("flash: strided read ends at %d, past the page", end)
+	}
+	if len(dst) < end {
+		return fmt.Errorf("flash: dst too small: %d < %d", len(dst), end)
+	}
+	if err := d.checkMapped(id); err != nil {
+		return err
+	}
+	pp := int(d.l2p[id])
+	blk, o := pp/d.params.PagesPerBlock, pp%d.params.PagesPerBlock
+	src := d.data[blk][o*ps : (o+1)*ps]
+	for i, at := 0, off; i < count; i, at = i+1, at+stride {
+		copy(dst[at:at+n], src[at:at+n])
+	}
+	d.c.PageReads++
+	d.c.BytesToRAM += uint64(count * n)
+	return nil
+}
+
 // ReadReq is one page read inside a coalesced ReadMulti request.
 type ReadReq struct {
 	ID  PageID

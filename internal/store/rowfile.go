@@ -272,6 +272,50 @@ func (r *SeqReader) Next() (rec []byte, id uint32, ok bool, err error) {
 	return rec, id, true, nil
 }
 
+// ColumnReader streams one column of every record in ID order: it loads
+// each page once, like SeqReader, but transfers only the column's byte
+// span of each row (flash.Device.ReadStrided), so a pass moves rows ×
+// column width bytes instead of rows × record width.
+type ColumnReader struct {
+	f      *RowFile
+	off, w int // the column's byte span within a record
+	next   int
+	page   int
+	buf    []byte
+}
+
+// InitColumnReader positions rd at record 0 of f, transferring the
+// width-byte span at off of each record into the caller's page buffer
+// buf (at least one flash page), as InitSeqReader reads whole records.
+func (f *RowFile) InitColumnReader(rd *ColumnReader, buf []byte, off, width int) error {
+	if off < 0 || width <= 0 || off+width > f.rowWidth {
+		return fmt.Errorf("store: column span [%d,%d) outside a %d-byte record", off, off+width, f.rowWidth)
+	}
+	*rd = ColumnReader{f: f, off: off, w: width, page: -1, buf: buf}
+	return nil
+}
+
+// Next returns the next record's column bytes (a view valid until the
+// following call) or ok=false at end of file.
+func (r *ColumnReader) Next() (col []byte, id uint32, ok bool, err error) {
+	f := r.f
+	if r.next >= f.count {
+		return nil, 0, false, nil
+	}
+	pi := r.next / f.rowsPerPage
+	if pi != r.page {
+		rows := min(f.rowsPerPage, f.count-pi*f.rowsPerPage)
+		if err := f.dev.ReadStrided(f.pages[pi], r.buf, r.off, r.w, f.rowWidth, rows); err != nil {
+			return nil, 0, false, err
+		}
+		r.page = pi
+	}
+	at := r.next%f.rowsPerPage*f.rowWidth + r.off
+	id = uint32(r.next)
+	r.next++
+	return r.buf[at : at+r.w], id, true, nil
+}
+
 // SortedReader reads records for an ascending sequence of IDs, touching
 // each page at most once (the SJoin access pattern: low-selectivity inputs
 // touch few pages, and above ~10% selectivity every page is read, which is

@@ -485,3 +485,67 @@ func TestSeqReaderReadAheadParity(t *testing.T) {
 		t.Fatal("undersized staging should not enable read-ahead")
 	}
 }
+
+// TestColumnReaderMatchesReadRow: over every row of a file whose last
+// page is partial, a column reader returns the bytes ReadRow returns for
+// that column, served from the caller's page, for each column span; the
+// pass charges one page read per page and rows × width bytes. A span
+// outside the record is refused.
+func TestColumnReaderMatchesReadRow(t *testing.T) {
+	dev := testDev(t)
+	const rowW, n = 12, 50 // 21 rows to a 256-byte page, 3 pages
+	f, _ := NewRowFile(dev, rowW)
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < n; i++ {
+		rec := make([]byte, rowW)
+		rng.Read(rec)
+		if err := f.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	buf := bytes.Repeat([]byte{0xFF}, dev.PageSize())
+	row := make([]byte, rowW)
+	var rd ColumnReader
+	for _, span := range [][2]int{{0, 4}, {4, 8}, {11, 1}, {0, rowW}} {
+		off, w := span[0], span[1]
+		if err := f.InitColumnReader(&rd, buf, off, w); err != nil {
+			t.Fatal(err)
+		}
+		before := dev.Counters()
+		var got [][]byte
+		for {
+			col, id, ok, err := rd.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			if int(id) != len(got) || &col[0] != &buf[int(id)%(256/rowW)*rowW+off] {
+				t.Fatalf("span %v: row %d not served in order from the caller's page", span, id)
+			}
+			got = append(got, bytes.Clone(col))
+		}
+		c := dev.Counters().Sub(before)
+		if len(got) != n || c.PageReads != uint64(f.Pages()) || c.BytesToRAM != uint64(n*w) {
+			t.Fatalf("span %v: %d rows in %d reads (%d B), want %d rows, %d pages (%d B)",
+				span, len(got), c.PageReads, c.BytesToRAM, n, f.Pages(), n*w)
+		}
+		for id, col := range got {
+			if err := f.ReadRow(uint32(id), row); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(col, row[off:off+w]) {
+				t.Fatalf("span %v row %d: %x, ReadRow %x", span, id, col, row[off:off+w])
+			}
+		}
+	}
+	for _, span := range [][2]int{{-1, 4}, {10, 3}, {0, 0}} {
+		if err := f.InitColumnReader(&rd, buf, span[0], span[1]); err == nil {
+			t.Fatalf("span %v outside a %d-byte record accepted", span, rowW)
+		}
+	}
+}
