@@ -463,7 +463,8 @@ func (db *DB) compactToken(tok *Token) error {
 					return err
 				}
 			}
-			err := img.scan(dl, func(_ uint32, rec []byte) error {
+			buf := make([]byte, tok.Dev.PageSize())
+			err := img.scan(dl, 0, img.Codec.Width(), buf, func(_ uint32, rec []byte) error {
 				for _, f := range fills {
 					attrs[f.ai].Data = append(attrs[f.ai].Data, rec[f.off:f.off+f.w]...)
 				}

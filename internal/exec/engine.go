@@ -276,60 +276,33 @@ type HiddenImage struct {
 	ColPos map[int]int // table column index -> position within the image
 }
 
-// scan calls fn for every row of the image in id order, with the
-// table's delta overlay (dl, nil when the table has none) substituted
-// for each upserted row: one sequential page-by-page pass that moves
-// every row whole, whose reads depend on the image's size only (the
-// compaction's pass, which rebuilds whole rows). Tombstoned rows are
-// passed too; callers screen them with dl.Dead. rec is valid until fn
+// scan calls fn for every row of the image in id order with the bytes
+// of the span [off, off+w) of the row, the overlay's (dl, nil when the
+// table has none) for each upserted row: one sequential pass through the
+// caller's page buffer buf that loads each page once and transfers only
+// the span of each row, so its reads and bytes depend on the image's
+// size and the span's width only. The Scan stage passes its predicate's
+// column, compaction the whole row (0, Codec.Width()). Tombstoned rows
+// are passed too; callers screen them with dl.Dead. b is valid until fn
 // returns.
 //
 //ghostdb:requires-slot
-func (img *HiddenImage) scan(dl *delta.Table, fn func(id uint32, rec []byte) error) error {
-	rd := img.File.NewSeqReader()
-	for {
-		rec, id, ok, err := rd.Next()
-		if err != nil || !ok {
-			return err
-		}
-		if dl != nil {
-			if ov, ok := dl.Lookup(id); ok {
-				rec = ov
-			}
-		}
-		if err := fn(id, rec); err != nil {
-			return err
-		}
-	}
-}
-
-// scanColumn calls fn for every row of the image in id order with the
-// bytes of the hidden column at image position pos, the overlay's
-// (dl, nil when the table has none) for each upserted row: one
-// sequential pass through the caller's page buffer buf that loads each
-// page once and transfers only the column's span of each row, so its
-// reads and bytes depend on the image's size and the column's width
-// only. Tombstoned rows are passed too; callers screen them with
-// dl.Dead. col is valid until fn returns.
-//
-//ghostdb:requires-slot
-func (img *HiddenImage) scanColumn(dl *delta.Table, pos int, buf []byte, fn func(id uint32, col []byte) error) error {
-	off, w := img.Codec.ColumnRange(pos)
+func (img *HiddenImage) scan(dl *delta.Table, off, w int, buf []byte, fn func(id uint32, b []byte) error) error {
 	var rd store.ColumnReader
 	if err := img.File.InitColumnReader(&rd, buf, off, w); err != nil {
 		return err
 	}
 	for {
-		col, id, ok, err := rd.Next()
+		b, id, ok, err := rd.Next()
 		if err != nil || !ok {
 			return err
 		}
 		if dl != nil {
 			if ov, ok := dl.Lookup(id); ok {
-				col = ov[off : off+w]
+				b = ov[off : off+w]
 			}
 		}
-		if err := fn(id, col); err != nil {
+		if err := fn(id, b); err != nil {
 			return err
 		}
 	}

@@ -534,7 +534,8 @@ func (r *queryRun) scanFallback(g *mergeGroup, p query.Pred) error {
 		if err := matches.BeginRun(); err != nil {
 			return err
 		}
-		err := img.scanColumn(dl, pos, buf, func(id uint32, col []byte) error {
+		off, w := img.Codec.ColumnRange(pos)
+		err := img.scan(dl, off, w, buf, func(id uint32, col []byte) error {
 			if dl != nil && dl.Dead(id) {
 				return nil
 			}

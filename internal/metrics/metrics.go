@@ -164,14 +164,6 @@ func (c *Collector) Span(name string, f func() error) error {
 	return err
 }
 
-// Open returns the name of the innermost open span, "" when none is.
-func (c *Collector) Open() string {
-	if n := len(c.stack); n > 0 {
-		return c.spans[c.stack[n-1]].name
-	}
-	return ""
-}
-
 // settle credits the activity since the last span boundary to the
 // innermost open span (to nobody when none is open). It runs twice per
 // span, several spans per tuple, so the delta is added field by field in

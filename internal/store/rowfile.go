@@ -272,10 +272,11 @@ func (r *SeqReader) Next() (rec []byte, id uint32, ok bool, err error) {
 	return rec, id, true, nil
 }
 
-// ColumnReader streams one column of every record in ID order: it loads
-// each page once, like SeqReader, but transfers only the column's byte
-// span of each row (flash.Device.ReadStrided), so a pass moves rows ×
-// column width bytes instead of rows × record width.
+// ColumnReader streams one byte span of every record in ID order, a
+// column or the whole record: it loads each page once, like SeqReader,
+// but transfers only the span of each row (flash.Device.ReadStrided), so
+// a pass over a column moves rows × column width bytes instead of rows ×
+// record width.
 type ColumnReader struct {
 	f      *RowFile
 	off, w int // the column's byte span within a record
