@@ -29,6 +29,7 @@ fmt:
 fuzz:
 	$(GO) test -fuzz FuzzParse -fuzztime 30s ./internal/sqlparse
 	$(GO) test -run '^$$' -fuzz FuzzStridedRead -fuzztime 10s ./internal/flash
+	$(GO) test -run '^$$' -fuzz FuzzGatherRead -fuzztime 10s ./internal/flash
 
 # The paper's evaluation: Table 1, Figures 7-16 and the ablations, in
 # simulated time (machine-independent).

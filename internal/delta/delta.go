@@ -55,6 +55,12 @@ const (
 // headerBytes is the fixed per-record header: 1 kind byte + 4 id bytes.
 const headerBytes = 1 + store.IDBytes
 
+// RecordBytes is the width of a log record carrying an image of
+// imageBytes: a tombstone's is 0, an upsert's the table's hidden row.
+// With the page size it fixes how many pages a statement's commit
+// writes, which the planner prices.
+func RecordBytes(imageBytes int) int { return headerBytes + imageBytes }
+
 // batchLog is one append-only log of fixed-width records, written a
 // statement's batch at a time. It is kept unsealed: commit pads every
 // batch to a page boundary, so the RowFile's one-page append buffer is

@@ -96,10 +96,14 @@ func writeClaims(d *query.DML) []ram.Claim {
 // writeRows is a DML's write stage, the consumer of its Merge: it pulls
 // the matched ids in ascending order a batch at a time (under the Merge
 // span, as joinAndStore does) and, under the DML span, stages a
-// tombstone per id (DELETE) or a read-modify-write upsert through one
-// SortedReader (hidden SET), and keeps the ids a visible SET hands to
-// the untrusted store. Then it commits the statement's batch, padded to
-// whole pages; resN counts the affected rows. Its claims
+// tombstone per id (DELETE) or a read-modify-write upsert (hidden SET),
+// and keeps the ids a visible SET hands to the untrusted store. Then it
+// commits the statement's batch, padded to whole pages; resN counts the
+// affected rows. A hidden SET rewrites the ids one image page at a time:
+// the rows of a page the overlay does not hold are gathered in one page
+// load that moves only those rows (store.GatherReader, through a page
+// lent under the row-reader claim), and a page's run is held across the
+// Merge batch boundary, so no page is loaded twice. Its claims
 // (writeClaims) are taken with the Merge stage's, after a reduction that
 // leaves them room.
 func (r *queryRun) writeRows(d *query.DML, merged idStream) error {
@@ -110,42 +114,72 @@ func (r *queryRun) writeRows(d *query.DML, merged idStream) error {
 	// write cost for untrusted-side work).
 	secure := d.Delete || d.HiddenSets()
 	var dl *delta.Table
-	var srd *store.SortedReader
-	var rec []byte
 	if secure {
 		var err error
 		if dl, err = tok.deltaFor(d.Table); err != nil {
 			return err
 		}
 	}
+	var rows store.GatherReader
+	var rec []byte
+	var run, gather []uint32 // one image page's matched ids, and those the overlay lacks
 	if d.HiddenSets() {
 		if img == nil {
 			return fmt.Errorf("exec: hidden SET on %s without a hidden image", r.db.Sch.Tables[d.Table].Name)
 		}
-		srd = img.File.NewSortedReader()
+		buf := r.lend()
+		defer tok.releasePageBuf(buf)
+		img.File.InitGatherReader(&rows, buf)
 		rec = make([]byte, img.Codec.Width())
 	}
-	// write stages one id: its tombstone, or its hidden row with the SET
-	// values encoded in, read from the overlay when upserted before.
+	// flush stages the run: the rows the overlay lacks come from one
+	// gather of their page, then each id's row, the SET values encoded
+	// in, is upserted in ascending id order.
+	flush := func() error {
+		gather = gather[:0]
+		for _, id := range run {
+			if _, ok := dl.Lookup(id); !ok {
+				gather = append(gather, id)
+			}
+		}
+		if err := rows.Load(gather); err != nil {
+			return err
+		}
+		for _, id := range run {
+			if ov, ok := dl.Lookup(id); ok {
+				copy(rec, ov)
+			} else {
+				copy(rec, rows.Row(id))
+			}
+			for _, s := range d.Sets {
+				if !s.Hidden {
+					continue
+				}
+				o, w := img.Codec.ColumnRange(img.ColPos[s.ColIdx])
+				if err := schema.EncodeValue(rec[o:o+w], s.Val); err != nil {
+					return err
+				}
+			}
+			if err := dl.StageUpsert(id, rec); err != nil {
+				return err
+			}
+		}
+		run = run[:0]
+		return nil
+	}
+	// write stages one id: its tombstone, or its place in the run of its
+	// image page, flushing the run of the page before.
 	write := func(id uint32) error {
 		if d.Delete {
 			return dl.StageTombstone(id)
 		}
-		if ov, ok := dl.Lookup(id); ok {
-			copy(rec, ov)
-		} else if err := srd.Read(id, rec); err != nil {
-			return err
-		}
-		for _, s := range d.Sets {
-			if !s.Hidden {
-				continue
-			}
-			o, w := img.Codec.ColumnRange(img.ColPos[s.ColIdx])
-			if err := schema.EncodeValue(rec[o:o+w], s.Val); err != nil {
+		if len(run) > 0 && img.File.PageOf(id) != img.File.PageOf(run[0]) {
+			if err := flush(); err != nil {
 				return err
 			}
 		}
-		return dl.StageUpsert(id, rec)
+		run = append(run, id)
+		return nil
 	}
 
 	batch := make([]uint32, max(r.ram.BufferSize()/store.IDBytes, 16))
@@ -202,9 +236,14 @@ func (r *queryRun) writeRows(d *query.DML, merged idStream) error {
 				return err
 			}
 		}
-		// Page-aligned commit to the log of the statement's kind: its
-		// flash write volume is a whole number of pages, at least one,
-		// even when nothing matched.
+		// The last page's run, then the page-aligned commit to the log
+		// of the statement's kind: its flash write volume is a whole
+		// number of pages, at least one, even when nothing matched.
+		if len(run) > 0 {
+			if err := flush(); err != nil {
+				return err
+			}
+		}
 		if secure {
 			commit := dl.Commit
 			if d.Delete {

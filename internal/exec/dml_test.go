@@ -14,6 +14,7 @@ import (
 	"ghostdb/internal/metrics"
 	"ghostdb/internal/query"
 	"ghostdb/internal/sqlparse"
+	"ghostdb/internal/store"
 )
 
 // applyDML runs one UPDATE/DELETE on the engine and mirrors it on the
@@ -453,6 +454,24 @@ func TestExplainDML(t *testing.T) {
 			t.Fatalf("%s: EXPLAIN misses %q:\n%s", sql, want, out)
 		}
 	}
+	// The write stage is priced: a DELETE or hidden SET commits at least
+	// one log page, and a hidden SET by id also reads the image page its
+	// four expected rows lie on (T1's 20 rows fill one); a visible-only
+	// UPDATE is the untrusted store's and costs the token nothing.
+	for sql, want := range map[string]string{
+		"DELETE FROM T1 WHERE T1.h1 = '0000000004'":                  "(≈2 page reads, 1 writes)",
+		"DELETE FROM T1 WHERE T1.id <= 3":                            "(≈3 page reads, 1 writes)",
+		"UPDATE T1 SET h2 = '0000000001' WHERE T1.id <= 3":           "(≈4 page reads, 1 writes)",
+		"UPDATE T1 SET v2 = '0000000001' WHERE T1.v1 < '0000000003'": "(≈0 page reads, 0 writes)",
+	} {
+		stmt, err := f.db.Prepare(sql, QueryConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out := stmt.Plan().Explain(); !strings.Contains(out, want) {
+			t.Fatalf("%s: EXPLAIN misses %q:\n%s", sql, want, out)
+		}
+	}
 	for _, st := range goldenWrites() {
 		if !strings.HasPrefix(st.sql, "UPDATE") && !strings.HasPrefix(st.sql, "DELETE") {
 			continue
@@ -561,5 +580,137 @@ func TestDMLFindsRowsAsItsSelect(t *testing.T) {
 		if _, scan := op(res, spanScan); !scan {
 			t.Fatalf("%s T1: an UPDATE routed to Scan did not scan", when)
 		}
+	}
+}
+
+// TestDMLReadsOnlyMatchedRows: a hidden SET's write stage loads each
+// hidden-image page that holds a matched row the overlay lacks exactly
+// once and moves only those rows, at the mix's 7-buffer floor and at 32
+// buffers: its span's page reads are the distinct such pages and its
+// bytes those rows × the image's row width. The cases: an id run past
+// the write stage's first batch of ids, whose boundary falls inside one
+// image page; a run half over rows upserted before, which the overlay
+// serves (so the pages all of whose matched rows it holds are not read);
+// a hidden-predicate UPDATE on the then-dirty table; and a zero-match
+// UPDATE, which reads no image page.
+func TestDMLReadsOnlyMatchedRows(t *testing.T) {
+	for _, buffers := range []int{minViableBuffers, 32} {
+		t.Run(fmt.Sprintf("%d-buffers", buffers), func(t *testing.T) { dmlReadsOnlyMatchedRows(t, buffers) })
+	}
+}
+
+func dmlReadsOnlyMatchedRows(t *testing.T, buffers int) {
+	f := newFixtureOpts(t, 97, writesCards(), Options{
+		RAMBudget:        buffers * 2048,
+		FlashParams:      flash.Params{PageSize: 2048, PagesPerBlock: 16, Blocks: 8192, ReserveBlocks: 4},
+		CompactThreshold: -1,
+	})
+	t0, _ := f.sch.Lookup("T0")
+	tok := f.db.TokenOf(t0.Index)
+	file, width := tok.Hidden[t0.Index].File, tok.Hidden[t0.Index].Codec.Width()
+	// The write stage pulls the Merge's ids one buffer of ids at a time:
+	// start the first run where that boundary splits an image page.
+	batch := 2048 / store.IDBytes
+	lo := 0
+	for file.PageOf(uint32(lo+batch-1)) != file.PageOf(uint32(lo+batch)) {
+		lo++
+	}
+	// check runs a hidden SET over where and returns how many matched
+	// rows the image served and the overlay served, and how many pages
+	// holding a matched row were not read.
+	check := func(where string) (image, overlay, skipped int) {
+		t.Helper()
+		sel, err := f.db.Run("SELECT T0.id FROM T0 WHERE " + where)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dl := tok.deltaOf(t0.Index)
+		read, matched := map[int]bool{}, map[int]bool{}
+		for _, row := range sel.Rows {
+			id := uint32(row[0].I)
+			matched[file.PageOf(id)] = true
+			if dl != nil {
+				if _, ok := dl.Lookup(id); ok {
+					overlay++
+					continue
+				}
+			}
+			read[file.PageOf(id)] = true
+			image++
+		}
+		sql := "UPDATE T0 SET h1 = '0000000007' WHERE " + where
+		res, err := f.db.Run(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		if n := int(res.Rows[0][0].I); n != len(sel.Rows) || n != f.refDML(t, sql) {
+			t.Fatalf("%s: %d rows, its SELECT %d", sql, n, len(sel.Rows))
+		}
+		var got flash.Counters
+		for _, o := range res.Stats.Ops {
+			if o.Name == spanDML {
+				got = o.Sample.Flash
+			}
+		}
+		if got.PageReads != uint64(len(read)) || got.BytesToRAM != uint64(image*width) {
+			t.Fatalf("%s: DML stage read %d pages, %d B; want %d pages, %d rows × %d B",
+				sql, got.PageReads, got.BytesToRAM, len(read), image, width)
+		}
+		return image, overlay, len(matched) - len(read)
+	}
+	if image, _, _ := check(fmt.Sprintf("T0.id >= %d AND T0.id <= %d", lo, lo+batch+40)); image <= batch {
+		t.Fatalf("the first run matched %d rows, not past a batch of %d", image, batch)
+	}
+	if image, overlay, skipped := check(fmt.Sprintf("T0.id >= %d AND T0.id <= %d", lo+batch-200, lo+batch+200)); image == 0 || overlay == 0 || skipped == 0 {
+		t.Fatalf("the second run read %d rows from the image and %d from the overlay, skipping %d pages", image, overlay, skipped)
+	}
+	if image, _, _ := check("T0.h3 BETWEEN '0000000100' AND '0000000160'"); image == 0 {
+		t.Fatal("the hidden-predicate UPDATE matched no row outside the overlay")
+	}
+	if image, overlay, _ := check("T0.h3 > '0000005000'"); image+overlay != 0 {
+		t.Fatalf("the zero-match UPDATE matched %d rows", image+overlay)
+	}
+}
+
+// TestDMLPoisonedPages: every page lent from the token's pool is filled
+// with 0xFF before its stage uses it, so a hidden SET whose write stage
+// kept a byte of a row its gather did not transfer would stage 0xFF into
+// that row's other hidden columns. Random UPDATE/DELETE sequences, half
+// of them hidden SETs, with random SELECTs between them, answer as
+// internal/ref does at 7 and 32 buffers, and so does every table's
+// hidden columns read in full at the end; the write stage's row reader
+// is among the pages poisoned.
+func TestDMLPoisonedPages(t *testing.T) {
+	rowLends := 0
+	lendHook = func(_ *queryRun, buf []byte) {
+		if calledFrom("(*queryRun).writeRows") {
+			rowLends++
+		}
+		for i := range buf {
+			buf[i] = 0xFF
+		}
+	}
+	defer func() { lendHook = nil }()
+	cards := writesCards()
+	for _, buffers := range []int{minViableBuffers, 32} {
+		t.Run(fmt.Sprintf("%d-buffers", buffers), func(t *testing.T) {
+			f := newFixtureOpts(t, 97, cards, Options{
+				RAMBudget:   buffers * 2048,
+				FlashParams: flash.Params{PageSize: 2048, PagesPerBlock: 16, Blocks: 8192, ReserveBlocks: 4},
+			})
+			rng := rand.New(rand.NewSource(int64(71 + buffers)))
+			for i := 0; i < 60; i++ {
+				f.applyDML(t, randomDML(rng, cards))
+				if i%3 == 2 {
+					f.checkQuery(t, randomQuery(rng), "between random DML")
+				}
+			}
+			for _, tb := range []string{"T0", "T1", "T2", "T11", "T12"} {
+				f.checkQuery(t, fmt.Sprintf("SELECT %[1]s.id, %[1]s.h1, %[1]s.h2, %[1]s.h3 FROM %[1]s", tb), "after random DML")
+			}
+		})
+	}
+	if rowLends == 0 {
+		t.Fatal("no write stage borrowed its row reader's page")
 	}
 }

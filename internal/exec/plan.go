@@ -561,8 +561,9 @@ func (p *Plan) estimate(db *DB, q *query.Query, room mergeRoom) {
 	}
 	est := anchorRows * sel
 	cols := float64(p.Footprint.StoreWriters)
-	if p.DML {
-		cols = 0 // no Store or Project follows; the write stage is not priced
+	if p.dml != nil {
+		cols = 0 // no Store or Project follows: the write stage does
+		io.add(db.writeIO(p.dml, est, p.BufferBytes))
 	}
 	// SJoin reads one SKT row per surviving anchor id (random access);
 	// Store writes the materialized columns; Project re-reads them.
@@ -616,8 +617,13 @@ func idProbeReads(n, rows, leafCap, fanout int) float64 {
 		return 0
 	}
 	leaves, height := treeShape(rows, leafCap, fanout)
-	l := float64(leaves)
-	return l * (1 - math.Pow(1-1/l, float64(n))) * float64(height)
+	return distinctHits(float64(leaves), float64(n)) * float64(height)
+}
+
+// distinctHits is the expected number of the l pages (or leaves) that
+// n ids spread uniformly over them touch: l·(1 − (1 − 1/l)ⁿ).
+func distinctHits(l, n float64) float64 {
+	return l * (1 - math.Pow(1-1/l, n))
 }
 
 // treeShape is the leaf count and height of a tree over entries keys,

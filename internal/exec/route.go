@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"ghostdb/internal/bloom"
+	"ghostdb/internal/delta"
 	"ghostdb/internal/flash"
 	"ghostdb/internal/index"
 	"ghostdb/internal/metrics"
@@ -138,27 +139,53 @@ func (io flashIO) time(db *DB) time.Duration {
 }
 
 // scanIO prices a Scan of column col of the table's hidden image for
-// matches rows: one sequential pass that loads every page of the image,
-// whose page count follows from the row count and the widths of the
-// hidden columns, and moves the column's bytes of each row (all public
+// matches rows: one sequential pass that loads every page of the image
+// (imageShape) and moves the column's bytes of each row (all public
 // like the table's size), then the matches written as one run, which
 // the Merge reads back. A page is the size of a RAM buffer.
 func (db *DB) scanIO(table, col int, matches float64, pageSize int) flashIO {
-	cols := db.Sch.Tables[table].Columns
-	w := 0
-	for _, c := range cols {
-		if c.Hidden {
-			w += c.EncodedWidth()
-		}
-	}
-	rows := db.Rows(table)
-	perPage := max(pageSize/max(w, 1), 1)
+	pages, _ := db.imageShape(table, pageSize)
 	m := math.Ceil(matches * store.IDBytes / float64(pageSize))
 	return flashIO{
-		reads:  float64((rows+perPage-1)/perPage) + m,
+		reads:  float64(pages) + m,
 		writes: m,
-		bytes:  float64(rows*cols[col].EncodedWidth()) + matches*store.IDBytes,
+		bytes:  float64(db.Rows(table)*db.Sch.Tables[table].Columns[col].EncodedWidth()) + matches*store.IDBytes,
 	}
+}
+
+// imageShape is the page count and row width of the table's hidden
+// image, which follow from the row count and the widths of the hidden
+// columns.
+func (db *DB) imageShape(table, pageSize int) (pages, width int) {
+	for _, c := range db.Sch.Tables[table].Columns {
+		if c.Hidden {
+			width += c.EncodedWidth()
+		}
+	}
+	perPage := max(pageSize/max(width, 1), 1)
+	return (db.Rows(table) + perPage - 1) / perPage, width
+}
+
+// writeIO prices a DML's write stage for matches rows. A hidden SET
+// gathers the rows from the image: it loads the distinct pages holding
+// them, L·(1 − (1 − 1/L)^matches) of the image's L pages for ids spread
+// uniformly (as idProbeReads counts leaves), and moves matches rows. A
+// DELETE or a hidden SET then commits a record per row to its delta
+// log, in whole pages, at least one. A visible-only UPDATE is applied
+// by the untrusted store and costs the token nothing.
+func (db *DB) writeIO(d *query.DML, matches float64, pageSize int) flashIO {
+	var io flashIO
+	rec := delta.RecordBytes(0)
+	if d.HiddenSets() {
+		pages, w := db.imageShape(d.Table, pageSize)
+		io.reads = distinctHits(float64(pages), matches)
+		io.bytes = matches * float64(w)
+		rec = delta.RecordBytes(w)
+	}
+	if d.Delete || d.HiddenSets() {
+		io.writes = max(math.Ceil(matches/float64(max(pageSize/rec, 1))), 1)
+	}
+	return io
 }
 
 // ciIO prices an anchor attribute predicate's CI route: the descent to

@@ -10,8 +10,11 @@ import (
 
 	"ghostdb/internal/flash"
 	"ghostdb/internal/obs"
+	"ghostdb/internal/query"
 	"ghostdb/internal/ram"
 	"ghostdb/internal/sched"
+	"ghostdb/internal/schema"
+	"ghostdb/internal/sqlparse"
 )
 
 // sessionSpans collects, depth first, the exec span of every session in
@@ -263,18 +266,28 @@ func TestLeakedSeesSessionClaims(t *testing.T) {
 // and that stage claims a RAM buffer for it, so at no borrow are more
 // pages lent than the session's budget has given out. Replays every
 // golden corpus at its grants; the writes corpus's UPDATE/DELETE
-// statements lend pages too (Scan matches, reduction spills), and a
-// Scan stage lends two: its image reader's and its matches writer's.
+// statements lend pages too (Scan matches, reduction spills), a Scan
+// stage lends two, its image reader's and its matches writer's, and
+// the DML stage of every hidden SET lends one, its row reader's.
 func TestStagesClaimTheirPages(t *testing.T) {
 	var over []string
 	dmlLends := 0
 	scanLends := map[*queryRun]int{}
+	rowLends := map[*queryRun]int{}
+	rowSQL := map[string]bool{}
 	lendHook = func(r *queryRun, _ []byte) {
 		if r.plan.DML {
 			dmlLends++
 		}
 		if calledFrom("(*queryRun).scanFallback") {
 			scanLends[r]++
+		}
+		if calledFrom("(*queryRun).writeRows") {
+			rowLends[r]++
+			if !r.plan.dml.HiddenSets() {
+				over = append(over, r.q.SQL+": a write stage without a hidden SET borrowed a page")
+			}
+			rowSQL[r.q.SQL] = true
 		}
 		if claimed := r.ram.InUse() / r.ram.BufferSize(); r.tok.lent > claimed {
 			over = append(over, fmt.Sprintf("[%v/%v] %s: %d pages lent, %d buffers claimed",
@@ -295,6 +308,32 @@ func TestStagesClaimTheirPages(t *testing.T) {
 	for r, n := range scanLends {
 		if n < 2 {
 			t.Fatalf("%s: the Scan stage borrowed %d page, want its image reader's and its matches writer's", r.q.SQL, n)
+		}
+	}
+	for r, n := range rowLends {
+		if n != 1 {
+			t.Fatalf("%s: the DML stage borrowed %d pages, want its row reader's", r.q.SQL, n)
+		}
+	}
+	sch, err := schema.New(synthDefs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range goldenWrites() {
+		if !strings.HasPrefix(st.sql, "UPDATE") {
+			continue
+		}
+		stmt, err := sqlparse.Parse(st.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		up := stmt.(*sqlparse.Update)
+		d, err := query.ResolveUpdate(sch, up, st.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.HiddenSets() && !rowSQL[d.Canonical()] {
+			t.Fatalf("%s: the DML stage of a hidden SET borrowed no row-reader page", st.sql)
 		}
 	}
 }

@@ -370,22 +370,52 @@ func (d *Device) ReadRange(id PageID, dst []byte, off, n int) error {
 // reach the last span's end. A count or n of 0 is a validated no-op, as
 // in Read.
 func (d *Device) ReadStrided(id PageID, dst []byte, off, n, stride, count int) error {
+	if count < 0 {
+		return fmt.Errorf("flash: strided read count %d negative", count)
+	}
+	return d.readSpans(id, dst, off, n, stride, count, nil)
+}
+
+// ReadGather is ReadStrided over the listed slots only: it loads the
+// page once and transfers the n-byte span at off+s*stride of each slot
+// s, into the same offset of dst, charging one page load and
+// len(slots)*n bytes. Slots must be strictly ascending and
+// non-negative: a DML rewriting k records of a page moves those k and
+// no other.
+func (d *Device) ReadGather(id PageID, dst []byte, off, n, stride int, slots []int) error {
+	return d.readSpans(id, dst, off, n, stride, len(slots), slots)
+}
+
+// readSpans is the one bounds-and-charge path of ReadStrided (slots
+// nil: slots 0..count-1) and ReadGather (count = len(slots)). Every
+// check runs before the page is touched, so a failed read moves no
+// counter and no byte.
+func (d *Device) readSpans(id PageID, dst []byte, off, n, stride, count int, slots []int) error {
 	if d.closed {
 		return ErrDeviceClose
 	}
 	ps := d.params.PageSize
-	if off < 0 || n < 0 || count < 0 {
-		return fmt.Errorf("flash: strided read off %d n %d count %d negative", off, n, count)
+	if off < 0 || n < 0 {
+		return fmt.Errorf("flash: span read off %d n %d negative", off, n)
+	}
+	last := count - 1 // the highest slot read
+	if slots != nil {
+		for i, s := range slots {
+			if s < 0 || i > 0 && s <= slots[i-1] {
+				return fmt.Errorf("flash: gather slots %v not ascending and non-negative", slots)
+			}
+		}
+		last = slots[len(slots)-1]
 	}
 	if n == 0 || count == 0 {
 		return d.checkMapped(id)
 	}
-	if off > ps || n > ps || count > ps || count > 1 && (stride < n || stride > ps) {
-		return fmt.Errorf("flash: strided read of %d spans of %d bytes, stride %d, out of page or overlapping", count, n, stride)
+	if off > ps || n > ps || last >= ps || last > 0 && (stride < n || stride > ps) {
+		return fmt.Errorf("flash: read of %d spans of %d bytes to slot %d, stride %d, out of page or overlapping", count, n, last, stride)
 	}
-	end := off + n + (count-1)*stride
+	end := off + n + last*stride
 	if end > ps {
-		return fmt.Errorf("flash: strided read ends at %d, past the page", end)
+		return fmt.Errorf("flash: span read ends at %d, past the page", end)
 	}
 	if len(dst) < end {
 		return fmt.Errorf("flash: dst too small: %d < %d", len(dst), end)
@@ -396,7 +426,11 @@ func (d *Device) ReadStrided(id PageID, dst []byte, off, n, stride, count int) e
 	pp := int(d.l2p[id])
 	blk, o := pp/d.params.PagesPerBlock, pp%d.params.PagesPerBlock
 	src := d.data[blk][o*ps : (o+1)*ps]
-	for i, at := 0, off; i < count; i, at = i+1, at+stride {
+	for i := 0; i < count; i++ {
+		at := off + i*stride
+		if slots != nil {
+			at = off + slots[i]*stride
+		}
 		copy(dst[at:at+n], src[at:at+n])
 	}
 	d.c.PageReads++

@@ -2,6 +2,7 @@ package flash
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 )
 
@@ -149,5 +150,145 @@ func FuzzStridedRead(f *testing.F) {
 		dstLen = max(min(dstLen, 256), 0)
 		d, id, page := stridedPage(t)
 		_ = checkStrided(t, d, id, page, dstLen, off, n, stride, count)
+	})
+}
+
+// checkGather runs one gather read into a 0xFF-filled destination and
+// checks it against the rule stated independently of the device: the
+// read is valid when off and n are non-negative, the slots strictly
+// ascending and non-negative, and, unless n or the slot list is empty,
+// the stride at least n once a slot past 0 is read and the last slot's
+// span inside both the page and dst. A valid read charges one page load
+// and len(slots)*n bytes (nothing when empty), copies each listed span
+// to its own offset and leaves every other byte of dst as it was; an
+// invalid one fails, moving no counter and no byte. It returns the
+// call's error.
+func checkGather(t testing.TB, d *Device, id PageID, page []byte, dstLen, off, n, stride int, slots []int) error {
+	t.Helper()
+	dst := bytes.Repeat([]byte{0xFF}, dstLen)
+	before := d.Counters()
+	err := d.ReadGather(id, dst, off, n, stride, slots)
+	got := d.Counters().Sub(before)
+	ps := len(page)
+	valid := off >= 0 && n >= 0
+	for i, s := range slots {
+		valid = valid && s >= 0 && (i == 0 || s > slots[i-1])
+	}
+	moves := valid && n > 0 && len(slots) > 0
+	if moves {
+		last := slots[len(slots)-1]
+		valid = (last == 0 || stride >= n && stride <= ps) && last <= ps && off <= ps && n <= ps
+		valid = valid && off+n+last*stride <= min(ps, dstLen)
+	}
+	what := func() string {
+		return fmt.Sprintf("off %d n %d stride %d slots %v dst %d", off, n, stride, slots, dstLen)
+	}
+	if err != nil {
+		if valid {
+			t.Fatalf("%s: valid gather failed: %v", what(), err)
+		}
+		if got != (Counters{}) {
+			t.Fatalf("%s: failed gather moved counters %+v", what(), got)
+		}
+		if !bytes.Equal(dst, bytes.Repeat([]byte{0xFF}, dstLen)) {
+			t.Fatalf("%s: failed gather wrote dst", what())
+		}
+		return err
+	}
+	if !valid {
+		t.Fatalf("%s: invalid gather read without error", what())
+	}
+	want := Counters{}
+	if moves {
+		want = Counters{PageReads: 1, BytesToRAM: uint64(len(slots) * n)}
+	}
+	if got != want {
+		t.Fatalf("%s: counters %+v, want %+v", what(), got, want)
+	}
+	inSpan := make([]bool, dstLen)
+	for _, s := range slots {
+		for b := off + s*stride; b < off+s*stride+n; b++ {
+			inSpan[b] = true
+		}
+	}
+	for b := range dst {
+		if inSpan[b] && dst[b] != page[b] || !inSpan[b] && dst[b] != 0xFF {
+			t.Fatalf("%s: dst[%d] = %#x", what(), b, dst[b])
+		}
+	}
+	return nil
+}
+
+// TestReadGather: three 8-byte records of a page of eight cost one page
+// load and 24 bytes; the other records' bytes of dst keep their content;
+// unsorted, duplicate or negative slots, spans past the page and a short
+// dst fail without moving a counter; an empty slot list is a free no-op.
+func TestReadGather(t *testing.T) {
+	d, id, page := stridedPage(t)
+	ps := d.PageSize()
+	ok := []struct {
+		off, n, stride int
+		slots          []int
+	}{
+		{0, 8, 8, []int{1, 4, 7}}, // three whole records
+		{2, 3, 8, []int{0, 7}},    // a column of the first and last
+		{0, 64, 0, []int{0}},      // slot 0 alone: stride unused
+		{0, 8, 8, nil},            // no slots: free
+		{0, 0, 8, []int{2, 3}},    // n = 0: free
+		{56, 8, 8, []int{0}},      // one span at the page's end
+	}
+	for _, c := range ok {
+		if err := checkGather(t, d, id, page, ps, c.off, c.n, c.stride, c.slots); err != nil {
+			t.Fatalf("%+v: %v", c, err)
+		}
+	}
+	bad := []struct {
+		dstLen, off, n, stride int
+		slots                  []int
+	}{
+		{ps, 0, 8, 8, []int{4, 1}},  // unsorted
+		{ps, 0, 8, 8, []int{3, 3}},  // duplicate
+		{ps, 0, 8, 8, []int{-1, 2}}, // negative slot
+		{ps, 0, 8, 8, []int{8}},     // the ninth record passes the page
+		{ps, 0, 8, 4, []int{0, 2}},  // stride below n
+		{ps, -1, 8, 8, []int{1}},    // negative offset
+		{40, 0, 8, 8, []int{2, 5}},  // dst too small
+		{ps, 0, 8, 8, []int{9, 2}},  // unsorted, the first slot past the page
+		{ps, 0, 0, 8, []int{2, 2}},  // duplicate with n = 0
+	}
+	for _, c := range bad {
+		if err := checkGather(t, d, id, page, c.dstLen, c.off, c.n, c.stride, c.slots); err == nil {
+			t.Fatalf("%+v: no error", c)
+		}
+	}
+	before := d.Counters()
+	if err := d.ReadGather(id+1, make([]byte, ps), 0, 8, 8, []int{1}); err == nil {
+		t.Fatal("gather from an unmapped page succeeded")
+	}
+	if d.Counters() != before {
+		t.Fatal("gather from an unmapped page moved counters")
+	}
+}
+
+// FuzzGatherRead: over random offsets, widths, strides, slot lists
+// (each byte a signed slot, so lists come unsorted, duplicated and
+// negative too) and destination sizes a gather read never panics and
+// keeps the rule checkGather states.
+func FuzzGatherRead(f *testing.F) {
+	f.Add(0, 8, 8, 64, []byte{1, 4, 7})
+	f.Add(2, 3, 8, 64, []byte{0, 7})
+	f.Add(0, 8, 8, 64, []byte{4, 1})
+	f.Add(0, 8, 8, 64, []byte{3, 3})
+	f.Add(0, 8, 8, 40, []byte{2, 5})
+	f.Add(0, 1, 1<<40, 64, []byte{0, 2})
+	f.Add(0, 8, 8, 64, []byte{0xFF})
+	f.Fuzz(func(t *testing.T, off, n, stride, dstLen int, raw []byte) {
+		dstLen = max(min(dstLen, 256), 0)
+		var slots []int
+		for _, b := range raw[:min(len(raw), 80)] {
+			slots = append(slots, int(int8(b)))
+		}
+		d, id, page := stridedPage(t)
+		_ = checkGather(t, d, id, page, dstLen, off, n, stride, slots)
 	})
 }

@@ -317,6 +317,58 @@ func (r *ColumnReader) Next() (col []byte, id uint32, ok bool, err error) {
 	return r.buf[at : at+r.w], id, true, nil
 }
 
+// PageOf returns the index of the page holding record id.
+func (f *RowFile) PageOf(id uint32) int { return int(id) / f.rowsPerPage }
+
+// GatherReader reads whole records for ascending ids, a page's run of
+// them at a time: Load loads the run's page once and transfers only the
+// listed records (flash.Device.ReadGather), so rewriting k rows of a
+// page moves k × record width bytes, not the page. It reads through a
+// caller's page buffer, as ColumnReader does, and loads each page at
+// most once: every run must lie on a page past the last one loaded.
+type GatherReader struct {
+	f     *RowFile
+	buf   []byte
+	slots []int
+	page  int // the page last loaded, -1 before the first Load
+}
+
+// InitGatherReader positions rd before the first page of f, reading
+// through the caller's page buffer buf (at least one flash page).
+func (f *RowFile) InitGatherReader(rd *GatherReader, buf []byte) {
+	*rd = GatherReader{f: f, buf: buf, slots: rd.slots[:0], page: -1}
+}
+
+// Load transfers records ids, strictly ascending and all on one page
+// past the last page loaded, into the reader's page buffer; Row returns
+// them. An empty run reads nothing.
+func (r *GatherReader) Load(ids []uint32) error {
+	if len(ids) == 0 {
+		return nil
+	}
+	f := r.f
+	pi := f.PageOf(ids[0])
+	if last := int(ids[len(ids)-1]); last >= f.count || f.PageOf(uint32(last)) != pi || pi <= r.page {
+		return fmt.Errorf("store: gather of rows %d..%d: not one page past page %d of %d rows", ids[0], last, r.page, f.count)
+	}
+	r.slots = r.slots[:0]
+	for _, id := range ids {
+		r.slots = append(r.slots, int(id)%f.rowsPerPage)
+	}
+	if err := f.dev.ReadGather(f.pages[pi], r.buf, 0, f.rowWidth, f.rowWidth, r.slots); err != nil {
+		return err
+	}
+	r.page = pi
+	return nil
+}
+
+// Row returns record id as the last Load transferred it (a view valid
+// until the next Load); id must be one of that Load's ids.
+func (r *GatherReader) Row(id uint32) []byte {
+	at := int(id) % r.f.rowsPerPage * r.f.rowWidth
+	return r.buf[at : at+r.f.rowWidth]
+}
+
 // SortedReader reads records for an ascending sequence of IDs, touching
 // each page at most once (the SJoin access pattern: low-selectivity inputs
 // touch few pages, and above ~10% selectivity every page is read, which is

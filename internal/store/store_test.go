@@ -549,3 +549,85 @@ func TestColumnReaderMatchesReadRow(t *testing.T) {
 		}
 	}
 }
+
+// TestGatherReaderMatchesReadRow: a gather reader loads each page of an
+// ascending id run once, from the caller's page, and moves only the
+// listed rows: the rows equal ReadRow's, each Load charges one page read
+// and ids × width bytes, and the caller's bytes of the rows not listed
+// stay as they were. A run that spans two pages, comes back to a page
+// already loaded, is unsorted or passes the file's end is refused
+// before any counter moves.
+func TestGatherReaderMatchesReadRow(t *testing.T) {
+	dev := testDev(t)
+	const rowW, n = 12, 50 // 21 rows to a 256-byte page, 3 pages
+	f, _ := NewRowFile(dev, rowW)
+	rng := rand.New(rand.NewSource(6))
+	for i := 0; i < n; i++ {
+		rec := make([]byte, rowW)
+		rng.Read(rec)
+		if err := f.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	buf := bytes.Repeat([]byte{0xFF}, dev.PageSize())
+	row := make([]byte, rowW)
+	var rd GatherReader
+	f.InitGatherReader(&rd, buf)
+	for _, run := range [][]uint32{{0, 3, 20}, {21}, {42, 43, 49}} {
+		if f.PageOf(run[0]) != int(run[0])/21 {
+			t.Fatalf("PageOf(%d) = %d", run[0], f.PageOf(run[0]))
+		}
+		before := dev.Counters()
+		if err := rd.Load(run); err != nil {
+			t.Fatalf("%v: %v", run, err)
+		}
+		if c := dev.Counters().Sub(before); c.PageReads != 1 || c.BytesToRAM != uint64(len(run)*rowW) {
+			t.Fatalf("%v: %d reads, %d B; want 1 read, %d B", run, c.PageReads, c.BytesToRAM, len(run)*rowW)
+		}
+		listed := map[int]bool{}
+		for _, id := range run {
+			if err := f.ReadRow(id, row); err != nil {
+				t.Fatal(err)
+			}
+			got := rd.Row(id)
+			if !bytes.Equal(got, row) || &got[0] != &buf[int(id)%21*rowW] {
+				t.Fatalf("row %d: %x from the caller's page, ReadRow %x", id, got, row)
+			}
+			listed[int(id)%21] = true
+		}
+		for slot := 0; slot < 21; slot++ {
+			if !listed[slot] && !bytes.Equal(buf[slot*rowW:(slot+1)*rowW], bytes.Repeat([]byte{0xFF}, rowW)) {
+				t.Fatalf("%v: slot %d not listed but transferred", run, slot)
+			}
+		}
+		for slot := range listed {
+			copy(buf[slot*rowW:(slot+1)*rowW], bytes.Repeat([]byte{0xFF}, rowW))
+		}
+	}
+	f.InitGatherReader(&rd, buf)
+	if err := rd.Load(nil); err != nil {
+		t.Fatalf("empty run: %v", err)
+	}
+	if err := rd.Load([]uint32{22, 30}); err != nil {
+		t.Fatal(err)
+	}
+	before := dev.Counters()
+	for _, run := range [][]uint32{
+		{31, 35},   // page 1 again
+		{40, 44},   // spans pages 1 and 2
+		{45, 43},   // unsorted
+		{44, 44},   // duplicate
+		{48, 50},   // past the end
+		{100, 101}, // past the end, past the last page
+	} {
+		if err := rd.Load(run); err == nil {
+			t.Fatalf("%v accepted", run)
+		}
+	}
+	if dev.Counters() != before {
+		t.Fatal("refused runs moved counters")
+	}
+}
