@@ -336,7 +336,7 @@ type GatherReader struct {
 // InitGatherReader positions rd before the first page of f, reading
 // through the caller's page buffer buf (at least one flash page).
 func (f *RowFile) InitGatherReader(rd *GatherReader, buf []byte) {
-	*rd = GatherReader{f: f, buf: buf, slots: rd.slots[:0], page: -1}
+	*rd = GatherReader{f: f, buf: buf, page: -1}
 }
 
 // Load transfers records ids, strictly ascending and all on one page
