@@ -26,9 +26,16 @@
 // coarse bound the statement text (which GhostDB's model already
 // reveals) gives away anyway; it never reveals *which* rows matched,
 // nor, through which log grows, whether any did. A reading statement
-// replays whole files (Refresh), chosen by its text alone: the
-// tombstone checkpoint and the tombstone log for liveness, the upsert
-// log too when it reads or sets hidden attributes of the table. Each
+// replays whole files (Refresh), chosen by the statement text and the
+// SET texts since the last compaction: the tombstone checkpoint and the
+// tombstone log for liveness always, the upsert log too when the
+// statement reads a hidden column some committed hidden SET named since
+// the last compaction, or is itself a hidden SET and an earlier one
+// named a column it does not overwrite. The table keeps that list of
+// named columns (NoteSets, SetColumns); it is recorded from statement
+// text whether or not any row matched, so it is public. An upsert's row
+// differs from its base row only in those columns, so a statement that
+// reads none of them loses nothing by skipping the upsert log. Each
 // file's length is a function of committed statement volume and of the
 // compactions that wrote the checkpoint, all of which the observer
 // already saw written, so the read is a data-independent sequential
@@ -126,6 +133,11 @@ type Table struct {
 	dirty map[uint32][]byte // id -> latest upserted hidden row image
 	tombs map[uint32]bool   // id -> deleted
 
+	// sets lists, ascending, the columns hidden-SET statements have named
+	// since the last compaction: every overlay row differs from its base
+	// row in these columns only.
+	sets []int
+
 	// checkpoint persists the tombstone set across compactions: the logs
 	// are recreated empty, but deletions are forever (ids are positional
 	// and never reused), so the surviving tombstones move here.
@@ -176,6 +188,24 @@ func (t *Table) StageUpsert(id uint32, rec []byte) error {
 	return t.upsertLog.stage(kindUpsert, id, cp)
 }
 
+// NoteSets records the hidden columns (the caller's column numbers) a
+// hidden-SET statement names, before it stages any upsert, whether or
+// not a row will match; it reports whether the list grew.
+func (t *Table) NoteSets(cols []int) bool {
+	grew := false
+	for _, c := range cols {
+		if i, ok := slices.BinarySearch(t.sets, c); !ok {
+			t.sets = slices.Insert(t.sets, i, c)
+			grew = true
+		}
+	}
+	return grew
+}
+
+// SetColumns returns a copy of the columns hidden-SET statements have
+// named since the last compaction, ascending.
+func (t *Table) SetColumns() []int { return slices.Clone(t.sets) }
+
 // Commit ends a hidden-SET statement's batch in the upsert log, padded
 // to whole pages: at least one, even for a statement that staged
 // nothing.
@@ -206,8 +236,9 @@ func (t *Table) Lookup(id uint32) ([]byte, bool) {
 func (t *Table) Dead(id uint32) bool { return t.tombs[id] }
 
 // reads lists the files a statement's Refresh replays: the tombstone
-// checkpoint and log (liveness), and the upsert log when the statement
-// reads or sets the table's hidden attributes (images).
+// checkpoint and log (liveness), and the upsert log too (images) when
+// the statement text and the SET texts since the last compaction call
+// for it (see the package comment).
 func (t *Table) reads(images bool) []*store.RowFile {
 	fs := make([]*store.RowFile, 0, 3)
 	if t.checkpoint != nil {
@@ -235,7 +266,9 @@ func (t *Table) ReadSize(images bool) (pages, bytes int) {
 // per-query price of the LSM merge. The overlay is already
 // memory-resident; what Refresh models (and charges to the session's
 // cost) is the read amplification a real token would pay to rebuild the
-// part of it the statement consults.
+// part of it the statement consults: the upsert log only when images,
+// which is chosen by the statement text and the SET texts since the
+// last compaction, so a statement replays only the log it consults.
 func (t *Table) Refresh(images bool, buf []byte) error {
 	var rd store.SeqReader
 	for _, f := range t.reads(images) {
@@ -254,7 +287,8 @@ func (t *Table) Refresh(images bool, buf []byte) error {
 }
 
 // Reset is the compaction epilogue: the overlay has been folded into a
-// fresh base image, so upserts are dropped, the old logs' pages are
+// fresh base image, so upserts and the list of SET columns are dropped,
+// the old logs' pages are
 // freed, and the surviving tombstone set is checkpointed to flash in
 // ascending id order (ids never revive, so tombstones outlive every
 // compaction), so equal histories write equal pages.
@@ -290,5 +324,6 @@ func (t *Table) Reset() error {
 		t.checkpoint = ck
 	}
 	t.dirty = make(map[uint32][]byte)
+	t.sets = nil
 	return t.resetLogs()
 }

@@ -2,6 +2,7 @@ package delta
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"ghostdb/internal/flash"
@@ -268,5 +269,39 @@ func TestCheckpointIsDeterministic(t *testing.T) {
 		if bytes.Compare(a[i-headerBytes+1:i], a[i+1:i+headerBytes]) >= 0 {
 			t.Fatalf("checkpoint record %d is not above its predecessor", i/headerBytes)
 		}
+	}
+}
+
+// TestSetColumnsFollowTextUntilReset: NoteSets records the SET columns
+// once each, ascending, reports whether the list grew, and needs no
+// staged row (a zero-match SET records its columns too); SetColumns
+// hands out a copy; Reset forgets the list with the upserts.
+func TestSetColumnsFollowTextUntilReset(t *testing.T) {
+	dl, err := NewTable(newDev(t), 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := dl.SetColumns(); len(got) != 0 {
+		t.Fatalf("fresh table set columns %v", got)
+	}
+	if !dl.NoteSets([]int{7, 3}) || dl.NoteSets([]int{3}) || !dl.NoteSets([]int{5, 7}) {
+		t.Fatal("NoteSets misreports growth")
+	}
+	if err := dl.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	got := dl.SetColumns()
+	if want := []int{3, 5, 7}; !slices.Equal(got, want) {
+		t.Fatalf("set columns %v, want %v", got, want)
+	}
+	got[0] = 99
+	if dl.SetColumns()[0] != 3 {
+		t.Fatal("SetColumns exposes the table's own list")
+	}
+	if err := dl.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	if got := dl.SetColumns(); len(got) != 0 {
+		t.Fatalf("set columns %v after Reset, want none", got)
 	}
 }

@@ -125,7 +125,7 @@ func (r *queryRun) bruteForce(res *Result) error {
 				rec = hidBuf[p.Table]
 				// A random row read per tuple: the defining cost of
 				// this projector.
-				if err := img.row(nil, r.tok.deltaOf(p.Table), ids[p.Table], rec); err != nil {
+				if err := img.row(nil, r.overlay(p.Table), ids[p.Table], rec); err != nil {
 					return err
 				}
 				hidRec[p.Table] = rec

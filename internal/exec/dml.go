@@ -99,13 +99,19 @@ func writeClaims(d *query.DML) []ram.Claim {
 // tombstone per id (DELETE) or a read-modify-write upsert (hidden SET),
 // and keeps the ids a visible SET hands to the untrusted store. Then it
 // commits the statement's batch, padded to whole pages; resN counts the
-// affected rows. A hidden SET rewrites the ids one image page at a time:
-// the rows of a page the overlay does not hold are gathered in one page
-// load that moves only those rows (store.GatherReader, through a page
-// lent under the row-reader claim), and a page's run is held across the
-// Merge batch boundary, so no page is loaded twice. Its claims
-// (writeClaims) are taken with the Merge stage's, after a reduction that
-// leaves them room.
+// affected rows. A hidden SET first records its SET columns in the
+// table's delta (NoteSets), before it stages anything, so the list
+// always covers every column an overlay row differs in. It rewrites the
+// ids one image page at a time: the rows of a page the overlay does not
+// serve are gathered in one page load that moves only those rows
+// (store.GatherReader, through a page lent under the row-reader claim),
+// and a page's run is held across the Merge batch boundary, so no page
+// is loaded twice. The overlay serves a row only when the run's Delta
+// stage read the upsert log (overlay): otherwise no earlier SET since
+// the last compaction named a column this one does not overwrite, so
+// the base row with this SET's values written in is the overlay row.
+// Its claims (writeClaims) are taken with the Merge stage's, after a
+// reduction that leaves them room.
 func (r *queryRun) writeRows(d *query.DML, merged idStream) error {
 	tok := r.tok
 	img := tok.Hidden[d.Table]
@@ -123,22 +129,33 @@ func (r *queryRun) writeRows(d *query.DML, merged idStream) error {
 	var rows store.GatherReader
 	var rec []byte
 	var run, gather []uint32 // one image page's matched ids, and those the overlay lacks
+	ov := r.overlay(d.Table)
 	if d.HiddenSets() {
 		if img == nil {
 			return fmt.Errorf("exec: hidden SET on %s without a hidden image", r.db.Sch.Tables[d.Table].Name)
+		}
+		if dl.NoteSets(d.HiddenSetCols()) {
+			tok.syncDeltaMirror()
 		}
 		buf := r.lend()
 		defer tok.releasePageBuf(buf)
 		img.File.InitGatherReader(&rows, buf)
 		rec = make([]byte, img.Codec.Width())
 	}
-	// flush stages the run: the rows the overlay lacks come from one
-	// gather of their page, then each id's row, the SET values encoded
-	// in, is upserted in ascending id order.
+	// served returns the overlay row of id when the overlay serves it.
+	served := func(id uint32) ([]byte, bool) {
+		if ov == nil {
+			return nil, false
+		}
+		return ov.Lookup(id)
+	}
+	// flush stages the run: the rows the overlay does not serve come from
+	// one gather of their page, then each id's row, the SET values
+	// encoded in, is upserted in ascending id order.
 	flush := func() error {
 		gather = gather[:0]
 		for _, id := range run {
-			if _, ok := dl.Lookup(id); !ok {
+			if _, ok := served(id); !ok {
 				gather = append(gather, id)
 			}
 		}
@@ -146,7 +163,7 @@ func (r *queryRun) writeRows(d *query.DML, merged idStream) error {
 			return err
 		}
 		for _, id := range run {
-			if ov, ok := dl.Lookup(id); ok {
+			if ov, ok := served(id); ok {
 				copy(rec, ov)
 			} else {
 				copy(rec, rows.Row(id))

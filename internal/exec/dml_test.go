@@ -105,12 +105,38 @@ func randomDML(rng *rand.Rand, cards map[string]int) string {
 	}
 }
 
+// overlayReads counts, over the tables of sql's plan that hold live
+// upserts and whose hidden columns sql reads, those whose upsert log the
+// plan replays and those it skips (none of the columns read was SET
+// since the last compaction).
+func (f *fixture) overlayReads(t testing.TB, sql string) (reads, skips int) {
+	t.Helper()
+	stmt, err := f.db.Prepare(sql, QueryConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dr := range stmt.Plan().delta {
+		dl := f.db.TokenOf(dr.table).deltaOf(dr.table)
+		switch {
+		case len(dr.reads) == 0 || dl == nil || dl.DirtyCount() == 0:
+		case dr.images:
+			reads++
+		default:
+			skips++
+		}
+	}
+	return reads, skips
+}
+
 // TestRandomDMLMatchesReference interleaves random UPDATE/DELETE
 // statements with random SELECTs, requiring reference-equal answers
 // throughout, then compacts every token and requires the same answers
-// again from the rebuilt base images. It runs at the 7-buffer floor of
-// the mix, where the Merge feeding a DML's write stage reduces its
-// sublists, and at the paper's 32 buffers.
+// again from the rebuilt base images. A compaction halfway makes the
+// engine forget the columns SET so far, and the SELECTs must both
+// replay a live upsert log (they read a column SET since) and skip one
+// (they read none). It runs at the 7-buffer floor of the mix, where the
+// Merge feeding a DML's write stage reduces its sublists, and at the
+// paper's 32 buffers.
 func TestRandomDMLMatchesReference(t *testing.T) {
 	for _, buffers := range []int{minViableBuffers, 32} {
 		t.Run(fmt.Sprintf("%d-buffers", buffers), func(t *testing.T) { randomDMLMatchesReference(t, buffers) })
@@ -126,21 +152,34 @@ func randomDMLMatchesReference(t *testing.T, buffers int) {
 	rng := rand.New(rand.NewSource(41))
 
 	var lastChecks []string
+	var logReads, logSkips int
 	for i := 0; i < 60; i++ {
 		f.applyDML(t, randomDML(rng, cards))
-		if i%4 != 3 {
+		if i == 29 {
+			// A compaction forgets the columns SET so far, so the second
+			// half meets SELECTs that skip a live upsert log again.
+			if err := f.db.Compact(context.Background()); err != nil {
+				t.Fatalf("compact: %v", err)
+			}
+		}
+		if i%2 != 1 {
 			continue
 		}
 		sql := randomQuery(rng)
 		if len(lastChecks) < 8 {
 			lastChecks = append(lastChecks, sql)
 		}
+		reads, skips := f.overlayReads(t, sql)
+		logReads, logSkips = logReads+reads, logSkips+skips
 		f.checkQuery(t, sql, fmt.Sprintf("after %d statements", i+1))
 		if f.db.RAM.InUse() != 0 || f.db.Leaked() {
 			t.Fatalf("after %d statements: secure RAM leak", i+1)
 		}
 	}
 
+	if logReads == 0 || logSkips == 0 {
+		t.Fatalf("the SELECTs replayed a live upsert log %d times and skipped one %d times; want both", logReads, logSkips)
+	}
 	tok := f.db.Tokens()[0]
 	if tok.DeltaPages() == 0 {
 		t.Fatal("60 DML statements left no delta pages")
@@ -230,16 +269,19 @@ func TestZeroMatchDMLWritesOnePadPage(t *testing.T) {
 // overlay read: two databases loaded alike each run a hidden UPDATE and
 // a DELETE of the same shapes, which match rows on one twin and none on
 // the other (their ranges lie past the value domain), then the same
-// SELECTs — a visible-only one and a join that read T1's liveness, and
-// one projecting T1's hidden attributes, which reads its images. What
-// each SELECT's Delta stage reads is the statement text's choice: its
-// flash sample is identical across the twins, and the images read is
-// the liveness read plus the upsert log.
+// SELECTs — a visible-only one and a join that read T1's liveness, one
+// projecting the hidden column the UPDATE set, which reads its images,
+// and one projecting a hidden column no UPDATE set, which reads
+// liveness only. What each SELECT's Delta stage reads is the choice of
+// its text and of the SET texts before it: its flash sample is
+// identical across the twins, and the images read is the liveness read
+// plus the upsert log.
 func TestDeltaReadIgnoresWriteMatches(t *testing.T) {
 	selects := []string{
 		"SELECT T1.id, T1.v1 FROM T1 WHERE T1.v2 < '0000000500'",
 		"SELECT T0.id, T1.v1 FROM T0, T1 WHERE T0.fk1 = T1.id AND T0.h1 < '0000000300'",
 		"SELECT T1.id, T1.h1 FROM T1 WHERE T1.v2 < '0000000500'",
+		"SELECT T1.id, T1.h2 FROM T1 WHERE T1.v2 < '0000000500'",
 	}
 	twin := func(lo, hi int) (*fixture, [][]metrics.Op) {
 		f := newFixture(t, 97, writesCards())
@@ -286,10 +328,99 @@ func TestDeltaReadIgnoresWriteMatches(t *testing.T) {
 		}
 	}
 	live, images := deltaOf(a[0]).Flash, deltaOf(a[2]).Flash
-	if deltaOf(a[1]).Flash != live || images.PageReads != live.PageReads+1 || images.BytesToRAM <= live.BytesToRAM {
-		t.Fatalf("liveness reads %+v and %+v, images read %+v; want equal liveness and one upsert page more",
-			live, deltaOf(a[1]).Flash, images)
+	if deltaOf(a[1]).Flash != live || deltaOf(a[3]).Flash != live ||
+		images.PageReads != live.PageReads+1 || images.BytesToRAM <= live.BytesToRAM {
+		t.Fatalf("liveness reads %+v, %+v and %+v, images read %+v; want equal liveness and one upsert page more",
+			live, deltaOf(a[1]).Flash, deltaOf(a[3]).Flash, images)
 	}
+}
+
+// TestDeltaReadsOnlySetColumns pins which statements replay T1's upsert
+// log, at the mix's 7-buffer floor and at 32 buffers: after a DELETE
+// (so the liveness read has pages) and UPDATE T1 SET h1, a SELECT that
+// filters or projects only h2 reads exactly the liveness pages and
+// bytes, one that projects h1 the whole log; after a compaction and a
+// SET h3, neither the h1 nor the h2 reader replays the log (the
+// compaction forgot h1); and a zero-match SET h2 makes the next h2
+// reader replay it, since the choice follows the SET texts, not their
+// matches. Each answer equals the reference's, and each plan's EXPLAIN
+// names the read its run made.
+func TestDeltaReadsOnlySetColumns(t *testing.T) {
+	for _, buffers := range []int{minViableBuffers, 32} {
+		t.Run(fmt.Sprintf("%d-buffers", buffers), func(t *testing.T) { deltaReadsOnlySetColumns(t, buffers) })
+	}
+}
+
+func deltaReadsOnlySetColumns(t *testing.T, buffers int) {
+	f := newFixtureOpts(t, 97, writesCards(), Options{
+		RAMBudget:        buffers * 2048,
+		FlashParams:      flash.Params{PageSize: 2048, PagesPerBlock: 16, Blocks: 8192, ReserveBlocks: 4},
+		CompactThreshold: -1,
+	})
+	t1, _ := f.sch.Lookup("T1")
+	tok := f.db.TokenOf(t1.Index)
+	const (
+		filterH2  = "SELECT T1.id, T1.v1 FROM T1 WHERE T1.h2 < '0000000300'"
+		projectH2 = "SELECT T1.id, T1.h2 FROM T1 WHERE T1.v2 < '0000000500'"
+		projectH1 = "SELECT T1.id, T1.h1 FROM T1 WHERE T1.v2 < '0000000500'"
+	)
+	// expect runs sql and requires its Delta stage to read the liveness
+	// files alone, or the upsert log too when images is set.
+	expect := func(sql string, images bool, when string) {
+		t.Helper()
+		stmt, err := f.db.Prepare(sql, QueryConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		line := map[bool]string{false: "delta: T1 liveness\n", true: "delta: T1 images\n"}[images]
+		if out := stmt.Plan().Explain(); !strings.Contains(out, line) {
+			t.Fatalf("%s: %s: EXPLAIN misses %q:\n%s", when, sql, line, out)
+		}
+		dl := tok.deltaOf(t1.Index)
+		pages, bytes := dl.ReadSize(images)
+		if live, _ := dl.ReadSize(false); live == 0 {
+			t.Fatalf("%s: the liveness read is empty; nothing to tell from no Delta stage", when)
+		} else if all, _ := dl.ReadSize(true); all <= live {
+			t.Fatalf("%s: the upsert log is empty; nothing to tell apart", when)
+		}
+		res, err := f.db.Run(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := f.refAnswer(t, sql); !rowsEqual(res.Rows, want) {
+			t.Fatalf("%s: %s: %d rows, reference %d", when, sql, len(res.Rows), len(want))
+		}
+		var got flash.Counters
+		for _, o := range res.Stats.Ops {
+			if o.Name == spanDelta {
+				got = o.Sample.Flash
+			}
+		}
+		if got.PageReads != uint64(pages) || got.BytesToRAM != uint64(bytes) {
+			t.Fatalf("%s: %s: Delta stage read %d pages, %d B; want %d pages, %d B",
+				when, sql, got.PageReads, got.BytesToRAM, pages, bytes)
+		}
+	}
+	f.applyDML(t, "DELETE FROM T1 WHERE T1.id >= 50 AND T1.id <= 59")
+	if f.applyDML(t, "UPDATE T1 SET h1 = '0000000001' WHERE T1.id <= 40") == 0 {
+		t.Fatal("the SET h1 matched nothing")
+	}
+	expect(filterH2, false, "after SET h1")
+	expect(projectH2, false, "after SET h1")
+	expect(projectH1, true, "after SET h1")
+
+	if err := f.db.Compact(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	f.applyDML(t, "UPDATE T1 SET h3 = '0000000003' WHERE T1.id >= 20 AND T1.id <= 30")
+	expect(projectH1, false, "after COMPACT and SET h3")
+	expect(projectH2, false, "after COMPACT and SET h3")
+
+	if n := f.applyDML(t, "UPDATE T1 SET h2 = '0000000002' WHERE T1.h1 > '0000005000'"); n != 0 {
+		t.Fatalf("the zero-match SET h2 matched %d rows", n)
+	}
+	expect(projectH2, true, "after a zero-match SET h2")
+	expect(filterH2, true, "after a zero-match SET h2")
 }
 
 // concurrentDMLQueries are the reads raceDML hammers and then settles.
@@ -429,7 +560,7 @@ func TestExplainDML(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := stmt.Plan().Explain()
-	for _, want := range []string{"delete from", "anchor: T1", "via CI", "delta: T1 images",
+	for _, want := range []string{"delete from", "anchor: T1", "via CI", "delta: T1 liveness",
 		"footprint (buffers): QEPSJ 3 (merge 3, then write stage 1 + a stream per merge group)",
 		"admission: min 3 of 32 buffers (2048 B each), want 3"} {
 		if !strings.Contains(out, want) {
@@ -439,38 +570,73 @@ func TestExplainDML(t *testing.T) {
 	if f.db.Totals().Queries != 0 {
 		t.Fatal("EXPLAIN executed the statement")
 	}
-	// The overlay read follows the text: a DELETE by id needs liveness
-	// only, a hidden SET the images it rewrites.
-	for sql, want := range map[string]string{
-		"DELETE FROM T1 WHERE T1.id <= 3":                            "delta: T1 liveness\n",
-		"UPDATE T1 SET h2 = '0000000001' WHERE T1.id <= 3":           "delta: T1 images\n",
-		"UPDATE T1 SET v2 = '0000000001' WHERE T1.v1 < '0000000003'": "delta: T1 liveness\n",
-	} {
-		stmt, err := f.db.Prepare(sql, QueryConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out := stmt.Plan().Explain(); !strings.Contains(out, want) {
-			t.Fatalf("%s: EXPLAIN misses %q:\n%s", sql, want, out)
-		}
-	}
 	// The write stage is priced: a DELETE or hidden SET commits at least
 	// one log page, and a hidden SET by id also reads the image page its
-	// four expected rows lie on (T1's 20 rows fill one); a visible-only
-	// UPDATE is the untrusted store's and costs the token nothing.
-	for sql, want := range map[string]string{
+	// four expected rows lie on (T1's 20 rows fill one); an id filter
+	// reads no flash, and a visible-only UPDATE is the untrusted store's
+	// and costs the token nothing.
+	explains := func(cases map[string]string) {
+		t.Helper()
+		for sql, want := range cases {
+			stmt, err := f.db.Prepare(sql, QueryConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out := stmt.Plan().Explain(); !strings.Contains(out, want) {
+				t.Fatalf("%s: EXPLAIN misses %q:\n%s", sql, want, out)
+			}
+		}
+	}
+	explains(map[string]string{
 		"DELETE FROM T1 WHERE T1.h1 = '0000000004'":                  "(≈2 page reads, 1 writes)",
-		"DELETE FROM T1 WHERE T1.id <= 3":                            "(≈3 page reads, 1 writes)",
-		"UPDATE T1 SET h2 = '0000000001' WHERE T1.id <= 3":           "(≈4 page reads, 1 writes)",
+		"DELETE FROM T1 WHERE T1.id <= 3":                            "(≈0 page reads, 1 writes)",
+		"UPDATE T1 SET h2 = '0000000001' WHERE T1.id <= 3":           "(≈1 page reads, 1 writes)",
 		"UPDATE T1 SET v2 = '0000000001' WHERE T1.v1 < '0000000003'": "(≈0 page reads, 0 writes)",
-	} {
-		stmt, err := f.db.Prepare(sql, QueryConfig{})
-		if err != nil {
-			t.Fatal(err)
+	})
+	// The overlay read follows the statement text and the SET texts since
+	// the last compaction: before any hidden SET every read is liveness;
+	// after SET h3, images for a statement reading h3 and for a hidden SET
+	// that would carry h3 over, liveness for the rest.
+	explains(map[string]string{
+		"DELETE FROM T1 WHERE T1.id <= 3":                            "delta: T1 liveness\n",
+		"UPDATE T1 SET h2 = '0000000001' WHERE T1.id <= 3":           "delta: T1 liveness\n",
+		"UPDATE T1 SET v2 = '0000000001' WHERE T1.v1 < '0000000003'": "delta: T1 liveness\n",
+	})
+	if _, err := f.db.Run("UPDATE T1 SET h3 = '0000000002' WHERE T1.id = 0"); err != nil {
+		t.Fatal(err)
+	}
+	explains(map[string]string{
+		"DELETE FROM T1 WHERE T1.id <= 3":                                     "delta: T1 liveness\n",
+		"DELETE FROM T1 WHERE T1.h3 = '0000000004'":                           "delta: T1 images\n",
+		"DELETE FROM T1 WHERE T1.h1 = '0000000004'":                           "delta: T1 liveness\n",
+		"UPDATE T1 SET h2 = '0000000001' WHERE T1.id <= 3":                    "delta: T1 images\n",
+		"UPDATE T1 SET h3 = '0000000001', h2 = '0000000001' WHERE T1.id <= 3": "delta: T1 liveness\n",
+		"SELECT T1.id, T1.h3 FROM T1":                                         "delta: T1 images\n",
+		"SELECT T1.h2 FROM T1 WHERE T1.h1 < '0000000500'":                     "delta: T1 liveness\n",
+	})
+	// A hidden SET by an id range gathers the rows of one contiguous run:
+	// on T0 of the writes corpus (68 rows to an image page) its estimate
+	// is the run's 4 pages plus at most one, not the 14 pages that as
+	// many ids spread over the image would touch, and the write stage
+	// reads the run's pages.
+	w := newFixture(t, 97, writesCards())
+	sql := "UPDATE T0 SET h2 = '0000000001' WHERE T0.id >= 100 AND T0.id <= 299"
+	stmt, err = w.db.Prepare(sql, QueryConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := w.db.Run(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dml flash.Counters
+	for _, o := range res.Stats.Ops {
+		if o.Name == spanDML {
+			dml = o.Sample.Flash
 		}
-		if out := stmt.Plan().Explain(); !strings.Contains(out, want) {
-			t.Fatalf("%s: EXPLAIN misses %q:\n%s", sql, want, out)
-		}
+	}
+	if est := stmt.Plan().EstPageReads; est < int(dml.PageReads) || est > int(dml.PageReads)+1 {
+		t.Fatalf("%s: estimated %d page reads, the write stage read %d", sql, est, dml.PageReads)
 	}
 	for _, st := range goldenWrites() {
 		if !strings.HasPrefix(st.sql, "UPDATE") && !strings.HasPrefix(st.sql, "DELETE") {
@@ -584,15 +750,22 @@ func TestDMLFindsRowsAsItsSelect(t *testing.T) {
 }
 
 // TestDMLReadsOnlyMatchedRows: a hidden SET's write stage loads each
-// hidden-image page that holds a matched row the overlay lacks exactly
-// once and moves only those rows, at the mix's 7-buffer floor and at 32
-// buffers: its span's page reads are the distinct such pages and its
-// bytes those rows × the image's row width. The cases: an id run past
-// the write stage's first batch of ids, whose boundary falls inside one
-// image page; a run half over rows upserted before, which the overlay
-// serves (so the pages all of whose matched rows it holds are not read);
-// a hidden-predicate UPDATE on the then-dirty table; and a zero-match
-// UPDATE, which reads no image page.
+// hidden-image page that holds a matched row the overlay does not serve
+// exactly once and moves only those rows, at the mix's 7-buffer floor
+// and at 32 buffers: its span's page reads are the distinct such pages
+// and its bytes those rows × the image's row width. The overlay serves
+// a row only when an earlier SET since the last compaction named a
+// column this one does not overwrite (a carried-over column); otherwise
+// every matched row is gathered from the image, upserted before or not.
+// The cases, all SET h1 unless named: an id run past the write stage's
+// first batch of ids, whose boundary falls inside one image page; a run
+// half over rows upserted before, with no carried-over column; a
+// hidden-predicate UPDATE on the then-dirty table; SET h3 over part of
+// rows upserted before, after which a run half over upserted rows carries h3 over
+// and the overlay serves its upserted rows (so the pages all of whose
+// matched rows it holds are not read); and a zero-match UPDATE, which
+// reads no image page. Every table's hidden columns then read as the
+// reference's.
 func TestDMLReadsOnlyMatchedRows(t *testing.T) {
 	for _, buffers := range []int{minViableBuffers, 32} {
 		t.Run(fmt.Sprintf("%d-buffers", buffers), func(t *testing.T) { dmlReadsOnlyMatchedRows(t, buffers) })
@@ -615,10 +788,11 @@ func dmlReadsOnlyMatchedRows(t *testing.T, buffers int) {
 	for file.PageOf(uint32(lo+batch-1)) != file.PageOf(uint32(lo+batch)) {
 		lo++
 	}
-	// check runs a hidden SET over where and returns how many matched
-	// rows the image served and the overlay served, and how many pages
-	// holding a matched row were not read.
-	check := func(where string) (image, overlay, skipped int) {
+	// check runs UPDATE T0 SET set … WHERE where and returns how many
+	// matched rows the image served, how many the overlay held, and how
+	// many pages holding a matched row were not read. carried says
+	// whether the overlay serves the rows it holds.
+	check := func(set, where string, carried bool) (image, overlay, skipped int) {
 		t.Helper()
 		sel, err := f.db.Run("SELECT T0.id FROM T0 WHERE " + where)
 		if err != nil {
@@ -632,13 +806,15 @@ func dmlReadsOnlyMatchedRows(t *testing.T, buffers int) {
 			if dl != nil {
 				if _, ok := dl.Lookup(id); ok {
 					overlay++
-					continue
+					if carried {
+						continue
+					}
 				}
 			}
 			read[file.PageOf(id)] = true
 			image++
 		}
-		sql := "UPDATE T0 SET h1 = '0000000007' WHERE " + where
+		sql := "UPDATE T0 SET " + set + " = '0000000007' WHERE " + where
 		res, err := f.db.Run(sql)
 		if err != nil {
 			t.Fatalf("%s: %v", sql, err)
@@ -658,18 +834,25 @@ func dmlReadsOnlyMatchedRows(t *testing.T, buffers int) {
 		}
 		return image, overlay, len(matched) - len(read)
 	}
-	if image, _, _ := check(fmt.Sprintf("T0.id >= %d AND T0.id <= %d", lo, lo+batch+40)); image <= batch {
+	if image, _, _ := check("h1", fmt.Sprintf("T0.id >= %d AND T0.id <= %d", lo, lo+batch+40), false); image <= batch {
 		t.Fatalf("the first run matched %d rows, not past a batch of %d", image, batch)
 	}
-	if image, overlay, skipped := check(fmt.Sprintf("T0.id >= %d AND T0.id <= %d", lo+batch-200, lo+batch+200)); image == 0 || overlay == 0 || skipped == 0 {
-		t.Fatalf("the second run read %d rows from the image and %d from the overlay, skipping %d pages", image, overlay, skipped)
+	half := fmt.Sprintf("T0.id >= %d AND T0.id <= %d", lo+batch-200, lo+batch+200)
+	if image, overlay, skipped := check("h1", half, false); overlay == 0 || image != 401 || skipped != 0 {
+		t.Fatalf("the second run read %d rows from the image, %d of them upserted before, skipping %d pages", image, overlay, skipped)
 	}
-	if image, _, _ := check("T0.h3 BETWEEN '0000000100' AND '0000000160'"); image == 0 {
-		t.Fatal("the hidden-predicate UPDATE matched no row outside the overlay")
+	if image, _, _ := check("h1", "T0.h3 BETWEEN '0000000100' AND '0000000160'", false); image == 0 {
+		t.Fatal("the hidden-predicate UPDATE matched no row")
 	}
-	if image, overlay, _ := check("T0.h3 > '0000005000'"); image+overlay != 0 {
+	// SET h3 carries h1 over; from now on every SET h1 carries h3 over.
+	check("h3", fmt.Sprintf("T0.id >= %d AND T0.id <= %d", lo, lo+batch), true)
+	if image, overlay, skipped := check("h1", fmt.Sprintf("T0.id >= %d AND T0.id <= %d", lo+batch+100, lo+batch+400), true); image == 0 || overlay == 0 || skipped == 0 {
+		t.Fatalf("the carried-over run read %d rows from the image and %d from the overlay, skipping %d pages", image, overlay, skipped)
+	}
+	if image, overlay, _ := check("h1", "T0.h3 > '0000005000'", true); image+overlay != 0 {
 		t.Fatalf("the zero-match UPDATE matched %d rows", image+overlay)
 	}
+	f.checkQuery(t, "SELECT T0.id, T0.h1, T0.h2, T0.h3 FROM T0", "after the hidden SETs")
 }
 
 // TestDMLPoisonedPages: every page lent from the token's pool is filled

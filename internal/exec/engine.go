@@ -278,13 +278,13 @@ type HiddenImage struct {
 
 // scan calls fn for every row of the image in id order with the bytes
 // of the span [off, off+w) of the row, the overlay's (dl, nil when the
-// table has none) for each upserted row: one sequential pass through the
-// caller's page buffer buf that loads each page once and transfers only
-// the span of each row, so its reads and bytes depend on the image's
-// size and the span's width only. The Scan stage passes its predicate's
-// column, compaction the whole row (0, Codec.Width()). Tombstoned rows
-// are passed too; callers screen them with dl.Dead. b is valid until fn
-// returns.
+// table has none or the caller does not consult it) for each upserted
+// row: one sequential pass through the caller's page buffer buf that
+// loads each page once and transfers only the span of each row, so its
+// reads and bytes depend on the image's size and the span's width only.
+// The Scan stage passes its predicate's column, compaction the whole
+// row (0, Codec.Width()). Tombstoned rows are passed too; callers
+// screen them with dl.Dead. b is valid until fn returns.
 //
 //ghostdb:requires-slot
 func (img *HiddenImage) scan(dl *delta.Table, off, w int, buf []byte, fn func(id uint32, b []byte) error) error {
@@ -309,8 +309,8 @@ func (img *HiddenImage) scan(dl *delta.Table, off, w int, buf []byte, fn func(id
 }
 
 // row reads row id into rec with the table's delta overlay (dl, nil when
-// the table has none) substituted when the row was upserted: the point
-// read beside scan's sequential pass. rd is the caller's sorted reader
+// the table has none or the run does not consult it) substituted when
+// the row was upserted: the point read beside scan's sequential pass. rd is the caller's sorted reader
 // over File for ascending ids; nil reads the row at random (ReadRow).
 //
 //ghostdb:requires-slot
@@ -441,6 +441,7 @@ func NewDB(sch *schema.Schema, opts Options) (*DB, error) {
 			Hidden:     make(map[int]*HiddenImage),
 			deltas:     make(map[int]*delta.Table),
 			deltaReads: make(map[int][2]flashIO),
+			deltaSets:  make(map[int][]int),
 			insBytes:   make(map[int]int),
 			rows:       make(map[int]int),
 		}

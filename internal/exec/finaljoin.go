@@ -252,7 +252,7 @@ func (r *queryRun) joinPositions(res *Result, tps []*tableProj) error {
 			}
 		case p.Table == anchor:
 			col := t.Columns[p.ColIdx]
-			aDl := r.tok.deltaOf(anchor)
+			aDl := r.overlay(anchor)
 			o, w := aImg.Codec.ColumnRange(aImg.ColPos[p.ColIdx])
 			getters[i] = func(dst *schema.Value) error {
 				if !aHidLoaded {

@@ -155,32 +155,67 @@ type Plan struct {
 // deltaRead is the part of one table's delta overlay a statement reads
 // before its operators run (refreshDeltas): liveness — the tombstone
 // checkpoint and log — for every table it names, images — the upsert
-// log too — for a table with a hidden attribute in a predicate or a
-// projection, or the target of a hidden SET. The choice is a function of
-// the statement text alone, never of the table's write history.
+// log too — when readsLog says so. The choice follows the statement
+// text and the SET texts since the last compaction, never which rows
+// any statement matched. images is the plan-time choice,
+// which EXPLAIN prints and the estimate prices; a run decides again
+// against the columns set when it starts, since a prepared plan may
+// outlive a compaction or a later hidden SET.
 type deltaRead struct {
 	table  int
 	name   string
+	reads  []int // hidden columns the statement reads, in a predicate or a projection
+	setter bool  // the statement is a hidden SET on the table
+	sets   []int // the hidden columns that SET overwrites
 	images bool
 }
 
+// readsLog is the one rule for whether a statement replays the table's
+// upsert log, given set, the hidden columns committed hidden SETs have
+// named since the last compaction: when it reads a column of set, or
+// when it is a hidden SET and set holds a column it does not overwrite
+// (a carried-over column, whose overlay value its read-modify-write
+// keeps). An upsert's row differs from the base row only in the columns
+// of set, so any other statement finds in the image exactly the bytes
+// the overlay holds.
+func (dr deltaRead) readsLog(set []int) bool {
+	for _, c := range set {
+		if slices.Contains(dr.reads, c) || dr.setter && !slices.Contains(dr.sets, c) {
+			return true
+		}
+	}
+	return false
+}
+
 // deltaReads plans the overlay read of each table of q (in FROM order),
-// the WHERE query of the UPDATE or DELETE d when d is not nil.
-func deltaReads(sch *schema.Schema, q *query.Query, d *query.DML) []deltaRead {
-	attr := func(ti, col int) bool { return col != query.IDCol && sch.Tables[ti].Columns[col].Hidden }
-	images := map[int]bool{}
-	for _, p := range q.Preds {
-		images[p.Table] = images[p.Table] || attr(p.Table, p.ColIdx)
-	}
-	for _, p := range q.Projections {
-		images[p.Table] = images[p.Table] || attr(p.Table, p.ColIdx)
-	}
-	if d != nil && d.HiddenSets() {
-		images[d.Table] = true
-	}
+// the WHERE query of the UPDATE or DELETE d when d is not nil, against
+// the token's mirror of the columns set since the last compaction.
+func deltaReads(sch *schema.Schema, tok *Token, q *query.Query, d *query.DML) []deltaRead {
 	out := make([]deltaRead, len(q.Tables))
 	for i, ti := range q.Tables {
-		out[i] = deltaRead{table: ti, name: sch.Tables[ti].Name, images: images[ti]}
+		out[i] = deltaRead{table: ti, name: sch.Tables[ti].Name}
+	}
+	at := func(ti int) *deltaRead { return &out[slices.Index(q.Tables, ti)] }
+	read := func(ti, col int) {
+		if col != query.IDCol && sch.Tables[ti].Columns[col].Hidden {
+			dr := at(ti)
+			if !slices.Contains(dr.reads, col) {
+				dr.reads = append(dr.reads, col)
+			}
+		}
+	}
+	for _, p := range q.Preds {
+		read(p.Table, p.ColIdx)
+	}
+	for _, p := range q.Projections {
+		read(p.Table, p.ColIdx)
+	}
+	if d != nil && d.HiddenSets() {
+		dr := at(d.Table)
+		dr.setter, dr.sets = true, d.HiddenSetCols()
+	}
+	for i := range out {
+		out[i].images = out[i].readsLog(tok.deltaSet(out[i].table))
 	}
 	return out
 }
@@ -332,7 +367,7 @@ func (db *DB) planQuery(q *query.Query, cfg QueryConfig, d *query.DML) (*Plan, e
 		strategies:   map[int]Strategy{},
 		DML:          d != nil,
 		dml:          d,
-		delta:        deltaReads(db.Sch, q, d),
+		delta:        deltaReads(db.Sch, tok, q, d),
 	}
 	if d == nil && visibleOnly(db.Sch, q) {
 		// Untrusted answers alone; the session needs only the nominal

@@ -361,6 +361,8 @@ func TestNarrowFloorsOverlapUnderCrowdedBudget(t *testing.T) {
 
 // TestExplainRendersPlan sanity-checks the EXPLAIN text: strategies,
 // footprint and admission lines must all be present without executing.
+// The delta line reads liveness for every table until a hidden SET names
+// a column the query reads: T12.h2, filtered here.
 func TestExplainRendersPlan(t *testing.T) {
 	f := newFixture(t, 42, defaultCards())
 	stmt, err := f.db.Prepare(testQueries[0], QueryConfig{})
@@ -369,7 +371,7 @@ func TestExplainRendersPlan(t *testing.T) {
 	}
 	out := stmt.Plan().Explain()
 	for _, frag := range []string{"plan:", "anchor: T0", "visible selections:", "T1",
-		"delta: T0 liveness · T1 liveness · T12 images",
+		"delta: T0 liveness · T1 liveness · T12 liveness",
 		"footprint (buffers):", "admission: min", "estimated cost:"} {
 		if !strings.Contains(out, frag) {
 			t.Fatalf("EXPLAIN output missing %q:\n%s", frag, out)
@@ -391,6 +393,19 @@ func TestExplainRendersPlan(t *testing.T) {
 	}
 	if !ins.Plan().Insert || ins.Plan().MinBuffers < 1 {
 		t.Fatalf("insert plan = %+v", ins.Plan())
+	}
+	for _, set := range []string{"h1", "h2"} {
+		if _, err := f.db.Run("UPDATE T12 SET " + set + " = '0000000001' WHERE T12.id = 1"); err != nil {
+			t.Fatal(err)
+		}
+		stmt, err := f.db.Prepare(testQueries[0], QueryConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := map[string]string{"h1": "T12 liveness\n", "h2": "T12 images\n"}[set]
+		if out := stmt.Plan().Explain(); !strings.Contains(out, want) {
+			t.Fatalf("after SET %s: EXPLAIN misses %q:\n%s", set, want, out)
+		}
 	}
 }
 

@@ -276,7 +276,7 @@ func (r *queryRun) mjoinBatches(tp *tableProj, sig sublist, batchBytes int) erro
 		}
 		hidRd = img.File.NewSortedReader()
 		hidRec = make([]byte, img.File.RowWidth())
-		dl = r.tok.deltaOf(tp.table)
+		dl = r.overlay(tp.table)
 	}
 
 	col := r.resCols[tp.table]

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"ghostdb/internal/bloom"
 	"ghostdb/internal/bus"
@@ -79,6 +80,9 @@ type queryRun struct {
 	// exact in-RAM selection after materialization (Post-Select).
 	postSelect map[int][]uint32
 	anchorPred []query.Pred // id predicates on the anchor (free filters)
+	// logSets maps each table whose upsert log the Delta stage read to
+	// the columns set since the last compaction, as the run saw them.
+	logSets map[int][]int
 
 	// QEPSJ output: resN tuples, one id run per table column.
 	resN    int
@@ -289,14 +293,18 @@ func (r *queryRun) execute() (*Result, error) {
 
 // refreshDeltas replays, for every table the query names that carries
 // delta state, the part of its overlay the plan reads (Plan.delta):
-// the tombstone checkpoint and log, and the upsert log for a table whose
-// hidden attributes the statement reads or sets — the per-query read
-// amplification of the LSM write path. Each replay is a sequential,
-// data-independent scan of whole files (their lengths depend only on
-// committed statement volume and compactions, which the untrusted side
-// already observes), chosen by the statement text alone. The Delta stage
-// reads every file through the one page it claims, released before any
-// other operator runs, so plan floors are unchanged.
+// the tombstone checkpoint and log, and the upsert log when readsLog,
+// asked again against the columns set when the run starts, calls for
+// it — the per-query read amplification of the LSM write path. Each
+// replay is a sequential, data-independent scan of whole files (their
+// lengths depend only on committed statement volume and compactions,
+// which the untrusted side already observes), chosen by the statement
+// text and the SET texts since the last compaction. The tables whose
+// upsert log it reads, with their set columns, go to r.logSets: the
+// run's operators consult only those overlays (overlay, columnOverlay).
+// The Delta stage reads every file through the one page it claims,
+// released before any other operator runs, so plan floors are
+// unchanged.
 func (r *queryRun) refreshDeltas() error {
 	type refresh struct {
 		dl     *delta.Table
@@ -304,10 +312,20 @@ func (r *queryRun) refreshDeltas() error {
 	}
 	var touched []refresh
 	for _, dr := range r.plan.delta {
-		if dl := r.tok.deltaOf(dr.table); dl != nil {
-			if pages, _ := dl.ReadSize(dr.images); pages > 0 {
-				touched = append(touched, refresh{dl, dr.images})
+		dl := r.tok.deltaOf(dr.table)
+		if dl == nil {
+			continue
+		}
+		set := r.tok.deltaSet(dr.table)
+		images := dr.readsLog(set)
+		if images {
+			if r.logSets == nil {
+				r.logSets = map[int][]int{}
 			}
+			r.logSets[dr.table] = set
+		}
+		if pages, _ := dl.ReadSize(images); pages > 0 {
+			touched = append(touched, refresh{dl, images})
 		}
 	}
 	if len(touched) == 0 {
@@ -324,6 +342,28 @@ func (r *queryRun) refreshDeltas() error {
 		}
 		return nil
 	})
+}
+
+// overlay returns the table's delta state when the run's Delta stage
+// replayed its upsert log, nil otherwise: a reader of whole hidden rows
+// substitutes overlay rows only then. When it is nil, the statement
+// reads none of the columns an upsert changed, so the base row holds
+// the bytes it reads.
+func (r *queryRun) overlay(table int) *delta.Table {
+	if _, ok := r.logSets[table]; !ok {
+		return nil
+	}
+	return r.tok.deltaOf(table)
+}
+
+// columnOverlay is overlay for a reader of the one hidden column col: it
+// consults the overlay only for a column some hidden SET has named since
+// the last compaction.
+func (r *queryRun) columnOverlay(table, col int) *delta.Table {
+	if !slices.Contains(r.logSets[table], col) {
+		return nil
+	}
+	return r.tok.deltaOf(table)
 }
 
 // visibleOnlyRun executes a single-table all-visible query (a FastPath

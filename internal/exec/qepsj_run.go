@@ -381,7 +381,15 @@ func (s *seqStream) clip(preds []query.Pred) []query.Pred {
 // staleIndex reports whether an upsert overlay has made the climbing
 // index of p's attribute stale (entries are never removed when a row's
 // value changes), so p must go through the overlay-corrected scan at the
-// anchor level. Id keys are exempt: ids never move.
+// anchor level. Id keys are exempt: ids never move. The rule is
+// deliberately conservative: any live upsert makes every attribute index
+// of the table stale, though only a column SET since the last compaction
+// can have moved. Making it per column was measured: write-mix's
+// UPDATE … WHERE S0.h5 moves from a 500-page Scan to CI (33.05 →
+// 12.19 sim-ms), but the benchmark's goodput_qps rises about 50% and
+// with it peak_heap_mb, by 17–58%, through the harness's per-epoch
+// oracles, past that metric's bound; so it waits on the harness
+// (ROADMAP items 1 and 21).
 func (r *queryRun) staleIndex(p query.Pred) bool {
 	if p.ColIdx == query.IDCol {
 		return false
@@ -517,7 +525,9 @@ func (r *queryRun) scanFallback(g *mergeGroup, p query.Pred) error {
 	if !ok {
 		return fmt.Errorf("exec: column %d of %s is not hidden", p.ColIdx, db.Sch.Tables[p.Table].Name)
 	}
-	dl := r.tok.deltaOf(p.Table)
+	// The overlay is consulted only for a column a hidden SET has named
+	// since the last compaction; tombstones are screened either way.
+	dl, ov := r.tok.deltaOf(p.Table), r.columnOverlay(p.Table, p.ColIdx)
 	kind := img.Codec.Columns()[pos].Kind
 	// The Scan stage claims the image reader and the matches writer: it
 	// reads the predicate's column through a page lent from the token's
@@ -535,7 +545,7 @@ func (r *queryRun) scanFallback(g *mergeGroup, p query.Pred) error {
 			return err
 		}
 		off, w := img.Codec.ColumnRange(pos)
-		err := img.scan(dl, off, w, buf, func(id uint32, col []byte) error {
+		err := img.scan(ov, off, w, buf, func(id uint32, col []byte) error {
 			if dl != nil && dl.Dead(id) {
 				return nil
 			}

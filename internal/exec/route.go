@@ -74,8 +74,8 @@ func (p *Plan) requestedRoom(db *DB, cfg QueryConfig, nGroups int) mergeRoom {
 // the grant) and the index's token-side statistics only, never the
 // table's write history, so whether an earlier UPDATE matched cannot
 // move it. Other predicates keep their one route: an id predicate on
-// the anchor filters, an indexed one climbs through its CI, an
-// unindexed one scans.
+// the anchor filters the id sequence flowing by and reads no flash, an
+// indexed one climbs through its CI, an unindexed one scans.
 func (p *Plan) route(db *DB, q *query.Query, hp query.Pred, est *HiddenSelEst, room mergeRoom) flashIO {
 	rows := float64(db.Rows(hp.Table))
 	// Index descent plus the matching sublist pages: the estimate of a
@@ -89,7 +89,7 @@ func (p *Plan) route(db *DB, q *query.Query, hp query.Pred, est *HiddenSelEst, r
 	switch {
 	case hp.Table == q.Anchor && hp.ColIdx == query.IDCol:
 		est.Route = RouteIDFilter
-		return unpriced
+		return flashIO{}
 	case hp.Table != q.Anchor:
 		est.Route = RouteScan
 		if ci != nil {
@@ -168,17 +168,24 @@ func (db *DB) imageShape(table, pageSize int) (pages, width int) {
 
 // writeIO prices a DML's write stage for matches rows. A hidden SET
 // gathers the rows from the image: it loads the distinct pages holding
-// them, L·(1 − (1 − 1/L)^matches) of the image's L pages for ids spread
-// uniformly (as idProbeReads counts leaves), and moves matches rows. A
-// DELETE or a hidden SET then commits a record per row to its delta
-// log, in whole pages, at least one. A visible-only UPDATE is applied
-// by the untrusted store and costs the token nothing.
+// them and moves matches rows. When its predicates are id bounds only,
+// the rows are one contiguous id range, which lies on ⌈matches ÷ rows
+// per page⌉ + 1 of the image's L pages at most; otherwise the ids are
+// taken as spread uniformly, L·(1 − (1 − 1/L)^matches) pages (as
+// idProbeReads counts leaves). A DELETE or a hidden SET then commits a
+// record per row to its delta log, in whole pages, at least one. A
+// visible-only UPDATE is applied by the untrusted store and costs the
+// token nothing.
 func (db *DB) writeIO(d *query.DML, matches float64, pageSize int) flashIO {
 	var io flashIO
 	rec := delta.RecordBytes(0)
 	if d.HiddenSets() {
 		pages, w := db.imageShape(d.Table, pageSize)
 		io.reads = distinctHits(float64(pages), matches)
+		if idBoundsOnly(d.Preds) {
+			perPage := float64(max(pageSize/max(w, 1), 1))
+			io.reads = min(math.Ceil(matches/perPage)+1, float64(pages))
+		}
 		io.bytes = matches * float64(w)
 		rec = delta.RecordBytes(w)
 	}
@@ -186,6 +193,17 @@ func (db *DB) writeIO(d *query.DML, matches float64, pageSize int) flashIO {
 		io.writes = max(math.Ceil(matches/float64(max(pageSize/rec, 1))), 1)
 	}
 	return io
+}
+
+// idBoundsOnly reports whether preds are all id bounds (and there is at
+// least one), so the rows they keep form one contiguous id range.
+func idBoundsOnly(preds []query.Pred) bool {
+	for _, p := range preds {
+		if p.ColIdx != query.IDCol {
+			return false
+		}
+	}
+	return len(preds) > 0
 }
 
 // ciIO prices an anchor attribute predicate's CI route: the descent to

@@ -86,11 +86,13 @@ type Token struct {
 	// Declassified telemetry mirrors: public counts updated at DML
 	// commit and compaction so observability code and the planner never
 	// read hidden delta state. What they reveal — statement counts, delta
-	// page depth and the size of each table's liveness and images reads
-	// — is derivable from statement text plus commit and compaction
-	// volume, all already visible to the untrusted observer.
+	// page depth, the size of each table's liveness and images reads and
+	// the hidden columns SET since the last compaction — is derivable
+	// from statement text plus commit and compaction volume, all already
+	// visible to the untrusted observer.
 	deltaPages  int
 	deltaReads  map[int][2]flashIO // table -> [liveness, images] Refresh traffic
+	deltaSets   map[int][]int      // table -> hidden columns SET since the last compaction
 	dmlCount    uint64
 	compactions uint64
 	compacting  bool
@@ -307,6 +309,7 @@ func (t *Token) syncDeltaMirror() {
 			reads[i] = flashIO{reads: float64(p), bytes: float64(b)}
 		}
 		t.deltaReads[ti] = reads
+		t.deltaSets[ti] = d.SetColumns()
 	}
 	t.deltaPages = pages
 	t.mu.Unlock()
@@ -321,6 +324,16 @@ func (t *Token) deltaReadIO(dr deltaRead) flashIO {
 		return t.deltaReads[dr.table][1]
 	}
 	return t.deltaReads[dr.table][0]
+}
+
+// deltaSet returns the hidden columns of the table that hidden SETs
+// have named since the last compaction, from the declassified mirror
+// (nil for a table no hidden SET has touched). Callers must not modify
+// it.
+func (t *Token) deltaSet(table int) []int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.deltaSets[table]
 }
 
 // DeltaPages reports the token's live delta log depth in flash pages

@@ -38,6 +38,18 @@ func (d *DML) HiddenSets() bool {
 	return false
 }
 
+// HiddenSetCols lists the hidden columns the SET clauses target, in
+// clause order.
+func (d *DML) HiddenSetCols() []int {
+	var cols []int
+	for _, s := range d.Sets {
+		if s.Hidden {
+			cols = append(cols, s.ColIdx)
+		}
+	}
+	return cols
+}
+
 // VisibleSets reports whether any SET clause targets a visible column.
 func (d *DML) VisibleSets() bool {
 	for _, s := range d.Sets {
