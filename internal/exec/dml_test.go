@@ -77,12 +77,26 @@ func (f *fixture) checkQuery(t testing.TB, sql, when string) {
 // randomDML builds a random supported UPDATE or DELETE over the
 // synthetic tree. Predicates stay narrow so the fixture is not drained
 // of rows halfway through a run.
-func randomDML(rng *rand.Rand, cards map[string]int) string {
+func randomDML(rng *rand.Rand, cards map[string]int) string { return randomDMLHot(rng, cards, 0) }
+
+// randomDMLHot is randomDML whose hidden SETs, given hot > 0, take their
+// id ranges from hot short spans of each table (the SET driven by a
+// hidden predicate keeps it, widened, and adds a hot id range), so SETs
+// of different hidden columns routinely rewrite the same rows between
+// compactions: a later SET must carry the earlier one's columns over.
+func randomDMLHot(rng *rand.Rand, cards map[string]int, hot int) string {
 	tables := []string{"T0", "T1", "T2", "T11", "T12"}
 	tb := tables[rng.Intn(len(tables))]
 	idPred := func() string {
 		lo := rng.Intn(cards[tb])
 		return fmt.Sprintf("%s.id >= %d AND %s.id <= %d", tb, lo, tb, lo+rng.Intn(8))
+	}
+	setIDPred := idPred
+	if hot > 0 {
+		setIDPred = func() string {
+			lo := rng.Intn(hot)*cards[tb]/hot + rng.Intn(4)
+			return fmt.Sprintf("%s.id >= %d AND %s.id <= %d", tb, lo, tb, lo+rng.Intn(8))
+		}
 	}
 	attrPred := func(col string) string {
 		lo := rng.Intn(990)
@@ -95,13 +109,18 @@ func randomDML(rng *rand.Rand, cards map[string]int) string {
 	case 1: // DELETE by hidden attribute
 		return fmt.Sprintf("DELETE FROM %s WHERE %s", tb, attrPred("h1"))
 	case 2: // hidden SET driven by hidden predicate
+		if hot > 0 {
+			lo := rng.Intn(500)
+			return fmt.Sprintf("UPDATE %s SET h2 = %s WHERE %s.h3 BETWEEN '%010d' AND '%010d' AND %s",
+				tb, val(), tb, lo, lo+499, setIDPred())
+		}
 		return fmt.Sprintf("UPDATE %s SET h2 = %s WHERE %s", tb, val(), attrPred("h3"))
 	case 3: // hidden SET driven by id range
-		return fmt.Sprintf("UPDATE %s SET h1 = %s, h3 = %s WHERE %s", tb, val(), val(), idPred())
+		return fmt.Sprintf("UPDATE %s SET h1 = %s, h3 = %s WHERE %s", tb, val(), val(), setIDPred())
 	case 4: // visible SET driven by visible predicate
 		return fmt.Sprintf("UPDATE %s SET v1 = %s WHERE %s", tb, val(), attrPred("v2"))
 	default: // mixed SET driven by id range (public qualification)
-		return fmt.Sprintf("UPDATE %s SET v3 = %s, h1 = %s WHERE %s", tb, val(), val(), idPred())
+		return fmt.Sprintf("UPDATE %s SET v3 = %s, h1 = %s WHERE %s", tb, val(), val(), setIDPred())
 	}
 }
 
@@ -134,9 +153,13 @@ func (f *fixture) overlayReads(t testing.TB, sql string) (reads, skips int) {
 // again from the rebuilt base images. A compaction halfway makes the
 // engine forget the columns SET so far, and the SELECTs must both
 // replay a live upsert log (they read a column SET since) and skip one
-// (they read none). It runs at the 7-buffer floor of the mix, where the
-// Merge feeding a DML's write stage reduces its sublists, and at the
-// paper's 32 buffers.
+// (they read none). The hidden SETs by id range rewrite a few hot spans
+// (randomDMLHot), so a row's later SET must carry an earlier one's
+// column over, which reads of every hidden column of every table, and a
+// Scan of each table's h3 through the overlay, check before the final
+// compaction. It runs at the 7-buffer floor of the mix, where the Merge
+// feeding a DML's write stage reduces its sublists, and at the paper's
+// 32 buffers.
 func TestRandomDMLMatchesReference(t *testing.T) {
 	for _, buffers := range []int{minViableBuffers, 32} {
 		t.Run(fmt.Sprintf("%d-buffers", buffers), func(t *testing.T) { randomDMLMatchesReference(t, buffers) })
@@ -154,7 +177,7 @@ func randomDMLMatchesReference(t *testing.T, buffers int) {
 	var lastChecks []string
 	var logReads, logSkips int
 	for i := 0; i < 60; i++ {
-		f.applyDML(t, randomDML(rng, cards))
+		f.applyDML(t, randomDMLHot(rng, cards, 2))
 		if i == 29 {
 			// A compaction forgets the columns SET so far, so the second
 			// half meets SELECTs that skip a live upsert log again.
@@ -180,6 +203,10 @@ func randomDMLMatchesReference(t *testing.T, buffers int) {
 	if logReads == 0 || logSkips == 0 {
 		t.Fatalf("the SELECTs replayed a live upsert log %d times and skipped one %d times; want both", logReads, logSkips)
 	}
+	for _, tb := range []string{"T0", "T1", "T2", "T11", "T12"} {
+		f.checkQuery(t, fmt.Sprintf("SELECT %[1]s.id, %[1]s.h1, %[1]s.h2, %[1]s.h3 FROM %[1]s", tb), "after random DML")
+		f.checkQuery(t, fmt.Sprintf("SELECT %[1]s.id FROM %[1]s WHERE %[1]s.h3 < '0000000500'", tb), "after random DML")
+	}
 	tok := f.db.Tokens()[0]
 	if tok.DeltaPages() == 0 {
 		t.Fatal("60 DML statements left no delta pages")
@@ -198,7 +225,7 @@ func randomDMLMatchesReference(t *testing.T, buffers int) {
 	}
 	// And writes keep working against the rebuilt catalog.
 	for i := 0; i < 10; i++ {
-		f.applyDML(t, randomDML(rng, cards))
+		f.applyDML(t, randomDMLHot(rng, cards, 2))
 	}
 	f.checkQuery(t, randomQuery(rng), "post-compaction DML")
 }
@@ -560,7 +587,7 @@ func TestExplainDML(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := stmt.Plan().Explain()
-	for _, want := range []string{"delete from", "anchor: T1", "via CI", "delta: T1 liveness",
+	for _, want := range []string{"delete from", "anchor: T1", "via Scan (priced: Scan ~35µs, CI ~154µs)", "delta: T1 liveness",
 		"footprint (buffers): QEPSJ 3 (merge 3, then write stage 1 + a stream per merge group)",
 		"admission: min 3 of 32 buffers (2048 B each), want 3"} {
 		if !strings.Contains(out, want) {
@@ -574,7 +601,8 @@ func TestExplainDML(t *testing.T) {
 	// one log page, and a hidden SET by id also reads the image page its
 	// four expected rows lie on (T1's 20 rows fill one); an id filter
 	// reads no flash, and a visible-only UPDATE is the untrusted store's
-	// and costs the token nothing.
+	// and costs the token nothing. The Scan reads that one image page and
+	// writes nothing.
 	explains := func(cases map[string]string) {
 		t.Helper()
 		for sql, want := range cases {
@@ -588,7 +616,7 @@ func TestExplainDML(t *testing.T) {
 		}
 	}
 	explains(map[string]string{
-		"DELETE FROM T1 WHERE T1.h1 = '0000000004'":                  "(≈2 page reads, 1 writes)",
+		"DELETE FROM T1 WHERE T1.h1 = '0000000004'":                  "(≈1 page reads, 1 writes)",
 		"DELETE FROM T1 WHERE T1.id <= 3":                            "(≈0 page reads, 1 writes)",
 		"UPDATE T1 SET h2 = '0000000001' WHERE T1.id <= 3":           "(≈1 page reads, 1 writes)",
 		"UPDATE T1 SET v2 = '0000000001' WHERE T1.v1 < '0000000003'": "(≈0 page reads, 0 writes)",

@@ -276,31 +276,57 @@ type HiddenImage struct {
 	ColPos map[int]int // table column index -> position within the image
 }
 
-// scan calls fn for every row of the image in id order with the bytes
-// of the span [off, off+w) of the row, the overlay's (dl, nil when the
-// table has none or the caller does not consult it) for each upserted
-// row: one sequential pass through the caller's page buffer buf that
-// loads each page once and transfers only the span of each row, so its
-// reads and bytes depend on the image's size and the span's width only.
-// The Scan stage passes its predicate's column, compaction the whole
-// row (0, Codec.Width()). Tombstoned rows are passed too; callers
-// screen them with dl.Dead. b is valid until fn returns.
+// imageColumn reads the span [off, off+w) of every row of a hidden
+// image in id order, the overlay's (dl, nil when the table has none or
+// the reader does not consult it) for each upserted row: one sequential
+// pass through the caller's page buffer that loads each page once and
+// transfers only the span of each row, so its reads and bytes depend on
+// the image's size and the span's width only. Tombstoned rows are read
+// too; callers screen them with dl.Dead.
+//
+//ghostdb:requires-slot
+type imageColumn struct {
+	rd     store.ColumnReader
+	dl     *delta.Table
+	off, w int
+}
+
+// initColumn positions c before the image's first row.
+func (img *HiddenImage) initColumn(c *imageColumn, dl *delta.Table, off, w int, buf []byte) error {
+	*c = imageColumn{dl: dl, off: off, w: w}
+	return img.File.InitColumnReader(&c.rd, buf, off, w)
+}
+
+// next returns the next row's id and span (valid until the following
+// call), or ok=false past the last row.
+func (c *imageColumn) next() (id uint32, b []byte, ok bool, err error) {
+	b, id, ok, err = c.rd.Next()
+	if err != nil || !ok {
+		return 0, nil, false, err
+	}
+	if c.dl != nil {
+		if ov, ok := c.dl.Lookup(id); ok {
+			b = ov[c.off : c.off+c.w]
+		}
+	}
+	return id, b, true, nil
+}
+
+// scan calls fn for every row of the image in id order with the row's
+// span [off, off+w) (imageColumn). A non-anchor Scan stage passes its
+// predicate's column, compaction the whole row (0, Codec.Width()). b is
+// valid until fn returns.
 //
 //ghostdb:requires-slot
 func (img *HiddenImage) scan(dl *delta.Table, off, w int, buf []byte, fn func(id uint32, b []byte) error) error {
-	var rd store.ColumnReader
-	if err := img.File.InitColumnReader(&rd, buf, off, w); err != nil {
+	var c imageColumn
+	if err := img.initColumn(&c, dl, off, w, buf); err != nil {
 		return err
 	}
 	for {
-		b, id, ok, err := rd.Next()
+		id, b, ok, err := c.next()
 		if err != nil || !ok {
 			return err
-		}
-		if dl != nil {
-			if ov, ok := dl.Lookup(id); ok {
-				b = ov[off : off+w]
-			}
 		}
 		if err := fn(id, b); err != nil {
 			return err
@@ -1069,11 +1095,8 @@ func (db *DB) runSelectOn(ctx context.Context, q *query.Query, plan *Plan, cfg Q
 			if err != nil {
 				return err
 			}
-			if q.CountOnly {
-				out = &Result{
-					Columns: []string{"count(*)"},
-					Rows:    []schema.Row{{schema.IntVal(int64(len(out.Rows)))}},
-				}
+			if q.CountOnly && !plan.countsAtMerge() {
+				out = countResult(len(out.Rows))
 			}
 			res = out
 			return nil
@@ -1093,6 +1116,11 @@ func (db *DB) runSelectOn(ctx context.Context, q *query.Query, plan *Plan, cfg Q
 		return nil, err
 	}
 	return res, nil
+}
+
+// countResult is a COUNT(*)'s answer: one row holding n.
+func countResult(n int) *Result {
+	return &Result{Columns: []string{"count(*)"}, Rows: []schema.Row{{schema.IntVal(int64(n))}}}
 }
 
 // columnLabel renders a projection header.

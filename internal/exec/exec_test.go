@@ -459,3 +459,68 @@ func TestCountStar(t *testing.T) {
 		t.Fatal("COUNT with projections accepted")
 	}
 }
+
+// TestCountEndsAtMerge: a COUNT(*) whose shape verifies no table at
+// projection time counts the Merge's survivors: it runs no Store or
+// Project span and writes no page. A single-table COUNT, a Pre-Filter
+// join and a join whose child rows are tombstoned (the SJoin's chase
+// drops their tuples) are such COUNTs; a Post-Filter COUNT verifies its
+// visible table at projection time and keeps its projection. Every
+// answer equals internal/ref's, as does the scatter COUNT of a
+// two-tree forest whose one part is visible-only and the other hidden.
+func TestCountEndsAtMerge(t *testing.T) {
+	f := newFixture(t, 23, defaultCards())
+	f.applyDML(t, "DELETE FROM T1 WHERE T1.h2 < '0000000300'")
+	cases := []struct {
+		sql          string
+		cfg          QueryConfig
+		exact, chase bool
+	}{
+		{"SELECT COUNT(*) FROM T0 WHERE T0.h2 < '0000000300'", QueryConfig{}, true, false},
+		{"SELECT COUNT(*) FROM T0, T2 WHERE T0.fk2 = T2.id AND T2.v1 < '0000000020' AND T0.h1 >= '0000000500'",
+			QueryConfig{Strategy: StratPre}, true, false},
+		{"SELECT COUNT(*) FROM T0, T1 WHERE T0.fk1 = T1.id AND T0.h3 < '0000000400'", QueryConfig{}, true, true},
+		{"SELECT COUNT(*) FROM T0, T2 WHERE T0.fk2 = T2.id AND T2.v1 < '0000000200' AND T0.h1 >= '0000000500'",
+			QueryConfig{Strategy: StratPost}, false, false},
+	}
+	for _, c := range cases {
+		stmt, err := f.db.Prepare(c.sql, c.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.sql, err)
+		}
+		if got := stmt.Plan().countsAtMerge(); got != c.exact {
+			t.Fatalf("%s: counts at the Merge %v, want %v", c.sql, got, c.exact)
+		}
+		res, err := stmt.RunCtx(context.Background(), c.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.sql, err)
+		}
+		if want := len(f.refAnswer(t, c.sql)); res.Rows[0][0].I != int64(want) {
+			t.Fatalf("%s: count %d, reference %d", c.sql, res.Rows[0][0].I, want)
+		}
+		ran := hasOp(res, spanStore) || hasOp(res, spanProject)
+		switch {
+		case c.exact && (ran || res.Stats.Flash.PageWrites != 0):
+			t.Fatalf("%s: an exact COUNT stored or projected (%v) or wrote %d pages", c.sql, res.Stats.Ops, res.Stats.Flash.PageWrites)
+		case !c.exact && !hasOp(res, spanProject):
+			t.Fatalf("%s: a Post-Filter COUNT skipped its projection (%v)", c.sql, res.Stats.Ops)
+		}
+		if c.chase && !hasOp(res, spanSJoin) {
+			t.Fatalf("%s: the tombstone chase ran no SJoin (%v)", c.sql, res.Stats.Ops)
+		}
+	}
+
+	forest := newForestFixture(t, 11, map[string]int{
+		"T0": 120, "T1": 40, "T2": 30, "T11": 12, "T12": 12, "U0": 60, "U1": 10}, 2)
+	const sql = "SELECT COUNT(*) FROM T0, U0 WHERE T0.v1 < '0000000300' AND U0.h2 < '0000000500'"
+	res, err := forest.db.Run(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := forest.refAnswer(t, sql); !rowsEqual(res.Rows, want) {
+		t.Fatalf("%s: %v, reference %v", sql, res.Rows, want)
+	}
+	if res.Stats.Scatter != 2 || hasOp(res, spanStore) || hasOp(res, spanProject) || res.Stats.Flash.PageWrites != 0 {
+		t.Fatalf("%s: scatter %d, ops %v, %d pages written", sql, res.Stats.Scatter, res.Stats.Ops, res.Stats.Flash.PageWrites)
+	}
+}

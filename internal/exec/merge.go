@@ -22,7 +22,7 @@ import (
 func (r *queryRun) reduceGroups(groups []*mergeGroup, keep int) error {
 	totalRuns := 0
 	for _, g := range groups {
-		totalRuns += g.runs.len()
+		totalRuns += g.buffers()
 	}
 	for totalRuns > r.ram.AvailableBuffers()-keep {
 		// Largest group first.
@@ -50,18 +50,25 @@ func (r *queryRun) reduceGroups(groups []*mergeGroup, keep int) error {
 	return nil
 }
 
-// openGroup opens the union stream of one merge group.
+// openGroup opens the union stream of one merge group, opening its Scan
+// stream first.
 func (r *queryRun) openGroup(g *mergeGroup) (idStream, error) {
-	return r.openUnion(&g.runs, g.streams, &g.union)
+	if g.scan == nil {
+		return r.openUnion(&g.runs, g.streams, &g.union)
+	}
+	if err := g.scan.open(); err != nil {
+		return nil, err
+	}
+	return r.openUnion(&g.runs, append(slices.Clip(g.streams), g.scan), &g.union)
 }
 
 // groupClaims is the claim of a stage that opens the unions of groups:
-// one stream buffer per flash sublist; none when the groups hold only
-// direct streams.
+// one stream buffer per flash sublist and per Scan stream; none when the
+// groups hold only host-side direct streams.
 func groupClaims(groups []*mergeGroup) []ram.Claim {
 	n := 0
 	for _, g := range groups {
-		n += g.runs.len()
+		n += g.buffers()
 	}
 	if n == 0 {
 		return nil
@@ -115,7 +122,9 @@ type storeSpill struct {
 // afterwards.
 // tombChecks lists joined non-anchor tables with live tombstones: each
 // anchor tuple is chased to them through the SKT and dropped when any
-// referenced row is deleted (SQL join semantics over tombstones).
+// referenced row is deleted (SQL join semantics over tombstones). An
+// exact COUNT(*) (queryShape.count) counts the survivors instead of
+// storing them: it opens no writer and runs no Store stage.
 //
 // Each operator runs once per batch, under one cost span, never once per
 // tuple. The counters cannot tell: within a batch every SKT read now
@@ -150,11 +159,14 @@ func (r *queryRun) joinAndStore(merged idStream, direct bool, needed, tombChecks
 		}
 	}
 
+	count := r.plan.shape.count
 	var anchorSeg *tempList
 	var colSegs []*tempList // aligned with needed
 	var spillSeg *tempTuples
 	var spillRec []byte
-	if direct {
+	switch {
+	case count:
+	case direct:
 		anchorSeg = r.newTemp()
 		if err := anchorSeg.BeginRun(); err != nil {
 			return err
@@ -166,7 +178,7 @@ func (r *queryRun) joinAndStore(merged idStream, direct bool, needed, tombChecks
 				return err
 			}
 		}
-	} else {
+	default:
 		spillSeg = r.newTuples()
 		spillRec = make([]byte, (1+len(needed))*store.IDBytes)
 	}
@@ -285,6 +297,10 @@ func (r *queryRun) joinAndStore(merged idStream, direct bool, needed, tombChecks
 		if k == 0 {
 			continue
 		}
+		n += k
+		if count {
+			continue
+		}
 		// Store: materialize the survivors.
 		err = r.stage(spanStore, nil, func(*ram.Reservation) error {
 			for i, id := range ids[:k] {
@@ -313,10 +329,12 @@ func (r *queryRun) joinAndStore(merged idStream, direct bool, needed, tombChecks
 		if err != nil {
 			return err
 		}
-		n += k
 	}
 
 	r.resN = n
+	if count {
+		return nil
+	}
 	r.resCols = map[int]sublist{}
 	if !direct {
 		err := r.stage(spanStore, nil, func(*ram.Reservation) error { return spillSeg.Seal() })

@@ -272,6 +272,10 @@ func (p *Plan) storeDirect(grant int) bool {
 	return p.Footprint.Distribute == 0 || grant >= p.Footprint.QEPSJ
 }
 
+// countsAtMerge reports whether the plan is an exact COUNT(*), whose
+// run returns the Merge's survivor count (queryShape.count).
+func (p *Plan) countsAtMerge() bool { return p.shape != nil && p.shape.count }
+
 // visibleOnly reports whether a query touches no hidden data at all: a
 // single-table query whose predicates and projections are all visible
 // executes entirely on Untrusted (Secure only relays).
@@ -466,6 +470,9 @@ func (db *DB) planQuery(q *query.Query, cfg QueryConfig, d *query.DML) (*Plan, e
 		nGroups++
 	}
 	fp.StoreWriters = len(sh.needed) + 1
+	if sh.count {
+		fp.StoreWriters = 0 // the Merge's consumer counts; nothing is stored
+	}
 	// The SKT reader is reserved for every multi-table query, not only
 	// when descendant columns are stored: the join may need it to check
 	// non-anchor tombstones after a DELETE. The floor must stay a pure
@@ -501,6 +508,8 @@ func (db *DB) planQuery(q *query.Query, cfg QueryConfig, d *query.DML) (*Plan, e
 	switch {
 	case d != nil:
 		// A DML's write stage is its last operator.
+	case sh.count:
+		// An exact COUNT(*) ends at the Merge.
 	case cfg.Projector == ProjectBruteForce:
 		fp.Projection = claimMin(sh.bruteClaims())
 	default:
@@ -595,13 +604,14 @@ func (p *Plan) estimate(db *DB, q *query.Query, room mergeRoom) {
 		io.add(p.route(db, q, hp, &p.HiddenSel[len(p.HiddenSel)-1], room))
 	}
 	est := anchorRows * sel
+	// Store writes the materialized columns and Project re-reads them:
+	// none for an exact COUNT(*), whose Merge ends the run.
 	cols := float64(p.Footprint.StoreWriters)
 	if p.dml != nil {
 		cols = 0 // no Store or Project follows: the write stage does
 		io.add(db.writeIO(p.dml, est, p.BufferBytes))
 	}
-	// SJoin reads one SKT row per surviving anchor id (random access);
-	// Store writes the materialized columns; Project re-reads them.
+	// SJoin reads one SKT row per surviving anchor id (random access).
 	if p.Footprint.SKTReader > 0 {
 		io.reads += est
 		if skt, ok := p.tok.catalog().SKTOf(q.Anchor); ok {

@@ -281,6 +281,9 @@ func (r *queryRun) execute() (*Result, error) {
 			Rows:    []schema.Row{{schema.IntVal(int64(r.resN))}},
 		}, nil
 	}
+	if r.plan.shape.count {
+		return countResult(r.resN), nil
+	}
 
 	// ---- QEPP: projection.
 	res, err := r.project()
@@ -579,14 +582,24 @@ func (r *queryRun) retainSpools() {
 }
 
 // mergeGroup is one conjunct of the anchor-level Merge: the union of its
-// sorted sublists (flash runs and/or direct streams). The groups' unions
-// are open side by side under the intersection, so each has its own
-// scratch.
+// sorted sublists (flash runs and/or direct streams), or a Scan-routed
+// anchor predicate's stream. The groups' unions are open side by side
+// under the intersection, so each has its own scratch.
 type mergeGroup struct {
 	label   string
 	runs    runSet
 	streams []idStream
+	scan    *scanStream
 	union   unionScratch
+}
+
+// buffers is the stream buffers the group holds open in the Merge: one
+// per flash sublist and the Scan stream's page.
+func (g *mergeGroup) buffers() int {
+	if g.scan != nil {
+		return g.runs.len() + 1
+	}
+	return g.runs.len()
 }
 
 func (g *mergeGroup) addRun(seg *store.ListSegment, run store.Run) {

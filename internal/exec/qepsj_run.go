@@ -111,36 +111,40 @@ func (r *queryRun) qepsj() error {
 			continue
 		}
 		g := &mergeGroup{label: fmt.Sprintf("hidden:%s", db.Sch.Tables[p.Table].Name)}
-		ci := r.indexFor(p)
-		if ci == nil || r.plan.HiddenSel[i].Route == RouteScan || r.staleIndex(p) {
-			if err := r.scanFallback(g, p); err != nil {
-				return err
-			}
-			groups = append(groups, g)
-			continue
-		}
-		slot, ok := ci.LevelOf(anchor)
-		if !ok {
-			if err := r.scanFallback(g, p); err != nil {
-				return err
-			}
-			groups = append(groups, g)
-			continue
-		}
-		var runs []store.Run
-		err := r.stage(spanCI, indexPage, func(*ram.Reservation) error {
-			var err error
-			runs, err = r.runsForHiddenPred(p, ci, slot)
-			return err
-		})
-		if err != nil {
-			return err
-		}
-		g.runs.grow(len(runs))
-		for _, run := range runs {
-			g.addRun(ci.Lists(), run)
-		}
 		groups = append(groups, g)
+		// The Scan route: the plan priced it cheaper than the index
+		// (Plan.route), the table carries live upserts (whose index entries
+		// are stale) or no climbing index reaches the anchor.
+		ci, slot, indexed := r.indexFor(p), 0, false
+		if ci != nil && r.plan.HiddenSel[i].Route != RouteScan && !r.staleIndex(p) {
+			slot, indexed = ci.LevelOf(anchor)
+		}
+		switch {
+		case !indexed && p.Table == anchor:
+			s, err := r.newScanStream(p)
+			if err != nil {
+				return err
+			}
+			g.scan = s
+		case !indexed:
+			if err := r.scanFallback(g, p); err != nil {
+				return err
+			}
+		default:
+			var runs []store.Run
+			err := r.stage(spanCI, indexPage, func(*ram.Reservation) error {
+				var err error
+				runs, err = r.runsForHiddenPred(p, ci, slot)
+				return err
+			})
+			if err != nil {
+				return err
+			}
+			g.runs.grow(len(runs))
+			for _, run := range runs {
+				g.addRun(ci.Lists(), run)
+			}
+		}
 	}
 
 	// ---- Anchor-table visible selection: its id list is already at the
@@ -252,11 +256,19 @@ func (r *queryRun) qepsj() error {
 	if err := r.reduceGroups(groups, claimMin(write)); err != nil {
 		return err
 	}
-	err = r.stage(spanMerge, append(groupClaims(groups), write...), func(*ram.Reservation) error {
+	err = r.stage(spanMerge, append(groupClaims(groups), write...), func(*ram.Reservation) (err error) {
 		merged, err := r.openMerged(groups)
 		if err != nil {
 			return err
 		}
+		// Closing the merged stream drains the groups' Scan streams, whose
+		// errors are the stage's too.
+		defer func() {
+			merged.close()
+			if err == nil {
+				err = scanErr(groups)
+			}
+		}()
 		// The anchor's id predicates narrow the free id sequence and
 		// filter everything else: a flash-backed merged stream is never
 		// cut short, since draining it is metered Merge I/O.
@@ -271,11 +283,12 @@ func (r *queryRun) qepsj() error {
 		// merged stream before the join (their index entries survive a
 		// DELETE).
 		merged = r.dropDeadAnchors(q.Anchor, merged)
-		defer merged.close()
 		if d := r.plan.dml; d != nil {
-			return r.writeRows(d, merged)
+			err = r.writeRows(d, merged)
+		} else {
+			err = r.joinAndStore(merged, direct, sh.needed, tombChecks, bfs)
 		}
-		return r.joinAndStore(merged, direct, sh.needed, tombChecks, bfs)
+		return err
 	})
 	pipe.Release()
 	if err != nil || r.plan.dml != nil {
@@ -313,20 +326,23 @@ func (r *queryRun) qepsj() error {
 // column and the anchor's; under a tighter grant the column writers
 // share one staged spill buffer instead, and the survivors are
 // distributed into per-column segments by an extra pass after the
-// pipeline releases. The SKT reader is the plan's data-independent
-// claim: whether tombstones actually exist is hidden state, so neither
-// the claim set nor any admission error may depend on it. A DML has no
-// store pipeline: its Merge feeds the write stage, whose claims join the
-// Merge stage's.
+// pipeline releases. An exact COUNT(*) stores nothing and claims no
+// writer. The SKT reader is the plan's data-independent claim: whether
+// tombstones actually exist is hidden state, so neither the claim set
+// nor any admission error may depend on it. A DML has no store
+// pipeline: its Merge feeds the write stage, whose claims join the Merge
+// stage's.
 func (r *queryRun) pipeline() (claims []ram.Claim, direct bool) {
 	if r.plan.dml != nil {
 		return nil, true
 	}
 	fp := r.plan.Footprint
 	direct = r.plan.storeDirect(r.ram.Buffers())
-	claims = []ram.Claim{{Name: "store-writers", Min: fp.StoreWriters, Want: fp.StoreWriters}}
-	if !direct {
+	switch {
+	case !direct:
 		claims = []ram.Claim{{Name: "store-stage", Min: 1, Want: 1}}
+	case fp.StoreWriters > 0:
+		claims = []ram.Claim{{Name: "store-writers", Min: fp.StoreWriters, Want: fp.StoreWriters}}
 	}
 	if fp.SKTReader > 0 {
 		claims = append(claims, ram.Claim{Name: "skt-reader", Min: 1, Want: 1})
@@ -510,20 +526,42 @@ func (r *queryRun) dropDeadAnchors(anchor int, src idStream) idStream {
 	return &filterStream{src: src, keep: func(id uint32) bool { return !dl.Dead(id) }}
 }
 
-// scanFallback evaluates a hidden predicate by scanning the hidden image:
-// the path taken when the plan priced the scan cheaper than the index
-// (Plan.route), when the predicate's table carries live upserts (whose
-// index entries are stale) or when no climbing index covers the column.
-func (r *queryRun) scanFallback(g *mergeGroup, p query.Pred) error {
-	db := r.db
+// scannedColumn returns the hidden image a Scan of p reads and the
+// position of p's column within it.
+func (r *queryRun) scannedColumn(p query.Pred) (*HiddenImage, int, error) {
+	name := r.db.Sch.Tables[p.Table].Name
 	img := r.tok.Hidden[p.Table]
 	if img == nil || p.ColIdx == query.IDCol {
-		return fmt.Errorf("exec: no index and no hidden image for predicate on %s",
-			db.Sch.Tables[p.Table].Name)
+		return nil, 0, fmt.Errorf("exec: no index and no hidden image for predicate on %s", name)
 	}
 	pos, ok := img.ColPos[p.ColIdx]
 	if !ok {
-		return fmt.Errorf("exec: column %d of %s is not hidden", p.ColIdx, db.Sch.Tables[p.Table].Name)
+		return nil, 0, fmt.Errorf("exec: column %d of %s is not hidden", p.ColIdx, name)
+	}
+	return img, pos, nil
+}
+
+// scanErr is the first error a group's Scan stream met draining the
+// image on close.
+func scanErr(groups []*mergeGroup) error {
+	for _, g := range groups {
+		if g.scan != nil && g.scan.err != nil {
+			return g.scan.err
+		}
+	}
+	return nil
+}
+
+// scanFallback evaluates a hidden predicate on a table below the anchor
+// by scanning its hidden image, the Scan route's climb: the matching ids
+// are written as one run, read back and climbed to the anchor level
+// through the table's id index (on the anchor itself, the Scan is a
+// stream of the Merge instead: scanStream).
+func (r *queryRun) scanFallback(g *mergeGroup, p query.Pred) error {
+	db := r.db
+	img, pos, err := r.scannedColumn(p)
+	if err != nil {
+		return err
 	}
 	// The overlay is consulted only for a column a hidden SET has named
 	// since the last compaction; tombstones are screened either way.
@@ -531,16 +569,13 @@ func (r *queryRun) scanFallback(g *mergeGroup, p query.Pred) error {
 	kind := img.Codec.Columns()[pos].Kind
 	// The Scan stage claims the image reader and the matches writer: it
 	// reads the predicate's column through a page lent from the token's
-	// pool, writes the matching ids and, for a non-anchor table, reads
-	// them back for the climb.
+	// pool, writes the matching ids and reads them back for the climb.
 	claims := []ram.Claim{{Name: "image-reader", Min: 1, Want: 1}, {Name: "matches-writer", Min: 1, Want: 1}}
-	var matches *tempList
-	var sub sublist
 	var ids []uint32
-	err := r.stage(spanScan, claims, func(*ram.Reservation) error {
+	err = r.stage(spanScan, claims, func(*ram.Reservation) error {
 		buf := r.lend()
 		defer r.tok.releasePageBuf(buf)
-		matches = r.newTemp()
+		matches := r.newTemp()
 		if err := matches.BeginRun(); err != nil {
 			return err
 		}
@@ -558,7 +593,8 @@ func (r *queryRun) scanFallback(g *mergeGroup, p query.Pred) error {
 		if err != nil {
 			return err
 		}
-		if sub, err = matches.sealRun(); err != nil || p.Table == r.q.Anchor {
+		sub, err := matches.sealRun()
+		if err != nil {
 			return err
 		}
 		ids, err = matches.ReadAll(sub.run)
@@ -566,10 +602,6 @@ func (r *queryRun) scanFallback(g *mergeGroup, p query.Pred) error {
 	})
 	if err != nil {
 		return err
-	}
-	if p.Table == r.q.Anchor {
-		g.addRun(&matches.ListSegment, sub.run)
-		return nil
 	}
 	// Climb per id through the id index (expensive, like Pre-Filter).
 	ci, ok := r.tok.Cat.IDIndex(p.Table)

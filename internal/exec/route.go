@@ -67,8 +67,9 @@ func (p *Plan) requestedRoom(db *DB, cfg QueryConfig, nGroups int) mergeRoom {
 // been recorded, reaches the Merge, and returns the flash traffic the
 // plan's cost estimate charges it. An attribute predicate on
 // the anchor is priced both ways and takes the cheaper route (CI on a
-// tie): the Scan reads the image and writes and re-reads its matches;
-// the CI descends the index, reads one sublist per matched entry at one
+// tie): the Scan streams its matches into the Merge, so it reads the
+// image's pages and the column's bytes whatever the match count; the CI
+// descends the index, reads one sublist per matched entry at one
 // page or more each, and pays the Merge reduction passes the room
 // leaves. The pricing reads public sizes (rows, the image's page count,
 // the grant) and the index's token-side statistics only, never the
@@ -99,7 +100,7 @@ func (p *Plan) route(db *DB, q *query.Query, hp query.Pred, est *HiddenSelEst, r
 		}
 		return unpriced
 	}
-	scan := db.scanIO(hp.Table, hp.ColIdx, matches, p.BufferBytes)
+	scan := db.scanIO(hp.Table, hp.ColIdx, p.BufferBytes)
 	est.Route, est.ScanCost = RouteScan, scan.time(db)
 	if ci == nil {
 		return scan
@@ -138,18 +139,17 @@ func (io flashIO) time(db *DB) time.Duration {
 	}})
 }
 
-// scanIO prices a Scan of column col of the table's hidden image for
-// matches rows: one sequential pass that loads every page of the image
-// (imageShape) and moves the column's bytes of each row (all public
-// like the table's size), then the matches written as one run, which
-// the Merge reads back. A page is the size of a RAM buffer.
-func (db *DB) scanIO(table, col int, matches float64, pageSize int) flashIO {
+// scanIO prices a Scan of column col of the table's hidden image: one
+// sequential pass that loads every page of the image (imageShape) and
+// moves the column's bytes of each row, all public like the table's
+// size. The anchor's Scan streams its matches into the Merge, so it
+// writes nothing and no match count enters its price. A page is the
+// size of a RAM buffer.
+func (db *DB) scanIO(table, col, pageSize int) flashIO {
 	pages, _ := db.imageShape(table, pageSize)
-	m := math.Ceil(matches * store.IDBytes / float64(pageSize))
 	return flashIO{
-		reads:  float64(pages) + m,
-		writes: m,
-		bytes:  float64(db.Rows(table)*db.Sch.Tables[table].Columns[col].EncodedWidth()) + matches*store.IDBytes,
+		reads: float64(pages),
+		bytes: float64(db.Rows(table) * db.Sch.Tables[table].Columns[col].EncodedWidth()),
 	}
 }
 

@@ -266,12 +266,15 @@ func TestLeakedSeesSessionClaims(t *testing.T) {
 // and that stage claims a RAM buffer for it, so at no borrow are more
 // pages lent than the session's budget has given out. Replays every
 // golden corpus at its grants; the writes corpus's UPDATE/DELETE
-// statements lend pages too (Scan matches, reduction spills), a Scan
-// stage lends two, its image reader's and its matches writer's, and
-// the DML stage of every hidden SET lends one, its row reader's.
+// statements lend pages too (Scan streams, reduction spills). The Scan
+// stage of a predicate below the anchor lends two, its image reader's
+// and its matches writer's; an anchor predicate's Scan stream is lent
+// its page when the Merge stage opens it, beside the pages the store
+// pipeline's claims keep for their writers, so the Merge stage claims
+// it; and the DML stage of every hidden SET lends one, its row reader's.
 func TestStagesClaimTheirPages(t *testing.T) {
 	var over []string
-	dmlLends := 0
+	dmlLends, streamLends := 0, 0
 	scanLends := map[*queryRun]int{}
 	rowLends := map[*queryRun]int{}
 	rowSQL := map[string]bool{}
@@ -281,6 +284,13 @@ func TestStagesClaimTheirPages(t *testing.T) {
 		}
 		if calledFrom("(*queryRun).scanFallback") {
 			scanLends[r]++
+		}
+		if calledFrom("(*scanStream).open") {
+			streamLends++
+			pipe, _ := r.pipeline()
+			if !calledFrom("(*queryRun).openMerged") || r.ram.InUse()/r.ram.BufferSize() < r.tok.lent+claimMin(pipe) {
+				over = append(over, r.q.SQL+": a Scan stream was lent its page beyond the Merge stage's claims")
+			}
 		}
 		if calledFrom("(*queryRun).writeRows") {
 			rowLends[r]++
@@ -304,6 +314,9 @@ func TestStagesClaimTheirPages(t *testing.T) {
 	}
 	if len(scanLends) == 0 {
 		t.Fatal("no Scan stage borrowed a page")
+	}
+	if streamLends == 0 {
+		t.Fatal("no Merge stage opened a Scan stream")
 	}
 	for r, n := range scanLends {
 		if n < 2 {

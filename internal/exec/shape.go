@@ -33,6 +33,11 @@ type queryShape struct {
 	// idTables lists the non-anchor tables whose id is projected, in
 	// projection order: the final join reads their QEPSJ columns.
 	idTables []int
+	// count marks an exact COUNT(*): no table is verified at projection
+	// time (no exact or Post-Select table, hence no Bloom filter), so the
+	// Merge's survivors that pass the tombstone chase are the answer.
+	// Nothing is stored and no projection runs.
+	count bool
 }
 
 // projSpec is one table's projection spec (§4: the Project algorithm
@@ -129,6 +134,7 @@ func newShape(sch *schema.Schema, q *query.Query, strategies map[int]Strategy, b
 		}
 	}
 	slices.Sort(sh.needed)
+	sh.count = q.CountOnly && len(sh.exact) == 0 && len(sh.postSelect) == 0
 	return sh
 }
 

@@ -10,6 +10,9 @@ import (
 	"fmt"
 	"slices"
 
+	"ghostdb/internal/delta"
+	"ghostdb/internal/query"
+	"ghostdb/internal/schema"
 	"ghostdb/internal/store"
 )
 
@@ -48,6 +51,105 @@ func (s *sliceStream) next() (uint32, bool, error) {
 }
 
 func (s *sliceStream) close() {}
+
+// scanStream is a Scan-routed hidden predicate on the anchor as a direct
+// stream of its Merge group: it reads the predicate's column out of the
+// anchor's hidden image (imageColumn) through a page lent from the
+// token's pool, which the Merge stage claims (groupClaims), and yields
+// the ids of the live rows that match, in ascending order, as the Merge
+// pulls them. It writes nothing, and its reads are the image's pages and
+// the column's bytes whatever the match count: open lends the page and
+// positions the reader when the Merge opens the group, and close reads
+// the pages left, so every page is loaded once whether the Merge pulled
+// every id, a few or none (an intersection stops at its first empty
+// group). Each page load is booked to a nested Scan span.
+//
+//ghostdb:requires-slot
+type scanStream struct {
+	r      *queryRun
+	img    *HiddenImage
+	p      query.Pred
+	kind   schema.Kind
+	off, w int
+	// dead screens tombstoned rows; ov is the overlay consulted for the
+	// column (columnOverlay), nil when no hidden SET named it.
+	dead, ov *delta.Table
+	col      imageColumn
+	buf      []byte // the lent page, nil when not open
+	err      error  // the drain's, which the Merge stage reports
+}
+
+// newScanStream sets up, unopened, the Scan stream of the anchor
+// predicate p.
+func (r *queryRun) newScanStream(p query.Pred) (*scanStream, error) {
+	img, pos, err := r.scannedColumn(p)
+	if err != nil {
+		return nil, err
+	}
+	s := &scanStream{r: r, img: img, p: p, kind: img.Codec.Columns()[pos].Kind,
+		dead: r.tok.deltaOf(p.Table), ov: r.columnOverlay(p.Table, p.ColIdx)}
+	s.off, s.w = img.Codec.ColumnRange(pos)
+	return s, nil
+}
+
+// open lends the stream's page and positions it before the first row.
+func (s *scanStream) open() error {
+	s.buf = s.r.lend()
+	if err := s.img.initColumn(&s.col, s.ov, s.off, s.w, s.buf); err != nil {
+		s.r.tok.releasePageBuf(s.buf)
+		s.buf = nil
+		return err
+	}
+	return nil
+}
+
+func (s *scanStream) next() (uint32, bool, error) {
+	for {
+		id, b, ok, err := s.row()
+		if err != nil || !ok {
+			return 0, false, err
+		}
+		if s.dead != nil && s.dead.Dead(id) {
+			continue
+		}
+		v, err := schema.DecodeValue(b, s.kind)
+		if err != nil {
+			return 0, false, err
+		}
+		if matchValue(s.p, v) {
+			return id, true, nil
+		}
+	}
+}
+
+// row reads the next row, booking a page load to the Scan span.
+func (s *scanStream) row() (id uint32, b []byte, ok bool, err error) {
+	if !s.col.rd.Loads() {
+		return s.col.next()
+	}
+	err = s.r.col.Span(spanScan, func() error {
+		var err error
+		id, b, ok, err = s.col.next()
+		return err
+	})
+	return id, b, ok, err
+}
+
+// close reads the image's remaining pages and returns the lent page.
+func (s *scanStream) close() {
+	if s.buf == nil {
+		return
+	}
+	for {
+		_, _, ok, err := s.row()
+		if err != nil || !ok {
+			s.err = err
+			break
+		}
+	}
+	s.r.tok.releasePageBuf(s.buf)
+	s.buf = nil
+}
 
 // seqStream yields i..n-1 (the degenerate "no selective predicate" case:
 // every anchor tuple qualifies so far; clip narrows it to the anchor's id

@@ -281,7 +281,8 @@ type ColumnReader struct {
 	f      *RowFile
 	off, w int // the column's byte span within a record
 	next   int
-	page   int
+	end    int // the record past the loaded page's last; 0 before the first load
+	at     int // the next record's span within buf
 	buf    []byte
 }
 
@@ -292,7 +293,7 @@ func (f *RowFile) InitColumnReader(rd *ColumnReader, buf []byte, off, width int)
 	if off < 0 || width <= 0 || off+width > f.rowWidth {
 		return fmt.Errorf("store: column span [%d,%d) outside a %d-byte record", off, off+width, f.rowWidth)
 	}
-	*rd = ColumnReader{f: f, off: off, w: width, page: -1, buf: buf}
+	*rd = ColumnReader{f: f, off: off, w: width, buf: buf}
 	return nil
 }
 
@@ -303,19 +304,25 @@ func (r *ColumnReader) Next() (col []byte, id uint32, ok bool, err error) {
 	if r.next >= f.count {
 		return nil, 0, false, nil
 	}
-	pi := r.next / f.rowsPerPage
-	if pi != r.page {
+	if r.next >= r.end {
+		pi := r.next / f.rowsPerPage
 		rows := min(f.rowsPerPage, f.count-pi*f.rowsPerPage)
 		if err := f.dev.ReadStrided(f.pages[pi], r.buf, r.off, r.w, f.rowWidth, rows); err != nil {
 			return nil, 0, false, err
 		}
-		r.page = pi
+		r.end, r.at = pi*f.rowsPerPage+rows, r.off
 	}
-	at := r.next%f.rowsPerPage*f.rowWidth + r.off
+	col = r.buf[r.at : r.at+r.w]
+	r.at += f.rowWidth
 	id = uint32(r.next)
 	r.next++
-	return r.buf[at : at+r.w], id, true, nil
+	return col, id, true, nil
 }
+
+// Loads reports whether the next call to Next loads a page (its record
+// is the first one read from its page), so a caller can book that load
+// apart from the rest of its work.
+func (r *ColumnReader) Loads() bool { return r.next >= r.end && r.next < r.f.count }
 
 // PageOf returns the index of the page holding record id.
 func (f *RowFile) PageOf(id uint32) int { return int(id) / f.rowsPerPage }
